@@ -19,10 +19,6 @@
 //!   on and off, measures the telemetry overhead, and dumps the whole
 //!   `aneci-obs` registry (training spans, kernel counters, serve latency
 //!   percentiles) to `BENCH_obs.json`.
-//! * `--train` A/Bs the shared `Trainer` engine against the retained
-//!   pre-refactor reference loop (`AneciModel::train_reference`) — per-epoch
-//!   wall time of each plus a bit-exact trajectory parity check — and
-//!   writes `BENCH_train.json`.
 //! * `--scale [max_nodes]` is the million-node scaling benchmark: streams a
 //!   planted-partition graph at N ∈ {10k, 100k, 1M} (capped at `max_nodes`,
 //!   default 1M), trains AnECI through the community-aware mini-batch path,
@@ -52,7 +48,7 @@
 //!   suite's gate fails — the one-command regression sweep.
 //!
 //! Run with `cargo run --release -p aneci-bench --bin bench_report
-//! [-- --kernels | -- --serve | -- --http | -- --obs | -- --train | -- --scale [N] | -- --dynamic | -- --robust | -- --all]`.
+//! [-- --kernels | -- --serve | -- --http | -- --obs | -- --scale [N] | -- --dynamic | -- --robust | -- --all]`.
 //! `ANECI_NUM_THREADS` caps the pooled measurements as usual;
 //! `ANECI_NO_SIMD=1` forces the scalar fallback (the `simd_vs_scalar`
 //! section then reports `active: false` and is excluded from the gate).
@@ -130,8 +126,6 @@ fn main() {
         http_bench();
     } else if args.iter().any(|a| a == "--obs") {
         obs_bench();
-    } else if args.iter().any(|a| a == "--train") {
-        train_bench();
     } else if args.iter().any(|a| a == "--dynamic") {
         dynamic_bench();
     } else if args.iter().any(|a| a == "--robust") {
@@ -796,8 +790,8 @@ fn http_bench() {
             "connections": connections,
             "keepalive_reused": reused,
             "shed": shed,
-            "request_p50_us": server_lat.as_ref().map_or(0.0, |h| h.p50() / 1e3),
-            "request_p99_us": server_lat.as_ref().map_or(0.0, |h| h.p99() / 1e3),
+            "request_p50_us": server_lat.as_ref().map_or(0.0, |h| h.p50().unwrap_or_default() / 1e3),
+            "request_p99_us": server_lat.as_ref().map_or(0.0, |h| h.p99().unwrap_or_default() / 1e3),
         },
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_http.json");
@@ -1164,78 +1158,6 @@ fn dynamic_bench() {
     }
 }
 
-/// Training-engine benchmark: the shared `Trainer` driver vs the retained
-/// pre-refactor hand-rolled loop on the quickstart workload. Checks the two
-/// produce bit-identical trajectories (the refactor's core guarantee) and
-/// reports the per-epoch wall time of each to `BENCH_train.json`.
-fn train_bench() {
-    use aneci_core::{AneciConfig, AneciModel};
-    use aneci_graph::karate_club;
-
-    pool::force_pool();
-    let threads = pool::num_threads();
-    let graph = karate_club();
-    let config = AneciConfig::for_community_detection(2, 42);
-    let epochs = config.epochs;
-
-    // Warm-up: pool spin-up and allocator effects land outside the A/B.
-    black_box(
-        AneciModel::new(&graph, &config)
-            .train(None)
-            .expect("training failed"),
-    );
-
-    let reps = 5;
-    let new_ns = time_best(reps, || {
-        let mut model = AneciModel::new(&graph, &config);
-        black_box(model.train(None).expect("training failed"));
-    });
-    let old_ns = time_best(reps, || {
-        let mut model = AneciModel::new(&graph, &config);
-        black_box(model.train_reference(None));
-    });
-    let overhead_pct = (new_ns as f64 - old_ns as f64) / old_ns.max(1) as f64 * 100.0;
-
-    // Parity: the engine must retrace the reference loop bit for bit.
-    let mut new_model = AneciModel::new(&graph, &config);
-    let new_report = new_model.train(None).expect("training failed");
-    let mut old_model = AneciModel::new(&graph, &config);
-    let old_report = old_model.train_reference(None);
-    let parity = new_report.losses == old_report.losses
-        && new_report.modularity == old_report.modularity
-        && new_report.rigidity == old_report.rigidity
-        && new_report.best_epoch == old_report.best_epoch
-        && new_report.epochs_run == old_report.epochs_run
-        && new_model.embedding() == old_model.embedding();
-
-    let report = serde_json::json!({
-        "threads": threads,
-        "epochs": epochs,
-        "reference_ms": old_ns as f64 / 1e6,
-        "trainer_ms": new_ns as f64 / 1e6,
-        "reference_per_epoch_us": old_ns as f64 / 1e3 / epochs.max(1) as f64,
-        "trainer_per_epoch_us": new_ns as f64 / 1e3 / epochs.max(1) as f64,
-        "overhead_pct": overhead_pct,
-        "bit_exact_parity": parity,
-        "peak_rss_mb": peak_rss_mb(),
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap() + "\n")
-        .expect("failed to write BENCH_train.json");
-
-    println!("wrote {path} ({threads} threads, {epochs} epochs)");
-    println!(
-        "  reference loop {:.2} ms, shared trainer {:.2} ms — overhead {overhead_pct:+.2}%",
-        old_ns as f64 / 1e6,
-        new_ns as f64 / 1e6,
-    );
-    println!("  bit-exact parity: {parity}");
-    assert!(
-        parity,
-        "Trainer diverged from the reference loop — the refactor's bit-exactness guarantee broke"
-    );
-}
-
 /// Sum of the `train.batch.nodes` histogram — total nodes processed by the
 /// mini-batch engine since process start (deltas around a run give its
 /// throughput numerator).
@@ -1482,7 +1404,7 @@ fn obs_bench() {
                 "span": name,
                 "calls": h.count,
                 "mean_us": h.mean() / 1e3,
-                "p95_us": h.p95() / 1e3,
+                "p95_us": h.p95().unwrap_or_default() / 1e3,
             })
         })
         .collect();
@@ -1501,9 +1423,9 @@ fn obs_bench() {
     let serve_lat = snap.histogram("serve.query_ns").map(|lat| {
         serde_json::json!({
             "queries": lat.count,
-            "p50_us": lat.p50() / 1e3,
-            "p95_us": lat.p95() / 1e3,
-            "p99_us": lat.p99() / 1e3,
+            "p50_us": lat.p50().unwrap_or_default() / 1e3,
+            "p95_us": lat.p95().unwrap_or_default() / 1e3,
+            "p99_us": lat.p99().unwrap_or_default() / 1e3,
         })
     });
     let registry: serde_json::Value =
@@ -1542,8 +1464,8 @@ fn obs_bench() {
         println!(
             "  serve: {} queries   p50 {:.1} us   p99 {:.1} us",
             lat.count,
-            lat.p50() / 1e3,
-            lat.p99() / 1e3,
+            lat.p50().unwrap_or_default() / 1e3,
+            lat.p99().unwrap_or_default() / 1e3,
         );
     }
 }
@@ -1885,7 +1807,6 @@ fn run_all_suites() {
         &["--serve"],
         &["--http"],
         &["--obs"],
-        &["--train"],
         &["--dynamic"],
         &["--robust"],
         &["--scale", "10000"],

@@ -2,7 +2,7 @@
 //!
 //! Wall-clock seconds per training epoch and total (training + embedding
 //! extraction) per method per dataset, mirroring the paper's two blocks.
-//! Criterion microbenches in `benches/` cover the kernel-level numbers.
+//! `bench_report --kernels` covers the kernel-level numbers.
 
 use crate::{print_table, write_csv, ExpArgs};
 use aneci_baselines::{

@@ -10,10 +10,10 @@
 //!   (Eq. 13–14), high-order reconstruction decoder (Eq. 15–17), joint
 //!   objective (Eq. 18), training with the paper's three stopping
 //!   strategies;
-//! * [`minibatch`] — million-node scale: community-aware / neighbor-sampled
-//!   mini-batch training of the same objective on induced subgraphs
-//!   ([`AneciModel::train_minibatch`](model::AneciModel::train_minibatch)),
-//!   bit-exact with full-batch training under the `FullGraph` strategy;
+//! * [`minibatch`] — million-node scale: [`MiniBatchTrainer`] trains the
+//!   same objective (the same loss code) on community-aware or
+//!   neighbor-sampled induced subgraphs, bit-exact with full-batch training
+//!   under the `FullGraph` strategy;
 //! * [`anomaly`] — membership-entropy node anomaly scores, edge anomaly
 //!   scores, the defense score `DS(δ)` of Sec. VI-B1;
 //! * [`denoise`] — **AnECI+**, the two-stage denoising variant

@@ -1,45 +1,41 @@
-//! Mini-batch training for [`AneciModel`] (million-node scale).
+//! Mini-batch training of the AnECI objective (million-node scale).
 //!
-//! The full-batch path ([`AneciModel::train`]) materializes one loss over
-//! all `N` nodes per epoch; every operator it touches (`Â`, `Ã`, the dense
-//! reconstruction target) is sized `N×N`-ish, which caps it around the
-//! exact-recon threshold. This module trains the *same* objective on
-//! induced subgraphs instead:
+//! The full-batch path ([`AneciModel::train`](crate::model::AneciModel::train))
+//! materializes one loss over all `N` nodes per epoch; every operator it
+//! touches (`Â`, `Ã`, the dense reconstruction target) is sized `N×N`-ish,
+//! which caps it around the exact-recon threshold. [`MiniBatchTrainer`]
+//! trains the *same* objective on induced subgraphs instead:
 //!
 //! 1. a [`BatchSampler`] plans each epoch's batches — community-aware
 //!    subgraph sampling (sample communities, expand `l` hops) or
 //!    GraphSAGE-style uniform neighbor sampling;
-//! 2. per batch, the propagation operator is rebuilt from the raw adjacency
-//!    (`extract_submatrix` → `add_identity` → `sym_normalize`, mirroring
-//!    [`AttributedGraph::norm_adjacency`](aneci_graph::AttributedGraph::norm_adjacency)),
-//!    and the high-order proximity rows come from
-//!    [`HighOrder::build_rows`] — only the sampled rows, never `N×N`;
-//! 3. the per-batch loss is the exact AnECI objective (`−β₁Q̃ + β₂L_R`) on
-//!    the induced subgraph, driven through
+//! 2. per batch, the operators come from the model's own builder over the
+//!    batch's rows of the raw adjacency (`extract_submatrix`, then
+//!    [`HighOrder::build_rows`] — only the sampled rows, never `N×N`);
+//! 3. the per-batch loss is the model's own `−β₁Q̃ + β₂L_R` on the induced
+//!    subgraph, driven through
 //!    [`Trainer::run_batched`](aneci_autograd::train::Trainer).
 //!
-//! **Parity contract** (pinned by `tests/trainer_parity.rs`): with
-//! [`BatchStrategy::FullGraph`] the per-batch operators are bit-exact
-//! copies of the full-batch ones, the tape op order matches
-//! `AneciModel::train_reference` exactly, and the negative-sampling RNG
-//! walks the same `(seed, 0x5A3)` stream — so a one-batch "mini-batch" run
-//! reproduces the reference trajectory bit-for-bit.
+//! **Parity contract** (pinned by the golden fixtures of
+//! `tests/trainer_parity.rs`): with [`BatchStrategy::FullGraph`] the batch
+//! operators are bit-exact copies of the full-batch ones, the loss is the
+//! same function, and the negative-sampling RNG walks the same
+//! `(seed, 0x5A3)` stream — so a one-batch run reproduces
+//! `AneciModel::train` bit for bit.
 //!
 //! For genuinely partial batches the kept embedding cannot be tracked
-//! per-epoch (each batch only sees its own rows), so the model keeps the
+//! per-epoch (each batch only sees its own rows), so the trainer keeps the
 //! post-training full forward pass instead.
 
-use crate::config::{AneciConfig, ReconMode, StopStrategy};
+use crate::config::{AneciConfig, StopStrategy};
 use crate::error::AneciError;
-use crate::model::{rigidity, sample_pairs, AneciModel, TrainReport};
-use aneci_autograd::train::{EpochStats, Objective, StepOutput, StopRule, Trainer};
+use crate::model::{embed, engine, init_params, propagation, Operators, TrainReport, TrainState};
+use aneci_autograd::train::{EpochStats, StepOutput};
 use aneci_autograd::train_batch::{BatchSampler, BatchTrainStep};
-use aneci_autograd::{Adam, BcePair, ParamSet, Tape, Var};
+use aneci_autograd::{ParamSet, Tape, Var};
 use aneci_graph::HighOrder;
-use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
 use aneci_obs::span;
-use rand::rngs::StdRng;
 use std::sync::Arc;
 
 pub use aneci_autograd::train_batch::BatchStrategy;
@@ -52,97 +48,37 @@ struct BatchArtifacts {
     nodes: Vec<usize>,
     /// Feature rows of the batch, in batch order.
     features: Arc<DenseMatrix>,
-    /// `sym_normalize(extract(A)[batch] + I)` — the batch GCN operator.
-    norm_adj: Arc<CsrMatrix>,
-    /// High-order proximity restricted to the batch (rows *and* columns).
-    a_tilde: Arc<CsrMatrix>,
-    /// Row sums of the batch `Ã` as a column vector.
-    k_tilde: DenseMatrix,
-    /// Total mass of the batch `Ã`.
-    m_tilde: f64,
-    /// Dense reconstruction target when the batch is small enough.
-    dense_target: Option<Arc<DenseMatrix>>,
-    /// Stored entries of the batch `Ã` (positive BCE pairs).
-    positives: Arc<[BcePair]>,
-}
-
-/// The minimal inputs mini-batch training needs — shared by the
-/// [`AneciModel`]-attached path and the standalone [`MiniBatchTrainer`]
-/// (which never builds the global `N×N` proximity or dense target).
-struct MbContext<'a> {
-    config: &'a AneciConfig,
-    adjacency: &'a Arc<CsrMatrix>,
-    features: &'a DenseMatrix,
-}
-
-impl MbContext<'_> {
-    fn num_nodes(&self) -> usize {
-        self.adjacency.rows()
-    }
+    /// The batch's operators; `Ã` is restricted to the batch (rows *and*
+    /// columns).
+    ops: Operators,
 }
 
 impl BatchArtifacts {
-    fn build(ctx: &MbContext<'_>, nodes: &[usize]) -> Self {
+    fn build(
+        adjacency: &CsrMatrix,
+        features: &DenseMatrix,
+        config: &AneciConfig,
+        nodes: &[usize],
+    ) -> Self {
         let _s = span("batch.prepare");
-        let sub = ctx.adjacency.extract_submatrix(nodes);
-        let norm_adj = Arc::new(sub.add_identity().sym_normalize());
-        let ho = HighOrder::build_rows(ctx.adjacency, &ctx.config.proximity, nodes);
-        let k_tilde = DenseMatrix::column(&ho.k_tilde);
-        let m_tilde = ho.m_tilde;
-        let a_tilde = Arc::new(ho.a_tilde);
-        let exact = match ctx.config.recon {
-            ReconMode::Exact => true,
-            ReconMode::Sampled { .. } => false,
-            ReconMode::Auto => nodes.len() <= ctx.config.exact_recon_threshold,
-        };
-        let dense_target = exact.then(|| Arc::new(a_tilde.to_dense()));
-        let positives: Arc<[BcePair]> = a_tilde
-            .iter()
-            .map(|(i, j, v)| (i as u32, j as u32, v))
-            .collect::<Vec<_>>()
-            .into();
+        let sub = adjacency.extract_submatrix(nodes);
+        let ho = HighOrder::build_rows(adjacency, &config.proximity, nodes);
         Self {
             nodes: nodes.to_vec(),
-            features: Arc::new(ctx.features.select_rows(nodes)),
-            norm_adj,
-            a_tilde,
-            k_tilde,
-            m_tilde,
-            dense_target,
-            positives,
+            features: Arc::new(features.select_rows(nodes)),
+            ops: Operators::new(&sub, ho, config),
         }
     }
 }
 
-/// [`BatchTrainStep`] driver: the AnECI objective on one induced subgraph
-/// per batch, with the same tape op order and RNG consumption as the
-/// full-batch `AneciStep` so the FullGraph plan is bit-exact with it.
+/// [`BatchTrainStep`] driver: the model's joint loss on one induced
+/// subgraph per batch.
 struct MiniBatchStep<'m> {
-    ctx: &'m MbContext<'m>,
-    rng: StdRng,
-    /// Negative-sampling scratch kept across batches.
-    negatives: Vec<BcePair>,
-    report: TrainReport,
-    obs_q: aneci_obs::Histogram,
-    obs_dq: aneci_obs::Histogram,
-    prev_q: Option<f64>,
-    /// Per-epoch accumulators, reset by `on_epoch`.
-    q_sum: f64,
-    rig_sum: f64,
-    batches_seen: usize,
+    config: &'m AneciConfig,
+    adjacency: &'m CsrMatrix,
+    features: &'m DenseMatrix,
+    state: TrainState,
     cache: Option<BatchArtifacts>,
-    /// Z of the most recent batch *iff* it covered every node.
-    cur_z: Option<DenseMatrix>,
-    best_z: Option<DenseMatrix>,
-}
-
-impl MiniBatchStep<'_> {
-    /// A scalar `0` variable (no gradient): the degenerate-batch fallback
-    /// for an empty `Ã` restriction or an empty BCE pair set.
-    fn zero(tape: &mut Tape) -> Var {
-        let z = tape.constant(DenseMatrix::zeros(1, 1));
-        tape.sum(z)
-    }
 }
 
 impl BatchTrainStep for MiniBatchStep<'_> {
@@ -155,257 +91,50 @@ impl BatchTrainStep for MiniBatchStep<'_> {
         _batch_count: usize,
         nodes: &[usize],
     ) -> StepOutput {
-        let m = self.ctx;
         if self.cache.as_ref().is_none_or(|c| c.nodes != nodes) {
             // Free the previous batch's operators before building the next.
             self.cache = None;
-            self.cache = Some(BatchArtifacts::build(m, nodes));
+            self.cache = Some(BatchArtifacts::build(
+                self.adjacency,
+                self.features,
+                self.config,
+                nodes,
+            ));
         }
         let art = self.cache.as_ref().unwrap();
-
-        // Encoder on the induced subgraph — op-for-op `AneciModel::forward`.
-        let (z, p) = {
-            let _s = span("encode");
-            let xw = tape.matmul_const(&art.features, w[0]);
-            let h1 = tape.spmm(&art.norm_adj, xw);
-            let a1 = tape.leaky_relu(h1, m.config.leaky_alpha);
-            let hw = tape.matmul(a1, w[1]);
-            let z = tape.spmm(&art.norm_adj, hw);
-            let p = tape.softmax_rows(z);
-            (z, p)
-        };
-
-        // Generalized modularity on the batch `Ã` — op-for-op
-        // `AneciModel::modularity_var` with the batch mass.
-        let q = {
-            let _s = span("modularity");
-            if art.m_tilde == 0.0 {
-                Self::zero(tape)
-            } else {
-                let mass = art.m_tilde;
-                let sp = tape.spmm(&art.a_tilde, p);
-                let term1 = {
-                    let h = tape.hadamard(p, sp);
-                    tape.sum(h)
-                };
-                let k = tape.constant(art.k_tilde.clone());
-                let y = tape.matmul_tn(p, k);
-                let term2 = tape.frob_sq(y);
-                let t2 = tape.scale(term2, 1.0 / mass);
-                let diff = tape.sub(term1, t2);
-                tape.scale(diff, 1.0 / mass)
-            }
-        };
-
-        // Reconstruction on the batch `Ã` — `AneciModel::recon_var` with
-        // the batch pair set; negatives walk the shared serial RNG stream.
-        let recon = {
-            let _s = span("decode");
-            match &art.dense_target {
-                Some(target) => {
-                    let nb = nodes.len();
-                    let loss = tape.dense_recon_bce(p, target, 1.0);
-                    tape.scale(loss, 1.0 / (nb * nb) as f64)
-                }
-                None => {
-                    let pairs = sample_pairs(
-                        m.config.recon,
-                        &art.positives,
-                        &art.a_tilde,
-                        nodes.len(),
-                        &mut self.rng,
-                        &mut self.negatives,
-                    );
-                    if pairs.is_empty() {
-                        Self::zero(tape)
-                    } else {
-                        let loss = tape.pair_bce(p, &pairs);
-                        tape.scale(loss, 1.0 / pairs.len() as f64)
-                    }
-                }
-            }
-        };
-
-        let neg_q = tape.neg(q);
-        let q_term = tape.scale(neg_q, m.config.beta1);
-        let r_term = tape.scale(recon, m.config.beta2);
-        let loss = tape.add(q_term, r_term);
-
-        let q_val = tape.scalar(q);
-        let p_val = tape.value(p).clone();
-        self.q_sum += q_val;
-        self.rig_sum += rigidity(&p_val);
-        self.batches_seen += 1;
-        self.cur_z = (nodes.len() == m.num_nodes()).then(|| tape.value(z).clone());
-
-        let monitor = match m.config.stop {
-            StopStrategy::FixedEpochs => None,
-            // Batch Q̃ values are epoch-averaged by `run_batched`.
-            StopStrategy::EarlyStopModularity { .. } => Some(q_val),
-            // Rejected up front by `train_minibatch`.
-            StopStrategy::ValidationBest { .. } => None,
-        };
-        StepOutput { loss, monitor }
+        let (pass, q) = self
+            .state
+            .forward(tape, w, &art.features, &art.ops, self.config);
+        self.state.cur_z =
+            (nodes.len() == self.adjacency.rows()).then(|| tape.value(pass.z).clone());
+        // Batch Q̃ values are epoch-averaged by `run_batched`.
+        let monitor =
+            matches!(self.config.stop, StopStrategy::EarlyStopModularity { .. }).then_some(q);
+        StepOutput {
+            loss: pass.loss,
+            monitor,
+        }
     }
 
     fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {
         // Only full-coverage batches yield a complete Z to keep; partial
         // plans fall back to the post-training forward pass.
-        if self.cur_z.is_some() {
-            self.best_z = self.cur_z.clone();
-        }
+        self.state.keep_best();
     }
 
     fn on_epoch(&mut self, _stats: &EpochStats) {
-        let nb = self.batches_seen.max(1) as f64;
-        let q_mean = self.q_sum / nb;
-        let rig_mean = self.rig_sum / nb;
-        self.obs_q.observe(q_mean);
-        self.obs_dq.observe(q_mean - self.prev_q.unwrap_or(q_mean));
-        self.prev_q = Some(q_mean);
-        self.report.modularity.push(q_mean);
-        self.report.rigidity.push(rig_mean);
-        self.q_sum = 0.0;
-        self.rig_sum = 0.0;
-        self.batches_seen = 0;
+        self.state.end_epoch();
     }
 }
 
-/// The shared mini-batch driver behind [`AneciModel::train_minibatch`] and
-/// [`MiniBatchTrainer::train`]. On success returns the filled report and
-/// the kept full-coverage `Z` (None for genuinely partial plans — the
-/// caller falls back to a post-training forward pass).
-fn run_minibatch(
-    ctx: &MbContext<'_>,
-    params: &mut ParamSet,
-    strategy: BatchStrategy,
-    communities: Option<&[usize]>,
-) -> Result<(TrainReport, Option<DenseMatrix>), AneciError> {
-    if let StopStrategy::ValidationBest { .. } = ctx.config.stop {
-        return Err(AneciError::Config(
-            "mini-batch training does not support StopStrategy::ValidationBest; \
-             use FixedEpochs or EarlyStopModularity"
-                .into(),
-        ));
-    }
-    let stop = match ctx.config.stop {
-        StopStrategy::FixedEpochs | StopStrategy::ValidationBest { .. } => StopRule::FixedEpochs,
-        // Same mapping as `AneciModel::train`.
-        StopStrategy::EarlyStopModularity { patience } => StopRule::BestMonitor {
-            objective: Objective::Maximize,
-            patience: patience.max(1),
-            min_delta: 1e-9,
-        },
-    };
-    let trainer = Trainer::new(ctx.config.epochs)
-        .stop(stop)
-        .observe_as("core.train");
-    let mut opt = Adam::new(ctx.config.lr).with_weight_decay(ctx.config.weight_decay);
-
-    let sampler = BatchSampler::new(ctx.adjacency, strategy, communities, ctx.config.seed);
-    let mut driver = MiniBatchStep {
-        ctx,
-        rng: seeded_rng(derive_seed(ctx.config.seed, 0x5A3)),
-        negatives: Vec::new(),
-        report: TrainReport::default(),
-        obs_q: aneci_obs::histogram("core.train.q_tilde"),
-        obs_dq: aneci_obs::histogram("core.train.delta_q"),
-        prev_q: None,
-        q_sum: 0.0,
-        rig_sum: 0.0,
-        batches_seen: 0,
-        cache: None,
-        cur_z: None,
-        best_z: None,
-    };
-    let outcome = trainer.run_batched(
-        params,
-        &mut opt,
-        &mut |e| sampler.epoch_plan(e),
-        &mut driver,
-    );
-    let MiniBatchStep {
-        mut report, best_z, ..
-    } = driver;
-    let run = outcome?;
-    report.losses = run.losses;
-    report.best_epoch = run.best_epoch;
-    report.epochs_run = run.epochs_run;
-    Ok((report, best_z))
-}
-
-/// A full (all-node) encoder forward pass with the given parameters — the
-/// final-embedding fallback when no batch covered every node. Builds the
-/// normalized propagation operator on demand from the raw adjacency.
-fn full_forward(
-    adjacency: &CsrMatrix,
-    features: &Arc<DenseMatrix>,
-    params: &ParamSet,
-    config: &AneciConfig,
-) -> DenseMatrix {
-    let norm_adj = Arc::new(adjacency.add_identity().sym_normalize());
-    let mut tape = Tape::new();
-    let w = params.leaf_all(&mut tape);
-    let xw = tape.matmul_const(features, w[0]);
-    let h1 = tape.spmm(&norm_adj, xw);
-    let a1 = tape.leaky_relu(h1, config.leaky_alpha);
-    let hw = tape.matmul(a1, w[1]);
-    let z = tape.spmm(&norm_adj, hw);
-    tape.value(z).clone()
-}
-
-impl AneciModel {
-    /// Trains through the mini-batch engine: per epoch, `strategy` plans a
-    /// deterministic batch sequence (seeded from the model's config seed)
-    /// and every batch optimizes the AnECI objective on its induced
-    /// subgraph. `communities` (node → community id) is required by
-    /// [`BatchStrategy::CommunityAware`] and ignored otherwise.
-    ///
-    /// [`StopStrategy::ValidationBest`] is not supported here (validation
-    /// probes need a full embedding every probe epoch, defeating the point
-    /// of batching) and reports [`AneciError::Config`]; use
-    /// [`StopStrategy::FixedEpochs`] or
-    /// [`StopStrategy::EarlyStopModularity`] — the latter monitors the
-    /// epoch-mean batch Q̃.
-    ///
-    /// With [`BatchStrategy::FullGraph`] this reproduces
-    /// [`AneciModel::train`] bit-exactly (same operators, same tape op
-    /// order, same RNG streams) — the parity tests pin that contract.
-    pub fn train_minibatch(
-        &mut self,
-        strategy: BatchStrategy,
-        communities: Option<&[usize]>,
-    ) -> Result<TrainReport, AneciError> {
-        let mut params = std::mem::take(&mut self.params);
-        let result = {
-            let ctx = MbContext {
-                config: &self.config,
-                adjacency: &self.adjacency,
-                features: &self.features,
-            };
-            run_minibatch(&ctx, &mut params, strategy, communities)
-        };
-        self.params = params;
-        let (report, best_z) = result?;
-        self.best_embedding = Some(match best_z {
-            Some(z) => z,
-            // Partial batches never see a full Z: keep the post-training
-            // forward pass (the standard GraphSAGE-style serving answer).
-            None => self.forward_embedding(),
-        });
-        Ok(report)
-    }
-}
-
-/// Standalone mini-batch trainer for graphs too large for [`AneciModel`]'s
-/// full-batch precomputation (global high-order proximity, dense targets,
-/// the full positive-pair list — all `O(N·deg^l)` or worse). Holds only
-/// the raw CSR adjacency and the feature matrix; every training-time
-/// operator is batch-local.
+/// Mini-batch trainer of the AnECI objective, for graphs too large for
+/// [`AneciModel`](crate::model::AneciModel)'s full-batch precomputation
+/// (global high-order proximity, dense targets, the full positive-pair list
+/// — all `O(N·deg^l)` or worse). Holds only the raw CSR adjacency and the
+/// feature matrix; every training-time operator is batch-local.
 ///
-/// Weight initialization walks the same `(seed, 0xA0EC1)` Xavier stream as
-/// [`AneciModel::try_new`], so a `MiniBatchTrainer` and an `AneciModel`
-/// with the same config start from identical parameters.
+/// It initializes its weights exactly as `AneciModel` does, so the two
+/// start from identical parameters under the same configuration.
 pub struct MiniBatchTrainer {
     config: AneciConfig,
     adjacency: Arc<CsrMatrix>,
@@ -438,44 +167,69 @@ impl MiniBatchTrainer {
                 adjacency.rows()
             )));
         }
-        let mut rng = seeded_rng(derive_seed(config.seed, 0xA0EC1));
-        let mut params = ParamSet::new();
-        params.register(
-            "w1",
-            xavier_uniform(features.cols(), config.hidden_dim, &mut rng),
-        );
-        params.register(
-            "w2",
-            xavier_uniform(config.hidden_dim, config.embed_dim, &mut rng),
-        );
         Ok(Self {
             config: config.clone(),
+            params: init_params(features.cols(), config),
             adjacency: Arc::new(adjacency),
             features: Arc::new(features),
-            params,
             best_embedding: None,
         })
     }
 
-    /// Mini-batch training; see [`AneciModel::train_minibatch`] for the
-    /// strategy/stop semantics.
+    /// Trains through the mini-batch engine: per epoch, `strategy` plans a
+    /// deterministic batch sequence (seeded from the config seed) and every
+    /// batch optimizes the AnECI objective on its induced subgraph.
+    /// `communities` (node → community id) is required by
+    /// [`BatchStrategy::CommunityAware`] and ignored otherwise.
+    ///
+    /// [`StopStrategy::ValidationBest`] is not supported here (validation
+    /// probes need a full embedding every probe epoch, defeating the point
+    /// of batching) and reports [`AneciError::Config`]; use
+    /// [`StopStrategy::FixedEpochs`] or
+    /// [`StopStrategy::EarlyStopModularity`] — the latter monitors the
+    /// epoch-mean batch Q̃.
+    ///
+    /// With [`BatchStrategy::FullGraph`] this reproduces
+    /// [`AneciModel::train`](crate::model::AneciModel::train) bit-exactly
+    /// (same operators, same tape op order, same RNG streams).
     pub fn train(
         &mut self,
         strategy: BatchStrategy,
         communities: Option<&[usize]>,
     ) -> Result<TrainReport, AneciError> {
-        let result = {
-            let ctx = MbContext {
-                config: &self.config,
-                adjacency: &self.adjacency,
-                features: &self.features,
-            };
-            run_minibatch(&ctx, &mut self.params, strategy, communities)
+        if let StopStrategy::ValidationBest { .. } = self.config.stop {
+            return Err(AneciError::Config(
+                "mini-batch training does not support StopStrategy::ValidationBest; \
+                 use FixedEpochs or EarlyStopModularity"
+                    .into(),
+            ));
+        }
+        let (trainer, mut opt) = engine(&self.config, false);
+        let sampler = BatchSampler::new(&self.adjacency, strategy, communities, self.config.seed);
+        let mut driver = MiniBatchStep {
+            config: &self.config,
+            adjacency: &self.adjacency,
+            features: &self.features,
+            state: TrainState::new(&self.config),
+            cache: None,
         };
-        let (report, best_z) = result?;
+        let outcome = trainer.run_batched(
+            &mut self.params,
+            &mut opt,
+            &mut |e| sampler.epoch_plan(e),
+            &mut driver,
+        );
+        let (report, best_z) = driver.state.finish(outcome?);
         self.best_embedding = Some(match best_z {
             Some(z) => z,
-            None => full_forward(&self.adjacency, &self.features, &self.params, &self.config),
+            // Partial batches never see a full Z: keep the post-training
+            // forward pass (the standard GraphSAGE-style serving answer).
+            None => embed(
+                &self.params,
+                &self.features,
+                &propagation(&self.adjacency),
+                self.config.leaky_alpha,
+            ),
         });
         Ok(report)
     }
@@ -506,8 +260,7 @@ impl MiniBatchTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AneciConfig;
-    use aneci_graph::{generate_sbm, karate_club, SbmConfig};
+    use aneci_graph::{generate_sbm, karate_club, AttributedGraph, SbmConfig};
 
     fn fixed_cfg(seed: u64) -> AneciConfig {
         AneciConfig {
@@ -520,25 +273,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_graph_minibatch_matches_reference_bit_exactly() {
-        let g = karate_club();
-        let cfg = fixed_cfg(7);
-
-        let mut reference = AneciModel::new(&g, &cfg);
-        let ref_report = reference.train_reference(None);
-
-        let mut mini = AneciModel::new(&g, &cfg);
-        let mini_report = mini
-            .train_minibatch(BatchStrategy::FullGraph, None)
-            .unwrap();
-
-        assert_eq!(ref_report.losses, mini_report.losses);
-        assert_eq!(ref_report.modularity, mini_report.modularity);
-        assert_eq!(ref_report.rigidity, mini_report.rigidity);
-        assert_eq!(ref_report.best_epoch, mini_report.best_epoch);
-        assert_eq!(ref_report.epochs_run, mini_report.epochs_run);
-        assert_eq!(reference.embedding(), mini.embedding());
+    fn trainer(g: &AttributedGraph, cfg: &AneciConfig) -> MiniBatchTrainer {
+        MiniBatchTrainer::try_new(g.adjacency().clone(), g.features().clone(), cfg).unwrap()
     }
 
     #[test]
@@ -552,9 +288,9 @@ mod tests {
         cfg.embed_dim = 3;
         cfg.epochs = 20;
         let labels: Vec<usize> = (0..g.num_nodes()).map(|i| i % 3).collect();
-        let mut model = AneciModel::new(&g, &cfg);
-        let report = model
-            .train_minibatch(
+        let mut mini = trainer(&g, &cfg);
+        let report = mini
+            .train(
                 BatchStrategy::CommunityAware {
                     communities_per_batch: 1,
                     hops: 1,
@@ -565,7 +301,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.epochs_run, 20);
         assert!(report.losses.iter().all(|l| l.is_finite()));
-        assert_eq!(model.embedding().shape(), (60, 3));
+        assert_eq!(mini.embedding().shape(), (60, 3));
     }
 
     #[test]
@@ -573,9 +309,9 @@ mod tests {
         let g = karate_club();
         let mut cfg = fixed_cfg(5);
         cfg.epochs = 10;
-        let mut model = AneciModel::new(&g, &cfg);
-        let report = model
-            .train_minibatch(
+        let mut mini = trainer(&g, &cfg);
+        let report = mini
+            .train(
                 BatchStrategy::NeighborSampling {
                     seeds_per_batch: 8,
                     fanout: 3,
@@ -586,29 +322,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.epochs_run, 10);
         assert!(report.losses.iter().all(|l| l.is_finite()));
-        assert_eq!(model.embedding().shape(), (34, 4));
-    }
-
-    #[test]
-    fn standalone_trainer_matches_model_minibatch_bit_exactly() {
-        // Same seed stream → same Xavier init → the standalone trainer
-        // (which never builds the global proximity) retraces the
-        // model-attached mini-batch path exactly.
-        let g = karate_club();
-        let cfg = fixed_cfg(13);
-
-        let mut via_model = AneciModel::new(&g, &cfg);
-        let rep_model = via_model
-            .train_minibatch(BatchStrategy::FullGraph, None)
-            .unwrap();
-
-        let mut standalone =
-            MiniBatchTrainer::try_new(g.adjacency().clone(), g.features().clone(), &cfg).unwrap();
-        let rep_sa = standalone.train(BatchStrategy::FullGraph, None).unwrap();
-
-        assert_eq!(rep_model.losses, rep_sa.losses);
-        assert_eq!(rep_model.modularity, rep_sa.modularity);
-        assert_eq!(via_model.embedding(), standalone.embedding());
+        assert_eq!(mini.embedding().shape(), (34, 4));
     }
 
     #[test]
@@ -616,9 +330,8 @@ mod tests {
         let g = karate_club();
         let mut cfg = fixed_cfg(1);
         cfg.stop = StopStrategy::ValidationBest { eval_every: 5 };
-        let mut model = AneciModel::new(&g, &cfg);
-        let err = model
-            .train_minibatch(BatchStrategy::FullGraph, None)
+        let err = trainer(&g, &cfg)
+            .train(BatchStrategy::FullGraph, None)
             .unwrap_err();
         assert!(matches!(err, AneciError::Config(_)));
     }

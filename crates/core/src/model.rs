@@ -17,11 +17,18 @@
 //! The joint objective is `min −β₁ Q̃ + β₂ L_R` (Eq. 18), optimized with
 //! Adam. Note `L_R` here is *averaged* over the evaluated pairs (rather than
 //! summed) so `β₂` keeps the same meaning in exact and sampled modes.
+//!
+//! This module writes the objective once — the operators of a node set
+//! (`Operators::new`), the encoder, `joint_loss`, the weight initializer and
+//! the training engine — and [`crate::minibatch`] trains the same functions
+//! on induced subgraphs.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{AneciConfig, ReconMode, StopStrategy};
 use crate::error::AneciError;
-use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainStep, Trainer};
+use aneci_autograd::train::{
+    EpochStats, Objective, StepOutput, StopRule, TrainRun, TrainStep, Trainer,
+};
 use aneci_autograd::{Adam, BcePair, ParamSet, Tape, Var};
 use aneci_graph::{AttributedGraph, HighOrder};
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
@@ -52,23 +59,360 @@ pub struct TrainReport {
     pub epochs_run: usize,
 }
 
+/// The reconstruction target of `L_R` (Eq. 17).
+enum ReconTarget {
+    /// `Ã` itself, for the exact loss over every pair.
+    Dense(Arc<DenseMatrix>),
+    /// The stored entries of `Ã`, the positive pairs of the sampled loss.
+    Pairs(Arc<[BcePair]>),
+}
+
+/// The fixed operators of the objective over one node set: the whole graph
+/// for [`AneciModel`], one induced subgraph per mini-batch.
+pub(crate) struct Operators {
+    /// The GCN propagation operator `Â` (Eq. 2).
+    norm_adj: Arc<CsrMatrix>,
+    /// The high-order proximity `Ã`.
+    a_tilde: Arc<CsrMatrix>,
+    /// Row sums of `Ã` as a column vector.
+    k_tilde: DenseMatrix,
+    /// Total mass of `Ã`.
+    m_tilde: f64,
+    target: ReconTarget,
+}
+
+impl Operators {
+    /// Builds the operators of the node set with raw (hollow) adjacency
+    /// `adjacency` and high-order proximity `ho`: [`HighOrder::build`] for a
+    /// whole graph, [`HighOrder::build_rows`] for a batch. The target is
+    /// dense under [`ReconMode::Exact`], and under [`ReconMode::Auto`] up to
+    /// `exact_recon_threshold` nodes; otherwise it is the positive pairs.
+    pub(crate) fn new(adjacency: &CsrMatrix, ho: HighOrder, config: &AneciConfig) -> Self {
+        let exact = match config.recon {
+            ReconMode::Exact => true,
+            ReconMode::Sampled { .. } => false,
+            ReconMode::Auto => adjacency.rows() <= config.exact_recon_threshold,
+        };
+        let target = if exact {
+            ReconTarget::Dense(Arc::new(ho.a_tilde.to_dense()))
+        } else {
+            ReconTarget::Pairs(
+                ho.a_tilde
+                    .iter()
+                    .map(|(i, j, v)| (i as u32, j as u32, v))
+                    .collect(),
+            )
+        };
+        Self {
+            norm_adj: propagation(adjacency),
+            a_tilde: Arc::new(ho.a_tilde),
+            k_tilde: DenseMatrix::column(&ho.k_tilde),
+            m_tilde: ho.m_tilde,
+            target,
+        }
+    }
+}
+
+/// `D^-1/2 (A + I) D^-1/2` of a raw (hollow) adjacency: the operator the
+/// encoder propagates over (Eq. 2).
+pub(crate) fn propagation(adjacency: &CsrMatrix) -> Arc<CsrMatrix> {
+    Arc::new(adjacency.add_identity().sym_normalize())
+}
+
+/// Xavier-initialized encoder weights from the `(seed, 0xA0EC1)` stream.
+/// Both constructors use it, so an [`AneciModel`] and a
+/// [`MiniBatchTrainer`](crate::minibatch::MiniBatchTrainer) with the same
+/// configuration start from identical parameters.
+pub(crate) fn init_params(num_features: usize, config: &AneciConfig) -> ParamSet {
+    let mut rng = seeded_rng(derive_seed(config.seed, 0xA0EC1));
+    let mut params = ParamSet::new();
+    params.register(
+        "w1",
+        xavier_uniform(num_features, config.hidden_dim, &mut rng),
+    );
+    params.register(
+        "w2",
+        xavier_uniform(config.hidden_dim, config.embed_dim, &mut rng),
+    );
+    params
+}
+
+/// The training engine of both paths: the stop rule for `config.stop`, and
+/// Adam. `probe` says whether a validation probe drives
+/// [`StopStrategy::ValidationBest`]: its score is maximized, the loss
+/// fallback minimized.
+pub(crate) fn engine(config: &AneciConfig, probe: bool) -> (Trainer, Adam) {
+    let stop = match config.stop {
+        StopStrategy::FixedEpochs => StopRule::FixedEpochs,
+        // Strict comparison (margin 0): ties keep the earlier epoch.
+        StopStrategy::ValidationBest { .. } => StopRule::BestMonitor {
+            objective: if probe {
+                Objective::Maximize
+            } else {
+                Objective::Minimize
+            },
+            patience: 0,
+            min_delta: 0.0,
+        },
+        // Improvement means Q̃ rising by more than 1e-9. Patience 0 stops
+        // on the first stalled epoch, which is the engine's patience 1 (its
+        // 0 means "never stop").
+        StopStrategy::EarlyStopModularity { patience } => StopRule::BestMonitor {
+            objective: Objective::Maximize,
+            patience: patience.max(1),
+            min_delta: 1e-9,
+        },
+    };
+    let trainer = Trainer::new(config.epochs)
+        .stop(stop)
+        .observe_as("core.train");
+    let opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
+    (trainer, opt)
+}
+
+/// The encoder (Eq. 2–3) on a tape: two graph convolutions over `norm_adj`
+/// with a LeakyReLU between them. Returns the embedding `Z`.
+fn encode(
+    tape: &mut Tape,
+    w: &[Var],
+    features: &Arc<DenseMatrix>,
+    norm_adj: &Arc<CsrMatrix>,
+    leaky_alpha: f64,
+) -> Var {
+    let xw = tape.matmul_const(features, w[0]);
+    let h1 = tape.spmm(norm_adj, xw);
+    let a1 = tape.leaky_relu(h1, leaky_alpha);
+    let hw = tape.matmul(a1, w[1]);
+    tape.spmm(norm_adj, hw)
+}
+
+/// `Z` of every node under `params`: the encoder on a fresh tape.
+pub(crate) fn embed(
+    params: &ParamSet,
+    features: &Arc<DenseMatrix>,
+    norm_adj: &Arc<CsrMatrix>,
+    leaky_alpha: f64,
+) -> DenseMatrix {
+    let mut tape = Tape::new();
+    let w = params.leaf_all(&mut tape);
+    let z = encode(&mut tape, &w, features, norm_adj, leaky_alpha);
+    tape.value(z).clone()
+}
+
+/// The tape variables of one pass of the joint objective.
+pub(crate) struct JointLoss {
+    /// The embedding `Z`.
+    pub(crate) z: Var,
+    /// The soft membership `P = softmax(Z)` (Eq. 3).
+    p: Var,
+    /// The generalized modularity `Q̃`.
+    q: Var,
+    /// `−β₁Q̃ + β₂L_R` (Eq. 18).
+    pub(crate) loss: Var,
+}
+
+/// One pass of the AnECI objective `−β₁Q̃ + β₂L_R` (Eq. 18) over the node
+/// set of `ops`, each stage under its span (`encode`, `modularity`,
+/// `decode`). A sampled target draws its negatives from `rng` into the
+/// scratch `negatives`.
+fn joint_loss(
+    tape: &mut Tape,
+    w: &[Var],
+    features: &Arc<DenseMatrix>,
+    ops: &Operators,
+    config: &AneciConfig,
+    rng: &mut StdRng,
+    negatives: &mut Vec<BcePair>,
+) -> JointLoss {
+    let (z, p) = {
+        let _s = span("encode");
+        let z = encode(tape, w, features, &ops.norm_adj, config.leaky_alpha);
+        (z, tape.softmax_rows(z))
+    };
+    let q = {
+        let _s = span("modularity");
+        modularity(tape, p, ops)
+    };
+    let recon = {
+        let _s = span("decode");
+        reconstruction(tape, p, ops, config.recon, rng, negatives)
+    };
+    let neg_q = tape.neg(q);
+    let q_term = tape.scale(neg_q, config.beta1);
+    let r_term = tape.scale(recon, config.beta2);
+    let loss = tape.add(q_term, r_term);
+    JointLoss { z, p, q, loss }
+}
+
+/// A scalar `0` with no gradient: `Q̃` of an empty `Ã` and `L_R` of an
+/// empty pair set, as in a batch of isolated nodes.
+fn zero(tape: &mut Tape) -> Var {
+    let z = tape.constant(DenseMatrix::zeros(1, 1));
+    tape.sum(z)
+}
+
+/// The fused generalized modularity `Q̃` (Eq. 14) as a tape scalar:
+/// `[Σ(P ⊙ ÃP) − ‖Pᵀk̃‖²/M̃] / M̃`.
+///
+/// Convention note: the paper writes `2M̃` to mirror classic modularity,
+/// where `Σ_ij A_ij = 2M` for a symmetric adjacency. Our `M̃` is already
+/// the *total mass* `Σ_ij Ã_ij`, so the total mass itself is the correct
+/// normalizer — with it, the trivial one-community partition scores
+/// exactly 0 (as classic modularity does) instead of ¼, and Property 1
+/// still holds because for an unnormalized symmetric `Ã = A` the mass
+/// equals `2M`.
+fn modularity(tape: &mut Tape, p: Var, ops: &Operators) -> Var {
+    let mass = ops.m_tilde;
+    if mass == 0.0 {
+        return zero(tape);
+    }
+    let sp = tape.spmm(&ops.a_tilde, p);
+    let term1 = {
+        let h = tape.hadamard(p, sp);
+        tape.sum(h)
+    };
+    let k = tape.constant(ops.k_tilde.clone());
+    let y = tape.matmul_tn(p, k); // h×1 vector Pᵀk̃
+    let term2 = tape.frob_sq(y);
+    let t2 = tape.scale(term2, 1.0 / mass);
+    let diff = tape.sub(term1, t2);
+    tape.scale(diff, 1.0 / mass)
+}
+
+/// The reconstruction loss `L_R` (Eq. 17) as a tape scalar, averaged over
+/// the evaluated pairs.
+fn reconstruction(
+    tape: &mut Tape,
+    p: Var,
+    ops: &Operators,
+    recon: ReconMode,
+    rng: &mut StdRng,
+    negatives: &mut Vec<BcePair>,
+) -> Var {
+    let n = ops.norm_adj.rows();
+    match &ops.target {
+        ReconTarget::Dense(target) => {
+            let loss = tape.dense_recon_bce(p, target, 1.0);
+            tape.scale(loss, 1.0 / (n * n) as f64)
+        }
+        ReconTarget::Pairs(positives) => {
+            let pairs = sample_pairs(recon, positives, &ops.a_tilde, n, rng, negatives);
+            if pairs.is_empty() {
+                return zero(tape);
+            }
+            let loss = tape.pair_bce(p, &pairs);
+            tape.scale(loss, 1.0 / pairs.len() as f64)
+        }
+    }
+}
+
+/// What both training paths carry across epochs: the `(seed, 0x5A3)`
+/// negative-sampling stream, the per-epoch report rows with their Q̃
+/// telemetry, and the kept embedding. A full-batch epoch is one batch, so
+/// its epoch means are its values.
+pub(crate) struct TrainState {
+    rng: StdRng,
+    /// Negative-sampling scratch kept across batches.
+    negatives: Vec<BcePair>,
+    report: TrainReport,
+    obs_q: aneci_obs::Histogram,
+    obs_dq: aneci_obs::Histogram,
+    prev_q: Option<f64>,
+    /// Per-epoch accumulators, reset by `end_epoch`.
+    q_sum: f64,
+    rig_sum: f64,
+    batches: usize,
+    /// `Z` of the latest pass when it covered every node.
+    pub(crate) cur_z: Option<DenseMatrix>,
+    best_z: Option<DenseMatrix>,
+}
+
+impl TrainState {
+    pub(crate) fn new(config: &AneciConfig) -> Self {
+        Self {
+            rng: seeded_rng(derive_seed(config.seed, 0x5A3)),
+            negatives: Vec::new(),
+            report: TrainReport::default(),
+            obs_q: aneci_obs::histogram("core.train.q_tilde"),
+            obs_dq: aneci_obs::histogram("core.train.delta_q"),
+            prev_q: None,
+            q_sum: 0.0,
+            rig_sum: 0.0,
+            batches: 0,
+            cur_z: None,
+            best_z: None,
+        }
+    }
+
+    /// [`joint_loss`] on this state's sampling stream, adding the pass's
+    /// `Q̃` and rigidity to the epoch means. Returns the pass and its `Q̃`.
+    pub(crate) fn forward(
+        &mut self,
+        tape: &mut Tape,
+        w: &[Var],
+        features: &Arc<DenseMatrix>,
+        ops: &Operators,
+        config: &AneciConfig,
+    ) -> (JointLoss, f64) {
+        let pass = joint_loss(
+            tape,
+            w,
+            features,
+            ops,
+            config,
+            &mut self.rng,
+            &mut self.negatives,
+        );
+        let q = tape.scalar(pass.q);
+        self.q_sum += q;
+        self.rig_sum += rigidity(tape.value(pass.p));
+        self.batches += 1;
+        (pass, q)
+    }
+
+    /// Keeps the latest full `Z` (the engine's `on_best`).
+    pub(crate) fn keep_best(&mut self) {
+        if self.cur_z.is_some() {
+            self.best_z = self.cur_z.clone();
+        }
+    }
+
+    /// Records the epoch means (the engine's `on_epoch`).
+    pub(crate) fn end_epoch(&mut self) {
+        let nb = self.batches.max(1) as f64;
+        let q_mean = self.q_sum / nb;
+        self.obs_q.observe(q_mean);
+        self.obs_dq.observe(q_mean - self.prev_q.unwrap_or(q_mean));
+        self.prev_q = Some(q_mean);
+        self.report.modularity.push(q_mean);
+        self.report.rigidity.push(self.rig_sum / nb);
+        self.q_sum = 0.0;
+        self.rig_sum = 0.0;
+        self.batches = 0;
+    }
+
+    /// The finished report, with the engine's losses and stop bookkeeping,
+    /// and the kept embedding.
+    pub(crate) fn finish(self, run: TrainRun) -> (TrainReport, Option<DenseMatrix>) {
+        let mut report = self.report;
+        report.losses = run.losses;
+        report.best_epoch = run.best_epoch;
+        report.epochs_run = run.epochs_run;
+        (report, self.best_z)
+    }
+}
+
 /// A trained (or in-training) AnECI model bound to one graph.
 pub struct AneciModel {
-    pub(crate) config: AneciConfig,
-    norm_adj: Arc<CsrMatrix>,
-    /// The raw (unnormalized, hollow) adjacency, retained for the
-    /// mini-batch path: batch samplers walk it and per-batch operators are
-    /// extracted from it (see [`crate::minibatch`]).
-    pub(crate) adjacency: Arc<CsrMatrix>,
-    a_tilde: Arc<CsrMatrix>,
-    k_tilde: DenseMatrix,
-    m_tilde: f64,
-    pub(crate) features: Arc<DenseMatrix>,
-    pub(crate) params: ParamSet,
-    dense_target: Option<Arc<DenseMatrix>>,
-    positives: Arc<[BcePair]>,
-    pub(crate) num_nodes: usize,
-    pub(crate) best_embedding: Option<DenseMatrix>,
+    config: AneciConfig,
+    /// The raw (unnormalized, hollow) adjacency, retained for
+    /// [`AneciModel::fine_tune`] to patch and [`AneciModel::drift_check`]
+    /// to retrain on.
+    adjacency: Arc<CsrMatrix>,
+    features: Arc<DenseMatrix>,
+    ops: Operators,
+    params: ParamSet,
+    best_embedding: Option<DenseMatrix>,
     /// Fine-tune passes applied so far (drives the periodic drift oracle).
     fine_tunes: usize,
 }
@@ -86,116 +430,16 @@ impl AneciModel {
     /// [`AneciError::Config`] instead of panicking.
     pub fn try_new(graph: &AttributedGraph, config: &AneciConfig) -> Result<Self, AneciError> {
         config.validate()?;
-        let n = graph.num_nodes();
-        let norm_adj = Arc::new(graph.norm_adjacency());
         let ho = HighOrder::build(graph.adjacency(), &config.proximity);
-        let k_tilde = DenseMatrix::column(&ho.k_tilde);
-        let m_tilde = ho.m_tilde;
-        let a_tilde = Arc::new(ho.a_tilde);
-
-        let exact = match config.recon {
-            ReconMode::Exact => true,
-            ReconMode::Sampled { .. } => false,
-            ReconMode::Auto => n <= config.exact_recon_threshold,
-        };
-        let dense_target = exact.then(|| Arc::new(a_tilde.to_dense()));
-        let positives: Arc<[BcePair]> = a_tilde
-            .iter()
-            .map(|(i, j, v)| (i as u32, j as u32, v))
-            .collect::<Vec<_>>()
-            .into();
-
-        let mut rng = seeded_rng(derive_seed(config.seed, 0xA0EC1));
-        let mut params = ParamSet::new();
-        params.register(
-            "w1",
-            xavier_uniform(graph.num_features(), config.hidden_dim, &mut rng),
-        );
-        params.register(
-            "w2",
-            xavier_uniform(config.hidden_dim, config.embed_dim, &mut rng),
-        );
-
         Ok(Self {
             config: config.clone(),
-            norm_adj,
             adjacency: Arc::new(graph.adjacency().clone()),
-            a_tilde,
-            k_tilde,
-            m_tilde,
             features: Arc::new(graph.features().clone()),
-            params,
-            dense_target,
-            positives,
-            num_nodes: n,
+            ops: Operators::new(graph.adjacency(), ho, config),
+            params: init_params(graph.num_features(), config),
             best_embedding: None,
             fine_tunes: 0,
         })
-    }
-
-    /// The encoder forward pass on a tape. Returns `(Z, P)`.
-    fn forward(&self, tape: &mut Tape, w: &[Var]) -> (Var, Var) {
-        let xw = tape.matmul_const(&self.features, w[0]);
-        let h1 = tape.spmm(&self.norm_adj, xw);
-        let a1 = tape.leaky_relu(h1, self.config.leaky_alpha);
-        let hw = tape.matmul(a1, w[1]);
-        let z = tape.spmm(&self.norm_adj, hw);
-        let p = tape.softmax_rows(z);
-        (z, p)
-    }
-
-    /// The fused generalized modularity `Q̃` (Eq. 14) as a tape scalar.
-    ///
-    /// Convention note: the paper writes `2M̃` to mirror classic modularity,
-    /// where `Σ_ij A_ij = 2M` for a symmetric adjacency. Our `M̃` is already
-    /// the *total mass* `Σ_ij Ã_ij`, so the total mass itself is the correct
-    /// normalizer — with it, the trivial one-community partition scores
-    /// exactly 0 (as classic modularity does) instead of ¼, and Property 1
-    /// still holds because for an unnormalized symmetric `Ã = A` the mass
-    /// equals `2M`.
-    fn modularity_var(&self, tape: &mut Tape, p: Var) -> Var {
-        let mass = self.m_tilde;
-        let sp = tape.spmm(&self.a_tilde, p);
-        let term1 = {
-            let h = tape.hadamard(p, sp);
-            tape.sum(h)
-        };
-        let k = tape.constant(self.k_tilde.clone());
-        let y = tape.matmul_tn(p, k); // h×1 vector Pᵀk̃
-        let term2 = tape.frob_sq(y);
-        let t2 = tape.scale(term2, 1.0 / mass);
-        let diff = tape.sub(term1, t2);
-        tape.scale(diff, 1.0 / mass)
-    }
-
-    /// The reconstruction loss `L_R` (Eq. 17) as a tape scalar, averaged
-    /// over the evaluated pairs. `negatives` is the sampler's scratch (see
-    /// [`sample_pairs`]).
-    fn recon_var(
-        &self,
-        tape: &mut Tape,
-        p: Var,
-        rng: &mut StdRng,
-        negatives: &mut Vec<BcePair>,
-    ) -> Var {
-        match &self.dense_target {
-            Some(target) => {
-                let loss = tape.dense_recon_bce(p, target, 1.0);
-                tape.scale(loss, 1.0 / (self.num_nodes * self.num_nodes) as f64)
-            }
-            None => {
-                let pairs = sample_pairs(
-                    self.config.recon,
-                    &self.positives,
-                    &self.a_tilde,
-                    self.num_nodes,
-                    rng,
-                    negatives,
-                );
-                let loss = tape.pair_bce(p, &pairs);
-                tape.scale(loss, 1.0 / pairs.len() as f64)
-            }
-        }
     }
 
     /// Trains the model through the shared [`Trainer`] engine. `val_score`,
@@ -207,191 +451,31 @@ impl AneciModel {
     /// the parameters are rolled back to the last finite state, so the
     /// model remains usable (e.g. for a warm restart at a lower LR).
     pub fn train(&mut self, val_score: Option<ValProbe<'_>>) -> Result<TrainReport, AneciError> {
-        let stop = match self.config.stop {
-            StopStrategy::FixedEpochs => StopRule::FixedEpochs,
-            // The probe score is maximized; the loss fallback is minimized.
-            // Both keep the hand-rolled loop's strict comparison (margin 0).
-            StopStrategy::ValidationBest { .. } => StopRule::BestMonitor {
-                objective: if val_score.is_some() {
-                    Objective::Maximize
-                } else {
-                    Objective::Minimize
-                },
-                patience: 0,
-                min_delta: 0.0,
-            },
-            // patience 0 used to stop on the first stalled epoch; under the
-            // engine (where 0 means "never stop") that is patience 1.
-            StopStrategy::EarlyStopModularity { patience } => StopRule::BestMonitor {
-                objective: Objective::Maximize,
-                patience: patience.max(1),
-                min_delta: 1e-9,
-            },
-        };
-        let trainer = Trainer::new(self.config.epochs)
-            .stop(stop)
-            .observe_as("core.train");
-        let mut opt = Adam::new(self.config.lr).with_weight_decay(self.config.weight_decay);
-
+        let (trainer, mut opt) = engine(&self.config, val_score.is_some());
         let mut params = std::mem::take(&mut self.params);
         let mut driver = AneciStep {
-            rng: seeded_rng(derive_seed(self.config.seed, 0x5A3)),
-            negatives: Vec::new(),
-            val_score,
-            report: TrainReport::default(),
-            obs_q: aneci_obs::histogram("core.train.q_tilde"),
-            obs_dq: aneci_obs::histogram("core.train.delta_q"),
-            prev_q: None,
-            cur_z: None,
-            best_z: None,
             model: self,
+            val_score,
+            state: TrainState::new(&self.config),
         };
         let outcome = trainer.run(&mut params, &mut opt, &mut driver);
-        let AneciStep {
-            mut report, best_z, ..
-        } = driver;
+        let state = driver.state;
         self.params = params;
-        let run = outcome?;
-        report.losses = run.losses;
-        report.best_epoch = run.best_epoch;
-        report.epochs_run = run.epochs_run;
+        let (report, best_z) = state.finish(outcome?);
         self.best_embedding = best_z;
         Ok(report)
-    }
-
-    /// The pre-`Trainer` hand-rolled epoch loop, kept verbatim so
-    /// `tests/trainer_parity.rs` and `bench_report --train` can prove at
-    /// runtime that [`AneciModel::train`] reproduces it bit-exactly (same
-    /// tape op order, same RNG stream, same Adam update order).
-    #[doc(hidden)]
-    pub fn train_reference(&mut self, mut val_score: Option<ValProbe<'_>>) -> TrainReport {
-        let _train_span = span("core.train");
-        // Cached registry handles: one hash-free atomic add per observation
-        // inside the epoch loop. Per-epoch loss/Q̃/grad-norm values are
-        // bit-identical across thread counts (the pool's chunk decomposition
-        // is thread-count-independent), so these histograms are part of the
-        // deterministic snapshot view.
-        let obs_loss = aneci_obs::histogram("core.train.loss");
-        let obs_q = aneci_obs::histogram("core.train.q_tilde");
-        let obs_dq = aneci_obs::histogram("core.train.delta_q");
-        let obs_gnorm = aneci_obs::histogram("core.train.grad_norm");
-        let obs_epochs = aneci_obs::counter("core.train.epochs");
-
-        let mut report = TrainReport::default();
-        let mut opt = Adam::new(self.config.lr).with_weight_decay(self.config.weight_decay);
-        let mut rng = seeded_rng(derive_seed(self.config.seed, 0x5A3));
-        let mut negatives = Vec::new();
-
-        let mut best_val = f64::NEG_INFINITY;
-        let mut best_loss = f64::INFINITY;
-        let mut best_q = f64::NEG_INFINITY;
-        let mut stall = 0usize;
-        let mut prev_q = None;
-
-        for epoch in 0..self.config.epochs {
-            let mut tape = Tape::new();
-            let w = self.params.leaf_all(&mut tape);
-            let (z, p) = {
-                let _s = span("encode");
-                self.forward(&mut tape, &w)
-            };
-            let q = {
-                let _s = span("modularity");
-                self.modularity_var(&mut tape, p)
-            };
-            let recon = {
-                let _s = span("decode");
-                self.recon_var(&mut tape, p, &mut rng, &mut negatives)
-            };
-            let neg_q = tape.neg(q);
-            let q_term = tape.scale(neg_q, self.config.beta1);
-            let r_term = tape.scale(recon, self.config.beta2);
-            let loss = tape.add(q_term, r_term);
-
-            let loss_val = tape.scalar(loss);
-            let q_val = tape.scalar(q);
-            let z_val = tape.value(z).clone();
-            let p_val = tape.value(p).clone();
-            let grads = {
-                let _s = span("step");
-                tape.backward(loss);
-                let grads = self.params.grads(&tape, &w);
-                drop(tape);
-                opt.step(&mut self.params, &grads);
-                grads
-            };
-
-            obs_loss.observe(loss_val);
-            obs_q.observe(q_val);
-            obs_dq.observe(q_val - prev_q.unwrap_or(q_val));
-            obs_gnorm.observe(ParamSet::grad_norm(&grads));
-            obs_epochs.inc();
-            prev_q = Some(q_val);
-
-            report.losses.push(loss_val);
-            report.modularity.push(q_val);
-            report.rigidity.push(rigidity(&p_val));
-            report.epochs_run = epoch + 1;
-
-            match self.config.stop {
-                StopStrategy::FixedEpochs => {
-                    self.best_embedding = Some(z_val);
-                    report.best_epoch = epoch;
-                }
-                StopStrategy::ValidationBest { eval_every } => {
-                    let probe =
-                        epoch % eval_every == eval_every - 1 || epoch + 1 == self.config.epochs;
-                    if probe {
-                        match val_score.as_mut() {
-                            Some(f) => {
-                                let score = f(epoch, &z_val);
-                                report.val_scores.push((epoch, score));
-                                if score > best_val {
-                                    best_val = score;
-                                    self.best_embedding = Some(z_val);
-                                    report.best_epoch = epoch;
-                                }
-                            }
-                            None => {
-                                if loss_val < best_loss {
-                                    best_loss = loss_val;
-                                    self.best_embedding = Some(z_val);
-                                    report.best_epoch = epoch;
-                                }
-                            }
-                        }
-                    } else if self.best_embedding.is_none() {
-                        self.best_embedding = Some(z_val);
-                    }
-                }
-                StopStrategy::EarlyStopModularity { patience } => {
-                    // "observed modularity training loss": improvement means
-                    // Q̃ rising.
-                    if q_val > best_q + 1e-9 {
-                        best_q = q_val;
-                        stall = 0;
-                        self.best_embedding = Some(z_val);
-                        report.best_epoch = epoch;
-                    } else {
-                        stall += 1;
-                        if stall >= patience {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        report
     }
 
     /// A fresh forward pass with the *current* parameters — before any
     /// training this is the untrained (Laplacian-smoothing) encoder output,
     /// which the ablation study (Table IV "+Encoder") uses directly.
     pub fn forward_embedding(&self) -> DenseMatrix {
-        let mut tape = Tape::new();
-        let w = self.params.leaf_all(&mut tape);
-        let (z, _p) = self.forward(&mut tape, &w);
-        tape.value(z).clone()
+        embed(
+            &self.params,
+            &self.features,
+            &self.ops.norm_adj,
+            self.config.leaky_alpha,
+        )
     }
 
     /// The kept embedding matrix `Z` (after [`AneciModel::train`]).
@@ -412,31 +496,29 @@ impl AneciModel {
     }
 
     /// The generalized modularity `Q̃` of an arbitrary membership matrix
-    /// under this model's `Ã` — the non-tape evaluation twin of the
-    /// training loss, also used by tests to pin the fused form to Eq. 13.
+    /// under this model's `Ã`: the training loss's own `Q̃` on a constant
+    /// `P`, which tests also pin to Eq. 13.
     pub fn q_tilde_of(&self, p: &DenseMatrix) -> f64 {
-        assert_eq!(p.rows(), self.num_nodes, "membership row mismatch");
-        let mass = self.m_tilde;
-        let sp = aneci_linalg::par::spmm_dense(&self.a_tilde, p);
-        let term1 = p.dot(&sp);
-        let y = p.matmul_tn(&self.k_tilde);
-        let term2 = y.dot(&y) / mass;
-        (term1 - term2) / mass
+        assert_eq!(p.rows(), self.adjacency.rows(), "membership row mismatch");
+        let mut tape = Tape::new();
+        let p = tape.constant(p.clone());
+        let q = modularity(&mut tape, p, &self.ops);
+        tape.scalar(q)
     }
 
     /// Read access to the high-order proximity used by the model.
     pub fn a_tilde(&self) -> &CsrMatrix {
-        &self.a_tilde
+        &self.ops.a_tilde
     }
 
     /// The high-order degree vector `k̃`.
     pub fn k_tilde(&self) -> &DenseMatrix {
-        &self.k_tilde
+        &self.ops.k_tilde
     }
 
     /// The total high-order mass `M̃`.
     pub fn m_tilde(&self) -> f64 {
-        self.m_tilde
+        self.ops.m_tilde
     }
 
     /// The model configuration.
@@ -557,20 +639,15 @@ impl AneciModel {
         // Incremental proximity refresh — only rows whose l-hop
         // neighbourhood changed are recomputed.
         let mut ho = HighOrder {
-            a_tilde: (*self.a_tilde).clone(),
-            k_tilde: self.k_tilde.as_slice().to_vec(),
-            m_tilde: self.m_tilde,
+            a_tilde: (*self.ops.a_tilde).clone(),
+            k_tilde: self.ops.k_tilde.as_slice().to_vec(),
+            m_tilde: self.ops.m_tilde,
         };
         ho.refresh(&new_adj, &self.config.proximity, &report);
 
-        self.num_nodes = report.nodes_after;
-        self.norm_adj = Arc::new(new_adj.add_identity().sym_normalize());
+        self.ops = Operators::new(&new_adj, ho, &self.config);
         self.adjacency = Arc::new(new_adj);
-        self.k_tilde = DenseMatrix::column(&ho.k_tilde);
-        self.m_tilde = ho.m_tilde;
-        self.a_tilde = Arc::new(ho.a_tilde);
         self.features = Arc::new(features);
-        self.rebuild_recon_targets();
         // Any kept embedding predates the delta (and may have the wrong row
         // count after node appends); training below re-establishes it.
         self.best_embedding = None;
@@ -605,8 +682,12 @@ impl AneciModel {
             .filter(|&(u, v, _)| u < v)
             .map(|(u, v, _)| (u, v))
             .collect();
-        let graph =
-            AttributedGraph::from_edges(self.num_nodes, &edges, (*self.features).clone(), None);
+        let graph = AttributedGraph::from_edges(
+            self.adjacency.rows(),
+            &edges,
+            (*self.features).clone(),
+            None,
+        );
         let (oracle, _) = train_aneci(&graph, &self.config)?;
         let stats = DriftStats {
             q_tilde: self.q_tilde_of(&membership),
@@ -646,23 +727,6 @@ impl AneciModel {
     /// [`AneciModel::fine_tune_guarded`] schedules oracle checks by.
     pub fn fine_tunes(&self) -> usize {
         self.fine_tunes
-    }
-
-    /// Rebuilds the reconstruction targets (dense BCE target or sampled
-    /// positive pairs) from the current `Ã`, mirroring `try_new`.
-    fn rebuild_recon_targets(&mut self) {
-        let exact = match self.config.recon {
-            ReconMode::Exact => true,
-            ReconMode::Sampled { .. } => false,
-            ReconMode::Auto => self.num_nodes <= self.config.exact_recon_threshold,
-        };
-        self.dense_target = exact.then(|| Arc::new(self.a_tilde.to_dense()));
-        self.positives = self
-            .a_tilde
-            .iter()
-            .map(|(i, j, v)| (i as u32, j as u32, v))
-            .collect::<Vec<_>>()
-            .into();
     }
 }
 
@@ -740,86 +804,55 @@ fn nmi_of(a: &[usize], b: &[usize]) -> f64 {
     mi / (0.5 * (entropy(&ma) + entropy(&mb))).max(1e-12)
 }
 
-/// Drives [`AneciModel::train`] through the shared [`Trainer`]: builds the
-/// joint loss on each epoch's fresh tape and carries the model-specific
-/// bookkeeping (per-epoch report vectors, Q̃ telemetry, validation probing
-/// and the kept embedding) through the engine's hooks.
+/// Drives [`AneciModel::train`] through the shared [`Trainer`]: the joint
+/// loss on each epoch's fresh tape, plus validation probing and the
+/// between-probe kept embedding of [`StopStrategy::ValidationBest`].
 struct AneciStep<'m, 'v> {
     model: &'m AneciModel,
-    rng: StdRng,
-    negatives: Vec<BcePair>,
     val_score: Option<ValProbe<'v>>,
-    report: TrainReport,
-    obs_q: aneci_obs::Histogram,
-    obs_dq: aneci_obs::Histogram,
-    prev_q: Option<f64>,
-    cur_z: Option<DenseMatrix>,
-    best_z: Option<DenseMatrix>,
+    state: TrainState,
 }
 
 impl TrainStep for AneciStep<'_, '_> {
     fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize) -> StepOutput {
         let m = self.model;
-        let (z, p) = {
-            let _s = span("encode");
-            m.forward(tape, w)
-        };
-        let q = {
-            let _s = span("modularity");
-            m.modularity_var(tape, p)
-        };
-        let recon = {
-            let _s = span("decode");
-            m.recon_var(tape, p, &mut self.rng, &mut self.negatives)
-        };
-        let neg_q = tape.neg(q);
-        let q_term = tape.scale(neg_q, m.config.beta1);
-        let r_term = tape.scale(recon, m.config.beta2);
-        let loss = tape.add(q_term, r_term);
-
-        let loss_val = tape.scalar(loss);
-        let q_val = tape.scalar(q);
-        let z_val = tape.value(z).clone();
-        let p_val = tape.value(p).clone();
-
-        self.obs_q.observe(q_val);
-        self.obs_dq.observe(q_val - self.prev_q.unwrap_or(q_val));
-        self.prev_q = Some(q_val);
-        self.report.modularity.push(q_val);
-        self.report.rigidity.push(rigidity(&p_val));
-
+        let (pass, q) = self.state.forward(tape, w, &m.features, &m.ops, &m.config);
+        let z = tape.value(pass.z).clone();
         let monitor = match m.config.stop {
             StopStrategy::FixedEpochs => None,
             // "observed modularity training loss": improvement means Q̃
-            // rising (margin 1e-9, set on the StopRule).
-            StopStrategy::EarlyStopModularity { .. } => Some(q_val),
+            // rising.
+            StopStrategy::EarlyStopModularity { .. } => Some(q),
             StopStrategy::ValidationBest { eval_every } => {
-                // Keep the first embedding until a probe improves on it,
-                // mirroring the reference loop's between-probe fill-in.
-                if self.best_z.is_none() {
-                    self.best_z = Some(z_val.clone());
+                // Keep the first embedding until a probe improves on it.
+                if self.state.best_z.is_none() {
+                    self.state.best_z = Some(z.clone());
                 }
                 let probe = epoch % eval_every == eval_every - 1 || epoch + 1 == m.config.epochs;
-                if probe {
-                    match self.val_score.as_mut() {
-                        Some(f) => {
-                            let score = f(epoch, &z_val);
-                            self.report.val_scores.push((epoch, score));
-                            Some(score)
-                        }
-                        None => Some(loss_val),
+                match self.val_score.as_mut() {
+                    Some(f) if probe => {
+                        let score = f(epoch, &z);
+                        self.state.report.val_scores.push((epoch, score));
+                        Some(score)
                     }
-                } else {
-                    None
+                    None if probe => Some(tape.scalar(pass.loss)),
+                    _ => None,
                 }
             }
         };
-        self.cur_z = Some(z_val);
-        StepOutput { loss, monitor }
+        self.state.cur_z = Some(z);
+        StepOutput {
+            loss: pass.loss,
+            monitor,
+        }
     }
 
     fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {
-        self.best_z = self.cur_z.clone();
+        self.state.keep_best();
+    }
+
+    fn on_epoch(&mut self, _stats: &EpochStats) {
+        self.state.end_epoch();
     }
 }
 
@@ -829,7 +862,7 @@ impl TrainStep for AneciStep<'_, '_> {
 /// mini-batch paths both sample here, so they walk `rng` identically.
 /// `negatives` is scratch kept across epochs; the returned list is the one
 /// place an epoch's pairs are written whole.
-pub(crate) fn sample_pairs(
+fn sample_pairs(
     recon: ReconMode,
     positives: &[BcePair],
     a_tilde: &CsrMatrix,
@@ -1167,11 +1200,16 @@ mod tests {
     fn one_step_grads(model: &AneciModel) -> Vec<DenseMatrix> {
         let mut tape = Tape::new();
         let w = model.params.leaf_all(&mut tape);
-        let (_, p) = model.forward(&mut tape, &w);
-        let q = model.modularity_var(&mut tape, p);
-        let recon = model.recon_var(&mut tape, p, &mut seeded_rng(1), &mut Vec::new());
-        let loss = tape.sub(recon, q);
-        tape.backward(loss);
+        let pass = joint_loss(
+            &mut tape,
+            &w,
+            &model.features,
+            &model.ops,
+            &model.config,
+            &mut seeded_rng(1),
+            &mut Vec::new(),
+        );
+        tape.backward(pass.loss);
         model.params.grads(&tape, &w)
     }
 

@@ -10,12 +10,10 @@
 //! * `linalg.kernel.<name>.wall_ns` — accumulated wall time (excluded from
 //!   [`aneci_obs::Snapshot::deterministic`], like every `_ns` metric).
 //!
-//! These used to be compiled out behind the `kernel-stats` feature; with the
-//! persistent-handle registry the cost is two `Instant` reads and three
-//! relaxed `fetch_add`s per kernel call, so they now run permanently (the
-//! feature remains as an accepted no-op). [`snapshot`] / [`reset`] keep the
-//! historical window semantics by subtracting a baseline instead of zeroing
-//! the shared registry.
+//! With the persistent-handle registry the cost is two `Instant` reads and
+//! three relaxed `fetch_add`s per kernel call, so they always run.
+//! [`snapshot`] / [`reset`] give window semantics by subtracting a baseline
+//! instead of zeroing the shared registry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -133,11 +133,10 @@ impl HistogramCore {
 
 /// A fixed-bucket distribution. Cloning shares the underlying cells.
 ///
-/// With an empty bound list the histogram degrades gracefully to a running
-/// stat (count / sum / min / max; percentiles interpolate min→max), which is
-/// what value metrics with unknown range (training loss, gradient norms)
-/// use. Latency metrics use the exponential bounds of
-/// [`Registry::histogram_time_ns`].
+/// With an empty bound list the histogram is a running stat (count / sum /
+/// min / max / mean, no percentiles), which is what value metrics with
+/// unknown range (training loss, gradient norms) use. Latency metrics use
+/// the exponential bounds of [`Registry::histogram_time_ns`].
 #[derive(Clone)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
@@ -334,10 +333,14 @@ impl HistogramSnapshot {
     /// Estimates the `p`-quantile (`p ∈ [0, 1]`) by nearest-rank bucket
     /// lookup with linear interpolation inside the bucket, clamped to the
     /// observed `[min, max]`. Exact when a bucket holds one distinct value;
-    /// otherwise accurate to the bucket width.
-    pub fn percentile(&self, p: f64) -> f64 {
+    /// otherwise accurate to the bucket width. `None` for a bucketless
+    /// histogram, which has nothing to estimate from; `0.0` when empty.
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        if self.bounds.is_empty() {
+            return None;
+        }
         if self.count == 0 {
-            return 0.0;
+            return Some(0.0);
         }
         // Nearest-rank target, 0-based — same convention as the percentile
         // helpers this replaces in `aneci_serve` / `bench_report`.
@@ -359,26 +362,39 @@ impl HistogramSnapshot {
                 .max(lo);
                 // Midpoint-of-rank interpolation within the bucket.
                 let frac = ((target - seen) as f64 + 0.5) / c as f64;
-                return lo + (hi - lo) * frac;
+                return Some(lo + (hi - lo) * frac);
             }
             seen += c;
         }
-        self.max
+        Some(self.max)
     }
 
-    /// Median estimate.
-    pub fn p50(&self) -> f64 {
+    /// Median estimate (`None` without buckets).
+    pub fn p50(&self) -> Option<f64> {
         self.percentile(0.50)
     }
 
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> f64 {
+    /// 95th-percentile estimate (`None` without buckets).
+    pub fn p95(&self) -> Option<f64> {
         self.percentile(0.95)
     }
 
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
+    /// 99th-percentile estimate (`None` without buckets).
+    pub fn p99(&self) -> Option<f64> {
         self.percentile(0.99)
+    }
+
+    /// The `p50`/`p95`/`p99` members of this histogram's JSON object, each
+    /// preceded by `,` and `gap`; empty for a bucketless histogram.
+    fn json_percentiles(&self, gap: &str) -> String {
+        [
+            ("p50", self.p50()),
+            ("p95", self.p95()),
+            ("p99", self.p99()),
+        ]
+        .into_iter()
+        .filter_map(|(key, v)| v.map(|v| format!(",{gap}\"{key}\":{gap}{}", json::number(v))))
+        .collect()
     }
 }
 
@@ -487,16 +503,14 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
+                "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}{}}}",
                 json::string(n),
                 h.count,
                 json::number(h.sum),
                 json::number(h.min),
                 json::number(h.max),
                 json::number(h.mean()),
-                json::number(h.p50()),
-                json::number(h.p95()),
-                json::number(h.p99()),
+                h.json_percentiles(" "),
             ));
         }
         out.push_str("\n  }\n}\n");
@@ -521,15 +535,13 @@ impl Snapshot {
         }
         for (n, h) in &self.histograms {
             out.push_str(&format!(
-                "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}\n",
+                "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}{}}}\n",
                 json::string(n),
                 h.count,
                 json::number(h.sum),
                 json::number(h.min),
                 json::number(h.max),
-                json::number(h.p50()),
-                json::number(h.p95()),
-                json::number(h.p99()),
+                h.json_percentiles(""),
             ));
         }
         out
@@ -566,13 +578,16 @@ impl Snapshot {
                 .max()
                 .unwrap_or(0);
             for (n, h) in &self.histograms {
+                let percentiles = match (h.p50(), h.p95(), h.p99()) {
+                    (Some(p50), Some(p95), Some(p99)) => {
+                        format!("p50={p50:<12.4} p95={p95:<12.4} p99={p99:<12.4} ")
+                    }
+                    _ => String::new(),
+                };
                 out.push_str(&format!(
-                    "  {n:<w$}  n={:<8} mean={:<12.4} p50={:<12.4} p95={:<12.4} p99={:<12.4} min={:<12.4} max={:.4}\n",
+                    "  {n:<w$}  n={:<8} mean={:<12.4} {percentiles}min={:<12.4} max={:.4}\n",
                     h.count,
                     h.mean(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
                     h.min,
                     h.max,
                 ));
@@ -661,7 +676,7 @@ mod tests {
         samples.sort_by(f64::total_cmp);
         let hs = reg.snapshot().histogram("p").cloned().unwrap();
         for p in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            let est = hs.percentile(p);
+            let est = hs.percentile(p).unwrap();
             // Brute-force nearest-rank sample quantile.
             let exact = samples[((samples.len() - 1) as f64 * p).round() as usize];
             assert!(
@@ -676,24 +691,41 @@ mod tests {
         }
         let hs = reg.snapshot().histogram("one").cloned().unwrap();
         for p in [0.0, 0.5, 0.99, 1.0] {
-            assert!((hs.percentile(p) - 42.5).abs() < 1e-9);
+            assert!((hs.percentile(p).unwrap() - 42.5).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn statonly_histogram_interpolates_min_max() {
+    fn statonly_histogram_reports_no_percentiles() {
         let reg = Registry::new();
         let h = reg.histogram("loss");
         for v in [-4.0, -2.0, 0.0, 2.0, 4.0] {
             h.observe(v);
         }
-        let hs = reg.snapshot().histogram("loss").cloned().unwrap();
+        let snap = reg.snapshot();
+        let hs = snap.histogram("loss").cloned().unwrap();
         assert_eq!(hs.count, 5);
         assert_eq!(hs.min, -4.0);
         assert_eq!(hs.max, 4.0);
         assert!((hs.mean() - 0.0).abs() < 1e-12);
-        let p50 = hs.p50();
-        assert!((-4.0..=4.0).contains(&p50));
+        assert_eq!((hs.p50(), hs.p95(), hs.p99()), (None, None, None));
+        assert_eq!(
+            snap.to_jsonl(),
+            "{\"type\":\"histogram\",\"name\":\"loss\",\"count\":5,\"sum\":0,\"min\":-4,\"max\":4}\n"
+        );
+        for dump in [snap.to_json(), snap.render()] {
+            assert!(dump.contains("mean") && !dump.contains("p50"), "{dump}");
+        }
+        // A bucketed histogram still reports them.
+        reg.histogram_with("lat", &[1.0, 2.0]).observe(1.5);
+        let snap = reg.snapshot();
+        assert_eq!(snap.histogram("lat").unwrap().p50(), Some(1.5));
+        assert!(snap
+            .to_jsonl()
+            .contains(",\"p50\":1.5,\"p95\":1.5,\"p99\":1.5}"));
+        assert!(snap
+            .to_json()
+            .contains(", \"p50\": 1.5, \"p95\": 1.5, \"p99\": 1.5}"));
     }
 
     #[test]

@@ -176,9 +176,9 @@ fn run() -> Result<(), String> {
     if let Some(lat) = snap.histogram("serve.query_ns") {
         eprintln!(
             "latency p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms ({} recorded)",
-            lat.p50() / 1e6,
-            lat.p95() / 1e6,
-            lat.p99() / 1e6,
+            lat.p50().unwrap_or_default() / 1e6,
+            lat.p95().unwrap_or_default() / 1e6,
+            lat.p99().unwrap_or_default() / 1e6,
             lat.count,
         );
     }

@@ -1,164 +1,266 @@
 //! Parity and robustness guarantees of the shared training engine.
 //!
-//! The `Trainer` refactor moved every per-model epoch loop into one driver
-//! (`aneci_autograd::train`). These tests pin down the three properties the
-//! migration promised:
+//! These tests pin down three properties of AnECI training:
 //!
-//! 1. **Bit-exact trajectories** — [`AneciModel::train`] (Trainer-driven)
-//!    reproduces [`AneciModel::train_reference`] (the pre-refactor
-//!    hand-rolled loop, kept verbatim for exactly this comparison)
-//!    bit-for-bit under every stop strategy.
+//! 1. **Golden trajectories** — [`AneciModel::train`] reproduces the
+//!    fixtures checked in under `tests/golden/` bit for bit under every stop
+//!    strategy, and [`MiniBatchTrainer::train`] with one
+//!    [`BatchStrategy::FullGraph`] batch retraces every fixture whose stop
+//!    strategy it supports. A fixture pins every [`TrainReport`] field
+//!    (per-epoch loss, Q̃ and rigidity as f64 bits, validation scores, kept
+//!    epoch, epochs run) plus an embedding hash, pooled and serial, with one
+//!    section per SIMD dispatch.
 //! 2. **Thread invariance** — trajectories do not depend on how many pool
 //!    workers participate (`ANECI_NUM_THREADS` / `set_num_threads`).
 //! 3. **Typed divergence** — models that previously trained through NaNs
 //!    (Dominant, DONE) now surface a clean [`TrainError::Diverged`].
 //!
-//! The karate tests above run the dense reconstruction loss. The sampled
-//! path (`ReconMode::Sampled`, the one every graph above
-//! `exact_recon_threshold` trains) is pinned by a golden fixture instead:
-//! per-epoch loss and Q̃ as f64 bits plus an embedding hash, checked in
-//! under `tests/golden/`.
+//! The karate fixtures run the dense reconstruction loss. The sampled path
+//! (`ReconMode::Sampled`, the one every graph above `exact_recon_threshold`
+//! trains) has its own fixture on a 300-node SBM.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use aneci::autograd::train::TrainError;
 use aneci::baselines::{Dominant, DominantConfig, Done, DoneConfig, Gae, GaeConfig};
-use aneci::core::{AneciConfig, AneciModel, BatchStrategy, ReconMode, StopStrategy, TrainReport};
-use aneci::graph::{generate_sbm, karate_club, SbmConfig};
+use aneci::core::{
+    classic_modularity, AneciConfig, AneciModel, BatchStrategy, MiniBatchTrainer, ReconMode,
+    StopStrategy, TrainReport, ValProbe,
+};
+use aneci::graph::{generate_sbm, karate_club, AttributedGraph, SbmConfig};
 use aneci::linalg::pool;
 use aneci::linalg::rng::seeded_rng;
 use aneci::linalg::{simd, DenseMatrix};
 use rand::Rng;
 
-/// The thread-invariance test mutates process-global pool configuration;
-/// every test in this binary takes this lock so an A/B comparison never sees
-/// the dispatch mode change between its two runs.
+/// The golden and thread-invariance tests mutate process-global pool
+/// configuration; every test in this binary takes this lock so a run never
+/// sees the dispatch mode change halfway.
 static POOL_CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
-fn quick_cfg(stop: StopStrategy, seed: u64) -> AneciConfig {
+fn lock_pool_config() -> MutexGuard<'static, ()> {
+    POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+fn quick_cfg(stop: StopStrategy, seed: u64, epochs: usize) -> AneciConfig {
     AneciConfig {
         hidden_dim: 16,
         embed_dim: 4,
-        epochs: 50,
+        epochs,
         stop,
         seed,
         ..Default::default()
     }
 }
 
-/// Every field of the two reports must match exactly — no tolerance.
-fn assert_reports_identical(new: &TrainReport, old: &TrainReport) {
-    assert_eq!(new.losses, old.losses, "loss trajectories differ");
-    assert_eq!(new.modularity, old.modularity, "modularity differs");
-    assert_eq!(new.rigidity, old.rigidity, "rigidity differs");
-    assert_eq!(new.val_scores, old.val_scores, "val scores differ");
-    assert_eq!(new.best_epoch, old.best_epoch, "best epoch differs");
-    assert_eq!(new.epochs_run, old.epochs_run, "epochs run differ");
+/// The SIMD dispatch names a fixture section: the FMA kernels round
+/// differently from the scalar fallback (`ANECI_NO_SIMD`).
+fn dispatch() -> &'static str {
+    if simd::avx2_active() {
+        "avx2"
+    } else {
+        "scalar"
+    }
 }
 
-#[test]
-fn fixed_epochs_matches_reference_loop_bit_exactly() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::FixedEpochs, 42);
-
-    let mut new = AneciModel::new(&g, &cfg);
-    let new_report = new.train(None).unwrap();
-    let mut old = AneciModel::new(&g, &cfg);
-    let old_report = old.train_reference(None);
-
-    assert_reports_identical(&new_report, &old_report);
-    assert_eq!(new.embedding(), old.embedding(), "embeddings differ");
+/// FNV-1a over the bit patterns of every entry, row-major.
+fn bits_hash(m: &DenseMatrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in m.as_slice() {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
-#[test]
-fn early_stop_modularity_matches_reference_loop_bit_exactly() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::EarlyStopModularity { patience: 8 }, 7);
-
-    let mut new = AneciModel::new(&g, &cfg);
-    let new_report = new.train(None).unwrap();
-    let mut old = AneciModel::new(&g, &cfg);
-    let old_report = old.train_reference(None);
-
-    assert_reports_identical(&new_report, &old_report);
-    assert_eq!(new.embedding(), old.embedding(), "embeddings differ");
+/// The fixture lines of one training run, floats as hex bits:
+/// `<tag> <epoch> <loss> <Q̃> <rigidity>` per epoch, `<tag> val <epoch>
+/// <score>` per validation probe, `<tag> kept <best epoch> <epochs run>`,
+/// then `<tag> embedding <hash>`.
+fn golden_lines(tag: &str, report: &TrainReport, embedding: &DenseMatrix) -> String {
+    let mut out = String::new();
+    let epochs = report.losses.iter().zip(&report.modularity);
+    for (epoch, ((loss, q), rig)) in epochs.zip(&report.rigidity).enumerate() {
+        let (loss, q, rig) = (loss.to_bits(), q.to_bits(), rig.to_bits());
+        writeln!(out, "{tag} {epoch} {loss:016x} {q:016x} {rig:016x}").unwrap();
+    }
+    for (epoch, score) in &report.val_scores {
+        writeln!(out, "{tag} val {epoch} {:016x}", score.to_bits()).unwrap();
+    }
+    let (best, run) = (report.best_epoch, report.epochs_run);
+    writeln!(out, "{tag} kept {best} {run}").unwrap();
+    writeln!(out, "{tag} embedding {:016x}", bits_hash(embedding)).unwrap();
+    out
 }
 
-#[test]
-fn validation_best_matches_reference_loop_bit_exactly() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::ValidationBest { eval_every: 10 }, 3);
+/// Runs `train` once per pool configuration and concatenates the fixture
+/// lines it returns for the tag `<dispatch> <mode>`. Pooled: every kernel
+/// takes its chunked path (threshold 1, >1 worker). Serial: one thread, so
+/// every kernel runs on the calling thread.
+fn golden_runs(mut train: impl FnMut(&str) -> String) -> String {
+    let mut got = String::new();
+    for (mode, threads) in [("pooled", 4), ("serial", 1)] {
+        pool::force_pool();
+        pool::set_num_threads(threads);
+        got.push_str(&train(&format!("{} {mode}", dispatch())));
+    }
+    got
+}
 
-    // A deterministic stand-in probe: spread of the first embedding column.
-    let probe = |_epoch: usize, z: &DenseMatrix| -> f64 {
-        let col: Vec<f64> = (0..z.rows()).map(|i| z.get(i, 0)).collect();
-        let mean = col.iter().sum::<f64>() / col.len() as f64;
-        col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-    };
-
-    let mut new = AneciModel::new(&g, &cfg);
-    let mut p1 = probe;
-    let new_report = new.train(Some(&mut p1)).unwrap();
-    let mut old = AneciModel::new(&g, &cfg);
-    let mut p2 = probe;
-    let old_report = old.train_reference(Some(&mut p2));
-
-    assert_reports_identical(&new_report, &old_report);
-    assert_eq!(new.embedding(), old.embedding(), "embeddings differ");
+/// Checks `got` against the current dispatch's section of
+/// `tests/golden/<name>.txt`. With `ANECI_REGEN_GOLDEN` set it rewrites that
+/// section instead and keeps the other one: `ANECI_REGEN_GOLDEN=1 cargo test
+/// -q --test trainer_parity golden` records the current dispatch, and adding
+/// `ANECI_NO_SIMD=1` records the scalar one.
+fn assert_golden(name: &str, got: &str) {
+    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    // Every number in a fixture follows from the seeded StdRng stream, which
+    // the first draw identifies.
+    let probe: u64 = seeded_rng(0).gen();
+    let rng_line = format!("rng {probe:016x}");
+    let section = format!("{} ", dispatch());
+    let file = std::fs::read_to_string(&path).unwrap_or_default();
+    if std::env::var_os("ANECI_REGEN_GOLDEN").is_some() {
+        let mut lines: Vec<&str> = file
+            .lines()
+            .filter(|l| !l.starts_with("rng ") && !l.starts_with(&section))
+            .chain(got.lines())
+            .collect();
+        lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps run order
+        std::fs::write(&path, format!("{rng_line}\n{}\n", lines.join("\n"))).unwrap();
+        return;
+    }
+    assert_eq!(
+        file.lines().next(),
+        Some(rng_line.as_str()),
+        "{name}: the fixture was recorded under another StdRng stream"
+    );
+    let want: Vec<&str> = file.lines().filter(|l| l.starts_with(&section)).collect();
     assert!(
-        !new_report.val_scores.is_empty(),
-        "the probe should have run at least once"
+        !want.is_empty(),
+        "{name}: no fixture section for the {} dispatch; record it with ANECI_REGEN_GOLDEN=1",
+        dispatch()
+    );
+    assert_eq!(
+        want,
+        got.lines().collect::<Vec<_>>(),
+        "{name}: the trajectory left the golden fixture"
     );
 }
 
-#[test]
-fn minibatch_full_graph_matches_reference_loop_bit_exactly() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::FixedEpochs, 42);
+/// Trains a fresh model with [`AneciModel::train`] and returns its report
+/// and fixture lines.
+fn full_batch(
+    tag: &str,
+    g: &AttributedGraph,
+    cfg: &AneciConfig,
+    probe: Option<ValProbe<'_>>,
+) -> (TrainReport, String) {
+    let mut model = AneciModel::new(g, cfg);
+    let report = model.train(probe).unwrap();
+    let lines = golden_lines(tag, &report, model.embedding());
+    (report, lines)
+}
 
-    // One batch spanning the whole graph must execute the exact full-batch
-    // op sequence: same operators, same tape order, same RNG streams.
-    let mut mini = AneciModel::new(&g, &cfg);
-    let mini_report = mini
-        .train_minibatch(BatchStrategy::FullGraph, None)
-        .unwrap();
-    let mut old = AneciModel::new(&g, &cfg);
-    let old_report = old.train_reference(None);
-
-    assert_reports_identical(&mini_report, &old_report);
-    assert_eq!(mini.embedding(), old.embedding(), "embeddings differ");
+/// [`full_batch`], then the same run through [`MiniBatchTrainer`] with one
+/// [`BatchStrategy::FullGraph`] batch per epoch, which must replay the
+/// full-batch epoch op for op: same operators, tape order and RNG streams.
+fn full_batch_and_minibatch(
+    tag: &str,
+    g: &AttributedGraph,
+    cfg: &AneciConfig,
+) -> (TrainReport, String) {
+    let (report, lines) = full_batch(tag, g, cfg, None);
+    let mut mini =
+        MiniBatchTrainer::try_new(g.adjacency().clone(), g.features().clone(), cfg).unwrap();
+    let mini_report = mini.train(BatchStrategy::FullGraph, None).unwrap();
+    assert_eq!(
+        golden_lines(tag, &mini_report, mini.embedding()),
+        lines,
+        "{tag}: FullGraph mini-batch left the full-batch trajectory"
+    );
+    (report, lines)
 }
 
 #[test]
-fn minibatch_early_stop_matches_reference_loop_bit_exactly() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+fn fixed_epochs_matches_golden_fixture() {
+    let _guard = lock_pool_config();
     let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::EarlyStopModularity { patience: 8 }, 7);
+    let cfg = quick_cfg(StopStrategy::FixedEpochs, 42, 50);
+    let got = golden_runs(|tag| full_batch_and_minibatch(tag, &g, &cfg).1);
+    assert_golden("karate_fixed_epochs", &got);
+}
 
+#[test]
+fn early_stop_modularity_matches_golden_fixture() {
+    let _guard = lock_pool_config();
+    let g = karate_club();
     // With one full-coverage batch per epoch, the epoch-mean batch Q̃ that
-    // mini-batch training monitors IS the full-batch Q̃ — so early stopping
-    // fires at the same epoch and the kept best embedding matches.
-    let mut mini = AneciModel::new(&g, &cfg);
-    let mini_report = mini
-        .train_minibatch(BatchStrategy::FullGraph, None)
-        .unwrap();
-    let mut old = AneciModel::new(&g, &cfg);
-    let old_report = old.train_reference(None);
+    // mini-batch training monitors is the full-batch Q̃, so both stop at
+    // the same epoch and keep the same embedding.
+    let cfg = quick_cfg(StopStrategy::EarlyStopModularity { patience: 8 }, 7, 300);
+    let got = golden_runs(|tag| {
+        let (report, lines) = full_batch_and_minibatch(tag, &g, &cfg);
+        assert!(
+            report.epochs_run < cfg.epochs,
+            "{tag}: early stopping never fired"
+        );
+        lines
+    });
+    assert_golden("karate_early_stop", &got);
+}
 
-    assert_reports_identical(&mini_report, &old_report);
-    assert_eq!(mini.embedding(), old.embedding(), "embeddings differ");
+#[test]
+fn validation_best_matches_golden_fixture() {
+    let _guard = lock_pool_config();
+    let g = karate_club();
+    let cfg = quick_cfg(StopStrategy::ValidationBest { eval_every: 10 }, 3, 50);
+    let got = golden_runs(|tag| {
+        // A real validation score: the classic modularity of the hard
+        // communities on the input graph. It peaks mid-run and then ties, so
+        // the strict comparison keeps the first peak.
+        let mut probe = |_epoch: usize, z: &DenseMatrix| {
+            classic_modularity(g.adjacency(), &z.softmax_rows().argmax_rows())
+        };
+        let (report, lines) = full_batch(tag, &g, &cfg, Some(&mut probe));
+        assert!(
+            report.best_epoch + 1 < report.epochs_run,
+            "{tag}: the probe kept the last epoch"
+        );
+        lines
+    });
+    assert_golden("karate_validation_probe", &got);
+}
+
+#[test]
+fn validation_loss_fallback_matches_golden_fixture() {
+    let _guard = lock_pool_config();
+    let g = karate_club();
+    // Without a probe the lowest-loss probe epoch is kept. Strong weight
+    // decay turns the loss back up before the last epoch.
+    let cfg = AneciConfig {
+        lr: 0.2,
+        weight_decay: 0.5,
+        ..quick_cfg(StopStrategy::ValidationBest { eval_every: 5 }, 7, 50)
+    };
+    let got = golden_runs(|tag| {
+        let (report, lines) = full_batch(tag, &g, &cfg, None);
+        assert!(
+            report.best_epoch + 1 < report.epochs_run,
+            "{tag}: the loss fallback kept the last epoch"
+        );
+        lines
+    });
+    assert_golden("karate_validation_loss", &got);
 }
 
 #[test]
 fn training_is_invariant_to_kernel_thread_count() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let _guard = lock_pool_config();
     let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::FixedEpochs, 11);
+    let cfg = quick_cfg(StopStrategy::FixedEpochs, 11, 50);
     let gae_cfg = GaeConfig {
         epochs: 30,
         seed: 11,
@@ -195,7 +297,7 @@ fn training_is_invariant_to_kernel_thread_count() {
 
 #[test]
 fn dominant_divergence_is_a_typed_error() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let _guard = lock_pool_config();
     let g = karate_club();
     let cfg = DominantConfig {
         lr: 1e200,
@@ -214,7 +316,7 @@ fn dominant_divergence_is_a_typed_error() {
 
 #[test]
 fn done_divergence_is_a_typed_error() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let _guard = lock_pool_config();
     let g = karate_club();
     let cfg = DoneConfig {
         lr: 1e200,
@@ -232,18 +334,10 @@ fn done_divergence_is_a_typed_error() {
     }
 }
 
-/// Where the sampled-path fixture lives. Rewrite the current dispatch's
-/// section with `ANECI_REGEN_GOLDEN=1 cargo test -q --test trainer_parity
-/// golden`, and the scalar one by adding `ANECI_NO_SIMD=1`.
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/sampled_recon.txt"
-);
-
 /// A 300-node SBM whose ~40k BCE pairs per epoch put `pair_bce` well past
-/// the default pooling threshold, so each pool configuration below drives
-/// it down a different branch.
-fn golden_graph() -> aneci::graph::AttributedGraph {
+/// the default pooling threshold, so each pool configuration drives it down
+/// a different branch.
+fn golden_graph() -> AttributedGraph {
     let sbm = SbmConfig {
         num_nodes: 300,
         target_edges: 1200,
@@ -252,109 +346,14 @@ fn golden_graph() -> aneci::graph::AttributedGraph {
     generate_sbm(&sbm, 17)
 }
 
-fn golden_cfg() -> AneciConfig {
-    AneciConfig {
-        hidden_dim: 16,
-        embed_dim: 4,
-        epochs: 12,
-        stop: StopStrategy::FixedEpochs,
-        recon: ReconMode::Sampled { neg_ratio: 1 },
-        seed: 5,
-        ..Default::default()
-    }
-}
-
-/// FNV-1a over the bit patterns of every entry, row-major.
-fn bits_hash(m: &DenseMatrix) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in m.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// The fixture lines of one training run: `<tag> <epoch> <loss> <Q̃>` per
-/// epoch, then `<tag> embedding <hash>`, all in hex bits.
-fn golden_lines(tag: &str, report: &TrainReport, embedding: &DenseMatrix) -> String {
-    let mut out = String::new();
-    for (epoch, (loss, q)) in report.losses.iter().zip(&report.modularity).enumerate() {
-        let (loss, q) = (loss.to_bits(), q.to_bits());
-        writeln!(out, "{tag} {epoch} {loss:016x} {q:016x}").unwrap();
-    }
-    writeln!(out, "{tag} embedding {:016x}", bits_hash(embedding)).unwrap();
-    out
-}
-
 #[test]
 fn sampled_recon_matches_golden_fixture() {
-    let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let _guard = lock_pool_config();
     let g = golden_graph();
-    let cfg = golden_cfg();
-    // Every number below follows from the seeded StdRng stream, which the
-    // first draw identifies, and from the SIMD dispatch: the FMA kernels
-    // round differently from the scalar fallback (`ANECI_NO_SIMD`), so the
-    // fixture keeps one section per dispatch.
-    let probe: u64 = seeded_rng(0).gen();
-    let rng_line = format!("rng {probe:016x}");
-    let dispatch = if simd::avx2_active() {
-        "avx2"
-    } else {
-        "scalar"
+    let cfg = AneciConfig {
+        recon: ReconMode::Sampled { neg_ratio: 1 },
+        ..quick_cfg(StopStrategy::FixedEpochs, 5, 12)
     };
-    let mut got = String::new();
-
-    // Pooled: every kernel takes its chunked path (threshold 1, >1 worker).
-    // Serial: one thread, so every kernel runs on the calling thread.
-    for (mode, threads) in [("pooled", 4), ("serial", 1)] {
-        pool::force_pool();
-        pool::set_num_threads(threads);
-        let tag = format!("{dispatch} {mode}");
-        let mut full = AneciModel::new(&g, &cfg);
-        let report = full.train(None).unwrap();
-        let lines = golden_lines(&tag, &report, full.embedding());
-
-        // One FullGraph batch replays the full-batch epoch op for op.
-        let mut mini = AneciModel::new(&g, &cfg);
-        let mini_report = mini
-            .train_minibatch(BatchStrategy::FullGraph, None)
-            .unwrap();
-        assert_eq!(
-            golden_lines(&tag, &mini_report, mini.embedding()),
-            lines,
-            "{tag}: FullGraph mini-batch left the full-batch trajectory"
-        );
-        got.push_str(&lines);
-    }
-
-    let file = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
-    let in_section = |line: &&str| line.starts_with(&format!("{dispatch} "));
-    if std::env::var_os("ANECI_REGEN_GOLDEN").is_some() {
-        // Rewrite this dispatch's section and keep the other one.
-        let mut lines: Vec<&str> = file
-            .lines()
-            .filter(|l| !l.starts_with("rng ") && !in_section(l))
-            .chain(got.lines())
-            .collect();
-        lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps epoch order
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, format!("{rng_line}\n{}\n", lines.join("\n"))).unwrap();
-        return;
-    }
-    assert_eq!(
-        file.lines().next(),
-        Some(rng_line.as_str()),
-        "the fixture was recorded under another StdRng stream"
-    );
-    let want: Vec<&str> = file.lines().filter(in_section).collect();
-    assert!(
-        !want.is_empty(),
-        "no fixture section for the {dispatch} dispatch; record it with ANECI_REGEN_GOLDEN=1"
-    );
-    assert_eq!(
-        want,
-        got.lines().collect::<Vec<_>>(),
-        "sampled-path trajectory left the golden fixture"
-    );
+    let got = golden_runs(|tag| full_batch_and_minibatch(tag, &g, &cfg).1);
+    assert_golden("sampled_recon", &got);
 }
