@@ -37,7 +37,8 @@
 //!
 //! The loop is bit-exact with the hand-rolled loops it replaced: tape op
 //! order, RNG consumption and optimizer update order are unchanged, which
-//! `tests/trainer_parity.rs` pins against the preserved reference loop.
+//! the golden fixtures of `tests/trainer_parity.rs`, recorded from the
+//! reference loop before it was deleted, pin.
 
 use crate::optim::{Adam, ParamSet, Sgd};
 use crate::tape::{Tape, Var};

@@ -9,7 +9,9 @@
 //!    strategy it supports. A fixture pins every [`TrainReport`] field
 //!    (per-epoch loss, Q̃ and rigidity as f64 bits, validation scores, kept
 //!    epoch, epochs run) plus an embedding hash, pooled and serial, with one
-//!    section per SIMD dispatch.
+//!    section per SIMD dispatch. The karate fixtures were recorded from the
+//!    hand-rolled reference loop before it was deleted, so matching one bit
+//!    for bit is matching that loop.
 //! 2. **Thread invariance** — trajectories do not depend on how many pool
 //!    workers participate (`ANECI_NUM_THREADS` / `set_num_threads`).
 //! 3. **Typed divergence** — models that previously trained through NaNs
@@ -112,31 +114,35 @@ fn golden_runs(mut train: impl FnMut(&str) -> String) -> String {
 /// Checks `got` against the current dispatch's section of
 /// `tests/golden/<name>.txt`. With `ANECI_REGEN_GOLDEN` set it rewrites that
 /// section instead and keeps the other one: `ANECI_REGEN_GOLDEN=1 cargo test
-/// -q --test trainer_parity golden` records the current dispatch, and adding
+/// -q --test trainer_parity` records the current dispatch, and adding
 /// `ANECI_NO_SIMD=1` records the scalar one.
 fn assert_golden(name: &str, got: &str) {
-    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-    // Every number in a fixture follows from the seeded StdRng stream, which
-    // the first draw identifies.
-    let probe: u64 = seeded_rng(0).gen();
-    let rng_line = format!("rng {probe:016x}");
+    if std::env::var_os("ANECI_REGEN_GOLDEN").is_none() {
+        return check_golden(name, got);
+    }
+    let path = golden_path(name);
     let section = format!("{} ", dispatch());
     let file = std::fs::read_to_string(&path).unwrap_or_default();
-    if std::env::var_os("ANECI_REGEN_GOLDEN").is_some() {
-        let mut lines: Vec<&str> = file
-            .lines()
-            .filter(|l| !l.starts_with("rng ") && !l.starts_with(&section))
-            .chain(got.lines())
-            .collect();
-        lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps run order
-        std::fs::write(&path, format!("{rng_line}\n{}\n", lines.join("\n"))).unwrap();
-        return;
-    }
+    let mut lines: Vec<&str> = file
+        .lines()
+        .filter(|l| !l.starts_with("rng ") && !l.starts_with(&section))
+        .chain(got.lines())
+        .collect();
+    lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps run order
+    std::fs::write(&path, format!("{}\n{}\n", rng_line(), lines.join("\n"))).unwrap();
+}
+
+/// [`assert_golden`] without the rewrite: the mini-batch twins of the
+/// full-batch runs only ever compare against the fixture the full-batch run
+/// records.
+fn check_golden(name: &str, got: &str) {
+    let file = std::fs::read_to_string(golden_path(name)).unwrap_or_default();
     assert_eq!(
         file.lines().next(),
-        Some(rng_line.as_str()),
+        Some(rng_line().as_str()),
         "{name}: the fixture was recorded under another StdRng stream"
     );
+    let section = format!("{} ", dispatch());
     let want: Vec<&str> = file.lines().filter(|l| l.starts_with(&section)).collect();
     assert!(
         !want.is_empty(),
@@ -148,6 +154,17 @@ fn assert_golden(name: &str, got: &str) {
         got.lines().collect::<Vec<_>>(),
         "{name}: the trajectory left the golden fixture"
     );
+}
+
+fn golden_path(name: &str) -> String {
+    format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every number in a fixture follows from the seeded StdRng stream, which
+/// the first draw identifies.
+fn rng_line() -> String {
+    let probe: u64 = seeded_rng(0).gen();
+    format!("rng {probe:016x}")
 }
 
 /// Trains a fresh model with [`AneciModel::train`] and returns its report
@@ -164,56 +181,86 @@ fn full_batch(
     (report, lines)
 }
 
-/// [`full_batch`], then the same run through [`MiniBatchTrainer`] with one
-/// [`BatchStrategy::FullGraph`] batch per epoch, which must replay the
-/// full-batch epoch op for op: same operators, tape order and RNG streams.
-fn full_batch_and_minibatch(
+/// Trains with [`MiniBatchTrainer`] on one [`BatchStrategy::FullGraph`]
+/// batch per epoch, which must replay the full-batch epoch op for op: same
+/// operators, tape order and RNG streams.
+fn full_graph_minibatch(
     tag: &str,
     g: &AttributedGraph,
     cfg: &AneciConfig,
 ) -> (TrainReport, String) {
-    let (report, lines) = full_batch(tag, g, cfg, None);
     let mut mini =
         MiniBatchTrainer::try_new(g.adjacency().clone(), g.features().clone(), cfg).unwrap();
-    let mini_report = mini.train(BatchStrategy::FullGraph, None).unwrap();
-    assert_eq!(
-        golden_lines(tag, &mini_report, mini.embedding()),
-        lines,
-        "{tag}: FullGraph mini-batch left the full-batch trajectory"
-    );
+    let report = mini.train(BatchStrategy::FullGraph, None).unwrap();
+    let lines = golden_lines(tag, &report, mini.embedding());
     (report, lines)
 }
 
+fn fixed_epochs_cfg() -> AneciConfig {
+    quick_cfg(StopStrategy::FixedEpochs, 42, 50)
+}
+
+/// Seed 7 over 300 epochs stops after 83, so the run reaches the stop.
+fn early_stop_cfg() -> AneciConfig {
+    quick_cfg(StopStrategy::EarlyStopModularity { patience: 8 }, 7, 300)
+}
+
+fn assert_stopped_early(tag: &str, report: &TrainReport, cfg: &AneciConfig) {
+    assert!(
+        report.epochs_run < cfg.epochs,
+        "{tag}: early stopping never fired"
+    );
+}
+
 #[test]
-fn fixed_epochs_matches_golden_fixture() {
+fn fixed_epochs_matches_reference_loop_bit_exactly() {
     let _guard = lock_pool_config();
     let g = karate_club();
-    let cfg = quick_cfg(StopStrategy::FixedEpochs, 42, 50);
-    let got = golden_runs(|tag| full_batch_and_minibatch(tag, &g, &cfg).1);
+    let cfg = fixed_epochs_cfg();
+    let got = golden_runs(|tag| full_batch(tag, &g, &cfg, None).1);
     assert_golden("karate_fixed_epochs", &got);
 }
 
 #[test]
-fn early_stop_modularity_matches_golden_fixture() {
+fn minibatch_full_graph_matches_reference_loop_bit_exactly() {
     let _guard = lock_pool_config();
     let g = karate_club();
-    // With one full-coverage batch per epoch, the epoch-mean batch Q̃ that
-    // mini-batch training monitors is the full-batch Q̃, so both stop at
-    // the same epoch and keep the same embedding.
-    let cfg = quick_cfg(StopStrategy::EarlyStopModularity { patience: 8 }, 7, 300);
+    let cfg = fixed_epochs_cfg();
+    let got = golden_runs(|tag| full_graph_minibatch(tag, &g, &cfg).1);
+    check_golden("karate_fixed_epochs", &got);
+}
+
+#[test]
+fn early_stop_modularity_matches_reference_loop_bit_exactly() {
+    let _guard = lock_pool_config();
+    let g = karate_club();
+    let cfg = early_stop_cfg();
     let got = golden_runs(|tag| {
-        let (report, lines) = full_batch_and_minibatch(tag, &g, &cfg);
-        assert!(
-            report.epochs_run < cfg.epochs,
-            "{tag}: early stopping never fired"
-        );
+        let (report, lines) = full_batch(tag, &g, &cfg, None);
+        assert_stopped_early(tag, &report, &cfg);
         lines
     });
     assert_golden("karate_early_stop", &got);
 }
 
 #[test]
-fn validation_best_matches_golden_fixture() {
+fn minibatch_early_stop_matches_reference_loop_bit_exactly() {
+    let _guard = lock_pool_config();
+    let g = karate_club();
+    let cfg = early_stop_cfg();
+    // With one full-coverage batch per epoch, the epoch-mean batch Q̃ that
+    // mini-batch training monitors is the full-batch Q̃, so both stop at
+    // the same epoch and keep the same embedding.
+    let got = golden_runs(|tag| {
+        let (report, lines) = full_graph_minibatch(tag, &g, &cfg);
+        assert_stopped_early(tag, &report, &cfg);
+        lines
+    });
+    check_golden("karate_early_stop", &got);
+}
+
+#[test]
+fn validation_best_matches_reference_loop_bit_exactly() {
     let _guard = lock_pool_config();
     let g = karate_club();
     let cfg = quick_cfg(StopStrategy::ValidationBest { eval_every: 10 }, 3, 50);
@@ -235,7 +282,7 @@ fn validation_best_matches_golden_fixture() {
 }
 
 #[test]
-fn validation_loss_fallback_matches_golden_fixture() {
+fn validation_loss_fallback_matches_reference_loop_bit_exactly() {
     let _guard = lock_pool_config();
     let g = karate_club();
     // Without a probe the lowest-loss probe epoch is kept. Strong weight
@@ -354,6 +401,14 @@ fn sampled_recon_matches_golden_fixture() {
         recon: ReconMode::Sampled { neg_ratio: 1 },
         ..quick_cfg(StopStrategy::FixedEpochs, 5, 12)
     };
-    let got = golden_runs(|tag| full_batch_and_minibatch(tag, &g, &cfg).1);
+    let got = golden_runs(|tag| {
+        let (_, lines) = full_batch(tag, &g, &cfg, None);
+        assert_eq!(
+            full_graph_minibatch(tag, &g, &cfg).1,
+            lines,
+            "{tag}: FullGraph mini-batch left the full-batch trajectory"
+        );
+        lines
+    });
     assert_golden("sampled_recon", &got);
 }
