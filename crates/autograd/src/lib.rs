@@ -6,14 +6,15 @@
 //! generalized modularity objective) and for the gradient-based FGA attack.
 //!
 //! * [`tape::Tape`] / [`tape::Var`] — define-by-run computation graph;
-//! * [`optim`] — `ParamSet`, SGD(+momentum), Adam, gradient clipping;
-//! * [`train`] — the shared [`train::Trainer`] engine that owns the
-//!   tape-rebuild/backward/step loop (stop rules, LR schedules, clipping,
-//!   divergence guard, telemetry) for the core model and every baseline;
-//! * [`train_batch`] — mini-batch extension: deterministic
+//! * [`optim`] — `ParamSet` and Adam (with decoupled weight decay);
+//! * [`train`] — the shared [`train::Trainer`] engine: one epoch loop that
+//!   owns the tape-rebuild/backward/Adam-step cycle (stop rules, divergence
+//!   guard, telemetry) for the core model and every baseline;
+//! * [`train_batch`] — mini-batch training: deterministic
 //!   community-aware / GraphSAGE-style batch sampling
-//!   ([`train_batch::BatchSampler`]) and the per-batch
-//!   [`train_batch::BatchTrainStep`] loop `Trainer::run_batched`;
+//!   ([`train_batch::BatchSampler`]) and `Trainer::run_batched`, which
+//!   feeds a batch plan of [`train_batch::BatchTrainStep`] losses to the
+//!   same epoch loop;
 //! * [`gradcheck`] — central-difference verification used throughout the
 //!   workspace's test suites.
 //!
@@ -36,12 +37,9 @@ pub mod train;
 pub mod train_batch;
 
 pub use gradcheck::{check_gradient, GradCheck};
-pub use optim::{Adam, ParamSet, Sgd};
+pub use optim::{Adam, ParamSet};
 pub use tape::{BcePair, Tape, Var};
-pub use train::{
-    EpochStats, LrSchedule, Objective, Optimizer, OptimizerKind, StepOutput, StopRule, TrainError,
-    TrainRun, TrainStep, Trainer,
-};
+pub use train::{Objective, StepOutput, StopRule, TrainError, TrainRun, TrainStep, Trainer};
 pub use train_batch::{BatchSampler, BatchStrategy, BatchTrainStep};
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! Optimizers.
+//! Parameters and the Adam optimizer.
 //!
 //! The tape is rebuilt every iteration (define-by-run), so parameters live
 //! *outside* any tape in a plain [`ParamSet`]. A training step is:
 //!
 //! 1. create a `Tape`, push each parameter with [`ParamSet::leaf_all`],
 //! 2. build the loss, call `backward`,
-//! 3. collect gradients and hand them to [`Adam::step`] / [`Sgd::step`].
+//! 3. collect gradients and hand them to [`Adam::step`].
 
 use crate::tape::{Tape, Var};
 use crate::train::TrainError;
@@ -94,86 +94,10 @@ impl ParamSet {
         self.values.iter().map(|m| m.len()).sum()
     }
 
-    /// Global L2 norm of a gradient list (for clipping / logging).
+    /// Global L2 norm of a gradient list (for the divergence guard and
+    /// logging).
     pub fn grad_norm(grads: &[DenseMatrix]) -> f64 {
         grads.iter().map(|g| g.dot(g)).sum::<f64>().sqrt()
-    }
-
-    /// Scales gradients in place so their global norm is at most `max_norm`.
-    pub fn clip_grad_norm(grads: &mut [DenseMatrix], max_norm: f64) {
-        let norm = Self::grad_norm(grads);
-        if norm > max_norm && norm > 0.0 {
-            let s = max_norm / norm;
-            for g in grads {
-                g.scale_inplace(s);
-            }
-        }
-    }
-}
-
-/// Plain SGD with optional classical momentum and decoupled weight decay.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f64,
-    /// Decoupled weight decay coefficient.
-    pub weight_decay: f64,
-    velocity: Vec<DenseMatrix>,
-}
-
-impl Sgd {
-    /// New optimizer with the given learning rate, no momentum or decay.
-    pub fn new(lr: f64) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Builder: sets momentum.
-    pub fn with_momentum(mut self, m: f64) -> Self {
-        self.momentum = m;
-        self
-    }
-
-    /// Builder: sets weight decay.
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    /// Applies one update.
-    pub fn step(&mut self, params: &mut ParamSet, grads: &[DenseMatrix]) {
-        assert_eq!(
-            grads.len(),
-            params.len(),
-            "Sgd::step: gradient count mismatch"
-        );
-        if self.velocity.is_empty() && self.momentum != 0.0 {
-            self.velocity = grads
-                .iter()
-                .map(|g| DenseMatrix::zeros(g.rows(), g.cols()))
-                .collect();
-        }
-        for (slot, g) in grads.iter().enumerate() {
-            let p = params.get_mut(slot);
-            if self.weight_decay != 0.0 {
-                let decay = self.lr * self.weight_decay;
-                p.map_inplace(|v| v * (1.0 - decay));
-            }
-            if self.momentum != 0.0 {
-                let v = &mut self.velocity[slot];
-                v.scale_inplace(self.momentum);
-                v.axpy(1.0, g);
-                p.axpy(-self.lr, v);
-            } else {
-                p.axpy(-self.lr, g);
-            }
-        }
     }
 }
 
@@ -286,35 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let (c, f) = quadratic_target();
-        let mut params = ParamSet::new();
-        params.register("x", DenseMatrix::zeros(2, 2));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            let (_, g) = f(params.get(0));
-            opt.step(&mut params, &[g]);
-        }
-        assert!(params.get(0).sub(&c).max_abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges_faster() {
-        let (c, f) = quadratic_target();
-        let run = |momentum: f64, iters: usize| {
-            let mut params = ParamSet::new();
-            params.register("x", DenseMatrix::zeros(2, 2));
-            let mut opt = Sgd::new(0.01).with_momentum(momentum);
-            for _ in 0..iters {
-                let (_, g) = f(params.get(0));
-                opt.step(&mut params, &[g]);
-            }
-            params.get(0).sub(&c).max_abs()
-        };
-        assert!(run(0.9, 100) < run(0.0, 100));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let (c, f) = quadratic_target();
         let mut params = ParamSet::new();
@@ -331,26 +226,15 @@ mod tests {
     fn weight_decay_shrinks_parameters() {
         let mut params = ParamSet::new();
         params.register("x", DenseMatrix::filled(2, 2, 1.0));
-        let mut opt = Sgd::new(0.1).with_weight_decay(1.0);
+        let mut opt = Adam::new(0.1).with_weight_decay(1.0);
         let zero_grad = DenseMatrix::zeros(2, 2);
         for _ in 0..10 {
             opt.step(&mut params, std::slice::from_ref(&zero_grad));
         }
-        // Pure decay: x *= (1 - lr*wd)^10 = 0.9^10.
+        // Zero moments make the Adam update 0, leaving the decoupled decay:
+        // x *= (1 - lr*wd)^10 = 0.9^10.
         let expected = 0.9f64.powi(10);
         assert!((params.get(0).get(0, 0) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clip_grad_norm_caps_norm() {
-        let mut grads = vec![DenseMatrix::filled(2, 2, 3.0)];
-        // norm = sqrt(4*9) = 6
-        ParamSet::clip_grad_norm(&mut grads, 3.0);
-        assert!((ParamSet::grad_norm(&grads) - 3.0).abs() < 1e-12);
-        // Already small → untouched.
-        let mut small = vec![DenseMatrix::filled(1, 1, 0.5)];
-        ParamSet::clip_grad_norm(&mut small, 3.0);
-        assert_eq!(small[0].get(0, 0), 0.5);
     }
 
     #[test]

@@ -3,115 +3,50 @@
 //! Every gradient-trained model in the workspace — the AnECI model itself
 //! and the seven autograd baselines (GAE/VGAE, DGI, GCN, DropEdge-GCN,
 //! Dominant, DONE, SDNE) — runs the same define-by-run loop: rebuild a
-//! [`Tape`], push the parameters as leaves, build a loss, backprop, apply an
-//! optimizer step, decide whether to keep going. [`Trainer`] owns that loop
-//! once, so cross-cutting improvements (telemetry, divergence guarding,
-//! clipping, schedules) land in one place and apply to every model.
+//! [`Tape`], push the parameters as leaves, build a loss, backprop, take an
+//! [`Adam`] step, decide whether to keep going. [`Trainer`] owns that loop
+//! once, so cross-cutting improvements (telemetry, divergence guarding)
+//! land in one place and apply to every model.
 //!
 //! The caller supplies
 //!
 //! * a [`ParamSet`] holding the trainable matrices,
-//! * an [`Optimizer`] (the [`Adam`] / [`Sgd`] impls here, or a custom one),
+//! * the [`Adam`] optimizer that updates them,
 //! * a [`TrainStep`]: given a fresh tape and the parameter leaves, build
 //!   this epoch's loss. Plain closures `FnMut(&mut Tape, &[Var], usize) ->
 //!   Var` implement it directly; models with checkpoint-best/validation
 //!   logic implement the trait on a driver struct and use the
 //!   [`TrainStep::on_best`] / [`TrainStep::on_epoch`] hooks.
 //!
-//! Per epoch the engine runs, in order:
+//! One epoch loop serves both entry points: [`Trainer::run`] is its
+//! one-batch case, and [`Trainer::run_batched`] feeds it a batch plan. For
+//! each batch of an epoch the loop runs, in order:
 //!
-//! 1. fresh tape, [`ParamSet::leaf_all`], [`TrainStep::step`] → loss;
+//! 1. fresh tape, [`ParamSet::leaf_all`], the step → loss;
 //! 2. **divergence guard** — a non-finite loss restores the last parameter
 //!    state that produced a finite loss and surfaces
 //!    [`TrainError::Diverged`] instead of silently training through NaNs;
-//! 3. **best tracking** — the [`StopRule`] compares the step's monitored
-//!    metric against the best so far and fires [`TrainStep::on_best`]
-//!    *before* the optimizer step (so snapshots capture the parameters that
-//!    produced the metric);
-//! 4. backward, gradient collection, optional global-norm clipping, the
-//!    scheduled-LR optimizer step (wrapped in a `step` span when
-//!    observability is on);
-//! 5. telemetry (`<prefix>.loss`, `<prefix>.grad_norm` histograms and a
-//!    `<prefix>.epochs` counter), [`TrainStep::on_epoch`], and the
-//!    early-stop decision.
+//! 3. on the epoch's last batch, **best tracking** — the [`StopRule`]
+//!    compares the epoch's monitored metric (the mean over its batches)
+//!    against the best so far and fires `on_best` *before* the optimizer
+//!    step (so snapshots capture the parameters that produced the metric);
+//! 4. backward, gradient collection and the Adam step (wrapped in a `step`
+//!    span when observability is on).
+//!
+//! The epoch then closes with telemetry (`<prefix>.loss` and
+//! `<prefix>.grad_norm` histograms of the epoch means and a
+//! `<prefix>.epochs` counter), `on_epoch`, and the early-stop decision.
 //!
 //! The loop is bit-exact with the hand-rolled loops it replaced: tape op
 //! order, RNG consumption and optimizer update order are unchanged, which
 //! the golden fixtures of `tests/trainer_parity.rs`, recorded from the
 //! reference loop before it was deleted, pin.
 
-use crate::optim::{Adam, ParamSet, Sgd};
+use crate::optim::{Adam, ParamSet};
 use crate::tape::{Tape, Var};
-use aneci_linalg::DenseMatrix;
 use std::error::Error;
 use std::fmt;
-
-/// A first-order optimizer: consumes one gradient list per call and updates
-/// the parameters in place. Implemented by [`Adam`] and [`Sgd`]; the
-/// [`Trainer`] drives it through this trait so models are optimizer-
-/// agnostic.
-pub trait Optimizer {
-    /// Applies one update.
-    fn step(&mut self, params: &mut ParamSet, grads: &[DenseMatrix]);
-    /// Current learning rate.
-    fn lr(&self) -> f64;
-    /// Overrides the learning rate (used by [`LrSchedule`]).
-    fn set_lr(&mut self, lr: f64);
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet, grads: &[DenseMatrix]) {
-        Sgd::step(self, params, grads);
-    }
-    fn lr(&self) -> f64 {
-        self.lr
-    }
-    fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut ParamSet, grads: &[DenseMatrix]) {
-        Adam::step(self, params, grads);
-    }
-    fn lr(&self) -> f64 {
-        self.lr
-    }
-    fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
-/// Declarative optimizer choice for model configs: lets e.g. the GCN
-/// classifier swap Adam for SGD(+momentum) without changing its training
-/// code, with weight decay supported uniformly by both.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum OptimizerKind {
-    /// Adam with standard β₁/β₂/ε.
-    #[default]
-    Adam,
-    /// SGD with classical momentum (0 disables momentum).
-    Sgd {
-        /// Momentum coefficient.
-        momentum: f64,
-    },
-}
-
-impl OptimizerKind {
-    /// Builds the optimizer with the given learning rate and decoupled
-    /// weight decay.
-    pub fn build(self, lr: f64, weight_decay: f64) -> Box<dyn Optimizer> {
-        match self {
-            OptimizerKind::Adam => Box::new(Adam::new(lr).with_weight_decay(weight_decay)),
-            OptimizerKind::Sgd { momentum } => Box::new(
-                Sgd::new(lr)
-                    .with_momentum(momentum)
-                    .with_weight_decay(weight_decay),
-            ),
-        }
-    }
-}
+use std::time::Instant;
 
 /// What a [`TrainStep`] hands back to the engine: the loss to minimize and
 /// (optionally) the metric the [`StopRule`] should track this epoch.
@@ -148,24 +83,6 @@ impl From<Var> for StepOutput {
     }
 }
 
-/// Per-epoch statistics handed to [`TrainStep::on_epoch`] after the
-/// optimizer step.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochStats {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// Loss value of this epoch's forward pass.
-    pub loss: f64,
-    /// The monitored metric, when the step reported one.
-    pub monitor: Option<f64>,
-    /// Global L2 norm of the (unclipped) gradients.
-    pub grad_norm: f64,
-    /// Learning rate the optimizer used this epoch.
-    pub lr: f64,
-    /// Whether the monitored metric improved this epoch.
-    pub improved: bool,
-}
-
 /// One epoch of model-specific work. Implemented automatically by plain
 /// closures `FnMut(&mut Tape, &[Var], usize) -> Var`; models that need
 /// best-checkpoint snapshots implement it on a driver struct.
@@ -181,7 +98,7 @@ pub trait TrainStep {
     fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {}
 
     /// Fires at the end of every epoch, after the optimizer step.
-    fn on_epoch(&mut self, _stats: &EpochStats) {}
+    fn on_epoch(&mut self) {}
 }
 
 impl<F> TrainStep for F
@@ -246,38 +163,6 @@ impl StopRule {
             min_delta: 0.0,
         }
     }
-
-    /// Sets the improvement margin (no-op for [`StopRule::FixedEpochs`]).
-    pub fn with_min_delta(self, delta: f64) -> Self {
-        match self {
-            StopRule::FixedEpochs => self,
-            StopRule::BestMonitor {
-                objective,
-                patience,
-                ..
-            } => StopRule::BestMonitor {
-                objective,
-                patience,
-                min_delta: delta,
-            },
-        }
-    }
-}
-
-/// Learning-rate schedule applied on top of the optimizer's base rate (the
-/// rate it enters [`Trainer::run`] with).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LrSchedule {
-    /// Keep the base rate.
-    Constant,
-    /// Multiply the base rate by `factor` every `every` epochs:
-    /// `lr(e) = base · factor^⌊e/every⌋`.
-    StepDecay {
-        /// Epochs per decay step.
-        every: usize,
-        /// Multiplicative decay factor.
-        factor: f64,
-    },
 }
 
 /// What [`Trainer::run`] produced: the full loss trajectory plus the
@@ -331,29 +216,64 @@ impl fmt::Display for TrainError {
 
 impl Error for TrainError {}
 
+/// The model work of each epoch, as the one epoch loop sees it.
+/// [`Trainer::run`] and [`Trainer::run_batched`] each adapt their public
+/// step trait to it.
+pub(crate) trait Epochs {
+    /// Plans `epoch` and returns its batch count.
+    fn plan(&mut self, epoch: usize) -> usize;
+
+    /// Builds the loss of batch `batch` of `epoch` on a fresh tape.
+    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, batch: usize) -> StepOutput;
+
+    /// Fires after each batch's optimizer step; `started` is when the
+    /// batch's tape was built.
+    fn batch_done(&mut self, _started: Instant) {}
+
+    /// See [`TrainStep::on_best`].
+    fn on_best(&mut self, epoch: usize, params: &ParamSet);
+
+    /// See [`TrainStep::on_epoch`].
+    fn on_epoch(&mut self);
+}
+
+/// [`Trainer::run`]'s epochs: one batch each, the caller's [`TrainStep`].
+struct FullBatch<'s>(&'s mut dyn TrainStep);
+
+impl Epochs for FullBatch<'_> {
+    fn plan(&mut self, _epoch: usize) -> usize {
+        1
+    }
+
+    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, _batch: usize) -> StepOutput {
+        self.0.step(tape, params, epoch)
+    }
+
+    fn on_best(&mut self, epoch: usize, params: &ParamSet) {
+        self.0.on_best(epoch, params);
+    }
+
+    fn on_epoch(&mut self) {
+        self.0.on_epoch();
+    }
+}
+
 /// The shared define-by-run training engine; see the module docs for the
 /// exact per-epoch pipeline.
 #[derive(Clone, Debug)]
 pub struct Trainer {
-    pub(crate) epochs: usize,
-    pub(crate) stop: StopRule,
-    pub(crate) clip_norm: Option<f64>,
-    pub(crate) lr_schedule: LrSchedule,
-    pub(crate) guard_divergence: bool,
-    pub(crate) obs_prefix: Option<String>,
+    epochs: usize,
+    stop: StopRule,
+    obs_prefix: Option<String>,
 }
 
 impl Trainer {
-    /// A trainer running `epochs` epochs with [`StopRule::FixedEpochs`], no
-    /// clipping, a constant learning rate, the divergence guard on, and no
-    /// telemetry prefix.
+    /// A trainer running `epochs` epochs with [`StopRule::FixedEpochs`] and
+    /// no telemetry prefix.
     pub fn new(epochs: usize) -> Self {
         Self {
             epochs,
             stop: StopRule::FixedEpochs,
-            clip_norm: None,
-            lr_schedule: LrSchedule::Constant,
-            guard_divergence: true,
             obs_prefix: None,
         }
     }
@@ -364,41 +284,35 @@ impl Trainer {
         self
     }
 
-    /// Enables global-norm gradient clipping at `max_norm`.
-    pub fn clip_norm(mut self, max_norm: f64) -> Self {
-        self.clip_norm = Some(max_norm);
-        self
-    }
-
-    /// Sets the learning-rate schedule.
-    pub fn lr_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.lr_schedule = schedule;
-        self
-    }
-
-    /// Enables/disables the NaN-divergence guard (on by default).
-    pub fn guard_divergence(mut self, on: bool) -> Self {
-        self.guard_divergence = on;
-        self
-    }
-
     /// Publishes `<prefix>.loss` / `<prefix>.grad_norm` histograms and a
     /// `<prefix>.epochs` counter into the global `aneci-obs` registry, and
-    /// wraps the run in a `<prefix>` span with a per-epoch `step` child.
+    /// wraps the run in a `<prefix>` span with a per-batch `step` child.
     pub fn observe_as(mut self, prefix: impl Into<String>) -> Self {
         self.obs_prefix = Some(prefix.into());
         self
     }
 
-    /// Runs the training loop. On divergence the parameters are rolled back
-    /// to the last state that produced a finite loss and
-    /// [`TrainError::Diverged`] is returned; otherwise the full loss
-    /// trajectory and best-epoch bookkeeping come back as a [`TrainRun`].
+    /// Runs the training loop, one batch per epoch. On divergence the
+    /// parameters are rolled back to the last state that produced a finite
+    /// loss and [`TrainError::Diverged`] is returned; otherwise the full
+    /// loss trajectory and best-epoch bookkeeping come back as a
+    /// [`TrainRun`].
     pub fn run(
         &self,
         params: &mut ParamSet,
-        opt: &mut dyn Optimizer,
+        opt: &mut Adam,
         step: &mut dyn TrainStep,
+    ) -> Result<TrainRun, TrainError> {
+        self.run_epochs(params, opt, &mut FullBatch(step))
+    }
+
+    /// The one epoch loop behind [`Trainer::run`] and
+    /// [`Trainer::run_batched`]; see the module docs.
+    pub(crate) fn run_epochs(
+        &self,
+        params: &mut ParamSet,
+        opt: &mut Adam,
+        epochs: &mut dyn Epochs,
     ) -> Result<TrainRun, TrainError> {
         let _run_span = self.obs_prefix.as_deref().map(aneci_obs::span);
         let obs = self.obs_prefix.as_deref().map(|p| {
@@ -409,7 +323,6 @@ impl Trainer {
             )
         });
 
-        let base_lr = opt.lr();
         let mut run = TrainRun::default();
         let mut best = match self.stop {
             StopRule::BestMonitor {
@@ -424,100 +337,92 @@ impl Trainer {
         let mut last_good: Option<ParamSet> = None;
 
         for epoch in 0..self.epochs {
-            if let LrSchedule::StepDecay { every, factor } = self.lr_schedule {
-                let k = (epoch / every.max(1)) as i32;
-                opt.set_lr(base_lr * factor.powi(k));
-            }
+            let batches = epochs.plan(epoch);
+            assert!(batches > 0, "batch plan for epoch {epoch} is empty");
+            // The sums start at -0.0, the identity of `+` (0.0 + -0.0 is
+            // +0.0), so a one-batch epoch reports its batch's values bit
+            // for bit.
+            let (mut loss_sum, mut gnorm_sum, mut monitor_sum) = (-0.0f64, -0.0f64, -0.0f64);
+            let mut monitored = 0usize;
 
-            let mut tape = Tape::new();
-            let vars = params.leaf_all(&mut tape);
-            let out = step.step(&mut tape, &vars, epoch);
-            let loss_val = tape.scalar(out.loss);
+            for batch in 0..batches {
+                let started = Instant::now();
+                let mut tape = Tape::new();
+                let vars = params.leaf_all(&mut tape);
+                let out = epochs.step(&mut tape, &vars, epoch, batch);
+                let loss = tape.scalar(out.loss);
 
-            if self.guard_divergence && !loss_val.is_finite() {
-                if let Some(good) = last_good.take() {
-                    *params = good;
-                }
-                return Err(TrainError::Diverged {
-                    epoch,
-                    loss: loss_val,
-                });
-            }
-
-            // Best tracking fires before the optimizer step so `on_best`
-            // sees the parameters that produced this epoch's metric.
-            let improved = match self.stop {
-                StopRule::FixedEpochs => {
-                    run.best_epoch = epoch;
-                    step.on_best(epoch, params);
-                    true
-                }
-                StopRule::BestMonitor {
-                    objective,
-                    min_delta,
-                    ..
-                } => match out.monitor {
-                    Some(m) => {
-                        run.monitors.push((epoch, m));
-                        let better = match objective {
-                            Objective::Maximize => m > best + min_delta,
-                            Objective::Minimize => m < best - min_delta,
-                        };
-                        if better {
-                            best = m;
-                            run.best_epoch = epoch;
-                            run.best_monitor = Some(m);
-                            stall = 0;
-                            step.on_best(epoch, params);
-                        } else {
-                            stall += 1;
-                        }
-                        better
+                if !loss.is_finite() {
+                    if let Some(good) = last_good.take() {
+                        *params = good;
                     }
-                    None => false,
-                },
-            };
+                    return Err(TrainError::Diverged { epoch, loss });
+                }
+                loss_sum += loss;
+                if let Some(m) = out.monitor {
+                    monitor_sum += m;
+                    monitored += 1;
+                }
 
-            let grad_norm = {
+                // Best tracking fires between the epoch's last forward and
+                // its optimizer step, so `on_best` sees the parameters that
+                // produced this epoch's metric.
+                if batch + 1 == batches {
+                    match self.stop {
+                        StopRule::FixedEpochs => {
+                            run.best_epoch = epoch;
+                            epochs.on_best(epoch, params);
+                        }
+                        StopRule::BestMonitor {
+                            objective,
+                            min_delta,
+                            ..
+                        } if monitored > 0 => {
+                            let m = monitor_sum / monitored as f64;
+                            run.monitors.push((epoch, m));
+                            let better = match objective {
+                                Objective::Maximize => m > best + min_delta,
+                                Objective::Minimize => m < best - min_delta,
+                            };
+                            if better {
+                                best = m;
+                                run.best_epoch = epoch;
+                                run.best_monitor = Some(m);
+                                stall = 0;
+                                epochs.on_best(epoch, params);
+                            } else {
+                                stall += 1;
+                            }
+                        }
+                        StopRule::BestMonitor { .. } => {}
+                    }
+                }
+
                 let _step_span = self.obs_prefix.is_some().then(|| aneci_obs::span("step"));
                 tape.backward(out.loss);
-                let mut grads = params.grads(&tape, &vars);
+                let grads = params.grads(&tape, &vars);
                 drop(tape);
                 let norm = ParamSet::grad_norm(&grads);
-                if self.guard_divergence && !norm.is_finite() {
+                if !norm.is_finite() {
                     // The current parameters produced a finite loss; keep
                     // them rather than stepping into the non-finite update.
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        loss: loss_val,
-                    });
+                    return Err(TrainError::Diverged { epoch, loss });
                 }
-                if let Some(max_norm) = self.clip_norm {
-                    ParamSet::clip_grad_norm(&mut grads, max_norm);
-                }
-                if self.guard_divergence {
-                    last_good = Some(params.clone());
-                }
+                last_good = Some(params.clone());
                 opt.step(params, &grads);
-                norm
-            };
+                gnorm_sum += norm;
+                epochs.batch_done(started);
+            }
 
+            let epoch_loss = loss_sum / batches as f64;
             if let Some((loss_h, gnorm_h, epochs_c)) = &obs {
-                loss_h.observe(loss_val);
-                gnorm_h.observe(grad_norm);
+                loss_h.observe(epoch_loss);
+                gnorm_h.observe(gnorm_sum / batches as f64);
                 epochs_c.inc();
             }
-            run.losses.push(loss_val);
+            run.losses.push(epoch_loss);
             run.epochs_run = epoch + 1;
-
-            step.on_epoch(&EpochStats {
-                epoch,
-                loss: loss_val,
-                monitor: out.monitor,
-                grad_norm,
-                lr: opt.lr(),
-                improved,
-            });
+            epochs.on_epoch();
 
             if let StopRule::BestMonitor { patience, .. } = self.stop {
                 if patience > 0 && stall >= patience {
@@ -533,6 +438,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aneci_linalg::DenseMatrix;
 
     /// A 2×2 quadratic bowl ‖x − c‖² as a closure step.
     fn quadratic_step(target: DenseMatrix) -> impl FnMut(&mut Tape, &[Var], usize) -> Var {
@@ -591,9 +497,9 @@ mod tests {
     #[test]
     fn closure_and_sgd_converge() {
         let mut params = fresh_params();
-        let mut opt = Sgd::new(0.1).with_momentum(0.5);
+        let mut opt = Adam::new(0.1);
         let mut step = quadratic_step(target());
-        let run = Trainer::new(200)
+        let run = Trainer::new(300)
             .run(&mut params, &mut opt, &mut step)
             .unwrap();
         assert!(run.losses.last().unwrap() < &1e-8);
@@ -645,7 +551,7 @@ mod tests {
             }
         }
         let mut params = fresh_params();
-        let mut opt = Sgd::new(0.01);
+        let mut opt = Adam::new(0.01);
         let run = Trainer::new(100)
             .stop(StopRule::maximize(2))
             .run(&mut params, &mut opt, &mut Probing)
@@ -670,24 +576,30 @@ mod tests {
                 self.seen.push(params.get(0).clone());
             }
         }
-        let mut params = ParamSet::new();
-        params.register("x", DenseMatrix::filled(1, 1, 4.0));
-        let mut opt = Sgd::new(0.1);
+        let init = || {
+            let mut p = ParamSet::new();
+            p.register("x", DenseMatrix::filled(1, 1, 4.0));
+            p
+        };
+        let mut params = init();
+        let mut opt = Adam::new(0.1);
         let mut step = Snapshot { seen: Vec::new() };
         Trainer::new(2)
             .stop(StopRule::maximize(0))
             .run(&mut params, &mut opt, &mut step)
             .unwrap();
         // Epoch 0's snapshot is the initial value, untouched by any step.
-        assert_eq!(step.seen[0].get(0, 0), 4.0);
-        // Epoch 1's snapshot reflects exactly one SGD step: x -= 0.1·2x.
-        assert!((step.seen[1].get(0, 0) - (4.0 - 0.1 * 8.0)).abs() < 1e-12);
+        assert_eq!(step.seen[0], *init().get(0));
+        // Epoch 1's snapshot reflects exactly one Adam step on ∇x² = 2x.
+        let mut expected = init();
+        Adam::new(0.1).step(&mut expected, &[DenseMatrix::filled(1, 1, 8.0)]);
+        assert_eq!(step.seen[1], *expected.get(0));
     }
 
     #[test]
     fn divergence_restores_last_finite_params_and_errors() {
         let mut params = fresh_params();
-        let mut opt = Sgd::new(1e200); // guarantees overflow within a few steps
+        let mut opt = Adam::new(1e200); // one step overflows the loss
         let mut step = quadratic_step(target());
         let err = Trainer::new(50)
             .run(&mut params, &mut opt, &mut step)
@@ -699,91 +611,6 @@ mod tests {
         );
         let msg = err.to_string();
         assert!(msg.contains("diverged"), "message: {msg}");
-    }
-
-    #[test]
-    fn guard_can_be_disabled() {
-        let mut params = fresh_params();
-        let mut opt = Sgd::new(1e200);
-        let mut step = quadratic_step(target());
-        let run = Trainer::new(10)
-            .guard_divergence(false)
-            .run(&mut params, &mut opt, &mut step)
-            .unwrap();
-        assert_eq!(run.epochs_run, 10, "unguarded loop trains through NaNs");
-        assert!(run.losses.iter().any(|l| !l.is_finite()));
-    }
-
-    #[test]
-    fn clipping_matches_manual_clipped_loop() {
-        let mut ref_params = fresh_params();
-        let mut ref_opt = Sgd::new(0.05);
-        for _ in 0..40 {
-            let mut tape = Tape::new();
-            let w = ref_params.leaf_all(&mut tape);
-            let c = tape.constant(target());
-            let d = tape.sub(w[0], c);
-            let loss = tape.frob_sq(d);
-            tape.backward(loss);
-            let mut grads = ref_params.grads(&tape, &w);
-            drop(tape);
-            ParamSet::clip_grad_norm(&mut grads, 1.0);
-            ref_opt.step(&mut ref_params, &grads);
-        }
-
-        let mut params = fresh_params();
-        let mut opt = Sgd::new(0.05);
-        let mut step = quadratic_step(target());
-        Trainer::new(40)
-            .clip_norm(1.0)
-            .run(&mut params, &mut opt, &mut step)
-            .unwrap();
-        assert_eq!(params.get(0), ref_params.get(0));
-    }
-
-    #[test]
-    fn step_decay_schedule_shrinks_lr() {
-        struct LrProbe {
-            lrs: Vec<f64>,
-        }
-        impl TrainStep for LrProbe {
-            fn step(&mut self, tape: &mut Tape, w: &[Var], _epoch: usize) -> StepOutput {
-                StepOutput::new(tape.frob_sq(w[0]))
-            }
-            fn on_epoch(&mut self, stats: &EpochStats) {
-                self.lrs.push(stats.lr);
-            }
-        }
-        let mut params = fresh_params();
-        let mut opt = Sgd::new(0.8);
-        let mut step = LrProbe { lrs: Vec::new() };
-        Trainer::new(6)
-            .lr_schedule(LrSchedule::StepDecay {
-                every: 2,
-                factor: 0.5,
-            })
-            .run(&mut params, &mut opt, &mut step)
-            .unwrap();
-        assert_eq!(step.lrs, vec![0.8, 0.8, 0.4, 0.4, 0.2, 0.2]);
-    }
-
-    #[test]
-    fn optimizer_kind_builds_both_optimizers_with_weight_decay() {
-        for kind in [OptimizerKind::Adam, OptimizerKind::Sgd { momentum: 0.9 }] {
-            let mut opt = kind.build(0.1, 0.01);
-            assert_eq!(opt.lr(), 0.1);
-            opt.set_lr(0.05);
-            assert_eq!(opt.lr(), 0.05);
-            // Pure decay shrinks parameters even with zero gradients.
-            let mut params = ParamSet::new();
-            params.register("x", DenseMatrix::filled(1, 1, 1.0));
-            let zero = vec![DenseMatrix::zeros(1, 1)];
-            opt.step(&mut params, &zero);
-            assert!(
-                params.get(0).get(0, 0) < 1.0,
-                "{kind:?} ignored weight decay"
-            );
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Mini-batch extension of the shared training engine.
+//! Mini-batch training on the shared engine.
 //!
-//! [`Trainer::run_batched`] generalizes [`Trainer::run`] from one loss per
-//! epoch to a sequence of per-batch losses, each with its own
-//! backward/clip/optimizer step, while keeping the epoch-level contract
-//! (best tracking, divergence guard, schedules, early stopping, telemetry)
-//! identical — an epoch whose plan holds a single batch covering every node
+//! [`Trainer::run_batched`] feeds the engine's one epoch loop a batch plan
+//! instead of [`Trainer::run`]'s single loss per epoch: each batch gets its
+//! own loss, backward and Adam step, and the epoch-level contract (best
+//! tracking, divergence guard, early stopping, telemetry) is the loop's
+//! own, so an epoch whose plan holds a single batch covering every node
 //! executes *exactly* the [`Trainer::run`] pipeline, which is what the
 //! full-batch/mini-batch parity test pins bit-exactly.
 //!
@@ -27,15 +27,15 @@
 //! Every batch records `train.batch.nodes` (histogram), and wall-time
 //! histograms `train.batch.sample_ns` / `train.batch.step_ns` (excluded,
 //! like all `_ns` metrics, from deterministic obs snapshots).
+//! [`Trainer::run`] records none of them: a full-batch run has no batch
+//! plan.
 
-use crate::optim::ParamSet;
+use crate::optim::{Adam, ParamSet};
 use crate::tape::{Tape, Var};
-use crate::train::{
-    EpochStats, LrSchedule, Objective, Optimizer, StepOutput, StopRule, TrainError, TrainRun,
-    Trainer,
-};
+use crate::train::{Epochs, StepOutput, TrainError, TrainRun, Trainer};
 use aneci_linalg::rng::{derive_seed, sample_distinct, seeded_rng, shuffle};
 use aneci_linalg::CsrMatrix;
+use aneci_obs::Histogram;
 use std::time::Instant;
 
 /// RNG stream label for batch sampling (derived once per sampler seed; the
@@ -88,64 +88,78 @@ pub struct BatchSampler<'a> {
 impl<'a> BatchSampler<'a> {
     /// Builds a sampler. `communities[i]` is node `i`'s community id;
     /// required for [`BatchStrategy::CommunityAware`], ignored otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the invalid arguments [`Self::try_new`] reports.
     pub fn new(
         adjacency: &'a CsrMatrix,
         strategy: BatchStrategy,
         communities: Option<&[usize]>,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            adjacency.rows(),
-            adjacency.cols(),
-            "batch sampler: adjacency must be square"
-        );
-        let groups = if let BatchStrategy::CommunityAware {
-            communities_per_batch,
-            ..
-        } = strategy
-        {
-            assert!(
-                communities_per_batch >= 1,
-                "batch sampler: communities_per_batch must be at least 1"
-            );
-            let labels =
-                communities.expect("batch sampler: CommunityAware requires community assignments");
-            assert_eq!(
-                labels.len(),
-                adjacency.rows(),
-                "batch sampler: one community per node required"
-            );
-            let k = labels.iter().copied().max().map_or(0, |m| m + 1);
-            let mut groups = vec![Vec::new(); k];
-            for (i, &c) in labels.iter().enumerate() {
-                groups[c].push(i as u32);
-            }
-            groups.retain(|g| !g.is_empty());
-            groups
-        } else {
-            Vec::new()
-        };
-        if let BatchStrategy::NeighborSampling {
-            seeds_per_batch,
-            fanout,
-            hops,
-        } = strategy
-        {
-            assert!(
-                seeds_per_batch >= 1,
-                "batch sampler: seeds_per_batch must be at least 1"
-            );
-            assert!(
-                hops == 0 || fanout >= 1,
-                "batch sampler: fanout must be at least 1 when hops > 0"
-            );
+        Self::try_new(adjacency, strategy, communities, seed)
+            .unwrap_or_else(|e| panic!("batch sampler: {e}"))
+    }
+
+    /// Like [`Self::new`], but describes an invalid argument in the error
+    /// instead of panicking: a non-square adjacency, a zero batch size, a
+    /// zero fanout with hops to expand, or missing or mis-sized community
+    /// assignments.
+    pub fn try_new(
+        adjacency: &'a CsrMatrix,
+        strategy: BatchStrategy,
+        communities: Option<&[usize]>,
+        seed: u64,
+    ) -> Result<Self, String> {
+        let n = adjacency.rows();
+        if adjacency.cols() != n {
+            return Err("adjacency must be square".into());
         }
-        Self {
+        let groups = match strategy {
+            BatchStrategy::FullGraph => Vec::new(),
+            BatchStrategy::CommunityAware {
+                communities_per_batch,
+                ..
+            } => {
+                if communities_per_batch == 0 {
+                    return Err("communities_per_batch must be at least 1".into());
+                }
+                let labels = communities.ok_or("CommunityAware requires community assignments")?;
+                if labels.len() != n {
+                    return Err(format!(
+                        "one community per node required, got {} for {n} nodes",
+                        labels.len()
+                    ));
+                }
+                let k = labels.iter().copied().max().map_or(0, |m| m + 1);
+                let mut groups = vec![Vec::new(); k];
+                for (i, &c) in labels.iter().enumerate() {
+                    groups[c].push(i as u32);
+                }
+                groups.retain(|g| !g.is_empty());
+                groups
+            }
+            BatchStrategy::NeighborSampling {
+                seeds_per_batch,
+                fanout,
+                hops,
+            } => {
+                if seeds_per_batch == 0 {
+                    return Err("seeds_per_batch must be at least 1".into());
+                }
+                if hops > 0 && fanout == 0 {
+                    return Err("fanout must be at least 1 when hops > 0".into());
+                }
+                Vec::new()
+            }
+        };
+        Ok(Self {
             adjacency,
             strategy,
             seed,
             groups,
-        }
+        })
     }
 
     /// The batch plan for `epoch`: each batch is a sorted, deduplicated node
@@ -306,192 +320,87 @@ pub trait BatchTrainStep {
     ) -> StepOutput;
 
     /// Fires when the epoch-level monitored metric improves (and every
-    /// epoch under [`StopRule::FixedEpochs`]), before the epoch's final
-    /// optimizer step — mirroring [`crate::train::TrainStep::on_best`].
+    /// epoch under [`StopRule::FixedEpochs`](crate::train::StopRule)),
+    /// before the epoch's final optimizer step — mirroring
+    /// [`crate::train::TrainStep::on_best`].
     fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {}
 
-    /// Fires at the end of every epoch with batch-averaged statistics.
-    fn on_epoch(&mut self, _stats: &EpochStats) {}
+    /// Fires at the end of every epoch, after its last optimizer step.
+    fn on_epoch(&mut self) {}
+}
+
+/// [`Trainer::run_batched`]'s epochs: the plan's non-empty batches, each
+/// recorded in the `train.batch.*` histograms.
+struct Planned<'a> {
+    plan: &'a mut dyn FnMut(usize) -> Vec<Vec<usize>>,
+    step: &'a mut dyn BatchTrainStep,
+    batches: Vec<Vec<usize>>,
+    nodes_h: Histogram,
+    sample_ns_h: Histogram,
+    step_ns_h: Histogram,
+}
+
+impl Epochs for Planned<'_> {
+    fn plan(&mut self, epoch: usize) -> usize {
+        let sample_start = Instant::now();
+        self.batches = (self.plan)(epoch);
+        self.sample_ns_h
+            .observe(sample_start.elapsed().as_nanos() as f64);
+        self.batches.retain(|b| !b.is_empty());
+        self.batches.len()
+    }
+
+    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, batch: usize) -> StepOutput {
+        let nodes = &self.batches[batch];
+        self.nodes_h.observe(nodes.len() as f64);
+        self.step
+            .step(tape, params, epoch, batch, self.batches.len(), nodes)
+    }
+
+    fn batch_done(&mut self, started: Instant) {
+        self.step_ns_h.observe(started.elapsed().as_nanos() as f64);
+    }
+
+    fn on_best(&mut self, epoch: usize, params: &ParamSet) {
+        self.step.on_best(epoch, params);
+    }
+
+    fn on_epoch(&mut self) {
+        self.step.on_epoch();
+    }
 }
 
 impl Trainer {
     /// Mini-batch variant of [`Trainer::run`]: per epoch, `plan(epoch)`
-    /// yields the batch node sets; every batch gets a fresh tape, its own
-    /// loss, backward and optimizer step. Epoch-level loss/monitor are the
-    /// means over the epoch's batches; best tracking fires between the last
-    /// batch's forward and its optimizer step, so a one-batch-per-epoch
-    /// plan covering all nodes reproduces [`Trainer::run`] bit-exactly.
+    /// yields the batch node sets; every non-empty batch gets a fresh tape,
+    /// its own loss, backward and optimizer step. Epoch-level loss/monitor
+    /// are the means over the epoch's batches; best tracking fires between
+    /// the last batch's forward and its optimizer step. Both entry points
+    /// run the same epoch loop, so a one-batch-per-epoch plan covering all
+    /// nodes reproduces [`Trainer::run`] bit-exactly.
     pub fn run_batched(
         &self,
         params: &mut ParamSet,
-        opt: &mut dyn Optimizer,
+        opt: &mut Adam,
         plan: &mut dyn FnMut(usize) -> Vec<Vec<usize>>,
         step: &mut dyn BatchTrainStep,
     ) -> Result<TrainRun, TrainError> {
-        let _run_span = self.obs_prefix.as_deref().map(aneci_obs::span);
-        let obs = self.obs_prefix.as_deref().map(|p| {
-            (
-                aneci_obs::histogram(&format!("{p}.loss")),
-                aneci_obs::histogram(&format!("{p}.grad_norm")),
-                aneci_obs::counter(&format!("{p}.epochs")),
-            )
-        });
-        let batch_nodes_h = aneci_obs::histogram("train.batch.nodes");
-        let sample_ns_h = aneci_obs::histogram_time_ns("train.batch.sample_ns");
-        let step_ns_h = aneci_obs::histogram_time_ns("train.batch.step_ns");
-
-        let base_lr = opt.lr();
-        let mut run = TrainRun::default();
-        let mut best = match self.stop {
-            StopRule::BestMonitor {
-                objective: Objective::Maximize,
-                ..
-            } => f64::NEG_INFINITY,
-            _ => f64::INFINITY,
+        let mut epochs = Planned {
+            plan,
+            step,
+            batches: Vec::new(),
+            nodes_h: aneci_obs::histogram("train.batch.nodes"),
+            sample_ns_h: aneci_obs::histogram_time_ns("train.batch.sample_ns"),
+            step_ns_h: aneci_obs::histogram_time_ns("train.batch.step_ns"),
         };
-        let mut stall = 0usize;
-        let mut last_good: Option<ParamSet> = None;
-
-        for epoch in 0..self.epochs {
-            if let LrSchedule::StepDecay { every, factor } = self.lr_schedule {
-                let k = (epoch / every.max(1)) as i32;
-                opt.set_lr(base_lr * factor.powi(k));
-            }
-
-            let sample_start = Instant::now();
-            let batches = plan(epoch);
-            sample_ns_h.observe(sample_start.elapsed().as_nanos() as f64);
-            let batch_count = batches.iter().filter(|b| !b.is_empty()).count();
-            assert!(batch_count > 0, "batch plan for epoch {epoch} is empty");
-
-            let mut loss_sum = 0.0f64;
-            let mut gnorm_sum = 0.0f64;
-            let mut monitor_sum = 0.0f64;
-            let mut monitored = 0usize;
-            let mut epoch_monitor = None;
-            let mut improved = false;
-            let mut seen = 0usize;
-
-            for (bi, nodes) in batches.iter().filter(|b| !b.is_empty()).enumerate() {
-                let step_start = Instant::now();
-                batch_nodes_h.observe(nodes.len() as f64);
-
-                let mut tape = Tape::new();
-                let vars = params.leaf_all(&mut tape);
-                let out = step.step(&mut tape, &vars, epoch, bi, batch_count, nodes);
-                let loss_val = tape.scalar(out.loss);
-
-                if self.guard_divergence && !loss_val.is_finite() {
-                    if let Some(good) = last_good.take() {
-                        *params = good;
-                    }
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        loss: loss_val,
-                    });
-                }
-
-                loss_sum += loss_val;
-                if let Some(m) = out.monitor {
-                    monitor_sum += m;
-                    monitored += 1;
-                }
-                seen += 1;
-
-                // Epoch-level best tracking between the last batch's forward
-                // and its optimizer step (run()'s ordering for one batch):
-                // on_best must see the parameters that produced the metric.
-                if seen == batch_count {
-                    epoch_monitor = (monitored > 0).then(|| monitor_sum / monitored as f64);
-                    improved = match self.stop {
-                        StopRule::FixedEpochs => {
-                            run.best_epoch = epoch;
-                            step.on_best(epoch, params);
-                            true
-                        }
-                        StopRule::BestMonitor {
-                            objective,
-                            min_delta,
-                            ..
-                        } => match epoch_monitor {
-                            Some(m) => {
-                                run.monitors.push((epoch, m));
-                                let better = match objective {
-                                    Objective::Maximize => m > best + min_delta,
-                                    Objective::Minimize => m < best - min_delta,
-                                };
-                                if better {
-                                    best = m;
-                                    run.best_epoch = epoch;
-                                    run.best_monitor = Some(m);
-                                    stall = 0;
-                                    step.on_best(epoch, params);
-                                } else {
-                                    stall += 1;
-                                }
-                                better
-                            }
-                            None => false,
-                        },
-                    };
-                }
-
-                let _step_span = self.obs_prefix.is_some().then(|| aneci_obs::span("step"));
-                tape.backward(out.loss);
-                let mut grads = params.grads(&tape, &vars);
-                drop(tape);
-                let norm = ParamSet::grad_norm(&grads);
-                if self.guard_divergence && !norm.is_finite() {
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        loss: loss_val,
-                    });
-                }
-                if let Some(max_norm) = self.clip_norm {
-                    ParamSet::clip_grad_norm(&mut grads, max_norm);
-                }
-                if self.guard_divergence {
-                    last_good = Some(params.clone());
-                }
-                opt.step(params, &grads);
-                gnorm_sum += norm;
-                step_ns_h.observe(step_start.elapsed().as_nanos() as f64);
-            }
-
-            let epoch_loss = loss_sum / batch_count as f64;
-            let epoch_gnorm = gnorm_sum / batch_count as f64;
-            if let Some((loss_h, gnorm_h, epochs_c)) = &obs {
-                loss_h.observe(epoch_loss);
-                gnorm_h.observe(epoch_gnorm);
-                epochs_c.inc();
-            }
-            run.losses.push(epoch_loss);
-            run.epochs_run = epoch + 1;
-
-            step.on_epoch(&EpochStats {
-                epoch,
-                loss: epoch_loss,
-                monitor: epoch_monitor,
-                grad_norm: epoch_gnorm,
-                lr: opt.lr(),
-                improved,
-            });
-
-            if let StopRule::BestMonitor { patience, .. } = self.stop {
-                if patience > 0 && stall >= patience {
-                    run.stopped_early = true;
-                    break;
-                }
-            }
-        }
-        Ok(run)
+        self.run_epochs(params, opt, &mut epochs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Adam;
+    use crate::train::StopRule;
     use aneci_linalg::DenseMatrix;
 
     fn ring(n: usize) -> CsrMatrix {
@@ -617,5 +526,112 @@ mod tests {
         assert_eq!(r1.losses, r2.losses);
         assert_eq!(p1.get(0), p2.get(0));
         assert_eq!(r1.best_epoch, r2.best_epoch);
+    }
+    #[test]
+    fn multi_batch_epochs_keep_the_epoch_contract() {
+        // Per-batch monitors: epoch means 2, 3, 8/3, 4, 2, 1 improve at
+        // epochs 0, 1 and 3; batch 2 of epoch 2 and batch 0 of epoch 4
+        // would improve on their own.
+        const MONITORS: [[f64; 3]; 6] = [
+            [1.0, 2.0, 3.0],
+            [3.0, 3.0, 3.0],
+            [0.0, 0.0, 8.0],
+            [4.0, 4.0, 4.0],
+            [6.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0],
+        ];
+        /// The quadratic bowl scaled by `batch + 1`, NaN at `nan_at`.
+        struct Scripted {
+            nan_at: Option<(usize, usize)>,
+            /// Loss and parameters of every batch's forward pass.
+            seen: Vec<(f64, DenseMatrix)>,
+            best: Vec<(usize, DenseMatrix)>,
+        }
+        impl BatchTrainStep for Scripted {
+            fn step(
+                &mut self,
+                tape: &mut Tape,
+                w: &[Var],
+                epoch: usize,
+                bi: usize,
+                bc: usize,
+                nodes: &[usize],
+            ) -> StepOutput {
+                assert_eq!(bc, 3, "the empty batch is skipped");
+                assert!(!nodes.is_empty());
+                let c = tape.constant(DenseMatrix::from_rows(&[&[1.0, -2.0], &[3.0, 0.5]]));
+                let d = tape.sub(w[0], c);
+                let sq = tape.frob_sq(d);
+                let scale = if self.nan_at == Some((epoch, bi)) {
+                    f64::NAN
+                } else {
+                    (bi + 1) as f64
+                };
+                let loss = tape.scale(sq, scale);
+                self.seen
+                    .push((tape.scalar(loss), tape.value(w[0]).clone()));
+                StepOutput::with_monitor(loss, MONITORS[epoch][bi])
+            }
+            fn on_best(&mut self, epoch: usize, params: &ParamSet) {
+                self.best.push((epoch, params.get(0).clone()));
+            }
+        }
+        let train = |nan_at| {
+            let mut params = ParamSet::new();
+            params.register("x", DenseMatrix::zeros(2, 2));
+            let mut step = Scripted {
+                nan_at,
+                seen: Vec::new(),
+                best: Vec::new(),
+            };
+            let run = Trainer::new(MONITORS.len())
+                .stop(StopRule::maximize(2))
+                .run_batched(
+                    &mut params,
+                    &mut Adam::new(0.05),
+                    &mut |_| vec![vec![0], vec![], vec![1], vec![0, 1]],
+                    &mut step,
+                );
+            (run, params, step)
+        };
+
+        let (run, _, step) = train(None);
+        let run = run.unwrap();
+        // Epoch loss: the mean of the three batch losses the step saw.
+        let means: Vec<f64> = step
+            .seen
+            .chunks(3)
+            .map(|b| (b[0].0 + b[1].0 + b[2].0) / 3.0)
+            .collect();
+        assert_eq!(run.losses, means);
+        // Epoch monitor: the batch mean; patience 2 counts stalled epochs
+        // (2, then 4 and 5), so the run stops after epoch 5.
+        let monitors: Vec<(usize, f64)> = [2.0, 3.0, 8.0 / 3.0, 4.0, 2.0, 1.0]
+            .into_iter()
+            .enumerate()
+            .collect();
+        assert_eq!(run.monitors, monitors);
+        assert_eq!((run.epochs_run, run.stopped_early), (6, true));
+        assert_eq!((run.best_epoch, run.best_monitor), (3, Some(4.0)));
+        // on_best: once per improving epoch, with the parameters the
+        // epoch's last batch saw, before its optimizer step.
+        let best: Vec<(usize, DenseMatrix)> = [0, 1, 3]
+            .into_iter()
+            .map(|e| (e, step.seen[3 * e + 2].1.clone()))
+            .collect();
+        assert_eq!(step.best, best);
+
+        // A NaN loss fails its epoch and restores the parameters of the
+        // last finite batch: the second batch of the same epoch, or the
+        // previous epoch's last batch.
+        for (nan_at, last_finite) in [((1, 2), 4), ((2, 0), 5)] {
+            let (run, params, step) = train(Some(nan_at));
+            let err = run.unwrap_err();
+            assert!(
+                matches!(err, TrainError::Diverged { epoch, loss } if epoch == nan_at.0 && loss.is_nan()),
+                "{err:?}"
+            );
+            assert_eq!(*params.get(0), step.seen[last_finite].1, "{nan_at:?}");
+        }
     }
 }

@@ -7,10 +7,8 @@
 //! labelled training nodes, Adam with weight decay, early stopping on the
 //! validation loss.
 
-use aneci_autograd::train::{
-    Objective, OptimizerKind, StepOutput, StopRule, TrainError, TrainStep, Trainer,
-};
-use aneci_autograd::{ParamSet, Tape, Var};
+use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainError, TrainStep, Trainer};
+use aneci_autograd::{Adam, ParamSet, Tape, Var};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
@@ -35,10 +33,6 @@ pub struct GcnConfig {
     /// during training (the reference GCN uses 0.5; 0 disables — the
     /// default here, so small-graph experiments stay deterministic-simple).
     pub dropout: f64,
-    /// Which optimizer drives the weight updates. Both Adam (the reference
-    /// setup, the default) and SGD(+momentum) apply `weight_decay`
-    /// uniformly through the shared `Optimizer` trait.
-    pub optimizer: OptimizerKind,
     /// RNG seed.
     pub seed: u64,
 }
@@ -52,7 +46,6 @@ impl Default for GcnConfig {
             epochs: 200,
             patience: 20,
             dropout: 0.0,
-            optimizer: OptimizerKind::Adam,
             seed: 0,
         }
     }
@@ -101,7 +94,7 @@ impl GcnClassifier {
             xavier_uniform(config.hidden_dim, num_classes, &mut rng),
         );
 
-        let mut opt = config.optimizer.build(config.lr, config.weight_decay);
+        let mut opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
         let mut driver = GcnStep {
             norm_adj: &norm_adj,
             features: &features,
@@ -122,7 +115,7 @@ impl GcnClassifier {
                 min_delta: 1e-6,
             })
             .observe_as("train.gcn")
-            .run(&mut params, opt.as_mut(), &mut driver)?;
+            .run(&mut params, &mut opt, &mut driver)?;
         let GcnStep {
             val_losses,
             best_params,
@@ -445,25 +438,6 @@ mod tests {
         assert_eq!(model.val_losses, val_losses, "val-loss trajectory");
         assert_eq!(model.params.get(0), params.get(0), "kept W1");
         assert_eq!(model.params.get(1), params.get(1), "kept W2");
-    }
-
-    /// The optimizer satellite: the classifier trains under SGD+momentum
-    /// with the same weight-decay config as Adam, via the Optimizer trait.
-    #[test]
-    fn trains_with_sgd_momentum_optimizer() {
-        use aneci_autograd::train::OptimizerKind;
-
-        let g = sbm_with_split(8);
-        let cfg = GcnConfig {
-            epochs: 150,
-            lr: 0.2,
-            optimizer: OptimizerKind::Sgd { momentum: 0.9 },
-            ..Default::default()
-        };
-        let model = GcnClassifier::fit(&g, &cfg);
-        assert!(model.train_losses.last().unwrap() < &model.train_losses[0]);
-        let acc = model.accuracy_on(&g, &g.split.test);
-        assert!(acc > 0.7, "SGD-GCN accuracy {acc}");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::config::{AneciConfig, StopStrategy};
 use crate::error::AneciError;
 use crate::model::{embed, engine, init_params, propagation, Operators, TrainReport, TrainState};
-use aneci_autograd::train::{EpochStats, StepOutput};
+use aneci_autograd::train::StepOutput;
 use aneci_autograd::train_batch::{BatchSampler, BatchTrainStep};
 use aneci_autograd::{ParamSet, Tape, Var};
 use aneci_graph::HighOrder;
@@ -122,7 +122,7 @@ impl BatchTrainStep for MiniBatchStep<'_> {
         self.state.keep_best();
     }
 
-    fn on_epoch(&mut self, _stats: &EpochStats) {
+    fn on_epoch(&mut self) {
         self.state.end_epoch();
     }
 }
@@ -187,7 +187,9 @@ impl MiniBatchTrainer {
     /// of batching) and reports [`AneciError::Config`]; use
     /// [`StopStrategy::FixedEpochs`] or
     /// [`StopStrategy::EarlyStopModularity`] — the latter monitors the
-    /// epoch-mean batch Q̃.
+    /// epoch-mean batch Q̃. Arguments the sampler rejects (see
+    /// [`BatchSampler::try_new`]) report [`AneciError::Config`] too, before
+    /// any training starts.
     ///
     /// With [`BatchStrategy::FullGraph`] this reproduces
     /// [`AneciModel::train`](crate::model::AneciModel::train) bit-exactly
@@ -204,8 +206,10 @@ impl MiniBatchTrainer {
                     .into(),
             ));
         }
+        let sampler =
+            BatchSampler::try_new(&self.adjacency, strategy, communities, self.config.seed)
+                .map_err(|e| AneciError::Config(format!("mini-batch strategy: {e}")))?;
         let (trainer, mut opt) = engine(&self.config, false);
-        let sampler = BatchSampler::new(&self.adjacency, strategy, communities, self.config.seed);
         let mut driver = MiniBatchStep {
             config: &self.config,
             adjacency: &self.adjacency,
@@ -328,11 +332,34 @@ mod tests {
     #[test]
     fn validation_best_is_rejected() {
         let g = karate_club();
-        let mut cfg = fixed_cfg(1);
-        cfg.stop = StopStrategy::ValidationBest { eval_every: 5 };
-        let err = trainer(&g, &cfg)
-            .train(BatchStrategy::FullGraph, None)
-            .unwrap_err();
-        assert!(matches!(err, AneciError::Config(_)));
+        let mut validation = fixed_cfg(1);
+        validation.stop = StopStrategy::ValidationBest { eval_every: 5 };
+        let labels = vec![0; g.num_nodes()];
+        let community = |communities_per_batch| BatchStrategy::CommunityAware {
+            communities_per_batch,
+            hops: 1,
+            max_batch_nodes: 0,
+        };
+        let neighbor = |seeds_per_batch, fanout| BatchStrategy::NeighborSampling {
+            seeds_per_batch,
+            fanout,
+            hops: 1,
+        };
+        let cases: [(&AneciConfig, BatchStrategy, Option<&[usize]>); 6] = [
+            (&validation, BatchStrategy::FullGraph, None),
+            (&fixed_cfg(1), community(1), None),
+            (&fixed_cfg(1), community(1), Some(&labels[..10])),
+            (&fixed_cfg(1), community(0), Some(&labels)),
+            (&fixed_cfg(1), neighbor(0, 3), None),
+            (&fixed_cfg(1), neighbor(8, 0), None),
+        ];
+        for (cfg, strategy, communities) in cases {
+            let mut mini = trainer(&g, cfg);
+            let err = mini.train(strategy, communities).unwrap_err();
+            assert!(matches!(err, AneciError::Config(_)), "{strategy:?}: {err}");
+            // Rejected before the engine ran: nothing trained or kept.
+            assert_eq!(mini.params.get(0), trainer(&g, cfg).params.get(0));
+            assert!(mini.best_embedding.is_none(), "{strategy:?}");
+        }
     }
 }

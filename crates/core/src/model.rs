@@ -26,9 +26,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::{AneciConfig, ReconMode, StopStrategy};
 use crate::error::AneciError;
-use aneci_autograd::train::{
-    EpochStats, Objective, StepOutput, StopRule, TrainRun, TrainStep, Trainer,
-};
+use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainRun, TrainStep, Trainer};
 use aneci_autograd::{Adam, BcePair, ParamSet, Tape, Var};
 use aneci_graph::{AttributedGraph, HighOrder};
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
@@ -851,7 +849,7 @@ impl TrainStep for AneciStep<'_, '_> {
         self.state.keep_best();
     }
 
-    fn on_epoch(&mut self, _stats: &EpochStats) {
+    fn on_epoch(&mut self) {
         self.state.end_epoch();
     }
 }

@@ -343,7 +343,7 @@ impl HistogramSnapshot {
             return Some(0.0);
         }
         // Nearest-rank target, 0-based — same convention as the percentile
-        // helpers this replaces in `aneci_serve` / `bench_report`.
+        // helper in `bench_report`.
         let target = (p.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
         let mut seen = 0u64;
         for (i, &c) in self.bucket_counts.iter().enumerate() {

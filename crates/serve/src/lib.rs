@@ -21,12 +21,12 @@
 //!   keep-alive, load shedding, graceful shutdown), serving the versioned
 //!   `/v1` API.
 //!
-//! Two binaries wire these together behind CLIs: `aneci_serve`
-//! (`src/bin/aneci_serve.rs`) answers JSONL queries from a file or stdin;
-//! `aneci_http` (`src/bin/aneci_http.rs`) serves the same queries over a
-//! TCP socket (`GET /v1/healthz`, `GET /v1/metrics`, `POST /v1/query`,
-//! `POST /v1/query_batch`, `POST /v1/admin/reindex`,
-//! `POST /v1/admin/shutdown`; the unversioned legacy paths answer 301).
+//! One binary wires these together behind a CLI: `aneci_http`
+//! (`src/bin/aneci_http.rs`) serves the queries over a TCP socket
+//! (`GET /v1/healthz`, `GET /v1/metrics`, `POST /v1/query`,
+//! `POST /v1/query_batch` for newline-delimited batches,
+//! `POST /v1/admin/reindex`, `POST /v1/admin/shutdown`; the unversioned
+//! legacy paths answer 301).
 //!
 //! ```no_run
 //! use aneci_core::model::AneciModel;

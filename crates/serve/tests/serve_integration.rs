@@ -1,6 +1,6 @@
 //! End-to-end serving test: train → checkpoint → reload → query.
 //!
-//! Exercises the full path the `aneci_serve` binary takes, asserting the
+//! Exercises the full path a served checkpoint takes, asserting the
 //! bit-exactness guarantees the subsystem is built around: the reloaded
 //! checkpoint equals the saved one, serve-time edge scores equal eval-time
 //! scores, and batch answers don't depend on thread count.

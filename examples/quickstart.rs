@@ -55,7 +55,7 @@ fn main() {
     }
 
     // 5. Persist the trained model as a `.aneci` checkpoint and reload it.
-    //    The round trip is bit-exact; `aneci_serve` can answer queries from
+    //    The round trip is bit-exact; `aneci_http` can serve queries from
     //    this file (see the serve_queries example).
     let path = std::env::temp_dir().join("quickstart.aneci");
     model.save_checkpoint(&path).expect("saving checkpoint");

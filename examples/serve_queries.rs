@@ -1,6 +1,6 @@
 //! Serving demo: train a model, checkpoint it, stand up the query engine,
-//! and answer a batch of JSONL queries — exactly what the `aneci_serve`
-//! binary does, but in-process.
+//! and answer a batch of JSONL queries — what `aneci_http` does for
+//! `POST /v1/query_batch`, but in-process.
 //!
 //! ```sh
 //! cargo run --release --example serve_queries
