@@ -89,11 +89,6 @@ impl ParamSet {
         vars.iter().map(|&v| tape.grad(v)).collect()
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(|m| m.len()).sum()
-    }
-
     /// Global L2 norm of a gradient list (for the divergence guard and
     /// logging).
     pub fn grad_norm(grads: &[DenseMatrix]) -> f64 {
@@ -245,6 +240,5 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.name(a), "w1");
         assert_eq!(p.name(b), "w2");
-        assert_eq!(p.num_scalars(), 9);
     }
 }

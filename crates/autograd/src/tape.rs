@@ -49,7 +49,6 @@ enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Hadamard(Var, Var),
-    AddRowBroadcast(Var, Var),
     Scale(Var, f64),
     Neg(Var),
     LeakyRelu(Var, f64),
@@ -64,7 +63,6 @@ enum Op {
     MeanAll(Var),
     FrobSq(Var),
     Dot(Var, Var),
-    RowSelect(Var, Arc<[usize]>),
     SoftmaxCrossEntropy {
         logits: Var,
         labels: Arc<[usize]>,
@@ -274,23 +272,6 @@ impl Tape {
         self.push(value, Op::Hadamard(a, b), rg)
     }
 
-    /// Adds a `1×c` row vector to every row of an `r×c` matrix (bias add).
-    pub fn add_row_broadcast(&mut self, m: Var, row: Var) -> Var {
-        let mv = self.value(m);
-        let rv = self.value(row);
-        assert_eq!(rv.rows(), 1, "add_row_broadcast: bias must be 1×c");
-        assert_eq!(rv.cols(), mv.cols(), "add_row_broadcast: width mismatch");
-        let mut value = mv.clone();
-        let bias = rv.row(0).to_vec();
-        for r in 0..value.rows() {
-            for (o, &b) in value.row_mut(r).iter_mut().zip(&bias) {
-                *o += b;
-            }
-        }
-        let rg = self.requires(m) || self.requires(row);
-        self.push(value, Op::AddRowBroadcast(m, row), rg)
-    }
-
     /// Scalar multiple `alpha * a`.
     pub fn scale(&mut self, a: Var, alpha: f64) -> Var {
         let value = self.value(a).scale(alpha);
@@ -404,13 +385,6 @@ impl Tape {
         let value = DenseMatrix::from_vec(1, 1, vec![self.value(a).dot(self.value(b))]);
         let rg = self.requires(a) || self.requires(b);
         self.push(value, Op::Dot(a, b), rg)
-    }
-
-    /// Gathers a subset of rows.
-    pub fn row_select(&mut self, a: Var, rows: &[usize]) -> Var {
-        let value = self.value(a).select_rows(rows);
-        let rg = self.requires(a);
-        self.push(value, Op::RowSelect(a, rows.into()), rg)
     }
 
     /// Mean softmax cross-entropy of `logits` against integer `labels`,
@@ -657,15 +631,6 @@ impl Tape {
                     self.accumulate(b, db);
                 }
             }
-            &Op::AddRowBroadcast(m, row) => {
-                if self.requires(m) {
-                    self.accumulate(m, g.clone());
-                }
-                if self.requires(row) {
-                    let sums = g.col_sums();
-                    self.accumulate(row, DenseMatrix::from_vec(1, sums.len(), sums));
-                }
-            }
             &Op::Scale(a, alpha) => {
                 if self.requires(a) {
                     self.accumulate(a, g.scale(alpha));
@@ -767,20 +732,6 @@ impl Tape {
                 }
                 if self.requires(b) {
                     self.accumulate(b, self.nodes[a.0].value.scale(s));
-                }
-            }
-            Op::RowSelect(a, rows) => {
-                let (a, rows) = (*a, Arc::clone(rows));
-                if self.requires(a) {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut da = DenseMatrix::zeros(r, c);
-                    for (i, &row) in rows.iter().enumerate() {
-                        let src = g.row(i).to_vec();
-                        for (o, v) in da.row_mut(row).iter_mut().zip(src) {
-                            *o += v;
-                        }
-                    }
-                    self.accumulate(a, da);
                 }
             }
             Op::SoftmaxCrossEntropy {
@@ -977,21 +928,6 @@ mod tests {
         let loss = t.sum(p);
         t.backward(loss);
         assert!(t.grad(x).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn row_select_routes_gradients() {
-        let mut t = Tape::new();
-        let x = t.leaf(DenseMatrix::from_fn(4, 2, |r, c| (r * 2 + c) as f64));
-        let sel = t.row_select(x, &[1, 3, 1]);
-        let loss = t.sum(sel);
-        t.backward(loss);
-        // Row 1 selected twice, row 3 once, rows 0 and 2 never.
-        let g = t.grad(x);
-        assert_eq!(g.row(0), &[0.0, 0.0]);
-        assert_eq!(g.row(1), &[2.0, 2.0]);
-        assert_eq!(g.row(2), &[0.0, 0.0]);
-        assert_eq!(g.row(3), &[1.0, 1.0]);
     }
 
     #[test]

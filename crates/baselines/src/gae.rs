@@ -60,7 +60,6 @@ impl Default for GaeConfig {
 
 /// A trained (V)GAE model.
 pub struct Gae {
-    params: ParamSet,
     norm_adj: Arc<CsrMatrix>,
     features: DenseMatrix,
     config: GaeConfig,
@@ -215,7 +214,6 @@ impl Gae {
         };
 
         Ok(Self {
-            params,
             norm_adj,
             features,
             config: config.clone(),
@@ -244,11 +242,6 @@ impl Gae {
     /// The configuration used.
     pub fn config(&self) -> &GaeConfig {
         &self.config
-    }
-
-    /// Parameter count (runtime table).
-    pub fn num_parameters(&self) -> usize {
-        self.params.num_scalars()
     }
 
     /// Access to the propagation operator (attack code reuses it).

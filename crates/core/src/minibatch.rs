@@ -254,11 +254,6 @@ impl MiniBatchTrainer {
     pub fn config(&self) -> &AneciConfig {
         &self.config
     }
-
-    /// Trainable parameter count.
-    pub fn num_parameters(&self) -> usize {
-        self.params.num_scalars()
-    }
 }
 
 #[cfg(test)]

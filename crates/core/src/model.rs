@@ -524,11 +524,6 @@ impl AneciModel {
         &self.config
     }
 
-    /// Trainable parameter count (for the runtime table).
-    pub fn num_parameters(&self) -> usize {
-        self.params.num_scalars()
-    }
-
     /// Snapshots the trained model into a durable [`Checkpoint`]: embedding,
     /// membership, encoder weights and configuration. Errors with
     /// [`AneciError::Untrained`] if the model has not been trained (there is

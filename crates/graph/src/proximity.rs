@@ -110,55 +110,7 @@ impl HighOrder {
     /// `nnz(A^l)` bound applies — which is why batch training uses
     /// [`HighOrder::build_rows`] instead of this constructor.
     pub fn build(adjacency: &CsrMatrix, config: &ProximityConfig) -> Self {
-        assert_eq!(
-            adjacency.rows(),
-            adjacency.cols(),
-            "adjacency must be square"
-        );
-        assert!(
-            !config.weights.is_empty(),
-            "at least one proximity weight required"
-        );
-        let base = if config.self_loops {
-            adjacency.add_identity()
-        } else {
-            adjacency.clone()
-        };
-        let n = base.rows();
-        // Double-buffered power/accumulator loop: `spmm`, `prune` and
-        // `add_scaled` all write into preallocated buffers that are swapped
-        // back in, so each extra order reuses the previous order's
-        // allocations instead of re-materializing multi-million-entry CSR
-        // vectors (order-3+ on 20k-node graphs used to thrash the
-        // allocator).
-        let mut power = base.clone();
-        let mut acc = CsrMatrix::zeros(n, n);
-        let mut scratch = CsrMatrix::zeros(n, n);
-        for (l, &w) in config.weights.iter().enumerate() {
-            if l > 0 {
-                power.spmm_into(&base, &mut scratch);
-                std::mem::swap(&mut power, &mut scratch);
-                if let Some(k) = config.top_k {
-                    power.prune_top_k_into(k, &mut scratch);
-                    std::mem::swap(&mut power, &mut scratch);
-                }
-            }
-            if w != 0.0 {
-                acc.add_scaled_into(&power, w, &mut scratch);
-                std::mem::swap(&mut acc, &mut scratch);
-            }
-        }
-        let mut a_tilde = acc;
-        if config.row_normalize {
-            a_tilde.row_normalize_inplace();
-        }
-        let k_tilde = a_tilde.row_sums();
-        let m_tilde = k_tilde.iter().sum();
-        Self {
-            a_tilde,
-            k_tilde,
-            m_tilde,
-        }
+        Self::from_a_tilde(power_sum(adjacency, config, CsrMatrix::clone))
     }
 
     /// Batch-incremental variant of [`HighOrder::build`]: computes the rows
@@ -177,15 +129,8 @@ impl HighOrder {
     /// is what the batch modularity normalizes by. Peak memory is
     /// `O(|S| · min(N, reach_l))` entries — per-batch, never N×N.
     pub fn build_rows(adjacency: &CsrMatrix, config: &ProximityConfig, nodes: &[usize]) -> Self {
-        let slab = row_slab(adjacency, config, nodes);
-        let a_tilde = slab.select_columns(nodes);
-        let k_tilde = a_tilde.row_sums();
-        let m_tilde = k_tilde.iter().sum();
-        Self {
-            a_tilde,
-            k_tilde,
-            m_tilde,
-        }
+        let slab = power_sum(adjacency, config, |base| base.gather_rows(nodes));
+        Self::from_a_tilde(slab.select_columns(nodes))
     }
 
     /// Incrementally updates `self` to the high-order proximity of the
@@ -273,7 +218,7 @@ impl HighOrder {
 
         // Recompute the dirty rows at full column width, then splice them
         // into the retained rows in one compact pass.
-        let slab = row_slab(adjacency, config, &dirty);
+        let slab = power_sum(adjacency, config, |base| base.gather_rows(&dirty));
         let nnz = self.a_tilde.nnz() + slab.nnz();
         let mut indptr = Vec::with_capacity(n + 1);
         let mut indices: Vec<u32> = Vec::with_capacity(nnz);
@@ -295,11 +240,20 @@ impl HighOrder {
             }
             indptr.push(indices.len());
         }
-        self.a_tilde = CsrMatrix::from_raw(n, n, indptr, indices, values);
-        self.k_tilde = self.a_tilde.row_sums();
-        self.m_tilde = self.k_tilde.iter().sum();
+        *self = Self::from_a_tilde(CsrMatrix::from_raw(n, n, indptr, indices, values));
         aneci_obs::counter("refresh.rows").add(dirty.len() as u64);
         dirty.len()
+    }
+
+    /// Bundles `Ã` with the `k̃` and `M̃` derived from it.
+    fn from_a_tilde(a_tilde: CsrMatrix) -> Self {
+        let k_tilde = a_tilde.row_sums();
+        let m_tilde = k_tilde.iter().sum();
+        Self {
+            a_tilde,
+            k_tilde,
+            m_tilde,
+        }
     }
 
     /// Number of nodes.
@@ -320,13 +274,18 @@ impl HighOrder {
     }
 }
 
-/// The shared row-slab power loop of [`HighOrder::build_rows`] and
-/// [`HighOrder::refresh`]: the rows of the full-graph `Ã` for `nodes`
-/// (sorted strictly increasing) at **full column width** `N`, computed with
-/// the identical double-buffered `spmm`/`prune`/`add_scaled` order
-/// [`HighOrder::build`] uses so every row is bit-identical to the global
-/// build's. Peak memory is `O(|S| · min(N, reach_l))` entries.
-fn row_slab(adjacency: &CsrMatrix, config: &ProximityConfig, nodes: &[usize]) -> CsrMatrix {
+/// The power loop every constructor shares: with `B = A` (plus `I` when
+/// `config.self_loops`) and `P₁ = first(B)`, returns `f(Σ_l w_l · P_l)`
+/// where `P_l = P_{l−1} · B`, pruned per row when `config.top_k` is set.
+/// `first` is `B` itself for the global build, or the rows of `B` for a
+/// sorted node set, giving those rows of the global `Ã` at full column
+/// width `N`. Every step is row-local, so each row is bit-identical to the
+/// global build's.
+fn power_sum(
+    adjacency: &CsrMatrix,
+    config: &ProximityConfig,
+    first: impl FnOnce(&CsrMatrix) -> CsrMatrix,
+) -> CsrMatrix {
     assert_eq!(
         adjacency.rows(),
         adjacency.cols(),
@@ -341,10 +300,16 @@ fn row_slab(adjacency: &CsrMatrix, config: &ProximityConfig, nodes: &[usize]) ->
     } else {
         adjacency.clone()
     };
-    let n = base.cols();
-    let mut power = base.gather_rows(nodes);
-    let mut acc = CsrMatrix::zeros(nodes.len(), n);
-    let mut scratch = CsrMatrix::zeros(nodes.len(), n);
+    // Double-buffered power/accumulator loop: `spmm`, `prune` and
+    // `add_scaled` all write into preallocated buffers that are swapped
+    // back in, so each extra order reuses the previous order's
+    // allocations instead of re-materializing multi-million-entry CSR
+    // vectors (order-3+ on 20k-node graphs used to thrash the
+    // allocator).
+    let mut power = first(&base);
+    let (rows, n) = (power.rows(), base.cols());
+    let mut acc = CsrMatrix::zeros(rows, n);
+    let mut scratch = CsrMatrix::zeros(rows, n);
     for (l, &w) in config.weights.iter().enumerate() {
         if l > 0 {
             power.spmm_into(&base, &mut scratch);
@@ -359,11 +324,10 @@ fn row_slab(adjacency: &CsrMatrix, config: &ProximityConfig, nodes: &[usize]) ->
             std::mem::swap(&mut acc, &mut scratch);
         }
     }
-    let mut slab = acc;
     if config.row_normalize {
-        slab.row_normalize_inplace();
+        acc.row_normalize_inplace();
     }
-    slab
+    acc
 }
 
 #[cfg(test)]

@@ -230,11 +230,6 @@ impl DenseMatrix {
         &mut self.data[start..start + self.cols]
     }
 
-    /// Copies column `c` out into a new vector.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Iterator over row slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
@@ -581,21 +576,6 @@ impl DenseMatrix {
         for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
             f(r, row);
         }
-    }
-
-    /// L2-normalizes every row (rows of zero norm are left untouched).
-    pub fn l2_normalize_rows(&self) -> DenseMatrix {
-        let mut out = self.clone();
-        let cols = out.cols;
-        for row in out.data.chunks_exact_mut(cols.max(1)) {
-            let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
-            }
-        }
-        out
     }
 
     /// Per-row sums.
@@ -1020,16 +1000,6 @@ mod tests {
             h,
             DenseMatrix::from_rows(&[&[1.0, 3.0, 4.0], &[2.0, 5.0, 6.0]])
         );
-    }
-
-    #[test]
-    fn l2_normalize_rows_unit_norm() {
-        let m = DenseMatrix::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]);
-        let n = m.l2_normalize_rows();
-        assert!((n.get(0, 0) - 0.6).abs() < 1e-12);
-        assert!((n.get(0, 1) - 0.8).abs() < 1e-12);
-        // Zero rows are preserved, not NaN.
-        assert_eq!(n.row(1), &[0.0, 0.0]);
     }
 
     #[test]

@@ -58,12 +58,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Dens
     uniform_matrix(fan_in, fan_out, a, rng)
 }
 
-/// He/Kaiming normal initializer for ReLU-family activations.
-pub fn he_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> DenseMatrix {
-    let std = (2.0 / fan_in as f64).sqrt();
-    gaussian_matrix(fan_in, fan_out, std, rng)
-}
-
 /// Samples `k` distinct indices from `0..n` (Floyd's algorithm; O(k) memory).
 pub fn sample_distinct(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} distinct values from 0..{n}");

@@ -231,12 +231,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable values (structure stays fixed).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// `(column, value)` pairs of row `r`.
     #[inline]
     pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -819,13 +813,6 @@ impl CsrMatrix {
         (lens, indices, values)
     }
 
-    /// Drops entries with `|value| < eps`.
-    pub fn prune_eps(&self, eps: f64) -> CsrMatrix {
-        let triplets: Vec<(usize, usize, f64)> =
-            self.iter().filter(|&(_, _, v)| v.abs() >= eps).collect();
-        CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
-    }
-
     /// True if `self` equals its transpose (exact value comparison).
     pub fn is_symmetric(&self) -> bool {
         if self.rows != self.cols {
@@ -1238,14 +1225,6 @@ mod tests {
         assert_eq!(p.get(0, 2), -0.9);
         assert_eq!(p.get(0, 1), 0.5);
         assert_eq!(p.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn prune_eps_drops_small() {
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1e-9), (1, 1, 1.0)]);
-        let p = m.prune_eps(1e-6);
-        assert_eq!(p.nnz(), 1);
-        assert_eq!(p.get(1, 1), 1.0);
     }
 
     #[test]

@@ -67,15 +67,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
-/// Numerically-stable log-sum-exp.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = max(xs);
-    if !m.is_finite() {
-        return m;
-    }
-    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,11 +92,5 @@ mod tests {
         assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
         let neg: Vec<f64> = ys.iter().map(|v| -v).collect();
         assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_sum_exp_stable() {
-        let v = log_sum_exp(&[1000.0, 1000.0]);
-        assert!((v - (1000.0 + 2.0f64.ln())).abs() < 1e-9);
     }
 }

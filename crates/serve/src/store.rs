@@ -127,11 +127,6 @@ impl EmbeddingStore {
         self.anomaly.as_deref()
     }
 
-    /// The anomaly score of `node`, when scored.
-    pub fn anomaly_of(&self, node: usize) -> Option<f64> {
-        self.anomaly.as_ref().map(|a| a[node])
-    }
-
     /// Builds a store straight from a loaded checkpoint. The checkpointed
     /// membership doubles as the anomaly signal: each node's normalized
     /// membership entropy (`aneci_core::anomaly::node_anomaly_scores`), so
