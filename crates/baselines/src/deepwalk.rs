@@ -130,8 +130,7 @@ pub fn deepwalk(graph: &AttributedGraph, config: &DeepWalkConfig) -> DenseMatrix
     train_skipgram(graph, &walks, config, &mut rng)
 }
 
-/// Skip-gram-with-negative-sampling training over a fixed walk corpus —
-/// shared by DeepWalk and Node2Vec.
+/// Skip-gram-with-negative-sampling training over a fixed walk corpus.
 #[allow(clippy::needless_range_loop)] // window arithmetic is clearer with indices
 pub fn train_skipgram(
     graph: &AttributedGraph,

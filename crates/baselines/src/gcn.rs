@@ -159,17 +159,6 @@ impl GcnClassifier {
         correct as f64 / nodes.len() as f64
     }
 
-    /// The hidden-layer activations — a usable (supervised) embedding.
-    pub fn hidden_embedding(&self) -> DenseMatrix {
-        let mut tape = Tape::new();
-        let w = self.params.leaf_all(&mut tape);
-        let x = tape.constant(self.features.clone());
-        let xw = tape.matmul(x, w[0]);
-        let h1 = tape.spmm(&self.norm_adj, xw);
-        let a1 = tape.relu(h1);
-        tape.value(a1).clone()
-    }
-
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
         self.num_classes
@@ -337,18 +326,6 @@ mod tests {
             },
         );
         assert!(model.train_losses.len() < 400, "early stopping never fired");
-    }
-
-    #[test]
-    fn hidden_embedding_shape() {
-        let g = sbm_with_split(4);
-        let cfg = GcnConfig {
-            hidden_dim: 24,
-            epochs: 10,
-            ..Default::default()
-        };
-        let model = GcnClassifier::fit(&g, &cfg);
-        assert_eq!(model.hidden_embedding().shape(), (300, 24));
     }
 
     #[test]

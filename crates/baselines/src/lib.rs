@@ -9,7 +9,6 @@
 //! * [`gcn`] — the semi-supervised GCN classifier (Table III, and the
 //!   surrogate for the targeted attacks);
 //! * [`spectral`] — Laplacian-eigenmaps-style spectral embedding;
-//! * [`node2vec`] — Node2Vec biased second-order walks;
 //! * [`sdne`] — SDNE deep autoencoder over adjacency rows;
 //! * [`hope`] — HOPE-style spectral factorization of the high-order proximity;
 //! * [`robust_gcn`] — DropEdge-regularized GCN (the defense comparator);
@@ -29,7 +28,6 @@ pub mod gcn;
 pub mod hope;
 pub mod line;
 pub mod louvain;
-pub mod node2vec;
 pub mod robust_gcn;
 pub mod sdne;
 pub mod spectral;
@@ -45,7 +43,6 @@ pub use gcn::{GcnClassifier, GcnConfig};
 pub use hope::{hope_embedding, HopeConfig};
 pub use line::{line, LineConfig, LineOrder};
 pub use louvain::louvain;
-pub use node2vec::{biased_walks, node2vec, Node2VecConfig};
 pub use robust_gcn::{RobustGcn, RobustGcnConfig};
 pub use sdne::{Sdne, SdneConfig};
 pub use spectral::{spectral_embedding, top_eigenvectors, SpectralConfig};

@@ -1,24 +1,11 @@
 //! Perf smoke benchmarks, machine-readable from PR to PR.
 //!
-//! * Default mode (also `--kernels`) times each hot kernel serially and
-//!   through the persistent pool, times the SIMD vector kernels against
-//!   their scalar references (`simd_vs_scalar` section), and writes
-//!   `BENCH_kernels.json` at the repo root. It is also the perf regression
-//!   gate: the process exits non-zero if any kernel's pooled speedup drops
-//!   below 1.0× (or, with SIMD active, any SIMD kernel is slower than its
-//!   scalar reference).
-//! * `--serve` times the serving subsystem — exact vs HNSW top-k on a
-//!   Cora-scale embedding, plus end-to-end JSONL engine throughput — and
-//!   writes `BENCH_serve.json` (including the measured ANN recall@10, the
-//!   LRU cache hit rate, and the mean HNSW hop count per search).
-//! * `--http` spawns the in-process HTTP/1.1 server on an ephemeral port,
-//!   drives it with concurrent keep-alive client threads, and writes
-//!   `BENCH_http.json` (qps + p50/p95/p99 over the wire, batch throughput,
-//!   and the server's own request counters).
-//! * `--obs` runs the quickstart training + a serve workload with telemetry
-//!   on and off, measures the telemetry overhead, and dumps the whole
-//!   `aneci-obs` registry (training spans, kernel counters, serve latency
-//!   percentiles) to `BENCH_obs.json`.
+//! * `--kernels` times each hot kernel serially and through the persistent
+//!   pool, times the SIMD vector kernels against their scalar references
+//!   (`simd_vs_scalar` section), and writes `BENCH_kernels.json` at the repo
+//!   root. It is also the perf regression gate: the process exits non-zero
+//!   if any kernel's pooled speedup drops below 1.0× (or, with SIMD active,
+//!   any SIMD kernel is slower than its scalar reference).
 //! * `--scale [max_nodes]` is the million-node scaling benchmark: streams a
 //!   planted-partition graph at N ∈ {10k, 100k, 1M} (capped at `max_nodes`,
 //!   default 1M), trains AnECI through the community-aware mini-batch path,
@@ -47,14 +34,18 @@
 //!   capped at 10k nodes), streams their output, and exits non-zero if any
 //!   suite's gate fails — the one-command regression sweep.
 //!
+//! Serving throughput and latency are measured by the `bench_e2e` benchmark
+//! (`serve-read`, `serve-churn`), not here.
+//!
 //! Run with `cargo run --release -p aneci-bench --bin bench_report
-//! [-- --kernels | -- --serve | -- --http | -- --obs | -- --scale [N] | -- --dynamic | -- --robust | -- --all]`.
+//! [-- --kernels | -- --scale [N] | -- --dynamic | -- --robust | -- --all]`;
+//! no argument means `--kernels`, and any other argument exits 2 with usage.
 //! `ANECI_NUM_THREADS` caps the pooled measurements as usual;
 //! `ANECI_NO_SIMD=1` forces the scalar fallback (the `simd_vs_scalar`
 //! section then reports `active: false` and is excluded from the gate).
 
 use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
-use aneci_linalg::{par, pool, simd, vector, CsrMatrix, DenseMatrix};
+use aneci_linalg::{par, pool, simd, vector, CsrMatrix};
 use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
@@ -118,31 +109,29 @@ fn random_csr(n: usize, deg: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triplets(n, n, &trips)
 }
 
+const USAGE: &str =
+    "usage: bench_report [--kernels | --scale [max_nodes] | --dynamic | --robust | --all]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--serve") {
-        serve_bench();
-    } else if args.iter().any(|a| a == "--http") {
-        http_bench();
-    } else if args.iter().any(|a| a == "--obs") {
-        obs_bench();
-    } else if args.iter().any(|a| a == "--dynamic") {
-        dynamic_bench();
-    } else if args.iter().any(|a| a == "--robust") {
-        robust_bench();
-    } else if args.iter().any(|a| a == "--all") {
-        run_all_suites();
-    } else if let Some(pos) = args.iter().position(|a| a == "--scale") {
-        let max_nodes = args
-            .get(pos + 1)
-            .and_then(|a| a.parse::<usize>().ok())
-            .unwrap_or(1_000_000);
-        scale_bench(max_nodes);
-    } else {
-        // Default, also reachable explicitly as `--kernels` (the regression
-        // gate invocation used by the verify checklist).
-        kernel_bench();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        [] | ["--kernels"] => kernel_bench(),
+        ["--dynamic"] => dynamic_bench(),
+        ["--robust"] => robust_bench(),
+        ["--all"] => run_all_suites(),
+        ["--scale"] => scale_bench(1_000_000),
+        ["--scale", max_nodes] => match max_nodes.parse::<usize>() {
+            Ok(max_nodes) => scale_bench(max_nodes),
+            Err(_) => usage_exit(&format!("--scale takes a node count, got `{max_nodes}`")),
+        },
+        _ => usage_exit(&format!("unknown arguments: {}", args.join(" "))),
     }
+}
+
+fn usage_exit(error: &str) -> ! {
+    eprintln!("error: {error}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn kernel_bench() {
@@ -232,24 +221,11 @@ fn kernel_bench() {
         });
     }
 
-    // CSR transpose and top-k pruning. Like matmul, the serial baseline is
-    // the retained reference implementation (`*_reference`); the production
-    // kernel runs chunked with the threshold forced low.
+    // Top-k pruning. Like matmul, the serial baseline is the retained
+    // reference implementation; the production kernel runs chunked with the
+    // threshold forced low.
     {
         let s = random_csr(8192, 16, 17);
-        let serial = time_best(5, || {
-            black_box(s.transpose_reference());
-        });
-        pool::set_par_threshold(1);
-        let pooled = time_best(5, || {
-            black_box(s.transpose());
-        });
-        rows.push(Row {
-            kernel: "sparse_transpose",
-            shape: format!("8192x8192(nnz={})", s.nnz()),
-            serial_ns: serial,
-            pooled_ns: pooled,
-        });
         let (serial, pooled) = time_prune(&s, 8);
         rows.push(Row {
             kernel: "prune_top_k",
@@ -472,20 +448,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Per-query latencies (microseconds, sorted ascending) of `f` over `queries`.
-fn latencies_us(queries: &[usize], mut f: impl FnMut(usize)) -> Vec<f64> {
-    let mut lat: Vec<f64> = queries
-        .iter()
-        .map(|&q| {
-            let t = Instant::now();
-            f(q);
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    lat.sort_by(f64::total_cmp);
-    lat
-}
-
 fn lat_json(lat: &[f64], qps: f64) -> serde_json::Value {
     serde_json::json!({
         "qps": qps,
@@ -493,327 +455,6 @@ fn lat_json(lat: &[f64], qps: f64) -> serde_json::Value {
         "p95_us": percentile(lat, 0.95),
         "p99_us": percentile(lat, 0.99),
     })
-}
-
-/// Cora-scale community-structured embedding: the SBM generator's community
-/// labels drive a clustered layout (centroid + noise) shaped like a trained
-/// model's — the regime the serving benchmarks and the recall@10 acceptance
-/// bar are about.
-fn clustered_embedding() -> DenseMatrix {
-    use aneci_graph::Benchmark;
-    let graph = Benchmark::Cora.generate(1.0, 7);
-    let labels = graph.labels.clone().expect("benchmark graphs are labelled");
-    let n = graph.num_nodes();
-    let dim = 128;
-    let mut rng = seeded_rng(21);
-    let centroids = gaussian_matrix(labels.iter().max().unwrap() + 1, dim, 1.0, &mut rng);
-    let noise = gaussian_matrix(n, dim, 1.0, &mut rng);
-    DenseMatrix::from_fn(n, dim, |r, c| {
-        3.0 * centroids.get(labels[r], c) + 0.8 * noise.get(r, c)
-    })
-}
-
-/// Serving benchmark: exact vs ANN top-k on a Cora-scale community-structured
-/// embedding, recall@10, HNSW hops per search, LRU cache hit rate, and
-/// end-to-end JSONL engine throughput.
-fn serve_bench() {
-    use aneci_serve::engine::{EngineConfig, QueryEngine};
-    use aneci_serve::hnsw::{recall_at_k, HnswConfig, HnswIndex};
-    use aneci_serve::store::{EmbeddingStore, Metric};
-
-    pool::force_pool();
-    let threads = pool::num_threads();
-
-    let embedding = clustered_embedding();
-    let (n, dim) = (embedding.rows(), embedding.cols());
-    let k = 10;
-    let ef = 128;
-    let store = EmbeddingStore::new(embedding.clone(), None);
-    let queries: Vec<usize> = (0..400).map(|i| (i * 97) % n).collect();
-
-    // Exact brute-force path.
-    let t = Instant::now();
-    let exact: Vec<Vec<(usize, f64)>> = queries
-        .iter()
-        .map(|&q| store.top_k_node(q, k, Metric::Cosine))
-        .collect();
-    let exact_qps = queries.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-    let exact_lat = latencies_us(&queries, |q| {
-        black_box(store.top_k_node(q, k, Metric::Cosine));
-    });
-
-    // ANN path: build once, search with a generous beam. The graph walk
-    // length comes from the `serve.hnsw.{hops,searches}` telemetry deltas
-    // around this loop (construction-time hops are never recorded).
-    let t = Instant::now();
-    let index = HnswIndex::build(&embedding, Metric::Cosine, &HnswConfig::default());
-    let build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let counter_value = |name: &str| aneci_obs::global().snapshot().counter(name).unwrap_or(0);
-    let (hops0, searches0) = (
-        counter_value("serve.hnsw.hops"),
-        counter_value("serve.hnsw.searches"),
-    );
-    let t = Instant::now();
-    let approx: Vec<Vec<(usize, f64)>> = queries
-        .iter()
-        .map(|&q| index.search(embedding.row(q), k, ef, Some(q)))
-        .collect();
-    let ann_qps = queries.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-    let hops = counter_value("serve.hnsw.hops") - hops0;
-    let searches = counter_value("serve.hnsw.searches") - searches0;
-    let hops_per_search = hops as f64 / searches.max(1) as f64;
-    let ann_lat = latencies_us(&queries, |q| {
-        black_box(index.search(embedding.row(q), k, ef, Some(q)));
-    });
-    let recall = exact
-        .iter()
-        .zip(&approx)
-        .map(|(e, a)| recall_at_k(e, a))
-        .sum::<f64>()
-        / queries.len() as f64;
-
-    // End-to-end JSONL engine throughput (parse → execute → serialize),
-    // batched on the pool, cache off so every line does real work.
-    let lines: Vec<String> = queries
-        .iter()
-        .map(|q| format!(r#"{{"op":"top_k","node":{q},"k":{k}}}"#))
-        .collect();
-    let exact_engine = QueryEngine::new(
-        EmbeddingStore::new(embedding.clone(), None),
-        EngineConfig::default(),
-    );
-    let t = Instant::now();
-    black_box(exact_engine.run_batch(&lines));
-    let engine_exact_qps = lines.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-    let ann_engine = QueryEngine::new(
-        EmbeddingStore::new(embedding.clone(), None),
-        EngineConfig {
-            use_ann: true,
-            ef_search: ef,
-            ..EngineConfig::default()
-        },
-    );
-    let t = Instant::now();
-    black_box(ann_engine.run_batch(&lines));
-    let engine_ann_qps = lines.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-
-    // LRU response cache: the same batch twice through a cache big enough to
-    // hold it — the first pass misses everything, the second hits everything,
-    // so a healthy cache reads back exactly 50%.
-    let cached_engine = QueryEngine::new(
-        EmbeddingStore::new(embedding.clone(), None),
-        EngineConfig {
-            cache_capacity: lines.len().next_power_of_two(),
-            ..EngineConfig::default()
-        },
-    );
-    black_box(cached_engine.run_batch(&lines));
-    let t = Instant::now();
-    black_box(cached_engine.run_batch(&lines));
-    let engine_cached_qps = lines.len() as f64 / t.elapsed().as_secs_f64().max(1e-12);
-    let (cache_hits, cache_misses) = cached_engine.cache_stats();
-    let cache_hit_rate = cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64;
-
-    let report = serde_json::json!({
-        "threads": threads,
-        "nodes": n,
-        "dim": dim,
-        "k": k,
-        "ef_search": ef,
-        "num_queries": queries.len(),
-        "hnsw_build_ms": build_ms,
-        "recall_at_10": recall,
-        "hnsw_hops": {
-            "searches": searches,
-            "total_hops": hops,
-            "hops_per_search": hops_per_search,
-        },
-        "exact": lat_json(&exact_lat, exact_qps),
-        "ann": lat_json(&ann_lat, ann_qps),
-        "engine_jsonl": {
-            "exact_qps": engine_exact_qps,
-            "ann_qps": engine_ann_qps,
-            "cached_qps": engine_cached_qps,
-        },
-        "cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "hit_rate": cache_hit_rate,
-        },
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap() + "\n")
-        .expect("failed to write BENCH_serve.json");
-
-    println!("wrote {path} ({threads} threads, {n} nodes, dim {dim})");
-    println!(
-        "  exact  {exact_qps:>9.0} q/s   p50 {:>8.1} us   p99 {:>8.1} us",
-        percentile(&exact_lat, 0.50),
-        percentile(&exact_lat, 0.99),
-    );
-    println!(
-        "  ann    {ann_qps:>9.0} q/s   p50 {:>8.1} us   p99 {:>8.1} us   recall@10 {recall:.4}   build {build_ms:.0} ms",
-        percentile(&ann_lat, 0.50),
-        percentile(&ann_lat, 0.99),
-    );
-    println!("  hnsw   {hops_per_search:.1} hops/search over {searches} searches");
-    println!(
-        "  engine (JSONL) exact {engine_exact_qps:.0} q/s, ann {engine_ann_qps:.0} q/s, \
-         cached {engine_cached_qps:.0} q/s (hit rate {cache_hit_rate:.2})"
-    );
-    assert!(
-        recall >= 0.95,
-        "ANN recall@10 regressed below the 0.95 acceptance bar: {recall:.4}"
-    );
-}
-
-/// HTTP front-end benchmark: the real server on an ephemeral port, driven
-/// over TCP by concurrent keep-alive client threads. Reports wire-level qps
-/// and latency percentiles plus the server's own counters, then shuts down
-/// gracefully — a non-drained request or a shed during the steady-state run
-/// fails the bench.
-fn http_bench() {
-    use aneci_serve::engine::{EngineConfig, QueryEngine};
-    use aneci_serve::http::{client, HttpClient, HttpConfig, HttpServer};
-    use aneci_serve::store::EmbeddingStore;
-    use std::sync::Arc;
-
-    pool::force_pool();
-    let threads = pool::num_threads();
-
-    let embedding = clustered_embedding();
-    let (n, dim) = (embedding.rows(), embedding.cols());
-    let k = 10;
-    let engine = Arc::new(QueryEngine::new(
-        EmbeddingStore::new(embedding, None),
-        EngineConfig::default(),
-    ));
-
-    // A keep-alive connection occupies its worker for the connection's
-    // lifetime, so the worker count must cover the client fleet for a
-    // steady-state throughput measurement.
-    let clients = 8usize;
-    let per_client = 250usize;
-    let config = HttpConfig {
-        workers: clients + 2,
-        queue_capacity: (clients + 2) * 4,
-        ..HttpConfig::default()
-    };
-    let handle = HttpServer::start(Arc::clone(&engine), config, "127.0.0.1:0")
-        .expect("failed to start HTTP server");
-    let addr = handle.addr();
-
-    // Sanity before load: health, one query, one batch.
-    let health = client::get(addr, "/v1/healthz").expect("healthz failed");
-    assert_eq!(health.status, 200, "{}", health.text());
-    let warm = client::post(
-        addr,
-        "/v1/query",
-        &format!(r#"{{"op":"top_k","node":0,"k":{k}}}"#),
-    )
-    .expect("warm-up query failed");
-    assert_eq!(warm.status, 200, "{}", warm.text());
-
-    // Concurrent steady-state run: `clients` threads, each with its own
-    // keep-alive connection, each issuing `per_client` single queries.
-    let t = Instant::now();
-    let workers: Vec<std::thread::JoinHandle<Vec<f64>>> = (0..clients)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = HttpClient::connect(addr).expect("client connect failed");
-                let mut lat = Vec::with_capacity(per_client);
-                for i in 0..per_client {
-                    let node = (c * per_client + i * 131) % n;
-                    let line = format!(r#"{{"op":"top_k","node":{node},"k":{k}}}"#);
-                    let t = Instant::now();
-                    let r = client.post("/v1/query", &line).expect("query failed");
-                    lat.push(t.elapsed().as_secs_f64() * 1e6);
-                    assert_eq!(r.status, 200, "{}", r.text());
-                }
-                lat
-            })
-        })
-        .collect();
-    let mut lat: Vec<f64> = workers
-        .into_iter()
-        .flat_map(|w| w.join().expect("client thread panicked"))
-        .collect();
-    let wall = t.elapsed().as_secs_f64();
-    lat.sort_by(f64::total_cmp);
-    let total = clients * per_client;
-    let qps = total as f64 / wall.max(1e-12);
-
-    // Batch throughput over the wire: all clients' queries in one NDJSON body.
-    let batch_body: String = (0..total)
-        .map(|i| {
-            format!(
-                "{{\"op\":\"top_k\",\"node\":{},\"k\":{k}}}\n",
-                (i * 131) % n
-            )
-        })
-        .collect();
-    let t = Instant::now();
-    let batch = client::post(addr, "/v1/query_batch", &batch_body).expect("batch failed");
-    let batch_secs = t.elapsed().as_secs_f64();
-    assert_eq!(batch.status, 200, "{}", batch.text());
-    assert_eq!(batch.text().trim_end().lines().count(), total);
-    let batch_lps = total as f64 / batch_secs.max(1e-12);
-
-    handle.shutdown();
-
-    let snap = aneci_obs::global().snapshot();
-    let count = |name: &str| snap.counter(name).unwrap_or(0);
-    let (requests, connections, shed, reused) = (
-        count("serve.http.requests"),
-        count("serve.http.connections"),
-        count("serve.http.shed"),
-        count("serve.http.keepalive_reused"),
-    );
-    let server_lat = snap.histogram("serve.http.request_ns");
-
-    let report = serde_json::json!({
-        "threads": threads,
-        "nodes": n,
-        "dim": dim,
-        "k": k,
-        "clients": clients,
-        "requests_per_client": per_client,
-        "total_requests": total,
-        "single_query": lat_json(&lat, qps),
-        "batch": {
-            "lines": total,
-            "lines_per_sec": batch_lps,
-            "wall_ms": batch_secs * 1e3,
-        },
-        "server": {
-            "requests": requests,
-            "connections": connections,
-            "keepalive_reused": reused,
-            "shed": shed,
-            "request_p50_us": server_lat.as_ref().map_or(0.0, |h| h.p50().unwrap_or_default() / 1e3),
-            "request_p99_us": server_lat.as_ref().map_or(0.0, |h| h.p99().unwrap_or_default() / 1e3),
-        },
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_http.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap() + "\n")
-        .expect("failed to write BENCH_http.json");
-
-    println!("wrote {path} ({threads} threads, {clients} clients x {per_client} requests)");
-    println!(
-        "  single {qps:>9.0} q/s   p50 {:>8.1} us   p95 {:>8.1} us   p99 {:>8.1} us",
-        percentile(&lat, 0.50),
-        percentile(&lat, 0.95),
-        percentile(&lat, 0.99),
-    );
-    println!("  batch  {batch_lps:>9.0} lines/s over one POST /query_batch");
-    println!(
-        "  server {requests} requests on {connections} connections, \
-         {reused} keep-alive reuses, {shed} shed"
-    );
-    assert_eq!(
-        shed, 0,
-        "load was shed during a steady-state run sized to the worker fleet"
-    );
 }
 
 /// Dynamic-graph benchmark (ISSUE 9 acceptance): (a) graph-delta
@@ -910,7 +551,7 @@ fn dynamic_bench() {
     }
 
     // ---- Part B: zero-downtime churn against the live HTTP server --------
-    let embedding = clustered_embedding();
+    let embedding = aneci_bench::clustered_embedding();
     let (n, dim) = (embedding.rows(), embedding.cols());
     let k = 10;
     let ef = 128;
@@ -1347,129 +988,6 @@ fn scale_bench(max_nodes: usize) {
     }
 }
 
-/// Telemetry benchmark: A/B the always-on `aneci-obs` layer on the quickstart
-/// training loop, then dump the populated registry (training spans, kernel
-/// counters, serve latency percentiles) to `BENCH_obs.json`.
-fn obs_bench() {
-    use aneci_core::{train_aneci, AneciConfig};
-    use aneci_graph::karate_club;
-    use aneci_serve::engine::{EngineConfig, QueryEngine};
-    use aneci_serve::store::EmbeddingStore;
-
-    pool::force_pool();
-    let threads = pool::num_threads();
-    let graph = karate_club();
-    let config = AneciConfig::for_community_detection(2, 42);
-
-    // Warm-up: pool spin-up and allocator effects land outside the A/B.
-    black_box(train_aneci(&graph, &config).expect("training failed"));
-
-    let reps = 5;
-    aneci_obs::set_enabled(false);
-    let off_ns = time_best(reps, || {
-        black_box(train_aneci(&graph, &config).expect("training failed"));
-    });
-    aneci_obs::set_enabled(true);
-    let on_ns = time_best(reps, || {
-        black_box(train_aneci(&graph, &config).expect("training failed"));
-    });
-    let overhead_pct = (on_ns as f64 - off_ns as f64) / off_ns.max(1) as f64 * 100.0;
-
-    // Fresh registry for the dump: one instrumented train plus a serve batch
-    // so every layer's metrics are present. Re-baseline kernel_stats after
-    // the registry reset so its window stays consistent.
-    aneci_obs::global().reset();
-    aneci_linalg::kernel_stats::reset();
-    let (model, _) = train_aneci(&graph, &config).expect("training failed");
-    let ckpt = model.checkpoint().expect("trained model has an embedding");
-    let engine = QueryEngine::new(
-        EmbeddingStore::from_checkpoint(&ckpt),
-        EngineConfig {
-            use_ann: true,
-            ..EngineConfig::default()
-        },
-    );
-    let lines: Vec<String> = (0..graph.num_nodes())
-        .map(|q| format!(r#"{{"op":"top_k","node":{q},"k":5}}"#))
-        .collect();
-    black_box(engine.run_batch(&lines));
-
-    let snap = aneci_obs::global().snapshot();
-    let spans: Vec<serde_json::Value> = snap
-        .histograms
-        .iter()
-        .filter(|(name, _)| name.starts_with("span.") && name.ends_with("_ns"))
-        .map(|(name, h)| {
-            serde_json::json!({
-                "span": name,
-                "calls": h.count,
-                "mean_us": h.mean() / 1e3,
-                "p95_us": h.p95().unwrap_or_default() / 1e3,
-            })
-        })
-        .collect();
-    let kernels: Vec<serde_json::Value> = aneci_linalg::kernel_stats::snapshot()
-        .iter()
-        .filter(|s| s.calls > 0)
-        .map(|s| {
-            serde_json::json!({
-                "kernel": s.kernel,
-                "calls": s.calls,
-                "flops": s.flops,
-                "wall_ns": s.wall_ns,
-            })
-        })
-        .collect();
-    let serve_lat = snap.histogram("serve.query_ns").map(|lat| {
-        serde_json::json!({
-            "queries": lat.count,
-            "p50_us": lat.p50().unwrap_or_default() / 1e3,
-            "p95_us": lat.p95().unwrap_or_default() / 1e3,
-            "p99_us": lat.p99().unwrap_or_default() / 1e3,
-        })
-    });
-    let registry: serde_json::Value =
-        serde_json::from_str(&snap.to_json()).expect("registry snapshot is valid JSON");
-
-    let report = serde_json::json!({
-        "threads": threads,
-        "train_off_ms": off_ns as f64 / 1e6,
-        "train_on_ms": on_ns as f64 / 1e6,
-        "overhead_pct": overhead_pct,
-        "train_spans": spans,
-        "kernels": kernels,
-        "serve_latency": serve_lat,
-        "registry": registry,
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap() + "\n")
-        .expect("failed to write BENCH_obs.json");
-
-    println!("wrote {path} ({threads} threads)");
-    println!(
-        "  train: telemetry off {:.2} ms, on {:.2} ms — overhead {overhead_pct:+.2}%",
-        off_ns as f64 / 1e6,
-        on_ns as f64 / 1e6,
-    );
-    for s in &spans {
-        println!(
-            "  {:<34} {:>6} calls   mean {:>9.1} us   p95 {:>9.1} us",
-            s["span"].as_str().unwrap_or("?"),
-            s["calls"],
-            s["mean_us"].as_f64().unwrap_or(0.0),
-            s["p95_us"].as_f64().unwrap_or(0.0),
-        );
-    }
-    if let Some(lat) = snap.histogram("serve.query_ns") {
-        println!(
-            "  serve: {} queries   p50 {:.1} us   p99 {:.1} us",
-            lat.count,
-            lat.p50().unwrap_or_default() / 1e3,
-            lat.p99().unwrap_or_default() / 1e3,
-        );
-    }
-}
-
 /// `--robust`: the attack × defense × budget scenario matrix on a labelled
 /// SBM. Writes `BENCH_robust.json`; any gate failure exits non-zero.
 fn robust_bench() {
@@ -1804,9 +1322,6 @@ fn run_all_suites() {
     let exe = std::env::current_exe().expect("cannot locate bench_report binary");
     let suites: &[&[&str]] = &[
         &["--kernels"],
-        &["--serve"],
-        &["--http"],
-        &["--obs"],
         &["--dynamic"],
         &["--robust"],
         &["--scale", "10000"],

@@ -25,6 +25,7 @@
 use aneci_core::{AneciConfig, AneciModel, StopStrategy};
 use aneci_eval::logreg::evaluate_embedding;
 use aneci_graph::{AttributedGraph, Benchmark};
+use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
 use aneci_linalg::DenseMatrix;
 
 /// Parsed command-line arguments shared by every experiment binary.
@@ -216,6 +217,23 @@ pub fn classify_subset(
         graph.num_classes(),
         seed,
     )
+}
+
+/// Cora-scale community-structured embedding: the SBM generator's community
+/// labels drive a clustered layout (centroid + noise) shaped like a trained
+/// model's — the regime the serving recall@10 ≥ 0.95 bar is about. Shared
+/// by `bench_report --dynamic` and the recall test.
+pub fn clustered_embedding() -> DenseMatrix {
+    let graph = Benchmark::Cora.generate(1.0, 7);
+    let labels = graph.labels.clone().expect("benchmark graphs are labelled");
+    let n = graph.num_nodes();
+    let dim = 128;
+    let mut rng = seeded_rng(21);
+    let centroids = gaussian_matrix(labels.iter().max().unwrap() + 1, dim, 1.0, &mut rng);
+    let noise = gaussian_matrix(n, dim, 1.0, &mut rng);
+    DenseMatrix::from_fn(n, dim, |r, c| {
+        3.0 * centroids.get(labels[r], c) + 0.8 * noise.get(r, c)
+    })
 }
 
 /// Writes CSV rows to a file under `out_dir`.

@@ -44,14 +44,6 @@ impl TimingTable {
             .map(|(n, s)| (n.clone(), aneci_linalg::stats::mean(s), s.len()))
             .collect()
     }
-
-    /// Mean seconds for one name, if present.
-    pub fn mean_of(&self, name: &str) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| aneci_linalg::stats::mean(s))
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +68,5 @@ mod tests {
         assert_eq!(rows[0].0, "a");
         assert!((rows[0].1 - 2.0).abs() < 1e-12);
         assert_eq!(rows[0].2, 2);
-        assert_eq!(t.mean_of("b"), Some(5.0));
-        assert_eq!(t.mean_of("missing"), None);
     }
 }

@@ -496,28 +496,6 @@ impl DenseMatrix {
         out
     }
 
-    /// `self * otherᵀ` without materializing the transpose.
-    pub fn matmul_nt(&self, other: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt: column mismatch {}x{} vs {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = DenseMatrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            for c in 0..other.rows {
-                let b_row = other.row(c);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.set(r, c, acc);
-            }
-        }
-        out
-    }
-
     /// Matrix-vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
@@ -920,15 +898,6 @@ mod tests {
         let b = DenseMatrix::from_fn(5, 4, |r, c| (r + c) as f64 * 0.25);
         let fast = a.matmul_tn(&b);
         let slow = a.transpose().matmul(&b);
-        assert!(fast.sub(&slow).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn matmul_nt_matches_explicit_transpose() {
-        let a = DenseMatrix::from_fn(4, 6, |r, c| (r as f64 - c as f64) * 0.3);
-        let b = DenseMatrix::from_fn(5, 6, |r, c| (r * c) as f64 * 0.1 + 1.0);
-        let fast = a.matmul_nt(&b);
-        let slow = a.matmul(&b.transpose());
         assert!(fast.sub(&slow).max_abs() < 1e-12);
     }
 

@@ -11,11 +11,9 @@
 //!   [`aneci_obs::Snapshot::deterministic`], like every `_ns` metric).
 //!
 //! With the persistent-handle registry the cost is two `Instant` reads and
-//! three relaxed `fetch_add`s per kernel call, so they always run.
-//! [`snapshot`] / [`reset`] give window semantics by subtracting a baseline
-//! instead of zeroing the shared registry.
+//! three relaxed `fetch_add`s per kernel call, so they always run. Readers
+//! take windows as differences of two registry snapshots.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -72,28 +70,11 @@ impl Kernel {
     ];
 }
 
-/// One kernel's accumulated totals since the last [`reset`], as returned by
-/// [`snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KernelStat {
-    /// Kernel display name.
-    pub kernel: &'static str,
-    /// Number of [`record`] invocations.
-    pub calls: u64,
-    /// Total scalar work (flops / element visits) reported by callers.
-    pub flops: u64,
-    /// Total wall time spent inside the kernel, in nanoseconds.
-    pub wall_ns: u64,
-}
-
-/// Cached registry handles plus the `reset` baseline for one kernel.
+/// Cached registry handles for one kernel.
 struct Row {
     calls: Counter,
     elems: Counter,
     wall_ns: Counter,
-    base_calls: AtomicU64,
-    base_elems: AtomicU64,
-    base_wall_ns: AtomicU64,
 }
 
 fn table() -> &'static [Row; KERNEL_COUNT] {
@@ -105,9 +86,6 @@ fn table() -> &'static [Row; KERNEL_COUNT] {
                 calls: aneci_obs::counter(&format!("linalg.kernel.{name}.calls")),
                 elems: aneci_obs::counter(&format!("linalg.kernel.{name}.elems")),
                 wall_ns: aneci_obs::counter(&format!("linalg.kernel.{name}.wall_ns")),
-                base_calls: AtomicU64::new(0),
-                base_elems: AtomicU64::new(0),
-                base_wall_ns: AtomicU64::new(0),
             }
         })
     })
@@ -126,41 +104,6 @@ pub fn record<R>(kernel: Kernel, flops: u64, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Totals for every kernel since the last [`reset`] (process start if never
-/// reset), in [`Kernel::ALL`] order.
-pub fn snapshot() -> Vec<KernelStat> {
-    table()
-        .iter()
-        .zip(Kernel::ALL)
-        .map(|(row, k)| KernelStat {
-            kernel: k.name(),
-            calls: row
-                .calls
-                .get()
-                .saturating_sub(row.base_calls.load(Ordering::Relaxed)),
-            flops: row
-                .elems
-                .get()
-                .saturating_sub(row.base_elems.load(Ordering::Relaxed)),
-            wall_ns: row
-                .wall_ns
-                .get()
-                .saturating_sub(row.base_wall_ns.load(Ordering::Relaxed)),
-        })
-        .collect()
-}
-
-/// Starts a fresh measurement window: subsequent [`snapshot`]s report only
-/// activity after this call. The shared registry counters stay monotone —
-/// only this module's baseline moves.
-pub fn reset() {
-    for row in table().iter() {
-        row.base_calls.store(row.calls.get(), Ordering::Relaxed);
-        row.base_elems.store(row.elems.get(), Ordering::Relaxed);
-        row.base_wall_ns.store(row.wall_ns.get(), Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,21 +112,17 @@ mod tests {
     /// global registry, so assert monotone deltas rather than exact totals.
     #[test]
     fn record_accumulates_and_reset_windows() {
-        let before = snapshot();
-        let b = before
-            .iter()
-            .find(|s| s.kernel == "matmul")
-            .unwrap()
-            .clone();
+        let read = |name: &str| {
+            aneci_obs::global()
+                .snapshot()
+                .counter(&format!("linalg.kernel.matmul.{name}"))
+                .unwrap_or(0)
+        };
+        let (calls, elems) = (read("calls"), read("elems"));
         let v = record(Kernel::Matmul, 100, || 41 + 1);
         assert_eq!(v, 42);
         record(Kernel::Matmul, 50, || ());
-        let after = snapshot();
-        let a = after.iter().find(|s| s.kernel == "matmul").unwrap().clone();
-        assert!(a.calls >= b.calls + 2);
-        assert!(a.flops >= b.flops + 150);
-        // The registry counter matches the pre-baseline total.
-        let snap = aneci_obs::global().snapshot();
-        assert!(snap.counter("linalg.kernel.matmul.calls").unwrap() >= a.calls);
+        assert!(read("calls") >= calls + 2);
+        assert!(read("elems") >= elems + 150);
     }
 }

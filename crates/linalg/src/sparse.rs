@@ -270,149 +270,37 @@ impl CsrMatrix {
         out
     }
 
-    /// Transposes the matrix — an O(nnz) counting sort, chunked over the
-    /// pool above the threshold. Every entry lands at exactly the position
-    /// the straightforward serial counting sort ([`Self::transpose_reference`])
-    /// would put it, for *any* chunk decomposition, so the output is
-    /// bit-identical across thread counts and machines.
+    /// Transposes the matrix — a serial O(nnz) counting sort. Entries within
+    /// an output row stay ordered by source row.
     pub fn transpose(&self) -> CsrMatrix {
         kernel_stats::record(Kernel::SparseTranspose, self.nnz() as u64, || {
-            self.transpose_chunked()
-        })
-    }
-
-    /// Retained straightforward transpose (checked indexing, `usize`
-    /// histograms): the correctness oracle for the parity tests and the
-    /// serial baseline `bench_report` times the production kernel against.
-    pub fn transpose_reference(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let indptr = counts.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = counts;
-        for r in 0..self.rows {
-            for (c, v) in self.row_entries(r) {
-                let pos = next[c];
-                indices[pos] = r as u32;
-                values[pos] = v;
-                next[c] += 1;
+            let mut counts = vec![0usize; self.cols + 1];
+            for &c in &self.indices {
+                counts[c as usize + 1] += 1;
             }
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Two-pass chunked transpose: pass 1 builds a per-chunk column
-    /// histogram; the histograms are prefix-summed into per-chunk write
-    /// offsets, so pass 2 scatters with no atomics and lands every entry at
-    /// exactly the position the serial counting sort would (entries within
-    /// an output row stay ordered by source row).
-    ///
-    /// Chunking is deliberately coarse — at most one chunk per hardware
-    /// core, capped at 8: every extra chunk costs a `cols`-sized histogram
-    /// in pass 1 and another `cols`-sized cursor walk in the offset merge,
-    /// which is what made a finer-grained version of this kernel *lose* to
-    /// the serial counting sort. Counts and cursors are `u32` — half the
-    /// cache footprint of the reference's `usize` arrays — which together
-    /// with unchecked scatter indexing keeps this path ahead of the
-    /// reference even single-chunk on one core. Scaling chunks by
-    /// [`pool::hardware_parallelism`] (a machine constant) and by the
-    /// threshold is safe precisely because the output is chunk-invariant.
-    fn transpose_chunked(&self) -> CsrMatrix {
-        let nnz = self.nnz();
-        if nnz > u32::MAX as usize {
-            // u32 write cursors can't address the output; the reference
-            // counting sort handles the (unreachable in practice) huge case.
-            return self.transpose_reference();
-        }
-        let max_chunks = if pool::should_parallelize(nnz) {
-            pool::hardware_parallelism().min(8)
-        } else {
-            1
-        };
-        let grain = self.rows.div_ceil(max_chunks.max(1)).max(1024);
-        let mut hists = pool::parallel_map_chunks(self.rows, grain, |lo, hi| {
-            let mut counts = vec![0u32; self.cols];
-            for &c in &self.indices[self.indptr[lo]..self.indptr[hi]] {
-                // SAFETY: the CSR invariant bounds column indices by `cols`.
-                unsafe { *counts.get_unchecked_mut(c as usize) += 1 };
+            for i in 0..self.cols {
+                counts[i + 1] += counts[i];
             }
-            counts
-        });
-        let mut indptr = vec![0usize; self.cols + 1];
-        for hist in &hists {
-            for (c, &n) in hist.iter().enumerate() {
-                indptr[c + 1] += n as usize;
-            }
-        }
-        for c in 0..self.cols {
-            indptr[c + 1] += indptr[c];
-        }
-        // Per-column running offset over chunks: hists[k][c] becomes the
-        // position where chunk k writes its first entry for column c.
-        let mut running: Vec<u32> = indptr[..self.cols].iter().map(|&x| x as u32).collect();
-        for hist in &mut hists {
-            for (c, slot) in hist.iter_mut().enumerate() {
-                let n = *slot;
-                *slot = running[c];
-                running[c] += n;
-            }
-        }
-        let mut indices = vec![0u32; nnz];
-        let mut values = vec![0.0f64; nnz];
-        {
-            let iptr = SendPtr(indices.as_mut_ptr());
-            let vptr = SendPtr(values.as_mut_ptr());
-            let hptr = SendPtr(hists.as_mut_ptr());
-            pool::parallel_for_chunks(self.rows, grain, |chunk, lo, hi| {
-                // SAFETY: each chunk index is claimed exactly once, so this
-                // is the only live borrow of `hists[chunk]`, which becomes
-                // the chunk's private write-cursor array.
-                let next = unsafe { &mut *hptr.get().add(chunk) };
-                for r in lo..hi {
-                    let rr = r as u32;
-                    for j in self.indptr[r]..self.indptr[r + 1] {
-                        // SAFETY: `j` is in bounds by the CSR invariant;
-                        // cursor positions are disjoint across chunks by
-                        // construction of the per-chunk histograms.
-                        unsafe {
-                            let c = *self.indices.get_unchecked(j) as usize;
-                            let cur = next.get_unchecked_mut(c);
-                            let pos = *cur as usize;
-                            *cur += 1;
-                            *iptr.get().add(pos) = rr;
-                            *vptr.get().add(pos) = *self.values.get_unchecked(j);
-                        }
-                    }
+            let indptr = counts.clone();
+            let mut indices = vec![0u32; self.nnz()];
+            let mut values = vec![0.0; self.nnz()];
+            let mut next = counts;
+            for r in 0..self.rows {
+                for (c, v) in self.row_entries(r) {
+                    let pos = next[c];
+                    indices[pos] = r as u32;
+                    values[pos] = v;
+                    next[c] += 1;
                 }
-            });
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Sparse × dense vector product.
-    pub fn spmv(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "spmv: dimension mismatch");
-        (0..self.rows)
-            .map(|r| self.row_entries(r).map(|(c, val)| val * v[c]).sum())
-            .collect()
+            }
+            CsrMatrix {
+                rows: self.cols,
+                cols: self.rows,
+                indptr,
+                indices,
+                values,
+            }
+        })
     }
 
     /// Sparse × dense matrix product `self * d`.
@@ -895,7 +783,7 @@ impl CsrMatrix {
     /// `out[i][j] = self[nodes[i]][nodes[j]]` for `nodes` sorted strictly
     /// increasing. This is the mini-batch subgraph kernel: a fused row
     /// gather + column restriction, pooled over the selected rows with the
-    /// same per-row-chunk stitching the transpose/prune kernels use, with
+    /// same per-row-chunk stitching the product and prune kernels use, with
     /// chunk buffers pre-sized from the selected rows' degree counts.
     pub fn extract_submatrix(&self, nodes: &[usize]) -> CsrMatrix {
         assert_eq!(
@@ -1143,13 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_dense() {
-        let m = sample();
-        let v = [1.0, 2.0, 3.0];
-        assert_eq!(m.spmv(&v), m.to_dense().matvec(&v));
-    }
-
-    #[test]
     fn spmm_dense_matches_dense_matmul() {
         let m = sample();
         let d = DenseMatrix::from_fn(3, 4, |r, c| (r + c) as f64 * 0.5);
@@ -1278,7 +1159,6 @@ mod tests {
         let s = CsrMatrix::from_triplets(200, 200, &trips);
         // With force_pool the threshold is 1, so these all take the pooled
         // path; compare against the serial implementations.
-        assert_eq!(s.transpose(), s.transpose_reference());
         let spmm_par = s.spmm(&s);
         assert_eq!(s.prune_top_k_per_row(3), s.prune_top_k_reference(3));
         let spmm_ser = {

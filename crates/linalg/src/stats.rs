@@ -43,30 +43,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Pearson correlation coefficient of two equal-length slices.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,14 +59,5 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|v| -v).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
     }
 }

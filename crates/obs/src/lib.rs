@@ -26,10 +26,8 @@
 //!   percentile estimation (`p50`/`p95`/`p99`).
 //!
 //! Handles are cheap `Arc`-backed clones; recording is one or two relaxed
-//! atomic operations, so instrumentation can stay on permanently (the
-//! measured overhead on the quickstart training loop is well under 5%).
-//! [`set_enabled`]`(false)` turns every recording call into a branch-and-
-//! return for A/B overhead measurements.
+//! atomic operations, so instrumentation is always on, with no switch to
+//! turn it off.
 //!
 //! ## Determinism
 //!
@@ -65,28 +63,13 @@ pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snaps
 pub use sink::{install_jsonl_sink, install_writer, sink_active, uninstall_sink};
 pub use span::{span, SpanGuard};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry every instrumented layer records into.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Globally enables or disables recording (spans, counters, histograms).
-/// Disabled recording is a single relaxed load and a branch — the knob the
-/// telemetry-overhead measurement in `bench_report --obs` flips.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether recording is currently enabled (default: `true`).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Convenience: a counter in the [`global`] registry.
@@ -115,8 +98,6 @@ mod tests {
 
     #[test]
     fn global_registry_round_trip() {
-        let was = enabled();
-        set_enabled(true);
         counter("lib.test.count").add(2);
         gauge("lib.test.gauge").set(0.5);
         histogram("lib.test.hist").observe(4.0);
@@ -124,21 +105,5 @@ mod tests {
         assert!(snap.counter("lib.test.count").unwrap() >= 2);
         assert_eq!(snap.gauge("lib.test.gauge"), Some(0.5));
         assert!(snap.histogram("lib.test.hist").unwrap().count >= 1);
-        set_enabled(was);
-    }
-
-    #[test]
-    fn disabled_recording_is_a_noop() {
-        let reg = Registry::new();
-        let c = reg.counter("off.count");
-        let h = reg.histogram("off.hist");
-        let was = enabled();
-        set_enabled(false);
-        c.inc();
-        h.observe(1.0);
-        set_enabled(was);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("off.count"), Some(0));
-        assert_eq!(snap.histogram("off.hist").unwrap().count, 0);
     }
 }

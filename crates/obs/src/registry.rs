@@ -53,12 +53,10 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Adds `n` (no-op while recording is disabled).
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -80,12 +78,10 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Sets the gauge (no-op while recording is disabled).
+    /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        if crate::enabled() {
-            self.cell.store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.cell.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -143,10 +139,10 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Records one observation (no-op while recording is disabled; NaN is
-    /// ignored — a poisoned measurement must not wedge min/max forever).
+    /// Records one observation (NaN is ignored — a poisoned measurement
+    /// must not wedge min/max forever).
     pub fn observe(&self, v: f64) {
-        if !crate::enabled() || v.is_nan() {
+        if v.is_nan() {
             return;
         }
         let core = &self.core;
@@ -481,7 +477,8 @@ impl Snapshot {
         }
     }
 
-    /// One JSON object for the whole snapshot (used by `BENCH_obs.json`).
+    /// One JSON object for the whole snapshot (the `GET /v1/metrics` body,
+    /// which `bench_e2e` reads).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (n, v)) in self.counters.iter().enumerate() {

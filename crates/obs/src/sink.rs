@@ -1,7 +1,7 @@
 //! The JSONL telemetry sink: an optional process-wide destination that
-//! receives one JSON object per line as events occur (span exits, explicit
-//! snapshot dumps). No sink is installed by default — recording into the
-//! registry never touches I/O unless the embedder asked for it.
+//! receives one JSON object per line as events occur (span exits). No sink
+//! is installed by default — recording into the registry never touches I/O
+//! unless the embedder asked for it.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -84,14 +84,6 @@ pub fn emit_line(line: &str) {
     }
 }
 
-/// Emits every metric in `snap` as one JSON line each, if a sink is
-/// installed.
-pub fn emit_snapshot(snap: &crate::Snapshot) {
-    if sink_active() {
-        emit_line(snap.to_jsonl().trim_end());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,21 +130,5 @@ mod tests {
         emit_line("{\"type\":\"dropped\"}");
         let got = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert_eq!(got, "{\"type\":\"test\"}\n");
-    }
-
-    #[test]
-    fn snapshot_emits_one_line_per_metric() {
-        let reg = crate::Registry::new();
-        reg.counter("s.a").inc();
-        reg.gauge("s.b").set(2.0);
-        let buf = Arc::new(StdMutex::new(Vec::new()));
-        install_writer(Box::new(Capture(buf.clone())));
-        emit_snapshot(&reg.snapshot());
-        uninstall_sink();
-        let got = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = got.trim_end().lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"counter\""));
-        assert!(lines[1].contains("\"gauge\""));
     }
 }

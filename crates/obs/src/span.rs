@@ -35,15 +35,8 @@ thread_local! {
 }
 
 /// Opens a span named `name` nested under this thread's currently open
-/// spans. The returned guard records the span on drop. While recording is
-/// globally disabled ([`crate::set_enabled`]) the guard is inert.
+/// spans. The returned guard records the span on drop.
 pub fn span(name: &str) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard {
-            path: None,
-            start: Instant::now(),
-        };
-    }
     let path = STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         let path = match stack.last() {
@@ -54,7 +47,7 @@ pub fn span(name: &str) -> SpanGuard {
         path
     });
     SpanGuard {
-        path: Some(path),
+        path,
         start: Instant::now(),
     }
 }
@@ -62,22 +55,21 @@ pub fn span(name: &str) -> SpanGuard {
 /// RAII guard for an open span; records timing and call count on drop.
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct SpanGuard {
-    /// Full dot-joined path, or `None` for an inert guard.
-    path: Option<String>,
+    /// Full dot-joined path.
+    path: String,
     start: Instant,
 }
 
 impl SpanGuard {
-    /// The span's full dot-joined path (`None` if recording was disabled
-    /// when the span opened).
-    pub fn path(&self) -> Option<&str> {
-        self.path.as_deref()
+    /// The span's full dot-joined path.
+    pub fn path(&self) -> &str {
+        &self.path
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(path) = self.path.take() else { return };
+        let path = &self.path;
         let wall_ns = self.start.elapsed().as_nanos() as u64;
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -93,7 +85,7 @@ impl Drop for SpanGuard {
         if sink::sink_active() {
             sink::emit_line(&format!(
                 "{{\"type\":\"span\",\"path\":{},\"wall_ns\":{wall_ns}}}",
-                json::string(&path)
+                json::string(path)
             ));
         }
     }
@@ -105,18 +97,17 @@ mod tests {
 
     #[test]
     fn nested_spans_dot_join_paths() {
-        crate::set_enabled(true);
         {
             let outer = span("spantest.outer");
-            assert_eq!(outer.path(), Some("spantest.outer"));
+            assert_eq!(outer.path(), "spantest.outer");
             let inner = span("inner");
-            assert_eq!(inner.path(), Some("spantest.outer.inner"));
+            assert_eq!(inner.path(), "spantest.outer.inner");
         }
         // Siblings after the nest see the correct parent again.
         {
             let _outer = span("spantest.outer");
             let second = span("second");
-            assert_eq!(second.path(), Some("spantest.outer.second"));
+            assert_eq!(second.path(), "spantest.outer.second");
         }
         let snap = crate::global().snapshot();
         assert_eq!(snap.counter("span.spantest.outer.calls"), Some(2));
@@ -128,27 +119,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_are_inert() {
-        let was = crate::enabled();
-        crate::set_enabled(false);
-        {
-            let g = span("spantest.disabled");
-            assert_eq!(g.path(), None);
-        }
-        crate::set_enabled(was);
-        let snap = crate::global().snapshot();
-        assert_eq!(snap.counter("span.spantest.disabled.calls"), None);
-    }
-
-    #[test]
     fn span_stack_is_per_thread() {
-        crate::set_enabled(true);
         let _outer = span("spantest.main");
         let handle = std::thread::spawn(|| {
             // A fresh thread has an empty stack — no inherited parent.
             let g = span("spantest.worker");
-            g.path().map(str::to_string)
+            g.path().to_string()
         });
-        assert_eq!(handle.join().unwrap().as_deref(), Some("spantest.worker"));
+        assert_eq!(handle.join().unwrap(), "spantest.worker");
     }
 }

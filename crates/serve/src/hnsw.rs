@@ -604,8 +604,8 @@ impl HnswIndex {
     }
 }
 
-/// Fraction of `exact` ids recovered by `approx` — the recall@k both the
-/// tests and `bench_report --serve` report.
+/// Fraction of `exact` ids recovered by `approx` — the recall@k that the
+/// tests, `bench_report --dynamic` and `bench_e2e` gate on.
 pub fn recall_at_k(exact: &[Scored], approx: &[Scored]) -> f64 {
     if exact.is_empty() {
         return 1.0;

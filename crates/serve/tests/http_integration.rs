@@ -462,6 +462,58 @@ fn saturated_queue_sheds_with_503() {
 }
 
 #[test]
+fn fleet_sized_load_sheds_nothing() {
+    // A keep-alive connection holds its worker for its whole life, so a
+    // server with a worker per client plus spare must answer every request.
+    // Asserted on what the clients see: the process-wide `serve.http.shed`
+    // counter also counts the sheds of the saturation test.
+    let (clients, per_client, k) = (8usize, 250usize, 10usize);
+    let workers = clients + 2;
+    let (engine, handle) = server(HttpConfig {
+        workers,
+        queue_capacity: 4 * workers,
+        ..HttpConfig::default()
+    });
+    let addr = handle.addr();
+    let n = engine.snapshot().store.num_nodes();
+
+    let fleet: Vec<_> = (0..clients)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = HttpClient::connect(addr).unwrap();
+                for i in 0..per_client {
+                    let node = (c * per_client + i * 131) % n;
+                    let line = format!(r#"{{"op":"top_k","node":{node},"k":{k}}}"#);
+                    let r = client.post("/v1/query", &line).unwrap();
+                    assert_eq!(r.status, 200, "{}", r.text());
+                }
+            })
+        })
+        .collect();
+    for client in fleet {
+        client
+            .join()
+            .expect("a client saw a shed or a failed request");
+    }
+
+    // Then every client's queries at once, as one batch.
+    let total = clients * per_client;
+    let batch: String = (0..total)
+        .map(|i| {
+            format!(
+                "{{\"op\":\"top_k\",\"node\":{},\"k\":{k}}}\n",
+                (i * 131) % n
+            )
+        })
+        .collect();
+    let r = client::post(addr, "/v1/query_batch", &batch).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert_eq!(r.text().trim_end().lines().count(), total);
+
+    handle.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_and_queued() {
     let (_engine, handle) = server(HttpConfig {
         workers: 1,

@@ -30,7 +30,6 @@ fn train_karate() -> (AneciModel, TrainReport) {
 #[test]
 fn training_emits_documented_spans_and_metrics() {
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    obs::set_enabled(true);
     obs::global().reset();
 
     let (_, report) = train_karate();
@@ -86,7 +85,6 @@ fn training_emits_documented_spans_and_metrics() {
 #[test]
 fn deterministic_snapshot_is_thread_count_invariant() {
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    obs::set_enabled(true);
     pool::force_pool();
 
     obs::global().reset();
@@ -112,7 +110,6 @@ fn deterministic_snapshot_is_thread_count_invariant() {
 #[test]
 fn deterministic_filter_drops_timing_and_cache_metrics() {
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    obs::set_enabled(true);
     obs::global().reset();
 
     train_karate();
@@ -135,25 +132,4 @@ fn deterministic_filter_drops_timing_and_cache_metrics() {
             "deterministic snapshot leaked scheduling metric {name}"
         );
     }
-}
-
-#[test]
-fn disabling_telemetry_stops_recording() {
-    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    obs::global().reset();
-
-    obs::set_enabled(false);
-    train_karate();
-    let off = obs::global().snapshot();
-    obs::set_enabled(true);
-
-    assert_eq!(
-        off.counter("core.train.epochs").unwrap_or(0),
-        0,
-        "disabled telemetry must not record training metrics"
-    );
-    assert!(
-        off.counter("span.core.train.calls").unwrap_or(0) == 0,
-        "disabled telemetry must not record spans"
-    );
 }
