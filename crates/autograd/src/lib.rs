@@ -9,12 +9,11 @@
 //! * [`optim`] — `ParamSet` and Adam (with decoupled weight decay);
 //! * [`train`] — the shared [`train::Trainer`] engine: one epoch loop that
 //!   owns the tape-rebuild/backward/Adam-step cycle (stop rules, divergence
-//!   guard, telemetry) for the core model and every baseline;
-//! * [`train_batch`] — mini-batch training: deterministic
-//!   community-aware / GraphSAGE-style batch sampling
-//!   ([`train_batch::BatchSampler`]) and `Trainer::run_batched`, which
-//!   feeds a batch plan of [`train_batch::BatchTrainStep`] losses to the
-//!   same epoch loop;
+//!   guard, telemetry) for the core model and every baseline, over the
+//!   batches a [`train::TrainStep`] plans (one per epoch by default);
+//! * [`train_batch`] — deterministic batch plans: community-aware and
+//!   GraphSAGE-style sampling, or one full-graph batch
+//!   ([`train_batch::BatchSampler`]);
 //! * [`gradcheck`] — central-difference verification used throughout the
 //!   workspace's test suites.
 //!
@@ -40,7 +39,7 @@ pub use gradcheck::{check_gradient, GradCheck};
 pub use optim::{Adam, ParamSet};
 pub use tape::{BcePair, Tape, Var};
 pub use train::{Objective, StepOutput, StopRule, TrainError, TrainRun, TrainStep, Trainer};
-pub use train_batch::{BatchSampler, BatchStrategy, BatchTrainStep};
+pub use train_batch::{BatchSampler, BatchStrategy};
 
 #[cfg(test)]
 mod proptests {

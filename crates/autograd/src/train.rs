@@ -13,14 +13,15 @@
 //! * a [`ParamSet`] holding the trainable matrices,
 //! * the [`Adam`] optimizer that updates them,
 //! * a [`TrainStep`]: given a fresh tape and the parameter leaves, build
-//!   this epoch's loss. Plain closures `FnMut(&mut Tape, &[Var], usize) ->
-//!   Var` implement it directly; models with checkpoint-best/validation
-//!   logic implement the trait on a driver struct and use the
-//!   [`TrainStep::on_best`] / [`TrainStep::on_epoch`] hooks.
+//!   one batch's loss. Plain closures `FnMut(&mut Tape, &[Var], usize) ->
+//!   Var` implement it as one batch per epoch; models that plan batches or
+//!   keep checkpoint-best/validation state implement the trait on a driver
+//!   struct and use its [`TrainStep::plan`], [`TrainStep::on_best`] and
+//!   [`TrainStep::on_epoch`] hooks.
 //!
-//! One epoch loop serves both entry points: [`Trainer::run`] is its
-//! one-batch case, and [`Trainer::run_batched`] feeds it a batch plan. For
-//! each batch of an epoch the loop runs, in order:
+//! [`Trainer::run`] is the one epoch loop. Each epoch asks the step for its
+//! batch count ([`TrainStep::plan`], 1 by default) and, for each batch,
+//! runs in order:
 //!
 //! 1. fresh tape, [`ParamSet::leaf_all`], the step → loss;
 //! 2. **divergence guard** — a non-finite loss restores the last parameter
@@ -31,7 +32,7 @@
 //!    against the best so far and fires `on_best` *before* the optimizer
 //!    step (so snapshots capture the parameters that produced the metric);
 //! 4. backward, gradient collection and the Adam step (wrapped in a `step`
-//!    span when observability is on).
+//!    span when observability is on), then [`TrainStep::batch_done`].
 //!
 //! The epoch then closes with telemetry (`<prefix>.loss` and
 //! `<prefix>.grad_norm` histograms of the epoch means and a
@@ -83,21 +84,32 @@ impl From<Var> for StepOutput {
     }
 }
 
-/// One epoch of model-specific work. Implemented automatically by plain
-/// closures `FnMut(&mut Tape, &[Var], usize) -> Var`; models that need
-/// best-checkpoint snapshots implement it on a driver struct.
+/// The model-specific work of each epoch. Implemented automatically by
+/// plain closures `FnMut(&mut Tape, &[Var], usize) -> Var` as one batch per
+/// epoch; models that plan batches or need best-checkpoint snapshots
+/// implement it on a driver struct.
 pub trait TrainStep {
-    /// Builds this epoch's loss on a fresh tape. `params[i]` is the leaf
-    /// for [`ParamSet`] slot `i`, pushed in slot order.
-    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize) -> StepOutput;
+    /// Plans `epoch` and returns its batch count, at least 1.
+    fn plan(&mut self, _epoch: usize) -> usize {
+        1
+    }
+
+    /// Builds the loss of batch `batch` of `epoch` on a fresh tape.
+    /// `params[i]` is the leaf for [`ParamSet`] slot `i`, pushed in slot
+    /// order. The epoch's monitored metric is the mean of its batches'.
+    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, batch: usize) -> StepOutput;
+
+    /// Fires after each batch's optimizer step; `started` is when the
+    /// batch's tape was built.
+    fn batch_done(&mut self, _started: Instant) {}
 
     /// Fires when the monitored metric improves (and every epoch under
-    /// [`StopRule::FixedEpochs`]). `params` holds the *pre-step* values —
-    /// the ones that produced the improved metric — so cloning them here
-    /// implements best-checkpoint restoration exactly.
+    /// [`StopRule::FixedEpochs`]), on the epoch's last batch. `params` holds
+    /// the *pre-step* values — the ones that produced the improved metric —
+    /// so cloning them here implements best-checkpoint restoration exactly.
     fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {}
 
-    /// Fires at the end of every epoch, after the optimizer step.
+    /// Fires at the end of every epoch, after its last optimizer step.
     fn on_epoch(&mut self) {}
 }
 
@@ -105,7 +117,7 @@ impl<F> TrainStep for F
 where
     F: FnMut(&mut Tape, &[Var], usize) -> Var,
 {
-    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize) -> StepOutput {
+    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, _batch: usize) -> StepOutput {
         StepOutput::new(self(tape, params, epoch))
     }
 }
@@ -149,16 +161,6 @@ impl StopRule {
     pub fn maximize(patience: usize) -> Self {
         StopRule::BestMonitor {
             objective: Objective::Maximize,
-            patience,
-            min_delta: 0.0,
-        }
-    }
-
-    /// Track the lowest monitored value, stopping after `patience`
-    /// non-improving measurements (0 = track only).
-    pub fn minimize(patience: usize) -> Self {
-        StopRule::BestMonitor {
-            objective: Objective::Minimize,
             patience,
             min_delta: 0.0,
         }
@@ -216,48 +218,6 @@ impl fmt::Display for TrainError {
 
 impl Error for TrainError {}
 
-/// The model work of each epoch, as the one epoch loop sees it.
-/// [`Trainer::run`] and [`Trainer::run_batched`] each adapt their public
-/// step trait to it.
-pub(crate) trait Epochs {
-    /// Plans `epoch` and returns its batch count.
-    fn plan(&mut self, epoch: usize) -> usize;
-
-    /// Builds the loss of batch `batch` of `epoch` on a fresh tape.
-    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, batch: usize) -> StepOutput;
-
-    /// Fires after each batch's optimizer step; `started` is when the
-    /// batch's tape was built.
-    fn batch_done(&mut self, _started: Instant) {}
-
-    /// See [`TrainStep::on_best`].
-    fn on_best(&mut self, epoch: usize, params: &ParamSet);
-
-    /// See [`TrainStep::on_epoch`].
-    fn on_epoch(&mut self);
-}
-
-/// [`Trainer::run`]'s epochs: one batch each, the caller's [`TrainStep`].
-struct FullBatch<'s>(&'s mut dyn TrainStep);
-
-impl Epochs for FullBatch<'_> {
-    fn plan(&mut self, _epoch: usize) -> usize {
-        1
-    }
-
-    fn step(&mut self, tape: &mut Tape, params: &[Var], epoch: usize, _batch: usize) -> StepOutput {
-        self.0.step(tape, params, epoch)
-    }
-
-    fn on_best(&mut self, epoch: usize, params: &ParamSet) {
-        self.0.on_best(epoch, params);
-    }
-
-    fn on_epoch(&mut self) {
-        self.0.on_epoch();
-    }
-}
-
 /// The shared define-by-run training engine; see the module docs for the
 /// exact per-epoch pipeline.
 #[derive(Clone, Debug)]
@@ -292,27 +252,17 @@ impl Trainer {
         self
     }
 
-    /// Runs the training loop, one batch per epoch. On divergence the
-    /// parameters are rolled back to the last state that produced a finite
-    /// loss and [`TrainError::Diverged`] is returned; otherwise the full
-    /// loss trajectory and best-epoch bookkeeping come back as a
-    /// [`TrainRun`].
+    /// Runs the training loop: per epoch, `step.plan(epoch)` batches, each
+    /// on a fresh tape with its own backward and optimizer step. On
+    /// divergence the parameters are rolled back to the last state that
+    /// produced a finite loss and [`TrainError::Diverged`] is returned;
+    /// otherwise the loss trajectory (epoch means) and best-epoch
+    /// bookkeeping come back as a [`TrainRun`].
     pub fn run(
         &self,
         params: &mut ParamSet,
         opt: &mut Adam,
         step: &mut dyn TrainStep,
-    ) -> Result<TrainRun, TrainError> {
-        self.run_epochs(params, opt, &mut FullBatch(step))
-    }
-
-    /// The one epoch loop behind [`Trainer::run`] and
-    /// [`Trainer::run_batched`]; see the module docs.
-    pub(crate) fn run_epochs(
-        &self,
-        params: &mut ParamSet,
-        opt: &mut Adam,
-        epochs: &mut dyn Epochs,
     ) -> Result<TrainRun, TrainError> {
         let _run_span = self.obs_prefix.as_deref().map(aneci_obs::span);
         let obs = self.obs_prefix.as_deref().map(|p| {
@@ -337,7 +287,7 @@ impl Trainer {
         let mut last_good: Option<ParamSet> = None;
 
         for epoch in 0..self.epochs {
-            let batches = epochs.plan(epoch);
+            let batches = step.plan(epoch);
             assert!(batches > 0, "batch plan for epoch {epoch} is empty");
             // The sums start at -0.0, the identity of `+` (0.0 + -0.0 is
             // +0.0), so a one-batch epoch reports its batch's values bit
@@ -349,7 +299,7 @@ impl Trainer {
                 let started = Instant::now();
                 let mut tape = Tape::new();
                 let vars = params.leaf_all(&mut tape);
-                let out = epochs.step(&mut tape, &vars, epoch, batch);
+                let out = step.step(&mut tape, &vars, epoch, batch);
                 let loss = tape.scalar(out.loss);
 
                 if !loss.is_finite() {
@@ -371,7 +321,7 @@ impl Trainer {
                     match self.stop {
                         StopRule::FixedEpochs => {
                             run.best_epoch = epoch;
-                            epochs.on_best(epoch, params);
+                            step.on_best(epoch, params);
                         }
                         StopRule::BestMonitor {
                             objective,
@@ -389,7 +339,7 @@ impl Trainer {
                                 run.best_epoch = epoch;
                                 run.best_monitor = Some(m);
                                 stall = 0;
-                                epochs.on_best(epoch, params);
+                                step.on_best(epoch, params);
                             } else {
                                 stall += 1;
                             }
@@ -411,7 +361,7 @@ impl Trainer {
                 last_good = Some(params.clone());
                 opt.step(params, &grads);
                 gnorm_sum += norm;
-                epochs.batch_done(started);
+                step.batch_done(started);
             }
 
             let epoch_loss = loss_sum / batches as f64;
@@ -422,7 +372,7 @@ impl Trainer {
             }
             run.losses.push(epoch_loss);
             run.epochs_run = epoch + 1;
-            epochs.on_epoch();
+            step.on_epoch();
 
             if let StopRule::BestMonitor { patience, .. } = self.stop {
                 if patience > 0 && stall >= patience {
@@ -513,7 +463,7 @@ mod tests {
             inner: Box<dyn FnMut(&mut Tape, &[Var], usize) -> Var>,
         }
         impl TrainStep for Stalled {
-            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize) -> StepOutput {
+            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize, _: usize) -> StepOutput {
                 let loss = (self.inner)(tape, w, epoch);
                 // Monitor improves for 5 epochs, then goes flat.
                 let m = if epoch < 5 { epoch as f64 } else { 4.0 };
@@ -539,7 +489,7 @@ mod tests {
     fn unmonitored_epochs_are_skipped_by_the_stop_rule() {
         struct Probing;
         impl TrainStep for Probing {
-            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize) -> StepOutput {
+            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize, _: usize) -> StepOutput {
                 let loss = tape.frob_sq(w[0]);
                 // Probe every 4th epoch; the monitored value worsens so
                 // patience counts only probe epochs.
@@ -568,7 +518,7 @@ mod tests {
             seen: Vec<DenseMatrix>,
         }
         impl TrainStep for Snapshot {
-            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize) -> StepOutput {
+            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize, _: usize) -> StepOutput {
                 let loss = tape.frob_sq(w[0]);
                 StepOutput::with_monitor(loss, epoch as f64)
             }
@@ -594,6 +544,102 @@ mod tests {
         let mut expected = init();
         Adam::new(0.1).step(&mut expected, &[DenseMatrix::filled(1, 1, 8.0)]);
         assert_eq!(step.seen[1], *expected.get(0));
+    }
+
+    #[test]
+    fn multi_batch_epochs_keep_the_epoch_contract() {
+        // Per-batch monitors: epoch means 2, 3, 8/3, 4, 2, 1 improve at
+        // epochs 0, 1 and 3; batch 2 of epoch 2 and batch 0 of epoch 4
+        // would improve on their own.
+        const MONITORS: [[f64; 3]; 6] = [
+            [1.0, 2.0, 3.0],
+            [3.0, 3.0, 3.0],
+            [0.0, 0.0, 8.0],
+            [4.0, 4.0, 4.0],
+            [6.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0],
+        ];
+        /// Three batches per epoch: the quadratic bowl scaled by
+        /// `batch + 1`, NaN at `nan_at`.
+        struct Scripted {
+            nan_at: Option<(usize, usize)>,
+            /// Loss and parameters of every batch's forward pass.
+            seen: Vec<(f64, DenseMatrix)>,
+            best: Vec<(usize, DenseMatrix)>,
+        }
+        impl TrainStep for Scripted {
+            fn plan(&mut self, _epoch: usize) -> usize {
+                3
+            }
+            fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize, bi: usize) -> StepOutput {
+                let c = tape.constant(target());
+                let d = tape.sub(w[0], c);
+                let sq = tape.frob_sq(d);
+                let scale = if self.nan_at == Some((epoch, bi)) {
+                    f64::NAN
+                } else {
+                    (bi + 1) as f64
+                };
+                let loss = tape.scale(sq, scale);
+                self.seen
+                    .push((tape.scalar(loss), tape.value(w[0]).clone()));
+                StepOutput::with_monitor(loss, MONITORS[epoch][bi])
+            }
+            fn on_best(&mut self, epoch: usize, params: &ParamSet) {
+                self.best.push((epoch, params.get(0).clone()));
+            }
+        }
+        let train = |nan_at| {
+            let mut params = fresh_params();
+            let mut step = Scripted {
+                nan_at,
+                seen: Vec::new(),
+                best: Vec::new(),
+            };
+            let run = Trainer::new(MONITORS.len())
+                .stop(StopRule::maximize(2))
+                .run(&mut params, &mut Adam::new(0.05), &mut step);
+            (run, params, step)
+        };
+
+        let (run, _, step) = train(None);
+        let run = run.unwrap();
+        // Epoch loss: the mean of the three batch losses the step saw.
+        let means: Vec<f64> = step
+            .seen
+            .chunks(3)
+            .map(|b| (b[0].0 + b[1].0 + b[2].0) / 3.0)
+            .collect();
+        assert_eq!(run.losses, means);
+        // Epoch monitor: the batch mean; patience 2 counts stalled epochs
+        // (2, then 4 and 5), so the run stops after epoch 5.
+        let monitors: Vec<(usize, f64)> = [2.0, 3.0, 8.0 / 3.0, 4.0, 2.0, 1.0]
+            .into_iter()
+            .enumerate()
+            .collect();
+        assert_eq!(run.monitors, monitors);
+        assert_eq!((run.epochs_run, run.stopped_early), (6, true));
+        assert_eq!((run.best_epoch, run.best_monitor), (3, Some(4.0)));
+        // on_best: once per improving epoch, with the parameters the
+        // epoch's last batch saw, before its optimizer step.
+        let best: Vec<(usize, DenseMatrix)> = [0, 1, 3]
+            .into_iter()
+            .map(|e| (e, step.seen[3 * e + 2].1.clone()))
+            .collect();
+        assert_eq!(step.best, best);
+
+        // A NaN loss fails its epoch and restores the parameters of the
+        // last finite batch: the second batch of the same epoch, or the
+        // previous epoch's last batch.
+        for (nan_at, last_finite) in [((1, 2), 4), ((2, 0), 5)] {
+            let (run, params, step) = train(Some(nan_at));
+            let err = run.unwrap_err();
+            assert!(
+                matches!(err, TrainError::Diverged { epoch, loss } if epoch == nan_at.0 && loss.is_nan()),
+                "{err:?}"
+            );
+            assert_eq!(*params.get(0), step.seen[last_finite].1, "{nan_at:?}");
+        }
     }
 
     #[test]

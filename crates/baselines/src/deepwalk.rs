@@ -49,7 +49,7 @@ impl Default for DeepWalkConfig {
 }
 
 /// Generates the truncated-random-walk corpus.
-pub fn random_walks(
+fn random_walks(
     graph: &AttributedGraph,
     num_walks: usize,
     walk_length: usize,
@@ -132,7 +132,7 @@ pub fn deepwalk(graph: &AttributedGraph, config: &DeepWalkConfig) -> DenseMatrix
 
 /// Skip-gram-with-negative-sampling training over a fixed walk corpus.
 #[allow(clippy::needless_range_loop)] // window arithmetic is clearer with indices
-pub fn train_skipgram(
+fn train_skipgram(
     graph: &AttributedGraph,
     walks: &[Vec<u32>],
     config: &DeepWalkConfig,

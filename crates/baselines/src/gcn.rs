@@ -188,7 +188,7 @@ struct GcnStep<'a> {
 }
 
 impl TrainStep for GcnStep<'_> {
-    fn step(&mut self, tape: &mut Tape, w: &[Var], _epoch: usize) -> StepOutput {
+    fn step(&mut self, tape: &mut Tape, w: &[Var], _epoch: usize, _batch: usize) -> StepOutput {
         let logits = {
             let _s = span("encode");
             forward_train(

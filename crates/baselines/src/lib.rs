@@ -32,7 +32,7 @@ pub mod robust_gcn;
 pub mod sdne;
 pub mod spectral;
 
-pub use deepwalk::{deepwalk, random_walks, train_skipgram, DeepWalkConfig};
+pub use deepwalk::{deepwalk, DeepWalkConfig};
 pub use defense::RobustGcnDefense;
 pub use dgi::{Dgi, DgiConfig};
 pub use dominant::{Dominant, DominantConfig};

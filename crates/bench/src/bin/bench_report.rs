@@ -799,8 +799,8 @@ fn dynamic_bench() {
     }
 }
 
-/// Sum of the `train.batch.nodes` histogram — total nodes processed by the
-/// mini-batch engine since process start (deltas around a run give its
+/// Sum of the `train.batch.nodes` histogram — total nodes processed by
+/// either trainer since process start (deltas around a run give its
 /// throughput numerator).
 fn batch_nodes_sum() -> f64 {
     aneci_obs::global()

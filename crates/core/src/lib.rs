@@ -11,9 +11,10 @@
 //!   objective (Eq. 18), training with the paper's three stopping
 //!   strategies;
 //! * [`minibatch`] — million-node scale: [`MiniBatchTrainer`] trains the
-//!   same objective (the same loss code) on community-aware or
-//!   neighbor-sampled induced subgraphs, bit-exact with full-batch training
-//!   under the `FullGraph` strategy;
+//!   same objective through the same driver as [`model::AneciModel`], over
+//!   a community-aware or neighbor-sampled batch plan instead of the
+//!   full-graph one, and is bit-exact with full-batch training under the
+//!   `FullGraph` strategy;
 //! * [`anomaly`] — membership-entropy node anomaly scores, edge anomaly
 //!   scores, the defense score `DS(δ)` of Sec. VI-B1;
 //! * [`denoise`] — **AnECI+**, the two-stage denoising variant

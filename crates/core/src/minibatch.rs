@@ -1,27 +1,29 @@
 //! Mini-batch training of the AnECI objective (million-node scale).
 //!
 //! The full-batch path ([`AneciModel::train`](crate::model::AneciModel::train))
-//! materializes one loss over all `N` nodes per epoch; every operator it
-//! touches (`Â`, `Ã`, the dense reconstruction target) is sized `N×N`-ish,
-//! which caps it around the exact-recon threshold. [`MiniBatchTrainer`]
-//! trains the *same* objective on induced subgraphs instead:
+//! builds its operators once over all `N` nodes; every operator it touches
+//! (`Â`, `Ã`, the dense reconstruction target) is sized `N×N`-ish, which
+//! caps it around the exact-recon threshold. [`MiniBatchTrainer`] trains
+//! the *same* objective down the *same* path on induced subgraphs instead.
+//! Both trainers run one driver over a [`BatchSampler`] plan; the plan is
+//! the only difference:
 //!
 //! 1. a [`BatchSampler`] plans each epoch's batches — community-aware
 //!    subgraph sampling (sample communities, expand `l` hops) or
 //!    GraphSAGE-style uniform neighbor sampling;
-//! 2. per batch, the operators come from the model's own builder over the
-//!    batch's rows of the raw adjacency (`extract_submatrix`, then
-//!    [`HighOrder::build_rows`] — only the sampled rows, never `N×N`);
+//! 2. per batch, the driver builds the operators from the batch's rows of
+//!    the raw adjacency (`extract_submatrix`, then
+//!    [`HighOrder::build_rows`](aneci_graph::HighOrder::build_rows) — only
+//!    the sampled rows, never `N×N`), and keeps the latest batch's in a
+//!    one-entry cache;
 //! 3. the per-batch loss is the model's own `−β₁Q̃ + β₂L_R` on the induced
-//!    subgraph, driven through
-//!    [`Trainer::run_batched`](aneci_autograd::train::Trainer).
+//!    subgraph.
 //!
 //! **Parity contract** (pinned by the golden fixtures of
 //! `tests/trainer_parity.rs`): with [`BatchStrategy::FullGraph`] the batch
-//! operators are bit-exact copies of the full-batch ones, the loss is the
-//! same function, and the negative-sampling RNG walks the same
-//! `(seed, 0x5A3)` stream — so a one-batch run reproduces
-//! `AneciModel::train` bit for bit.
+//! operators are bit-exact copies of the full-batch ones, and the
+//! negative-sampling RNG walks the same `(seed, 0x5A3)` stream — so a
+//! one-batch run reproduces `AneciModel::train` bit for bit.
 //!
 //! For genuinely partial batches the kept embedding cannot be tracked
 //! per-epoch (each batch only sees its own rows), so the trainer keeps the
@@ -29,103 +31,13 @@
 
 use crate::config::{AneciConfig, StopStrategy};
 use crate::error::AneciError;
-use crate::model::{embed, engine, init_params, propagation, Operators, TrainReport, TrainState};
-use aneci_autograd::train::StepOutput;
-use aneci_autograd::train_batch::{BatchSampler, BatchTrainStep};
-use aneci_autograd::{ParamSet, Tape, Var};
-use aneci_graph::HighOrder;
+use crate::model::{embed, init_params, propagation, train_plan, TrainReport};
+use aneci_autograd::train_batch::BatchSampler;
+use aneci_autograd::ParamSet;
 use aneci_linalg::{CsrMatrix, DenseMatrix};
-use aneci_obs::span;
 use std::sync::Arc;
 
 pub use aneci_autograd::train_batch::BatchStrategy;
-
-/// Everything a batch's loss needs, extracted once from the global graph.
-/// Cached under the batch's node list so repeated plans (notably
-/// [`BatchStrategy::FullGraph`], which replays the same batch every epoch)
-/// skip the extraction entirely.
-struct BatchArtifacts {
-    nodes: Vec<usize>,
-    /// Feature rows of the batch, in batch order.
-    features: Arc<DenseMatrix>,
-    /// The batch's operators; `Ã` is restricted to the batch (rows *and*
-    /// columns).
-    ops: Operators,
-}
-
-impl BatchArtifacts {
-    fn build(
-        adjacency: &CsrMatrix,
-        features: &DenseMatrix,
-        config: &AneciConfig,
-        nodes: &[usize],
-    ) -> Self {
-        let _s = span("batch.prepare");
-        let sub = adjacency.extract_submatrix(nodes);
-        let ho = HighOrder::build_rows(adjacency, &config.proximity, nodes);
-        Self {
-            nodes: nodes.to_vec(),
-            features: Arc::new(features.select_rows(nodes)),
-            ops: Operators::new(&sub, ho, config),
-        }
-    }
-}
-
-/// [`BatchTrainStep`] driver: the model's joint loss on one induced
-/// subgraph per batch.
-struct MiniBatchStep<'m> {
-    config: &'m AneciConfig,
-    adjacency: &'m CsrMatrix,
-    features: &'m DenseMatrix,
-    state: TrainState,
-    cache: Option<BatchArtifacts>,
-}
-
-impl BatchTrainStep for MiniBatchStep<'_> {
-    fn step(
-        &mut self,
-        tape: &mut Tape,
-        w: &[Var],
-        _epoch: usize,
-        _batch_index: usize,
-        _batch_count: usize,
-        nodes: &[usize],
-    ) -> StepOutput {
-        if self.cache.as_ref().is_none_or(|c| c.nodes != nodes) {
-            // Free the previous batch's operators before building the next.
-            self.cache = None;
-            self.cache = Some(BatchArtifacts::build(
-                self.adjacency,
-                self.features,
-                self.config,
-                nodes,
-            ));
-        }
-        let art = self.cache.as_ref().unwrap();
-        let (pass, q) = self
-            .state
-            .forward(tape, w, &art.features, &art.ops, self.config);
-        self.state.cur_z =
-            (nodes.len() == self.adjacency.rows()).then(|| tape.value(pass.z).clone());
-        // Batch Q̃ values are epoch-averaged by `run_batched`.
-        let monitor =
-            matches!(self.config.stop, StopStrategy::EarlyStopModularity { .. }).then_some(q);
-        StepOutput {
-            loss: pass.loss,
-            monitor,
-        }
-    }
-
-    fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {
-        // Only full-coverage batches yield a complete Z to keep; partial
-        // plans fall back to the post-training forward pass.
-        self.state.keep_best();
-    }
-
-    fn on_epoch(&mut self) {
-        self.state.end_epoch();
-    }
-}
 
 /// Mini-batch trainer of the AnECI objective, for graphs too large for
 /// [`AneciModel`](crate::model::AneciModel)'s full-batch precomputation
@@ -176,7 +88,7 @@ impl MiniBatchTrainer {
         })
     }
 
-    /// Trains through the mini-batch engine: per epoch, `strategy` plans a
+    /// Trains through the one AnECI driver: per epoch, `strategy` plans a
     /// deterministic batch sequence (seeded from the config seed) and every
     /// batch optimizes the AnECI objective on its induced subgraph.
     /// `communities` (node → community id) is required by
@@ -188,8 +100,9 @@ impl MiniBatchTrainer {
     /// [`StopStrategy::FixedEpochs`] or
     /// [`StopStrategy::EarlyStopModularity`] — the latter monitors the
     /// epoch-mean batch Q̃. Arguments the sampler rejects (see
-    /// [`BatchSampler::try_new`]) report [`AneciError::Config`] too, before
-    /// any training starts.
+    /// [`BatchSampler::try_new`]) report [`AneciError::Config`] too, and a
+    /// graph with no nodes [`AneciError::Shape`], before any training
+    /// starts.
     ///
     /// With [`BatchStrategy::FullGraph`] this reproduces
     /// [`AneciModel::train`](crate::model::AneciModel::train) bit-exactly
@@ -209,21 +122,15 @@ impl MiniBatchTrainer {
         let sampler =
             BatchSampler::try_new(&self.adjacency, strategy, communities, self.config.seed)
                 .map_err(|e| AneciError::Config(format!("mini-batch strategy: {e}")))?;
-        let (trainer, mut opt) = engine(&self.config, false);
-        let mut driver = MiniBatchStep {
-            config: &self.config,
-            adjacency: &self.adjacency,
-            features: &self.features,
-            state: TrainState::new(&self.config),
-            cache: None,
-        };
-        let outcome = trainer.run_batched(
+        let (report, best_z) = train_plan(
+            &self.config,
             &mut self.params,
-            &mut opt,
-            &mut |e| sampler.epoch_plan(e),
-            &mut driver,
-        );
-        let (report, best_z) = driver.state.finish(outcome?);
+            &self.adjacency,
+            &self.features,
+            sampler,
+            None,
+            None,
+        )?;
         self.best_embedding = Some(match best_z {
             Some(z) => z,
             // Partial batches never see a full Z: keep the post-training
@@ -322,6 +229,29 @@ mod tests {
         assert_eq!(report.epochs_run, 10);
         assert!(report.losses.iter().all(|l| l.is_finite()));
         assert_eq!(mini.embedding().shape(), (34, 4));
+    }
+
+    #[test]
+    fn empty_graph_is_a_shape_error() {
+        let strategies = [
+            BatchStrategy::FullGraph,
+            BatchStrategy::CommunityAware {
+                communities_per_batch: 1,
+                hops: 1,
+                max_batch_nodes: 0,
+            },
+        ];
+        for strategy in strategies {
+            let mut mini = MiniBatchTrainer::try_new(
+                CsrMatrix::from_triplets(0, 0, &[]),
+                DenseMatrix::zeros(0, 3),
+                &fixed_cfg(1),
+            )
+            .unwrap();
+            let err = mini.train(strategy, Some(&[])).unwrap_err();
+            assert!(matches!(err, AneciError::Shape(_)), "{strategy:?}: {err}");
+            assert!(mini.best_embedding.is_none(), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -19,22 +19,25 @@
 //! summed) so `β₂` keeps the same meaning in exact and sampled modes.
 //!
 //! This module writes the objective once — the operators of a node set
-//! (`Operators::new`), the encoder, `joint_loss`, the weight initializer and
-//! the training engine — and [`crate::minibatch`] trains the same functions
-//! on induced subgraphs.
+//! (`Operators::new`), the encoder, `joint_loss` and the weight initializer
+//! — and trains it down one path: one driver runs the shared engine over a
+//! [`BatchSampler`] plan. [`AneciModel::train`] hands it the `FullGraph`
+//! plan with the model's prebuilt operators as the batch of nodes `0..N`;
+//! [`crate::minibatch`] hands it a sampling strategy's plan.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{AneciConfig, ReconMode, StopStrategy};
 use crate::error::AneciError;
-use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainRun, TrainStep, Trainer};
-use aneci_autograd::{Adam, BcePair, ParamSet, Tape, Var};
+use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainStep, Trainer};
+use aneci_autograd::{Adam, BatchSampler, BatchStrategy, BcePair, ParamSet, Tape, Var};
 use aneci_graph::{AttributedGraph, HighOrder};
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
-use aneci_obs::span;
+use aneci_obs::{span, Histogram};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A validation probe: maps `(epoch, Z)` to a score (higher is better).
 /// Drives [`crate::config::StopStrategy::ValidationBest`] checkpointing.
@@ -58,6 +61,7 @@ pub struct TrainReport {
 }
 
 /// The reconstruction target of `L_R` (Eq. 17).
+#[derive(Clone)]
 enum ReconTarget {
     /// `Ã` itself, for the exact loss over every pair.
     Dense(Arc<DenseMatrix>),
@@ -66,7 +70,9 @@ enum ReconTarget {
 }
 
 /// The fixed operators of the objective over one node set: the whole graph
-/// for [`AneciModel`], one induced subgraph per mini-batch.
+/// for [`AneciModel`], one induced subgraph per mini-batch. A clone shares
+/// the matrices and copies only the `N×1` column `k̃`.
+#[derive(Clone)]
 pub(crate) struct Operators {
     /// The GCN propagation operator `Â` (Eq. 2).
     norm_adj: Arc<CsrMatrix>,
@@ -135,11 +141,10 @@ pub(crate) fn init_params(num_features: usize, config: &AneciConfig) -> ParamSet
     params
 }
 
-/// The training engine of both paths: the stop rule for `config.stop`, and
-/// Adam. `probe` says whether a validation probe drives
-/// [`StopStrategy::ValidationBest`]: its score is maximized, the loss
-/// fallback minimized.
-pub(crate) fn engine(config: &AneciConfig, probe: bool) -> (Trainer, Adam) {
+/// The training engine: the stop rule for `config.stop`, and Adam. `probe`
+/// says whether a validation probe drives [`StopStrategy::ValidationBest`]:
+/// its score is maximized, the loss fallback minimized.
+fn engine(config: &AneciConfig, probe: bool) -> (Trainer, Adam) {
     let stop = match config.stop {
         StopStrategy::FixedEpochs => StopRule::FixedEpochs,
         // Strict comparison (margin 0): ties keep the earlier epoch.
@@ -304,100 +309,97 @@ fn reconstruction(
     }
 }
 
-/// What both training paths carry across epochs: the `(seed, 0x5A3)`
-/// negative-sampling stream, the per-epoch report rows with their Q̃
-/// telemetry, and the kept embedding. A full-batch epoch is one batch, so
-/// its epoch means are its values.
-pub(crate) struct TrainState {
-    rng: StdRng,
-    /// Negative-sampling scratch kept across batches.
-    negatives: Vec<BcePair>,
-    report: TrainReport,
-    obs_q: aneci_obs::Histogram,
-    obs_dq: aneci_obs::Histogram,
-    prev_q: Option<f64>,
-    /// Per-epoch accumulators, reset by `end_epoch`.
-    q_sum: f64,
-    rig_sum: f64,
-    batches: usize,
-    /// `Z` of the latest pass when it covered every node.
-    pub(crate) cur_z: Option<DenseMatrix>,
-    best_z: Option<DenseMatrix>,
+/// Everything one batch's loss needs: the batch's feature rows and its
+/// operators, keyed by its sorted node list.
+struct BatchArtifacts {
+    nodes: Vec<usize>,
+    /// Feature rows of the batch, in batch order.
+    features: Arc<DenseMatrix>,
+    /// The batch's operators; `Ã` is restricted to the batch (rows *and*
+    /// columns).
+    ops: Operators,
 }
 
-impl TrainState {
-    pub(crate) fn new(config: &AneciConfig) -> Self {
-        Self {
-            rng: seeded_rng(derive_seed(config.seed, 0x5A3)),
-            negatives: Vec::new(),
-            report: TrainReport::default(),
-            obs_q: aneci_obs::histogram("core.train.q_tilde"),
-            obs_dq: aneci_obs::histogram("core.train.delta_q"),
-            prev_q: None,
-            q_sum: 0.0,
-            rig_sum: 0.0,
-            batches: 0,
-            cur_z: None,
-            best_z: None,
-        }
-    }
-
-    /// [`joint_loss`] on this state's sampling stream, adding the pass's
-    /// `Q̃` and rigidity to the epoch means. Returns the pass and its `Q̃`.
-    pub(crate) fn forward(
-        &mut self,
-        tape: &mut Tape,
-        w: &[Var],
-        features: &Arc<DenseMatrix>,
-        ops: &Operators,
+impl BatchArtifacts {
+    /// Builds the operators of the subgraph induced by `nodes` from its rows
+    /// of the raw adjacency ([`HighOrder::build_rows`], never `N×N`).
+    fn build(
+        adjacency: &CsrMatrix,
+        features: &DenseMatrix,
         config: &AneciConfig,
-    ) -> (JointLoss, f64) {
-        let pass = joint_loss(
-            tape,
-            w,
-            features,
-            ops,
-            config,
-            &mut self.rng,
-            &mut self.negatives,
-        );
-        let q = tape.scalar(pass.q);
-        self.q_sum += q;
-        self.rig_sum += rigidity(tape.value(pass.p));
-        self.batches += 1;
-        (pass, q)
-    }
-
-    /// Keeps the latest full `Z` (the engine's `on_best`).
-    pub(crate) fn keep_best(&mut self) {
-        if self.cur_z.is_some() {
-            self.best_z = self.cur_z.clone();
+        nodes: &[usize],
+    ) -> Self {
+        let _s = span("batch.prepare");
+        let sub = adjacency.extract_submatrix(nodes);
+        let ho = HighOrder::build_rows(adjacency, &config.proximity, nodes);
+        Self {
+            nodes: nodes.to_vec(),
+            features: Arc::new(features.select_rows(nodes)),
+            ops: Operators::new(&sub, ho, config),
         }
     }
+}
 
-    /// Records the epoch means (the engine's `on_epoch`).
-    pub(crate) fn end_epoch(&mut self) {
-        let nb = self.batches.max(1) as f64;
-        let q_mean = self.q_sum / nb;
-        self.obs_q.observe(q_mean);
-        self.obs_dq.observe(q_mean - self.prev_q.unwrap_or(q_mean));
-        self.prev_q = Some(q_mean);
-        self.report.modularity.push(q_mean);
-        self.report.rigidity.push(self.rig_sum / nb);
-        self.q_sum = 0.0;
-        self.rig_sum = 0.0;
-        self.batches = 0;
+/// Trains `params` on the AnECI objective over `sampler`'s plan: the one
+/// training path of [`AneciModel::train`] and
+/// [`MiniBatchTrainer::train`](crate::minibatch::MiniBatchTrainer::train).
+/// `full_ops`, when given, are the operators of the whole graph, taken as
+/// the already-built batch of nodes `0..N`. Returns the report and the kept
+/// embedding, which only a batch covering every node yields.
+///
+/// Errors with [`AneciError::Shape`] on a graph with no nodes, before the
+/// engine runs, and with [`AneciError::Diverged`] when the loss goes
+/// non-finite (the engine has then restored the last finite parameters).
+pub(crate) fn train_plan(
+    config: &AneciConfig,
+    params: &mut ParamSet,
+    adjacency: &CsrMatrix,
+    features: &Arc<DenseMatrix>,
+    sampler: BatchSampler<'_>,
+    full_ops: Option<Operators>,
+    val_score: Option<ValProbe<'_>>,
+) -> Result<(TrainReport, Option<DenseMatrix>), AneciError> {
+    let n = adjacency.rows();
+    if n == 0 {
+        return Err(AneciError::Shape(
+            "cannot train on a graph with no nodes".into(),
+        ));
     }
-
-    /// The finished report, with the engine's losses and stop bookkeeping,
-    /// and the kept embedding.
-    pub(crate) fn finish(self, run: TrainRun) -> (TrainReport, Option<DenseMatrix>) {
-        let mut report = self.report;
-        report.losses = run.losses;
-        report.best_epoch = run.best_epoch;
-        report.epochs_run = run.epochs_run;
-        (report, self.best_z)
-    }
+    let (trainer, mut opt) = engine(config, val_score.is_some());
+    let mut driver = AneciStep {
+        config,
+        adjacency,
+        features,
+        sampler,
+        plan: Vec::new(),
+        cache: full_ops.map(|ops| BatchArtifacts {
+            nodes: (0..n).collect(),
+            features: Arc::clone(features),
+            ops,
+        }),
+        val_score,
+        rng: seeded_rng(derive_seed(config.seed, 0x5A3)),
+        negatives: Vec::new(),
+        report: TrainReport::default(),
+        prev_q: None,
+        q_sum: 0.0,
+        rig_sum: 0.0,
+        cur_z: None,
+        best_z: None,
+        obs_q: aneci_obs::histogram("core.train.q_tilde"),
+        obs_dq: aneci_obs::histogram("core.train.delta_q"),
+        obs_nodes: aneci_obs::histogram("train.batch.nodes"),
+        obs_sample_ns: aneci_obs::histogram_time_ns("train.batch.sample_ns"),
+        obs_step_ns: aneci_obs::histogram_time_ns("train.batch.step_ns"),
+    };
+    let run = trainer.run(params, &mut opt, &mut driver)?;
+    let report = TrainReport {
+        losses: run.losses,
+        best_epoch: run.best_epoch,
+        epochs_run: run.epochs_run,
+        ..driver.report
+    };
+    Ok((report, driver.best_z))
 }
 
 /// A trained (or in-training) AnECI model bound to one graph.
@@ -447,19 +449,24 @@ impl AneciModel {
     ///
     /// Errors with [`AneciError::Diverged`] when the loss goes non-finite;
     /// the parameters are rolled back to the last finite state, so the
-    /// model remains usable (e.g. for a warm restart at a lower LR).
+    /// model remains usable (e.g. for a warm restart at a lower LR). A
+    /// graph with no nodes is an [`AneciError::Shape`].
     pub fn train(&mut self, val_score: Option<ValProbe<'_>>) -> Result<TrainReport, AneciError> {
-        let (trainer, mut opt) = engine(&self.config, val_score.is_some());
-        let mut params = std::mem::take(&mut self.params);
-        let mut driver = AneciStep {
-            model: self,
+        let sampler = BatchSampler::new(
+            &self.adjacency,
+            BatchStrategy::FullGraph,
+            None,
+            self.config.seed,
+        );
+        let (report, best_z) = train_plan(
+            &self.config,
+            &mut self.params,
+            &self.adjacency,
+            &self.features,
+            sampler,
+            Some(self.ops.clone()),
             val_score,
-            state: TrainState::new(&self.config),
-        };
-        let outcome = trainer.run(&mut params, &mut opt, &mut driver);
-        let state = driver.state;
-        self.params = params;
-        let (report, best_z) = state.finish(outcome?);
+        )?;
         self.best_embedding = best_z;
         Ok(report)
     }
@@ -797,55 +804,145 @@ fn nmi_of(a: &[usize], b: &[usize]) -> f64 {
     mi / (0.5 * (entropy(&ma) + entropy(&mb))).max(1e-12)
 }
 
-/// Drives [`AneciModel::train`] through the shared [`Trainer`]: the joint
-/// loss on each epoch's fresh tape, plus validation probing and the
-/// between-probe kept embedding of [`StopStrategy::ValidationBest`].
-struct AneciStep<'m, 'v> {
-    model: &'m AneciModel,
+/// The one AnECI training driver, behind [`train_plan`]: per epoch, the
+/// sampler's plan; per batch, the joint loss on the batch's operators. It
+/// carries the negative-sampling stream, the per-epoch report rows (epoch
+/// means over the batches, so a one-batch epoch reports its batch's
+/// values), the `core.train.*` and `train.batch.*` telemetry, validation
+/// probing and the kept embedding.
+struct AneciStep<'a, 'v> {
+    config: &'a AneciConfig,
+    adjacency: &'a CsrMatrix,
+    features: &'a DenseMatrix,
+    sampler: BatchSampler<'a>,
+    /// The current epoch's batches.
+    plan: Vec<Vec<usize>>,
+    /// The latest batch's artifacts: a one-entry cache keyed by its nodes.
+    cache: Option<BatchArtifacts>,
     val_score: Option<ValProbe<'v>>,
-    state: TrainState,
+    /// The `(seed, 0x5A3)` negative-sampling stream.
+    rng: StdRng,
+    /// Negative-sampling scratch kept across batches.
+    negatives: Vec<BcePair>,
+    report: TrainReport,
+    prev_q: Option<f64>,
+    /// Per-epoch sums, reset by `on_epoch`.
+    q_sum: f64,
+    rig_sum: f64,
+    /// `Z` of the latest batch when it covered every node.
+    cur_z: Option<DenseMatrix>,
+    best_z: Option<DenseMatrix>,
+    obs_q: Histogram,
+    obs_dq: Histogram,
+    obs_nodes: Histogram,
+    obs_sample_ns: Histogram,
+    obs_step_ns: Histogram,
+}
+
+impl AneciStep<'_, '_> {
+    /// The [`StopStrategy::ValidationBest`] monitor of a full batch: the
+    /// probe's score on probe epochs, or the loss without a probe; `None`
+    /// between probes.
+    fn validate(
+        &mut self,
+        epoch: usize,
+        eval_every: usize,
+        z: &DenseMatrix,
+        loss: f64,
+    ) -> Option<f64> {
+        // Keep the first embedding until a probe improves on it.
+        if self.best_z.is_none() {
+            self.best_z = Some(z.clone());
+        }
+        if epoch % eval_every != eval_every - 1 && epoch + 1 != self.config.epochs {
+            return None;
+        }
+        let Some(probe) = self.val_score.as_mut() else {
+            return Some(loss);
+        };
+        let score = probe(epoch, z);
+        self.report.val_scores.push((epoch, score));
+        Some(score)
+    }
 }
 
 impl TrainStep for AneciStep<'_, '_> {
-    fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize) -> StepOutput {
-        let m = self.model;
-        let (pass, q) = self.state.forward(tape, w, &m.features, &m.ops, &m.config);
-        let z = tape.value(pass.z).clone();
-        let monitor = match m.config.stop {
-            StopStrategy::FixedEpochs => None,
-            // "observed modularity training loss": improvement means Q̃
-            // rising.
-            StopStrategy::EarlyStopModularity { .. } => Some(q),
-            StopStrategy::ValidationBest { eval_every } => {
-                // Keep the first embedding until a probe improves on it.
-                if self.state.best_z.is_none() {
-                    self.state.best_z = Some(z.clone());
-                }
-                let probe = epoch % eval_every == eval_every - 1 || epoch + 1 == m.config.epochs;
-                match self.val_score.as_mut() {
-                    Some(f) if probe => {
-                        let score = f(epoch, &z);
-                        self.state.report.val_scores.push((epoch, score));
-                        Some(score)
-                    }
-                    None if probe => Some(tape.scalar(pass.loss)),
-                    _ => None,
-                }
+    fn plan(&mut self, epoch: usize) -> usize {
+        let started = Instant::now();
+        self.plan = self.sampler.epoch_plan(epoch);
+        self.obs_sample_ns
+            .observe(started.elapsed().as_nanos() as f64);
+        self.plan.len()
+    }
+
+    fn step(&mut self, tape: &mut Tape, w: &[Var], epoch: usize, batch: usize) -> StepOutput {
+        let nodes = &self.plan[batch];
+        self.obs_nodes.observe(nodes.len() as f64);
+        let art = match &mut self.cache {
+            Some(art) if art.nodes == *nodes => art,
+            cache => {
+                // Free the previous batch's operators before building the next.
+                *cache = None;
+                cache.insert(BatchArtifacts::build(
+                    self.adjacency,
+                    self.features,
+                    self.config,
+                    nodes,
+                ))
             }
         };
-        self.state.cur_z = Some(z);
+        let pass = joint_loss(
+            tape,
+            w,
+            &art.features,
+            &art.ops,
+            self.config,
+            &mut self.rng,
+            &mut self.negatives,
+        );
+        let q = tape.scalar(pass.q);
+        self.q_sum += q;
+        self.rig_sum += rigidity(tape.value(pass.p));
+        let z = (nodes.len() == self.adjacency.rows()).then(|| tape.value(pass.z).clone());
+        let monitor = match self.config.stop {
+            StopStrategy::FixedEpochs => None,
+            // "observed modularity training loss": improvement means the
+            // epoch-mean Q̃ rising.
+            StopStrategy::EarlyStopModularity { .. } => Some(q),
+            // Validation probes need a full embedding.
+            StopStrategy::ValidationBest { eval_every } => z
+                .as_ref()
+                .and_then(|z| self.validate(epoch, eval_every, z, tape.scalar(pass.loss))),
+        };
+        self.cur_z = z;
         StepOutput {
             loss: pass.loss,
             monitor,
         }
     }
 
+    fn batch_done(&mut self, started: Instant) {
+        self.obs_step_ns
+            .observe(started.elapsed().as_nanos() as f64);
+    }
+
     fn on_best(&mut self, _epoch: usize, _params: &ParamSet) {
-        self.state.keep_best();
+        // Only a batch covering every node yields a `Z` to keep; partial
+        // plans fall back to the post-training forward pass.
+        if let Some(z) = self.cur_z.take() {
+            self.best_z = Some(z);
+        }
     }
 
     fn on_epoch(&mut self) {
-        self.state.end_epoch();
+        let batches = self.plan.len() as f64;
+        let q_mean = self.q_sum / batches;
+        self.obs_q.observe(q_mean);
+        self.obs_dq.observe(q_mean - self.prev_q.unwrap_or(q_mean));
+        self.prev_q = Some(q_mean);
+        self.report.modularity.push(q_mean);
+        self.report.rigidity.push(self.rig_sum / batches);
+        (self.q_sum, self.rig_sum) = (0.0, 0.0);
     }
 }
 
@@ -1227,6 +1324,24 @@ mod tests {
             fresh.params = model.params.clone();
             assert_eq!(one_step_grads(&model), one_step_grads(&fresh), "{recon:?}");
         }
+    }
+
+    #[test]
+    fn empty_graph_is_a_shape_error_until_a_delta_adds_nodes() {
+        let empty = AttributedGraph::from_edges(0, &[], DenseMatrix::zeros(0, 3), None);
+        let mut model = AneciModel::new(&empty, &quick_config(35));
+        let err = model.train(None).unwrap_err();
+        assert!(matches!(err, AneciError::Shape(_)), "{err}");
+        assert!(model.checkpoint().is_err(), "nothing was trained");
+        // The check runs at training time: a delta that adds nodes makes
+        // the same model trainable.
+        let delta = aneci_graph::GraphDelta::new()
+            .add_node(vec![1.0, 0.0, 0.0])
+            .add_node(vec![0.0, 1.0, 0.0])
+            .add_edge(0, 1);
+        let report = model.fine_tune(&delta, 2).unwrap();
+        assert_eq!(report.epochs_run, 2);
+        assert_eq!(model.embedding().rows(), 2);
     }
 
     #[test]

@@ -496,14 +496,6 @@ impl DenseMatrix {
         out
     }
 
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
-        self.rows_iter()
-            .map(|row| row.iter().zip(v).map(|(&a, &b)| a * b).sum())
-            .collect()
-    }
-
     /// Row-wise softmax (each output row sums to 1). Numerically stabilized.
     pub fn softmax_rows(&self) -> DenseMatrix {
         let mut out = self.clone();
@@ -978,12 +970,6 @@ mod tests {
         a.axpy(0.5, &b);
         assert_eq!(a, DenseMatrix::filled(2, 2, 2.0));
         assert_eq!(a.scale(2.0), DenseMatrix::filled(2, 2, 4.0));
-    }
-
-    #[test]
-    fn matvec_known() {
-        let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]

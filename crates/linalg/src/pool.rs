@@ -78,7 +78,7 @@ pub fn set_par_threshold(work: usize) {
 }
 
 /// The current serial/parallel work threshold.
-pub fn par_threshold() -> usize {
+fn par_threshold() -> usize {
     match THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
         0 => *env_threshold(),
         n => n,
@@ -288,7 +288,7 @@ impl Pool {
 
 /// Number of chunks `parallel_for` will use for `(items, grain)`.
 #[inline]
-pub fn chunk_count(items: usize, grain: usize) -> usize {
+fn chunk_count(items: usize, grain: usize) -> usize {
     items.div_ceil(grain.max(1))
 }
 
@@ -299,12 +299,6 @@ pub fn chunk_count(items: usize, grain: usize) -> usize {
 /// call is nested inside another `parallel_for`.
 pub fn parallel_for(items: usize, grain: usize, f: impl Fn(usize, usize) + Sync) {
     run_chunks(items, grain, &|_chunk, lo, hi| f(lo, hi));
-}
-
-/// Like [`parallel_for`] but also hands the chunk index to `f(chunk, lo,
-/// hi)`, for kernels that keep per-chunk scratch or output buffers.
-pub fn parallel_for_chunks(items: usize, grain: usize, f: impl Fn(usize, usize, usize) + Sync) {
-    run_chunks(items, grain, &f);
 }
 
 /// Maps every chunk to a value and returns them in **chunk order** (index

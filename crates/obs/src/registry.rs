@@ -381,15 +381,15 @@ impl HistogramSnapshot {
     }
 
     /// The `p50`/`p95`/`p99` members of this histogram's JSON object, each
-    /// preceded by `,` and `gap`; empty for a bucketless histogram.
-    fn json_percentiles(&self, gap: &str) -> String {
+    /// preceded by `, `; empty for a bucketless histogram.
+    fn json_percentiles(&self) -> String {
         [
             ("p50", self.p50()),
             ("p95", self.p95()),
             ("p99", self.p99()),
         ]
         .into_iter()
-        .filter_map(|(key, v)| v.map(|v| format!(",{gap}\"{key}\":{gap}{}", json::number(v))))
+        .filter_map(|(key, v)| v.map(|v| format!(", \"{key}\": {}", json::number(v))))
         .collect()
     }
 }
@@ -507,40 +507,10 @@ impl Snapshot {
                 json::number(h.min),
                 json::number(h.max),
                 json::number(h.mean()),
-                h.json_percentiles(" "),
+                h.json_percentiles(),
             ));
         }
         out.push_str("\n  }\n}\n");
-        out
-    }
-
-    /// One JSON line per metric — the JSONL telemetry form.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (n, v) in &self.counters {
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}\n",
-                json::string(n)
-            ));
-        }
-        for (n, v) in &self.gauges {
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json::string(n),
-                json::number(*v)
-            ));
-        }
-        for (n, h) in &self.histograms {
-            out.push_str(&format!(
-                "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}{}}}\n",
-                json::string(n),
-                h.count,
-                json::number(h.sum),
-                json::number(h.min),
-                json::number(h.max),
-                h.json_percentiles(""),
-            ));
-        }
         out
     }
 
@@ -706,10 +676,6 @@ mod tests {
         assert_eq!(hs.max, 4.0);
         assert!((hs.mean() - 0.0).abs() < 1e-12);
         assert_eq!((hs.p50(), hs.p95(), hs.p99()), (None, None, None));
-        assert_eq!(
-            snap.to_jsonl(),
-            "{\"type\":\"histogram\",\"name\":\"loss\",\"count\":5,\"sum\":0,\"min\":-4,\"max\":4}\n"
-        );
         for dump in [snap.to_json(), snap.render()] {
             assert!(dump.contains("mean") && !dump.contains("p50"), "{dump}");
         }
@@ -717,9 +683,6 @@ mod tests {
         reg.histogram_with("lat", &[1.0, 2.0]).observe(1.5);
         let snap = reg.snapshot();
         assert_eq!(snap.histogram("lat").unwrap().p50(), Some(1.5));
-        assert!(snap
-            .to_jsonl()
-            .contains(",\"p50\":1.5,\"p95\":1.5,\"p99\":1.5}"));
         assert!(snap
             .to_json()
             .contains(", \"p50\": 1.5, \"p95\": 1.5, \"p99\": 1.5}"));
@@ -767,7 +730,6 @@ mod tests {
         let (s1, s2) = (mk(), mk());
         assert_eq!(s1, s2);
         assert_eq!(s1.to_json(), s2.to_json());
-        assert_eq!(s1.to_jsonl(), s2.to_jsonl());
         // Name ordering is sorted regardless of registration order.
         assert_eq!(
             s1.counters

@@ -193,7 +193,7 @@ fn run() -> Result<(), String> {
     let workers = config.workers;
     let queue = config.queue_capacity;
     let handle = HttpServer::start(engine, config, args.addr.as_str())
-        .map_err(|e| format!("binding {}: {e}", args.addr))?;
+        .map_err(|e| format!("starting the server on {}: {e}", args.addr))?;
     let addr = handle.addr();
     eprintln!("listening on http://{addr} ({workers} workers, queue {queue})");
     if let Some(path) = &args.addr_file {

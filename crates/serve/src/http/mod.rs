@@ -67,4 +67,4 @@ pub mod server;
 
 pub use client::{ClientResponse, HttpClient};
 pub use parse::{ParseError, ParseLimits, Request};
-pub use server::{HttpConfig, HttpConfigBuilder, HttpServer, ServerHandle};
+pub use server::{HttpConfig, HttpServer, ServerHandle};

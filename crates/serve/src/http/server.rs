@@ -62,13 +62,10 @@ impl Default for HttpConfig {
 }
 
 impl HttpConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> HttpConfigBuilder {
-        HttpConfigBuilder::default()
-    }
-
-    /// Checks internal consistency; [`HttpConfigBuilder::build`] and
-    /// [`HttpServer::start`] both call this.
+    /// Checks internal consistency; [`HttpServer::start`] calls this, so a
+    /// nonsensical value (zero workers, a zero-byte body budget) is refused
+    /// before binding instead of surfacing later as a hung or
+    /// instantly-shed connection.
     pub fn validate(&self) -> Result<(), AneciError> {
         let bad = |msg: &str| Err(AneciError::Config(msg.into()));
         if self.workers == 0 {
@@ -87,80 +84,6 @@ impl HttpConfig {
             return bad("http: max_body_bytes must be positive");
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`HttpConfig`]. Fluent setters, and a [`build`]
-/// that returns a typed [`AneciError::Config`] instead of letting a
-/// nonsensical value (zero workers, zero-byte header budget) surface later
-/// as a hung or instantly-shed connection.
-///
-/// ```
-/// use aneci_serve::http::HttpConfig;
-///
-/// let config = HttpConfig::builder()
-///     .workers(4)
-///     .queue_capacity(64)
-///     .keep_alive(true)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.workers, 4);
-/// assert!(HttpConfig::builder().workers(0).build().is_err());
-/// ```
-///
-/// [`build`]: HttpConfigBuilder::build
-#[derive(Clone, Debug, Default)]
-pub struct HttpConfigBuilder {
-    config: HttpConfig,
-}
-
-impl HttpConfigBuilder {
-    /// Worker threads handling connections.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Accepted-connection queue depth before load shedding.
-    pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
-        self.config.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Serve multiple requests per connection.
-    pub fn keep_alive(mut self, keep_alive: bool) -> Self {
-        self.config.keep_alive = keep_alive;
-        self
-    }
-
-    /// Idle cap between requests and per-read stall cap within one.
-    pub fn idle_timeout(mut self, idle_timeout: Duration) -> Self {
-        self.config.idle_timeout = idle_timeout;
-        self
-    }
-
-    /// Request-line + header byte budget per request.
-    pub fn max_header_bytes(mut self, max_header_bytes: usize) -> Self {
-        self.config.max_header_bytes = max_header_bytes;
-        self
-    }
-
-    /// Body byte budget per request.
-    pub fn max_body_bytes(mut self, max_body_bytes: usize) -> Self {
-        self.config.max_body_bytes = max_body_bytes;
-        self
-    }
-
-    /// Expose the test-only `POST /v1/admin/attack` anomaly-injection route.
-    pub fn admin_attack(mut self, admin_attack: bool) -> Self {
-        self.config.admin_attack = admin_attack;
-        self
-    }
-
-    /// Validates and returns the finished config.
-    pub fn build(self) -> Result<HttpConfig, AneciError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -262,19 +185,19 @@ pub struct HttpServer;
 
 impl HttpServer {
     /// Binds `addr` (use port 0 for an ephemeral port), spawns the acceptor
-    /// and `config.workers` worker threads, and returns immediately.
+    /// and `config.workers` worker threads, and returns immediately. A
+    /// config [`HttpConfig::validate`] rejects fails with
+    /// [`std::io::ErrorKind::InvalidInput`] and its message, before binding.
     pub fn start(
         engine: Arc<QueryEngine>,
         config: HttpConfig,
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<ServerHandle> {
+        config
+            .validate()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let config = HttpConfig {
-            workers: config.workers.max(1),
-            queue_capacity: config.queue_capacity.max(1),
-            ..config
-        };
         let shared = Arc::new(Shared {
             engine,
             config,

@@ -51,6 +51,6 @@ pub use engine::{
     QueryResponse, Response,
 };
 pub use hnsw::{recall_at_k, HnswConfig, HnswIndex};
-pub use http::{HttpConfig, HttpConfigBuilder, HttpServer, ServerHandle};
+pub use http::{HttpConfig, HttpServer, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotHandle, SnapshotUpdate, VectorUpsert};
 pub use store::{EmbeddingStore, Metric, Scored};

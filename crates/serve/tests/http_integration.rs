@@ -65,6 +65,43 @@ fn read_to_eof(stream: &mut TcpStream) -> (u16, String) {
 }
 
 #[test]
+fn invalid_configs_are_refused_before_binding() {
+    let default_but = |invalidate: fn(&mut HttpConfig)| {
+        let mut config = HttpConfig::default();
+        invalidate(&mut config);
+        config
+    };
+    let cases = [
+        ("workers", default_but(|c| c.workers = 0)),
+        ("queue_capacity", default_but(|c| c.queue_capacity = 0)),
+        (
+            "idle_timeout",
+            default_but(|c| c.idle_timeout = Duration::ZERO),
+        ),
+        (
+            "max_header_bytes",
+            default_but(|c| c.max_header_bytes = 255),
+        ),
+        ("max_body_bytes", default_but(|c| c.max_body_bytes = 0)),
+    ];
+    // An address already taken: binding it would fail with another kind.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let engine = engine();
+    for (field, config) in cases {
+        let Err(err) = HttpServer::start(Arc::clone(&engine), config, taken.local_addr().unwrap())
+        else {
+            panic!("{field}: an invalid config started a server");
+        };
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{field}: {err}"
+        );
+        assert!(err.to_string().contains(field), "{field}: {err}");
+    }
+}
+
+#[test]
 fn healthz_query_metrics_round_trip() {
     let (engine, handle) = default_server();
     let addr = handle.addr();

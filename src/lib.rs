@@ -62,8 +62,8 @@ pub mod prelude {
     };
     pub use aneci_linalg::DenseMatrix;
     pub use aneci_serve::{
-        EmbeddingStore, EngineConfig, EngineConfigBuilder, HttpConfig, HttpConfigBuilder,
-        HttpServer, QueryEngine, QueryRequest, QueryResponse, ServerHandle, Snapshot,
-        SnapshotHandle, SnapshotUpdate, VectorUpsert,
+        EmbeddingStore, EngineConfig, EngineConfigBuilder, HttpConfig, HttpServer, QueryEngine,
+        QueryRequest, QueryResponse, ServerHandle, Snapshot, SnapshotHandle, SnapshotUpdate,
+        VectorUpsert,
     };
 }

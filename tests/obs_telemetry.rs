@@ -8,6 +8,7 @@
 
 use std::sync::Mutex;
 
+use aneci::autograd::BatchSampler;
 use aneci::linalg::pool;
 use aneci::obs;
 use aneci::prelude::*;
@@ -132,4 +133,77 @@ fn deterministic_filter_drops_timing_and_cache_metrics() {
             "deterministic snapshot leaked scheduling metric {name}"
         );
     }
+}
+
+/// Opened once per batch whose operators the trainer has to build.
+const PREPARE_CALLS: &str = "span.core.train.batch.prepare.calls";
+
+/// `(count, sum)` of a histogram in `snap`, `(0, 0)` when absent.
+fn count_and_sum(snap: &obs::Snapshot, name: &str) -> (u64, f64) {
+    snap.histogram(name).map_or((0, 0.0), |h| (h.count, h.sum))
+}
+
+#[test]
+fn batch_telemetry_counts_the_sampler_plans() {
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+
+    // Mini-batch: two community batches per epoch, each hop-expanded.
+    let graph = karate_club();
+    let labels = graph.labels.clone().expect("karate has factions");
+    let config = AneciConfig::builder()
+        .embed_dim(2)
+        .epochs(6)
+        .stop(StopStrategy::FixedEpochs)
+        .seed(42)
+        .build()
+        .expect("valid config");
+    let strategy = BatchStrategy::CommunityAware {
+        communities_per_batch: 1,
+        hops: 1,
+        max_batch_nodes: 0,
+    };
+    obs::global().reset();
+    let mut mini =
+        MiniBatchTrainer::try_new(graph.adjacency().clone(), graph.features().clone(), &config)
+            .expect("valid trainer");
+    let report = mini
+        .train(strategy, Some(&labels))
+        .expect("training failed");
+    let snap = obs::global().snapshot();
+
+    let sampler = BatchSampler::new(graph.adjacency(), strategy, Some(&labels), config.seed);
+    let plans: Vec<Vec<Vec<usize>>> = (0..report.epochs_run)
+        .map(|epoch| sampler.epoch_plan(epoch))
+        .collect();
+    let batches = plans.iter().map(Vec::len).sum::<usize>() as u64;
+    let nodes = plans.iter().flatten().map(Vec::len).sum::<usize>() as f64;
+    let epochs = report.epochs_run as u64;
+    assert_eq!(batches, 2 * epochs, "one batch per faction");
+    assert_eq!(
+        count_and_sum(&snap, "train.batch.nodes"),
+        (batches, nodes),
+        "one observation per planned batch, of its node count"
+    );
+    assert_eq!(count_and_sum(&snap, "train.batch.step_ns").0, batches);
+    assert_eq!(count_and_sum(&snap, "train.batch.sample_ns").0, epochs);
+    let prepared = snap.counter(PREPARE_CALLS).unwrap_or(0);
+    assert!(
+        (1..=batches).contains(&prepared),
+        "one prepare span per cache miss, got {prepared}"
+    );
+
+    // Full batch: one batch of every node per epoch, and its prebuilt
+    // operators never open a `batch.prepare` span.
+    obs::global().reset();
+    let (_, report) = train_karate();
+    let snap = obs::global().snapshot();
+    let epochs = report.epochs_run as u64;
+    let n = graph.num_nodes() as f64;
+    assert_eq!(
+        count_and_sum(&snap, "train.batch.nodes"),
+        (epochs, epochs as f64 * n)
+    );
+    assert_eq!(count_and_sum(&snap, "train.batch.step_ns").0, epochs);
+    assert_eq!(count_and_sum(&snap, "train.batch.sample_ns").0, epochs);
+    assert_eq!(snap.counter(PREPARE_CALLS).unwrap_or(0), 0);
 }

@@ -20,6 +20,10 @@
 //! The karate fixtures run the dense reconstruction loss. The sampled path
 //! (`ReconMode::Sampled`, the one every graph above `exact_recon_threshold`
 //! trains) has its own fixture on a 300-node SBM.
+//!
+//! A plain run compares the host's dispatch section; on an AVX2 host,
+//! `scalar_dispatch_matches_golden_fixtures` reruns the golden tests in a
+//! child with the scalar fallback forced, so both sections are checked.
 
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
@@ -411,4 +415,48 @@ fn sampled_recon_matches_golden_fixture() {
         lines
     });
     assert_golden("sampled_recon", &got);
+}
+
+/// Every test of this binary that compares a golden fixture.
+const GOLDEN_TESTS: [&str; 7] = [
+    "fixed_epochs_matches_reference_loop_bit_exactly",
+    "minibatch_full_graph_matches_reference_loop_bit_exactly",
+    "early_stop_modularity_matches_reference_loop_bit_exactly",
+    "minibatch_early_stop_matches_reference_loop_bit_exactly",
+    "validation_best_matches_reference_loop_bit_exactly",
+    "validation_loss_fallback_matches_reference_loop_bit_exactly",
+    "sampled_recon_matches_golden_fixture",
+];
+
+#[test]
+fn scalar_dispatch_matches_golden_fixtures() {
+    // Held while the child reads the fixtures, so a regenerating run here
+    // never rewrites one under it.
+    let _guard = lock_pool_config();
+    if !simd::avx2_active() {
+        // This process already compares the scalar section.
+        return;
+    }
+    // Dispatch latches on first use, so the scalar section needs a child
+    // started with the fallback forced. It only compares: a regeneration
+    // request does not reach it.
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", "--test-threads", "1"])
+        .args(GOLDEN_TESTS)
+        .env("ANECI_NO_SIMD", "1")
+        .env_remove("ANECI_REGEN_GOLDEN")
+        .output()
+        .expect("spawn the scalar-dispatch child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "scalar-dispatch child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ran = format!("{} passed", GOLDEN_TESTS.len());
+    assert!(
+        stdout.contains(&ran),
+        "the child ran other than the {} golden tests:\n{stdout}",
+        GOLDEN_TESTS.len()
+    );
 }
