@@ -84,18 +84,6 @@ fn time_both(reps: usize, mut f: impl FnMut()) -> (u64, u64) {
     (serial, pooled)
 }
 
-/// `(reference_ns, pooled_ns)` for `prune_top_k` at one `k`.
-fn time_prune(s: &CsrMatrix, k: usize) -> (u64, u64) {
-    let serial = time_best(5, || {
-        black_box(s.prune_top_k_reference(k));
-    });
-    pool::set_par_threshold(1);
-    let pooled = time_best(5, || {
-        black_box(s.prune_top_k_per_row(k));
-    });
-    (serial, pooled)
-}
-
 /// Random sparse square matrix with ~`deg` entries per row.
 fn random_csr(n: usize, deg: usize, seed: u64) -> CsrMatrix {
     let mut rng = seeded_rng(seed);
@@ -216,41 +204,6 @@ fn kernel_bench() {
         rows.push(Row {
             kernel: "spmm",
             shape: format!("4096^2(nnz={})", s.nnz()),
-            serial_ns: serial,
-            pooled_ns: pooled,
-        });
-    }
-
-    // Top-k pruning. Like matmul, the serial baseline is the retained
-    // reference implementation; the production kernel runs chunked with the
-    // threshold forced low.
-    {
-        let s = random_csr(8192, 16, 17);
-        let (serial, pooled) = time_prune(&s, 8);
-        rows.push(Row {
-            kernel: "prune_top_k",
-            shape: format!("8192x8192(nnz={}) k=8", s.nnz()),
-            serial_ns: serial,
-            pooled_ns: pooled,
-        });
-    }
-
-    // prune_top_k at its two skew extremes: tiny k on dense rows (selection
-    // dominates) and large k on sparse rows (rows pass through untouched).
-    {
-        let s = random_csr(2048, 192, 19);
-        let (serial, pooled) = time_prune(&s, 4);
-        rows.push(Row {
-            kernel: "prune_top_k",
-            shape: format!("2048x2048(nnz={}) k=4", s.nnz()),
-            serial_ns: serial,
-            pooled_ns: pooled,
-        });
-        let s = random_csr(16384, 8, 23);
-        let (serial, pooled) = time_prune(&s, 64);
-        rows.push(Row {
-            kernel: "prune_top_k",
-            shape: format!("16384x16384(nnz={}) k=64", s.nnz()),
             serial_ns: serial,
             pooled_ns: pooled,
         });

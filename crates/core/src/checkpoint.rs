@@ -466,6 +466,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_proximity_weights_are_a_format_error() {
+        let mut ckpt = Checkpoint {
+            config: AneciConfig::default(),
+            embedding: DenseMatrix::zeros(2, 2),
+            membership: DenseMatrix::zeros(2, 2),
+            weights: Vec::new(),
+        };
+        ckpt.config.proximity.weights.clear();
+        let bytes = ckpt.to_bytes().unwrap();
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::Format(_))
+        ));
+    }
+
+    #[test]
     fn error_messages_distinguish_kinds() {
         let err = Checkpoint::from_bytes(b"short").unwrap_err();
         assert!(err.to_string().contains("too short"), "{err}");

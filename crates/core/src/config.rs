@@ -13,11 +13,18 @@ use crate::error::AneciError;
 use aneci_graph::ProximityConfig;
 use serde::{Deserialize, Serialize};
 
+/// The encoder's LeakyReLU negative slope (`a = 0.01`, Sec. IV-B).
+pub const LEAKY_ALPHA: f64 = 0.01;
+
+/// Node count above which [`ReconMode::Auto`] switches from the exact to the
+/// sampled reconstruction loss.
+pub const EXACT_RECON_MAX_NODES: usize = 1800;
+
 /// How the high-order reconstruction loss `L_R` (Eq. 17) is evaluated.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ReconMode {
-    /// Exact dense double sum over all `N²` pairs. Used automatically below
-    /// [`AneciConfig::exact_recon_threshold`] nodes.
+    /// Exact dense double sum over all `N²` pairs. Used automatically up to
+    /// [`EXACT_RECON_MAX_NODES`] nodes.
     Exact,
     /// Negative-sampled estimate: every stored entry of `Ã` is a positive
     /// pair; `neg_ratio` × as many uniformly-random zero pairs are drawn
@@ -26,8 +33,8 @@ pub enum ReconMode {
         /// Number of negative pairs per positive pair.
         neg_ratio: usize,
     },
-    /// Choose per graph: `Exact` for small graphs, `Sampled` above the
-    /// threshold.
+    /// Choose per graph: `Exact` up to [`EXACT_RECON_MAX_NODES`] nodes,
+    /// `Sampled` above it.
     Auto,
 }
 
@@ -59,8 +66,6 @@ pub struct AneciConfig {
     /// Embedding size `h` (the second GCN layer's width). For community
     /// tasks the paper sets `h = |C|` so `P = softmax(Z)` is the membership.
     pub embed_dim: usize,
-    /// LeakyReLU negative slope (`a = 0.01` in the paper).
-    pub leaky_alpha: f64,
     /// High-order proximity construction (Definition 3).
     pub proximity: ProximityConfig,
     /// Weight `β₁` on the (negated) modularity `Q̃` in Eq. 18.
@@ -77,8 +82,6 @@ pub struct AneciConfig {
     pub stop: StopStrategy,
     /// Reconstruction-loss evaluation mode.
     pub recon: ReconMode,
-    /// Node count above which `ReconMode::Auto` switches to sampling.
-    pub exact_recon_threshold: usize,
     /// RNG seed (weights + negative sampling).
     pub seed: u64,
 }
@@ -88,7 +91,6 @@ impl Default for AneciConfig {
         Self {
             hidden_dim: 64,
             embed_dim: 16,
-            leaky_alpha: 0.01,
             proximity: ProximityConfig::uniform(2),
             beta1: 1.0,
             beta2: 1.0,
@@ -97,7 +99,6 @@ impl Default for AneciConfig {
             epochs: 150,
             stop: StopStrategy::ValidationBest { eval_every: 10 },
             recon: ReconMode::Auto,
-            exact_recon_threshold: 1800,
             seed: 0,
         }
     }
@@ -158,6 +159,9 @@ impl AneciConfig {
         if self.epochs == 0 {
             return bad("epochs must be positive");
         }
+        if self.proximity.weights.is_empty() {
+            return bad("proximity needs at least one weight");
+        }
         if self.lr <= 0.0 {
             return bad("learning rate must be positive");
         }
@@ -214,12 +218,6 @@ impl AneciConfigBuilder {
         self
     }
 
-    /// LeakyReLU negative slope.
-    pub fn leaky_alpha(mut self, v: f64) -> Self {
-        self.config.leaky_alpha = v;
-        self
-    }
-
     /// High-order proximity construction (Definition 3).
     pub fn proximity(mut self, v: ProximityConfig) -> Self {
         self.config.proximity = v;
@@ -265,12 +263,6 @@ impl AneciConfigBuilder {
     /// Reconstruction-loss evaluation mode.
     pub fn recon(mut self, v: ReconMode) -> Self {
         self.config.recon = v;
-        self
-    }
-
-    /// Node count above which [`ReconMode::Auto`] switches to sampling.
-    pub fn exact_recon_threshold(mut self, v: usize) -> Self {
-        self.config.exact_recon_threshold = v;
         self
     }
 
@@ -370,5 +362,20 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+        let c = AneciConfig {
+            proximity: ProximityConfig { weights: vec![] },
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+    }
+
+    /// The `CFG` section of a checkpoint written when the config still had
+    /// five more settable values (two here, three in the proximity) decodes
+    /// to the default: unknown keys are ignored.
+    #[test]
+    fn config_json_with_retired_keys_decodes() {
+        let json = include_str!("../tests/data/config_with_retired_keys.json");
+        let cfg: AneciConfig = serde_json::from_str(json).unwrap();
+        assert_eq!(cfg, AneciConfig::default());
     }
 }

@@ -20,7 +20,7 @@
 //! mask.
 
 use crate::anomaly::combined_anomaly_scores;
-use crate::config::AneciConfig;
+use crate::config::{AneciConfig, LEAKY_ALPHA};
 use crate::denoise::{aneci_plus, DenoiseConfig};
 use crate::error::AneciError;
 use crate::model::train_aneci;
@@ -180,10 +180,9 @@ impl SmoothedEncoder {
         w1: &DenseMatrix,
         w2: &DenseMatrix,
     ) -> DenseMatrix {
-        let alpha = self.config.leaky_alpha;
         let xw = graph.features().matmul(w1);
         let h1 = adj.spmm_dense(&xw);
-        let a1 = h1.map(|x| if x >= 0.0 { x } else { alpha * x });
+        let a1 = h1.map(|x| if x >= 0.0 { x } else { LEAKY_ALPHA * x });
         let hw = a1.matmul(w2);
         adj.spmm_dense(&hw)
     }

@@ -135,12 +135,7 @@ impl MiniBatchTrainer {
             Some(z) => z,
             // Partial batches never see a full Z: keep the post-training
             // forward pass (the standard GraphSAGE-style serving answer).
-            None => embed(
-                &self.params,
-                &self.features,
-                &propagation(&self.adjacency),
-                self.config.leaky_alpha,
-            ),
+            None => embed(&self.params, &self.features, &propagation(&self.adjacency)),
         });
         Ok(report)
     }

@@ -7,9 +7,11 @@
 //!    them; the output is the embedding `Z ∈ R^{N×h}` and the soft community
 //!    membership `P = softmax(Z)` (Eq. 3).
 //! 2. **Community preservation** (Sec. IV-C): the generalized modularity
-//!    `Q̃ = tr(Pᵀ B̃ P) / (2M̃)` (Eq. 14) over the high-order proximity `Ã`
-//!    with `B̃_ij = Ã_ij − k̃_i k̃_j / (2M̃)`; computed in fused form
-//!    `[Σ(P ⊙ ÃP) − ‖Pᵀk̃‖²/(2M̃)] / (2M̃)` so `B̃` is never materialized.
+//!    `Q̃ = tr(Pᵀ B̃ P) / M̃` (Eq. 14) over the high-order proximity `Ã`
+//!    with `B̃_ij = Ã_ij − k̃_i k̃_j / M̃`, where the paper's `2M̃` is the
+//!    total mass `M̃ = Σ_ij Ã_ij` (see the convention note on
+//!    `modularity`); computed in fused form `[Σ(P ⊙ ÃP) − ‖Pᵀk̃‖²/M̃] / M̃`
+//!    so `B̃` is never materialized.
 //! 3. **Decoder** (Sec. IV-D): `Â = sigmoid(P Pᵀ)` reconstructing `Ã` under
 //!    the generalized cross-entropy `L_R` (Eq. 17) — exact on small graphs,
 //!    negative-sampled on large ones.
@@ -26,7 +28,7 @@
 //! [`crate::minibatch`] hands it a sampling strategy's plan.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{AneciConfig, ReconMode, StopStrategy};
+use crate::config::{AneciConfig, ReconMode, StopStrategy, EXACT_RECON_MAX_NODES, LEAKY_ALPHA};
 use crate::error::AneciError;
 use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainStep, Trainer};
 use aneci_autograd::{Adam, BatchSampler, BatchStrategy, BcePair, ParamSet, Tape, Var};
@@ -90,12 +92,12 @@ impl Operators {
     /// `adjacency` and high-order proximity `ho`: [`HighOrder::build`] for a
     /// whole graph, [`HighOrder::build_rows`] for a batch. The target is
     /// dense under [`ReconMode::Exact`], and under [`ReconMode::Auto`] up to
-    /// `exact_recon_threshold` nodes; otherwise it is the positive pairs.
+    /// [`EXACT_RECON_MAX_NODES`] nodes; otherwise it is the positive pairs.
     pub(crate) fn new(adjacency: &CsrMatrix, ho: HighOrder, config: &AneciConfig) -> Self {
         let exact = match config.recon {
             ReconMode::Exact => true,
             ReconMode::Sampled { .. } => false,
-            ReconMode::Auto => adjacency.rows() <= config.exact_recon_threshold,
+            ReconMode::Auto => adjacency.rows() <= EXACT_RECON_MAX_NODES,
         };
         let target = if exact {
             ReconTarget::Dense(Arc::new(ho.a_tilde.to_dense()))
@@ -180,11 +182,10 @@ fn encode(
     w: &[Var],
     features: &Arc<DenseMatrix>,
     norm_adj: &Arc<CsrMatrix>,
-    leaky_alpha: f64,
 ) -> Var {
     let xw = tape.matmul_const(features, w[0]);
     let h1 = tape.spmm(norm_adj, xw);
-    let a1 = tape.leaky_relu(h1, leaky_alpha);
+    let a1 = tape.leaky_relu(h1, LEAKY_ALPHA);
     let hw = tape.matmul(a1, w[1]);
     tape.spmm(norm_adj, hw)
 }
@@ -194,11 +195,10 @@ pub(crate) fn embed(
     params: &ParamSet,
     features: &Arc<DenseMatrix>,
     norm_adj: &Arc<CsrMatrix>,
-    leaky_alpha: f64,
 ) -> DenseMatrix {
     let mut tape = Tape::new();
     let w = params.leaf_all(&mut tape);
-    let z = encode(&mut tape, &w, features, norm_adj, leaky_alpha);
+    let z = encode(&mut tape, &w, features, norm_adj);
     tape.value(z).clone()
 }
 
@@ -229,7 +229,7 @@ fn joint_loss(
 ) -> JointLoss {
     let (z, p) = {
         let _s = span("encode");
-        let z = encode(tape, w, features, &ops.norm_adj, config.leaky_alpha);
+        let z = encode(tape, w, features, &ops.norm_adj);
         (z, tape.softmax_rows(z))
     };
     let q = {
@@ -475,12 +475,7 @@ impl AneciModel {
     /// training this is the untrained (Laplacian-smoothing) encoder output,
     /// which the ablation study (Table IV "+Encoder") uses directly.
     pub fn forward_embedding(&self) -> DenseMatrix {
-        embed(
-            &self.params,
-            &self.features,
-            &self.ops.norm_adj,
-            self.config.leaky_alpha,
-        )
+        embed(&self.params, &self.features, &self.ops.norm_adj)
     }
 
     /// The kept embedding matrix `Z` (after [`AneciModel::train`]).
@@ -692,7 +687,7 @@ impl AneciModel {
         let stats = DriftStats {
             q_tilde: self.q_tilde_of(&membership),
             oracle_q_tilde: self.q_tilde_of(&oracle.membership()),
-            nmi: nmi_of(&self.communities(), &oracle.communities()),
+            nmi: aneci_eval::nmi(&self.communities(), &oracle.communities()),
         };
         if stats.q_tilde < stats.oracle_q_tilde - guard.q_tolerance || stats.nmi < guard.min_nmi {
             return Err(AneciError::Drift {
@@ -762,46 +757,6 @@ pub struct DriftStats {
     pub oracle_q_tilde: f64,
     /// NMI between the two community assignments.
     pub nmi: f64,
-}
-
-/// NMI between two hard community assignments (normalized by the mean
-/// entropy). Local implementation — `aneci-eval` depends on this crate, so
-/// the drift oracle cannot call it without a cycle.
-fn nmi_of(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len(), "assignment length mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    let n = a.len() as f64;
-    let ka = a.iter().max().unwrap() + 1;
-    let kb = b.iter().max().unwrap() + 1;
-    let mut joint = vec![0usize; ka * kb];
-    let mut ma = vec![0usize; ka];
-    let mut mb = vec![0usize; kb];
-    for (&x, &y) in a.iter().zip(b) {
-        joint[x * kb + y] += 1;
-        ma[x] += 1;
-        mb[y] += 1;
-    }
-    let mut mi = 0.0;
-    for x in 0..ka {
-        for y in 0..kb {
-            let nxy = joint[x * kb + y] as f64;
-            if nxy > 0.0 {
-                mi += nxy / n * ((nxy * n) / (ma[x] as f64 * mb[y] as f64)).ln();
-            }
-        }
-    }
-    let entropy = |c: &[usize]| -> f64 {
-        c.iter()
-            .filter(|&&v| v > 0)
-            .map(|&v| {
-                let p = v as f64 / n;
-                -p * p.ln()
-            })
-            .sum()
-    };
-    mi / (0.5 * (entropy(&ma) + entropy(&mb))).max(1e-12)
 }
 
 /// The one AnECI training driver, behind [`train_plan`]: per epoch, the
@@ -1113,39 +1068,7 @@ mod tests {
         let (model, _) = train_aneci(&g, &cfg).unwrap();
         let pred = model.communities();
         let truth = g.labels.as_ref().unwrap();
-        let nmi = {
-            // lightweight local NMI to avoid a dev-dependency cycle with eval
-            let n = pred.len() as f64;
-            let ka = 3;
-            let kb = 3;
-            let mut joint = vec![vec![0usize; kb]; ka];
-            let mut ma = vec![0usize; ka];
-            let mut mb = vec![0usize; kb];
-            for (&x, &y) in pred.iter().zip(truth) {
-                joint[x.min(ka - 1)][y] += 1;
-                ma[x.min(ka - 1)] += 1;
-                mb[y] += 1;
-            }
-            let mut mi = 0.0;
-            for x in 0..ka {
-                for y in 0..kb {
-                    let nxy = joint[x][y] as f64;
-                    if nxy > 0.0 {
-                        mi += nxy / n * ((nxy * n) / (ma[x] as f64 * mb[y] as f64)).ln();
-                    }
-                }
-            }
-            let h = |c: &[usize]| -> f64 {
-                c.iter()
-                    .filter(|&&v| v > 0)
-                    .map(|&v| {
-                        let p = v as f64 / n;
-                        -p * p.ln()
-                    })
-                    .sum()
-            };
-            mi / (0.5 * (h(&ma) + h(&mb))).max(1e-12)
-        };
+        let nmi = aneci_eval::nmi(&pred, truth);
         assert!(nmi > 0.6, "NMI = {nmi}");
     }
 
@@ -1345,6 +1268,20 @@ mod tests {
     }
 
     #[test]
+    fn empty_proximity_weights_are_a_config_error() {
+        let g = karate_club();
+        let mut cfg = quick_config(36);
+        cfg.proximity.weights.clear();
+        let err = AneciModel::try_new(&g, &cfg).err().expect("empty weights");
+        assert!(matches!(err, AneciError::Config(_)), "{err}");
+        let err =
+            crate::MiniBatchTrainer::try_new(g.adjacency().clone(), g.features().clone(), &cfg)
+                .err()
+                .expect("empty weights");
+        assert!(matches!(err, AneciError::Config(_)), "{err}");
+    }
+
+    #[test]
     fn fine_tune_zero_epochs_is_a_config_error() {
         let g = karate_club();
         let mut model = AneciModel::new(&g, &quick_config(32));
@@ -1374,6 +1311,25 @@ mod tests {
         assert_eq!(report.epochs_run, 40);
         let stats = stats.expect("check_every=1 must run the oracle");
         assert!(stats.nmi >= 0.1, "NMI vs oracle: {}", stats.nmi);
+    }
+
+    /// With one community, the model and the oracle both put every node in
+    /// it: two identical trivial partitions, which agree perfectly.
+    #[test]
+    fn drift_check_scores_two_trivial_partitions_as_agreeing() {
+        let g = karate_club();
+        let mut cfg = quick_config(33);
+        cfg.embed_dim = 1;
+        let mut model = AneciModel::new(&g, &cfg);
+        model.train(None).unwrap();
+        let delta = aneci_graph::GraphDelta::new().add_edge(4, 12);
+        let guard = DriftGuard {
+            check_every: 1,
+            ..DriftGuard::default()
+        };
+        let (_, stats) = model.fine_tune_guarded(&delta, 1, &guard).unwrap();
+        let stats = stats.expect("check_every=1 must run the oracle");
+        assert_eq!(stats.nmi, 1.0);
     }
 
     use aneci_linalg::rng::seeded_rng;

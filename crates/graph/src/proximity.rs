@@ -1,6 +1,7 @@
-//! High-order proximity (Definition 3 of the paper).
+//! High-order proximity (Definitions 2–3 of the paper).
 //!
-//! `Ã = f(w₁A + w₂A² + … + w_l A^l)` where `f` is row-wise normalization.
+//! `Ã = f(w₁B + w₂B² + … + w_l B^l)` with `B = A + I` (Definition 2 adds
+//! self-connections) and `f` the row-wise normalization of Definition 3.
 //! Alongside `Ã`, the modularity needs the *high-order degrees*
 //! `k̃_i = Σ_j Ã_ij` and the total mass `M̃ = Σ_ij Ã_ij` (Sec. IV-C3); the
 //! triple is bundled in [`HighOrder`].
@@ -16,15 +17,6 @@ pub struct ProximityConfig {
     /// Per-order weights `w = [w₁, …, w_l]`; the length determines the
     /// order `l`. The paper's default is uniform weights over `l = 2`.
     pub weights: Vec<f64>,
-    /// Whether to apply the row normalization `f(·)` of Definition 3.
-    pub row_normalize: bool,
-    /// Optional per-row top-k pruning applied to each power before summing;
-    /// bounds densification on hub-heavy graphs. `None` = exact.
-    pub top_k: Option<usize>,
-    /// Whether `A` gets self-loops before taking powers. The paper's
-    /// Definition 2 adds self-connections to the adjacency, which keeps each
-    /// node in its own high-order neighbourhood.
-    pub self_loops: bool,
 }
 
 impl ProximityConfig {
@@ -33,43 +25,12 @@ impl ProximityConfig {
         assert!(order >= 1, "proximity order must be at least 1");
         Self {
             weights: vec![1.0 / order as f64; order],
-            row_normalize: true,
-            top_k: None,
-            self_loops: true,
-        }
-    }
-
-    /// Geometric decaying weights `w_l ∝ decay^(l-1)`.
-    pub fn geometric(order: usize, decay: f64) -> Self {
-        assert!(order >= 1, "proximity order must be at least 1");
-        let mut weights: Vec<f64> = (0..order).map(|l| decay.powi(l as i32)).collect();
-        let total: f64 = weights.iter().sum();
-        for w in &mut weights {
-            *w /= total;
-        }
-        Self {
-            weights,
-            row_normalize: true,
-            top_k: None,
-            self_loops: true,
         }
     }
 
     /// The order `l`.
     pub fn order(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Builder: sets top-k pruning.
-    pub fn with_top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k);
-        self
-    }
-
-    /// Builder: toggles self-loops.
-    pub fn with_self_loops(mut self, yes: bool) -> Self {
-        self.self_loops = yes;
-        self
     }
 }
 
@@ -94,21 +55,16 @@ pub struct HighOrder {
 }
 
 impl HighOrder {
-    /// Builds the high-order proximity of an adjacency matrix.
-    ///
-    /// The base matrix is `A` (plus `I` when `config.self_loops`); power
-    /// `A^l` is accumulated as `w_l · A^l` with optional per-power top-k
-    /// pruning, then the sum is row-normalized when requested.
+    /// Builds the high-order proximity of an adjacency matrix: with
+    /// `B = A + I`, each power `B^l` is accumulated as `w_l · B^l` and the
+    /// sum is row-normalized.
     ///
     /// **Memory bound.** The loop holds at most three CSR buffers — the
     /// current power, the accumulator, and one scratch — whose row buffers
     /// the underlying `spmm` pre-sizes from degree counts (Σ over a row's
-    /// entries of the expanded row's nnz). With top-k pruning every power
-    /// holds ≤ `N·k` entries, so the peak is
-    /// `O(nnz(A·A^{l-1}_pruned) + N·k·l)` ≈ `N·k·(deg_max + l)` entries;
-    /// without pruning the powers densify toward `N²` and the exact
-    /// `nnz(A^l)` bound applies — which is why batch training uses
-    /// [`HighOrder::build_rows`] instead of this constructor.
+    /// entries of the expanded row's nnz). The powers densify toward `N²`,
+    /// so the peak is `O(nnz(B^l))` entries — which is why batch training
+    /// uses [`HighOrder::build_rows`] instead of this constructor.
     pub fn build(adjacency: &CsrMatrix, config: &ProximityConfig) -> Self {
         Self::from_a_tilde(power_sum(adjacency, config, CsrMatrix::clone))
     }
@@ -119,10 +75,10 @@ impl HighOrder {
     /// to the same node set — the batch-local triple
     /// `(Ã[S,S], k̃_S, M̃_S)` the mini-batch modularity trains on.
     ///
-    /// Row `r` of `A^l` is `(row r of A^{l-1}) · A`, so the power loop runs
+    /// Row `r` of `B^l` is `(row r of B^{l-1}) · B`, so the power loop runs
     /// on an `|S|×N` row slab instead of the full matrix: per-row Gustavson
-    /// expansion, top-k pruning, weighting and row normalization are all
-    /// row-local and execute in exactly the order [`HighOrder::build`] uses.
+    /// expansion, weighting and row normalization are all row-local and
+    /// execute in exactly the order [`HighOrder::build`] uses.
     /// For `nodes = 0..N` the result is therefore bit-identical to the
     /// global build (pinned by `tests/minibatch_parity.rs`). The restricted
     /// `k̃`/`M̃` count only proximity mass retained inside the batch, which
@@ -255,28 +211,10 @@ impl HighOrder {
             m_tilde,
         }
     }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.a_tilde.rows()
-    }
-
-    /// The dense modularity matrix `B̃` with
-    /// `B̃_ij = Ã_ij − k̃_i k̃_j / (2M̃)` — **only for tests and tiny
-    /// graphs**; the training loss never materializes it.
-    pub fn modularity_matrix_dense(&self) -> aneci_linalg::DenseMatrix {
-        let n = self.num_nodes();
-        let dense = self.a_tilde.to_dense();
-        let two_m = 2.0 * self.m_tilde;
-        aneci_linalg::DenseMatrix::from_fn(n, n, |i, j| {
-            dense.get(i, j) - self.k_tilde[i] * self.k_tilde[j] / two_m
-        })
-    }
 }
 
-/// The power loop every constructor shares: with `B = A` (plus `I` when
-/// `config.self_loops`) and `P₁ = first(B)`, returns `f(Σ_l w_l · P_l)`
-/// where `P_l = P_{l−1} · B`, pruned per row when `config.top_k` is set.
+/// The power loop every constructor shares: with `B = A + I` and
+/// `P₁ = first(B)`, returns `f(Σ_l w_l · P_l)` where `P_l = P_{l−1} · B`.
 /// `first` is `B` itself for the global build, or the rows of `B` for a
 /// sorted node set, giving those rows of the global `Ã` at full column
 /// width `N`. Every step is row-local, so each row is bit-identical to the
@@ -295,14 +233,10 @@ fn power_sum(
         !config.weights.is_empty(),
         "at least one proximity weight required"
     );
-    let base = if config.self_loops {
-        adjacency.add_identity()
-    } else {
-        adjacency.clone()
-    };
-    // Double-buffered power/accumulator loop: `spmm`, `prune` and
-    // `add_scaled` all write into preallocated buffers that are swapped
-    // back in, so each extra order reuses the previous order's
+    let base = adjacency.add_identity();
+    // Double-buffered power/accumulator loop: `spmm` and `add_scaled`
+    // both write into preallocated buffers that are swapped back in, so
+    // each extra order reuses the previous order's
     // allocations instead of re-materializing multi-million-entry CSR
     // vectors (order-3+ on 20k-node graphs used to thrash the
     // allocator).
@@ -314,19 +248,13 @@ fn power_sum(
         if l > 0 {
             power.spmm_into(&base, &mut scratch);
             std::mem::swap(&mut power, &mut scratch);
-            if let Some(k) = config.top_k {
-                power.prune_top_k_into(k, &mut scratch);
-                std::mem::swap(&mut power, &mut scratch);
-            }
         }
         if w != 0.0 {
             acc.add_scaled_into(&power, w, &mut scratch);
             std::mem::swap(&mut acc, &mut scratch);
         }
     }
-    if config.row_normalize {
-        acc.row_normalize_inplace();
-    }
+    acc.row_normalize_inplace();
     acc
 }
 
@@ -351,17 +279,12 @@ mod tests {
         )
     }
 
+    /// A hollow adjacency (no self-loops) at order 1 gives `f(A + I)`.
     #[test]
     fn order_one_without_selfloops_is_row_normalized_adjacency() {
         let a = path4();
-        let cfg = ProximityConfig {
-            weights: vec![1.0],
-            row_normalize: true,
-            top_k: None,
-            self_loops: false,
-        };
-        let ho = HighOrder::build(&a, &cfg);
-        assert_eq!(ho.a_tilde, a.row_normalize());
+        let ho = HighOrder::build(&a, &ProximityConfig::uniform(1));
+        assert_eq!(ho.a_tilde, a.add_identity().row_normalize());
         // Every row sums to 1 ⇒ k̃ = 1 and M̃ = N.
         for &k in &ho.k_tilde {
             assert!((k - 1.0).abs() < 1e-12);
@@ -372,8 +295,7 @@ mod tests {
     #[test]
     fn second_order_reaches_two_hop_neighbors() {
         let a = path4();
-        let cfg = ProximityConfig::uniform(2).with_self_loops(false);
-        let ho = HighOrder::build(&a, &cfg);
+        let ho = HighOrder::build(&a, &ProximityConfig::uniform(2));
         // Node 0 and node 2 are two hops apart: Ã₀₂ > 0 even though A₀₂ = 0.
         assert!(ho.a_tilde.get(0, 2) > 0.0);
         // Node 0 and 3 are three hops apart: still zero at order 2.
@@ -394,24 +316,13 @@ mod tests {
         let a = path4();
         let cfg = ProximityConfig {
             weights: vec![0.7, 0.3],
-            row_normalize: false,
-            top_k: None,
-            self_loops: false,
         };
         let ho = HighOrder::build(&a, &cfg);
-        let a2 = a.spmm(&a);
-        let manual = a.add_scaled(&a2, 0.3 / 0.7); // 0.7A + 0.3A² = 0.7(A + (0.3/0.7)A²)
-        let mut scaled = manual.clone();
-        scaled.scale_inplace(0.7);
-        assert!(ho.a_tilde.to_dense().sub(&scaled.to_dense()).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_weights_normalized_and_decaying() {
-        let cfg = ProximityConfig::geometric(3, 0.5);
-        let s: f64 = cfg.weights.iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-        assert!(cfg.weights[0] > cfg.weights[1] && cfg.weights[1] > cfg.weights[2]);
+        let b = a.add_identity();
+        let mut manual = b.clone();
+        manual.scale_inplace(0.7);
+        let manual = manual.add_scaled(&b.spmm(&b), 0.3).row_normalize(); // f(0.7B + 0.3B²)
+        assert!(ho.a_tilde.to_dense().sub(&manual.to_dense()).max_abs() < 1e-12);
     }
 
     #[test]
@@ -426,37 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn top_k_bounds_row_nnz() {
-        // Star graph: hub 0 connected to 1..=6. A² is dense on the leaves.
-        let mut trips = Vec::new();
-        for i in 1..7 {
-            trips.push((0usize, i, 1.0));
-            trips.push((i, 0usize, 1.0));
-        }
-        let a = CsrMatrix::from_triplets(7, 7, &trips);
-        let exact = HighOrder::build(&a, &ProximityConfig::uniform(2).with_self_loops(false));
-        let pruned = HighOrder::build(
-            &a,
-            &ProximityConfig::uniform(2)
-                .with_self_loops(false)
-                .with_top_k(3),
-        );
-        assert!(pruned.a_tilde.nnz() < exact.a_tilde.nnz());
-        // Each row holds at most its A¹ entries plus k pruned A² entries.
-        for r in 0..7 {
-            let deg = a.row_nnz(r);
-            assert!(pruned.a_tilde.row_nnz(r) <= deg + 3, "row {r}");
-        }
-    }
-
-    #[test]
     fn build_rows_matches_restricted_global_build() {
         let a = path4();
-        for cfg in [
-            ProximityConfig::uniform(2),
-            ProximityConfig::uniform(3).with_self_loops(false),
-            ProximityConfig::uniform(3).with_top_k(2),
-        ] {
+        for order in 1..=3 {
+            let cfg = ProximityConfig::uniform(order);
             let global = HighOrder::build(&a, &cfg);
             // Full node set: bit-identical to the global build.
             let all = HighOrder::build_rows(&a, &cfg, &[0, 1, 2, 3]);
@@ -488,22 +372,18 @@ mod tests {
             .add_node_missing()
             .add_edge(n, 5)
             .remove_node(11);
-        for cfg in [
-            ProximityConfig::uniform(1),
-            ProximityConfig::uniform(2),
-            ProximityConfig::uniform(3).with_top_k(4),
-            ProximityConfig::uniform(2).with_self_loops(false),
-        ] {
+        for order in 1..=3 {
+            let cfg = ProximityConfig::uniform(order);
             let mut ho = HighOrder::build(graph.adjacency(), &cfg);
             let mut g2 = graph.clone();
             let report = g2.apply_delta(&delta).unwrap();
             let rows = ho.refresh(g2.adjacency(), &cfg, &report);
             let full = HighOrder::build(g2.adjacency(), &cfg);
-            assert_eq!(ho.a_tilde, full.a_tilde, "order {}", cfg.order());
+            assert_eq!(ho.a_tilde, full.a_tilde, "order {order}");
             assert_eq!(ho.k_tilde, full.k_tilde);
             assert_eq!(ho.m_tilde, full.m_tilde);
             assert!(rows >= report.touched.len());
-            if cfg.order() <= 2 {
+            if order <= 2 {
                 assert!(rows < n + 1, "dirty ball must stay partial, got {rows}");
             }
         }
@@ -523,18 +403,5 @@ mod tests {
             .unwrap();
         assert_eq!(ho.refresh(g2.adjacency(), &cfg, &report), 0);
         assert_eq!(ho.a_tilde, before);
-    }
-
-    #[test]
-    fn modularity_matrix_rows_sum_near_zero_when_normalized() {
-        // With row normalization, k̃_i = 1 and M̃ = N, so each row of B̃ sums
-        // to 1 − N/(2N) = 1/2... actually Σ_j B̃_ij = k̃_i − k̃_i·M̃/(2M̃)
-        // = k̃_i/2. Verify that identity instead.
-        let a = path4();
-        let ho = HighOrder::build(&a, &ProximityConfig::uniform(2));
-        let b = ho.modularity_matrix_dense();
-        for (i, row_sum) in b.row_sums().iter().enumerate() {
-            assert!((row_sum - ho.k_tilde[i] / 2.0).abs() < 1e-12, "row {i}");
-        }
     }
 }

@@ -34,15 +34,13 @@ pub enum Kernel {
     Spmm,
     /// CSR transpose.
     SparseTranspose,
-    /// Top-k row pruning.
-    PruneTopK,
     /// Induced-subgraph gather with node relabeling
     /// (`CsrMatrix::extract_submatrix` / `select_columns` / `gather_rows`).
     SubgraphExtract,
 }
 
 /// Number of [`Kernel`] variants (size of the counter table).
-const KERNEL_COUNT: usize = 7;
+const KERNEL_COUNT: usize = 6;
 
 impl Kernel {
     /// Stable display name used in metric names and bench reports.
@@ -53,7 +51,6 @@ impl Kernel {
             Kernel::SpmmDense => "spmm_dense",
             Kernel::Spmm => "spmm",
             Kernel::SparseTranspose => "sparse_transpose",
-            Kernel::PruneTopK => "prune_top_k",
             Kernel::SubgraphExtract => "subgraph_extract",
         }
     }
@@ -65,7 +62,6 @@ impl Kernel {
         Kernel::SpmmDense,
         Kernel::Spmm,
         Kernel::SparseTranspose,
-        Kernel::PruneTopK,
         Kernel::SubgraphExtract,
     ];
 }

@@ -10,7 +10,7 @@
 //! * [`DenseMatrix`] — row-major `f64` matrices with the usual elementwise,
 //!   product, reduction and normalization operations;
 //! * [`CsrMatrix`] — compressed-sparse-row matrices with sparse×sparse /
-//!   sparse×dense products, normalizations, and pruning;
+//!   sparse×dense products, normalizations, and subgraph extraction;
 //! * [`par`] — multi-threaded versions of the hot products;
 //! * [`pool`] — the persistent worker-pool runtime every multi-threaded
 //!   kernel dispatches through (`ANECI_NUM_THREADS` / `ANECI_PAR_THRESHOLD`);

@@ -543,164 +543,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Keeps the `k` largest-magnitude entries of every row (used to bound
-    /// densification of high-order proximity matrices). Pooled over rows
-    /// above the pool threshold.
-    pub fn prune_top_k_per_row(&self, k: usize) -> CsrMatrix {
-        let mut out = CsrMatrix::zeros(self.rows, self.cols);
-        self.prune_top_k_into(k, &mut out);
-        out
-    }
-
-    /// [`CsrMatrix::prune_top_k_per_row`] writing into `out`, reusing its
-    /// buffers. Pruning is per-row, so the output is identical for any
-    /// chunk decomposition; chunks are capped at one per hardware core
-    /// (≤16) because the per-chunk output vectors and the assemble pass are
-    /// pure overhead on top of the row work, which is what made a
-    /// finer-grained version of this kernel lose to serial.
-    pub fn prune_top_k_into(&self, k: usize, out: &mut CsrMatrix) {
-        // Selecting each row costs ~nnz; nnz is a fine work proxy.
-        kernel_stats::record(Kernel::PruneTopK, self.nnz() as u64, || {
-            let max_chunks = if pool::should_parallelize(self.nnz()) {
-                pool::hardware_parallelism().min(16)
-            } else {
-                1
-            };
-            let grain = self.rows.div_ceil(max_chunks.max(1)).max(64);
-            if self.rows <= grain {
-                // Single chunk: write rows straight into `out` instead of
-                // paying the chunk-buffer + assemble copy (which on short
-                // rows costs as much as the selection saves).
-                self.prune_rows_into(k, out);
-                return;
-            }
-            let chunks =
-                pool::parallel_map_chunks(self.rows, grain, |lo, hi| self.prune_rows(k, lo, hi));
-            assemble_rows_into(self.rows, self.cols, &chunks, out);
-        });
-    }
-
-    /// Serial single-chunk pruning written directly into `out`'s buffers —
-    /// same per-row selection as [`CsrMatrix::prune_rows`], no intermediate
-    /// chunk vectors.
-    fn prune_rows_into(&self, k: usize, out: &mut CsrMatrix) {
-        out.rows = self.rows;
-        out.cols = self.cols;
-        out.indptr.clear();
-        out.indptr.reserve(self.rows + 1);
-        out.indptr.push(0);
-        out.indices.clear();
-        out.values.clear();
-        let est = self.nnz().min(self.rows.saturating_mul(k));
-        out.indices.reserve(est);
-        out.values.reserve(est);
-        let mut row_buf: Vec<(u128, f64)> = Vec::new();
-        for r in 0..self.rows {
-            let (start, end) = (self.indptr[r], self.indptr[r + 1]);
-            let len = end - start;
-            if k == 0 {
-                out.indptr.push(out.indices.len());
-                continue;
-            }
-            if len <= k {
-                out.indices.extend_from_slice(&self.indices[start..end]);
-                out.values.extend_from_slice(&self.values[start..end]);
-                out.indptr.push(out.indices.len());
-                continue;
-            }
-            row_buf.clear();
-            row_buf.extend(
-                self.row_entries(r)
-                    .map(|(c, v)| (prune_key(c as u32, v), v)),
-            );
-            select_top_k(&mut row_buf, k);
-            for &(key, v) in row_buf.iter() {
-                out.indices.push(key as u32);
-                out.values.push(v);
-            }
-            out.indptr.push(out.indices.len());
-        }
-    }
-
-    /// Retained straightforward top-k pruning (full per-row sort, per-entry
-    /// copies): the correctness oracle for the parity tests and the serial
-    /// baseline `bench_report` times the production kernel against.
-    pub fn prune_top_k_reference(&self, k: usize) -> CsrMatrix {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        let mut row_buf: Vec<(u32, f64)> = Vec::new();
-        for r in 0..self.rows {
-            row_buf.clear();
-            if k > 0 {
-                row_buf.extend(self.row_entries(r).map(|(c, v)| (c as u32, v)));
-                if row_buf.len() > k {
-                    row_buf.sort_unstable_by(|a, b| {
-                        b.1.abs()
-                            .partial_cmp(&a.1.abs())
-                            .unwrap()
-                            .then(a.0.cmp(&b.0))
-                    });
-                    row_buf.truncate(k);
-                    row_buf.sort_unstable_by_key(|&(c, _)| c);
-                }
-            }
-            for &(c, v) in row_buf.iter() {
-                indices.push(c);
-                values.push(v);
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Top-k pruning of rows `lo..hi` with chunk-local scratch. Rows that
-    /// already fit (`len <= k`) are copied through as whole slices; longer
-    /// rows are cut with a selection (`select_nth_unstable_by`) under the
-    /// same strict total order the reference's full sort uses (|value|
-    /// descending, column ascending), so the surviving set is identical
-    /// while the per-row cost drops from O(len·log len) to O(len + k·log k).
-    fn prune_rows(&self, k: usize, lo: usize, hi: usize) -> RowChunk {
-        let mut lens = Vec::with_capacity(hi - lo);
-        let est = (self.indptr[hi] - self.indptr[lo]).min((hi - lo).saturating_mul(k));
-        let mut indices: Vec<u32> = Vec::with_capacity(est);
-        let mut values: Vec<f64> = Vec::with_capacity(est);
-        let mut row_buf: Vec<(u128, f64)> = Vec::new();
-        for r in lo..hi {
-            let (start, end) = (self.indptr[r], self.indptr[r + 1]);
-            let len = end - start;
-            if k == 0 {
-                lens.push(0);
-                continue;
-            }
-            if len <= k {
-                indices.extend_from_slice(&self.indices[start..end]);
-                values.extend_from_slice(&self.values[start..end]);
-                lens.push(len);
-                continue;
-            }
-            row_buf.clear();
-            row_buf.extend(
-                self.row_entries(r)
-                    .map(|(c, v)| (prune_key(c as u32, v), v)),
-            );
-            select_top_k(&mut row_buf, k);
-            for &(key, v) in row_buf.iter() {
-                indices.push(key as u32);
-                values.push(v);
-            }
-            lens.push(k);
-        }
-        (lens, indices, values)
-    }
-
     /// True if `self` equals its transpose (exact value comparison).
     pub fn is_symmetric(&self) -> bool {
         if self.rows != self.cols {
@@ -783,7 +625,7 @@ impl CsrMatrix {
     /// `out[i][j] = self[nodes[i]][nodes[j]]` for `nodes` sorted strictly
     /// increasing. This is the mini-batch subgraph kernel: a fused row
     /// gather + column restriction, pooled over the selected rows with the
-    /// same per-row-chunk stitching the product and prune kernels use, with
+    /// same per-row-chunk stitching the product kernel uses, with
     /// chunk buffers pre-sized from the selected rows' degree counts.
     pub fn extract_submatrix(&self, nodes: &[usize]) -> CsrMatrix {
         assert_eq!(
@@ -878,31 +720,6 @@ fn inverse_column_map(cols: usize, keep: &[usize]) -> Vec<u32> {
         prev = Some(old);
     }
     map
-}
-
-/// Packed top-k sort key: `!|v|.to_bits()` in the high 64 bits, the column
-/// in the low 32. `to_bits` of a non-negative, non-NaN float is
-/// order-isomorphic to its value, so ascending key order is exactly the
-/// reference comparator's `|v| desc, col asc` — but computed *once* per
-/// entry instead of on every comparison, and compared as one integer.
-#[inline]
-fn prune_key(c: u32, v: f64) -> u128 {
-    ((!v.abs().to_bits()) as u128) << 32 | c as u128
-}
-
-/// Cuts `row` (assumed longer than `k`, keyed by [`prune_key`]) down to its
-/// `k` largest-magnitude entries, sorted by column.
-fn select_top_k(row: &mut Vec<(u128, f64)>, k: usize) {
-    if row.len() <= 32 {
-        // Short rows: quickselect's partition machinery costs more than the
-        // insertion sort `sort_unstable` uses at this size.
-        row.sort_unstable_by_key(|&(key, _)| key);
-    } else {
-        row.select_nth_unstable_by_key(k - 1, |&(key, _)| key);
-    }
-    row.truncate(k);
-    // The low 32 bits are the column, so this restores CSR column order.
-    row.sort_unstable_by_key(|&(key, _)| key as u32);
 }
 
 /// Stitches per-row-range kernel outputs (in row order) into `out`, reusing
@@ -1098,17 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_top_k_keeps_largest() {
-        let m =
-            CsrMatrix::from_triplets(1, 5, &[(0, 0, 0.1), (0, 1, 0.5), (0, 2, -0.9), (0, 3, 0.3)]);
-        let p = m.prune_top_k_per_row(2);
-        assert_eq!(p.nnz(), 2);
-        assert_eq!(p.get(0, 2), -0.9);
-        assert_eq!(p.get(0, 1), 0.5);
-        assert_eq!(p.get(0, 0), 0.0);
-    }
-
-    #[test]
     fn add_identity_increments_diagonal() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (0, 1, 1.0)]);
         let mi = m.add_identity();
@@ -1140,14 +946,12 @@ mod tests {
     fn into_variants_reuse_buffers_and_match() {
         let a = sample();
         let b = sample().transpose();
-        // One shared output buffer reused across three different kernels.
+        // One shared output buffer reused across two different kernels.
         let mut out = CsrMatrix::zeros(0, 0);
         a.spmm_into(&b, &mut out);
         assert_eq!(out, a.spmm(&b));
         a.add_scaled_into(&b, 0.5, &mut out);
         assert_eq!(out, a.add_scaled(&b, 0.5));
-        a.prune_top_k_into(1, &mut out);
-        assert_eq!(out, a.prune_top_k_per_row(1));
     }
 
     #[test]
@@ -1160,7 +964,6 @@ mod tests {
         // With force_pool the threshold is 1, so these all take the pooled
         // path; compare against the serial implementations.
         let spmm_par = s.spmm(&s);
-        assert_eq!(s.prune_top_k_per_row(3), s.prune_top_k_reference(3));
         let spmm_ser = {
             let chunk = s.spmm_rows(&s, 0, s.rows());
             let mut out = CsrMatrix::zeros(0, 0);
@@ -1168,14 +971,6 @@ mod tests {
             out
         };
         assert_eq!(spmm_par, spmm_ser);
-        let pr = s.prune_top_k_per_row(3);
-        let pr_ser = {
-            let chunk = s.prune_rows(3, 0, s.rows());
-            let mut out = CsrMatrix::zeros(0, 0);
-            assemble_rows_into(s.rows(), s.cols(), &[chunk], &mut out);
-            out
-        };
-        assert_eq!(pr, pr_ser);
     }
 
     #[test]

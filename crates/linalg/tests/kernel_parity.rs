@@ -163,24 +163,6 @@ fn sparse_transpose_parity_is_exact() {
 }
 
 #[test]
-fn prune_top_k_parity_is_exact() {
-    pool::force_pool();
-    let s = sparse(257, 91, 10);
-    for k in [0usize, 1, 2, 10] {
-        let pruned = s.prune_top_k_per_row(k);
-        for r in 0..s.rows() {
-            assert!(pruned.row_nnz(r) <= k, "row {r} k={k}");
-        }
-        // Every surviving entry must exist in the original with equal value.
-        for (r, c, v) in pruned.iter() {
-            assert_eq!(s.get(r, c), v, "entry ({r},{c}) changed");
-        }
-    }
-    // k larger than any row: identity.
-    assert_eq!(s.prune_top_k_per_row(1000), s);
-}
-
-#[test]
 fn normalize_parity_is_exact() {
     pool::force_pool();
     let s = sparse(257, 257, 11);

@@ -18,7 +18,7 @@
 //!    (Dominant, DONE) now surface a clean [`TrainError::Diverged`].
 //!
 //! The karate fixtures run the dense reconstruction loss. The sampled path
-//! (`ReconMode::Sampled`, the one every graph above `exact_recon_threshold`
+//! (`ReconMode::Sampled`, the one every graph above `EXACT_RECON_MAX_NODES`
 //! trains) has its own fixture on a 300-node SBM.
 //!
 //! A plain run compares the host's dispatch section; on an AVX2 host,
