@@ -44,6 +44,7 @@
 //! `ANECI_NO_SIMD=1` forces the scalar fallback (the `simd_vs_scalar`
 //! section then reports `active: false` and is excluded from the gate).
 
+use aneci_graph::Benchmark;
 use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
 use aneci_linalg::{par, pool, simd, vector, CsrMatrix};
 use rand::Rng;
@@ -170,6 +171,45 @@ fn kernel_bench() {
         rows.push(Row {
             kernel: "matmul_tn",
             shape: "128x4000x128".into(),
+            serial_ns: serial,
+            pooled_ns: pooled,
+        });
+    }
+
+    // The first encoder layer of `train-full` and its weight gradient: the
+    // Cora-scale attributes (2708×1433, 1.4% nonzero) times a 1433×64
+    // weight, and `Xᵀg` for a 2708×64 upstream gradient. The production
+    // kernels must skip the zeros the naive loop skips.
+    {
+        let graph = Benchmark::Cora.generate(1.0, 1);
+        let x = graph.features();
+        // Its own stream, so the rows below keep their inputs.
+        let mut rng = seeded_rng(1);
+        let (m, k) = x.shape();
+        let w = gaussian_matrix(k, 64, 1.0, &mut rng);
+        let g = gaussian_matrix(m, 64, 1.0, &mut rng);
+        let serial = time_best(5, || {
+            black_box(x.matmul(&w));
+        });
+        pool::set_par_threshold(1);
+        let pooled = time_best(5, || {
+            black_box(par::matmul(x, &w));
+        });
+        rows.push(Row {
+            kernel: "matmul",
+            shape: format!("cora X {m}x{k}x64"),
+            serial_ns: serial,
+            pooled_ns: pooled,
+        });
+        let serial = time_best(5, || {
+            black_box(x.matmul_tn(&g));
+        });
+        let pooled = time_best(5, || {
+            black_box(par::matmul_tn(x, &g));
+        });
+        rows.push(Row {
+            kernel: "matmul_tn",
+            shape: format!("cora Xt {k}x{m}x64"),
             serial_ns: serial,
             pooled_ns: pooled,
         });

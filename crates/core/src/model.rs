@@ -67,8 +67,47 @@ pub struct TrainReport {
 enum ReconTarget {
     /// `Ã` itself, for the exact loss over every pair.
     Dense(Arc<DenseMatrix>),
-    /// The stored entries of `Ã`, the positive pairs of the sampled loss.
-    Pairs(Arc<[BcePair]>),
+    /// The stored entries of `Ã`, the positive pairs of the sampled loss,
+    /// with the bit set the negative sampler tests its draws against when
+    /// it fits ([`StoredBits::fits`]).
+    Pairs {
+        positives: Arc<[BcePair]>,
+        stored: Option<Arc<StoredBits>>,
+    },
+}
+
+/// The nonzero entries of an `n×n` `Ã` as an `n²`-bit set: the negative
+/// sampler tests a draw with one probe instead of a binary search of its
+/// row. A bit is set only for a value that is not `0.0`, so an absent bit
+/// means exactly `Ã.get(i, j) == 0.0`, explicit zeros included.
+struct StoredBits {
+    n: usize,
+    words: Vec<u64>,
+}
+
+impl StoredBits {
+    /// True when the bits of an `n`-node set take no more memory than the
+    /// `pairs` positive pairs they sit beside.
+    fn fits(n: usize, pairs: usize) -> bool {
+        n.saturating_mul(n).div_ceil(64) * 8 <= pairs * std::mem::size_of::<BcePair>()
+    }
+
+    fn new(a_tilde: &CsrMatrix) -> Self {
+        let n = a_tilde.rows();
+        let mut words = vec![0u64; (n * n).div_ceil(64)];
+        for (i, j, v) in a_tilde.iter() {
+            if v != 0.0 {
+                let bit = i * n + j;
+                words[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        Self { n, words }
+    }
+
+    fn contains(&self, i: usize, j: usize) -> bool {
+        let bit = i * self.n + j;
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
 }
 
 /// The fixed operators of the objective over one node set: the whole graph
@@ -102,12 +141,14 @@ impl Operators {
         let target = if exact {
             ReconTarget::Dense(Arc::new(ho.a_tilde.to_dense()))
         } else {
-            ReconTarget::Pairs(
-                ho.a_tilde
-                    .iter()
-                    .map(|(i, j, v)| (i as u32, j as u32, v))
-                    .collect(),
-            )
+            let positives: Arc<[BcePair]> = ho
+                .a_tilde
+                .iter()
+                .map(|(i, j, v)| (i as u32, j as u32, v))
+                .collect();
+            let stored = StoredBits::fits(ho.a_tilde.rows(), positives.len())
+                .then(|| Arc::new(StoredBits::new(&ho.a_tilde)));
+            ReconTarget::Pairs { positives, stored }
         };
         Self {
             norm_adj: propagation(adjacency),
@@ -298,8 +339,9 @@ fn reconstruction(
             let loss = tape.dense_recon_bce(p, target, 1.0);
             tape.scale(loss, 1.0 / (n * n) as f64)
         }
-        ReconTarget::Pairs(positives) => {
-            let pairs = sample_pairs(recon, positives, &ops.a_tilde, n, rng, negatives);
+        ReconTarget::Pairs { positives, stored } => {
+            let stored = stored.as_deref();
+            let pairs = sample_pairs(recon, positives, &ops.a_tilde, stored, n, rng, negatives);
             if pairs.is_empty() {
                 return zero(tape);
             }
@@ -903,14 +945,17 @@ impl TrainStep for AneciStep<'_, '_> {
 
 /// The BCE pairs of one sampled-reconstruction epoch: every positive (a
 /// stored entry of `Ã`), then `neg_ratio` uniform `(i, j)` draws over
-/// `0..n` per positive, keeping those `Ã` does not store. The full-batch and
-/// mini-batch paths both sample here, so they walk `rng` identically.
-/// `negatives` is scratch kept across epochs; the returned list is the one
-/// place an epoch's pairs are written whole.
+/// `0..n` per positive, keeping those where `Ã` stores no nonzero: one
+/// probe of `stored` when its bit set was built, a binary search of the
+/// row of `a_tilde` otherwise. The full-batch and mini-batch paths both
+/// sample here, so they walk `rng` identically. `negatives` is scratch kept
+/// across epochs; the returned list is the one place an epoch's pairs are
+/// written whole.
 fn sample_pairs(
     recon: ReconMode,
     positives: &[BcePair],
     a_tilde: &CsrMatrix,
+    stored: Option<&StoredBits>,
     n: usize,
     rng: &mut StdRng,
     negatives: &mut Vec<BcePair>,
@@ -924,7 +969,12 @@ fn sample_pairs(
     for _ in 0..positives.len() * neg_ratio {
         let i = rng.gen_range(0..n);
         let j = rng.gen_range(0..n);
-        if a_tilde.get(i as usize, j as usize) == 0.0 {
+        let (r, c) = (i as usize, j as usize);
+        let absent = match stored {
+            Some(bits) => !bits.contains(r, c),
+            None => a_tilde.get(r, c) == 0.0,
+        };
+        if absent {
             negatives.push((i, j, 0.0));
         }
     }
@@ -1330,6 +1380,128 @@ mod tests {
         let (_, stats) = model.fine_tune_guarded(&delta, 1, &guard).unwrap();
         let stats = stats.expect("check_every=1 must run the oracle");
         assert_eq!(stats.nmi, 1.0);
+    }
+
+    /// One epoch's pairs drawn from `ops` twice from the same seed: with a
+    /// bit set of its `Ã` and with the binary search.
+    fn pairs_both_ways(ops: &Operators, seed: u64) -> (Arc<[BcePair]>, Arc<[BcePair]>) {
+        let ReconTarget::Pairs { positives, .. } = &ops.target else {
+            panic!("the operators carry a dense target");
+        };
+        let bits = StoredBits::new(&ops.a_tilde);
+        let recon = ReconMode::Sampled { neg_ratio: 2 };
+        let n = ops.a_tilde.rows();
+        let draw = |stored| {
+            let (mut rng, mut negatives) = (seeded_rng(seed), Vec::new());
+            sample_pairs(
+                recon,
+                positives,
+                &ops.a_tilde,
+                stored,
+                n,
+                &mut rng,
+                &mut negatives,
+            )
+        };
+        (draw(Some(&bits)), draw(None))
+    }
+
+    #[test]
+    fn bit_set_sampler_matches_binary_search() {
+        let sampled = |seed| AneciConfig {
+            recon: ReconMode::Sampled { neg_ratio: 2 },
+            ..quick_config(seed)
+        };
+        let karate = AneciModel::try_new(&karate_club(), &sampled(1)).unwrap();
+        let sbm = SbmConfig {
+            num_nodes: 300,
+            target_edges: 1200,
+            ..SbmConfig::small()
+        };
+        let cfg = AneciConfig {
+            proximity: aneci_graph::ProximityConfig::uniform(3),
+            ..sampled(2)
+        };
+        let model = AneciModel::try_new(&generate_sbm(&sbm, 17), &cfg).unwrap();
+        let nodes: Vec<usize> = (0..300).filter(|v| v % 3 != 1).collect();
+        let batch = BatchArtifacts::build(&model.adjacency, &model.features, &cfg, &nodes);
+        for (name, ops) in [
+            ("karate", &karate.ops),
+            ("sbm", &model.ops),
+            ("batch", &batch.ops),
+        ] {
+            let ReconTarget::Pairs { positives, stored } = &ops.target else {
+                panic!("{name}: sampled recon builds pairs");
+            };
+            assert!(
+                stored.is_some(),
+                "{name}: the bit set fits beside the pairs"
+            );
+            for seed in [3, 4] {
+                let (bits, search) = pairs_both_ways(ops, seed);
+                assert!(bits.len() > positives.len(), "{name}: no negative kept");
+                assert_eq!(bits, search, "{name}, seed {seed}: the samplers disagree");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_set_is_built_only_when_no_larger_than_the_pairs() {
+        // 64 nodes: 4096 bits, 512 bytes, the size of 32 pairs.
+        assert!(StoredBits::fits(64, 32));
+        assert!(!StoredBits::fits(64, 31));
+        // 65 nodes: 4225 bits round up to 67 words, 536 bytes (33.5 pairs).
+        assert!(StoredBits::fits(65, 34));
+        assert!(!StoredBits::fits(65, 33));
+        // Through `Operators::new`: a 64-node `Ã` storing 32 entries, then 31.
+        let cfg = AneciConfig {
+            recon: ReconMode::Sampled { neg_ratio: 1 },
+            ..quick_config(1)
+        };
+        let hollow = CsrMatrix::from_triplets(64, 64, &[]);
+        for (entries, built) in [(32, true), (31, false)] {
+            let trips: Vec<_> = (0..entries).map(|i| (i, (i * 7) % 64, 1.0)).collect();
+            let ho = HighOrder {
+                a_tilde: CsrMatrix::from_triplets(64, 64, &trips),
+                k_tilde: vec![0.0; 64],
+                m_tilde: entries as f64,
+            };
+            let ops = Operators::new(&hollow, ho, &cfg);
+            let ReconTarget::Pairs { positives, stored } = &ops.target else {
+                panic!("sampled recon builds pairs");
+            };
+            assert_eq!(positives.len(), entries);
+            assert_eq!(stored.is_some(), built, "{entries} stored entries");
+        }
+    }
+
+    #[test]
+    fn explicit_zero_in_a_tilde_is_absent_to_both_samplers() {
+        // 3×3 with an explicit 0.0 stored at (0, 1).
+        let a = CsrMatrix::from_raw(
+            3,
+            3,
+            vec![0, 2, 3, 4],
+            vec![0, 1, 1, 2],
+            vec![0.5, 0.0, 1.0, 1.0],
+        );
+        let bits = StoredBits::new(&a);
+        assert!(!bits.contains(0, 1));
+        assert!(bits.contains(0, 0) && bits.contains(1, 1) && bits.contains(2, 2));
+        assert_eq!(a.get(0, 1), 0.0);
+        let positives: Vec<BcePair> = a.iter().map(|(i, j, v)| (i as u32, j as u32, v)).collect();
+        let recon = ReconMode::Sampled { neg_ratio: 8 };
+        let draw = |stored| {
+            let (mut rng, mut negatives) = (seeded_rng(5), Vec::new());
+            sample_pairs(recon, &positives, &a, stored, 3, &mut rng, &mut negatives)
+        };
+        let (with_bits, with_search) = (draw(Some(&bits)), draw(None));
+        assert_eq!(with_bits, with_search);
+        let negatives = &with_bits[positives.len()..];
+        assert!(
+            negatives.contains(&(0, 1, 0.0)),
+            "the explicit zero is drawn as a negative"
+        );
     }
 
     use aneci_linalg::rng::seeded_rng;

@@ -691,9 +691,13 @@ const KC: usize = 128;
 ///
 /// Uses an `MR`×`NR` register-blocked microkernel with `KC` k-tiling for
 /// shapes that fit it and falls back to the streaming axpy loop otherwise.
-/// For a fixed `(lo, hi)` the result does not depend on how other row
-/// ranges are scheduled, so pooled calls are deterministic across thread
-/// counts.
+/// Each row pair walks, per `KC` block, only the `k` where one of its rows
+/// is nonzero ([`nonzero_union`]): an empty list skips the pair-block, a
+/// full one runs the contiguous tile, and any other list drives the same
+/// tile through its indices. A skipped `k` would add exactly nothing, so
+/// the output is the one the contiguous tile gives (DESIGN.md §4.6). For
+/// a fixed `(lo, hi)` the result does not depend on how other row ranges
+/// are scheduled, so pooled calls are deterministic across thread counts.
 ///
 /// Callers must guarantee exclusive access to output rows `lo..hi`.
 pub(crate) fn matmul_rows_into(
@@ -719,79 +723,118 @@ pub(crate) fn matmul_rows_into(
     let use_avx2 = crate::simd::avx2_active();
     #[cfg(not(target_arch = "x86_64"))]
     let use_avx2 = false;
+    let mut ks = Vec::with_capacity(KC);
     let mut kk = 0;
     while kk < k_dim {
         let kc = KC.min(k_dim - kk);
+        let block = |r: usize| &a.row(r)[kk..kk + kc];
         let mut r = lo;
         while r + MR <= hi {
-            let mut c = 0;
-            while c + NR <= n {
-                // SAFETY: rows `r..r+MR` lie in `lo..hi`, which this call
-                // owns exclusively; the AVX2 path additionally has its
-                // feature set verified by the dispatch above.
-                #[cfg(target_arch = "x86_64")]
-                if use_avx2 {
-                    unsafe {
-                        crate::simd::tile_2x12_avx2(
-                            a.data.as_ptr().add(r * a.cols + kk),
-                            a.data.as_ptr().add((r + 1) * a.cols + kk),
-                            b.data.as_ptr().add(kk * n + c),
-                            n,
-                            kc,
-                            out.add(r * n + c),
-                            out.add((r + 1) * n + c),
-                        );
-                    }
-                    c += NR;
-                    continue;
-                }
-                let _ = use_avx2;
-                unsafe { tile_mr_nr(a, b, r, c, kk, kc, out) };
-                c += NR;
-            }
-            if c < n {
-                for ri in r..r + MR {
-                    axpy_row_range(a, b, ri, kk..kk + kc, c..n, out);
-                }
+            nonzero_union(block(r), block(r + 1), kk, &mut ks);
+            // SAFETY (both calls): rows `r..r+MR` lie in `lo..hi`, which
+            // this call owns exclusively; every `k` lies in `kk..kk + kc`,
+            // below `a.cols`; `use_avx2` is the dispatch's answer.
+            if ks.len() == kc {
+                unsafe { row_pair(a, b, r, kk..kk + kc, use_avx2, out) };
+            } else if !ks.is_empty() {
+                unsafe { row_pair(a, b, r, ks.iter().copied(), use_avx2, out) };
             }
             r += MR;
         }
         for ri in r..hi {
-            axpy_row_range(a, b, ri, kk..kk + kc, 0..n, out);
+            nonzero_union(block(ri), block(ri), kk, &mut ks);
+            axpy_row_range(a, b, ri, ks.iter().copied(), 0..n, out);
         }
         kk += kc;
     }
 }
 
-/// `MR`×`NR` register tile: accumulates
-/// `out[r..r+MR, c..c+NR] += a[r..r+MR, kk..kk+kc] * b[kk..kk+kc, c..c+NR]`.
+/// Writes to `ks`, ascending, every `base + i` where `r0[i]` or `r1[i]`
+/// is not `0.0` (NaN counts as nonzero, `-0.0` as zero). The list is
+/// integer data, so both SIMD dispatches build the same one; pass one row
+/// twice for its own nonzeros.
+pub(crate) fn nonzero_union(r0: &[f64], r1: &[f64], base: usize, ks: &mut Vec<usize>) {
+    debug_assert_eq!(r0.len(), r1.len());
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_active() {
+        // SAFETY: the dispatch verified AVX2, and the lengths agree.
+        return unsafe { crate::simd::nonzero_union_avx2(r0, r1, base, ks) };
+    }
+    ks.clear();
+    let nonzero = |(i, (&x, &y)): (usize, (&f64, &f64))| (x != 0.0 || y != 0.0).then_some(base + i);
+    ks.extend(r0.iter().zip(r1).enumerate().filter_map(nonzero));
+}
+
+/// Rows `r` and `r + 1` of `a * b` over the `k` that `ks` yields: the
+/// register tile across every full `NR`-column panel, the axpy edge kernel
+/// on the remaining `n % NR` columns.
 ///
 /// # Safety
 /// The caller must own output rows `r..r+MR` exclusively; `r + MR <= a.rows`
-/// and `c + NR <= b.cols` must hold.
+/// must hold, every `k` in `ks` must be below `a.cols`, and `use_avx2`
+/// must only be set when [`crate::simd::avx2_active`] is.
+unsafe fn row_pair(
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    r: usize,
+    ks: impl Iterator<Item = usize> + Clone,
+    use_avx2: bool,
+    out: *mut f64,
+) {
+    let n = b.cols;
+    let mut c = 0;
+    while c + NR <= n {
+        // SAFETY: the caller's contract covers the rows, the `k` and the
+        // dispatch, and `c + NR <= n` keeps the tile's columns in bounds.
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2 {
+            crate::simd::tile_2x12_avx2(
+                a.data.as_ptr().add(r * a.cols),
+                a.data.as_ptr().add((r + 1) * a.cols),
+                b.data.as_ptr().add(c),
+                n,
+                ks.clone(),
+                out.add(r * n + c),
+                out.add((r + 1) * n + c),
+            );
+            c += NR;
+            continue;
+        }
+        let _ = use_avx2;
+        tile_mr_nr(a, b, r, c, ks.clone(), out);
+        c += NR;
+    }
+    if c < n {
+        for ri in r..r + MR {
+            axpy_row_range(a, b, ri, ks.clone(), c..n, out);
+        }
+    }
+}
+
+/// `MR`×`NR` register tile: accumulates
+/// `out[r..r+MR, c..c+NR] += a[r..r+MR, p] * b[p, c..c+NR]` over `p ∈ ks`.
+/// Every `p` the caller passes has a nonzero in one of the rows, so the
+/// tile needs no zero test of its own; a per-row skip inside it would
+/// defeat the compiler's software pipelining and cost more than it saves.
+///
+/// # Safety
+/// The caller must own output rows `r..r+MR` exclusively; `r + MR <= a.rows`,
+/// `c + NR <= b.cols` and every `p < a.cols` must hold.
 #[inline]
 unsafe fn tile_mr_nr(
     a: &DenseMatrix,
     b: &DenseMatrix,
     r: usize,
     c: usize,
-    kk: usize,
-    kc: usize,
+    ks: impl Iterator<Item = usize>,
     out: *mut f64,
 ) {
     let n = b.cols;
     let mut acc = [[0.0_f64; NR]; MR];
-    for p in kk..kk + kc {
+    for p in ks {
         let mut av = [0.0_f64; MR];
         for (i, v) in av.iter_mut().enumerate() {
             *v = *a.data.get_unchecked((r + i) * a.cols + p);
-        }
-        // Zero-skip, MR rows wide: keeps the sparse-input benefit of the
-        // naive kernel's per-element skip at tile granularity. No per-row
-        // skip inside the tile — that branch defeats the compiler's
-        // software pipelining and costs more than it saves.
-        if av == [0.0; MR] {
-            continue;
         }
         let b_row = std::slice::from_raw_parts(b.data.as_ptr().add(p * n + c), NR);
         for (acc_row, &ai) in acc.iter_mut().zip(&av) {
@@ -809,13 +852,14 @@ unsafe fn tile_mr_nr(
 }
 
 /// Scalar edge kernel: accumulates
-/// `out[r, ks] += a[r, ks] * b[ks, cs]` over the k-range `ks` and column
-/// range `cs`. The caller must own output row `r` exclusively.
+/// `out[r, cs] += a[r, p] * b[p, cs]` over the `p` that `ks` yields and the
+/// column range `cs`, skipping a zero `a[r, p]`. The caller must own
+/// output row `r` exclusively.
 fn axpy_row_range(
     a: &DenseMatrix,
     b: &DenseMatrix,
     r: usize,
-    ks: std::ops::Range<usize>,
+    ks: impl Iterator<Item = usize>,
     cs: std::ops::Range<usize>,
     out: *mut f64,
 ) {

@@ -6,7 +6,10 @@
 //!
 //! * `linalg.kernel.<name>.calls` — invocations;
 //! * `linalg.kernel.<name>.elems` — scalar work (flops or element visits)
-//!   reported by the caller;
+//!   reported by the caller. For `matmul` and `matmul_tn` it is the
+//!   shape's dense `2·m·k·n` even though both skip zero entries of their
+//!   left operand, so a rate derived from it is a dense-equivalent rate:
+//!   on sparse inputs read `wall_ns` instead;
 //! * `linalg.kernel.<name>.wall_ns` — accumulated wall time (excluded from
 //!   [`aneci_obs::Snapshot::deterministic`], like every `_ns` metric).
 //!

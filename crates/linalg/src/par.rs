@@ -13,6 +13,8 @@
 //! microkernel from [`crate::dense`], which beats the streaming axpy loop
 //! roughly 2× even single-threaded at GCN-layer sizes.
 
+use std::cell::RefCell;
+
 use crate::dense::{self, DenseMatrix};
 use crate::kernel_stats::{self, Kernel};
 use crate::pool::{self, SendPtr};
@@ -139,6 +141,13 @@ pub fn spmm_dense_tn(s: &CsrMatrix, d: &DenseMatrix) -> DenseMatrix {
     })
 }
 
+thread_local! {
+    /// The calling thread's [`matmul_tn`] partials: kept across calls, so
+    /// a call does not fault in fresh pages for them. At most
+    /// `7 · a.cols · b.cols` doubles (5.1 MB at Cora's 1433×64).
+    static TN_PARTIALS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// `aᵀ * b`, computed as a fixed sequence of row-block partial products
 /// summed in block order.
 ///
@@ -148,39 +157,67 @@ pub fn spmm_dense_tn(s: &CsrMatrix, d: &DenseMatrix) -> DenseMatrix {
 /// direct serial accumulation below the threshold, which rounded the long
 /// reduction differently and made seeded runs diverge across thread
 /// counts.) Rounding may differ from the strictly-serial
-/// [`DenseMatrix::matmul_tn`] by ~1e-12 relative.
+/// [`DenseMatrix::matmul_tn`] by ~1e-12 relative. Each row of `a` adds
+/// only its nonzero entries, found by [`dense::nonzero_union`]'s scan.
 pub fn matmul_tn(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.rows(), b.rows(), "par::matmul_tn: row mismatch");
     let m = a.rows();
-    let work = m * a.cols() * b.cols();
+    let (p, q) = (a.cols(), b.cols());
+    let work = m * p * q;
     kernel_stats::record(Kernel::MatmulTn, 2 * work as u64, || {
         simd::record_dispatch();
-        if m == 0 {
-            return DenseMatrix::zeros(a.cols(), b.cols());
+        let mut out = DenseMatrix::zeros(p, q);
+        let size = p * q;
+        if m == 0 || size == 0 {
+            return out;
         }
-        // Each block materializes a full `a.cols × b.cols` partial, so keep
-        // the block count low: ≤8 blocks bounds both the extra memory and
-        // the final chunk-ordered reduction while still feeding the pool.
+        // Each block accumulates a full `p × q` partial, so keep the block
+        // count low: ≤8 blocks bounds both the extra memory and the final
+        // block-ordered reduction while still feeding the pool. Block 0
+        // accumulates into `out`, block `i ≥ 1` into partial `i − 1`.
         let grain = m.div_ceil(8).max(32);
-        let partials = pool::parallel_map_chunks(m, grain, |lo, hi| {
-            let mut acc = DenseMatrix::zeros(a.cols(), b.cols());
-            for r in lo..hi {
-                let a_row = a.row(r);
-                let b_row = b.row(r);
-                for (i, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    vector::axpy(acc.row_mut(i), av, b_row);
-                }
+        let blocks = m.div_ceil(grain);
+        TN_PARTIALS.with_borrow_mut(|partials| {
+            if partials.len() < (blocks - 1) * size {
+                partials.resize((blocks - 1) * size, 0.0);
             }
-            acc
+            let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
+            let scratch = SendPtr(partials.as_mut_ptr());
+            pool::parallel_for(m, grain, |lo, hi| {
+                let block = lo / grain;
+                // SAFETY: each block owns its accumulator: `out` for block
+                // 0, partial `block − 1` of the `blocks − 1` in `partials`
+                // otherwise; both outlive the parallel region.
+                let acc = unsafe {
+                    if block == 0 {
+                        std::slice::from_raw_parts_mut(dst.get(), size)
+                    } else {
+                        let part = std::slice::from_raw_parts_mut(
+                            scratch.get().add((block - 1) * size),
+                            size,
+                        );
+                        part.fill(0.0);
+                        part
+                    }
+                };
+                let mut nonzero = Vec::with_capacity(p);
+                for r in lo..hi {
+                    let (a_row, b_row) = (a.row(r), b.row(r));
+                    dense::nonzero_union(a_row, a_row, 0, &mut nonzero);
+                    for &i in &nonzero {
+                        vector::axpy(&mut acc[i * q..(i + 1) * q], a_row[i], b_row);
+                    }
+                }
+            });
+            let parts = &partials[..(blocks - 1) * size];
+            out.par_rows_mut((blocks - 1) * q, |i, row| {
+                for part in parts.chunks_exact(size) {
+                    for (o, &v) in row.iter_mut().zip(&part[i * q..(i + 1) * q]) {
+                        *o += v;
+                    }
+                }
+            });
         });
-        let mut iter = partials.into_iter();
-        let mut out = iter.next().expect("m > 0 yields at least one block");
-        for p in iter {
-            out.add_assign(&p);
-        }
         out
     })
 }

@@ -276,25 +276,25 @@ mod avx2 {
     }
 
     /// The 2×12 matmul register tile with FMA:
-    /// `out[i, j] += a_row_i[p] * b[p, j]` over `p ∈ 0..kc`, for
-    /// `i ∈ 0..2`, `j ∈ 0..12`. Six `f64x4` accumulators (two rows × three
-    /// column vectors) plus two broadcasts and three `b` loads stay well
-    /// inside the 16 ymm registers.
+    /// `out[i, j] += a_i[p] * b[p, j]` over `p ∈ ks`, for `i ∈ 0..2`,
+    /// `j ∈ 0..12`. Six `f64x4` accumulators (two rows × three column
+    /// vectors) plus two broadcasts and three `b` loads stay well inside the
+    /// 16 ymm registers. The blocked matmul passes a contiguous `ks` for a
+    /// full `k` block and the block's nonzero list otherwise.
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA. `a0`/`a1` must point at `kc`
-    /// readable doubles (the two `a` rows at the current k-offset), `b`
-    /// at the first of `kc` rows of stride `b_stride` with ≥12 readable
-    /// doubles each, and `out0`/`out1` at two exclusively-owned output row
-    /// segments of ≥12 doubles.
+    /// The CPU must support AVX2 and FMA. For every `p` that `ks` yields,
+    /// `a0.add(p)` and `a1.add(p)` must be readable (the two `a` rows) and
+    /// `b.add(p * b_stride)` must start ≥12 readable doubles (row `p` of `b`
+    /// at the tile's first column); `out0`/`out1` must point at two
+    /// exclusively-owned output row segments of ≥12 doubles.
     #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn tile_2x12(
         a0: *const f64,
         a1: *const f64,
         b: *const f64,
         b_stride: usize,
-        kc: usize,
+        ks: impl Iterator<Item = usize>,
         out0: *mut f64,
         out1: *mut f64,
     ) {
@@ -304,7 +304,7 @@ mod avx2 {
         let mut c10 = _mm256_setzero_pd();
         let mut c11 = _mm256_setzero_pd();
         let mut c12 = _mm256_setzero_pd();
-        for p in 0..kc {
+        for p in ks {
             let brow = b.add(p * b_stride);
             let b0 = _mm256_loadu_pd(brow);
             let b1 = _mm256_loadu_pd(brow.add(4));
@@ -337,15 +337,73 @@ mod avx2 {
             _mm256_add_pd(_mm256_loadu_pd(out1.add(8)), c12),
         );
     }
+
+    /// `PACK[mask]` lists the set bits of a 4-bit mask, ascending, packed
+    /// to the front (the lanes past its popcount are never kept).
+    const PACK: [[u64; 4]; 16] = {
+        let mut table = [[0u64; 4]; 16];
+        let mut mask = 0;
+        while mask < 16 {
+            let (mut lane, mut len) = (0, 0);
+            while lane < 4 {
+                if mask & (1 << lane) != 0 {
+                    table[mask][len] = lane as u64;
+                    len += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
+
+    /// Writes to `ks`, ascending, every `base + i` where `r0[i]` or
+    /// `r1[i]` is not `0.0` (NaN counts as nonzero, `-0.0` as zero). Each
+    /// group of four compares to one movemask, whose indices are written
+    /// four at a time from [`PACK`] and kept up to its popcount.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `r0.len() == r1.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn nonzero_union(r0: &[f64], r1: &[f64], base: usize, ks: &mut Vec<usize>) {
+        debug_assert_eq!(r0.len(), r1.len());
+        let n = r0.len();
+        ks.clear();
+        ks.reserve(n);
+        let (p0, p1, out) = (r0.as_ptr(), r1.as_ptr(), ks.as_mut_ptr());
+        let zero = _mm256_setzero_pd();
+        let (mut i, mut len) = (0, 0);
+        while i + 4 <= n {
+            let nz0 = _mm256_cmp_pd::<_CMP_NEQ_UQ>(_mm256_loadu_pd(p0.add(i)), zero);
+            let nz1 = _mm256_cmp_pd::<_CMP_NEQ_UQ>(_mm256_loadu_pd(p1.add(i)), zero);
+            let mask = _mm256_movemask_pd(_mm256_or_pd(nz0, nz1)) as usize;
+            let lanes = _mm256_loadu_si256(PACK[mask].as_ptr().cast());
+            let idx = _mm256_add_epi64(lanes, _mm256_set1_epi64x((base + i) as i64));
+            // SAFETY: `len ≤ i` and `i + 4 ≤ n ≤ capacity`, so the four
+            // slots written lie inside the reserved capacity.
+            _mm256_storeu_si256(out.add(len).cast(), idx);
+            len += mask.count_ones() as usize;
+            i += 4;
+        }
+        while i < n {
+            if *p0.add(i) != 0.0 || *p1.add(i) != 0.0 {
+                *out.add(len) = base + i;
+                len += 1;
+            }
+            i += 1;
+        }
+        // SAFETY: every slot below `len` was written above.
+        ks.set_len(len);
+    }
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::tile_2x12 as tile_2x12_avx2;
 #[cfg(target_arch = "x86_64")]
 pub use avx2::{
     axpy as axpy_avx2, cosine_scores as cosine_scores_avx2, dot as dot_avx2,
     dot_scores as dot_scores_avx2, squared_euclidean as squared_euclidean_avx2,
 };
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx2::{nonzero_union as nonzero_union_avx2, tile_2x12 as tile_2x12_avx2};
 
 #[cfg(test)]
 mod tests {
