@@ -166,7 +166,7 @@ pub fn nettack_attack(
     let labels = graph.labels.as_ref().expect("NETTACK needs labels").clone();
     let n = graph.num_nodes();
     let w = train_linear_surrogate(graph, &config.surrogate);
-    let xw = aneci_linalg::par::matmul(graph.features(), &w);
+    let xw = graph.features().matmul(&w);
 
     let mut adj = AdjView::new(graph);
     let mut rng = seeded_rng(derive_seed(config.seed, 0x7A26));
@@ -255,7 +255,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let xw = aneci_linalg::par::matmul(g.features(), &w);
+        let xw = g.features().matmul(&w);
         let adj = AdjView::new(&g);
         let s = g.norm_adjacency();
         let dense = s.spmm_dense(&s.spmm_dense(&xw));
@@ -287,7 +287,7 @@ mod tests {
         };
         let labels = g.labels.clone().unwrap();
         let w = train_linear_surrogate(&g, &cfg.surrogate);
-        let xw = aneci_linalg::par::matmul(g.features(), &w);
+        let xw = g.features().matmul(&w);
         let before = margin(
             &target_logits(&AdjView::new(&g), &xw, target),
             labels[target],

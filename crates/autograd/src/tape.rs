@@ -23,7 +23,7 @@
 //! [`Tape::spmm`] differentiates through its sparse operand without ever
 //! transposing it.
 
-use aneci_linalg::{par, pool, CsrMatrix, DenseMatrix};
+use aneci_linalg::{pool, CsrMatrix, DenseMatrix};
 use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
@@ -56,7 +56,6 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Exp(Var),
-    Dropout(Var, Arc<DenseMatrix>),
     SoftmaxRows(Var),
     Transpose(Var),
     Sum(Var),
@@ -223,7 +222,7 @@ impl Tape {
 
     /// Dense product `a * b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = par::matmul(self.value(a), self.value(b));
+        let value = self.value(a).matmul(self.value(b));
         let rg = self.requires(a) || self.requires(b);
         self.push(value, Op::MatMul(a, b), rg)
     }
@@ -232,21 +231,21 @@ impl Tape {
     /// features): the tape keeps the `Arc`, not a copy of `a`. Same kernels
     /// as [`Tape::matmul`] on a constant node, forward and backward.
     pub fn matmul_const(&mut self, a: &Arc<DenseMatrix>, b: Var) -> Var {
-        let value = par::matmul(a, self.value(b));
+        let value = a.matmul(self.value(b));
         let rg = self.requires(b);
         self.push(value, Op::MatMulConst(Arc::clone(a), b), rg)
     }
 
     /// `aᵀ * b` without materializing the transpose.
     pub fn matmul_tn(&mut self, a: Var, b: Var) -> Var {
-        let value = par::matmul_tn(self.value(a), self.value(b));
+        let value = self.value(a).matmul_tn(self.value(b));
         let rg = self.requires(a) || self.requires(b);
         self.push(value, Op::MatMulTn(a, b), rg)
     }
 
     /// Sparse-constant × dense product `s * x` (GCN propagation).
     pub fn spmm(&mut self, s: &Arc<CsrMatrix>, x: Var) -> Var {
-        let value = par::spmm_dense(s, self.value(x));
+        let value = s.spmm_dense(self.value(x));
         let rg = self.requires(x);
         self.push(value, Op::SpMm(Arc::clone(s), x), rg)
     }
@@ -320,28 +319,6 @@ impl Tape {
         let value = self.value(a).map(f64::exp);
         let rg = self.requires(a);
         self.push(value, Op::Exp(a), rg)
-    }
-
-    /// Inverted dropout: zeroes each entry with probability `p` and scales
-    /// the survivors by `1/(1-p)`, using the caller-provided RNG (training
-    /// mode only — skip the call at inference).
-    pub fn dropout(&mut self, a: Var, p: f64, rng: &mut impl rand::Rng) -> Var {
-        assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-        if p == 0.0 {
-            return a;
-        }
-        let (r, c) = self.value(a).shape();
-        let keep = 1.0 / (1.0 - p);
-        let mask = Arc::new(DenseMatrix::from_fn(r, c, |_, _| {
-            if rng.gen::<f64>() < p {
-                0.0
-            } else {
-                keep
-            }
-        }));
-        let value = self.value(a).hadamard(&mask);
-        let rg = self.requires(a);
-        self.push(value, Op::Dropout(a, mask), rg)
     }
 
     /// Row-wise softmax (Eq. 3 of the paper: `P = softmax(Z)`).
@@ -567,12 +544,12 @@ impl Tape {
             &Op::MatMul(a, b) => {
                 if self.requires(a) {
                     // dA = g * Bᵀ
-                    let da = par::matmul(g, &self.nodes[b.0].value.transpose());
+                    let da = g.matmul(&self.nodes[b.0].value.transpose());
                     self.accumulate(a, da);
                 }
                 if self.requires(b) {
                     // dB = Aᵀ * g
-                    let db = par::matmul_tn(&self.nodes[a.0].value, g);
+                    let db = self.nodes[a.0].value.matmul_tn(g);
                     self.accumulate(b, db);
                 }
             }
@@ -580,17 +557,17 @@ impl Tape {
                 let (a, b) = (Arc::clone(a), *b);
                 if self.requires(b) {
                     // dB = Aᵀ * g
-                    self.accumulate(b, par::matmul_tn(&a, g));
+                    self.accumulate(b, a.matmul_tn(g));
                 }
             }
             &Op::MatMulTn(a, b) => {
                 // y = aᵀ b; dA = b gᵀ, dB = a g
                 if self.requires(a) {
-                    let da = par::matmul(&self.nodes[b.0].value, &g.transpose());
+                    let da = self.nodes[b.0].value.matmul(&g.transpose());
                     self.accumulate(a, da);
                 }
                 if self.requires(b) {
-                    let db = par::matmul(&self.nodes[a.0].value, g);
+                    let db = self.nodes[a.0].value.matmul(g);
                     self.accumulate(b, db);
                 }
             }
@@ -601,7 +578,7 @@ impl Tape {
                     // propagation operators are symmetric only up to
                     // rounding (and Ã is row-normalized), so S itself
                     // would not do.
-                    let dx = par::spmm_dense_tn(&s, g);
+                    let dx = s.spmm_dense_tn(g);
                     self.accumulate(x, dx);
                 }
             }
@@ -676,12 +653,6 @@ impl Tape {
                     let y = &self.nodes[idx].value;
                     let da = y.zip(g, |e, gv| gv * e);
                     self.accumulate(a, da);
-                }
-            }
-            Op::Dropout(a, mask) => {
-                let (a, mask) = (*a, Arc::clone(mask));
-                if self.requires(a) {
-                    self.accumulate(a, g.hadamard(&mask));
                 }
             }
             &Op::SoftmaxRows(a) => {
@@ -784,7 +755,7 @@ impl Tape {
                         }
                     });
                     let gsym = grad_s.add(&grad_s.transpose());
-                    let mut dp = par::matmul(&gsym, pv);
+                    let mut dp = gsym.matmul(pv);
                     dp.scale_inplace(g.get(0, 0));
                     self.accumulate(p, dp);
                 }
@@ -954,35 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_masks_and_routes_gradient() {
-        let mut rng = seeded_rng(55);
-        let mut t = Tape::new();
-        let x = t.leaf(DenseMatrix::filled(20, 10, 1.0));
-        let d = t.dropout(x, 0.4, &mut rng);
-        // Survivors are scaled by 1/(1-p); zeros elsewhere.
-        let keep = 1.0 / 0.6;
-        let vals = t.value(d).clone();
-        for &v in vals.as_slice() {
-            assert!(v == 0.0 || (v - keep).abs() < 1e-12);
-        }
-        // Expected survivor fraction ≈ 60%.
-        let survivors = vals.as_slice().iter().filter(|&&v| v != 0.0).count();
-        assert!((0.4..0.8).contains(&(survivors as f64 / 200.0)));
-        // Gradient flows only through survivors, scaled identically.
-        let loss = t.sum(d);
-        t.backward(loss);
-        let g = t.grad(x);
-        for (gv, v) in g.as_slice().iter().zip(vals.as_slice()) {
-            assert_eq!(*gv, *v);
-        }
-        // p = 0 is the identity (same Var returned).
-        let mut t2 = Tape::new();
-        let y = t2.leaf(DenseMatrix::filled(2, 2, 3.0));
-        let same = t2.dropout(y, 0.0, &mut rng);
-        assert_eq!(y, same);
-    }
-
-    #[test]
     fn pair_bce_matches_dense_recon_on_full_pairs() {
         let mut rng = seeded_rng(23);
         let p0 = gaussian_matrix(5, 3, 0.5, &mut rng);
@@ -1112,7 +1054,7 @@ mod tests {
         let g = t.constant(g0.clone());
         let loss = t.dot(y, g);
         t.backward(loss);
-        assert_eq!(t.grad(x), par::spmm_dense(&s.transpose(), &g0));
+        assert_eq!(t.grad(x), s.transpose().spmm_dense(&g0));
     }
 
     #[test]

@@ -223,11 +223,10 @@ impl Done {
         edges: &[(usize, usize)],
     ) -> Vec<f64> {
         let encode = |input: &DenseMatrix, slots: &AeSlots| -> DenseMatrix {
-            aneci_linalg::par::matmul(input, params.get(slots.enc)).map(f64::tanh)
+            input.matmul(params.get(slots.enc)).map(f64::tanh)
         };
-        let decode = |h: &DenseMatrix, slots: &AeSlots| -> DenseMatrix {
-            aneci_linalg::par::matmul(h, params.get(slots.dec))
-        };
+        let decode =
+            |h: &DenseMatrix, slots: &AeSlots| -> DenseMatrix { h.matmul(params.get(slots.dec)) };
         let hs = encode(adj_rows, s_slots);
         let ha = encode(attrs, a_slots);
         let s_hat = decode(&hs, s_slots);

@@ -13,7 +13,6 @@ use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
 use aneci_obs::span;
-use rand::rngs::StdRng;
 use std::sync::Arc;
 
 /// GCN hyperparameters.
@@ -29,10 +28,6 @@ pub struct GcnConfig {
     pub epochs: usize,
     /// Early-stopping patience on the validation loss (0 disables).
     pub patience: usize,
-    /// Dropout rate applied to the input features and hidden activations
-    /// during training (the reference GCN uses 0.5; 0 disables — the
-    /// default here, so small-graph experiments stay deterministic-simple).
-    pub dropout: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -45,7 +40,6 @@ impl Default for GcnConfig {
             weight_decay: 5e-4,
             epochs: 200,
             patience: 20,
-            dropout: 0.0,
             seed: 0,
         }
     }
@@ -101,8 +95,6 @@ impl GcnClassifier {
             labels: &labels,
             train_nodes: &graph.split.train,
             val_nodes: &graph.split.val,
-            dropout: config.dropout,
-            rng,
             val_losses: Vec::new(),
             best_params: None,
         };
@@ -181,8 +173,6 @@ struct GcnStep<'a> {
     labels: &'a [usize],
     train_nodes: &'a [usize],
     val_nodes: &'a [usize],
-    dropout: f64,
-    rng: StdRng,
     val_losses: Vec<f64>,
     best_params: Option<ParamSet>,
 }
@@ -191,14 +181,7 @@ impl TrainStep for GcnStep<'_> {
     fn step(&mut self, tape: &mut Tape, w: &[Var], _epoch: usize, _batch: usize) -> StepOutput {
         let logits = {
             let _s = span("encode");
-            forward_train(
-                tape,
-                w,
-                self.norm_adj,
-                self.features,
-                self.dropout,
-                &mut self.rng,
-            )
+            forward(tape, w, self.norm_adj, self.features)
         };
         let _s = span("loss");
         let loss = tape.softmax_cross_entropy(logits, self.labels, self.train_nodes);
@@ -228,25 +211,6 @@ fn forward(tape: &mut Tape, w: &[Var], s: &Arc<CsrMatrix>, x: &DenseMatrix) -> V
     let h1 = tape.spmm(s, xw);
     let a1 = tape.relu(h1);
     let hw = tape.matmul(a1, w[1]);
-    tape.spmm(s, hw)
-}
-
-/// Training-mode forward with inverted dropout on input and hidden layers.
-fn forward_train(
-    tape: &mut Tape,
-    w: &[Var],
-    s: &Arc<CsrMatrix>,
-    x: &DenseMatrix,
-    dropout: f64,
-    rng: &mut rand::rngs::StdRng,
-) -> Var {
-    let xv = tape.constant(x.clone());
-    let xd = tape.dropout(xv, dropout, rng);
-    let xw = tape.matmul(xd, w[0]);
-    let h1 = tape.spmm(s, xw);
-    let a1 = tape.relu(h1);
-    let ad = tape.dropout(a1, dropout, rng);
-    let hw = tape.matmul(ad, w[1]);
     tape.spmm(s, hw)
 }
 
@@ -351,7 +315,6 @@ mod tests {
         let cfg = GcnConfig {
             epochs: 60,
             patience: 5,
-            dropout: 0.5, // exercise the RNG stream too
             ..Default::default()
         };
 
@@ -378,7 +341,7 @@ mod tests {
         for _ in 0..cfg.epochs {
             let mut tape = Tape::new();
             let w = params.leaf_all(&mut tape);
-            let logits = forward_train(&mut tape, &w, &norm_adj, &features, cfg.dropout, &mut rng);
+            let logits = forward(&mut tape, &w, &norm_adj, &features);
             let loss = tape.softmax_cross_entropy(logits, &labels, &g.split.train);
             tape.backward(loss);
             train_losses.push(tape.scalar(loss));
@@ -415,18 +378,5 @@ mod tests {
         assert_eq!(model.val_losses, val_losses, "val-loss trajectory");
         assert_eq!(model.params.get(0), params.get(0), "kept W1");
         assert_eq!(model.params.get(1), params.get(1), "kept W2");
-    }
-
-    #[test]
-    fn learns_with_dropout_enabled() {
-        let g = sbm_with_split(6);
-        let cfg = GcnConfig {
-            epochs: 150,
-            dropout: 0.5,
-            ..Default::default()
-        };
-        let model = GcnClassifier::fit(&g, &cfg);
-        let acc = model.accuracy_on(&g, &g.split.test);
-        assert!(acc > 0.75, "dropout-GCN accuracy {acc}");
     }
 }

@@ -101,7 +101,7 @@ mod tests {
             s.to_dense()
         };
         let recon_err = |emb: &DenseMatrix| -> f64 {
-            let zt = aneci_linalg::par::matmul(emb, &emb.transpose());
+            let zt = emb.matmul(&emb.transpose());
             zt.sub(&target).frobenius_norm()
         };
         let mut rng = aneci_linalg::rng::seeded_rng(2);

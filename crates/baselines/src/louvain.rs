@@ -175,26 +175,8 @@ pub fn louvain(graph: &AttributedGraph, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aneci_core::classic_modularity;
     use aneci_graph::{generate_sbm, karate_club, AttributedGraph, SbmConfig};
-
-    /// Local modularity helper (avoids a dev-dependency on aneci-eval).
-    fn modularity(g: &AttributedGraph, part: &[usize]) -> f64 {
-        let m = g.num_edges() as f64;
-        let k = part.iter().copied().max().unwrap_or(0) + 1;
-        let mut intra = vec![0.0; k];
-        let mut deg = vec![0.0; k];
-        for (u, v) in g.edge_list() {
-            if part[u] == part[v] {
-                intra[part[u]] += 1.0;
-            }
-        }
-        for u in 0..g.num_nodes() {
-            deg[part[u]] += g.degree(u) as f64;
-        }
-        (0..k)
-            .map(|c| intra[c] / m - (deg[c] / (2.0 * m)).powi(2))
-            .sum()
-    }
 
     #[test]
     fn two_cliques_found_exactly() {
@@ -215,7 +197,7 @@ mod tests {
     fn karate_reaches_high_modularity() {
         let g = karate_club();
         let labels = louvain(&g, 2);
-        let q = modularity(&g, &labels);
+        let q = classic_modularity(g.adjacency(), &labels);
         // The known Louvain optimum on karate is ≈ 0.41–0.42.
         assert!(q > 0.38, "Q = {q}");
         let k = labels.iter().copied().max().unwrap() + 1;
@@ -228,7 +210,7 @@ mod tests {
         // 2-faction ground truth's Q ≈ 0.358.
         let g = karate_club();
         let labels = louvain(&g, 3);
-        assert!(modularity(&g, &labels) >= 0.358 - 1e-9);
+        assert!(classic_modularity(g.adjacency(), &labels) >= 0.358 - 1e-9);
     }
 
     #[test]

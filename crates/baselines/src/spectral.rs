@@ -96,11 +96,11 @@ pub fn top_eigenvectors(
     let mut q = gaussian_matrix(n, k, 1.0, &mut rng);
     orthonormalize(&mut q, derive_seed(seed, 1));
     for it in 0..iterations {
-        q = aneci_linalg::par::spmm_dense(op, &q);
+        q = op.spmm_dense(&q);
         orthonormalize(&mut q, derive_seed(seed, 2 + it as u64));
     }
     // Rayleigh quotients as eigenvalue estimates.
-    let aq = aneci_linalg::par::spmm_dense(op, &q);
+    let aq = op.spmm_dense(&q);
     let mut pairs: Vec<(f64, usize)> = (0..k)
         .map(|c| {
             let lambda: f64 = (0..n).map(|r| q.get(r, c) * aq.get(r, c)).sum();

@@ -46,7 +46,7 @@
 
 use aneci_graph::Benchmark;
 use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
-use aneci_linalg::{par, pool, simd, vector, CsrMatrix};
+use aneci_linalg::{pool, reference, simd, vector, CsrMatrix};
 use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
@@ -136,18 +136,18 @@ fn kernel_bench() {
     let mut rng = seeded_rng(7);
     let mut rows: Vec<Row> = Vec::new();
 
-    // Dense matmul: serial reference is the pre-pool naive i-k-j kernel.
-    // The 256 case is fast enough to be scheduler-noise-prone on a busy
+    // Dense matmul: the serial leg is `reference::matmul`, the naive i-k-j
+    // loop. The 256 case is fast enough to be scheduler-noise-prone on a busy
     // box, so it gets more reps than the larger shapes.
     for &(n, reps) in &[(256usize, 13), (512, 7)] {
         let a = gaussian_matrix(n, n, 1.0, &mut rng);
         let b = gaussian_matrix(n, n, 1.0, &mut rng);
         let serial = time_best(reps, || {
-            black_box(a.matmul(&b));
+            black_box(reference::matmul(&a, &b));
         });
         pool::set_par_threshold(1);
         let pooled = time_best(reps, || {
-            black_box(par::matmul(&a, &b));
+            black_box(a.matmul(&b));
         });
         rows.push(Row {
             kernel: "matmul",
@@ -162,11 +162,11 @@ fn kernel_bench() {
         let a = gaussian_matrix(4000, 128, 1.0, &mut rng);
         let b = gaussian_matrix(4000, 128, 1.0, &mut rng);
         let serial = time_best(3, || {
-            black_box(a.matmul_tn(&b));
+            black_box(reference::matmul_tn(&a, &b));
         });
         pool::set_par_threshold(1);
         let pooled = time_best(3, || {
-            black_box(par::matmul_tn(&a, &b));
+            black_box(a.matmul_tn(&b));
         });
         rows.push(Row {
             kernel: "matmul_tn",
@@ -189,11 +189,11 @@ fn kernel_bench() {
         let w = gaussian_matrix(k, 64, 1.0, &mut rng);
         let g = gaussian_matrix(m, 64, 1.0, &mut rng);
         let serial = time_best(5, || {
-            black_box(x.matmul(&w));
+            black_box(reference::matmul(x, &w));
         });
         pool::set_par_threshold(1);
         let pooled = time_best(5, || {
-            black_box(par::matmul(x, &w));
+            black_box(x.matmul(&w));
         });
         rows.push(Row {
             kernel: "matmul",
@@ -202,10 +202,10 @@ fn kernel_bench() {
             pooled_ns: pooled,
         });
         let serial = time_best(5, || {
-            black_box(x.matmul_tn(&g));
+            black_box(reference::matmul_tn(x, &g));
         });
         let pooled = time_best(5, || {
-            black_box(par::matmul_tn(x, &g));
+            black_box(x.matmul_tn(&g));
         });
         rows.push(Row {
             kernel: "matmul_tn",
@@ -220,11 +220,11 @@ fn kernel_bench() {
         let s = random_csr(8192, 16, 11);
         let d = gaussian_matrix(8192, 128, 1.0, &mut rng);
         let serial = time_best(3, || {
-            black_box(s.spmm_dense(&d));
+            black_box(reference::spmm_dense(&s, &d));
         });
         pool::set_par_threshold(1);
         let pooled = time_best(3, || {
-            black_box(par::spmm_dense(&s, &d));
+            black_box(s.spmm_dense(&d));
         });
         rows.push(Row {
             kernel: "spmm_dense",

@@ -32,6 +32,7 @@ pub fn run(args: &ExpArgs) {
             let cluster = |z: &DenseMatrix, seed: u64| -> Vec<usize> {
                 kmeans_best_of(z, k, 100, 5, seed).assignments
             };
+            let q = |partition: Vec<usize>| modularity(graph.adjacency(), &partition);
 
             let z = deepwalk(
                 &graph,
@@ -40,7 +41,7 @@ pub fn run(args: &ExpArgs) {
                     ..Default::default()
                 },
             );
-            per_method[0].push(modularity(&graph, &cluster(&z, seed)));
+            per_method[0].push(q(cluster(&z, seed)));
 
             let gae = Gae::fit(
                 &graph,
@@ -49,7 +50,7 @@ pub fn run(args: &ExpArgs) {
                     ..Default::default()
                 },
             );
-            per_method[1].push(modularity(&graph, &cluster(gae.embedding(), seed)));
+            per_method[1].push(q(cluster(gae.embedding(), seed)));
 
             let dgi = Dgi::fit(
                 &graph,
@@ -58,13 +59,13 @@ pub fn run(args: &ExpArgs) {
                     ..Default::default()
                 },
             );
-            per_method[2].push(modularity(&graph, &cluster(dgi.embedding(), seed)));
+            per_method[2].push(q(cluster(dgi.embedding(), seed)));
 
-            per_method[3].push(modularity(&graph, &louvain(&graph, seed)));
+            per_method[3].push(q(louvain(&graph, seed)));
 
             let config = AneciConfig::for_community_detection(k, seed);
             let (model, _) = train_aneci(&graph, &config).unwrap();
-            per_method[4].push(modularity(&graph, &model.communities()));
+            per_method[4].push(q(model.communities()));
         }
         let means: Vec<f64> = per_method.iter().map(|s| mean(s)).collect();
         rows.push({

@@ -137,7 +137,7 @@ pub fn run(args: &ExpArgs) {
 
             // Community detection on the clean graph.
             let partition = kmeans_best_of(&z, k, 100, 5, seed).assignments;
-            mods[slot].push(modularity(&graph, &partition));
+            mods[slot].push(modularity(graph.adjacency(), &partition));
         }
     }
 

@@ -20,10 +20,10 @@
 //! mask.
 
 use crate::anomaly::combined_anomaly_scores;
-use crate::config::{AneciConfig, LEAKY_ALPHA};
+use crate::config::AneciConfig;
 use crate::denoise::{aneci_plus, DenoiseConfig};
 use crate::error::AneciError;
-use crate::model::train_aneci;
+use crate::model::{propagation, train_aneci};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng};
 use aneci_linalg::DenseMatrix;
@@ -170,22 +170,6 @@ impl SmoothedEncoder {
             cert_threshold: 2.0 / 3.0,
         }
     }
-
-    /// One non-tape encoder forward on an arbitrary adjacency:
-    /// `Z = Â·leaky_relu(Â·X·W₁)·W₂` with the trained weights.
-    fn forward(
-        &self,
-        graph: &AttributedGraph,
-        adj: &aneci_linalg::CsrMatrix,
-        w1: &DenseMatrix,
-        w2: &DenseMatrix,
-    ) -> DenseMatrix {
-        let xw = graph.features().matmul(w1);
-        let h1 = adj.spmm_dense(&xw);
-        let a1 = h1.map(|x| if x >= 0.0 { x } else { LEAKY_ALPHA * x });
-        let hw = a1.matmul(w2);
-        adj.spmm_dense(&hw)
-    }
 }
 
 impl Defense for SmoothedEncoder {
@@ -205,10 +189,14 @@ impl Defense for SmoothedEncoder {
                 self.drop_rate
             )));
         }
+        // NaN fails both comparisons, so it is rejected too.
+        if !(self.cert_threshold > 0.0 && self.cert_threshold <= 1.0) {
+            return Err(AneciError::Config(format!(
+                "cert_threshold must be in (0, 1]: {}",
+                self.cert_threshold
+            )));
+        }
         let (model, _) = train_aneci(graph, &self.config)?;
-        let ckpt = model.checkpoint()?;
-        let w1 = &ckpt.weights[0].1;
-        let w2 = &ckpt.weights[1].1;
 
         let n = graph.num_nodes();
         let k = self.config.embed_dim;
@@ -224,7 +212,7 @@ impl Defense for SmoothedEncoder {
                 .filter(|_| rng.gen::<f64>() < self.drop_rate)
                 .collect();
             let sampled = graph.with_edits(&[], &dropped);
-            let z = self.forward(graph, &sampled.norm_adjacency(), w1, w2);
+            let z = model.embed_over(&propagation(sampled.adjacency()));
             for (i, winner) in z.softmax_rows().argmax_rows().into_iter().enumerate() {
                 vote_counts[i * k + winner] += 1;
             }
@@ -386,5 +374,33 @@ mod tests {
             ..SmoothedEncoder::with_config(quick_cfg(6))
         };
         assert!(bad_rate.defend(&g).is_err());
+        // Below (0, 1] every node would be certified, above it none.
+        for cert_threshold in [f64::NAN, 0.0, -0.5, 1.5] {
+            let bad_threshold = SmoothedEncoder {
+                cert_threshold,
+                ..SmoothedEncoder::with_config(quick_cfg(6))
+            };
+            let err = bad_threshold.defend(&g).unwrap_err();
+            assert!(
+                matches!(err, AneciError::Config(_)),
+                "{cert_threshold}: {err}"
+            );
+        }
+    }
+
+    /// A vote that drops no edge runs the trained model's own encoder on
+    /// its own operator, so its embedding is that model's forward pass.
+    #[test]
+    fn smoothing_vote_runs_the_trained_encoder() {
+        let g = graph(7);
+        let out = SmoothedEncoder {
+            votes: 1,
+            drop_rate: 0.0,
+            ..SmoothedEncoder::with_config(quick_cfg(7))
+        }
+        .defend(&g)
+        .unwrap();
+        let (model, _) = train_aneci(&g, &quick_cfg(7)).unwrap();
+        assert_eq!(out.embedding, model.forward_embedding());
     }
 }

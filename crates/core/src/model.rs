@@ -275,7 +275,7 @@ fn joint_loss(
     };
     let q = {
         let _s = span("modularity");
-        modularity(tape, p, ops)
+        modularity(tape, p, &ops.a_tilde, &ops.k_tilde, ops.m_tilde)
     };
     let recon = {
         let _s = span("decode");
@@ -296,7 +296,8 @@ fn zero(tape: &mut Tape) -> Var {
 }
 
 /// The fused generalized modularity `Q̃` (Eq. 14) as a tape scalar:
-/// `[Σ(P ⊙ ÃP) − ‖Pᵀk̃‖²/M̃] / M̃`.
+/// `[Σ(P ⊙ ÃP) − ‖Pᵀk̃‖²/M̃] / M̃`, with `k̃` the row sums of `Ã` as a
+/// column and `M̃` their total.
 ///
 /// Convention note: the paper writes `2M̃` to mirror classic modularity,
 /// where `Σ_ij A_ij = 2M` for a symmetric adjacency. Our `M̃` is already
@@ -305,22 +306,40 @@ fn zero(tape: &mut Tape) -> Var {
 /// exactly 0 (as classic modularity does) instead of ¼, and Property 1
 /// still holds because for an unnormalized symmetric `Ã = A` the mass
 /// equals `2M`.
-fn modularity(tape: &mut Tape, p: Var, ops: &Operators) -> Var {
-    let mass = ops.m_tilde;
+fn modularity(
+    tape: &mut Tape,
+    p: Var,
+    a_tilde: &Arc<CsrMatrix>,
+    k_tilde: &DenseMatrix,
+    mass: f64,
+) -> Var {
     if mass == 0.0 {
         return zero(tape);
     }
-    let sp = tape.spmm(&ops.a_tilde, p);
+    let sp = tape.spmm(a_tilde, p);
     let term1 = {
         let h = tape.hadamard(p, sp);
         tape.sum(h)
     };
-    let k = tape.constant(ops.k_tilde.clone());
+    let k = tape.constant(k_tilde.clone());
     let y = tape.matmul_tn(p, k); // h×1 vector Pᵀk̃
     let term2 = tape.frob_sq(y);
     let t2 = tape.scale(term2, 1.0 / mass);
     let diff = tape.sub(term1, t2);
     tape.scale(diff, 1.0 / mass)
+}
+
+/// `Q̃` of a constant membership `p`: [`modularity`] on a fresh tape.
+pub(crate) fn q_tilde(
+    a_tilde: &Arc<CsrMatrix>,
+    k_tilde: &DenseMatrix,
+    mass: f64,
+    p: &DenseMatrix,
+) -> f64 {
+    let mut tape = Tape::new();
+    let p = tape.constant(p.clone());
+    let q = modularity(&mut tape, p, a_tilde, k_tilde, mass);
+    tape.scalar(q)
 }
 
 /// The reconstruction loss `L_R` (Eq. 17) as a tape scalar, averaged over
@@ -517,7 +536,14 @@ impl AneciModel {
     /// training this is the untrained (Laplacian-smoothing) encoder output,
     /// which the ablation study (Table IV "+Encoder") uses directly.
     pub fn forward_embedding(&self) -> DenseMatrix {
-        embed(&self.params, &self.features, &self.ops.norm_adj)
+        self.embed_over(&self.ops.norm_adj)
+    }
+
+    /// The encoder under the current parameters on the model's features,
+    /// propagating over `norm_adj` instead of the model's own `Â`: the
+    /// smoothing defense's vote runs it on an edge-dropped copy.
+    pub(crate) fn embed_over(&self, norm_adj: &Arc<CsrMatrix>) -> DenseMatrix {
+        embed(&self.params, &self.features, norm_adj)
     }
 
     /// The kept embedding matrix `Z` (after [`AneciModel::train`]).
@@ -542,10 +568,8 @@ impl AneciModel {
     /// `P`, which tests also pin to Eq. 13.
     pub fn q_tilde_of(&self, p: &DenseMatrix) -> f64 {
         assert_eq!(p.rows(), self.adjacency.rows(), "membership row mismatch");
-        let mut tape = Tape::new();
-        let p = tape.constant(p.clone());
-        let q = modularity(&mut tape, p, &self.ops);
-        tape.scalar(q)
+        let ops = &self.ops;
+        q_tilde(&ops.a_tilde, &ops.k_tilde, ops.m_tilde, p)
     }
 
     /// Read access to the high-order proximity used by the model.

@@ -18,38 +18,14 @@
 //! The tests in this module machine-check each of those claims, which pins
 //! the implementation to the paper's theory section.
 
+use crate::model::q_tilde;
 use aneci_linalg::{CsrMatrix, DenseMatrix};
+use std::sync::Arc;
 
 /// Newman's modularity `Q` (Eq. 4) on an arbitrary weighted proximity
-/// matrix with a hard partition. `proximity` plays the role of `A`; the
-/// degrees and mass are derived from it.
-pub fn classic_modularity(proximity: &CsrMatrix, partition: &[usize]) -> f64 {
-    assert_eq!(
-        proximity.rows(),
-        partition.len(),
-        "partition length mismatch"
-    );
-    let k: Vec<f64> = proximity.row_sums();
-    let two_m: f64 = k.iter().sum();
-    if two_m == 0.0 {
-        return 0.0;
-    }
-    // Q = (1/2m) Σ_ij (A_ij − k_i k_j / 2m) δ(c_i, c_j)
-    //   = (1/2m) [Σ_intra A_ij − Σ_c (d_c)²/2m].
-    let mut intra = 0.0;
-    for (i, j, v) in proximity.iter() {
-        if partition[i] == partition[j] {
-            intra += v;
-        }
-    }
-    let num_comms = partition.iter().copied().max().map_or(0, |m| m + 1);
-    let mut comm_degree = vec![0.0; num_comms];
-    for (i, &c) in partition.iter().enumerate() {
-        comm_degree[c] += k[i];
-    }
-    let expected: f64 = comm_degree.iter().map(|d| d * d / two_m).sum();
-    (intra - expected) / two_m
-}
+/// matrix with a hard partition: the evaluation crate's one
+/// implementation, under the name the theory section uses.
+pub use aneci_eval::modularity as classic_modularity;
 
 /// `EQ` (Eq. 11): overlapping extension weighting each pair by
 /// `1/(O_i O_j)` where `O_i` is the number of communities node `i` belongs
@@ -123,24 +99,20 @@ pub fn qstar_modularity(proximity: &CsrMatrix, alpha: &DenseMatrix) -> f64 {
 }
 
 /// The paper's generalized modularity `Q̃` (Eq. 13) on an arbitrary
-/// proximity matrix: `Q̃ = (1/2M̃) Σ_c Σ_ij α_ic α_jc (Ã_ij − k̃_i k̃_j / 2M̃)`,
-/// evaluated in the fused `O(nnz·K + N·K)` form.
+/// proximity matrix: `Q̃ = (1/2M̃) Σ_c Σ_ij α_ic α_jc (Ã_ij − k̃_i k̃_j / 2M̃)`
+/// with `k̃` the row sums of `proximity` and `2M̃` their total. It is the
+/// training loss's own fused `O(nnz·K + N·K)` form, evaluated on a
+/// constant `α`.
 pub fn generalized_modularity(proximity: &CsrMatrix, alpha: &DenseMatrix) -> f64 {
-    let n = proximity.rows();
-    assert_eq!(alpha.rows(), n, "membership row mismatch");
-    let k_tilde: Vec<f64> = proximity.row_sums();
-    let two_m: f64 = k_tilde.iter().sum();
-    if two_m == 0.0 {
-        return 0.0;
-    }
-    // term1 = Σ_ij Ã_ij (α_i · α_j) = Σ(α ⊙ Ãα)
-    let s_alpha = proximity.spmm_dense(alpha);
-    let term1 = alpha.dot(&s_alpha);
-    // term2 = ‖αᵀ k̃‖² / 2M̃
-    let k_col = DenseMatrix::column(&k_tilde);
-    let y = alpha.matmul_tn(&k_col);
-    let term2 = y.dot(&y) / two_m;
-    (term1 - term2) / two_m
+    assert_eq!(alpha.rows(), proximity.rows(), "membership row mismatch");
+    let k_tilde = proximity.row_sums();
+    let mass: f64 = k_tilde.iter().sum();
+    q_tilde(
+        &Arc::new(proximity.clone()),
+        &DenseMatrix::column(&k_tilde),
+        mass,
+        alpha,
+    )
 }
 
 /// Converts a hard partition into the one-hot membership matrix.
@@ -162,16 +134,6 @@ mod tests {
     fn karate_proximity() -> (CsrMatrix, Vec<usize>) {
         let g = karate_club();
         (g.adjacency().clone(), g.labels.clone().unwrap())
-    }
-
-    /// Sanity: the classic form here equals the evaluation crate's.
-    #[test]
-    fn classic_matches_eval_crate_definition() {
-        let g = karate_club();
-        let partition = g.labels.clone().unwrap();
-        let here = classic_modularity(g.adjacency(), &partition);
-        // Known karate faction modularity.
-        assert!((here - 0.3582).abs() < 0.01, "Q = {here}");
     }
 
     /// **Property 1 for Q̃** (the paper's central theoretical claim): with

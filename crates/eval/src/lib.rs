@@ -74,7 +74,7 @@ mod proptests {
         ) {
             let g = AttributedGraph::from_edges_plain(10, &edges, None);
             if g.num_edges() == 0 { return Ok(()); }
-            let fast = modularity(&g, &labels);
+            let fast = modularity(g.adjacency(), &labels);
             let slow = modularity_bruteforce(&g, &labels);
             prop_assert!((fast - slow).abs() < 1e-9, "fast {fast} slow {slow}");
         }
@@ -87,9 +87,9 @@ mod proptests {
         ) {
             let g = AttributedGraph::from_edges_plain(8, &edges, None);
             if g.num_edges() == 0 { return Ok(()); }
-            let base = modularity(&g, &labels);
+            let base = modularity(g.adjacency(), &labels);
             let relabelled: Vec<usize> = labels.iter().map(|&l| 2 - l).collect();
-            prop_assert!((modularity(&g, &relabelled) - base).abs() < 1e-12);
+            prop_assert!((modularity(g.adjacency(), &relabelled) - base).abs() < 1e-12);
         }
 
         /// NMI and ARI hit their maximum on identical partitions and are

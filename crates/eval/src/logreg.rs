@@ -113,7 +113,7 @@ impl LogisticRegression {
 
         for _ in 0..config.epochs {
             // Forward: probs = softmax(XW + b).
-            let mut logits = aneci_linalg::par::matmul(&x, &w);
+            let mut logits = x.matmul(&w);
             for r in 0..n {
                 for (lv, &bv) in logits.row_mut(r).iter_mut().zip(&b) {
                     *lv += bv;
@@ -124,7 +124,7 @@ impl LogisticRegression {
             for (r, &label) in labels.iter().enumerate() {
                 logits.add_at(r, label, -1.0);
             }
-            let mut gw = aneci_linalg::par::matmul_tn(&x, &logits);
+            let mut gw = x.matmul_tn(&logits);
             gw.scale_inplace(1.0 / n as f64);
             gw.axpy(config.l2, &w);
             let mut gb = logits.col_sums();
@@ -167,7 +167,7 @@ impl LogisticRegression {
     /// Class-probability matrix for new rows.
     pub fn predict_proba(&self, features: &DenseMatrix) -> DenseMatrix {
         let x = Self::apply_standardize(features, &self.mean, &self.std, self.standardize);
-        let mut logits = aneci_linalg::par::matmul(&x, &self.weights);
+        let mut logits = x.matmul(&self.weights);
         for r in 0..logits.rows() {
             for (lv, &bv) in logits.row_mut(r).iter_mut().zip(&self.bias) {
                 *lv += bv;

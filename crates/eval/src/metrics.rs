@@ -4,6 +4,7 @@
 //! agreement).
 
 use aneci_graph::AttributedGraph;
+use aneci_linalg::CsrMatrix;
 
 /// Classification accuracy.
 pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
@@ -93,38 +94,39 @@ pub fn auc(scores: &[f64], labels: &[bool]) -> f64 {
     u / (n_pos as f64 * n_neg as f64)
 }
 
-/// Classic Newman–Girvan modularity (Eq. 4 of the paper) of a hard
-/// partition, computed with the standard per-community decomposition
-/// `Q = Σ_c [ m_c/M − (d_c/2M)² ]` where `m_c` is the number of intra-`c`
-/// edges and `d_c` the total degree of `c`.
+/// Newman's modularity `Q` (Eq. 4 of the paper) of a hard partition on a
+/// weighted proximity matrix. `adjacency` plays the role of `A`; the
+/// degrees `k` and the mass `2m = Σ k` are derived from it:
 ///
-/// Note: per the classic definition this uses the *hollow* adjacency (no
-/// self-loops) and the undirected edge count `M`.
-pub fn modularity(graph: &AttributedGraph, partition: &[usize]) -> f64 {
+/// `Q = (1/2m) Σ_ij (A_ij − k_i k_j / 2m) δ(c_i, c_j)
+///    = (1/2m) [Σ_intra A_ij − Σ_c d_c² / 2m]`,
+///
+/// where `d_c` is the total degree of community `c`. Per the classic
+/// definition, pass the *hollow* adjacency (no self-loops).
+pub fn modularity(adjacency: &CsrMatrix, partition: &[usize]) -> f64 {
     assert_eq!(
+        adjacency.rows(),
         partition.len(),
-        graph.num_nodes(),
         "modularity: partition length mismatch"
     );
-    let m = graph.num_edges();
-    if m == 0 {
+    let k: Vec<f64> = adjacency.row_sums();
+    let two_m: f64 = k.iter().sum();
+    if two_m == 0.0 {
         return 0.0;
     }
-    let k = partition.iter().copied().max().unwrap_or(0) + 1;
-    let mut intra = vec![0usize; k];
-    let mut degree = vec![0usize; k];
-    for (u, v) in graph.edge_list() {
-        if partition[u] == partition[v] {
-            intra[partition[u]] += 1;
+    let mut intra = 0.0;
+    for (i, j, v) in adjacency.iter() {
+        if partition[i] == partition[j] {
+            intra += v;
         }
     }
-    for u in 0..graph.num_nodes() {
-        degree[partition[u]] += graph.degree(u);
+    let num_comms = partition.iter().copied().max().map_or(0, |m| m + 1);
+    let mut comm_degree = vec![0.0; num_comms];
+    for (i, &c) in partition.iter().enumerate() {
+        comm_degree[c] += k[i];
     }
-    let m = m as f64;
-    (0..k)
-        .map(|c| intra[c] as f64 / m - (degree[c] as f64 / (2.0 * m)).powi(2))
-        .sum()
+    let expected: f64 = comm_degree.iter().map(|d| d * d / two_m).sum();
+    (intra - expected) / two_m
 }
 
 /// Brute-force modularity straight from Eq. 4 — O(N²); exists so tests can
@@ -282,7 +284,7 @@ mod tests {
     fn modularity_matches_bruteforce_on_karate() {
         let g = karate_club();
         let partition = g.labels.clone().unwrap();
-        let fast = modularity(&g, &partition);
+        let fast = modularity(g.adjacency(), &partition);
         let slow = modularity_bruteforce(&g, &partition);
         assert!((fast - slow).abs() < 1e-12);
         // The known faction modularity of karate is ≈ 0.3582.
@@ -293,7 +295,7 @@ mod tests {
     fn modularity_of_single_community_is_zero() {
         let g = karate_club();
         let partition = vec![0; g.num_nodes()];
-        assert!(modularity(&g, &partition).abs() < 1e-12);
+        assert!(modularity(g.adjacency(), &partition).abs() < 1e-12);
     }
 
     #[test]
@@ -303,7 +305,7 @@ mod tests {
         let mut rng = aneci_linalg::rng::seeded_rng(5);
         let mut random = truth.clone();
         aneci_linalg::rng::shuffle(&mut random, &mut rng);
-        assert!(modularity(&g, &truth) > modularity(&g, &random) + 0.2);
+        assert!(modularity(g.adjacency(), &truth) > modularity(g.adjacency(), &random) + 0.2);
     }
 
     #[test]
@@ -314,7 +316,7 @@ mod tests {
             &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
             None,
         );
-        let q = modularity(&g, &[0, 0, 0, 1, 1, 1]);
+        let q = modularity(g.adjacency(), &[0, 0, 0, 1, 1, 1]);
         // Q = 2 * (3/6 - (6/12)²) = 2 * (0.5 - 0.25) = 0.5.
         assert!((q - 0.5).abs() < 1e-12);
     }

@@ -42,7 +42,7 @@ fn pairwise_sq_dists(x: &DenseMatrix) -> DenseMatrix {
     let norms: Vec<f64> = (0..n)
         .map(|i| x.row(i).iter().map(|v| v * v).sum())
         .collect();
-    let gram = aneci_linalg::par::matmul(x, &x.transpose());
+    let gram = x.matmul(&x.transpose());
     DenseMatrix::from_fn(n, n, |i, j| {
         (norms[i] + norms[j] - 2.0 * gram.get(i, j)).max(0.0)
     })

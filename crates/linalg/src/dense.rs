@@ -3,11 +3,16 @@
 //! This is the workhorse type of the whole reproduction: GCN activations,
 //! weight matrices, embeddings and membership matrices are all [`DenseMatrix`].
 //! The layout is plain row-major `Vec<f64>` so rows are contiguous and can be
-//! handed out as slices, which the multi-threaded kernels in [`crate::par`]
-//! rely on.
+//! handed out as slices, which the pooled kernels rely on: workers split
+//! the *output rows*, so each chunk writes a disjoint region, and chunk
+//! boundaries depend only on the problem size, so results are identical
+//! across thread counts.
 
+use crate::kernel_stats::{self, Kernel};
 use crate::pool::{self, SendPtr};
+use crate::{simd, vector};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Elementwise kernels below this many entries always run serially (they are
@@ -457,43 +462,111 @@ impl DenseMatrix {
         (0..self.rows).map(|i| self.get(i, i)).sum()
     }
 
-    /// Dense matrix product `self * other` (single-threaded i-k-j kernel).
-    ///
-    /// For large matrices prefer [`crate::par::matmul`], which splits rows
-    /// across threads; this method is kept for small shapes and tests.
+    /// Dense matrix product `self * other`: cache-blocked microkernel,
+    /// pooled over output rows above the pool threshold.
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimension mismatch {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        matmul_into(self, other, &mut out);
-        out
+        let (m, k) = self.shape();
+        let n = other.cols;
+        let work = m * k * n;
+        kernel_stats::record(Kernel::Matmul, 2 * work as u64, || {
+            simd::record_dispatch();
+            let mut out = DenseMatrix::zeros(m, n);
+            let ptr = SendPtr(out.data.as_mut_ptr());
+            if pool::should_parallelize(work) {
+                pool::parallel_for(m, pool::row_grain(m, 4), |lo, hi| {
+                    // SAFETY (in callee): chunks own disjoint output row ranges.
+                    matmul_rows_into(self, other, lo, hi, ptr.get());
+                });
+            } else {
+                matmul_rows_into(self, other, 0, m, ptr.get());
+            }
+            out
+        })
     }
 
-    /// `selfᵀ * other` without materializing the transpose.
+    /// `selfᵀ * other`, computed as a fixed sequence of row-block partial
+    /// products summed in block order.
+    ///
+    /// The block decomposition depends only on the shape — never on the
+    /// thread count or the parallel threshold — so the result is
+    /// bit-identical whether the blocks execute pooled or serial. (An
+    /// earlier version switched to a direct serial accumulation below the
+    /// threshold, which rounded the long reduction differently and made
+    /// seeded runs diverge across thread counts.) Rounding may differ from
+    /// the strictly-serial [`crate::reference::matmul_tn`] by ~1e-12
+    /// relative. Each row of `self` adds only its nonzero entries, found by
+    /// the same scan the blocked product uses.
     pub fn matmul_tn(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: row mismatch {}x{} vs {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = DenseMatrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
+        let m = self.rows;
+        let (p, q) = (self.cols, other.cols);
+        let work = m * p * q;
+        kernel_stats::record(Kernel::MatmulTn, 2 * work as u64, || {
+            simd::record_dispatch();
+            let mut out = DenseMatrix::zeros(p, q);
+            let size = p * q;
+            if m == 0 || size == 0 {
+                return out;
             }
-        }
-        out
+            // Each block accumulates a full `p × q` partial, so keep the
+            // block count low: ≤8 blocks bounds both the extra memory and
+            // the final block-ordered reduction while still feeding the
+            // pool. Block 0 accumulates into `out`, block `i ≥ 1` into
+            // partial `i − 1`.
+            let grain = m.div_ceil(8).max(32);
+            let blocks = m.div_ceil(grain);
+            TN_PARTIALS.with_borrow_mut(|partials| {
+                if partials.len() < (blocks - 1) * size {
+                    partials.resize((blocks - 1) * size, 0.0);
+                }
+                let dst = SendPtr(out.data.as_mut_ptr());
+                let scratch = SendPtr(partials.as_mut_ptr());
+                pool::parallel_for(m, grain, |lo, hi| {
+                    let block = lo / grain;
+                    // SAFETY: each block owns its accumulator: `out` for
+                    // block 0, partial `block − 1` of the `blocks − 1` in
+                    // `partials` otherwise; both outlive the parallel region.
+                    let acc = unsafe {
+                        if block == 0 {
+                            std::slice::from_raw_parts_mut(dst.get(), size)
+                        } else {
+                            let part = std::slice::from_raw_parts_mut(
+                                scratch.get().add((block - 1) * size),
+                                size,
+                            );
+                            part.fill(0.0);
+                            part
+                        }
+                    };
+                    let mut nonzero = Vec::with_capacity(p);
+                    for r in lo..hi {
+                        let (a_row, b_row) = (self.row(r), other.row(r));
+                        nonzero_union(a_row, a_row, 0, &mut nonzero);
+                        for &i in &nonzero {
+                            vector::axpy(&mut acc[i * q..(i + 1) * q], a_row[i], b_row);
+                        }
+                    }
+                });
+                let parts = &partials[..(blocks - 1) * size];
+                out.par_rows_mut((blocks - 1) * q, |i, row| {
+                    for part in parts.chunks_exact(size) {
+                        for (o, &v) in row.iter_mut().zip(&part[i * q..(i + 1) * q]) {
+                            *o += v;
+                        }
+                    }
+                });
+            });
+            out
+        })
     }
 
     /// Row-wise softmax (each output row sums to 1). Numerically stabilized.
@@ -615,14 +688,11 @@ impl DenseMatrix {
     }
 }
 
-/// Writes `a * b` into `out` (shapes must already agree). The `i-k-j` loop
-/// order keeps the inner loop streaming over contiguous rows of `b` and
-/// `out`, which auto-vectorizes well.
-pub(crate) fn matmul_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix) {
-    debug_assert_eq!(a.cols, b.rows);
-    debug_assert_eq!(out.rows, a.rows);
-    debug_assert_eq!(out.cols, b.cols);
-    matmul_rows_naive(a, b, 0, a.rows, out.data.as_mut_ptr());
+thread_local! {
+    /// The calling thread's [`DenseMatrix::matmul_tn`] partials: kept
+    /// across calls, so a call does not fault in fresh pages for them. At
+    /// most `7 · a.cols · b.cols` doubles (5.1 MB at Cora's 1433×64).
+    static TN_PARTIALS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Stabilized softmax of one row, in place.
@@ -700,20 +770,16 @@ const KC: usize = 128;
 /// are scheduled, so pooled calls are deterministic across thread counts.
 ///
 /// Callers must guarantee exclusive access to output rows `lo..hi`.
-pub(crate) fn matmul_rows_into(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    lo: usize,
-    hi: usize,
-    out: *mut f64,
-) {
+fn matmul_rows_into(a: &DenseMatrix, b: &DenseMatrix, lo: usize, hi: usize, out: *mut f64) {
     debug_assert_eq!(a.cols, b.rows);
     debug_assert!(hi <= a.rows);
     let (k_dim, n) = (a.cols, b.cols);
     // Small shapes: tile bookkeeping costs more than it saves, and thin
-    // matrices can't fill a register tile. Keep the streaming axpy loop.
+    // matrices can't fill a register tile. Stream each row over every `k`.
     if k_dim < 8 || n < NR || hi - lo < MR {
-        matmul_rows_naive(a, b, lo, hi, out);
+        for r in lo..hi {
+            axpy_row_range(a, b, r, 0..k_dim, 0..n, out);
+        }
         return;
     }
     // SIMD dispatch is resolved once per call: it depends only on the CPU
@@ -753,7 +819,7 @@ pub(crate) fn matmul_rows_into(
 /// is not `0.0` (NaN counts as nonzero, `-0.0` as zero). The list is
 /// integer data, so both SIMD dispatches build the same one; pass one row
 /// twice for its own nonzeros.
-pub(crate) fn nonzero_union(r0: &[f64], r1: &[f64], base: usize, ks: &mut Vec<usize>) {
+fn nonzero_union(r0: &[f64], r1: &[f64], base: usize, ks: &mut Vec<usize>) {
     debug_assert_eq!(r0.len(), r1.len());
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_active() {
@@ -875,27 +941,6 @@ fn axpy_row_range(
         let b_row = &b.data[p * n + c0..p * n + c1];
         for (o, &bv) in out_row.iter_mut().zip(b_row) {
             *o += av * bv;
-        }
-    }
-}
-
-/// Streaming `i-k-j` axpy kernel over rows `lo..hi` (the pre-pool serial
-/// kernel, kept for small shapes and as the tile fallback). The caller must
-/// own output rows `lo..hi` exclusively.
-fn matmul_rows_naive(a: &DenseMatrix, b: &DenseMatrix, lo: usize, hi: usize, out: *mut f64) {
-    let n = b.cols;
-    for r in lo..hi {
-        // SAFETY: the caller owns rows `lo..hi`.
-        let out_row = unsafe { std::slice::from_raw_parts_mut(out.add(r * n), n) };
-        let a_row = a.row(r);
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = b.row(k);
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
         }
     }
 }
@@ -1039,7 +1084,7 @@ mod tests {
             let b = DenseMatrix::from_fn(k, n, |r, c| ((r * 13 + c * 3) % 7) as f64 * 0.25 - 0.5);
             let mut blocked = DenseMatrix::zeros(m, n);
             matmul_rows_into(&a, &b, 0, m, blocked.as_mut_slice().as_mut_ptr());
-            let naive = a.matmul(&b);
+            let naive = crate::reference::matmul(&a, &b);
             assert!(
                 blocked.sub(&naive).max_abs() < 1e-10,
                 "blocked kernel diverged on {m}x{k}x{n}"

@@ -27,11 +27,12 @@ use aneci_obs::Counter;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Kernel {
-    /// Dense × dense product (`par::matmul`).
+    /// Dense × dense product (`DenseMatrix::matmul`).
     Matmul = 0,
-    /// Dense transposed product (`par::matmul_tn`).
+    /// Dense transposed product (`DenseMatrix::matmul_tn`).
     MatmulTn,
-    /// CSR × dense product (`par::spmm_dense`).
+    /// CSR × dense product (`CsrMatrix::spmm_dense` and
+    /// `CsrMatrix::spmm_dense_tn`).
     SpmmDense,
     /// CSR × CSR product (`CsrMatrix::spmm`).
     Spmm,

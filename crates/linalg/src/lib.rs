@@ -8,10 +8,15 @@
 //! proximity `Ã`. This crate provides exactly those, with no external BLAS:
 //!
 //! * [`DenseMatrix`] — row-major `f64` matrices with the usual elementwise,
-//!   product, reduction and normalization operations;
+//!   product, reduction and normalization operations; `matmul` and
+//!   `matmul_tn` are the production dense products (cache-blocked,
+//!   zero-skipping, pooled over output rows);
 //! * [`CsrMatrix`] — compressed-sparse-row matrices with sparse×sparse /
-//!   sparse×dense products, normalizations, and subgraph extraction;
-//! * [`par`] — multi-threaded versions of the hot products;
+//!   sparse×dense products (`spmm`, `spmm_dense`, `spmm_dense_tn`, all
+//!   pooled), normalizations, and subgraph extraction;
+//! * [`reference`](mod@reference) — the plain serial loops of those products and of the
+//!   subgraph extraction: test oracles and the serial legs of
+//!   `bench_report --kernels`, never called by production code;
 //! * [`pool`] — the persistent worker-pool runtime every multi-threaded
 //!   kernel dispatches through (`ANECI_NUM_THREADS` / `ANECI_PAR_THRESHOLD`);
 //! * [`kernel_stats`] — always-on per-kernel counters recorded into the
@@ -26,8 +31,8 @@
 
 pub mod dense;
 pub mod kernel_stats;
-pub mod par;
 pub mod pool;
+pub mod reference;
 pub mod rng;
 pub mod simd;
 pub mod sparse;

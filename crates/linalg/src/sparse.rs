@@ -8,6 +8,7 @@
 use crate::dense::DenseMatrix;
 use crate::kernel_stats::{self, Kernel};
 use crate::pool::{self, SendPtr};
+use crate::{simd, vector};
 use serde::{Deserialize, Serialize};
 
 /// Chunk-nnz floor below which `spmm_rows` skips its output pre-sizing
@@ -303,20 +304,88 @@ impl CsrMatrix {
         })
     }
 
-    /// Sparse × dense matrix product `self * d`.
+    /// Sparse × dense product `self * d`, pooled over output rows. Row
+    /// chunks are claimed via an atomic index, so uneven row sparsity
+    /// load-balances.
     pub fn spmm_dense(&self, d: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, d.rows(), "spmm_dense: inner dimension mismatch");
-        let mut out = DenseMatrix::zeros(self.rows, d.cols());
-        for r in 0..self.rows {
-            let out_row = out.row_mut(r);
-            for (c, v) in self.row_entries(r) {
-                let d_row = d.row(c);
-                for (o, &dv) in out_row.iter_mut().zip(d_row) {
-                    *o += v * dv;
+        let m = self.rows;
+        let n = d.cols();
+        let work = self.nnz() * n;
+        kernel_stats::record(Kernel::SpmmDense, 2 * work as u64, || {
+            simd::record_dispatch();
+            let mut out = DenseMatrix::zeros(m, n);
+            let ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
+            let fill_rows = |lo: usize, hi: usize| {
+                // SAFETY: chunks own disjoint output row ranges and `out`
+                // outlives the parallel region.
+                let dst =
+                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo * n), (hi - lo) * n) };
+                for (local_r, out_row) in dst.chunks_exact_mut(n.max(1)).enumerate() {
+                    for (c, v) in self.row_entries(lo + local_r) {
+                        vector::axpy(out_row, v, d.row(c));
+                    }
                 }
+            };
+            if n > 0 && pool::should_parallelize(work) {
+                // Fine grain: sparse rows are uneven, let the atomic index
+                // load-balance many small chunks.
+                pool::parallel_for(m, pool::row_grain(m, 1), fill_rows);
+            } else {
+                fill_rows(0, m);
             }
-        }
-        out
+            out
+        })
+    }
+
+    /// `selfᵀ * d` without building `selfᵀ`, bit-identical to
+    /// `self.transpose().spmm_dense(d)`: output row `j` adds
+    /// `self[i][j] · d[i]` for `i` ascending, the order row `j` of the
+    /// transpose lists them, with the same `axpy`. Each chunk owns a range
+    /// of output rows and walks every row of `self`, finding the columns it
+    /// owns by binary search (CSR rows are sorted).
+    pub fn spmm_dense_tn(&self, d: &DenseMatrix) -> DenseMatrix {
+        assert_eq!(
+            self.rows,
+            d.rows(),
+            "spmm_dense_tn: inner dimension mismatch"
+        );
+        let m = self.cols;
+        let n = d.cols();
+        let work = self.nnz() * n;
+        kernel_stats::record(Kernel::SpmmDense, 2 * work as u64, || {
+            simd::record_dispatch();
+            let mut out = DenseMatrix::zeros(m, n);
+            let ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
+            let fill_rows = |lo: usize, hi: usize| {
+                // SAFETY: chunks own disjoint output row ranges and `out`
+                // outlives the parallel region.
+                let dst =
+                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo * n), (hi - lo) * n) };
+                for i in 0..self.rows {
+                    let row = self.indptr[i]..self.indptr[i + 1];
+                    let cols = &self.indices[row.clone()];
+                    let start = cols.partition_point(|&c| (c as usize) < lo);
+                    for (&c, &v) in cols[start..].iter().zip(&self.values[row][start..]) {
+                        let j = c as usize;
+                        if j >= hi {
+                            break;
+                        }
+                        let o = (j - lo) * n;
+                        vector::axpy(&mut dst[o..o + n], v, d.row(i));
+                    }
+                }
+            };
+            if n > 0 && pool::should_parallelize(work) {
+                // Every chunk walks all of `self`, so keep them few: one per
+                // core. The output does not depend on the chunking.
+                let chunks = pool::hardware_parallelism().min(8);
+                pool::parallel_for(m, m.div_ceil(chunks).max(1), fill_rows);
+            } else {
+                fill_rows(0, m);
+            }
+            out
+        })
     }
 
     /// Sparse × sparse matrix product (classic Gustavson row-merge), pooled
@@ -650,26 +719,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Retained straightforward extraction (per-entry binary search into the
-    /// node list, triplet assembly): the correctness oracle for the parity
-    /// tests and the serial baseline `bench_report` times the pooled kernel
-    /// against.
-    pub fn extract_submatrix_reference(&self, nodes: &[usize]) -> CsrMatrix {
-        assert_eq!(
-            self.rows, self.cols,
-            "extract_submatrix: matrix must be square"
-        );
-        let mut triplets = Vec::new();
-        for (i, &r) in nodes.iter().enumerate() {
-            for (c, v) in self.row_entries(r) {
-                if let Ok(j) = nodes.binary_search(&c) {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        CsrMatrix::from_triplets(nodes.len(), nodes.len(), &triplets)
-    }
-
     /// Shared chunk body for the extraction kernels: copies the surviving
     /// (remapped) entries of logical rows `lo..hi`, where `row_of` maps the
     /// logical index to the source row.
@@ -775,7 +824,7 @@ mod tests {
         let m = sample();
         for nodes in [vec![0usize, 2], vec![1], vec![0, 1, 2], vec![]] {
             let sub = m.extract_submatrix(&nodes);
-            assert_eq!(sub, m.extract_submatrix_reference(&nodes));
+            assert_eq!(sub, crate::reference::extract_submatrix(&m, &nodes));
             for (i, &r) in nodes.iter().enumerate() {
                 for (j, &c) in nodes.iter().enumerate() {
                     assert_eq!(sub.get(i, j), m.get(r, c));

@@ -1,5 +1,5 @@
-//! Bit-level fixture of the dense products: `par::matmul` and
-//! `par::matmul_tn` must reproduce the output hashes recorded in
+//! Bit-level fixture of the dense products: `DenseMatrix::matmul` and
+//! `DenseMatrix::matmul_tn` must reproduce the output hashes recorded in
 //! `kernel_bits.txt`, one section per SIMD dispatch.
 //!
 //! The cases cross six shapes with five sparsity patterns of the left
@@ -27,7 +27,7 @@
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
 
-use aneci_linalg::{par, pool, simd, DenseMatrix};
+use aneci_linalg::{pool, simd, DenseMatrix};
 
 /// Held by both tests, so a regenerating run never rewrites the fixture
 /// while the scalar child reads it.
@@ -123,8 +123,8 @@ fn fixture_lines() -> String {
                     let a = left(m, k, pattern, binary);
                     let tag = format!("{} {mode}", dispatch());
                     let case = format!("{m}x{k}x{n} {pattern} {values}");
-                    let ab = bits_hash(&par::matmul(&a, &b));
-                    let atg = bits_hash(&par::matmul_tn(&a, &g));
+                    let ab = bits_hash(&a.matmul(&b));
+                    let atg = bits_hash(&a.matmul_tn(&g));
                     writeln!(out, "{tag} matmul {case} {ab:016x}").unwrap();
                     writeln!(out, "{tag} matmul_tn {case} {atg:016x}").unwrap();
                 }

@@ -68,7 +68,7 @@ fn matmul_parity_adversarial_shapes() {
     ] {
         let a = dense(m, k, 1);
         let b = dense(k, n, 2);
-        let pooled = aneci_linalg::par::matmul(&a, &b);
+        let pooled = a.matmul(&b);
         let serial = matmul_ref(&a, &b);
         assert!(
             pooled.sub(&serial).max_abs() < TOL,
@@ -83,7 +83,7 @@ fn matmul_tn_parity() {
     for &(m, k, n) in &[(1usize, 5usize, 7usize), (257, 31, 19), (500, 64, 64)] {
         let a = dense(m, k, 3);
         let b = dense(m, n, 4);
-        let pooled = aneci_linalg::par::matmul_tn(&a, &b);
+        let pooled = a.matmul_tn(&b);
         let serial = matmul_ref(&a.transpose(), &b);
         assert!(
             pooled.sub(&serial).max_abs() < TOL,
@@ -98,7 +98,7 @@ fn spmm_dense_parity_with_empty_rows() {
     for &(m, n, d) in &[(1usize, 40usize, 8usize), (257, 101, 33), (90, 90, 1)] {
         let s = sparse(m, n, 5);
         let x = dense(n, d, 6);
-        let pooled = aneci_linalg::par::spmm_dense(&s, &x);
+        let pooled = s.spmm_dense(&x);
         let serial = matmul_ref(&s.to_dense(), &x);
         assert!(
             pooled.sub(&serial).max_abs() < TOL,
@@ -124,10 +124,10 @@ fn spmm_dense_tn_matches_product_with_the_transpose_bit_exactly() {
     ] {
         let s = sparse(m, n, 11);
         let x = dense(m, d, 12);
-        let want = aneci_linalg::par::spmm_dense(&s.transpose(), &x);
+        let want = s.transpose().spmm_dense(&x);
         for threads in [2, 4] {
             pool::set_num_threads(threads);
-            let got = aneci_linalg::par::spmm_dense_tn(&s, &x);
+            let got = s.spmm_dense_tn(&x);
             assert_eq!(got.shape(), want.shape());
             for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
                 assert_eq!(g.to_bits(), w.to_bits(), "{m}x{n}x{d} at {threads} threads");
@@ -233,11 +233,11 @@ fn pooled_results_stable_across_thread_caps() {
     let mut rng = seeded_rng(99);
     let a = gaussian_matrix(129, 65, 1.0, &mut rng);
     let b = gaussian_matrix(65, 33, 1.0, &mut rng);
-    let wide = aneci_linalg::par::matmul(&a, &b);
+    let wide = a.matmul(&b);
     // Capping participation must not change a single bit: the chunk
     // decomposition depends only on the problem shape.
     pool::set_num_threads(2);
-    let narrow = aneci_linalg::par::matmul(&a, &b);
+    let narrow = a.matmul(&b);
     pool::set_num_threads(4);
     assert_eq!(wide, narrow);
 }

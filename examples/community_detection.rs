@@ -48,7 +48,7 @@ fn main() {
     println!(
         "{:<22}{:>12.3}{:>8.3}",
         "Louvain",
-        modularity(&graph, &lv),
+        modularity(graph.adjacency(), &lv),
         nmi(&lv, &truth)
     );
 
@@ -65,7 +65,7 @@ fn main() {
     println!(
         "{:<22}{:>12.3}{:>8.3}",
         "DeepWalk + k-means++",
-        modularity(&graph, &km),
+        modularity(graph.adjacency(), &km),
         nmi(&km, &truth)
     );
 
@@ -76,7 +76,7 @@ fn main() {
     println!(
         "{:<22}{:>12.3}{:>8.3}",
         "AnECI (argmax P)",
-        modularity(&graph, &communities),
+        modularity(graph.adjacency(), &communities),
         nmi(&communities, &truth)
     );
     println!(

@@ -30,7 +30,7 @@ fn main() {
         let k = g.num_classes();
 
         let lv = louvain(&g, seed);
-        let (q_lv, n_lv) = (modularity(&g, &lv), nmi(&lv, &truth));
+        let (q_lv, n_lv) = (modularity(g.adjacency(), &lv), nmi(&lv, &truth));
 
         let z = hope_embedding(
             &g,
@@ -41,12 +41,12 @@ fn main() {
             },
         );
         let km = kmeans_best_of(&z, k, 100, 5, seed).assignments;
-        let (q_km, n_km) = (modularity(&g, &km), nmi(&km, &truth));
+        let (q_km, n_km) = (modularity(g.adjacency(), &km), nmi(&km, &truth));
 
         let (model, _) = train_aneci(&g, &AneciConfig::for_community_detection(k, seed))
             .expect("training failed");
         let an = model.communities();
-        let (q_an, n_an) = (modularity(&g, &an), nmi(&an, &truth));
+        let (q_an, n_an) = (modularity(g.adjacency(), &an), nmi(&an, &truth));
 
         println!(
             "{mu:<6.1}{:>11.3} /{:>7.3}{:>12.3} /{:>7.3}{:>12.3} /{:>7.3}",

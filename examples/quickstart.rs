@@ -34,7 +34,7 @@ fn main() {
     let truth = graph.labels.as_ref().unwrap();
     println!(
         "modularity of learned partition: {:.3}",
-        modularity(&graph, &communities)
+        modularity(graph.adjacency(), &communities)
     );
     println!(
         "NMI vs the real factions:        {:.3}",

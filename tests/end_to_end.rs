@@ -80,7 +80,7 @@ fn community_pipeline_recovers_planted_partition() {
     let (model, _) = train_aneci(&g, &cfg).unwrap();
     let communities = model.communities();
     let truth = g.labels.as_ref().unwrap();
-    let q = modularity(&g, &communities);
+    let q = modularity(g.adjacency(), &communities);
     let agreement = nmi(&communities, truth);
     assert!(q > 0.3, "modularity {q}");
     assert!(agreement > 0.5, "NMI {agreement}");

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use aneci::autograd::{BatchSampler, BatchStrategy};
 use aneci::core::{AneciConfig, MiniBatchTrainer, ReconMode, StopStrategy};
 use aneci::graph::{generate_streamed, HighOrder, ProximityConfig, StreamingConfig};
-use aneci::linalg::pool;
+use aneci::linalg::{self, pool};
 
 /// Pool reconfiguration is process-global; serialize the tests that touch it.
 static POOL_CONFIG_LOCK: Mutex<()> = Mutex::new(());
@@ -104,7 +104,7 @@ fn extraction_kernels_are_invariant_to_thread_count() {
     let _guard = POOL_CONFIG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let g = generate_streamed(&small_stream_cfg(), 23, 1024);
     let nodes: Vec<usize> = (0..g.num_nodes()).step_by(3).collect();
-    let reference = g.adjacency.extract_submatrix_reference(&nodes);
+    let reference = linalg::reference::extract_submatrix(&g.adjacency, &nodes);
 
     pool::force_pool();
     let mut results = Vec::new();
