@@ -269,7 +269,7 @@ mod tests {
         ]
         .into();
         let pc = Arc::clone(&pairs);
-        check(move |t, v| t.pair_bce(v, &pc), &x, 1e-5);
+        check(move |t, v| t.pair_bce(v, &pc, Vec::new()), &x, 1e-5);
     }
 
     #[test]

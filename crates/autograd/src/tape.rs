@@ -74,7 +74,9 @@ enum Op {
     },
     PairBce {
         p: Var,
-        pairs: Arc<[BcePair]>,
+        /// The pair list `head ++ tail`, never concatenated.
+        head: Arc<[BcePair]>,
+        tail: Vec<BcePair>,
         /// `σ(s)` of every pair from the forward pass, unclamped.
         sig: Vec<f64>,
     },
@@ -127,6 +129,53 @@ fn serial_chunked_sum_mut(
         total += f(chunk * grain, slice);
     }
     total
+}
+
+/// Pairs per block of the [`Tape::pair_bce`] forward: a block computes all
+/// its dots, then all its σ, then its loss terms, so the `exp` and `ln` of
+/// neighbouring pairs overlap instead of waiting on each other.
+const PAIR_BLOCK: usize = 256;
+
+/// The pairs at positions `lo..hi` of the list `head ++ tail`: the slice of
+/// each part that covers them.
+fn pair_range<'a>(
+    head: &'a [BcePair],
+    tail: &'a [BcePair],
+    lo: usize,
+    hi: usize,
+) -> [&'a [BcePair]; 2] {
+    let cut = head.len();
+    [
+        &head[lo.min(cut)..hi.min(cut)],
+        &tail[lo.max(cut) - cut..hi.max(cut) - cut],
+    ]
+}
+
+/// `out[k] = p_i · p_j` for the `k`-th pair `(i, j, _)`, four pairs at a
+/// time. Each dot is the left-to-right fold from `-0.0` that `.sum()` runs;
+/// interleaving four of them only lets their adds overlap.
+fn pair_dots(pv: &DenseMatrix, pairs: &[BcePair], out: &mut [f64]) {
+    let d = pv.cols();
+    let row = |r: u32| &pv.row(r as usize)[..d];
+    let mut quads = pairs.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (q, o) in (&mut quads).zip(&mut outs) {
+        let (a0, b0) = (row(q[0].0), row(q[0].1));
+        let (a1, b1) = (row(q[1].0), row(q[1].1));
+        let (a2, b2) = (row(q[2].0), row(q[2].1));
+        let (a3, b3) = (row(q[3].0), row(q[3].1));
+        let mut s = [-0.0f64; 4];
+        for k in 0..d {
+            s[0] += a0[k] * b0[k];
+            s[1] += a1[k] * b1[k];
+            s[2] += a2[k] * b2[k];
+            s[3] += a3[k] * b3[k];
+        }
+        o.copy_from_slice(&s);
+    }
+    for (&(i, j, _), o) in quads.remainder().iter().zip(outs.into_remainder()) {
+        *o = row(i).iter().zip(row(j)).map(|(&a, &b)| a * b).sum();
+    }
 }
 
 /// One pair's term of `L_R` from `σ(s)`. A target of exactly 0 or 1 zeroes
@@ -454,32 +503,45 @@ impl Tape {
     /// summed over the explicit `(i, j, target)` pairs only. Returns a `1×1`
     /// node.
     ///
-    /// Each pair's `σ(s)` stays on the tape (8 bytes a pair), so the
-    /// backward pass reads it instead of recomputing the dot product.
-    pub fn pair_bce(&mut self, p: Var, pairs: &Arc<[BcePair]>) -> Var {
+    /// The pairs are the list `head` followed by `tail`, walked as one list
+    /// and never concatenated: `head` is a list the caller shares across
+    /// passes (AnECI's positive pairs), `tail` the pairs of this pass alone
+    /// (its negatives), which the op takes over. A caller with one list
+    /// passes it as `head` and an empty `tail`.
+    ///
+    /// The forward is pooled over fixed chunks of the list and sums their
+    /// partial losses in chunk order. Inside a chunk it runs in phases over
+    /// blocks of pairs: every dot product, then every `σ(s)`, then every
+    /// loss term in pair order, so the result is the one pair-at-a-time loop
+    /// bit for bit. Each pair's `σ(s)` stays on the tape (8 bytes a pair),
+    /// so the backward pass reads it instead of recomputing the dot product.
+    pub fn pair_bce(&mut self, p: Var, head: &Arc<[BcePair]>, tail: Vec<BcePair>) -> Var {
         let pv = self.value(p);
-        let mut sig = vec![0.0; pairs.len()];
-        // Pooled over the pair list, partial losses summed in chunk order;
-        // each chunk writes its pairs' σ(s) in place.
-        let pair_loss = |lo: usize, sig: &mut [f64]| -> f64 {
+        let len = head.len() + tail.len();
+        let mut sig = vec![0.0; len];
+        // Each chunk writes its pairs' σ(s) in place and returns its loss.
+        let pair_loss = |lo: usize, mut sig: &mut [f64]| -> f64 {
             let mut loss = 0.0;
-            for (&(i, j, t), out) in pairs[lo..].iter().zip(sig) {
-                let s: f64 = pv
-                    .row(i as usize)
-                    .iter()
-                    .zip(pv.row(j as usize))
-                    .map(|(&a, &b)| a * b)
-                    .sum();
-                *out = sigmoid(s);
-                loss -= pair_bce_term(*out, t);
+            for part in pair_range(head, &tail, lo, lo + sig.len()) {
+                let (part_sig, rest) = std::mem::take(&mut sig).split_at_mut(part.len());
+                sig = rest;
+                for (block, out) in part.chunks(PAIR_BLOCK).zip(part_sig.chunks_mut(PAIR_BLOCK)) {
+                    pair_dots(pv, block, out);
+                    for s in out.iter_mut() {
+                        *s = sigmoid(*s);
+                    }
+                    for (&(_, _, t), &s) in block.iter().zip(&*out) {
+                        loss -= pair_bce_term(s, t);
+                    }
+                }
             }
             loss
         };
         // Same fixed-decomposition reduction as `dense_recon_bce`: identical
         // chunk partial sums on both paths, so the loss is thread-count
         // invariant.
-        let grain = pool::row_grain(pairs.len(), 64);
-        let loss = if pool::should_parallelize(pairs.len() * pv.cols()) {
+        let grain = pool::row_grain(len, 64);
+        let loss = if pool::should_parallelize(len * pv.cols()) {
             pool::parallel_map_chunks_mut(&mut sig, grain, pair_loss)
                 .iter()
                 .sum()
@@ -492,7 +554,8 @@ impl Tape {
             value,
             Op::PairBce {
                 p,
-                pairs: Arc::clone(pairs),
+                head: Arc::clone(head),
+                tail,
                 sig,
             },
             rg,
@@ -760,25 +823,20 @@ impl Tape {
                     self.accumulate(p, dp);
                 }
             }
-            Op::PairBce { p, pairs, sig } => {
+            Op::PairBce { p, head, tail, sig } => {
                 let p = *p;
                 if self.requires(p) {
                     let pv = &self.nodes[p.0].value;
                     let mut dp = DenseMatrix::zeros(pv.rows(), pv.cols());
                     let scale = g.get(0, 0);
-                    // dL/ds = σ(s) − t with the forward's σ. One serial pass
-                    // in pair order, so every row of dp sums its terms in
-                    // the same order on every run.
-                    for (&(i, j, t), &sig) in pairs.iter().zip(sig) {
-                        let (i, j) = (i as usize, j as usize);
-                        let coeff = scale * (sig - t);
-                        for (o, &v) in dp.row_mut(i).iter_mut().zip(pv.row(j)) {
-                            *o += coeff * v;
-                        }
-                        for (o, &v) in dp.row_mut(j).iter_mut().zip(pv.row(i)) {
-                            *o += coeff * v;
-                        }
-                    }
+                    // dL/ds = σ(s) − t with the forward's σ, scattered to
+                    // both rows of each pair in one serial pass in pair
+                    // order.
+                    let pairs = head.iter().chain(tail).zip(sig);
+                    dp.add_pair_rows(
+                        pv,
+                        pairs.map(|(&(i, j, t), &sig)| (i as usize, j as usize, scale * (sig - t))),
+                    );
                     self.accumulate(p, dp);
                 }
             }
@@ -944,7 +1002,7 @@ mod tests {
 
         let mut t2 = Tape::new();
         let p2 = t2.leaf(p0.clone());
-        let pair_loss = t2.pair_bce(p2, &pairs);
+        let pair_loss = t2.pair_bce(p2, &pairs, Vec::new());
         t2.backward(pair_loss);
 
         assert!((t1.scalar(dense_loss) - t2.scalar(pair_loss)).abs() < 1e-9);
@@ -995,39 +1053,108 @@ mod tests {
         (loss, dp)
     }
 
-    #[test]
-    fn pair_bce_matches_recompute_reference_bit_exactly() {
-        // Wide scores so some σ saturate into the clamp.
-        let mut rng = seeded_rng(24);
-        let p0 = gaussian_matrix(40, 5, 2.5, &mut rng);
-        let mut pairs: Vec<BcePair> = (0..3000)
+    /// `rows × d` scores wide enough that some σ saturate into the clamp,
+    /// with every fifth row exactly zero and the row after it negative.
+    fn pair_bce_scores(rows: usize, d: usize, seed: u64) -> DenseMatrix {
+        let g = gaussian_matrix(rows, d, 2.5, &mut seeded_rng(seed));
+        DenseMatrix::from_fn(rows, d, |r, c| match r % 5 {
+            0 => 0.0,
+            1 => -g.get(r, c).abs(),
+            _ => g.get(r, c),
+        })
+    }
+
+    /// `count` pairs over `rows` rows cycling through the targets 0, 1 and
+    /// 0.37, self-pairs included.
+    fn cycled_pairs(count: usize, rows: usize) -> Vec<BcePair> {
+        (0..count)
             .map(|k| {
-                let (i, j) = ((k * 7) % 40, (k * 13 + 5) % 40);
+                let (i, j) = ((k * 7) % rows, (k * 13 + 5) % rows);
                 (i as u32, j as u32, [0.0, 1.0, 0.37][k % 3])
             })
-            .collect();
-        // Self-pairs with every target, then repeats of earlier pairs.
-        pairs.extend([(3, 3, 0.0), (3, 3, 1.0), (3, 3, 0.37)]);
-        pairs.extend_from_within(..50);
-        let pairs: Arc<[BcePair]> = pairs.into();
-        let scale = 1.0 / pairs.len() as f64;
+            .collect()
+    }
 
+    /// `pair_bce` on `pairs` split into the head `..split` and the tail
+    /// `split..`, against the reference, bit for bit.
+    fn assert_pair_bce_matches(p0: &DenseMatrix, pairs: &[BcePair], split: usize, case: &str) {
+        let scale = 1.0 / pairs.len().max(1) as f64;
+        let (want_loss, want_grad) = pair_bce_reference(p0, pairs, scale);
+        let mut t = Tape::new();
+        let p = t.leaf(p0.clone());
+        let head: Arc<[BcePair]> = pairs[..split].into();
+        let l = t.pair_bce(p, &head, pairs[split..].to_vec());
+        let loss = t.scale(l, scale);
+        t.backward(loss);
+        assert_eq!(t.scalar(l).to_bits(), want_loss.to_bits(), "loss, {case}");
+        let got = t.grad(p);
+        for (g, w) in got.as_slice().iter().zip(want_grad.as_slice()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "gradient, {case}");
+        }
+    }
+
+    /// The blocked, two-part kernel against the one-pair-at-a-time
+    /// reference: counts around the 4-pair groups and the 256-pair blocks,
+    /// widths around the 4 SIMD lanes, the split between the two parts at
+    /// its ends and in the middle, serial and pooled. The long lists give
+    /// every chunk several blocks. On an AVX2 host it reruns itself with the
+    /// scalar fallback forced, so both backward dispatches are checked.
+    #[test]
+    fn pair_bce_matches_recompute_reference_bit_exactly() {
         pool::force_pool();
-        // Serial branch first, then every chunk pooled.
+        let counts = (0..=9).chain(255..=257).chain(1023..=1025);
         for threshold in [usize::MAX, 1] {
             pool::set_par_threshold(threshold);
-            let (want_loss, want_grad) = pair_bce_reference(&p0, &pairs, scale);
-            let mut t = Tape::new();
-            let p = t.leaf(p0.clone());
-            let l = t.pair_bce(p, &pairs);
-            let loss = t.scale(l, scale);
-            t.backward(loss);
-            assert_eq!(t.scalar(l).to_bits(), want_loss.to_bits(), "loss");
-            let got = t.grad(p);
-            for (g, w) in got.as_slice().iter().zip(want_grad.as_slice()) {
-                assert_eq!(g.to_bits(), w.to_bits(), "gradient");
+            for d in [1, 3, 4, 5, 7, 32, 33] {
+                let p0 = pair_bce_scores(40, d, 24 + d as u64);
+                for count in counts.clone() {
+                    let pairs = cycled_pairs(count, 40);
+                    for split in [0, count.min(1), count / 2, count] {
+                        let case =
+                            format!("threshold {threshold}, d {d}, {count} pairs, split {split}");
+                        assert_pair_bce_matches(&p0, &pairs, split, &case);
+                    }
+                }
             }
+            // Self-pairs with every target, then repeats of earlier pairs.
+            let p0 = pair_bce_scores(40, 5, 24);
+            let mut pairs = cycled_pairs(3000, 40);
+            pairs.extend([(3, 3, 0.0), (3, 3, 1.0), (3, 3, 0.37)]);
+            pairs.extend_from_within(..50);
+            assert_pair_bce_matches(
+                &p0,
+                &pairs,
+                1500,
+                &format!("threshold {threshold}, repeats"),
+            );
+            // 1,200 pairs a chunk: five blocks, the last one partial.
+            let p0 = pair_bce_scores(300, 3, 25);
+            let pairs = cycled_pairs(64 * 1200, 300);
+            assert_pair_bce_matches(&p0, &pairs, 40_000, &format!("threshold {threshold}, long"));
         }
+        if !aneci_linalg::simd::avx2_active() {
+            return;
+        }
+        // Dispatch latches on first use, so the scalar backward needs a
+        // child started with the fallback forced.
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args([
+                "--exact",
+                "tape::tests::pair_bce_matches_recompute_reference_bit_exactly",
+            ])
+            .env("ANECI_NO_SIMD", "1")
+            .output()
+            .expect("spawn the scalar-dispatch child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "scalar-dispatch child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("1 passed"),
+            "the child ran other than this test:\n{stdout}"
+        );
     }
 
     #[test]

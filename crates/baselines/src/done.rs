@@ -166,8 +166,8 @@ impl Done {
                     .map(|&(u, v)| (u as u32, v as u32, 1.0))
                     .collect();
                 let hom: std::sync::Arc<[aneci_autograd::BcePair]> = hom_pairs.into();
-                let hom_s = tape.pair_bce(hs, &hom);
-                let hom_a = tape.pair_bce(ha, &hom);
+                let hom_s = tape.pair_bce(hs, &hom, Vec::new());
+                let hom_a = tape.pair_bce(ha, &hom, Vec::new());
                 let hom_total = {
                     let sum = tape.add(hom_s, hom_a);
                     tape.scale(

@@ -180,7 +180,7 @@ impl Gae {
                     }
                     let count = pairs.len() as f64;
                     let pairs: Arc<[BcePair]> = pairs.into();
-                    let l = tape.pair_bce(z, &pairs);
+                    let l = tape.pair_bce(z, &pairs, Vec::new());
                     tape.scale(l, 1.0 / count)
                 }
             };

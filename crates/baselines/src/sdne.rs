@@ -131,7 +131,7 @@ impl Sdne {
             // First-order: pull neighbor embeddings together — use the
             // sampled BCE on positive pairs as a smooth attracting proxy
             // for the Laplacian term (σ(z_u·z_v) → 1 for edges).
-            let fo = tape.pair_bce(z, &first_order_pairs);
+            let fo = tape.pair_bce(z, &first_order_pairs, Vec::new());
             let fo_scaled = tape.scale(fo, config.alpha / edges.len().max(1) as f64);
 
             tape.add(second, fo_scaled)

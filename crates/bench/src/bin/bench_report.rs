@@ -9,8 +9,9 @@
 //! * `--scale [max_nodes]` is the million-node scaling benchmark: streams a
 //!   planted-partition graph at N ∈ {10k, 100k, 1M} (capped at `max_nodes`,
 //!   default 1M), trains AnECI through the community-aware mini-batch path,
-//!   and writes `BENCH_scale.json` (nodes/sec, peak RSS, generation time
-//!   per tier). The 10k tier additionally A/Bs mini-batch against the
+//!   and writes `BENCH_scale.json` (nodes/sec, generation time, and peak
+//!   RSS next to the run's `Ã` row store and its budget, per tier). The
+//!   10k tier additionally A/Bs mini-batch against the
 //!   full-batch path and gates on NMI/modularity within 0.02 and
 //!   nodes/sec ratio ≥ 1.0 (non-zero exit on failure, like `--kernels`).
 //! * `--dynamic` is the dynamic-graph benchmark: graph-delta
@@ -813,6 +814,7 @@ fn peak_rss_mb() -> Option<f64> {
 /// training and gates on quality (NMI/modularity within 0.02) and
 /// throughput (mini-batch ≥ 1.0x full-batch nodes/sec).
 fn scale_bench(max_nodes: usize) {
+    use aneci_core::config::ROW_STORE_BUDGET_BYTES;
     use aneci_core::{
         classic_modularity, AneciConfig, AneciModel, BatchStrategy, MiniBatchTrainer, ReconMode,
         StopStrategy,
@@ -882,12 +884,19 @@ fn scale_bench(max_nodes: usize) {
         let nodes_processed = batch_nodes_sum() - nodes_before;
         let mini_nps = nodes_processed / train_secs.max(1e-12);
         let peak_mb = peak_rss_mb();
+        // The bytes of `Ã` rows the run kept for its later batches.
+        let store_mb = aneci_obs::global()
+            .snapshot()
+            .gauge("train.row_store.bytes")
+            .map(|b| b / 1e6);
+        let budget_mb = ROW_STORE_BUDGET_BYTES as f64 / 1e6;
 
         println!(
             "tier {n}: {k} communities, {edges} edges (gen {gen_secs:.1}s) — \
              {epochs} epochs in {train_secs:.1}s, {mini_nps:.0} nodes/s, \
-             peak RSS {}",
+             peak RSS {}, row store {} of {budget_mb:.0} MB",
             peak_mb.map_or("n/a".into(), |m| format!("{m:.0} MB")),
+            store_mb.map_or("n/a".into(), |m| format!("{m:.1}")),
         );
 
         tiers.push(serde_json::json!({
@@ -902,6 +911,8 @@ fn scale_bench(max_nodes: usize) {
             "nodes_per_sec": mini_nps,
             "final_loss": report.losses.last().copied(),
             "peak_rss_mb": peak_mb,
+            "row_store_mb": store_mb,
+            "row_store_budget_mb": budget_mb,
         }));
 
         // Full-batch A/B + quality/throughput gates at the 10k tier: the

@@ -20,6 +20,14 @@ pub const LEAKY_ALPHA: f64 = 0.01;
 /// sampled reconstruction loss.
 pub const EXACT_RECON_MAX_NODES: usize = 1800;
 
+/// Bytes of `Ã` rows one training run keeps for reuse across its batches
+/// (an [`aneci_graph::RowStore`], 12 bytes per stored entry plus 8 per
+/// row). The whole `Ã` of a 10k-node streamed graph (~1M entries, 12 MB)
+/// and of the 100k tier (12.4M entries, 149 MB) fits; on the 1M tier the
+/// rows first touched up to the budget are kept and the rest are rebuilt
+/// by each batch that holds them.
+pub const ROW_STORE_BUDGET_BYTES: usize = 256 << 20;
+
 /// How the high-order reconstruction loss `L_R` (Eq. 17) is evaluated.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ReconMode {

@@ -26,7 +26,7 @@ use crate::error::AneciError;
 use crate::model::{propagation, train_aneci};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng};
-use aneci_linalg::DenseMatrix;
+use aneci_linalg::{CsrMatrix, DenseMatrix};
 use rand::Rng;
 
 /// RNG stream tag for the smoothing vote (child streams are derived per
@@ -206,13 +206,8 @@ impl Defense for SmoothedEncoder {
         let mut z_sum = DenseMatrix::zeros(n, k);
         for v in 0..self.votes {
             let mut rng = seeded_rng(derive_seed(vote_stream, v as u64));
-            let dropped: Vec<(usize, usize)> = edges
-                .iter()
-                .copied()
-                .filter(|_| rng.gen::<f64>() < self.drop_rate)
-                .collect();
-            let sampled = graph.with_edits(&[], &dropped);
-            let z = model.embed_over(&propagation(sampled.adjacency()));
+            let sampled = vote_adjacency(n, &edges, self.drop_rate, &mut rng);
+            let z = model.embed_over(&propagation(&sampled));
             for (i, winner) in z.softmax_rows().argmax_rows().into_iter().enumerate() {
                 vote_counts[i * k + winner] += 1;
             }
@@ -240,6 +235,28 @@ impl Defense for SmoothedEncoder {
             certified: Some(certified),
         })
     }
+}
+
+/// The adjacency of one smoothing vote over `n` nodes: each edge of
+/// `edges` (every undirected edge once, as `u < v`) that survives a
+/// `drop_rate` draw from `rng`, one draw per edge in order, written as the
+/// `(u, v, 1.0)` and `(v, u, 1.0)` triplets
+/// [`AttributedGraph::from_edges`] writes. The vote reads nothing else, so
+/// no graph is copied.
+fn vote_adjacency(
+    n: usize,
+    edges: &[(usize, usize)],
+    drop_rate: f64,
+    rng: &mut impl Rng,
+) -> CsrMatrix {
+    let mut trips = Vec::with_capacity(2 * edges.len());
+    for &(u, v) in edges {
+        if rng.gen::<f64>() >= drop_rate {
+            trips.push((u, v, 1.0));
+            trips.push((v, u, 1.0));
+        }
+    }
+    CsrMatrix::from_triplets(n, n, &trips)
 }
 
 #[cfg(test)]
@@ -385,6 +402,25 @@ mod tests {
                 matches!(err, AneciError::Config(_)),
                 "{cert_threshold}: {err}"
             );
+        }
+    }
+
+    /// A vote's adjacency is the edge-dropped graph's, from the same draws.
+    #[test]
+    fn vote_adjacency_matches_the_edge_dropped_graph() {
+        let g = graph(3);
+        let edges = g.edge_list();
+        for (seed, rate) in [(1, 0.0), (2, 0.2), (3, 0.9)] {
+            let mut rng = seeded_rng(seed);
+            let dropped: Vec<(usize, usize)> = edges
+                .iter()
+                .copied()
+                .filter(|_| rng.gen::<f64>() < rate)
+                .collect();
+            assert_eq!(dropped.is_empty(), rate == 0.0, "rate {rate}");
+            let want = g.with_edits(&[], &dropped);
+            let got = vote_adjacency(g.num_nodes(), &edges, rate, &mut seeded_rng(seed));
+            assert_eq!(&got, want.adjacency(), "rate {rate}");
         }
     }
 

@@ -12,10 +12,10 @@
 //!    subgraph sampling (sample communities, expand `l` hops) or
 //!    GraphSAGE-style uniform neighbor sampling;
 //! 2. per batch, the driver builds the operators from the batch's rows of
-//!    the raw adjacency (`extract_submatrix`, then
-//!    [`HighOrder::build_rows`](aneci_graph::HighOrder::build_rows) — only
-//!    the sampled rows, never `N×N`), and keeps the latest batch's in a
-//!    one-entry cache;
+//!    the raw adjacency (`extract_submatrix`, then a cut of the run's
+//!    [`RowStore`](aneci_graph::RowStore) of `Ã` rows, which builds each
+//!    row once a run while its budget allows — only rows batches touch,
+//!    never `N×N`), and keeps the latest batch's in a one-entry cache;
 //! 3. the per-batch loss is the model's own `−β₁Q̃ + β₂L_R` on the induced
 //!    subgraph.
 //!
@@ -43,7 +43,9 @@ pub use aneci_autograd::train_batch::BatchStrategy;
 /// [`AneciModel`](crate::model::AneciModel)'s full-batch precomputation
 /// (global high-order proximity, dense targets, the full positive-pair list
 /// — all `O(N·deg^l)` or worse). Holds only the raw CSR adjacency and the
-/// feature matrix; every training-time operator is batch-local.
+/// feature matrix; every training-time operator is batch-local, cut from
+/// `Ã` rows that [`MiniBatchTrainer::train`] keeps for the length of the
+/// run, up to [`ROW_STORE_BUDGET_BYTES`](crate::config::ROW_STORE_BUDGET_BYTES).
 ///
 /// It initializes its weights exactly as `AneciModel` does, so the two
 /// start from identical parameters under the same configuration.

@@ -28,14 +28,17 @@
 //! [`crate::minibatch`] hands it a sampling strategy's plan.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{AneciConfig, ReconMode, StopStrategy, EXACT_RECON_MAX_NODES, LEAKY_ALPHA};
+use crate::config::{
+    AneciConfig, ReconMode, StopStrategy, EXACT_RECON_MAX_NODES, LEAKY_ALPHA,
+    ROW_STORE_BUDGET_BYTES,
+};
 use crate::error::AneciError;
 use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainStep, Trainer};
 use aneci_autograd::{Adam, BatchSampler, BatchStrategy, BcePair, ParamSet, Tape, Var};
-use aneci_graph::{AttributedGraph, HighOrder};
+use aneci_graph::{AttributedGraph, HighOrder, RowStore};
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
-use aneci_obs::{span, Histogram};
+use aneci_obs::{span, Gauge, Histogram};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -92,22 +95,38 @@ impl StoredBits {
         n.saturating_mul(n).div_ceil(64) * 8 <= pairs * std::mem::size_of::<BcePair>()
     }
 
-    fn new(a_tilde: &CsrMatrix) -> Self {
-        let n = a_tilde.rows();
-        let mut words = vec![0u64; (n * n).div_ceil(64)];
-        for (i, j, v) in a_tilde.iter() {
-            if v != 0.0 {
-                let bit = i * n + j;
-                words[bit / 64] |= 1 << (bit % 64);
-            }
-        }
-        Self { n, words }
-    }
-
     fn contains(&self, i: usize, j: usize) -> bool {
         let bit = i * self.n + j;
         self.words[bit / 64] & (1 << (bit % 64)) != 0
     }
+}
+
+/// The positive pairs of the sampled loss, every stored entry of `Ã` in row
+/// order, and their [`StoredBits`] when those fit, in one walk of the rows.
+/// The walk is an exact-length iterator, so the list is allocated once at
+/// `nnz` and filled in place.
+fn stored_pairs(a_tilde: &CsrMatrix) -> (Arc<[BcePair]>, Option<StoredBits>) {
+    let n = a_tilde.rows();
+    let (indptr, indices, values) = (a_tilde.indptr(), a_tilde.indices(), a_tilde.values());
+    let mut bits = StoredBits::fits(n, a_tilde.nnz()).then(|| StoredBits {
+        n,
+        words: vec![0u64; (n * n).div_ceil(64)],
+    });
+    let mut row = 0;
+    let positives = (0..a_tilde.nnz())
+        .map(|k| {
+            while indptr[row + 1] <= k {
+                row += 1;
+            }
+            let (j, v) = (indices[k], values[k]);
+            if let Some(bits) = bits.as_mut().filter(|_| v != 0.0) {
+                let bit = row * n + j as usize;
+                bits.words[bit / 64] |= 1 << (bit % 64);
+            }
+            (row as u32, j, v)
+        })
+        .collect();
+    (positives, bits)
 }
 
 /// The fixed operators of the objective over one node set: the whole graph
@@ -129,7 +148,7 @@ pub(crate) struct Operators {
 impl Operators {
     /// Builds the operators of the node set with raw (hollow) adjacency
     /// `adjacency` and high-order proximity `ho`: [`HighOrder::build`] for a
-    /// whole graph, [`HighOrder::build_rows`] for a batch. The target is
+    /// whole graph, a [`RowStore`] cut for a batch. The target is
     /// dense under [`ReconMode::Exact`], and under [`ReconMode::Auto`] up to
     /// [`EXACT_RECON_MAX_NODES`] nodes; otherwise it is the positive pairs.
     pub(crate) fn new(adjacency: &CsrMatrix, ho: HighOrder, config: &AneciConfig) -> Self {
@@ -141,14 +160,11 @@ impl Operators {
         let target = if exact {
             ReconTarget::Dense(Arc::new(ho.a_tilde.to_dense()))
         } else {
-            let positives: Arc<[BcePair]> = ho
-                .a_tilde
-                .iter()
-                .map(|(i, j, v)| (i as u32, j as u32, v))
-                .collect();
-            let stored = StoredBits::fits(ho.a_tilde.rows(), positives.len())
-                .then(|| Arc::new(StoredBits::new(&ho.a_tilde)));
-            ReconTarget::Pairs { positives, stored }
+            let (positives, stored) = stored_pairs(&ho.a_tilde);
+            ReconTarget::Pairs {
+                positives,
+                stored: stored.map(Arc::new),
+            }
         };
         Self {
             norm_adj: propagation(adjacency),
@@ -257,8 +273,7 @@ pub(crate) struct JointLoss {
 
 /// One pass of the AnECI objective `−β₁Q̃ + β₂L_R` (Eq. 18) over the node
 /// set of `ops`, each stage under its span (`encode`, `modularity`,
-/// `decode`). A sampled target draws its negatives from `rng` into the
-/// scratch `negatives`.
+/// `decode`). A sampled target draws its negatives from `rng`.
 fn joint_loss(
     tape: &mut Tape,
     w: &[Var],
@@ -266,7 +281,6 @@ fn joint_loss(
     ops: &Operators,
     config: &AneciConfig,
     rng: &mut StdRng,
-    negatives: &mut Vec<BcePair>,
 ) -> JointLoss {
     let (z, p) = {
         let _s = span("encode");
@@ -279,7 +293,7 @@ fn joint_loss(
     };
     let recon = {
         let _s = span("decode");
-        reconstruction(tape, p, ops, config.recon, rng, negatives)
+        reconstruction(tape, p, ops, config.recon, rng)
     };
     let neg_q = tape.neg(q);
     let q_term = tape.scale(neg_q, config.beta1);
@@ -343,14 +357,14 @@ pub(crate) fn q_tilde(
 }
 
 /// The reconstruction loss `L_R` (Eq. 17) as a tape scalar, averaged over
-/// the evaluated pairs.
+/// the evaluated pairs: on a sampled target, the shared positives followed
+/// by this pass's negatives, which the tape op takes over.
 fn reconstruction(
     tape: &mut Tape,
     p: Var,
     ops: &Operators,
     recon: ReconMode,
     rng: &mut StdRng,
-    negatives: &mut Vec<BcePair>,
 ) -> Var {
     let n = ops.norm_adj.rows();
     match &ops.target {
@@ -360,12 +374,13 @@ fn reconstruction(
         }
         ReconTarget::Pairs { positives, stored } => {
             let stored = stored.as_deref();
-            let pairs = sample_pairs(recon, positives, &ops.a_tilde, stored, n, rng, negatives);
-            if pairs.is_empty() {
+            let negatives = sample_negatives(recon, positives.len(), &ops.a_tilde, stored, n, rng);
+            let pairs = positives.len() + negatives.len();
+            if pairs == 0 {
                 return zero(tape);
             }
-            let loss = tape.pair_bce(p, &pairs);
-            tape.scale(loss, 1.0 / pairs.len() as f64)
+            let loss = tape.pair_bce(p, positives, negatives);
+            tape.scale(loss, 1.0 / pairs as f64)
         }
     }
 }
@@ -383,8 +398,11 @@ struct BatchArtifacts {
 
 impl BatchArtifacts {
     /// Builds the operators of the subgraph induced by `nodes` from its rows
-    /// of the raw adjacency ([`HighOrder::build_rows`], never `N×N`).
+    /// of the raw adjacency: `Ã[S,S]` is cut from `rows`, the run's store of
+    /// `Ã` rows over the same adjacency, which builds only the rows it does
+    /// not keep yet (never `N×N`).
     fn build(
+        rows: &mut RowStore<'_>,
         adjacency: &CsrMatrix,
         features: &DenseMatrix,
         config: &AneciConfig,
@@ -392,7 +410,7 @@ impl BatchArtifacts {
     ) -> Self {
         let _s = span("batch.prepare");
         let sub = adjacency.extract_submatrix(nodes);
-        let ho = HighOrder::build_rows(adjacency, &config.proximity, nodes);
+        let ho = rows.cut(nodes);
         Self {
             nodes: nodes.to_vec(),
             features: Arc::new(features.select_rows(nodes)),
@@ -405,8 +423,10 @@ impl BatchArtifacts {
 /// training path of [`AneciModel::train`] and
 /// [`MiniBatchTrainer::train`](crate::minibatch::MiniBatchTrainer::train).
 /// `full_ops`, when given, are the operators of the whole graph, taken as
-/// the already-built batch of nodes `0..N`. Returns the report and the kept
-/// embedding, which only a batch covering every node yields.
+/// the already-built batch of nodes `0..N`. The run keeps the `Ã` rows its
+/// batches build, up to [`ROW_STORE_BUDGET_BYTES`], and drops them when it
+/// returns. Returns the report and the kept embedding, which only a batch
+/// covering every node yields.
 ///
 /// Errors with [`AneciError::Shape`] on a graph with no nodes, before the
 /// engine runs, and with [`AneciError::Diverged`] when the loss goes
@@ -433,6 +453,7 @@ pub(crate) fn train_plan(
         features,
         sampler,
         plan: Vec::new(),
+        rows: RowStore::new(adjacency, &config.proximity, ROW_STORE_BUDGET_BYTES),
         cache: full_ops.map(|ops| BatchArtifacts {
             nodes: (0..n).collect(),
             features: Arc::clone(features),
@@ -440,7 +461,6 @@ pub(crate) fn train_plan(
         }),
         val_score,
         rng: seeded_rng(derive_seed(config.seed, 0x5A3)),
-        negatives: Vec::new(),
         report: TrainReport::default(),
         prev_q: None,
         q_sum: 0.0,
@@ -452,6 +472,7 @@ pub(crate) fn train_plan(
         obs_nodes: aneci_obs::histogram("train.batch.nodes"),
         obs_sample_ns: aneci_obs::histogram_time_ns("train.batch.sample_ns"),
         obs_step_ns: aneci_obs::histogram_time_ns("train.batch.step_ns"),
+        obs_store_bytes: aneci_obs::gauge("train.row_store.bytes"),
     };
     let run = trainer.run(params, &mut opt, &mut driver)?;
     let report = TrainReport {
@@ -838,13 +859,13 @@ struct AneciStep<'a, 'v> {
     sampler: BatchSampler<'a>,
     /// The current epoch's batches.
     plan: Vec<Vec<usize>>,
+    /// The `Ã` rows the run's batches have built, kept for later batches.
+    rows: RowStore<'a>,
     /// The latest batch's artifacts: a one-entry cache keyed by its nodes.
     cache: Option<BatchArtifacts>,
     val_score: Option<ValProbe<'v>>,
     /// The `(seed, 0x5A3)` negative-sampling stream.
     rng: StdRng,
-    /// Negative-sampling scratch kept across batches.
-    negatives: Vec<BcePair>,
     report: TrainReport,
     prev_q: Option<f64>,
     /// Per-epoch sums, reset by `on_epoch`.
@@ -858,6 +879,7 @@ struct AneciStep<'a, 'v> {
     obs_nodes: Histogram,
     obs_sample_ns: Histogram,
     obs_step_ns: Histogram,
+    obs_store_bytes: Gauge,
 }
 
 impl AneciStep<'_, '_> {
@@ -904,23 +926,18 @@ impl TrainStep for AneciStep<'_, '_> {
             cache => {
                 // Free the previous batch's operators before building the next.
                 *cache = None;
-                cache.insert(BatchArtifacts::build(
+                let art = BatchArtifacts::build(
+                    &mut self.rows,
                     self.adjacency,
                     self.features,
                     self.config,
                     nodes,
-                ))
+                );
+                self.obs_store_bytes.set(self.rows.bytes() as f64);
+                cache.insert(art)
             }
         };
-        let pass = joint_loss(
-            tape,
-            w,
-            &art.features,
-            &art.ops,
-            self.config,
-            &mut self.rng,
-            &mut self.negatives,
-        );
+        let pass = joint_loss(tape, w, &art.features, &art.ops, self.config, &mut self.rng);
         let q = tape.scalar(pass.q);
         self.q_sum += q;
         self.rig_sum += rigidity(tape.value(pass.p));
@@ -967,30 +984,29 @@ impl TrainStep for AneciStep<'_, '_> {
     }
 }
 
-/// The BCE pairs of one sampled-reconstruction epoch: every positive (a
-/// stored entry of `Ã`), then `neg_ratio` uniform `(i, j)` draws over
-/// `0..n` per positive, keeping those where `Ã` stores no nonzero: one
-/// probe of `stored` when its bit set was built, a binary search of the
-/// row of `a_tilde` otherwise. The full-batch and mini-batch paths both
-/// sample here, so they walk `rng` identically. `negatives` is scratch kept
-/// across epochs; the returned list is the one place an epoch's pairs are
-/// written whole.
-fn sample_pairs(
+/// The negative BCE pairs of one sampled-reconstruction pass: `neg_ratio`
+/// uniform `(i, j)` draws over `0..n` for each of the `positives` (the
+/// stored entries of `Ã`), keeping those where `Ã` stores no nonzero: one
+/// probe of `stored` when its bit set was built, a binary search of the row
+/// of `a_tilde` otherwise. The full-batch and mini-batch paths both sample
+/// here, so they walk `rng` identically. The pass's pair list is the
+/// positives followed by these.
+fn sample_negatives(
     recon: ReconMode,
-    positives: &[BcePair],
+    positives: usize,
     a_tilde: &CsrMatrix,
     stored: Option<&StoredBits>,
     n: usize,
     rng: &mut StdRng,
-    negatives: &mut Vec<BcePair>,
-) -> Arc<[BcePair]> {
+) -> Vec<BcePair> {
     let neg_ratio = match recon {
         ReconMode::Sampled { neg_ratio } => neg_ratio,
         _ => 1,
     };
+    let draws = positives * neg_ratio;
     let n = n as u32;
-    negatives.clear();
-    for _ in 0..positives.len() * neg_ratio {
+    let mut negatives = Vec::with_capacity(draws);
+    for _ in 0..draws {
         let i = rng.gen_range(0..n);
         let j = rng.gen_range(0..n);
         let (r, c) = (i as usize, j as usize);
@@ -1002,9 +1018,7 @@ fn sample_pairs(
             negatives.push((i, j, 0.0));
         }
     }
-    // Both halves have exact lengths, so the Arc is allocated once at its
-    // final size and filled in place.
-    positives.iter().chain(negatives.iter()).copied().collect()
+    negatives
 }
 
 /// Rigidity index `tr(PᵀP)/N` (Sec. VI-E3): 1 ⟺ hard partition.
@@ -1294,7 +1308,6 @@ mod tests {
             &model.ops,
             &model.config,
             &mut seeded_rng(1),
-            &mut Vec::new(),
         );
         tape.backward(pass.loss);
         model.params.grads(&tape, &w)
@@ -1406,26 +1419,19 @@ mod tests {
         assert_eq!(stats.nmi, 1.0);
     }
 
-    /// One epoch's pairs drawn from `ops` twice from the same seed: with a
-    /// bit set of its `Ã` and with the binary search.
-    fn pairs_both_ways(ops: &Operators, seed: u64) -> (Arc<[BcePair]>, Arc<[BcePair]>) {
+    /// One pass's negatives drawn from `ops` twice from the same seed: with
+    /// a bit set of its `Ã` and with the binary search.
+    fn negatives_both_ways(ops: &Operators, seed: u64) -> (Vec<BcePair>, Vec<BcePair>) {
         let ReconTarget::Pairs { positives, .. } = &ops.target else {
             panic!("the operators carry a dense target");
         };
-        let bits = StoredBits::new(&ops.a_tilde);
+        let (_, bits) = stored_pairs(&ops.a_tilde);
+        let bits = bits.expect("the bit set fits beside the pairs");
         let recon = ReconMode::Sampled { neg_ratio: 2 };
         let n = ops.a_tilde.rows();
         let draw = |stored| {
-            let (mut rng, mut negatives) = (seeded_rng(seed), Vec::new());
-            sample_pairs(
-                recon,
-                positives,
-                &ops.a_tilde,
-                stored,
-                n,
-                &mut rng,
-                &mut negatives,
-            )
+            let mut rng = seeded_rng(seed);
+            sample_negatives(recon, positives.len(), &ops.a_tilde, stored, n, &mut rng)
         };
         (draw(Some(&bits)), draw(None))
     }
@@ -1448,13 +1454,15 @@ mod tests {
         };
         let model = AneciModel::try_new(&generate_sbm(&sbm, 17), &cfg).unwrap();
         let nodes: Vec<usize> = (0..300).filter(|v| v % 3 != 1).collect();
-        let batch = BatchArtifacts::build(&model.adjacency, &model.features, &cfg, &nodes);
+        let mut rows = RowStore::new(&model.adjacency, &cfg.proximity, 0);
+        let batch =
+            BatchArtifacts::build(&mut rows, &model.adjacency, &model.features, &cfg, &nodes);
         for (name, ops) in [
             ("karate", &karate.ops),
             ("sbm", &model.ops),
             ("batch", &batch.ops),
         ] {
-            let ReconTarget::Pairs { positives, stored } = &ops.target else {
+            let ReconTarget::Pairs { stored, .. } = &ops.target else {
                 panic!("{name}: sampled recon builds pairs");
             };
             assert!(
@@ -1462,8 +1470,8 @@ mod tests {
                 "{name}: the bit set fits beside the pairs"
             );
             for seed in [3, 4] {
-                let (bits, search) = pairs_both_ways(ops, seed);
-                assert!(bits.len() > positives.len(), "{name}: no negative kept");
+                let (bits, search) = negatives_both_ways(ops, seed);
+                assert!(!bits.is_empty(), "{name}: no negative kept");
                 assert_eq!(bits, search, "{name}, seed {seed}: the samplers disagree");
             }
         }
@@ -1509,23 +1517,116 @@ mod tests {
             vec![0, 1, 1, 2],
             vec![0.5, 0.0, 1.0, 1.0],
         );
-        let bits = StoredBits::new(&a);
+        let (positives, bits) = stored_pairs(&a);
+        let bits = bits.expect("9 bits fit beside 4 pairs");
         assert!(!bits.contains(0, 1));
         assert!(bits.contains(0, 0) && bits.contains(1, 1) && bits.contains(2, 2));
         assert_eq!(a.get(0, 1), 0.0);
-        let positives: Vec<BcePair> = a.iter().map(|(i, j, v)| (i as u32, j as u32, v)).collect();
+        let want: Vec<BcePair> = a.iter().map(|(i, j, v)| (i as u32, j as u32, v)).collect();
+        assert_eq!(
+            *positives, *want,
+            "every stored entry, explicit zero included"
+        );
         let recon = ReconMode::Sampled { neg_ratio: 8 };
-        let draw = |stored| {
-            let (mut rng, mut negatives) = (seeded_rng(5), Vec::new());
-            sample_pairs(recon, &positives, &a, stored, 3, &mut rng, &mut negatives)
-        };
+        let draw =
+            |stored| sample_negatives(recon, positives.len(), &a, stored, 3, &mut seeded_rng(5));
         let (with_bits, with_search) = (draw(Some(&bits)), draw(None));
         assert_eq!(with_bits, with_search);
-        let negatives = &with_bits[positives.len()..];
         assert!(
-            negatives.contains(&(0, 1, 0.0)),
+            with_bits.contains(&(0, 1, 0.0)),
             "the explicit zero is drawn as a negative"
         );
+    }
+
+    /// Asserts that two operator sets are equal bit for bit.
+    fn assert_same_bits(got: &Operators, want: &Operators, case: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let csr = |m: &CsrMatrix| (m.indptr().to_vec(), m.indices().to_vec(), bits(m.values()));
+        assert_eq!(csr(&got.norm_adj), csr(&want.norm_adj), "{case}: Â");
+        assert_eq!(csr(&got.a_tilde), csr(&want.a_tilde), "{case}: Ã");
+        let k = |o: &Operators| bits(o.k_tilde.as_slice());
+        assert_eq!(k(got), k(want), "{case}: k̃");
+        assert_eq!(got.m_tilde.to_bits(), want.m_tilde.to_bits(), "{case}: M̃");
+        let (
+            ReconTarget::Pairs { positives, stored },
+            ReconTarget::Pairs {
+                positives: want_positives,
+                stored: want_stored,
+            },
+        ) = (&got.target, &want.target)
+        else {
+            panic!("{case}: sampled recon builds pairs");
+        };
+        let pairs = |p: &[BcePair]| {
+            p.iter()
+                .map(|&(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pairs(positives), pairs(want_positives), "{case}: positives");
+        let words = |s: &Option<Arc<StoredBits>>| s.as_ref().map(|b| b.words.clone());
+        assert_eq!(words(stored), words(want_stored), "{case}: bit set");
+    }
+
+    /// Batch operators cut from a row store equal a fresh
+    /// [`HighOrder::build_rows`] plus [`Operators::new`] bit for bit, for a
+    /// store that keeps nothing, one that keeps part of `Ã` and one that
+    /// keeps all of it, over two epochs of overlapping batches and then a
+    /// batch of every node.
+    #[test]
+    fn store_cut_batches_match_fresh_builds_bit_for_bit() {
+        // Six planted communities, two a batch plus a one-hop halo: the
+        // halos overlap, so later batches find some of their rows kept.
+        let scfg = aneci_graph::StreamingConfig {
+            num_communities: 6,
+            ..aneci_graph::StreamingConfig::scale(600).unwrap()
+        };
+        let g = aneci_graph::generate_streamed(&scfg, 31, 2048);
+        let cfg = AneciConfig {
+            recon: ReconMode::Sampled { neg_ratio: 1 },
+            ..quick_config(5)
+        };
+        let strategy = BatchStrategy::CommunityAware {
+            communities_per_batch: 2,
+            hops: 1,
+            max_batch_nodes: 0,
+        };
+        let sampler = BatchSampler::new(&g.adjacency, strategy, Some(&g.labels), cfg.seed);
+        let plan: Vec<Vec<usize>> = (0..2).flat_map(|e| sampler.epoch_plan(e)).collect();
+        assert!(
+            plan.len() >= 4 && plan.iter().all(|b| b.len() < 600),
+            "partial batches"
+        );
+        let whole = HighOrder::build(&g.adjacency, &cfg.proximity).a_tilde;
+        let whole_bytes = whole.nnz() * 12 + whole.rows() * 8;
+        let all: Vec<usize> = (0..600).collect();
+        let model = AneciModel::try_new(&g.to_attributed(), &cfg).unwrap();
+        for budget in [0, whole_bytes / 3, whole_bytes] {
+            let mut rows = RowStore::new(&g.adjacency, &cfg.proximity, budget);
+            for (b, nodes) in plan.iter().enumerate() {
+                let case = format!("budget {budget}, batch {b}");
+                let cut = BatchArtifacts::build(&mut rows, &g.adjacency, &g.features, &cfg, nodes);
+                let fresh = Operators::new(
+                    &g.adjacency.extract_submatrix(nodes),
+                    HighOrder::build_rows(&g.adjacency, &cfg.proximity, nodes),
+                    &cfg,
+                );
+                assert_same_bits(&cut.ops, &fresh, &case);
+                assert_eq!(*cut.features, g.features.select_rows(nodes), "{case}");
+            }
+            let kept = rows.bytes();
+            match budget {
+                0 => assert_eq!(kept, 0, "a zero budget keeps nothing"),
+                b if b == whole_bytes => assert_eq!(kept, whole_bytes, "every row is kept"),
+                b => assert!(0 < kept && kept <= b, "part kept: {kept} of {b}"),
+            }
+            let full = BatchArtifacts::build(&mut rows, &g.adjacency, &g.features, &cfg, &all);
+            assert_same_bits(
+                &full.ops,
+                &model.ops,
+                &format!("budget {budget}, every node"),
+            );
+            assert_eq!(rows.bytes(), kept, "a cut of every node keeps no row");
+        }
     }
 
     use aneci_linalg::rng::seeded_rng;

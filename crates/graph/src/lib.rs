@@ -33,7 +33,7 @@ pub use delta::{apply_to_csr, apply_to_features, DeltaReport, GraphDelta, GraphE
 pub use generators::{generate_sbm, sample_split, Benchmark, FeatureKind, SbmConfig};
 pub use karate::karate_club;
 pub use lfr::{generate_lfr, LfrConfig};
-pub use proximity::{HighOrder, ProximityConfig};
+pub use proximity::{HighOrder, ProximityConfig, RowStore};
 pub use stats::{connected_components, degree_histogram, graph_stats, transitivity, GraphStats};
 pub use streaming::{edge_chunks, generate_streamed, StreamedGraph, StreamingConfig};
 

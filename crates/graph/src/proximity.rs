@@ -84,9 +84,11 @@ impl HighOrder {
     /// `k̃`/`M̃` count only proximity mass retained inside the batch, which
     /// is what the batch modularity normalizes by. Peak memory is
     /// `O(|S| · min(N, reach_l))` entries — per-batch, never N×N.
+    ///
+    /// This is a [`RowStore`] with a zero budget: every row is built for
+    /// this call and none is kept.
     pub fn build_rows(adjacency: &CsrMatrix, config: &ProximityConfig, nodes: &[usize]) -> Self {
-        let slab = power_sum(adjacency, config, |base| base.gather_rows(nodes));
-        Self::from_a_tilde(slab.select_columns(nodes))
+        RowStore::new(adjacency, config, 0).cut(nodes)
     }
 
     /// Incrementally updates `self` to the high-order proximity of the
@@ -210,6 +212,125 @@ impl HighOrder {
             k_tilde,
             m_tilde,
         }
+    }
+}
+
+/// Full-width rows of one graph's `Ã`, each built the first time a batch
+/// asks for it and kept while the kept rows fit a byte budget, so a run of
+/// many batches builds each row once instead of once per batch that holds
+/// its node.
+///
+/// A row of the power sum depends only on its own node (see
+/// [`power_sum`]), so a row built for any node set is the row every other
+/// node set gets: a batch cut from kept rows is bit for bit the batch
+/// [`HighOrder::build_rows`] builds, and `build_rows` is this store with a
+/// zero budget. Rows past the budget serve the batch that built them and
+/// are dropped; a later batch builds them again.
+pub struct RowStore<'a> {
+    adjacency: &'a CsrMatrix,
+    config: &'a ProximityConfig,
+    budget: usize,
+    /// Bytes of the kept rows, as [`RowStore::bytes`] counts them.
+    bytes: usize,
+    /// The kept rows, in slabs of the rows one cut built.
+    slabs: Vec<CsrMatrix>,
+    /// Per node, the slab and row of its kept row; empty until a row is
+    /// kept.
+    kept: Vec<Option<(u32, u32)>>,
+}
+
+impl<'a> RowStore<'a> {
+    /// Bytes a kept row costs per stored entry (a `u32` column and an `f64`
+    /// value) and per row (its row pointer).
+    const ENTRY_BYTES: usize = 12;
+    const ROW_BYTES: usize = 8;
+
+    /// An empty store of the rows of `adjacency`'s `Ã` under `config`,
+    /// keeping at most `budget` bytes of them.
+    pub fn new(adjacency: &'a CsrMatrix, config: &'a ProximityConfig, budget: usize) -> Self {
+        Self {
+            adjacency,
+            config,
+            budget,
+            bytes: 0,
+            slabs: Vec::new(),
+            kept: Vec::new(),
+        }
+    }
+
+    /// Bytes of the rows kept so far: 12 per stored entry plus 8 per row,
+    /// never more than the budget.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The batch triple `(Ã[S,S], k̃_S, M̃_S)` of `nodes` (sorted strictly
+    /// increasing), bit for bit [`HighOrder::build_rows`]. Rows not kept yet
+    /// are built in one power sum over their nodes; each batch row is then
+    /// restricted to the batch's columns with the cut
+    /// [`CsrMatrix::extract_submatrix`] makes, and `k̃`/`M̃` are the cut's
+    /// sums. The new rows are kept afterwards, in node order, while they
+    /// fit the budget. A cut of every node keeps none: it is the whole `Ã`,
+    /// which its caller then holds.
+    pub fn cut(&mut self, nodes: &[usize]) -> HighOrder {
+        let kept = |v: usize| self.kept.get(v).copied().flatten();
+        let missing: Vec<usize> = nodes
+            .iter()
+            .copied()
+            .filter(|&v| kept(v).is_none())
+            .collect();
+        let n = self.adjacency.rows();
+        let fresh = if missing.is_empty() {
+            CsrMatrix::zeros(0, n)
+        } else {
+            power_sum(self.adjacency, self.config, |base| {
+                base.gather_rows(&missing)
+            })
+        };
+        let mut next = 0..missing.len();
+        let rows: Vec<(&[u32], &[f64])> = nodes
+            .iter()
+            .map(|&v| match kept(v) {
+                Some((slab, row)) => self.slabs[slab as usize].row(row as usize),
+                None => fresh.row(next.next().expect("a fresh row per missing node")),
+            })
+            .collect();
+        let cut = CsrMatrix::stack_restricted(n, nodes, &rows);
+        drop(rows);
+        if nodes.len() < n {
+            self.keep(&missing, fresh);
+        }
+        HighOrder::from_a_tilde(cut)
+    }
+
+    /// Keeps the longest prefix of `fresh`, the rows of `missing`, that fits
+    /// the budget.
+    fn keep(&mut self, missing: &[usize], fresh: CsrMatrix) {
+        let mut fits = 0;
+        while fits < missing.len() {
+            let row = fresh.row_nnz(fits) * Self::ENTRY_BYTES + Self::ROW_BYTES;
+            if self.bytes + row > self.budget {
+                break;
+            }
+            self.bytes += row;
+            fits += 1;
+        }
+        if fits == 0 {
+            return;
+        }
+        let slab = if fits == missing.len() {
+            fresh
+        } else {
+            fresh.gather_rows(&(0..fits).collect::<Vec<_>>())
+        };
+        if self.kept.is_empty() {
+            self.kept = vec![None; self.adjacency.rows()];
+        }
+        let id = self.slabs.len() as u32;
+        for (row, &v) in missing[..fits].iter().enumerate() {
+            self.kept[v] = Some((id, row as u32));
+        }
+        self.slabs.push(slab);
     }
 }
 

@@ -384,6 +384,34 @@ impl DenseMatrix {
         self.zip_inplace(other, |a, b| a + alpha * b);
     }
 
+    /// For each `(i, j, c)` of `pairs`, in order: row `i` gains `c` times
+    /// row `j` of `x`, then row `j` gains `c` times row `i` of `x` (the
+    /// gradient scatter of a loss over row pairs). Serial, in pair order, so
+    /// every row sums its terms in the same order on every run. Each product
+    /// is rounded before it is added, under either SIMD dispatch, so the
+    /// AVX2 path gives the scalar loop's bits.
+    pub fn add_pair_rows(
+        &mut self,
+        x: &DenseMatrix,
+        pairs: impl Iterator<Item = (usize, usize, f64)>,
+    ) {
+        assert_eq!(self.shape(), x.shape(), "add_pair_rows: shape mismatch");
+        simd::record_dispatch();
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx2_active() {
+            // SAFETY: the dispatch verified AVX2, and the shapes agree.
+            return unsafe { simd::pair_rows_avx2(&mut self.data, &x.data, self.cols, pairs) };
+        }
+        for (i, j, c) in pairs {
+            for (o, &v) in self.row_mut(i).iter_mut().zip(x.row(j)) {
+                *o += c * v;
+            }
+            for (o, &v) in self.row_mut(j).iter_mut().zip(x.row(i)) {
+                *o += c * v;
+            }
+        }
+    }
+
     /// `alpha * self` into a new matrix.
     pub fn scale(&self, alpha: f64) -> DenseMatrix {
         self.map(|v| v * alpha)

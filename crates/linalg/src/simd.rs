@@ -10,9 +10,15 @@
 //!
 //! # Numerics
 //!
-//! The SIMD kernels use fused multiply-add and a different summation
-//! association than the scalar kernels, so results agree to within a few
-//! ULP (relative ~`len · ε`), not bit-for-bit. What *is* guaranteed:
+//! The floating-point kernels but one use fused multiply-add and a
+//! different summation association than the scalar kernels, so results
+//! agree to within a few ULP (relative ~`len · ε`), not bit-for-bit. The
+//! exception is `pair_rows`, behind
+//! [`DenseMatrix::add_pair_rows`](crate::DenseMatrix::add_pair_rows) (the
+//! pair-BCE backward): it enables AVX2 without FMA and keeps the scalar
+//! loop's order, so its output is the same under both dispatches.
+//! (`nonzero_union` builds integer index lists, the same under both
+//! dispatches too.) What *is* guaranteed:
 //!
 //! * dispatch depends only on the CPU and the environment — never on the
 //!   thread count, pool state, or input values — so every determinism
@@ -338,6 +344,54 @@ mod avx2 {
         );
     }
 
+    /// For each `(i, j, c)` of `pairs`, in order: row `i` of `out` gains
+    /// `c` times row `j` of `x`, then row `j` of `out` gains `c` times row
+    /// `i` of `x` (rows `d` wide, row-major). Each lane multiplies, rounds,
+    /// then adds (`vmulpd` then `vaddpd`), and the `d % 4` tail runs the
+    /// scalar `o += c * v`; Rust never fuses that statement, so this is the
+    /// scalar loop's arithmetic four lanes at a time, with the same bits.
+    /// Only `avx2` is enabled, so no FMA can be emitted here.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `out.len() == x.len()`, a multiple of
+    /// `d`. Row indices are bounds-checked.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn pair_rows(
+        out: &mut [f64],
+        x: &[f64],
+        d: usize,
+        pairs: impl Iterator<Item = (usize, usize, f64)>,
+    ) {
+        debug_assert_eq!(out.len(), x.len());
+        for (i, j, c) in pairs {
+            add_scaled_row(&mut out[i * d..(i + 1) * d], c, &x[j * d..(j + 1) * d]);
+            add_scaled_row(&mut out[j * d..(j + 1) * d], c, &x[i * d..(i + 1) * d]);
+        }
+    }
+
+    /// `y[k] += c * x[k]`, multiply then add, four lanes at a time.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `y.len() == x.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_scaled_row(y: &mut [f64], c: f64, x: &[f64]) {
+        debug_assert_eq!(y.len(), x.len());
+        let n = y.len();
+        let (yp, xp) = (y.as_mut_ptr(), x.as_ptr());
+        let cv = _mm256_set1_pd(c);
+        let mut k = 0;
+        while k + 4 <= n {
+            let prod = _mm256_mul_pd(cv, _mm256_loadu_pd(xp.add(k)));
+            _mm256_storeu_pd(yp.add(k), _mm256_add_pd(_mm256_loadu_pd(yp.add(k)), prod));
+            k += 4;
+        }
+        while k < n {
+            *yp.add(k) += c * *xp.add(k);
+            k += 1;
+        }
+    }
+
     /// `PACK[mask]` lists the set bits of a 4-bit mask, ascending, packed
     /// to the front (the lanes past its popcount are never kept).
     const PACK: [[u64; 4]; 16] = {
@@ -403,7 +457,9 @@ pub use avx2::{
     dot_scores as dot_scores_avx2, squared_euclidean as squared_euclidean_avx2,
 };
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{nonzero_union as nonzero_union_avx2, tile_2x12 as tile_2x12_avx2};
+pub(crate) use avx2::{
+    nonzero_union as nonzero_union_avx2, pair_rows as pair_rows_avx2, tile_2x12 as tile_2x12_avx2,
+};
 
 #[cfg(test)]
 mod tests {

@@ -675,18 +675,7 @@ impl CsrMatrix {
     pub fn select_columns(&self, keep: &[usize]) -> CsrMatrix {
         let colmap = inverse_column_map(self.cols, keep);
         kernel_stats::record(Kernel::SubgraphExtract, self.nnz() as u64, || {
-            let filter = |lo: usize, hi: usize| -> RowChunk {
-                self.filter_columns_rows(&colmap, lo, hi, |r| r)
-            };
-            let chunks = if pool::should_parallelize(self.nnz()) {
-                let grain = pool::row_grain(self.rows, 64);
-                pool::parallel_map_chunks(self.rows, grain, filter)
-            } else {
-                vec![filter(0, self.rows)]
-            };
-            let mut out = CsrMatrix::zeros(self.rows, keep.len());
-            assemble_rows_into(self.rows, keep.len(), &chunks, &mut out);
-            out
+            restrict_rows(&colmap, keep.len(), self.rows, self.nnz(), |r| self.row(r))
         })
     }
 
@@ -704,49 +693,72 @@ impl CsrMatrix {
         let colmap = inverse_column_map(self.cols, nodes);
         let est: usize = nodes.iter().map(|&r| self.row_nnz(r)).sum();
         kernel_stats::record(Kernel::SubgraphExtract, est as u64, || {
-            let extract = |lo: usize, hi: usize| -> RowChunk {
-                self.filter_columns_rows(&colmap, lo, hi, |i| nodes[i])
-            };
-            let chunks = if pool::should_parallelize(est) {
-                let grain = pool::row_grain(nodes.len(), 64);
-                pool::parallel_map_chunks(nodes.len(), grain, extract)
-            } else {
-                vec![extract(0, nodes.len())]
-            };
-            let mut out = CsrMatrix::zeros(nodes.len(), nodes.len());
-            assemble_rows_into(nodes.len(), nodes.len(), &chunks, &mut out);
-            out
+            restrict_rows(&colmap, nodes.len(), nodes.len(), est, |i| {
+                self.row(nodes[i])
+            })
         })
     }
 
-    /// Shared chunk body for the extraction kernels: copies the surviving
-    /// (remapped) entries of logical rows `lo..hi`, where `row_of` maps the
-    /// logical index to the source row.
-    fn filter_columns_rows(
-        &self,
-        colmap: &[u32],
-        lo: usize,
-        hi: usize,
-        row_of: impl Fn(usize) -> usize,
-    ) -> RowChunk {
+    /// Stacks `rows`, the `(indices, values)` of CSR rows `cols` wide,
+    /// keeping only the columns in `keep` (sorted strictly increasing) and
+    /// renumbering column `keep[j]` to `j`: the column restriction of
+    /// [`CsrMatrix::extract_submatrix`], over rows that need not come from
+    /// one matrix. Pooled over the rows like it.
+    pub fn stack_restricted(cols: usize, keep: &[usize], rows: &[(&[u32], &[f64])]) -> CsrMatrix {
+        let colmap = inverse_column_map(cols, keep);
+        let est: usize = rows.iter().map(|(indices, _)| indices.len()).sum();
+        kernel_stats::record(Kernel::SubgraphExtract, est as u64, || {
+            restrict_rows(&colmap, keep.len(), rows.len(), est, |i| rows[i])
+        })
+    }
+
+    /// The column indices and values of row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
+        let range = self.indptr[r]..self.indptr[r + 1];
+        (&self.indices[range.clone()], &self.values[range])
+    }
+}
+
+/// The one column-restriction kernel behind the extraction methods: output
+/// row `i` holds the entries of `row(i)` whose column `colmap` keeps
+/// (old → new column, `u32::MAX` drops it), in order, `cols` columns wide.
+/// Pooled over the `count` rows when `est` (their stored entries) clears the
+/// threshold; per-row filtering makes the output identical either way.
+fn restrict_rows<'s>(
+    colmap: &[u32],
+    cols: usize,
+    count: usize,
+    est: usize,
+    row: impl Fn(usize) -> (&'s [u32], &'s [f64]) + Sync,
+) -> CsrMatrix {
+    let filter = |lo: usize, hi: usize| -> RowChunk {
         let mut lens = Vec::with_capacity(hi - lo);
-        let cap: usize = (lo..hi).map(|i| self.row_nnz(row_of(i))).sum();
+        let cap: usize = (lo..hi).map(|i| row(i).0.len()).sum();
         let mut indices: Vec<u32> = Vec::with_capacity(cap);
         let mut values: Vec<f64> = Vec::with_capacity(cap);
         for i in lo..hi {
-            let r = row_of(i);
             let before = indices.len();
-            for pos in self.indptr[r]..self.indptr[r + 1] {
-                let nc = colmap[self.indices[pos] as usize];
+            let (cs, vs) = row(i);
+            for (&c, &v) in cs.iter().zip(vs) {
+                let nc = colmap[c as usize];
                 if nc != u32::MAX {
                     indices.push(nc);
-                    values.push(self.values[pos]);
+                    values.push(v);
                 }
             }
             lens.push(indices.len() - before);
         }
         (lens, indices, values)
-    }
+    };
+    let chunks = if pool::should_parallelize(est) {
+        pool::parallel_map_chunks(count, pool::row_grain(count, 64), filter)
+    } else {
+        vec![filter(0, count)]
+    };
+    let mut out = CsrMatrix::zeros(count, cols);
+    assemble_rows_into(count, cols, &chunks, &mut out);
+    out
 }
 
 /// Dense old→new column map for the extraction kernels: `map[keep[j]] = j`,

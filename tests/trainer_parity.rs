@@ -19,7 +19,9 @@
 //!
 //! The karate fixtures run the dense reconstruction loss. The sampled path
 //! (`ReconMode::Sampled`, the one every graph above `EXACT_RECON_MAX_NODES`
-//! trains) has its own fixture on a 300-node SBM.
+//! trains) has its own fixture on a 300-node SBM, and a mini-batch plan of
+//! partial batches, each cut from the run's store of `Ã` rows, has one on a
+//! 600-node streamed graph.
 //!
 //! A plain run compares the host's dispatch section; on an AVX2 host,
 //! `scalar_dispatch_matches_golden_fixtures` reruns the golden tests in a
@@ -34,7 +36,9 @@ use aneci::core::{
     classic_modularity, AneciConfig, AneciModel, BatchStrategy, MiniBatchTrainer, ReconMode,
     StopStrategy, TrainReport, ValProbe,
 };
-use aneci::graph::{generate_sbm, karate_club, AttributedGraph, SbmConfig};
+use aneci::graph::{
+    generate_sbm, generate_streamed, karate_club, AttributedGraph, SbmConfig, StreamingConfig,
+};
 use aneci::linalg::pool;
 use aneci::linalg::rng::seeded_rng;
 use aneci::linalg::{simd, DenseMatrix};
@@ -417,8 +421,40 @@ fn sampled_recon_matches_golden_fixture() {
     assert_golden("sampled_recon", &got);
 }
 
+/// A plan of genuinely partial batches: the 600-node streamed graph with six
+/// planted communities of `tests/minibatch_parity.rs`, two communities per
+/// batch plus their one-hop halo, on the sampled loss. Each batch trains on
+/// its own cut of `Ã` (rows and columns restricted to the batch, `k̃` and
+/// `M̃` summed over the cut), which no `FullGraph` fixture exercises.
+#[test]
+fn minibatch_partial_matches_golden_fixture() {
+    let _guard = lock_pool_config();
+    let scfg = StreamingConfig {
+        num_communities: 6,
+        ..StreamingConfig::scale(600).expect("valid scale preset")
+    };
+    let g = generate_streamed(&scfg, 31, 2048);
+    let cfg = AneciConfig {
+        embed_dim: 6,
+        recon: ReconMode::Sampled { neg_ratio: 1 },
+        ..quick_cfg(StopStrategy::FixedEpochs, 5, 8)
+    };
+    let strategy = BatchStrategy::CommunityAware {
+        communities_per_batch: 2,
+        hops: 1,
+        max_batch_nodes: 0,
+    };
+    let got = golden_runs(|tag| {
+        let mut mini =
+            MiniBatchTrainer::try_new(g.adjacency.clone(), g.features.clone(), &cfg).unwrap();
+        let report = mini.train(strategy, Some(&g.labels)).unwrap();
+        golden_lines(tag, &report, mini.embedding())
+    });
+    assert_golden("minibatch_partial", &got);
+}
+
 /// Every test of this binary that compares a golden fixture.
-const GOLDEN_TESTS: [&str; 7] = [
+const GOLDEN_TESTS: [&str; 8] = [
     "fixed_epochs_matches_reference_loop_bit_exactly",
     "minibatch_full_graph_matches_reference_loop_bit_exactly",
     "early_stop_modularity_matches_reference_loop_bit_exactly",
@@ -426,6 +462,7 @@ const GOLDEN_TESTS: [&str; 7] = [
     "validation_best_matches_reference_loop_bit_exactly",
     "validation_loss_fallback_matches_reference_loop_bit_exactly",
     "sampled_recon_matches_golden_fixture",
+    "minibatch_partial_matches_golden_fixture",
 ];
 
 #[test]
