@@ -258,12 +258,18 @@ impl Trainer {
     /// produced a finite loss and [`TrainError::Diverged`] is returned;
     /// otherwise the loss trajectory (epoch means) and best-epoch
     /// bookkeeping come back as a [`TrainRun`].
+    ///
+    /// The first run in a process, on glibc, pins the allocator's mmap and
+    /// trim thresholds so that each step reuses the memory the previous
+    /// step freed instead of faulting it in again; see
+    /// `pin_malloc_thresholds` for the values and their limits.
     pub fn run(
         &self,
         params: &mut ParamSet,
         opt: &mut Adam,
         step: &mut dyn TrainStep,
     ) -> Result<TrainRun, TrainError> {
+        pin_malloc_thresholds();
         let _run_span = self.obs_prefix.as_deref().map(aneci_obs::span);
         let obs = self.obs_prefix.as_deref().map(|p| {
             (
@@ -382,6 +388,57 @@ impl Trainer {
             }
         }
         Ok(run)
+    }
+}
+
+/// Keeps each step's freed buffers in the heap for the next step, once per
+/// process.
+///
+/// Every batch builds a fresh tape, so a step frees and reallocates tens of
+/// megabytes (the pair lists, σ, the batch operators, the tape's values and
+/// gradients). glibc raises its mmap threshold only to the largest mmapped
+/// block freed so far and trims the heap top past twice that, so by default
+/// it returns a step's memory to the kernel and the next step faults every
+/// page in again. Setting both thresholds to the ceiling glibc's own dynamic
+/// rule can reach (`DEFAULT_MMAP_THRESHOLD_MAX`, 32 MiB on 64-bit, with trim
+/// at twice that) keeps those blocks for reuse. Setting only one of the two
+/// switches the dynamic rule off for both and faults more than the default.
+///
+/// Limits: blocks above 32 MiB are still mmapped and fault on every use; a
+/// process keeps up to 64 MiB free at a heap's top after training; any
+/// malloc thresholds set through `GLIBC_TUNABLES` are overridden. Other
+/// allocators (musl, jemalloc) and 32-bit targets, whose ceiling is lower,
+/// are left alone. No arithmetic depends on it.
+fn pin_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu", target_pointer_width = "64"))]
+    {
+        use std::os::raw::c_int;
+        use std::sync::Once;
+
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        // `<malloc.h>` parameter numbers.
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+
+        static PINNED: Once = Once::new();
+        PINNED.call_once(|| {
+            // SAFETY: `mallopt` takes two ints by value and writes only
+            // glibc's malloc parameters, under the main arena's lock. glibc
+            // marks it MT-Unsafe (`const:mallopt`) because threads
+            // allocating meanwhile read those word-sized parameters
+            // unlocked; such a thread sees the old or the new threshold,
+            // and both are valid. Both values are within the ranges glibc
+            // accepts on 64-bit targets.
+            let set = unsafe {
+                [
+                    mallopt(M_MMAP_THRESHOLD, 32 << 20),
+                    mallopt(M_TRIM_THRESHOLD, 64 << 20),
+                ]
+            };
+            debug_assert_eq!(set, [1, 1], "glibc refused a malloc threshold");
+        });
     }
 }
 

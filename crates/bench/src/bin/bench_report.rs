@@ -808,11 +808,21 @@ fn peak_rss_mb() -> Option<f64> {
     aneci_obs::peak_rss_bytes().map(|b| b as f64 / 1e6)
 }
 
+/// Runs `f` and returns its result with the minor page faults the process
+/// took meanwhile (None off-Linux).
+fn counting_faults<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
+    let before = aneci_obs::minor_faults();
+    let out = f();
+    let faults = before.zip(aneci_obs::minor_faults()).map(|(b, a)| a - b);
+    (out, faults)
+}
+
 /// Million-node scaling benchmark: stream a planted-partition graph at each
 /// tier, train AnECI through the community-aware mini-batch path, and
-/// report nodes/sec + peak RSS. The 10k tier also A/Bs against full-batch
-/// training and gates on quality (NMI/modularity within 0.02) and
-/// throughput (mini-batch ≥ 1.0x full-batch nodes/sec).
+/// report nodes/sec, peak RSS and each training leg's minor page faults.
+/// The 10k tier also A/Bs against full-batch training and gates on quality
+/// (NMI/modularity within 0.02) and throughput (mini-batch ≥ 1.0x
+/// full-batch nodes/sec).
 fn scale_bench(max_nodes: usize) {
     use aneci_core::config::ROW_STORE_BUDGET_BYTES;
     use aneci_core::{
@@ -877,9 +887,11 @@ fn scale_bench(max_nodes: usize) {
         .expect("scale config is valid");
         let nodes_before = batch_nodes_sum();
         let t = Instant::now();
-        let report = trainer
-            .train(strategy, Some(&streamed.labels))
-            .expect("mini-batch training failed");
+        let (report, mini_faults) = counting_faults(|| {
+            trainer
+                .train(strategy, Some(&streamed.labels))
+                .expect("mini-batch training failed")
+        });
         let train_secs = t.elapsed().as_secs_f64();
         let nodes_processed = batch_nodes_sum() - nodes_before;
         let mini_nps = nodes_processed / train_secs.max(1e-12);
@@ -894,8 +906,9 @@ fn scale_bench(max_nodes: usize) {
         println!(
             "tier {n}: {k} communities, {edges} edges (gen {gen_secs:.1}s) — \
              {epochs} epochs in {train_secs:.1}s, {mini_nps:.0} nodes/s, \
-             peak RSS {}, row store {} of {budget_mb:.0} MB",
+             peak RSS {}, {} minor faults, row store {} of {budget_mb:.0} MB",
             peak_mb.map_or("n/a".into(), |m| format!("{m:.0} MB")),
+            mini_faults.map_or("n/a".into(), |f| f.to_string()),
             store_mb.map_or("n/a".into(), |m| format!("{m:.1}")),
         );
 
@@ -911,6 +924,7 @@ fn scale_bench(max_nodes: usize) {
             "nodes_per_sec": mini_nps,
             "final_loss": report.losses.last().copied(),
             "peak_rss_mb": peak_mb,
+            "minor_faults": mini_faults,
             "row_store_mb": store_mb,
             "row_store_budget_mb": budget_mb,
         }));
@@ -922,7 +936,8 @@ fn scale_bench(max_nodes: usize) {
             let graph = streamed.to_attributed();
             let mut full = AneciModel::new(&graph, &config);
             let t = Instant::now();
-            let full_report = full.train(None).expect("full-batch training failed");
+            let (full_report, full_faults) =
+                counting_faults(|| full.train(None).expect("full-batch training failed"));
             let full_secs = t.elapsed().as_secs_f64();
             let full_nps = (n * full_report.epochs_run) as f64 / full_secs.max(1e-12);
 
@@ -937,7 +952,9 @@ fn scale_bench(max_nodes: usize) {
             println!(
                 "  full-batch A/B: NMI {full_nmi:.3} vs {mini_nmi:.3} (mini), \
                  Q {full_q:.3} vs {mini_q:.3}, \
-                 {full_nps:.0} vs {mini_nps:.0} nodes/s ({nps_ratio:.2}x)"
+                 {full_nps:.0} vs {mini_nps:.0} nodes/s ({nps_ratio:.2}x), \
+                 {} full-batch minor faults",
+                full_faults.map_or("n/a".into(), |f| f.to_string()),
             );
 
             if mini_nmi < full_nmi - 0.02 {
@@ -967,6 +984,7 @@ fn scale_bench(max_nodes: usize) {
                 "full_modularity": full_q,
                 "mini_modularity": mini_q,
                 "peak_rss_mb": peak_rss_mb(),
+                "full_minor_faults": full_faults,
             }));
         }
     }

@@ -66,7 +66,8 @@ impl HighOrder {
     /// so the peak is `O(nnz(B^l))` entries — which is why batch training
     /// uses [`HighOrder::build_rows`] instead of this constructor.
     pub fn build(adjacency: &CsrMatrix, config: &ProximityConfig) -> Self {
-        Self::from_a_tilde(power_sum(adjacency, config, CsrMatrix::clone))
+        let base = adjacency.add_identity();
+        Self::from_a_tilde(power_sum(&base, config, base.clone()))
     }
 
     /// Batch-incremental variant of [`HighOrder::build`]: computes the rows
@@ -176,7 +177,8 @@ impl HighOrder {
 
         // Recompute the dirty rows at full column width, then splice them
         // into the retained rows in one compact pass.
-        let slab = power_sum(adjacency, config, |base| base.gather_rows(&dirty));
+        let base = adjacency.add_identity();
+        let slab = power_sum(&base, config, base.gather_rows(&dirty));
         let nnz = self.a_tilde.nnz() + slab.nnz();
         let mut indptr = Vec::with_capacity(n + 1);
         let mut indices: Vec<u32> = Vec::with_capacity(nnz);
@@ -226,9 +228,16 @@ impl HighOrder {
 /// [`HighOrder::build_rows`] builds, and `build_rows` is this store with a
 /// zero budget. Rows past the budget serve the batch that built them and
 /// are dropped; a later batch builds them again.
+///
+/// The store also keeps `B = A + I`, the operand of every power, from its
+/// first miss to its end, so a run copies the adjacency once rather than
+/// once per batch that builds rows. `B` is not a kept row and does not
+/// count against the budget.
 pub struct RowStore<'a> {
     adjacency: &'a CsrMatrix,
     config: &'a ProximityConfig,
+    /// `B = A + I`, built on the first miss.
+    base: Option<CsrMatrix>,
     budget: usize,
     /// Bytes of the kept rows, as [`RowStore::bytes`] counts them.
     bytes: usize,
@@ -251,6 +260,7 @@ impl<'a> RowStore<'a> {
         Self {
             adjacency,
             config,
+            base: None,
             budget,
             bytes: 0,
             slabs: Vec::new(),
@@ -273,24 +283,24 @@ impl<'a> RowStore<'a> {
     /// fit the budget. A cut of every node keeps none: it is the whole `Ã`,
     /// which its caller then holds.
     pub fn cut(&mut self, nodes: &[usize]) -> HighOrder {
-        let kept = |v: usize| self.kept.get(v).copied().flatten();
         let missing: Vec<usize> = nodes
             .iter()
             .copied()
-            .filter(|&v| kept(v).is_none())
+            .filter(|&v| self.kept_at(v).is_none())
             .collect();
         let n = self.adjacency.rows();
         let fresh = if missing.is_empty() {
             CsrMatrix::zeros(0, n)
         } else {
-            power_sum(self.adjacency, self.config, |base| {
-                base.gather_rows(&missing)
-            })
+            let base = self
+                .base
+                .get_or_insert_with(|| self.adjacency.add_identity());
+            power_sum(base, self.config, base.gather_rows(&missing))
         };
         let mut next = 0..missing.len();
         let rows: Vec<(&[u32], &[f64])> = nodes
             .iter()
-            .map(|&v| match kept(v) {
+            .map(|&v| match self.kept_at(v) {
                 Some((slab, row)) => self.slabs[slab as usize].row(row as usize),
                 None => fresh.row(next.next().expect("a fresh row per missing node")),
             })
@@ -301,6 +311,11 @@ impl<'a> RowStore<'a> {
             self.keep(&missing, fresh);
         }
         HighOrder::from_a_tilde(cut)
+    }
+
+    /// The slab and row of `v`'s kept row, if it has one.
+    fn kept_at(&self, v: usize) -> Option<(u32, u32)> {
+        self.kept.get(v).copied().flatten()
     }
 
     /// Keeps the longest prefix of `fresh`, the rows of `missing`, that fits
@@ -334,40 +349,31 @@ impl<'a> RowStore<'a> {
     }
 }
 
-/// The power loop every constructor shares: with `B = A + I` and
-/// `P₁ = first(B)`, returns `f(Σ_l w_l · P_l)` where `P_l = P_{l−1} · B`.
-/// `first` is `B` itself for the global build, or the rows of `B` for a
-/// sorted node set, giving those rows of the global `Ã` at full column
-/// width `N`. Every step is row-local, so each row is bit-identical to the
-/// global build's.
-fn power_sum(
-    adjacency: &CsrMatrix,
-    config: &ProximityConfig,
-    first: impl FnOnce(&CsrMatrix) -> CsrMatrix,
-) -> CsrMatrix {
-    assert_eq!(
-        adjacency.rows(),
-        adjacency.cols(),
-        "adjacency must be square"
-    );
+/// The power loop every constructor shares: with `base = B = A + I` and
+/// `P₁ = first`, returns the row-normalized `Σ_l w_l · P_l` where
+/// `P_l = P_{l−1} · B`. `first` is `B` itself for the global build, or the
+/// rows of `B` for a sorted node set, giving those rows of the global `Ã`
+/// at full column width `N`. Every step is row-local, so each row is
+/// bit-identical to the global build's. The caller builds `B`, so a caller
+/// with many node sets builds it once.
+fn power_sum(base: &CsrMatrix, config: &ProximityConfig, first: CsrMatrix) -> CsrMatrix {
     assert!(
         !config.weights.is_empty(),
         "at least one proximity weight required"
     );
-    let base = adjacency.add_identity();
     // Double-buffered power/accumulator loop: `spmm` and `add_scaled`
     // both write into preallocated buffers that are swapped back in, so
     // each extra order reuses the previous order's
     // allocations instead of re-materializing multi-million-entry CSR
     // vectors (order-3+ on 20k-node graphs used to thrash the
     // allocator).
-    let mut power = first(&base);
+    let mut power = first;
     let (rows, n) = (power.rows(), base.cols());
     let mut acc = CsrMatrix::zeros(rows, n);
     let mut scratch = CsrMatrix::zeros(rows, n);
     for (l, &w) in config.weights.iter().enumerate() {
         if l > 0 {
-            power.spmm_into(&base, &mut scratch);
+            power.spmm_into(base, &mut scratch);
             std::mem::swap(&mut power, &mut scratch);
         }
         if w != 0.0 {

@@ -58,7 +58,7 @@ pub mod registry;
 pub mod sink;
 pub mod span;
 
-pub use proc::{current_rss_bytes, peak_rss_bytes};
+pub use proc::{current_rss_bytes, minor_faults, peak_rss_bytes};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use sink::{install_jsonl_sink, install_writer, sink_active, uninstall_sink};
 pub use span::{span, SpanGuard};
