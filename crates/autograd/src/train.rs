@@ -404,11 +404,18 @@ impl Trainer {
 /// at twice that) keeps those blocks for reuse. Setting only one of the two
 /// switches the dynamic rule off for both and faults more than the default.
 ///
+/// The trim threshold is set only once glibc has taken the mmap threshold.
+/// glibc refuses 32 MiB when its heaps are capped smaller (with
+/// `GLIBC_TUNABLES=glibc.malloc.hugetlb=2` a heap holds four huge pages, and
+/// the mmap threshold may be at most half that), and trim alone would then
+/// switch the dynamic rule off; in that case the defaults stay. The policy
+/// is best-effort: no arithmetic depends on it.
+///
 /// Limits: blocks above 32 MiB are still mmapped and fault on every use; a
-/// process keeps up to 64 MiB free at a heap's top after training; any
-/// malloc thresholds set through `GLIBC_TUNABLES` are overridden. Other
-/// allocators (musl, jemalloc) and 32-bit targets, whose ceiling is lower,
-/// are left alone. No arithmetic depends on it.
+/// process keeps up to 64 MiB free at a heap's top after training; unless
+/// glibc refuses the mmap threshold, any malloc thresholds set through
+/// `GLIBC_TUNABLES` are overridden. Other allocators (musl, jemalloc) and
+/// 32-bit targets, whose ceiling is lower, are left alone.
 fn pin_malloc_thresholds() {
     #[cfg(all(target_os = "linux", target_env = "gnu", target_pointer_width = "64"))]
     {
@@ -429,15 +436,13 @@ fn pin_malloc_thresholds() {
             // marks it MT-Unsafe (`const:mallopt`) because threads
             // allocating meanwhile read those word-sized parameters
             // unlocked; such a thread sees the old or the new threshold,
-            // and both are valid. Both values are within the ranges glibc
-            // accepts on 64-bit targets.
-            let set = unsafe {
-                [
-                    mallopt(M_MMAP_THRESHOLD, 32 << 20),
-                    mallopt(M_TRIM_THRESHOLD, 64 << 20),
-                ]
-            };
-            debug_assert_eq!(set, [1, 1], "glibc refused a malloc threshold");
+            // and both are valid. A value glibc refuses changes nothing and
+            // returns 0.
+            unsafe {
+                if mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 {
+                    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+                }
+            }
         });
     }
 }

@@ -9,12 +9,21 @@
 //! shares its heap or its fault counter.
 #![cfg(all(target_os = "linux", target_env = "gnu", target_pointer_width = "64"))]
 
+use std::os::raw::{c_int, c_ulong};
+
 use aneci_autograd::{Adam, ParamSet, Tape, Trainer, Var};
 use aneci_linalg::DenseMatrix;
 
 const MIB: usize = 1 << 20;
 const BLOCKS_MIB: [usize; 5] = [8, 6, 7, 5, 3];
 const PAGE: usize = 4096;
+
+extern "C" {
+    fn prctl(option: c_int, ...) -> c_int;
+}
+/// `<linux/prctl.h>`: with its argument 1, transparent huge pages are off
+/// for the calling process (and its children) from then on.
+const PR_SET_THP_DISABLE: c_int = 41;
 
 /// Allocates and writes every block, then frees them all. Writing faults in
 /// each page the heap does not already hold.
@@ -25,6 +34,15 @@ fn round() {
 
 #[test]
 fn a_step_reuses_the_memory_the_last_step_freed() {
+    // Where transparent huge pages are on for every mapping, a fresh 8 MiB
+    // block may fault once per 2 MiB, and the default policy could then
+    // stay under the bound. With them off, each fault is a 4 KiB page.
+    // SAFETY: the call takes integers by value and only sets a flag of this
+    // process's memory map.
+    let (on, unused): (c_ulong, c_ulong) = (1, 0);
+    let thp_off = unsafe { prctl(PR_SET_THP_DISABLE, on, unused, unused, unused) };
+    assert_eq!(thp_off, 0, "prctl(PR_SET_THP_DISABLE) failed");
+
     let mut params = ParamSet::new();
     params.register("w", DenseMatrix::filled(1, 1, 1.0));
     let mut opt = Adam::new(0.1);

@@ -808,13 +808,16 @@ fn peak_rss_mb() -> Option<f64> {
     aneci_obs::peak_rss_bytes().map(|b| b as f64 / 1e6)
 }
 
-/// Runs `f` and returns its result with the minor page faults the process
-/// took meanwhile (None off-Linux).
-fn counting_faults<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
+/// Runs `f` and returns its result, its wall time in seconds and the minor
+/// page faults the process took meanwhile (None off-Linux). The counter is
+/// read outside the timed region, so the time is `f`'s alone.
+fn timed_with_faults<T>(f: impl FnOnce() -> T) -> (T, f64, Option<u64>) {
     let before = aneci_obs::minor_faults();
+    let t = Instant::now();
     let out = f();
+    let secs = t.elapsed().as_secs_f64();
     let faults = before.zip(aneci_obs::minor_faults()).map(|(b, a)| a - b);
-    (out, faults)
+    (out, secs, faults)
 }
 
 /// Million-node scaling benchmark: stream a planted-partition graph at each
@@ -886,13 +889,11 @@ fn scale_bench(max_nodes: usize) {
         )
         .expect("scale config is valid");
         let nodes_before = batch_nodes_sum();
-        let t = Instant::now();
-        let (report, mini_faults) = counting_faults(|| {
+        let (report, train_secs, mini_faults) = timed_with_faults(|| {
             trainer
                 .train(strategy, Some(&streamed.labels))
                 .expect("mini-batch training failed")
         });
-        let train_secs = t.elapsed().as_secs_f64();
         let nodes_processed = batch_nodes_sum() - nodes_before;
         let mini_nps = nodes_processed / train_secs.max(1e-12);
         let peak_mb = peak_rss_mb();
@@ -935,10 +936,8 @@ fn scale_bench(max_nodes: usize) {
         if n == 10_000 {
             let graph = streamed.to_attributed();
             let mut full = AneciModel::new(&graph, &config);
-            let t = Instant::now();
-            let (full_report, full_faults) =
-                counting_faults(|| full.train(None).expect("full-batch training failed"));
-            let full_secs = t.elapsed().as_secs_f64();
+            let (full_report, full_secs, full_faults) =
+                timed_with_faults(|| full.train(None).expect("full-batch training failed"));
             let full_nps = (n * full_report.epochs_run) as f64 / full_secs.max(1e-12);
 
             let full_pred = full.communities();

@@ -228,16 +228,9 @@ impl HighOrder {
 /// [`HighOrder::build_rows`] builds, and `build_rows` is this store with a
 /// zero budget. Rows past the budget serve the batch that built them and
 /// are dropped; a later batch builds them again.
-///
-/// The store also keeps `B = A + I`, the operand of every power, from its
-/// first miss to its end, so a run copies the adjacency once rather than
-/// once per batch that builds rows. `B` is not a kept row and does not
-/// count against the budget.
 pub struct RowStore<'a> {
     adjacency: &'a CsrMatrix,
     config: &'a ProximityConfig,
-    /// `B = A + I`, built on the first miss.
-    base: Option<CsrMatrix>,
     budget: usize,
     /// Bytes of the kept rows, as [`RowStore::bytes`] counts them.
     bytes: usize,
@@ -260,7 +253,6 @@ impl<'a> RowStore<'a> {
         Self {
             adjacency,
             config,
-            base: None,
             budget,
             bytes: 0,
             slabs: Vec::new(),
@@ -283,24 +275,23 @@ impl<'a> RowStore<'a> {
     /// fit the budget. A cut of every node keeps none: it is the whole `Ã`,
     /// which its caller then holds.
     pub fn cut(&mut self, nodes: &[usize]) -> HighOrder {
+        let kept = |v: usize| self.kept.get(v).copied().flatten();
         let missing: Vec<usize> = nodes
             .iter()
             .copied()
-            .filter(|&v| self.kept_at(v).is_none())
+            .filter(|&v| kept(v).is_none())
             .collect();
         let n = self.adjacency.rows();
         let fresh = if missing.is_empty() {
             CsrMatrix::zeros(0, n)
         } else {
-            let base = self
-                .base
-                .get_or_insert_with(|| self.adjacency.add_identity());
-            power_sum(base, self.config, base.gather_rows(&missing))
+            let base = self.adjacency.add_identity();
+            power_sum(&base, self.config, base.gather_rows(&missing))
         };
         let mut next = 0..missing.len();
         let rows: Vec<(&[u32], &[f64])> = nodes
             .iter()
-            .map(|&v| match self.kept_at(v) {
+            .map(|&v| match kept(v) {
                 Some((slab, row)) => self.slabs[slab as usize].row(row as usize),
                 None => fresh.row(next.next().expect("a fresh row per missing node")),
             })
@@ -311,11 +302,6 @@ impl<'a> RowStore<'a> {
             self.keep(&missing, fresh);
         }
         HighOrder::from_a_tilde(cut)
-    }
-
-    /// The slab and row of `v`'s kept row, if it has one.
-    fn kept_at(&self, v: usize) -> Option<(u32, u32)> {
-        self.kept.get(v).copied().flatten()
     }
 
     /// Keeps the longest prefix of `fresh`, the rows of `missing`, that fits
@@ -354,8 +340,7 @@ impl<'a> RowStore<'a> {
 /// `P_l = P_{l−1} · B`. `first` is `B` itself for the global build, or the
 /// rows of `B` for a sorted node set, giving those rows of the global `Ã`
 /// at full column width `N`. Every step is row-local, so each row is
-/// bit-identical to the global build's. The caller builds `B`, so a caller
-/// with many node sets builds it once.
+/// bit-identical to the global build's.
 fn power_sum(base: &CsrMatrix, config: &ProximityConfig, first: CsrMatrix) -> CsrMatrix {
     assert!(
         !config.weights.is_empty(),

@@ -21,7 +21,8 @@
 //! (`ReconMode::Sampled`, the one every graph above `EXACT_RECON_MAX_NODES`
 //! trains) has its own fixture on a 300-node SBM, and a mini-batch plan of
 //! partial batches, each cut from the run's store of `Ã` rows, has one on a
-//! 600-node streamed graph.
+//! 600-node streamed graph. GAE's sampled loss, which shares `pair_bce` with
+//! AnECI's, has one on a 250-node SBM.
 //!
 //! A plain run compares the host's dispatch section; on an AVX2 host,
 //! `scalar_dispatch_matches_golden_fixtures` reruns the golden tests in a
@@ -453,8 +454,37 @@ fn minibatch_partial_matches_golden_fixture() {
     assert_golden("minibatch_partial", &got);
 }
 
+/// GAE on a graph above its `exact_threshold`: each epoch's loss is
+/// `pair_bce` over the shared positive pairs and that epoch's negatives, its
+/// two parts. The fixture pins every epoch's loss and the embedding.
+#[test]
+fn gae_sampled_matches_golden_fixture() {
+    let _guard = lock_pool_config();
+    let sbm = SbmConfig {
+        num_nodes: 250,
+        ..SbmConfig::small()
+    };
+    let g = generate_sbm(&sbm, 3);
+    let cfg = GaeConfig {
+        epochs: 30,
+        exact_threshold: 100,
+        ..Default::default()
+    };
+    let got = golden_runs(|tag| {
+        let model = Gae::fit(&g, &cfg);
+        let mut lines = String::new();
+        for (epoch, loss) in model.losses.iter().enumerate() {
+            writeln!(lines, "{tag} {epoch} {:016x}", loss.to_bits()).unwrap();
+        }
+        let hash = bits_hash(model.embedding());
+        writeln!(lines, "{tag} embedding {hash:016x}").unwrap();
+        lines
+    });
+    assert_golden("gae_sampled", &got);
+}
+
 /// Every test of this binary that compares a golden fixture.
-const GOLDEN_TESTS: [&str; 8] = [
+const GOLDEN_TESTS: [&str; 9] = [
     "fixed_epochs_matches_reference_loop_bit_exactly",
     "minibatch_full_graph_matches_reference_loop_bit_exactly",
     "early_stop_modularity_matches_reference_loop_bit_exactly",
@@ -463,6 +493,7 @@ const GOLDEN_TESTS: [&str; 8] = [
     "validation_loss_fallback_matches_reference_loop_bit_exactly",
     "sampled_recon_matches_golden_fixture",
     "minibatch_partial_matches_golden_fixture",
+    "gae_sampled_matches_golden_fixture",
 ];
 
 #[test]
