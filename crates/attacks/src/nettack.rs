@@ -19,6 +19,7 @@ use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, sample_distinct, seeded_rng, xavier_uniform};
 use aneci_linalg::DenseMatrix;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::attack::{delta_between, AttackOutcome};
 use crate::fga::EdgeFlip;
@@ -92,7 +93,7 @@ fn train_linear_surrogate(graph: &AttributedGraph, config: &GcnConfig) -> DenseM
     let k = graph.num_classes();
     let s = graph.norm_adjacency();
     let sx = s.spmm_dense(graph.features());
-    let s2x = s.spmm_dense(&sx);
+    let s2x = Arc::new(s.spmm_dense(&sx));
 
     let mut rng = seeded_rng(derive_seed(config.seed, 0x2377));
     let mut params = ParamSet::new();
@@ -101,7 +102,7 @@ fn train_linear_surrogate(graph: &AttributedGraph, config: &GcnConfig) -> DenseM
     for _ in 0..config.epochs {
         let mut tape = Tape::new();
         let w = params.leaf_all(&mut tape);
-        let f = tape.constant(s2x.clone());
+        let f = tape.constant(Arc::clone(&s2x));
         let logits = tape.matmul(f, w[0]);
         let loss = tape.softmax_cross_entropy(logits, &labels, &graph.split.train);
         tape.backward(loss);

@@ -19,11 +19,12 @@
 //!   large graphs.
 //!
 //! Constants a model reuses every epoch are recorded by reference, not
-//! copied: [`Tape::matmul_const`] keeps an `Arc` of its dense operand, and
+//! copied: [`Tape::constant`] keeps the `Arc` it is given, so a caller
+//! that passes `Arc::clone(&x)` shares `x` with the tape, and
 //! [`Tape::spmm`] differentiates through its sparse operand without ever
 //! transposing it.
 
-use aneci_linalg::{pool, CsrMatrix, DenseMatrix};
+use aneci_linalg::{pool, sigmoid, CsrMatrix, DenseMatrix};
 use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
@@ -43,7 +44,6 @@ pub type BcePair = (u32, u32, f64);
 enum Op {
     Leaf,
     MatMul(Var, Var),
-    MatMulConst(Arc<DenseMatrix>, Var),
     MatMulTn(Var, Var),
     SpMm(Arc<CsrMatrix>, Var),
     Add(Var, Var),
@@ -83,23 +83,13 @@ enum Op {
 }
 
 struct Node {
-    value: DenseMatrix,
+    value: Arc<DenseMatrix>,
     op: Op,
     requires_grad: bool,
 }
 
 /// Clamp used inside every log-sigmoid to avoid `ln(0)`.
 const SIG_EPS: f64 = 1e-12;
-
-#[inline]
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
 
 /// Sums `f` over the same `grain`-sized chunks `pool::parallel_map_chunks`
 /// would use, in the same order, without touching the pool. Loss reductions
@@ -216,9 +206,9 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, value: DenseMatrix, op: Op, requires_grad: bool) -> Var {
+    fn push(&mut self, value: impl Into<Arc<DenseMatrix>>, op: Op, requires_grad: bool) -> Var {
         self.nodes.push(Node {
-            value,
+            value: value.into(),
             op,
             requires_grad,
         });
@@ -264,8 +254,9 @@ impl Tape {
         self.push(value, Op::Leaf, true)
     }
 
-    /// Records a constant (no gradient flows into it).
-    pub fn constant(&mut self, value: DenseMatrix) -> Var {
+    /// Records a constant (no gradient flows into it). The tape keeps the
+    /// `Arc`: a constant passed as `Arc::clone(&x)` is shared, not copied.
+    pub fn constant(&mut self, value: impl Into<Arc<DenseMatrix>>) -> Var {
         self.push(value, Op::Leaf, false)
     }
 
@@ -274,15 +265,6 @@ impl Tape {
         let value = self.value(a).matmul(self.value(b));
         let rg = self.requires(a) || self.requires(b);
         self.push(value, Op::MatMul(a, b), rg)
-    }
-
-    /// Dense product `a * b` with a shared constant left operand (input
-    /// features): the tape keeps the `Arc`, not a copy of `a`. Same kernels
-    /// as [`Tape::matmul`] on a constant node, forward and backward.
-    pub fn matmul_const(&mut self, a: &Arc<DenseMatrix>, b: Var) -> Var {
-        let value = a.matmul(self.value(b));
-        let rg = self.requires(b);
-        self.push(value, Op::MatMulConst(Arc::clone(a), b), rg)
     }
 
     /// `aᵀ * b` without materializing the transpose.
@@ -614,13 +596,6 @@ impl Tape {
                     // dB = Aᵀ * g
                     let db = self.nodes[a.0].value.matmul_tn(g);
                     self.accumulate(b, db);
-                }
-            }
-            Op::MatMulConst(a, b) => {
-                let (a, b) = (Arc::clone(a), *b);
-                if self.requires(b) {
-                    // dB = Aᵀ * g
-                    self.accumulate(b, a.matmul_tn(g));
                 }
             }
             &Op::MatMulTn(a, b) => {
@@ -1185,23 +1160,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_const_matches_matmul_on_a_constant_node() {
-        let mut rng = seeded_rng(26);
-        let x0 = Arc::new(gaussian_matrix(6, 4, 1.0, &mut rng));
-        let w0 = gaussian_matrix(4, 3, 1.0, &mut rng);
-        let run = |shared: bool| {
-            let mut t = Tape::new();
-            let w = t.leaf(w0.clone());
-            let xw = if shared {
-                t.matmul_const(&x0, w)
-            } else {
-                let x = t.constant((*x0).clone());
-                t.matmul(x, w)
-            };
-            let loss = t.frob_sq(xw);
-            t.backward(loss);
-            (t.scalar(loss), t.grad(w))
-        };
-        assert_eq!(run(true), run(false));
+    fn constants_share_their_value() {
+        let x = Arc::new(DenseMatrix::filled(3, 2, 1.5));
+        let mut t = Tape::new();
+        let c = t.constant(Arc::clone(&x));
+        assert!(std::ptr::eq(t.value(c), &*x));
     }
 }

@@ -8,7 +8,7 @@
 
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, uniform_matrix, AliasTable};
-use aneci_linalg::DenseMatrix;
+use aneci_linalg::{sigmoid, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -77,19 +77,11 @@ fn random_walks(
     walks
 }
 
+/// One SGNS update on `(center, context, label)`: one dot product, one
+/// coefficient, and each table's row moved along the other's pre-update
+/// row. LINE's second order runs the same update.
 #[inline]
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// One SGNS update on `(center, context, label)`.
-#[inline]
-fn sgns_update(
+pub(crate) fn sgns_update(
     center_table: &mut DenseMatrix,
     context_table: &mut DenseMatrix,
     center: usize,
@@ -97,29 +89,15 @@ fn sgns_update(
     label: f64,
     lr: f64,
 ) {
-    let dim = center_table.cols();
-    let mut dot = 0.0;
-    {
-        let cr = center_table.row(center);
-        let xr = context_table.row(context);
-        for i in 0..dim {
-            dot += cr[i] * xr[i];
-        }
-    }
-    let coeff = lr * (label - sigmoid(dot));
-    // Update both tables (copy one row to avoid aliasing).
     let ctx_copy: Vec<f64> = context_table.row(context).to_vec();
-    {
-        let cr = center_table.row(center).to_vec();
-        let xr = context_table.row_mut(context);
-        for i in 0..dim {
-            xr[i] += coeff * cr[i];
-        }
-        let cr_mut = center_table.row_mut(center);
-        for i in 0..dim {
-            cr_mut[i] += coeff * ctx_copy[i];
-        }
-        let _ = cr;
+    let cr = center_table.row(center);
+    let dot: f64 = cr.iter().zip(&ctx_copy).map(|(&a, &b)| a * b).sum();
+    let coeff = lr * (label - sigmoid(dot));
+    for (x, &c) in context_table.row_mut(context).iter_mut().zip(cr) {
+        *x += coeff * c;
+    }
+    for (c, &x) in center_table.row_mut(center).iter_mut().zip(&ctx_copy) {
+        *c += coeff * x;
     }
 }
 

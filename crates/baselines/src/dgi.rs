@@ -57,7 +57,7 @@ impl Dgi {
     pub fn try_fit(graph: &AttributedGraph, config: &DgiConfig) -> Result<Self, TrainError> {
         let n = graph.num_nodes();
         let norm_adj = Arc::new(graph.norm_adjacency());
-        let features = graph.features().clone();
+        let features = Arc::new(graph.features().clone());
         let mut rng = seeded_rng(derive_seed(config.seed, 0xD61));
 
         let mut params = ParamSet::new();
@@ -68,9 +68,11 @@ impl Dgi {
         params.register("w_disc", xavier_uniform(config.dim, config.dim, &mut rng));
 
         let mut opt = Adam::new(config.lr);
+        let ones_over_n = Arc::new(DenseMatrix::filled(1, n, 1.0 / n as f64));
+        let ones = Arc::new(DenseMatrix::filled(n, 1, 1.0));
 
-        let encode = |tape: &mut Tape, w: Var, x: &DenseMatrix, s: &Arc<CsrMatrix>| -> Var {
-            let xv = tape.constant(x.clone());
+        let encode = |tape: &mut Tape, w: Var, x: Arc<DenseMatrix>, s: &Arc<CsrMatrix>| -> Var {
+            let xv = tape.constant(x);
             let xw = tape.matmul(xv, w);
             let h = tape.spmm(s, xw);
             // PReLU in the original; LeakyReLU is close enough and matches
@@ -87,14 +89,14 @@ impl Dgi {
             let (h_real, h_fake) = {
                 let _s = span("encode");
                 (
-                    encode(tape, w[0], &features, &norm_adj),
-                    encode(tape, w[0], &corrupted, &norm_adj),
+                    encode(tape, w[0], Arc::clone(&features), &norm_adj),
+                    encode(tape, w[0], Arc::new(corrupted), &norm_adj),
                 )
             };
 
             let _s = span("loss");
             // Readout: s = sigmoid(column means of H_real), a 1×d row.
-            let ones_over_n = tape.constant(DenseMatrix::filled(1, n, 1.0 / n as f64));
+            let ones_over_n = tape.constant(Arc::clone(&ones_over_n));
             let mean_row = tape.matmul(ones_over_n, h_real);
             let summary = tape.sigmoid(mean_row); // 1×d
 
@@ -117,7 +119,7 @@ impl Dgi {
             //   loss = mean( (σ(real) − 1)² + σ(fake)² )
             let sig_real = tape.sigmoid(real_logits);
             let sig_fake = tape.sigmoid(fake_logits);
-            let ones = tape.constant(DenseMatrix::filled(n, 1, 1.0));
+            let ones = tape.constant(Arc::clone(&ones));
             let real_err = tape.sub(sig_real, ones);
             let real_sq = tape.hadamard(real_err, real_err);
             let fake_sq = tape.hadamard(sig_fake, sig_fake);
@@ -136,7 +138,7 @@ impl Dgi {
         let embedding = {
             let mut tape = Tape::new();
             let w = params.leaf_all(&mut tape);
-            let h = encode(&mut tape, w[0], &features, &norm_adj);
+            let h = encode(&mut tape, w[0], features, &norm_adj);
             tape.value(h).clone()
         };
         Ok(Self { embedding, losses })

@@ -6,11 +6,12 @@
 //! minimizes `α‖A − Â‖ + (1−α)‖X − X̂‖`; the per-node anomaly score is the
 //! same weighted combination of its two reconstruction errors.
 
+use crate::gcn::forward;
 use aneci_autograd::train::{TrainError, Trainer};
 use aneci_autograd::{Adam, ParamSet, Tape, Var};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
-use aneci_linalg::DenseMatrix;
+use aneci_linalg::{sigmoid, DenseMatrix};
 use aneci_obs::span;
 use std::sync::Arc;
 
@@ -64,7 +65,7 @@ impl Dominant {
     pub fn try_fit(graph: &AttributedGraph, config: &DominantConfig) -> Result<Self, TrainError> {
         let n = graph.num_nodes();
         let norm_adj = Arc::new(graph.norm_adjacency());
-        let features = graph.features().clone();
+        let features = Arc::new(graph.features().clone());
         let adj_dense = Arc::new(DenseMatrix::from_fn(n, n, |i, j| {
             if i == j || graph.has_edge(i, j) {
                 1.0
@@ -72,6 +73,8 @@ impl Dominant {
                 0.0
             }
         }));
+        let nnz = adj_dense.sum();
+        let pos_weight = ((n * n) as f64 - nnz) / nnz;
 
         let mut rng = seeded_rng(derive_seed(config.seed, 0xD0A1));
         let mut params = ParamSet::new();
@@ -92,25 +95,18 @@ impl Dominant {
         let mut step = |tape: &mut Tape, w: &[Var], _epoch: usize| -> Var {
             let z = {
                 let _s = span("encode");
-                let x = tape.constant(features.clone());
-                let xw = tape.matmul(x, w[0]);
-                let h1 = tape.spmm(&norm_adj, xw);
-                let a1 = tape.relu(h1);
-                let hw = tape.matmul(a1, w[1]);
-                tape.spmm(&norm_adj, hw)
+                forward(tape, &norm_adj, &features, w[0], w[1])
             };
 
             let _s = span("loss");
             // Structure reconstruction (weighted BCE over all pairs).
-            let nnz = adj_dense.sum();
-            let pos_weight = ((n * n) as f64 - nnz) / nnz;
             let s_loss = tape.dense_recon_bce(z, &adj_dense, pos_weight);
             let s_term = tape.scale(s_loss, config.alpha / (n * n) as f64);
 
             // Attribute reconstruction (squared error).
             let zw = tape.matmul(z, w[2]);
             let x_hat = tape.spmm(&norm_adj, zw);
-            let xc = tape.constant(features.clone());
+            let xc = tape.constant(Arc::clone(&features));
             let diff = tape.sub(x_hat, xc);
             let sq = tape.hadamard(diff, diff);
             let a_loss = tape.mean_all(sq);
@@ -127,18 +123,12 @@ impl Dominant {
         let (embedding, scores) = {
             let mut tape = Tape::new();
             let w = params.leaf_all(&mut tape);
-            let x = tape.constant(features.clone());
-            let xw = tape.matmul(x, w[0]);
-            let h1 = tape.spmm(&norm_adj, xw);
-            let a1 = tape.relu(h1);
-            let hw = tape.matmul(a1, w[1]);
-            let z = tape.spmm(&norm_adj, hw);
+            let z = forward(&mut tape, &norm_adj, &features, w[0], w[1]);
             let zw = tape.matmul(z, w[2]);
             let x_hat_v = tape.spmm(&norm_adj, zw);
             let zv = tape.value(z).clone();
-            let x_hat = tape.value(x_hat_v).clone();
+            let x_hat = tape.value(x_hat_v);
 
-            let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
             let scores: Vec<f64> = (0..n)
                 .map(|i| {
                     // Structure error: ‖a_i − â_i‖₂ over the dense row.

@@ -14,11 +14,12 @@
 //! in DESIGN.md).
 
 use aneci_autograd::train::{TrainError, Trainer};
-use aneci_autograd::{Adam, ParamSet, Tape, Var};
+use aneci_autograd::{Adam, BcePair, ParamSet, Tape, Var};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::DenseMatrix;
 use aneci_obs::span;
+use std::sync::Arc;
 
 /// DONE hyperparameters.
 #[derive(Clone, Debug)]
@@ -89,17 +90,16 @@ fn ae_forward(
     tape: &mut Tape,
     w: &[Var],
     slots: &AeSlots,
-    input: &DenseMatrix,
-    row_weights: &DenseMatrix,
+    input: &Arc<DenseMatrix>,
+    row_weights: &Arc<DenseMatrix>,
 ) -> (Var, Var) {
-    let x = tape.constant(input.clone());
+    let x = tape.constant(Arc::clone(input));
     let xe = tape.matmul(x, w[slots.enc]);
     let h = tape.tanh(xe);
     let hd = tape.matmul(h, w[slots.dec]);
-    let x2 = tape.constant(input.clone());
-    let diff = tape.sub(hd, x2);
+    let diff = tape.sub(hd, x);
     let sq = tape.hadamard(diff, diff);
-    let weights = tape.constant(row_weights.clone());
+    let weights = tape.constant(Arc::clone(row_weights));
     let weighted = tape.hadamard(sq, weights);
     let loss = tape.mean_all(weighted);
     (h, loss)
@@ -119,10 +119,14 @@ impl Done {
         // Structure view: row-normalized adjacency rows (dense).
         let adj_rows = {
             let a = graph.adjacency().add_identity().row_normalize();
-            a.to_dense()
+            Arc::new(a.to_dense())
         };
-        let attrs = graph.features().clone();
+        let attrs = Arc::new(graph.features().clone());
         let edges = graph.edge_list();
+        let hom: Arc<[BcePair]> = edges
+            .iter()
+            .map(|&(u, v)| (u as u32, v as u32, 1.0))
+            .collect();
 
         let mut rng = seeded_rng(derive_seed(config.seed, 0xD0E));
         let mut params = ParamSet::new();
@@ -148,8 +152,8 @@ impl Done {
                 .collect();
             let max_w = log_w.iter().cloned().fold(f64::MIN, f64::max).max(1e-12);
             let norm_w: Vec<f64> = log_w.iter().map(|&w| w / max_w).collect();
-            let str_weights = DenseMatrix::from_fn(n, n, |r, _| norm_w[r]);
-            let attr_weights = DenseMatrix::from_fn(n, attrs.cols(), |r, _| norm_w[r]);
+            let str_weights = Arc::new(DenseMatrix::from_fn(n, n, |r, _| norm_w[r]));
+            let attr_weights = Arc::new(DenseMatrix::from_fn(n, attrs.cols(), |r, _| norm_w[r]));
 
             let mut step = |tape: &mut Tape, w: &[Var], _epoch: usize| -> Var {
                 let (hs, ls, ha, la) = {
@@ -161,11 +165,6 @@ impl Done {
                 let _s = span("loss");
                 // Homophily: neighbors should embed nearby in both views,
                 // plus the two views of the same node should agree.
-                let hom_pairs: Vec<aneci_autograd::BcePair> = edges
-                    .iter()
-                    .map(|&(u, v)| (u as u32, v as u32, 1.0))
-                    .collect();
-                let hom: std::sync::Arc<[aneci_autograd::BcePair]> = hom_pairs.into();
                 let hom_s = tape.pair_bce(hs, &hom, Vec::new());
                 let hom_a = tape.pair_bce(ha, &hom, Vec::new());
                 let hom_total = {
@@ -198,10 +197,10 @@ impl Done {
         let embedding = {
             let mut tape = Tape::new();
             let w = params.leaf_all(&mut tape);
-            let x = tape.constant(adj_rows.clone());
+            let x = tape.constant(adj_rows);
             let xe = tape.matmul(x, w[s_slots.enc]);
             let hs = tape.tanh(xe);
-            let y = tape.constant(attrs.clone());
+            let y = tape.constant(attrs);
             let ye = tape.matmul(y, w[a_slots.enc]);
             let ha = tape.tanh(ye);
             tape.value(hs).hstack(tape.value(ha))

@@ -8,12 +8,13 @@
 //! VGAE: adds the variational heads `μ, log σ²` with the reparameterization
 //! trick and a KL regularizer toward the unit Gaussian.
 
+use crate::gcn::forward;
 use aneci_autograd::train::{TrainError, Trainer};
 use aneci_autograd::{Adam, BcePair, ParamSet, Tape, Var};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::xavier_uniform;
 use aneci_linalg::rng::{derive_seed, gaussian_matrix, seeded_rng};
-use aneci_linalg::{CsrMatrix, DenseMatrix};
+use aneci_linalg::DenseMatrix;
 use aneci_obs::span;
 use rand::Rng;
 use std::sync::Arc;
@@ -60,9 +61,6 @@ impl Default for GaeConfig {
 
 /// A trained (V)GAE model.
 pub struct Gae {
-    norm_adj: Arc<CsrMatrix>,
-    features: DenseMatrix,
-    config: GaeConfig,
     /// Loss per epoch.
     pub losses: Vec<f64>,
     embedding: DenseMatrix,
@@ -80,7 +78,7 @@ impl Gae {
     pub fn try_fit(graph: &AttributedGraph, config: &GaeConfig) -> Result<Self, TrainError> {
         let n = graph.num_nodes();
         let norm_adj = Arc::new(graph.norm_adjacency());
-        let features = graph.features().clone();
+        let features = Arc::new(graph.features().clone());
         let target_sparse = graph.adjacency().add_identity();
         // Binarize the self-looped adjacency as the reconstruction target.
         let positives: Arc<[BcePair]> = target_sparse
@@ -124,11 +122,13 @@ impl Gae {
         // keep the same relative weighting as the reference implementation
         // (which pairs a summed reconstruction with KL/N).
         let kl_scale = config.kl_scale.unwrap_or(1.0 / (n as f64 * n as f64));
+        let ones = Arc::new(DenseMatrix::filled(n, config.embed_dim, 1.0));
 
         let mut step = |tape: &mut Tape, w: &[Var], _epoch: usize| -> Var {
             let (z, kl) = {
                 let _s = span("encode");
-                let x = tape.constant(features.clone());
+                // Its own first layer, which both VGAE heads share.
+                let x = tape.constant(Arc::clone(&features));
                 let xw = tape.matmul(x, w[0]);
                 let h1 = tape.spmm(&norm_adj, xw);
                 let a1 = tape.relu(h1);
@@ -150,7 +150,7 @@ impl Gae {
                     // KL = -0.5 Σ (1 + logvar − mu² − exp(logvar)) / N
                     let mu_sq = tape.hadamard(mu, mu);
                     let exp_logvar = tape.exp(logvar);
-                    let ones = tape.constant(DenseMatrix::filled(n, config.embed_dim, 1.0));
+                    let ones = tape.constant(Arc::clone(&ones));
                     let s1 = tape.add(ones, logvar);
                     let s2 = tape.sub(s1, mu_sq);
                     let s3 = tape.sub(s2, exp_logvar);
@@ -205,54 +205,16 @@ impl Gae {
         let embedding = {
             let mut tape = Tape::new();
             let w = params.leaf_all(&mut tape);
-            let x = tape.constant(features.clone());
-            let xw = tape.matmul(x, w[0]);
-            let h1 = tape.spmm(&norm_adj, xw);
-            let a1 = tape.relu(h1);
-            let hw = tape.matmul(a1, w[1]);
-            let mu = tape.spmm(&norm_adj, hw);
+            let mu = forward(&mut tape, &norm_adj, &features, w[0], w[1]);
             tape.value(mu).clone()
         };
 
-        Ok(Self {
-            norm_adj,
-            features,
-            config: config.clone(),
-            losses,
-            embedding,
-        })
+        Ok(Self { losses, embedding })
     }
 
     /// The learned embedding `Z` (the mean head for VGAE).
     pub fn embedding(&self) -> &DenseMatrix {
         &self.embedding
-    }
-
-    /// Reconstruction probability of an edge under the decoder.
-    pub fn edge_probability(&self, u: usize, v: usize) -> f64 {
-        let s: f64 = self
-            .embedding
-            .row(u)
-            .iter()
-            .zip(self.embedding.row(v))
-            .map(|(&a, &b)| a * b)
-            .sum();
-        1.0 / (1.0 + (-s).exp())
-    }
-
-    /// The configuration used.
-    pub fn config(&self) -> &GaeConfig {
-        &self.config
-    }
-
-    /// Access to the propagation operator (attack code reuses it).
-    pub fn norm_adj(&self) -> &Arc<CsrMatrix> {
-        &self.norm_adj
-    }
-
-    /// Node features the model was fitted on.
-    pub fn features(&self) -> &DenseMatrix {
-        &self.features
     }
 }
 
@@ -260,6 +222,7 @@ impl Gae {
 mod tests {
     use super::*;
     use aneci_graph::{generate_sbm, karate_club, SbmConfig};
+    use aneci_linalg::{sigmoid, vector};
 
     #[test]
     fn gae_loss_decreases_on_karate() {
@@ -285,10 +248,13 @@ mod tests {
             ..Default::default()
         };
         let model = Gae::fit(&g, &cfg);
+        // The decoder's reconstruction probability of a pair.
+        let z = model.embedding();
+        let prob = |u: usize, v: usize| sigmoid(vector::dot(z.row(u), z.row(v)));
         let mut edge_p = 0.0;
         let edges = g.edge_list();
         for &(u, v) in &edges {
-            edge_p += model.edge_probability(u, v);
+            edge_p += prob(u, v);
         }
         edge_p /= edges.len() as f64;
         let mut non_p = 0.0;
@@ -296,7 +262,7 @@ mod tests {
         for u in 0..34 {
             for v in (u + 1)..34 {
                 if !g.has_edge(u, v) {
-                    non_p += model.edge_probability(u, v);
+                    non_p += prob(u, v);
                     count += 1;
                 }
             }

@@ -13,6 +13,7 @@ use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
 use aneci_obs::span;
+use rand::rngs::StdRng;
 use std::sync::Arc;
 
 /// GCN hyperparameters.
@@ -45,11 +46,12 @@ impl Default for GcnConfig {
     }
 }
 
-/// A trained GCN classifier.
+/// A trained GCN classifier, from [`GcnClassifier::fit`] or from DropEdge
+/// training ([`RobustGcn::fit`](crate::robust_gcn::RobustGcn::fit)).
 pub struct GcnClassifier {
-    params: ParamSet,
+    pub(crate) params: ParamSet,
     norm_adj: Arc<CsrMatrix>,
-    features: DenseMatrix,
+    pub(crate) features: Arc<DenseMatrix>,
     num_classes: usize,
     /// Training-loss history.
     pub train_losses: Vec<f64>,
@@ -58,6 +60,25 @@ pub struct GcnClassifier {
 }
 
 impl GcnClassifier {
+    /// The untrained classifier on `graph`: `W₁` and `W₂` Xavier-initialized
+    /// from `rng`, in that order.
+    pub(crate) fn untrained(graph: &AttributedGraph, hidden_dim: usize, rng: &mut StdRng) -> Self {
+        let num_classes = graph.num_classes();
+        assert!(num_classes >= 2, "GCN needs at least two classes");
+        let features = Arc::new(graph.features().clone());
+        let mut params = ParamSet::new();
+        params.register("w1", xavier_uniform(features.cols(), hidden_dim, rng));
+        params.register("w2", xavier_uniform(hidden_dim, num_classes, rng));
+        Self {
+            params,
+            norm_adj: Arc::new(graph.norm_adjacency()),
+            features,
+            num_classes,
+            train_losses: Vec::new(),
+            val_losses: Vec::new(),
+        }
+    }
+
     /// Trains on the graph's labelled `split.train` nodes. Panics on
     /// divergence; [`GcnClassifier::try_fit`] is the non-panicking variant.
     pub fn fit(graph: &AttributedGraph, config: &GcnConfig) -> Self {
@@ -67,39 +88,26 @@ impl GcnClassifier {
     /// Trains on the graph's labelled `split.train` nodes, surfacing
     /// [`TrainError::Diverged`] when the loss goes non-finite.
     pub fn try_fit(graph: &AttributedGraph, config: &GcnConfig) -> Result<Self, TrainError> {
-        let labels = graph.labels.as_ref().expect("GCN needs labels").clone();
-        let num_classes = graph.num_classes();
-        assert!(num_classes >= 2, "GCN needs at least two classes");
+        let labels = graph.labels.as_ref().expect("GCN needs labels");
         assert!(
             !graph.split.train.is_empty(),
             "GCN needs a non-empty training split"
         );
-        let norm_adj = Arc::new(graph.norm_adjacency());
-        let features = graph.features().clone();
-
         let mut rng = seeded_rng(derive_seed(config.seed, 0x6C4));
-        let mut params = ParamSet::new();
-        params.register(
-            "w1",
-            xavier_uniform(features.cols(), config.hidden_dim, &mut rng),
-        );
-        params.register(
-            "w2",
-            xavier_uniform(config.hidden_dim, num_classes, &mut rng),
-        );
+        let mut model = Self::untrained(graph, config.hidden_dim, &mut rng);
 
         let mut opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
         let mut driver = GcnStep {
-            norm_adj: &norm_adj,
-            features: &features,
-            labels: &labels,
+            norm_adj: &model.norm_adj,
+            features: &model.features,
+            labels,
             train_nodes: &graph.split.train,
             val_nodes: &graph.split.val,
             val_losses: Vec::new(),
             best_params: None,
         };
-        // The reference loop compared `vloss < best − 1e-6` and broke after
-        // `patience` consecutive stalled validation epochs.
+        // Stop after `patience` consecutive validation epochs that do not
+        // beat the best loss by more than 1e-6.
         let run = Trainer::new(config.epochs)
             .stop(StopRule::BestMonitor {
                 objective: Objective::Minimize,
@@ -107,31 +115,25 @@ impl GcnClassifier {
                 min_delta: 1e-6,
             })
             .observe_as("train.gcn")
-            .run(&mut params, &mut opt, &mut driver)?;
+            .run(&mut model.params, &mut opt, &mut driver)?;
         let GcnStep {
             val_losses,
             best_params,
             ..
         } = driver;
         if !val_losses.is_empty() {
-            params = best_params.expect("first validation epoch always improves");
+            model.params = best_params.expect("first validation epoch always improves");
         }
-
-        Ok(Self {
-            params,
-            norm_adj,
-            features,
-            num_classes,
-            train_losses: run.losses,
-            val_losses,
-        })
+        model.train_losses = run.losses;
+        model.val_losses = val_losses;
+        Ok(model)
     }
 
     /// Class logits for every node.
     pub fn logits(&self) -> DenseMatrix {
         let mut tape = Tape::new();
         let w = self.params.leaf_all(&mut tape);
-        let out = forward(&mut tape, &w, &self.norm_adj, &self.features);
+        let out = forward(&mut tape, &self.norm_adj, &self.features, w[0], w[1]);
         tape.value(out).clone()
     }
 
@@ -165,11 +167,11 @@ impl GcnClassifier {
 
 /// Drives [`GcnClassifier::fit`] through the shared [`Trainer`]: the
 /// training loss on the labelled split, plus the validation loss as the
-/// monitored metric and a best-parameter snapshot (taken pre-step, exactly
-/// as the reference loop did).
+/// monitored metric and a best-parameter snapshot (taken before the update,
+/// so the kept weights are the ones the validation loss scored).
 struct GcnStep<'a> {
     norm_adj: &'a Arc<CsrMatrix>,
-    features: &'a DenseMatrix,
+    features: &'a Arc<DenseMatrix>,
     labels: &'a [usize],
     train_nodes: &'a [usize],
     val_nodes: &'a [usize],
@@ -181,7 +183,7 @@ impl TrainStep for GcnStep<'_> {
     fn step(&mut self, tape: &mut Tape, w: &[Var], _epoch: usize, _batch: usize) -> StepOutput {
         let logits = {
             let _s = span("encode");
-            forward(tape, w, self.norm_adj, self.features)
+            forward(tape, self.norm_adj, self.features, w[0], w[1])
         };
         let _s = span("loss");
         let loss = tape.softmax_cross_entropy(logits, self.labels, self.train_nodes);
@@ -204,13 +206,21 @@ impl TrainStep for GcnStep<'_> {
     }
 }
 
-/// The 2-layer GCN forward pass: `Ŝ·relu(Ŝ·X·W₁)·W₂`.
-fn forward(tape: &mut Tape, w: &[Var], s: &Arc<CsrMatrix>, x: &DenseMatrix) -> Var {
-    let xv = tape.constant(x.clone());
-    let xw = tape.matmul(xv, w[0]);
+/// The 2-layer GCN forward pass `Ŝ·relu(Ŝ·X·W₁)·W₂` over the shared
+/// features `x`: the logits of GCN and DropEdge-GCN, GAE's mean embedding
+/// and DOMINANT's encoder.
+pub(crate) fn forward(
+    tape: &mut Tape,
+    s: &Arc<CsrMatrix>,
+    x: &Arc<DenseMatrix>,
+    w1: Var,
+    w2: Var,
+) -> Var {
+    let x = tape.constant(Arc::clone(x));
+    let xw = tape.matmul(x, w1);
     let h1 = tape.spmm(s, xw);
     let a1 = tape.relu(h1);
-    let hw = tape.matmul(a1, w[1]);
+    let hw = tape.matmul(a1, w2);
     tape.spmm(s, hw)
 }
 
@@ -302,81 +312,5 @@ mod tests {
         let a = GcnClassifier::fit(&g, &cfg).predict();
         let b = GcnClassifier::fit(&g, &cfg).predict();
         assert_eq!(a, b);
-    }
-
-    /// The pre-`Trainer` loop, replicated by hand, must produce bit-exact
-    /// train/val trajectories and the same kept parameters as `fit` — the
-    /// migration changed no tape op order, RNG draw or update order.
-    #[test]
-    fn trainer_matches_hand_rolled_reference_loop() {
-        use aneci_autograd::Adam;
-
-        let g = sbm_with_split(7);
-        let cfg = GcnConfig {
-            epochs: 60,
-            patience: 5,
-            ..Default::default()
-        };
-
-        // --- Hand-rolled reference (the old fit body, verbatim). ---
-        let labels = g.labels.as_ref().unwrap().clone();
-        let norm_adj = Arc::new(g.norm_adjacency());
-        let features = g.features().clone();
-        let mut rng = seeded_rng(derive_seed(cfg.seed, 0x6C4));
-        let mut params = ParamSet::new();
-        params.register(
-            "w1",
-            xavier_uniform(features.cols(), cfg.hidden_dim, &mut rng),
-        );
-        params.register(
-            "w2",
-            xavier_uniform(cfg.hidden_dim, g.num_classes(), &mut rng),
-        );
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-        let mut train_losses = Vec::new();
-        let mut val_losses = Vec::new();
-        let mut best_val = f64::INFINITY;
-        let mut best_params = params.clone();
-        let mut stall = 0usize;
-        for _ in 0..cfg.epochs {
-            let mut tape = Tape::new();
-            let w = params.leaf_all(&mut tape);
-            let logits = forward(&mut tape, &w, &norm_adj, &features);
-            let loss = tape.softmax_cross_entropy(logits, &labels, &g.split.train);
-            tape.backward(loss);
-            train_losses.push(tape.scalar(loss));
-            if !g.split.val.is_empty() {
-                let vloss = {
-                    let mut t2 = Tape::new();
-                    let logits_const = t2.constant(tape.value(logits).clone());
-                    let l = t2.softmax_cross_entropy(logits_const, &labels, &g.split.val);
-                    t2.scalar(l)
-                };
-                val_losses.push(vloss);
-                if vloss < best_val - 1e-6 {
-                    best_val = vloss;
-                    stall = 0;
-                    best_params = params.clone();
-                } else {
-                    stall += 1;
-                }
-            }
-            let grads = params.grads(&tape, &w);
-            drop(tape);
-            opt.step(&mut params, &grads);
-            if cfg.patience > 0 && stall >= cfg.patience {
-                break;
-            }
-        }
-        if !val_losses.is_empty() {
-            params = best_params;
-        }
-
-        // --- Trainer-driven fit. ---
-        let model = GcnClassifier::fit(&g, &cfg);
-        assert_eq!(model.train_losses, train_losses, "train-loss trajectory");
-        assert_eq!(model.val_losses, val_losses, "val-loss trajectory");
-        assert_eq!(model.params.get(0), params.get(0), "kept W1");
-        assert_eq!(model.params.get(1), params.get(1), "kept W2");
     }
 }

@@ -11,7 +11,8 @@
 //! * [`spectral`] — Laplacian-eigenmaps-style spectral embedding;
 //! * [`sdne`] — SDNE deep autoencoder over adjacency rows;
 //! * [`hope`] — HOPE-style spectral factorization of the high-order proximity;
-//! * [`robust_gcn`] — DropEdge-regularized GCN (the defense comparator);
+//! * [`robust_gcn`] — DropEdge training of the GCN classifier (the defense
+//!   comparator);
 //! * [`done`] — DONE-style twin outlier-aware autoencoders;
 //! * [`louvain`] — Louvain modularity maximization (Fig. 7 baseline);
 //! * [`dominant`] — Dominant GCN autoencoder for anomaly detection (Fig. 6);

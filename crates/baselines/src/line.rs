@@ -9,9 +9,10 @@
 //! `LineOrder::Both` concatenates the two halves, the configuration the
 //! paper's comparisons use.
 
+use crate::deepwalk::sgns_update;
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, uniform_matrix, AliasTable};
-use aneci_linalg::DenseMatrix;
+use aneci_linalg::{sigmoid, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -56,16 +57,6 @@ impl Default for LineConfig {
     }
 }
 
-#[inline]
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 fn train_order(
     edges: &[(usize, usize)],
     n: usize,
@@ -101,6 +92,9 @@ fn train_order(
     vertex
 }
 
+/// One SGD step on `(src, dst, label)`. The second order is DeepWalk's
+/// SGNS update over the vertex and context tables; the first order keeps
+/// only the vertex table and moves both of its rows.
 #[inline]
 fn update(
     vertex: &mut DenseMatrix,
@@ -111,42 +105,18 @@ fn update(
     lr: f64,
     second_order: bool,
 ) {
-    // First order shares one table (context aliases vertex conceptually);
-    // we keep two tables but symmetrize updates for order 1.
-    let dot: f64 = if second_order {
-        vertex
-            .row(src)
-            .iter()
-            .zip(context.row(dst))
-            .map(|(&a, &b)| a * b)
-            .sum()
-    } else {
-        vertex
-            .row(src)
-            .iter()
-            .zip(vertex.row(dst))
-            .map(|(&a, &b)| a * b)
-            .sum()
-    };
-    let coeff = lr * (label - sigmoid(dot));
     if second_order {
-        let src_copy: Vec<f64> = vertex.row(src).to_vec();
-        let dst_row: Vec<f64> = context.row(dst).to_vec();
-        for (v, d) in vertex.row_mut(src).iter_mut().zip(&dst_row) {
-            *v += coeff * d;
-        }
-        for (c, s) in context.row_mut(dst).iter_mut().zip(&src_copy) {
-            *c += coeff * s;
-        }
-    } else {
-        let src_copy: Vec<f64> = vertex.row(src).to_vec();
-        let dst_copy: Vec<f64> = vertex.row(dst).to_vec();
-        for (v, d) in vertex.row_mut(src).iter_mut().zip(&dst_copy) {
-            *v += coeff * d;
-        }
-        for (v, s) in vertex.row_mut(dst).iter_mut().zip(&src_copy) {
-            *v += coeff * s;
-        }
+        return sgns_update(vertex, context, src, dst, label, lr);
+    }
+    let src_copy: Vec<f64> = vertex.row(src).to_vec();
+    let dst_copy: Vec<f64> = vertex.row(dst).to_vec();
+    let dot: f64 = src_copy.iter().zip(&dst_copy).map(|(&a, &b)| a * b).sum();
+    let coeff = lr * (label - sigmoid(dot));
+    for (v, d) in vertex.row_mut(src).iter_mut().zip(&dst_copy) {
+        *v += coeff * d;
+    }
+    for (v, s) in vertex.row_mut(dst).iter_mut().zip(&src_copy) {
+        *v += coeff * s;
     }
 }
 

@@ -7,13 +7,16 @@
 //! adjacency. Randomizing the propagation support prevents the model from
 //! leaning on any individual (possibly adversarial) edge — the same
 //! robustness mechanism RGCN's variance-based attention pursues, with a
-//! fraction of the machinery.
+//! fraction of the machinery. DropEdge is a way to train the GCN
+//! classifier, not another model: training returns a [`GcnClassifier`],
+//! which infers over the full graph.
 
+use crate::gcn::{forward, GcnClassifier};
 use aneci_autograd::train::{TrainError, Trainer};
-use aneci_autograd::{Adam, ParamSet, Tape, Var};
+use aneci_autograd::{Adam, Tape, Var};
 use aneci_graph::AttributedGraph;
-use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
-use aneci_linalg::{CsrMatrix, DenseMatrix};
+use aneci_linalg::rng::{derive_seed, seeded_rng};
+use aneci_linalg::CsrMatrix;
 use aneci_obs::span;
 use rand::Rng;
 use std::sync::Arc;
@@ -48,14 +51,9 @@ impl Default for RobustGcnConfig {
     }
 }
 
-/// A trained DropEdge-GCN classifier.
-pub struct RobustGcn {
-    params: ParamSet,
-    norm_adj: Arc<CsrMatrix>,
-    features: DenseMatrix,
-    /// Training-loss history.
-    pub train_losses: Vec<f64>,
-}
+/// DropEdge training of a [`GcnClassifier`]. Never built: it names
+/// [`RobustGcn::fit`] and [`RobustGcn::try_fit`].
+pub enum RobustGcn {}
 
 /// Normalized adjacency of a random edge-subgraph.
 fn sampled_norm_adjacency(
@@ -78,41 +76,28 @@ fn sampled_norm_adjacency(
 
 impl RobustGcn {
     /// Trains on the graph's labelled training split with per-epoch edge
-    /// dropping; inference uses the full graph. Panics on divergence;
-    /// [`RobustGcn::try_fit`] is the non-panicking variant.
-    pub fn fit(graph: &AttributedGraph, config: &RobustGcnConfig) -> Self {
+    /// dropping. Panics on divergence; [`RobustGcn::try_fit`] is the
+    /// non-panicking variant.
+    pub fn fit(graph: &AttributedGraph, config: &RobustGcnConfig) -> GcnClassifier {
         Self::try_fit(graph, config).expect("DropEdge-GCN training diverged")
     }
 
     /// Trains with per-epoch edge dropping, surfacing
     /// [`TrainError::Diverged`] when the loss goes non-finite.
-    pub fn try_fit(graph: &AttributedGraph, config: &RobustGcnConfig) -> Result<Self, TrainError> {
+    pub fn try_fit(
+        graph: &AttributedGraph,
+        config: &RobustGcnConfig,
+    ) -> Result<GcnClassifier, TrainError> {
         assert!(
             (0.0..1.0).contains(&config.drop_edge_rate),
             "drop rate must be in [0, 1)"
         );
-        let labels = graph
-            .labels
-            .as_ref()
-            .expect("RobustGcn needs labels")
-            .clone();
-        let num_classes = graph.num_classes();
-        assert!(num_classes >= 2, "need at least two classes");
-        let features = graph.features().clone();
-        let norm_adj = Arc::new(graph.norm_adjacency());
-
+        let labels = graph.labels.as_ref().expect("RobustGcn needs labels");
         let mut rng = seeded_rng(derive_seed(config.seed, 0x26C1));
-        let mut params = ParamSet::new();
-        params.register(
-            "w1",
-            xavier_uniform(features.cols(), config.hidden_dim, &mut rng),
-        );
-        params.register(
-            "w2",
-            xavier_uniform(config.hidden_dim, num_classes, &mut rng),
-        );
+        let mut model = GcnClassifier::untrained(graph, config.hidden_dim, &mut rng);
 
         let mut opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
+        let features = &model.features;
         let mut step = |tape: &mut Tape, w: &[Var], _epoch: usize| -> Var {
             let s = Arc::new(sampled_norm_adjacency(
                 graph,
@@ -121,53 +106,16 @@ impl RobustGcn {
             ));
             let logits = {
                 let _s = span("encode");
-                let x = tape.constant(features.clone());
-                let xw = tape.matmul(x, w[0]);
-                let h1 = tape.spmm(&s, xw);
-                let a1 = tape.relu(h1);
-                let hw = tape.matmul(a1, w[1]);
-                tape.spmm(&s, hw)
+                forward(tape, &s, features, w[0], w[1])
             };
             let _s = span("loss");
-            tape.softmax_cross_entropy(logits, &labels, &graph.split.train)
+            tape.softmax_cross_entropy(logits, labels, &graph.split.train)
         };
         let run = Trainer::new(config.epochs)
             .observe_as("train.robust_gcn")
-            .run(&mut params, &mut opt, &mut step)?;
-        Ok(Self {
-            params,
-            norm_adj,
-            features,
-            train_losses: run.losses,
-        })
-    }
-
-    /// Full-graph logits (inference mode, no edge dropping).
-    pub fn logits(&self) -> DenseMatrix {
-        let mut tape = Tape::new();
-        let w = self.params.leaf_all(&mut tape);
-        let x = tape.constant(self.features.clone());
-        let xw = tape.matmul(x, w[0]);
-        let h1 = tape.spmm(&self.norm_adj, xw);
-        let a1 = tape.relu(h1);
-        let hw = tape.matmul(a1, w[1]);
-        let out = tape.spmm(&self.norm_adj, hw);
-        tape.value(out).clone()
-    }
-
-    /// Hard predictions for every node.
-    pub fn predict(&self) -> Vec<usize> {
-        self.logits().argmax_rows()
-    }
-
-    /// Accuracy on a node subset.
-    pub fn accuracy_on(&self, graph: &AttributedGraph, nodes: &[usize]) -> f64 {
-        let labels = graph.labels.as_ref().expect("needs labels");
-        let pred = self.predict();
-        if nodes.is_empty() {
-            return 0.0;
-        }
-        nodes.iter().filter(|&&i| pred[i] == labels[i]).count() as f64 / nodes.len() as f64
+            .run(&mut model.params, &mut opt, &mut step)?;
+        model.train_losses = run.losses;
+        Ok(model)
     }
 }
 
@@ -225,7 +173,7 @@ mod tests {
     fn more_robust_than_plain_gcn_under_heavy_attack() {
         // The point of the defense: after a 60% random edge injection, the
         // DropEdge model should hold up at least as well as the plain GCN.
-        use crate::gcn::{GcnClassifier, GcnConfig};
+        use crate::gcn::GcnConfig;
         let g = bench(3);
         // Inject noise edges manually (avoid a dependency on aneci-attacks).
         let mut rng = seeded_rng(3);

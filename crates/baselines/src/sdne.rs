@@ -17,6 +17,7 @@ use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, seeded_rng, xavier_uniform};
 use aneci_linalg::DenseMatrix;
 use aneci_obs::span;
+use std::sync::Arc;
 
 /// SDNE hyperparameters.
 #[derive(Clone, Debug)]
@@ -75,12 +76,12 @@ impl Sdne {
                 m.set(u, v, 1.0);
                 m.set(v, u, 1.0);
             }
-            m
+            Arc::new(m)
         };
         // B-matrix: β where an edge exists, 1 elsewhere.
-        let b_weights = adj.map(|v| if v > 0.0 { config.beta } else { 1.0 });
+        let b_weights = Arc::new(adj.map(|v| if v > 0.0 { config.beta } else { 1.0 }));
         let edges = graph.edge_list();
-        let first_order_pairs: std::sync::Arc<[aneci_autograd::BcePair]> = edges
+        let first_order_pairs: Arc<[aneci_autograd::BcePair]> = edges
             .iter()
             .map(|&(u, v)| (u as u32, v as u32, 1.0))
             .collect::<Vec<_>>()
@@ -103,7 +104,7 @@ impl Sdne {
         let mut step = |tape: &mut Tape, w: &[Var], _epoch: usize| -> Var {
             let (z, x_hat) = {
                 let _s = span("encode");
-                let x = tape.constant(adj.clone());
+                let x = tape.constant(Arc::clone(&adj));
                 let h1 = {
                     let xe = tape.matmul(x, w[0]);
                     tape.tanh(xe)
@@ -121,9 +122,9 @@ impl Sdne {
 
             let _s = span("loss");
             // Second-order: ‖(X̂ − X) ⊙ B‖² (mean).
-            let x2 = tape.constant(adj.clone());
+            let x2 = tape.constant(Arc::clone(&adj));
             let diff = tape.sub(x_hat, x2);
-            let bw = tape.constant(b_weights.clone());
+            let bw = tape.constant(Arc::clone(&b_weights));
             let weighted = tape.hadamard(diff, bw);
             let sq = tape.hadamard(weighted, weighted);
             let second = tape.mean_all(sq);

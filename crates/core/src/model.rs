@@ -240,7 +240,8 @@ fn encode(
     features: &Arc<DenseMatrix>,
     norm_adj: &Arc<CsrMatrix>,
 ) -> Var {
-    let xw = tape.matmul_const(features, w[0]);
+    let x = tape.constant(Arc::clone(features));
+    let xw = tape.matmul(x, w[0]);
     let h1 = tape.spmm(norm_adj, xw);
     let a1 = tape.leaky_relu(h1, LEAKY_ALPHA);
     let hw = tape.matmul(a1, w[1]);
@@ -1567,8 +1568,8 @@ mod tests {
         assert_eq!(words(stored), words(want_stored), "{case}: bit set");
     }
 
-    /// Batch operators cut from a row store equal a fresh
-    /// [`HighOrder::build_rows`] plus [`Operators::new`] bit for bit, for a
+    /// Batch operators cut from a row store equal a fresh cut of a
+    /// zero-budget [`RowStore`] plus [`Operators::new`] bit for bit, for a
     /// store that keeps nothing, one that keeps part of `Ã` and one that
     /// keeps all of it, over two epochs of overlapping batches and then a
     /// batch of every node.
@@ -1607,7 +1608,7 @@ mod tests {
                 let cut = BatchArtifacts::build(&mut rows, &g.adjacency, &g.features, &cfg, nodes);
                 let fresh = Operators::new(
                     &g.adjacency.extract_submatrix(nodes),
-                    HighOrder::build_rows(&g.adjacency, &cfg.proximity, nodes),
+                    RowStore::new(&g.adjacency, &cfg.proximity, 0).cut(nodes),
                     &cfg,
                 );
                 assert_same_bits(&cut.ops, &fresh, &case);

@@ -28,7 +28,7 @@ pub use linkpred::{
 };
 pub use logreg::{evaluate_embedding, LogRegConfig, LogisticRegression};
 pub use metrics::{accuracy, ari, auc, macro_f1, modularity, nmi};
-pub use timer::{time_it, TimingTable};
+pub use timer::time_it;
 pub use tsne::{tsne, TsneConfig};
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ pub fn split_edges(graph: &AttributedGraph, test_fraction: f64, seed: u64) -> Li
 /// harness would report.
 pub fn edge_score(embedding: &DenseMatrix, u: usize, v: usize) -> f64 {
     let s = aneci_linalg::vector::dot(embedding.row(u), embedding.row(v));
-    1.0 / (1.0 + (-s).exp())
+    aneci_linalg::sigmoid(s)
 }
 
 /// Scores a batch of candidate edges, dispatching to the persistent pool

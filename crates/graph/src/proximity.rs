@@ -64,32 +64,10 @@ impl HighOrder {
     /// the underlying `spmm` pre-sizes from degree counts (Σ over a row's
     /// entries of the expanded row's nnz). The powers densify toward `N²`,
     /// so the peak is `O(nnz(B^l))` entries — which is why batch training
-    /// uses [`HighOrder::build_rows`] instead of this constructor.
+    /// cuts its batches from a [`RowStore`] instead of this constructor.
     pub fn build(adjacency: &CsrMatrix, config: &ProximityConfig) -> Self {
         let base = adjacency.add_identity();
         Self::from_a_tilde(power_sum(&base, config, base.clone()))
-    }
-
-    /// Batch-incremental variant of [`HighOrder::build`]: computes the rows
-    /// of the full-graph `Ã` for `nodes` (sorted strictly increasing)
-    /// without materializing the N×N proximity, then restricts the columns
-    /// to the same node set — the batch-local triple
-    /// `(Ã[S,S], k̃_S, M̃_S)` the mini-batch modularity trains on.
-    ///
-    /// Row `r` of `B^l` is `(row r of B^{l-1}) · B`, so the power loop runs
-    /// on an `|S|×N` row slab instead of the full matrix: per-row Gustavson
-    /// expansion, weighting and row normalization are all row-local and
-    /// execute in exactly the order [`HighOrder::build`] uses.
-    /// For `nodes = 0..N` the result is therefore bit-identical to the
-    /// global build (pinned by `tests/minibatch_parity.rs`). The restricted
-    /// `k̃`/`M̃` count only proximity mass retained inside the batch, which
-    /// is what the batch modularity normalizes by. Peak memory is
-    /// `O(|S| · min(N, reach_l))` entries — per-batch, never N×N.
-    ///
-    /// This is a [`RowStore`] with a zero budget: every row is built for
-    /// this call and none is kept.
-    pub fn build_rows(adjacency: &CsrMatrix, config: &ProximityConfig, nodes: &[usize]) -> Self {
-        RowStore::new(adjacency, config, 0).cut(nodes)
     }
 
     /// Incrementally updates `self` to the high-order proximity of the
@@ -106,7 +84,7 @@ impl HighOrder {
     /// adjacency is kept around.
     ///
     /// Dirty rows are recomputed with the same full-width row slab
-    /// [`HighOrder::build_rows`] uses (per-row Gustavson expansion is
+    /// [`RowStore::cut`] uses (per-row Gustavson expansion is
     /// row-local, so a clean row's value stream never changes) and spliced
     /// into the retained matrix in one O(nnz) compact. The result — `Ã`,
     /// `k̃`, and `M̃` — is **bit-identical** to a from-scratch
@@ -224,10 +202,10 @@ impl HighOrder {
 ///
 /// A row of the power sum depends only on its own node (see
 /// [`power_sum`]), so a row built for any node set is the row every other
-/// node set gets: a batch cut from kept rows is bit for bit the batch
-/// [`HighOrder::build_rows`] builds, and `build_rows` is this store with a
-/// zero budget. Rows past the budget serve the batch that built them and
-/// are dropped; a later batch builds them again.
+/// node set gets: a batch cut from kept rows is bit for bit the batch a
+/// store with a zero budget, which keeps nothing, builds from scratch. Rows
+/// past the budget serve the batch that built them and are dropped; a later
+/// batch builds them again.
 pub struct RowStore<'a> {
     adjacency: &'a CsrMatrix,
     config: &'a ProximityConfig,
@@ -267,13 +245,21 @@ impl<'a> RowStore<'a> {
     }
 
     /// The batch triple `(Ã[S,S], k̃_S, M̃_S)` of `nodes` (sorted strictly
-    /// increasing), bit for bit [`HighOrder::build_rows`]. Rows not kept yet
-    /// are built in one power sum over their nodes; each batch row is then
-    /// restricted to the batch's columns with the cut
+    /// increasing) that the mini-batch modularity trains on: rows and
+    /// columns `nodes` of the `Ã` [`HighOrder::build`] builds, bit for bit
+    /// (pinned by `tests/minibatch_parity.rs`), never materializing `N×N`.
+    ///
+    /// Rows not kept yet are built in one power sum over their nodes. Row
+    /// `r` of `B^l` is `(row r of B^{l-1}) · B`, so the power loop runs on
+    /// an `|S|×N` row slab, and per-row Gustavson expansion, weighting and
+    /// row normalization run in exactly the order the global build uses;
+    /// peak memory is `O(|S| · min(N, reach_l))` entries. Each batch row is
+    /// then restricted to the batch's columns with the cut
     /// [`CsrMatrix::extract_submatrix`] makes, and `k̃`/`M̃` are the cut's
-    /// sums. The new rows are kept afterwards, in node order, while they
-    /// fit the budget. A cut of every node keeps none: it is the whole `Ã`,
-    /// which its caller then holds.
+    /// sums: only the proximity mass retained inside the batch, which is
+    /// what the batch modularity normalizes by. The new rows are kept
+    /// afterwards, in node order, while they fit the budget. A cut of every
+    /// node keeps none: it is the whole `Ã`, which its caller then holds.
     pub fn cut(&mut self, nodes: &[usize]) -> HighOrder {
         let kept = |v: usize| self.kept.get(v).copied().flatten();
         let missing: Vec<usize> = nodes
@@ -455,13 +441,13 @@ mod tests {
             let cfg = ProximityConfig::uniform(order);
             let global = HighOrder::build(&a, &cfg);
             // Full node set: bit-identical to the global build.
-            let all = HighOrder::build_rows(&a, &cfg, &[0, 1, 2, 3]);
+            let all = RowStore::new(&a, &cfg, 0).cut(&[0, 1, 2, 3]);
             assert_eq!(all.a_tilde, global.a_tilde);
             assert_eq!(all.k_tilde, global.k_tilde);
             assert_eq!(all.m_tilde, global.m_tilde);
             // Subset: rows/columns of the global Ã, bit-exact.
             let nodes = [0usize, 2, 3];
-            let batch = HighOrder::build_rows(&a, &cfg, &nodes);
+            let batch = RowStore::new(&a, &cfg, 0).cut(&nodes);
             let expect = global.a_tilde.gather_rows(&nodes).select_columns(&nodes);
             assert_eq!(batch.a_tilde, expect);
             assert_eq!(batch.k_tilde, expect.row_sums());

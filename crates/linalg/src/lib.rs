@@ -27,7 +27,8 @@
 //!   scalar entry points (`ANECI_NO_SIMD` forces the fallbacks);
 //! * [`vector`] — flat similarity kernels (dot / cosine / L2) shared by the
 //!   serving layer's exact scorer and ANN index;
-//! * [`stats`] — small statistics shared across the workspace.
+//! * [`stats`] — small statistics shared across the workspace;
+//! * [`sigmoid`] — the logistic function every model and scorer shares.
 
 pub mod dense;
 pub mod kernel_stats;
@@ -41,6 +42,19 @@ pub mod vector;
 
 pub use dense::DenseMatrix;
 pub use sparse::CsrMatrix;
+
+/// The logistic function `σ(x) = 1 / (1 + e^{-x})`. A negative `x` takes
+/// the form `e^x / (1 + e^x)`, so no intermediate overflows (`e^{-x}` is
+/// infinite below `x ≈ −709`).
+#[inline]
+pub fn sigmoid(x: f64) -> f64 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
 
 #[cfg(test)]
 mod proptests {

@@ -11,7 +11,7 @@
 //!    plans are a serial seeded-RNG walk, identical across thread counts.
 //! 3. **Extraction kernels** — the pooled `extract_submatrix` /
 //!    `gather_rows` / `select_columns` kernels and the batched high-order
-//!    proximity (`HighOrder::build_rows`) match their serial references
+//!    proximity (a zero-budget `RowStore`'s cut) match their serial references
 //!    bit-exactly at every worker count.
 //! 4. **End to end** — a community-aware mini-batch training run produces
 //!    the same trajectory at 2 and 4 pool workers.
@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use aneci::autograd::{BatchSampler, BatchStrategy};
 use aneci::core::{AneciConfig, MiniBatchTrainer, ReconMode, StopStrategy};
-use aneci::graph::{generate_streamed, HighOrder, ProximityConfig, StreamingConfig};
+use aneci::graph::{generate_streamed, ProximityConfig, RowStore, StreamingConfig};
 use aneci::linalg::{self, pool};
 
 /// Pool reconfiguration is process-global; serialize the tests that touch it.
@@ -114,7 +114,8 @@ fn extraction_kernels_are_invariant_to_thread_count() {
         assert_eq!(sub, reference, "{threads} threads: extract != reference");
         let gathered = g.adjacency.gather_rows(&nodes).select_columns(&nodes);
         assert_eq!(gathered, reference, "{threads} threads: gather/select");
-        let ho = HighOrder::build_rows(&g.adjacency, &ProximityConfig::uniform(2), &nodes);
+        let proximity = ProximityConfig::uniform(2);
+        let ho = RowStore::new(&g.adjacency, &proximity, 0).cut(&nodes);
         results.push((sub, ho.a_tilde, ho.k_tilde, ho.m_tilde));
     }
     assert_eq!(results[0], results[1], "extraction depends on thread count");

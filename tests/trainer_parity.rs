@@ -22,7 +22,8 @@
 //! trains) has its own fixture on a 300-node SBM, and a mini-batch plan of
 //! partial batches, each cut from the run's store of `Ã` rows, has one on a
 //! 600-node streamed graph. GAE's sampled loss, which shares `pair_bce` with
-//! AnECI's, has one on a 250-node SBM.
+//! AnECI's, has one on a 250-node SBM, and the GCN classifier, early-stopped
+//! on its validation loss, one on a 300-node SBM with a split.
 //!
 //! A plain run compares the host's dispatch section; on an AVX2 host,
 //! `scalar_dispatch_matches_golden_fixtures` reruns the golden tests in a
@@ -32,13 +33,16 @@ use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
 
 use aneci::autograd::train::TrainError;
-use aneci::baselines::{Dominant, DominantConfig, Done, DoneConfig, Gae, GaeConfig};
+use aneci::baselines::{
+    Dominant, DominantConfig, Done, DoneConfig, Gae, GaeConfig, GcnClassifier, GcnConfig,
+};
 use aneci::core::{
     classic_modularity, AneciConfig, AneciModel, BatchStrategy, MiniBatchTrainer, ReconMode,
     StopStrategy, TrainReport, ValProbe,
 };
 use aneci::graph::{
-    generate_sbm, generate_streamed, karate_club, AttributedGraph, SbmConfig, StreamingConfig,
+    generate_sbm, generate_streamed, karate_club, sample_split, AttributedGraph, SbmConfig,
+    StreamingConfig,
 };
 use aneci::linalg::pool;
 use aneci::linalg::rng::seeded_rng;
@@ -483,8 +487,51 @@ fn gae_sampled_matches_golden_fixture() {
     assert_golden("gae_sampled", &got);
 }
 
+/// GCN with early stopping on the validation loss: a 300-node, three-class
+/// SBM with 20/60/150 train/val/test nodes a class, 60 epochs, patience 5.
+/// The fixture pins every epoch's training and validation loss and hashes of
+/// the kept weights. The validation loss falls in every epoch here, so the
+/// kept weights are the snapshot taken before the last update.
+#[test]
+fn gcn_classifier_matches_golden_fixture() {
+    let _guard = lock_pool_config();
+    let sbm = SbmConfig {
+        num_nodes: 300,
+        num_classes: 3,
+        target_edges: 1200,
+        ..SbmConfig::small()
+    };
+    let mut g = generate_sbm(&sbm, 7);
+    let labels = g.labels.clone().unwrap();
+    g.set_split(sample_split(&labels, 20, 60, 150, 7));
+    let cfg = GcnConfig {
+        epochs: 60,
+        patience: 5,
+        ..Default::default()
+    };
+    let got = golden_runs(|tag| {
+        let model = GcnClassifier::fit(&g, &cfg);
+        let (train, val) = (&model.train_losses, &model.val_losses);
+        assert_eq!(
+            train.len(),
+            val.len(),
+            "{tag}: one validation loss an epoch"
+        );
+        let mut lines = String::new();
+        for (epoch, (t, v)) in train.iter().zip(val).enumerate() {
+            let (t, v) = (t.to_bits(), v.to_bits());
+            writeln!(lines, "{tag} {epoch} {t:016x} {v:016x}").unwrap();
+        }
+        let (w1, w2) = model.weights();
+        writeln!(lines, "{tag} w1 {:016x}", bits_hash(&w1)).unwrap();
+        writeln!(lines, "{tag} w2 {:016x}", bits_hash(&w2)).unwrap();
+        lines
+    });
+    assert_golden("gcn_early_stop", &got);
+}
+
 /// Every test of this binary that compares a golden fixture.
-const GOLDEN_TESTS: [&str; 9] = [
+const GOLDEN_TESTS: [&str; 10] = [
     "fixed_epochs_matches_reference_loop_bit_exactly",
     "minibatch_full_graph_matches_reference_loop_bit_exactly",
     "early_stop_modularity_matches_reference_loop_bit_exactly",
@@ -494,6 +541,7 @@ const GOLDEN_TESTS: [&str; 9] = [
     "sampled_recon_matches_golden_fixture",
     "minibatch_partial_matches_golden_fixture",
     "gae_sampled_matches_golden_fixture",
+    "gcn_classifier_matches_golden_fixture",
 ];
 
 #[test]
