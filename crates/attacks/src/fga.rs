@@ -13,6 +13,7 @@ use aneci_autograd::Tape;
 use aneci_baselines::{GcnClassifier, GcnConfig};
 use aneci_graph::AttributedGraph;
 use aneci_linalg::DenseMatrix;
+use std::sync::Arc;
 
 use crate::attack::{delta_between, AttackOutcome};
 
@@ -62,20 +63,18 @@ fn dense_norm_adjacency(graph: &AttributedGraph) -> DenseMatrix {
 }
 
 /// Gradient of the target node's CE loss w.r.t. the dense normalized
-/// adjacency, using the surrogate's frozen weights.
+/// adjacency, using the surrogate's frozen `xw = X·W₁` and `w2 = W₂`.
 fn adjacency_gradient(
     graph: &AttributedGraph,
-    w1: &DenseMatrix,
-    w2: &DenseMatrix,
+    xw: &Arc<DenseMatrix>,
+    w2: &Arc<DenseMatrix>,
     target: usize,
     label: usize,
 ) -> DenseMatrix {
     let mut tape = Tape::new();
     let s = tape.leaf(dense_norm_adjacency(graph));
-    let x = tape.constant(graph.features().clone());
-    let w1v = tape.constant(w1.clone());
-    let w2v = tape.constant(w2.clone());
-    let xw = tape.matmul(x, w1v);
+    let xw = tape.constant(Arc::clone(xw));
+    let w2v = tape.constant(Arc::clone(w2));
     let h1 = tape.matmul(s, xw);
     let a1 = tape.relu(h1);
     let hw = tape.matmul(a1, w2v);
@@ -94,12 +93,15 @@ pub fn fga_attack(graph: &AttributedGraph, targets: &[usize], config: &FgaConfig
     let labels = graph.labels.as_ref().expect("FGA needs labels").clone();
     let surrogate = GcnClassifier::fit(graph, &config.surrogate);
     let (w1, w2) = surrogate.weights();
+    // No flip changes `X`: one `X·W₁`, the tape's own product, serves all.
+    let xw = Arc::new(graph.features().matmul(&w1));
+    let w2 = Arc::new(w2);
 
     let mut working = graph.clone();
     let mut flips = Vec::new();
     for &target in targets {
         for _ in 0..config.perturbations_per_target {
-            let grad = adjacency_gradient(&working, &w1, &w2, target, labels[target]);
+            let grad = adjacency_gradient(&working, &xw, &w2, target, labels[target]);
             // Best beneficial flip incident to the target (direct attack).
             let mut best: Option<(usize, bool, f64)> = None;
             for v in 0..working.num_nodes() {

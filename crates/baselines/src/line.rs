@@ -68,11 +68,9 @@ fn train_order(
 ) -> DenseMatrix {
     let bound = 0.5 / dim as f64;
     let mut vertex = uniform_matrix(n, dim, bound, rng);
-    let mut context = if second_order {
-        DenseMatrix::zeros(n, dim)
-    } else {
-        uniform_matrix(n, dim, bound, rng)
-    };
+    // Only the second order has a context table; the first order moves two
+    // vertex rows.
+    let mut context = second_order.then(|| DenseMatrix::zeros(n, dim));
     let noise = AliasTable::new(degrees);
 
     let total = edges.len() * config.samples_per_edge;
@@ -81,11 +79,11 @@ fn train_order(
         let &(u, v) = &edges[rng.gen_range(0..edges.len())];
         // Undirected: pick a random direction.
         let (src, dst) = if rng.gen::<bool>() { (u, v) } else { (v, u) };
-        update(&mut vertex, &mut context, src, dst, 1.0, lr, second_order);
+        update(&mut vertex, context.as_mut(), src, dst, 1.0, lr);
         for _ in 0..config.negatives {
             let neg = noise.sample(rng);
             if neg != dst {
-                update(&mut vertex, &mut context, src, neg, 0.0, lr, second_order);
+                update(&mut vertex, context.as_mut(), src, neg, 0.0, lr);
             }
         }
     }
@@ -93,19 +91,18 @@ fn train_order(
 }
 
 /// One SGD step on `(src, dst, label)`. The second order is DeepWalk's
-/// SGNS update over the vertex and context tables; the first order keeps
-/// only the vertex table and moves both of its rows.
+/// SGNS update over the vertex and context tables; the first order, which
+/// has no `context`, moves both of its vertex rows.
 #[inline]
 fn update(
     vertex: &mut DenseMatrix,
-    context: &mut DenseMatrix,
+    context: Option<&mut DenseMatrix>,
     src: usize,
     dst: usize,
     label: f64,
     lr: f64,
-    second_order: bool,
 ) {
-    if second_order {
+    if let Some(context) = context {
         return sgns_update(vertex, context, src, dst, label, lr);
     }
     let src_copy: Vec<f64> = vertex.row(src).to_vec();

@@ -794,8 +794,8 @@ fn dynamic_bench() {
 }
 
 /// Sum of the `train.batch.nodes` histogram — total nodes processed by
-/// either trainer since process start (deltas around a run give its
-/// throughput numerator).
+/// `train` and `train_plan` since process start (deltas around a run give
+/// its throughput numerator).
 fn batch_nodes_sum() -> f64 {
     aneci_obs::global()
         .snapshot()
@@ -829,8 +829,7 @@ fn timed_with_faults<T>(f: impl FnOnce() -> T) -> (T, f64, Option<u64>) {
 fn scale_bench(max_nodes: usize) {
     use aneci_core::config::ROW_STORE_BUDGET_BYTES;
     use aneci_core::{
-        classic_modularity, AneciConfig, AneciModel, BatchStrategy, MiniBatchTrainer, ReconMode,
-        StopStrategy,
+        classic_modularity, AneciConfig, AneciModel, BatchStrategy, ReconMode, StopStrategy,
     };
     use aneci_eval::metrics::nmi;
     use aneci_graph::{generate_streamed, ProximityConfig, StreamingConfig};
@@ -882,7 +881,7 @@ fn scale_bench(max_nodes: usize) {
             max_batch_nodes: 0,
         };
 
-        let mut trainer = MiniBatchTrainer::try_new(
+        let mut mini = AneciModel::from_parts(
             streamed.adjacency.clone(),
             streamed.features.clone(),
             &config,
@@ -890,8 +889,7 @@ fn scale_bench(max_nodes: usize) {
         .expect("scale config is valid");
         let nodes_before = batch_nodes_sum();
         let (report, train_secs, mini_faults) = timed_with_faults(|| {
-            trainer
-                .train(strategy, Some(&streamed.labels))
+            mini.train_plan(strategy, Some(&streamed.labels))
                 .expect("mini-batch training failed")
         });
         let nodes_processed = batch_nodes_sum() - nodes_before;
@@ -935,13 +933,13 @@ fn scale_bench(max_nodes: usize) {
         // the planted labels, hard-partition modularity, and nodes/sec.
         if n == 10_000 {
             let graph = streamed.to_attributed();
-            let mut full = AneciModel::new(&graph, &config);
+            let mut full = AneciModel::try_new(&graph, &config).expect("scale config is valid");
             let (full_report, full_secs, full_faults) =
                 timed_with_faults(|| full.train(None).expect("full-batch training failed"));
             let full_nps = (n * full_report.epochs_run) as f64 / full_secs.max(1e-12);
 
             let full_pred = full.communities();
-            let mini_pred = trainer.communities();
+            let mini_pred = mini.communities();
             let full_nmi = nmi(&full_pred, &streamed.labels);
             let mini_nmi = nmi(&mini_pred, &streamed.labels);
             let full_q = classic_modularity(&streamed.adjacency, &full_pred);

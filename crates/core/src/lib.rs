@@ -9,12 +9,12 @@
 //!   modularity `Q̃` over high-order proximity and overlapping communities
 //!   (Eq. 13–14), high-order reconstruction decoder (Eq. 15–17), joint
 //!   objective (Eq. 18), training with the paper's three stopping
-//!   strategies;
-//! * [`minibatch`] — million-node scale: [`MiniBatchTrainer`] trains the
-//!   same objective through the same driver as [`model::AneciModel`], over
-//!   a community-aware or neighbor-sampled batch plan instead of the
-//!   full-graph one, and is bit-exact with full-batch training under the
-//!   `FullGraph` strategy;
+//!   strategies; the one model type, whatever plan trains it;
+//! * [`minibatch`] — million-node scale: [`AneciModel::train_plan`] trains
+//!   the same objective through the same driver as [`AneciModel::train`]
+//!   over a community-aware or neighbor-sampled batch plan, bit-exact with
+//!   full-batch training under `FullGraph`, on a model from
+//!   [`AneciModel::from_parts`] ([`MiniBatchTrainer`] wraps the two calls);
 //! * [`anomaly`] — membership-entropy node anomaly scores, edge anomaly
 //!   scores, the defense score `DS(δ)` of Sec. VI-B1;
 //! * [`denoise`] — **AnECI+**, the two-stage denoising variant

@@ -1,16 +1,17 @@
 //! Mini-batch training of the AnECI objective (million-node scale).
 //!
-//! The full-batch path ([`AneciModel::train`](crate::model::AneciModel::train))
-//! builds its operators once over all `N` nodes; every operator it touches
-//! (`Â`, `Ã`, the dense reconstruction target) is sized `N×N`-ish, which
-//! caps it around the exact-recon threshold. [`MiniBatchTrainer`] trains
-//! the *same* objective down the *same* path on induced subgraphs instead.
-//! Both trainers run one driver over a [`BatchSampler`] plan; the plan is
-//! the only difference:
+//! [`AneciModel::train`] builds its operators once over all `N` nodes;
+//! every operator it touches (`Â`, `Ã`, the dense reconstruction target)
+//! is sized `N×N`-ish, which caps it around the exact-recon threshold.
+//! [`AneciModel::train_plan`] trains the *same* model on the *same*
+//! objective down the *same* path on induced subgraphs instead, and a model
+//! built with [`AneciModel::from_parts`] builds no whole-graph operator
+//! until a whole-graph call needs it. The plan is the only difference:
 //!
-//! 1. a [`BatchSampler`] plans each epoch's batches — community-aware
-//!    subgraph sampling (sample communities, expand `l` hops) or
-//!    GraphSAGE-style uniform neighbor sampling;
+//! 1. a [`BatchSampler`](aneci_autograd::train_batch::BatchSampler) plans
+//!    each epoch's batches — community-aware subgraph sampling (sample
+//!    communities, expand `l` hops) or GraphSAGE-style uniform neighbor
+//!    sampling;
 //! 2. per batch, the driver builds the operators from the batch's rows of
 //!    the raw adjacency (`extract_submatrix`, then a cut of the run's
 //!    [`RowStore`](aneci_graph::RowStore) of `Ã` rows, which builds each
@@ -26,143 +27,63 @@
 //! one-batch run reproduces `AneciModel::train` bit for bit.
 //!
 //! For genuinely partial batches the kept embedding cannot be tracked
-//! per-epoch (each batch only sees its own rows), so the trainer keeps the
-//! post-training full forward pass instead.
+//! per-epoch (each batch only sees its own rows), so the model keeps the
+//! post-training full forward pass instead; it checkpoints, restores and
+//! fine-tunes like a model trained whole. [`MiniBatchTrainer`] wraps the
+//! model under the names the `bench_e2e` benchmark imports.
 
-use crate::config::{AneciConfig, StopStrategy};
+use crate::config::AneciConfig;
 use crate::error::AneciError;
-use crate::model::{embed, init_params, propagation, train_plan, TrainReport};
-use aneci_autograd::train_batch::BatchSampler;
-use aneci_autograd::ParamSet;
+use crate::model::{AneciModel, TrainReport};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
-use std::sync::Arc;
 
 pub use aneci_autograd::train_batch::BatchStrategy;
 
-/// Mini-batch trainer of the AnECI objective, for graphs too large for
-/// [`AneciModel`](crate::model::AneciModel)'s full-batch precomputation
-/// (global high-order proximity, dense targets, the full positive-pair list
-/// — all `O(N·deg^l)` or worse). Holds only the raw CSR adjacency and the
-/// feature matrix; every training-time operator is batch-local, cut from
-/// `Ã` rows that [`MiniBatchTrainer::train`] keeps for the length of the
-/// run, up to [`ROW_STORE_BUDGET_BYTES`](crate::config::ROW_STORE_BUDGET_BYTES).
-///
-/// It initializes its weights exactly as `AneciModel` does, so the two
-/// start from identical parameters under the same configuration.
+/// One [`AneciModel`] built with [`AneciModel::from_parts`] and trained
+/// with [`AneciModel::train_plan`]. New code calls the model directly.
 pub struct MiniBatchTrainer {
-    config: AneciConfig,
-    adjacency: Arc<CsrMatrix>,
-    features: Arc<DenseMatrix>,
-    params: ParamSet,
-    best_embedding: Option<DenseMatrix>,
+    model: AneciModel,
 }
 
 impl MiniBatchTrainer {
-    /// Builds a trainer from a raw symmetric adjacency and node features.
-    /// Errors with [`AneciError::Config`] on an invalid configuration and
-    /// [`AneciError::Shape`] on mismatched dimensions.
+    /// [`AneciModel::from_parts`].
     pub fn try_new(
         adjacency: CsrMatrix,
         features: DenseMatrix,
         config: &AneciConfig,
     ) -> Result<Self, AneciError> {
-        config.validate()?;
-        if adjacency.rows() != adjacency.cols() {
-            return Err(AneciError::Shape(format!(
-                "adjacency must be square, got {}x{}",
-                adjacency.rows(),
-                adjacency.cols()
-            )));
-        }
-        if features.rows() != adjacency.rows() {
-            return Err(AneciError::Shape(format!(
-                "feature rows ({}) must match the node count ({})",
-                features.rows(),
-                adjacency.rows()
-            )));
-        }
-        Ok(Self {
-            config: config.clone(),
-            params: init_params(features.cols(), config),
-            adjacency: Arc::new(adjacency),
-            features: Arc::new(features),
-            best_embedding: None,
-        })
+        AneciModel::from_parts(adjacency, features, config).map(|model| Self { model })
     }
 
-    /// Trains through the one AnECI driver: per epoch, `strategy` plans a
-    /// deterministic batch sequence (seeded from the config seed) and every
-    /// batch optimizes the AnECI objective on its induced subgraph.
-    /// `communities` (node → community id) is required by
-    /// [`BatchStrategy::CommunityAware`] and ignored otherwise.
-    ///
-    /// [`StopStrategy::ValidationBest`] is not supported here (validation
-    /// probes need a full embedding every probe epoch, defeating the point
-    /// of batching) and reports [`AneciError::Config`]; use
-    /// [`StopStrategy::FixedEpochs`] or
-    /// [`StopStrategy::EarlyStopModularity`] — the latter monitors the
-    /// epoch-mean batch Q̃. Arguments the sampler rejects (see
-    /// [`BatchSampler::try_new`]) report [`AneciError::Config`] too, and a
-    /// graph with no nodes [`AneciError::Shape`], before any training
-    /// starts.
-    ///
-    /// With [`BatchStrategy::FullGraph`] this reproduces
-    /// [`AneciModel::train`](crate::model::AneciModel::train) bit-exactly
-    /// (same operators, same tape op order, same RNG streams).
+    /// [`AneciModel::train_plan`].
     pub fn train(
         &mut self,
         strategy: BatchStrategy,
         communities: Option<&[usize]>,
     ) -> Result<TrainReport, AneciError> {
-        if let StopStrategy::ValidationBest { .. } = self.config.stop {
-            return Err(AneciError::Config(
-                "mini-batch training does not support StopStrategy::ValidationBest; \
-                 use FixedEpochs or EarlyStopModularity"
-                    .into(),
-            ));
-        }
-        let sampler =
-            BatchSampler::try_new(&self.adjacency, strategy, communities, self.config.seed)
-                .map_err(|e| AneciError::Config(format!("mini-batch strategy: {e}")))?;
-        let (report, best_z) = train_plan(
-            &self.config,
-            &mut self.params,
-            &self.adjacency,
-            &self.features,
-            sampler,
-            None,
-            None,
-        )?;
-        self.best_embedding = Some(match best_z {
-            Some(z) => z,
-            // Partial batches never see a full Z: keep the post-training
-            // forward pass (the standard GraphSAGE-style serving answer).
-            None => embed(&self.params, &self.features, &propagation(&self.adjacency)),
-        });
-        Ok(report)
+        self.model.train_plan(strategy, communities)
     }
 
-    /// The kept embedding matrix `Z` (after [`MiniBatchTrainer::train`]).
+    /// [`AneciModel::embedding`].
     pub fn embedding(&self) -> &DenseMatrix {
-        self.best_embedding
-            .as_ref()
-            .expect("call train() before embedding()")
+        self.model.embedding()
     }
 
-    /// Hard community assignment `argmax_k softmax(Z)_i^k`.
+    /// [`AneciModel::communities`].
     pub fn communities(&self) -> Vec<usize> {
-        self.embedding().softmax_rows().argmax_rows()
+        self.model.communities()
     }
 
-    /// The model configuration.
+    /// [`AneciModel::config`].
     pub fn config(&self) -> &AneciConfig {
-        &self.config
+        self.model.config()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopStrategy;
     use aneci_graph::{generate_sbm, karate_club, AttributedGraph, SbmConfig};
 
     fn fixed_cfg(seed: u64) -> AneciConfig {
@@ -247,7 +168,7 @@ mod tests {
             .unwrap();
             let err = mini.train(strategy, Some(&[])).unwrap_err();
             assert!(matches!(err, AneciError::Shape(_)), "{strategy:?}: {err}");
-            assert!(mini.best_embedding.is_none(), "{strategy:?}");
+            assert!(mini.model.best_embedding.is_none(), "{strategy:?}");
         }
     }
 
@@ -280,8 +201,11 @@ mod tests {
             let err = mini.train(strategy, communities).unwrap_err();
             assert!(matches!(err, AneciError::Config(_)), "{strategy:?}: {err}");
             // Rejected before the engine ran: nothing trained or kept.
-            assert_eq!(mini.params.get(0), trainer(&g, cfg).params.get(0));
-            assert!(mini.best_embedding.is_none(), "{strategy:?}");
+            assert_eq!(
+                mini.model.params.get(0),
+                trainer(&g, cfg).model.params.get(0)
+            );
+            assert!(mini.model.best_embedding.is_none(), "{strategy:?}");
         }
     }
 }

@@ -24,8 +24,8 @@
 //! (`Operators::new`), the encoder, `joint_loss` and the weight initializer
 //! — and trains it down one path: one driver runs the shared engine over a
 //! [`BatchSampler`] plan. [`AneciModel::train`] hands it the `FullGraph`
-//! plan with the model's prebuilt operators as the batch of nodes `0..N`;
-//! [`crate::minibatch`] hands it a sampling strategy's plan.
+//! plan with the model's whole-graph operators as the batch of nodes
+//! `0..N`; [`AneciModel::train_plan`] hands it a sampling strategy's plan.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{
@@ -41,7 +41,7 @@ use aneci_linalg::{CsrMatrix, DenseMatrix};
 use aneci_obs::{span, Gauge, Histogram};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A validation probe: maps `(epoch, Z)` to a score (higher is better).
@@ -182,24 +182,6 @@ pub(crate) fn propagation(adjacency: &CsrMatrix) -> Arc<CsrMatrix> {
     Arc::new(adjacency.add_identity().sym_normalize())
 }
 
-/// Xavier-initialized encoder weights from the `(seed, 0xA0EC1)` stream.
-/// Both constructors use it, so an [`AneciModel`] and a
-/// [`MiniBatchTrainer`](crate::minibatch::MiniBatchTrainer) with the same
-/// configuration start from identical parameters.
-pub(crate) fn init_params(num_features: usize, config: &AneciConfig) -> ParamSet {
-    let mut rng = seeded_rng(derive_seed(config.seed, 0xA0EC1));
-    let mut params = ParamSet::new();
-    params.register(
-        "w1",
-        xavier_uniform(num_features, config.hidden_dim, &mut rng),
-    );
-    params.register(
-        "w2",
-        xavier_uniform(config.hidden_dim, config.embed_dim, &mut rng),
-    );
-    params
-}
-
 /// The training engine: the stop rule for `config.stop`, and Adam. `probe`
 /// says whether a validation probe drives [`StopStrategy::ValidationBest`]:
 /// its score is maximized, the loss fallback minimized.
@@ -246,18 +228,6 @@ fn encode(
     let a1 = tape.leaky_relu(h1, LEAKY_ALPHA);
     let hw = tape.matmul(a1, w[1]);
     tape.spmm(norm_adj, hw)
-}
-
-/// `Z` of every node under `params`: the encoder on a fresh tape.
-pub(crate) fn embed(
-    params: &ParamSet,
-    features: &Arc<DenseMatrix>,
-    norm_adj: &Arc<CsrMatrix>,
-) -> DenseMatrix {
-    let mut tape = Tape::new();
-    let w = params.leaf_all(&mut tape);
-    let z = encode(&mut tape, &w, features, norm_adj);
-    tape.value(z).clone()
 }
 
 /// The tape variables of one pass of the joint objective.
@@ -420,71 +390,6 @@ impl BatchArtifacts {
     }
 }
 
-/// Trains `params` on the AnECI objective over `sampler`'s plan: the one
-/// training path of [`AneciModel::train`] and
-/// [`MiniBatchTrainer::train`](crate::minibatch::MiniBatchTrainer::train).
-/// `full_ops`, when given, are the operators of the whole graph, taken as
-/// the already-built batch of nodes `0..N`. The run keeps the `Ã` rows its
-/// batches build, up to [`ROW_STORE_BUDGET_BYTES`], and drops them when it
-/// returns. Returns the report and the kept embedding, which only a batch
-/// covering every node yields.
-///
-/// Errors with [`AneciError::Shape`] on a graph with no nodes, before the
-/// engine runs, and with [`AneciError::Diverged`] when the loss goes
-/// non-finite (the engine has then restored the last finite parameters).
-pub(crate) fn train_plan(
-    config: &AneciConfig,
-    params: &mut ParamSet,
-    adjacency: &CsrMatrix,
-    features: &Arc<DenseMatrix>,
-    sampler: BatchSampler<'_>,
-    full_ops: Option<Operators>,
-    val_score: Option<ValProbe<'_>>,
-) -> Result<(TrainReport, Option<DenseMatrix>), AneciError> {
-    let n = adjacency.rows();
-    if n == 0 {
-        return Err(AneciError::Shape(
-            "cannot train on a graph with no nodes".into(),
-        ));
-    }
-    let (trainer, mut opt) = engine(config, val_score.is_some());
-    let mut driver = AneciStep {
-        config,
-        adjacency,
-        features,
-        sampler,
-        plan: Vec::new(),
-        rows: RowStore::new(adjacency, &config.proximity, ROW_STORE_BUDGET_BYTES),
-        cache: full_ops.map(|ops| BatchArtifacts {
-            nodes: (0..n).collect(),
-            features: Arc::clone(features),
-            ops,
-        }),
-        val_score,
-        rng: seeded_rng(derive_seed(config.seed, 0x5A3)),
-        report: TrainReport::default(),
-        prev_q: None,
-        q_sum: 0.0,
-        rig_sum: 0.0,
-        cur_z: None,
-        best_z: None,
-        obs_q: aneci_obs::histogram("core.train.q_tilde"),
-        obs_dq: aneci_obs::histogram("core.train.delta_q"),
-        obs_nodes: aneci_obs::histogram("train.batch.nodes"),
-        obs_sample_ns: aneci_obs::histogram_time_ns("train.batch.sample_ns"),
-        obs_step_ns: aneci_obs::histogram_time_ns("train.batch.step_ns"),
-        obs_store_bytes: aneci_obs::gauge("train.row_store.bytes"),
-    };
-    let run = trainer.run(params, &mut opt, &mut driver)?;
-    let report = TrainReport {
-        losses: run.losses,
-        best_epoch: run.best_epoch,
-        epochs_run: run.epochs_run,
-        ..driver.report
-    };
-    Ok((report, driver.best_z))
-}
-
 /// A trained (or in-training) AnECI model bound to one graph.
 pub struct AneciModel {
     config: AneciConfig,
@@ -493,9 +398,12 @@ pub struct AneciModel {
     /// to retrain on.
     adjacency: Arc<CsrMatrix>,
     features: Arc<DenseMatrix>,
-    ops: Operators,
-    params: ParamSet,
-    best_embedding: Option<DenseMatrix>,
+    /// The whole graph's operators. [`AneciModel::try_new`] builds them at
+    /// set-up; a model built from parts builds them only when a whole-graph
+    /// call first needs them, which a mini-batch plan never does.
+    ops: OnceLock<Operators>,
+    pub(crate) params: ParamSet,
+    pub(crate) best_embedding: Option<DenseMatrix>,
     /// Fine-tune passes applied so far (drives the periodic drift oracle).
     fine_tunes: usize,
 }
@@ -512,16 +420,64 @@ impl AneciModel {
     /// Like [`AneciModel::new`] but reports an invalid configuration as
     /// [`AneciError::Config`] instead of panicking.
     pub fn try_new(graph: &AttributedGraph, config: &AneciConfig) -> Result<Self, AneciError> {
+        let model = Self::from_parts(graph.adjacency().clone(), graph.features().clone(), config)?;
+        model.operators();
+        Ok(model)
+    }
+
+    /// A model of a raw symmetric (hollow) adjacency and node features with
+    /// [`AneciModel::try_new`]'s weights but none of its whole-graph
+    /// operators, so it holds `O(E + N·d)` until a whole-graph call needs
+    /// more: the model for [`AneciModel::train_plan`]. Errors with
+    /// [`AneciError::Config`] on an invalid configuration and
+    /// [`AneciError::Shape`] on mismatched dimensions.
+    pub fn from_parts(
+        adjacency: CsrMatrix,
+        features: DenseMatrix,
+        config: &AneciConfig,
+    ) -> Result<Self, AneciError> {
         config.validate()?;
-        let ho = HighOrder::build(graph.adjacency(), &config.proximity);
+        if adjacency.rows() != adjacency.cols() {
+            return Err(AneciError::Shape(format!(
+                "adjacency must be square, got {}x{}",
+                adjacency.rows(),
+                adjacency.cols()
+            )));
+        }
+        if features.rows() != adjacency.rows() {
+            return Err(AneciError::Shape(format!(
+                "feature rows ({}) must match the node count ({})",
+                features.rows(),
+                adjacency.rows()
+            )));
+        }
+        // Xavier-initialized encoder weights from the `(seed, 0xA0EC1)` stream.
+        let mut rng = seeded_rng(derive_seed(config.seed, 0xA0EC1));
+        let mut params = ParamSet::new();
+        params.register(
+            "w1",
+            xavier_uniform(features.cols(), config.hidden_dim, &mut rng),
+        );
+        params.register(
+            "w2",
+            xavier_uniform(config.hidden_dim, config.embed_dim, &mut rng),
+        );
         Ok(Self {
             config: config.clone(),
-            adjacency: Arc::new(graph.adjacency().clone()),
-            features: Arc::new(graph.features().clone()),
-            ops: Operators::new(graph.adjacency(), ho, config),
-            params: init_params(graph.num_features(), config),
+            params,
+            adjacency: Arc::new(adjacency),
+            features: Arc::new(features),
+            ops: OnceLock::new(),
             best_embedding: None,
             fine_tunes: 0,
+        })
+    }
+
+    /// The whole graph's operators, built on first use.
+    fn operators(&self) -> &Operators {
+        self.ops.get_or_init(|| {
+            let ho = HighOrder::build(&self.adjacency, &self.config.proximity);
+            Operators::new(&self.adjacency, ho, &self.config)
         })
     }
 
@@ -535,37 +491,137 @@ impl AneciModel {
     /// model remains usable (e.g. for a warm restart at a lower LR). A
     /// graph with no nodes is an [`AneciError::Shape`].
     pub fn train(&mut self, val_score: Option<ValProbe<'_>>) -> Result<TrainReport, AneciError> {
-        let sampler = BatchSampler::new(
-            &self.adjacency,
-            BatchStrategy::FullGraph,
-            None,
-            self.config.seed,
-        );
-        let (report, best_z) = train_plan(
-            &self.config,
-            &mut self.params,
-            &self.adjacency,
-            &self.features,
-            sampler,
-            Some(self.ops.clone()),
-            val_score,
-        )?;
-        self.best_embedding = best_z;
+        let ops = self.operators().clone();
+        self.run(BatchStrategy::FullGraph, None, Some(ops), val_score)
+    }
+
+    /// Trains the model over a batch plan: per epoch, `strategy` plans a
+    /// deterministic batch sequence (seeded from the config seed) and every
+    /// batch optimizes the AnECI objective on its induced subgraph.
+    /// `communities` (node → community id) is required by
+    /// [`BatchStrategy::CommunityAware`] and ignored otherwise.
+    ///
+    /// [`StopStrategy::ValidationBest`] is not supported here (validation
+    /// probes need a full embedding every probe epoch, defeating the point
+    /// of batching) and reports [`AneciError::Config`]; use
+    /// [`StopStrategy::FixedEpochs`] or
+    /// [`StopStrategy::EarlyStopModularity`] — the latter monitors the
+    /// epoch-mean batch Q̃. Arguments the sampler rejects (see
+    /// [`BatchSampler::try_new`]) report [`AneciError::Config`] too, and a
+    /// graph with no nodes [`AneciError::Shape`], before any training
+    /// starts; divergence as [`AneciModel::train`] does.
+    ///
+    /// With [`BatchStrategy::FullGraph`] this reproduces
+    /// [`AneciModel::train`] bit-exactly. After partial batches, which
+    /// never see a full `Z`, the kept embedding is the post-training
+    /// [`AneciModel::forward_embedding`].
+    pub fn train_plan(
+        &mut self,
+        strategy: BatchStrategy,
+        communities: Option<&[usize]>,
+    ) -> Result<TrainReport, AneciError> {
+        if let StopStrategy::ValidationBest { .. } = self.config.stop {
+            return Err(AneciError::Config(
+                "mini-batch training does not support StopStrategy::ValidationBest; \
+                 use FixedEpochs or EarlyStopModularity"
+                    .into(),
+            ));
+        }
+        let full_ops = self.ops.get().cloned();
+        self.run(strategy, communities, full_ops, None)
+    }
+
+    /// The one training path of [`AneciModel::train`] and
+    /// [`AneciModel::train_plan`], with their errors: trains the weights
+    /// over `strategy`'s plan and keeps the embedding. `full_ops`, when
+    /// given, are the whole graph's operators, taken as the already-built
+    /// batch of nodes `0..N`. The run keeps the `Ã` rows its batches build,
+    /// up to [`ROW_STORE_BUDGET_BYTES`], and drops them when it returns.
+    fn run(
+        &mut self,
+        strategy: BatchStrategy,
+        communities: Option<&[usize]>,
+        full_ops: Option<Operators>,
+        val_score: Option<ValProbe<'_>>,
+    ) -> Result<TrainReport, AneciError> {
+        let (config, adjacency, features) = (&self.config, &*self.adjacency, &self.features);
+        let sampler = BatchSampler::try_new(adjacency, strategy, communities, config.seed)
+            .map_err(|e| AneciError::Config(format!("mini-batch strategy: {e}")))?;
+        let n = adjacency.rows();
+        if n == 0 {
+            return Err(AneciError::Shape(
+                "cannot train on a graph with no nodes".into(),
+            ));
+        }
+        let (trainer, mut opt) = engine(config, val_score.is_some());
+        // The driver, with the run's row store and last batch, is dropped
+        // before the fallback forward pass below.
+        let (run, report, best_z) = {
+            let mut driver = AneciStep {
+                config,
+                adjacency,
+                features,
+                sampler,
+                plan: Vec::new(),
+                rows: RowStore::new(adjacency, &config.proximity, ROW_STORE_BUDGET_BYTES),
+                cache: full_ops.map(|ops| BatchArtifacts {
+                    nodes: (0..n).collect(),
+                    features: Arc::clone(features),
+                    ops,
+                }),
+                val_score,
+                rng: seeded_rng(derive_seed(config.seed, 0x5A3)),
+                report: TrainReport::default(),
+                prev_q: None,
+                q_sum: 0.0,
+                rig_sum: 0.0,
+                cur_z: None,
+                best_z: None,
+                obs_q: aneci_obs::histogram("core.train.q_tilde"),
+                obs_dq: aneci_obs::histogram("core.train.delta_q"),
+                obs_nodes: aneci_obs::histogram("train.batch.nodes"),
+                obs_sample_ns: aneci_obs::histogram_time_ns("train.batch.sample_ns"),
+                obs_step_ns: aneci_obs::histogram_time_ns("train.batch.step_ns"),
+                obs_store_bytes: aneci_obs::gauge("train.row_store.bytes"),
+            };
+            let run = trainer.run(&mut self.params, &mut opt, &mut driver)?;
+            (run, driver.report, driver.best_z)
+        };
+        let report = TrainReport {
+            losses: run.losses,
+            best_epoch: run.best_epoch,
+            epochs_run: run.epochs_run,
+            ..report
+        };
+        self.best_embedding = Some(match best_z {
+            Some(z) => z,
+            // Partial batches never see a full `Z`: keep the post-training
+            // forward pass (the standard GraphSAGE-style serving answer).
+            None => self.forward_embedding(),
+        });
         Ok(report)
     }
 
     /// A fresh forward pass with the *current* parameters — before any
     /// training this is the untrained (Laplacian-smoothing) encoder output,
-    /// which the ablation study (Table IV "+Encoder") uses directly.
+    /// which the ablation study (Table IV "+Encoder") uses directly. A
+    /// model without its whole-graph operators builds `Â` for the pass and
+    /// nothing else.
     pub fn forward_embedding(&self) -> DenseMatrix {
-        self.embed_over(&self.ops.norm_adj)
+        match self.ops.get() {
+            Some(ops) => self.embed_over(&ops.norm_adj),
+            None => self.embed_over(&propagation(&self.adjacency)),
+        }
     }
 
     /// The encoder under the current parameters on the model's features,
     /// propagating over `norm_adj` instead of the model's own `Â`: the
     /// smoothing defense's vote runs it on an edge-dropped copy.
     pub(crate) fn embed_over(&self, norm_adj: &Arc<CsrMatrix>) -> DenseMatrix {
-        embed(&self.params, &self.features, norm_adj)
+        let mut tape = Tape::new();
+        let w = self.params.leaf_all(&mut tape);
+        let z = encode(&mut tape, &w, &self.features, norm_adj);
+        tape.value(z).clone()
     }
 
     /// The kept embedding matrix `Z` (after [`AneciModel::train`]).
@@ -590,23 +646,23 @@ impl AneciModel {
     /// `P`, which tests also pin to Eq. 13.
     pub fn q_tilde_of(&self, p: &DenseMatrix) -> f64 {
         assert_eq!(p.rows(), self.adjacency.rows(), "membership row mismatch");
-        let ops = &self.ops;
+        let ops = self.operators();
         q_tilde(&ops.a_tilde, &ops.k_tilde, ops.m_tilde, p)
     }
 
     /// Read access to the high-order proximity used by the model.
     pub fn a_tilde(&self) -> &CsrMatrix {
-        &self.ops.a_tilde
+        &self.operators().a_tilde
     }
 
     /// The high-order degree vector `k̃`.
     pub fn k_tilde(&self) -> &DenseMatrix {
-        &self.ops.k_tilde
+        &self.operators().k_tilde
     }
 
     /// The total high-order mass `M̃`.
     pub fn m_tilde(&self) -> f64 {
-        self.ops.m_tilde
+        self.operators().m_tilde
     }
 
     /// The model configuration.
@@ -649,7 +705,9 @@ impl AneciModel {
     /// Rebuilds a trained model from a checkpoint and the graph it was
     /// trained on: the encoder weights and kept embedding are restored
     /// bit-exactly, so `embedding()`, `membership()`, `communities()` and a
-    /// warm-started `train()` all behave as they did before persistence.
+    /// warm-started `train()` all behave as they did before persistence,
+    /// whatever plan trained it. Like [`AneciModel::from_parts`], it builds
+    /// no whole-graph operator until a whole-graph call needs one.
     ///
     /// Errors with [`AneciError::Shape`] when the checkpoint does not match
     /// the graph (node count) or the weights do not match the configured
@@ -662,7 +720,8 @@ impl AneciModel {
                 graph.num_nodes()
             )));
         }
-        let mut model = Self::try_new(graph, &ckpt.config)?;
+        let (adjacency, features) = (graph.adjacency().clone(), graph.features().clone());
+        let mut model = Self::from_parts(adjacency, features, &ckpt.config)?;
         if ckpt.weights.len() != model.params.len() {
             return Err(AneciError::Shape(format!(
                 "checkpoint has {} weight tensors, architecture expects {}",
@@ -717,20 +776,39 @@ impl AneciModel {
             ));
         }
         let (new_adj, report) = aneci_graph::delta::apply_to_csr(&self.adjacency, delta)?;
-        let (features, _mask) = aneci_graph::delta::apply_to_features(&self.features, None, delta)?;
+        // Only node appends, removals, sets and clears change the features;
+        // a delta with none of them keeps sharing the model's.
+        let features = if delta.add_nodes.is_empty()
+            && delta.remove_nodes.is_empty()
+            && delta.set_attributes.is_empty()
+            && delta.clear_attributes.is_empty()
+        {
+            Arc::clone(&self.features)
+        } else {
+            Arc::new(aneci_graph::delta::apply_to_features(&self.features, None, delta)?.0)
+        };
 
         // Incremental proximity refresh — only rows whose l-hop
-        // neighbourhood changed are recomputed.
-        let mut ho = HighOrder {
-            a_tilde: (*self.ops.a_tilde).clone(),
-            k_tilde: self.ops.k_tilde.as_slice().to_vec(),
-            m_tilde: self.ops.m_tilde,
+        // neighbourhood changed are recomputed. Once `train` returns the
+        // model is the operators' only holder, so `Ã` moves into the
+        // refresh uncopied. A model that never built them builds them on
+        // the new graph, which a refresh matches bit for bit.
+        let ho = match self.ops.take() {
+            Some(ops) => {
+                let mut ho = HighOrder {
+                    a_tilde: Arc::unwrap_or_clone(ops.a_tilde),
+                    k_tilde: ops.k_tilde.into_vec(),
+                    m_tilde: ops.m_tilde,
+                };
+                ho.refresh(&new_adj, &self.config.proximity, &report);
+                ho
+            }
+            None => HighOrder::build(&new_adj, &self.config.proximity),
         };
-        ho.refresh(&new_adj, &self.config.proximity, &report);
 
-        self.ops = Operators::new(&new_adj, ho, &self.config);
+        self.ops = OnceLock::from(Operators::new(&new_adj, ho, &self.config));
         self.adjacency = Arc::new(new_adj);
-        self.features = Arc::new(features);
+        self.features = features;
         // Any kept embedding predates the delta (and may have the wrong row
         // count after node appends); training below re-establishes it.
         self.best_embedding = None;
@@ -847,11 +925,12 @@ pub struct DriftStats {
     pub nmi: f64,
 }
 
-/// The one AnECI training driver, behind [`train_plan`]: per epoch, the
-/// sampler's plan; per batch, the joint loss on the batch's operators. It
-/// carries the negative-sampling stream, the per-epoch report rows (epoch
-/// means over the batches, so a one-batch epoch reports its batch's
-/// values), the `core.train.*` and `train.batch.*` telemetry, validation
+/// The one AnECI training driver, behind [`AneciModel::train`] and
+/// [`AneciModel::train_plan`]: per epoch, the sampler's plan; per batch,
+/// the joint loss on the batch's operators. It carries the
+/// negative-sampling stream, the per-epoch report rows (epoch means over
+/// the batches, so a one-batch epoch reports its batch's values), the
+/// `core.train.*` and `train.batch.*` telemetry, validation
 /// probing and the kept embedding.
 struct AneciStep<'a, 'v> {
     config: &'a AneciConfig,
@@ -1253,6 +1332,64 @@ mod tests {
         assert_eq!(restored.forward_embedding(), model.forward_embedding());
     }
 
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A model built from parts and trained on partial batches (the graph
+    /// and plan of `tests/golden/minibatch_partial.txt`) checkpoints with
+    /// its weights and restores bit for bit; its whole-graph operators,
+    /// built on first use, are a `try_new` model's.
+    #[test]
+    fn partial_plan_model_checkpoints_and_restores_its_weights() {
+        let scfg = aneci_graph::StreamingConfig {
+            num_communities: 6,
+            ..aneci_graph::StreamingConfig::scale(600).unwrap()
+        };
+        let streamed = aneci_graph::generate_streamed(&scfg, 31, 2048);
+        let g = streamed.to_attributed();
+        let cfg = AneciConfig {
+            embed_dim: 6,
+            epochs: 8,
+            recon: ReconMode::Sampled { neg_ratio: 1 },
+            ..quick_config(5)
+        };
+        let strategy = BatchStrategy::CommunityAware {
+            communities_per_batch: 2,
+            hops: 1,
+            max_batch_nodes: 0,
+        };
+        let mut model =
+            AneciModel::from_parts(g.adjacency().clone(), g.features().clone(), &cfg).unwrap();
+        model.train_plan(strategy, Some(&streamed.labels)).unwrap();
+        assert!(model.ops.get().is_none(), "partial batches build no Ã");
+
+        let ckpt = model.checkpoint().unwrap();
+        let names: Vec<&str> = ckpt.weights.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["w1", "w2"], "the checkpoint carries both weights");
+        for (slot, (name, w)) in ckpt.weights.iter().enumerate() {
+            assert_eq!(bits(w), bits(model.params.get(slot)), "checkpoint {name}");
+        }
+        let loaded = Checkpoint::from_bytes(&ckpt.to_bytes().unwrap()).unwrap();
+        let restored = AneciModel::from_checkpoint(&g, &loaded).unwrap();
+        assert_eq!(bits(restored.embedding()), bits(model.embedding()));
+        for slot in 0..model.params.len() {
+            let name = model.params.name(slot);
+            let (got, want) = (restored.params.get(slot), model.params.get(slot));
+            assert_eq!(bits(got), bits(want), "restored {name}");
+        }
+        // A partial plan keeps the post-training forward pass, which the
+        // restored weights reproduce.
+        assert_eq!(bits(&restored.forward_embedding()), bits(model.embedding()));
+
+        let p = model.membership();
+        let fresh = AneciModel::try_new(&g, &cfg).unwrap();
+        assert_eq!(
+            model.q_tilde_of(&p).to_bits(),
+            fresh.q_tilde_of(&p).to_bits()
+        );
+    }
+
     #[test]
     fn checkpoint_rejects_mismatched_graph() {
         let g = karate_club();
@@ -1306,7 +1443,7 @@ mod tests {
             &mut tape,
             &w,
             &model.features,
-            &model.ops,
+            model.operators(),
             &model.config,
             &mut seeded_rng(1),
         );
@@ -1362,11 +1499,41 @@ mod tests {
         cfg.proximity.weights.clear();
         let err = AneciModel::try_new(&g, &cfg).err().expect("empty weights");
         assert!(matches!(err, AneciError::Config(_)), "{err}");
-        let err =
-            crate::MiniBatchTrainer::try_new(g.adjacency().clone(), g.features().clone(), &cfg)
-                .err()
-                .expect("empty weights");
+        let err = AneciModel::from_parts(g.adjacency().clone(), g.features().clone(), &cfg)
+            .err()
+            .expect("empty weights");
         assert!(matches!(err, AneciError::Config(_)), "{err}");
+    }
+
+    /// A delta the patch rejects, on the graph or on the features, leaves
+    /// the model as it was; an edge-only delta keeps sharing the features.
+    #[test]
+    fn fine_tune_shares_unchanged_features_and_rejects_deltas_whole() {
+        let g = karate_club();
+        let mut model = AneciModel::new(&g, &quick_config(37));
+        model.train(None).unwrap();
+        let (a_tilde, embedding) = (model.a_tilde().clone(), model.embedding().clone());
+        let features = Arc::clone(&model.features);
+        let delta = aneci_graph::GraphDelta::new;
+        for rejected in [
+            delta().add_edge(0, 99),
+            delta().add_edge(0, 33).set_attribute(0, vec![1.0]),
+        ] {
+            let err = model.fine_tune(&rejected, 1).unwrap_err();
+            assert!(matches!(err, AneciError::Shape(_)), "{err}");
+            assert!(model.ops.get().is_some(), "the operators stay in the model");
+            assert_eq!(model.a_tilde(), &a_tilde);
+            assert!(Arc::ptr_eq(&model.features, &features));
+            assert_eq!(model.embedding(), &embedding);
+            assert_eq!(model.fine_tunes(), 0);
+        }
+        model.fine_tune(&delta().add_edge(0, 33), 1).unwrap();
+        assert!(Arc::ptr_eq(&model.features, &features), "edges only");
+        model
+            .fine_tune(&delta().set_attribute(0, vec![0.5; g.num_features()]), 1)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&model.features, &features));
+        assert!(model.features.row(0).iter().all(|&v| v == 0.5));
     }
 
     #[test]
@@ -1459,8 +1626,8 @@ mod tests {
         let batch =
             BatchArtifacts::build(&mut rows, &model.adjacency, &model.features, &cfg, &nodes);
         for (name, ops) in [
-            ("karate", &karate.ops),
-            ("sbm", &model.ops),
+            ("karate", karate.operators()),
+            ("sbm", model.operators()),
             ("batch", &batch.ops),
         ] {
             let ReconTarget::Pairs { stored, .. } = &ops.target else {
@@ -1623,7 +1790,7 @@ mod tests {
             let full = BatchArtifacts::build(&mut rows, &g.adjacency, &g.features, &cfg, &all);
             assert_same_bits(
                 &full.ops,
-                &model.ops,
+                model.operators(),
                 &format!("budget {budget}, every node"),
             );
             assert_eq!(rows.bytes(), kept, "a cut of every node keeps no row");

@@ -52,8 +52,8 @@ pub mod prelude {
     pub use aneci_core::{
         aneci_plus, defense_score, node_anomaly_scores, train_aneci, AneciConfig,
         AneciConfigBuilder, AneciError, AneciModel, AneciPlus, BatchStrategy, Defense,
-        DefenseOutcome, DenoiseConfig, DriftGuard, DriftStats, MiniBatchTrainer, NoDefense,
-        ReconMode, SmoothedEncoder, StopStrategy, TrainReport,
+        DefenseOutcome, DenoiseConfig, DriftGuard, DriftStats, NoDefense, ReconMode,
+        SmoothedEncoder, StopStrategy, TrainReport,
     };
     pub use aneci_eval::{accuracy, auc, kmeans_best_of, modularity, nmi};
     pub use aneci_graph::{

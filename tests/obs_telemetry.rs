@@ -164,10 +164,10 @@ fn batch_telemetry_counts_the_sampler_plans() {
     };
     obs::global().reset();
     let mut mini =
-        MiniBatchTrainer::try_new(graph.adjacency().clone(), graph.features().clone(), &config)
-            .expect("valid trainer");
+        AneciModel::from_parts(graph.adjacency().clone(), graph.features().clone(), &config)
+            .expect("valid model");
     let report = mini
-        .train(strategy, Some(&labels))
+        .train_plan(strategy, Some(&labels))
         .expect("training failed");
     let snap = obs::global().snapshot();
 

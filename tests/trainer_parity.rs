@@ -4,9 +4,9 @@
 //!
 //! 1. **Golden trajectories** — [`AneciModel::train`] reproduces the
 //!    fixtures checked in under `tests/golden/` bit for bit under every stop
-//!    strategy, and [`MiniBatchTrainer::train`] with one
-//!    [`BatchStrategy::FullGraph`] batch retraces every fixture whose stop
-//!    strategy it supports. A fixture pins every [`TrainReport`] field
+//!    strategy, and [`AneciModel::train_plan`] with one
+//!    [`BatchStrategy::FullGraph`] batch (through the [`MiniBatchTrainer`]
+//!    wrapper) retraces every fixture whose stop strategy it supports. A fixture pins every [`TrainReport`] field
 //!    (per-epoch loss, Q̃ and rigidity as f64 bits, validation scores, kept
 //!    epoch, epochs run) plus an embedding hash, pooled and serial, with one
 //!    section per SIMD dispatch. The karate fixtures were recorded from the
@@ -194,9 +194,9 @@ fn full_batch(
     (report, lines)
 }
 
-/// Trains with [`MiniBatchTrainer`] on one [`BatchStrategy::FullGraph`]
-/// batch per epoch, which must replay the full-batch epoch op for op: same
-/// operators, tape order and RNG streams.
+/// Trains with [`MiniBatchTrainer`] (`AneciModel::train_plan`) on one
+/// [`BatchStrategy::FullGraph`] batch per epoch, which must replay the
+/// full-batch epoch op for op: same operators, tape order and RNG streams.
 fn full_graph_minibatch(
     tag: &str,
     g: &AttributedGraph,
