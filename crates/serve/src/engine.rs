@@ -28,7 +28,6 @@ use std::sync::Mutex;
 
 use aneci_core::{AneciError, CheckpointError};
 use aneci_linalg::pool;
-use aneci_linalg::DenseMatrix;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::LruCache;
@@ -548,7 +547,8 @@ impl QueryEngine {
     /// new generation.
     ///
     /// Only one update builds at a time; a concurrent call fails fast with
-    /// [`ErrorCode::ReindexInProgress`] instead of queueing.
+    /// [`ErrorCode::ReindexInProgress`] instead of queueing. The slot is
+    /// released however the build ends, a panic included.
     pub fn apply_update(&self, update: &SnapshotUpdate) -> Result<u64, (ErrorCode, String)> {
         if self.reindexing.swap(true, Ordering::SeqCst) {
             return Err((
@@ -556,9 +556,8 @@ impl QueryEngine {
                 "a reindex is already in progress; retry after it publishes".into(),
             ));
         }
-        let result = self.build_and_publish(update);
-        self.reindexing.store(false, Ordering::SeqCst);
-        result
+        let _slot = ReindexSlot(&self.reindexing);
+        self.build_and_publish(update)
     }
 
     fn build_and_publish(&self, update: &SnapshotUpdate) -> Result<u64, (ErrorCode, String)> {
@@ -803,6 +802,16 @@ impl QueryEngine {
     }
 }
 
+/// The claimed single-flight reindex slot; dropping it (on return or
+/// unwind) releases the slot.
+struct ReindexSlot<'a>(&'a AtomicBool);
+
+impl Drop for ReindexSlot<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
 fn run_community(snap: &Snapshot, node: usize) -> Response {
     if node >= snap.store.num_nodes() || snap.store.is_deleted(node) {
         return err(
@@ -842,9 +851,11 @@ fn run_edge_score(snap: &Snapshot, u: usize, v: usize) -> Response {
 }
 
 /// Builds the successor state of `snap` under `update`: upserts applied in
-/// order (appends must be contiguous), then deletes, with the ANN index
-/// updated incrementally and compacted once its ghost fraction crosses
-/// `config.compact_threshold`.
+/// order (appends must be contiguous), then deletes. The store is patched
+/// (see `EmbeddingStore::patched`: only written rows get fresh norms, and
+/// unchanged membership and anomaly scores are shared), and the ANN index
+/// is cloned — a few flat buffers — updated incrementally, and compacted
+/// once its ghost fraction crosses `config.compact_threshold`.
 fn build_next_snapshot(
     snap: &Snapshot,
     update: &SnapshotUpdate,
@@ -887,39 +898,9 @@ fn build_next_snapshot(
         }
     }
 
-    // Embedding + tombstone mask.
-    let mut data = old.embedding().as_slice().to_vec();
-    data.resize(rows * dim, 0.0);
-    let mut deleted: Vec<bool> = match old.deleted_mask() {
-        Some(m) => m.to_vec(),
-        None => vec![false; old.num_nodes()],
-    };
-    deleted.resize(rows, false);
-    for up in &update.upserts {
-        data[up.node * dim..(up.node + 1) * dim].copy_from_slice(&up.vector);
-        deleted[up.node] = false; // an upsert revives a tombstoned id
-    }
-    for &d in &update.deletes {
-        deleted[d] = true;
-    }
-    let embedding = DenseMatrix::from_vec(rows, dim, data);
-
-    // Membership rows for appended nodes are zero (unassigned) until the
-    // model is retrained; `community` reports them as absent.
-    let membership = old.membership().map(|m| {
-        let mut md = m.as_slice().to_vec();
-        md.resize(rows * m.cols(), 0.0);
-        DenseMatrix::from_vec(rows, m.cols(), md)
-    });
-    let mut store = EmbeddingStore::with_tombstones(embedding, membership, Some(deleted));
-    // Anomaly scores ride along so the poisoned-neighborhood detector keeps
-    // working across generations; appended nodes start unsuspicious (0.0)
-    // until the next retrain rescores them.
-    if let Some(scores) = old.anomaly_scores() {
-        let mut scores = scores.to_vec();
-        scores.resize(rows, 0.0);
-        store = store.with_anomaly_scores(scores);
-    }
+    // Appended nodes get zero membership rows (`community` reports them
+    // as absent) and anomaly score 0 until the model is retrained.
+    let store = old.patched(update);
 
     // Incremental ANN maintenance on a clone of the pinned index.
     let ann = snap.ann.as_ref().map(|index| {
@@ -1268,6 +1249,50 @@ mod tests {
             } => {
                 assert!(!exact);
                 assert!(neighbors.iter().all(|n| ![5usize, 6, 7].contains(&n.node)));
+            }
+            other => panic!("expected neighbors, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn upsert_reviving_a_compacted_id_serves_it_and_keeps_reindexing() {
+        let e = engine(EngineConfig {
+            use_ann: true,
+            compact_threshold: 0.01,
+            ..EngineConfig::default()
+        });
+        e.apply_update(&SnapshotUpdate::new().delete(5).delete(6))
+            .unwrap();
+        assert_eq!(
+            e.snapshot().ann.as_ref().unwrap().ghosts(),
+            0,
+            "threshold 0.01 must have compacted"
+        );
+        let v = e.snapshot().store.vector_of(5).to_vec();
+        let revive = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.apply_update(&SnapshotUpdate::new().upsert(5, v.clone()))
+        }));
+        // Whatever the revival did, the reindex slot is free again.
+        assert!(!e.reindex_in_progress());
+        let next = e.apply_update(&SnapshotUpdate::new());
+        assert!(next.is_ok(), "reindexing wedged: {next:?}");
+        assert_eq!(revive.expect("reviving a compacted id panicked"), Ok(2));
+
+        let snap = e.snapshot();
+        let ann = snap.ann.as_ref().unwrap();
+        assert_eq!(ann.ghosts(), 0);
+        assert!(!snap.store.is_deleted(5) && !ann.is_deleted(5));
+        assert_eq!(ann.search(&v, 1, 64, None)[0].0, 5);
+        let line = format!(
+            r#"{{"op":"top_k","vector":{},"k":1}}"#,
+            serde_json::to_string(&v).unwrap()
+        );
+        match serde_json::from_str(&e.run_line(&line)).unwrap() {
+            Response::Neighbors {
+                neighbors, exact, ..
+            } => {
+                assert!(!exact);
+                assert_eq!(neighbors[0].node, 5);
             }
             other => panic!("expected neighbors, got {other:?}"),
         }

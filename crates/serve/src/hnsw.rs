@@ -24,12 +24,26 @@
 //! is bit-identical across thread counts (and to a single-threaded build),
 //! though not to the old one-node-at-a-time build.
 //!
+//! Link storage is flat. Layer 0, which holds every node, is one strided
+//! `Vec<u32>`: per node a count and `2M + 1` slots (a list may hold one
+//! link over its cap until it is shrunk). The upper layers, which about one
+//! node in `M` reaches, live in a second strided `Vec<u32>` of `M + 2`-slot
+//! blocks, one block per layer a node reaches. Cloning the index — which
+//! every snapshot update does — is therefore a handful of `memcpy`s with no
+//! per-node allocation.
+//!
+//! Deletes are tombstones (as in hnswlib's mark-delete): a removed node
+//! stays in the graph, and searches walk through it, but the layer-0 beam
+//! counts only live nodes toward its `ef` best, so a churned index answers
+//! with the beam width of a clean one. [`HnswIndex::compact`] rebuilds the
+//! graph over the live nodes once tombstones pile up.
+//!
 //! For cosine similarity the index stores L2-normalized copies of the rows
 //! (zero rows stay zero, matching the `vector::cosine` convention that the
 //! similarity involving a zero vector is 0), so search reduces to
 //! maximum-inner-product over normalized vectors.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use aneci_linalg::pool;
@@ -101,17 +115,41 @@ impl PartialOrd for Cand {
     }
 }
 
-/// The built index. Cloning is a deep copy (vectors + link lists) — the
-/// snapshot-swap path clones the live index, mutates the clone off to the
-/// side, and publishes it atomically.
+/// What a node slot holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// Served by searches.
+    Live,
+    /// Tombstoned but still wired into the graph: searches traverse it and
+    /// never return it.
+    Ghost,
+    /// Tombstoned and left out of the graph by [`HnswIndex::compact`]: no
+    /// links, unreachable. Its level is the one `compact` drew for it.
+    Unwired,
+}
+
+/// The built index. Cloning copies the vectors, the flat link storage and
+/// the per-node slot data — a few contiguous buffers, no per-node
+/// allocation; the snapshot-swap path clones the live index, mutates the
+/// clone off to the side, and publishes it atomically.
 #[derive(Clone)]
 pub struct HnswIndex {
     /// Row-per-node vectors; L2-normalized copies when `metric == Cosine`.
     vectors: DenseMatrix,
     metric: Metric,
-    /// `links[node][layer]` — neighbor ids of `node` at `layer`
-    /// (present for `layer <= level(node)`).
-    links: Vec<Vec<Vec<u32>>>,
+    /// Layer-0 links, [`Self::stride0`] entries per node: the link count,
+    /// then the ids in stored order.
+    layer0: Vec<u32>,
+    /// Links on layers ≥ 1, [`Self::stride_up`] entries per block, one
+    /// block per layer `1..=level` of each node, starting at block
+    /// `upper_at[node]`.
+    upper: Vec<u32>,
+    /// Drawn level of every node (the top layer it is wired into).
+    levels: Vec<u8>,
+    /// First upper block of every node (unused at level 0).
+    upper_at: Vec<u32>,
+    /// Live, ghost or unwired, per node.
+    slots: Vec<Slot>,
     entry: u32,
     max_layer: usize,
     m: usize,
@@ -123,12 +161,7 @@ pub struct HnswIndex {
     /// Level RNG positioned after the last drawn level, so incremental
     /// inserts continue the same stream a bigger build would have consumed.
     level_rng: StdRng,
-    /// Tombstones: `deleted[id]` nodes are filtered from every search
-    /// result but stay in the graph for navigation until [`Self::compact`].
-    deleted: Vec<bool>,
-    /// Deleted nodes still wired into the graph. Searches over-provision
-    /// their beam by this much so recall over live nodes is preserved;
-    /// `compact` resets it to zero.
+    /// Number of [`Slot::Ghost`] nodes; `compact` resets it to zero.
     ghosts: usize,
 }
 
@@ -150,14 +183,17 @@ impl HnswIndex {
         let mut index = Self {
             vectors,
             metric,
-            links: Vec::with_capacity(n),
+            layer0: Vec::with_capacity(n * (2 * config.m + 2)),
+            upper: Vec::new(),
+            levels: Vec::with_capacity(n),
+            upper_at: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
             entry: 0,
             max_layer: 0,
             m: config.m,
             ef_construction: config.ef_construction,
             seed: config.seed,
             level_rng: seeded_rng(config.seed),
-            deleted: vec![false; n],
             ghosts: 0,
         };
         if n == 0 {
@@ -170,7 +206,7 @@ impl HnswIndex {
         let levels: Vec<usize> = (0..n).map(|_| index.draw_level()).collect();
 
         // The first node has no graph to search: it just becomes the entry.
-        index.links.push(vec![Vec::new(); levels[0] + 1]);
+        index.push_slot(levels[0], Slot::Live);
         index.entry = 0;
         index.max_layer = levels[0];
 
@@ -188,7 +224,8 @@ impl HnswIndex {
             // Phase 2: apply links serially in node order.
             for (i, per_layer) in found.iter().enumerate() {
                 let node = (next + i) as u32;
-                index.apply_insert(node, levels[node as usize], per_layer);
+                index.push_slot(levels[node as usize], Slot::Live);
+                index.place(node, levels[node as usize], per_layer);
             }
             next = batch_end;
         }
@@ -197,27 +234,28 @@ impl HnswIndex {
 
     /// Number of indexed node slots, tombstoned ones included.
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.slots.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of live (non-tombstoned) nodes.
     pub fn live(&self) -> usize {
-        self.links.len() - self.deleted.iter().filter(|&&d| d).count()
+        self.slots.iter().filter(|&&s| s == Slot::Live).count()
     }
 
     /// Whether `id` is tombstoned.
     pub fn is_deleted(&self, id: usize) -> bool {
-        self.deleted.get(id).copied().unwrap_or(false)
+        self.slots.get(id).is_some_and(|&s| s != Slot::Live)
     }
 
     /// Tombstoned nodes still wired into the navigation graph (reset to
-    /// zero by [`Self::compact`]). Searches widen their beam by this much,
-    /// so a large ghost count is the signal to compact.
+    /// zero by [`Self::compact`]). Searches walk through them without
+    /// counting them, so they cost hops, not beam width; the snapshot
+    /// update path compacts once they exceed its `compact_threshold`.
     pub fn ghosts(&self) -> usize {
         self.ghosts
     }
@@ -233,6 +271,98 @@ impl HnswIndex {
         // u ∈ (0, 1]: never take ln(0).
         let u: f64 = 1.0 - self.level_rng.gen::<f64>();
         ((-u.ln() * level_mult).floor() as usize).min(16)
+    }
+
+    /// Entries per node in `layer0`: the count, then `2m + 1` link slots.
+    fn stride0(&self) -> usize {
+        2 * self.m + 2
+    }
+
+    /// Entries per block in `upper`: the count, then `m + 1` link slots.
+    fn stride_up(&self) -> usize {
+        self.m + 2
+    }
+
+    /// Appends a slot at `level` with empty link lists on every layer.
+    fn push_slot(&mut self, level: usize, slot: Slot) {
+        let stride_up = self.stride_up();
+        self.slots.push(slot);
+        self.levels.push(level as u8);
+        self.upper_at.push((self.upper.len() / stride_up) as u32);
+        self.upper.resize(self.upper.len() + level * stride_up, 0);
+        self.layer0.resize(self.layer0.len() + self.stride0(), 0);
+    }
+
+    /// Layers `node` is wired into (0 for a slot `compact` left unwired).
+    fn layer_count(&self, node: usize) -> usize {
+        match self.slots[node] {
+            Slot::Unwired => 0,
+            _ => usize::from(self.levels[node]) + 1,
+        }
+    }
+
+    /// Offset in `layer0` (layer 0) or `upper` of `node`'s list at `layer`:
+    /// its count, followed by the ids.
+    fn list_at(&self, node: usize, layer: usize) -> usize {
+        if layer == 0 {
+            node * self.stride0()
+        } else {
+            (self.upper_at[node] as usize + layer - 1) * self.stride_up()
+        }
+    }
+
+    /// `node`'s links at `layer`, in stored order.
+    fn neighbors(&self, node: usize, layer: usize) -> &[u32] {
+        let at = self.list_at(node, layer);
+        let store = if layer == 0 {
+            &self.layer0
+        } else {
+            &self.upper
+        };
+        &store[at + 1..at + 1 + store[at] as usize]
+    }
+
+    /// `node`'s list at `layer` as count-then-slots, for writing.
+    fn list_mut(&mut self, node: usize, layer: usize) -> &mut [u32] {
+        let at = self.list_at(node, layer);
+        if layer == 0 {
+            let stride = self.stride0();
+            &mut self.layer0[at..at + stride]
+        } else {
+            let stride = self.stride_up();
+            &mut self.upper[at..at + stride]
+        }
+    }
+
+    /// Replaces `node`'s links at `layer` with `ids`.
+    fn set_links(&mut self, node: usize, layer: usize, ids: &[u32]) {
+        let list = self.list_mut(node, layer);
+        list[0] = ids.len() as u32;
+        list[1..=ids.len()].copy_from_slice(ids);
+    }
+
+    /// Appends `id` to `node`'s links at `layer`; the list must be at most
+    /// at its cap, so the slot one past it is free.
+    fn push_link(&mut self, node: usize, layer: usize, id: u32) {
+        let list = self.list_mut(node, layer);
+        let len = list[0] as usize;
+        list[len + 1] = id;
+        list[0] += 1;
+    }
+
+    /// Drops `id` from `node`'s links at `layer`, keeping the others'
+    /// order.
+    fn unlink(&mut self, node: usize, layer: usize, id: u32) {
+        let list = self.list_mut(node, layer);
+        let len = list[0] as usize;
+        let mut kept = 1;
+        for i in 1..=len {
+            if list[i] != id {
+                list[kept] = list[i];
+                kept += 1;
+            }
+        }
+        list[0] = (kept - 1) as u32;
     }
 
     /// Similarity between a (pre-normalized, for cosine) query and a stored
@@ -271,17 +401,18 @@ impl HnswIndex {
         // Greedy descent through layers above the node's top level.
         let mut layer = self.max_layer;
         while layer > level {
-            ep = self.search_layer(q, &ep, 1, layer, &mut hops);
+            ep = self.search_layer(q, &ep, 1, layer, false, &mut hops);
             layer -= 1;
         }
 
         // Beam search from min(level, max_layer) down to 0, chaining the
-        // found set as the next layer's entry points.
+        // found set as the next layer's entry points. Tombstones count like
+        // live nodes here: they stay linkable until `compact`.
         let top = level.min(self.max_layer);
         let mut per_layer = Vec::with_capacity(top + 1);
         let mut l = top;
         loop {
-            let found = self.search_layer(q, &ep, ef_construction, l, &mut hops);
+            let found = self.search_layer(q, &ep, ef_construction, l, false, &mut hops);
             ep = found.clone();
             per_layer.push(found);
             if l == 0 {
@@ -292,17 +423,13 @@ impl HnswIndex {
         per_layer
     }
 
-    /// Mutating half of an insert: wires `node` into the graph from the
-    /// candidate lists produced by [`Self::search_candidates`].
-    fn apply_insert(&mut self, node: u32, level: usize, per_layer: &[Vec<Cand>]) {
-        self.links.push(Vec::new());
-        self.place(node, level, per_layer);
-    }
-
-    /// Wires `node` (whose `links` slot already exists) into the graph at
-    /// `level`, replacing any links the slot previously held.
+    /// Wires `node` into the graph at `level` from the candidate lists
+    /// produced by [`Self::search_candidates`], replacing any links it
+    /// held.
     fn place(&mut self, node: u32, level: usize, per_layer: &[Vec<Cand>]) {
-        self.links[node as usize] = vec![Vec::new(); level + 1];
+        for l in 0..=level {
+            self.set_links(node as usize, l, &[]);
+        }
         let top = per_layer.len() - 1;
         for (i, found) in per_layer.iter().enumerate() {
             let l = top - i;
@@ -312,15 +439,15 @@ impl HnswIndex {
             // search entry in `update` may live only on lower layers).
             let cands: Vec<Cand> = found
                 .iter()
-                .filter(|c| c.id != node && self.links[c.id as usize].len() > l)
+                .filter(|c| c.id != node && self.layer_count(c.id as usize) > l)
                 .copied()
                 .collect();
             let chosen = self.select_neighbors(&cands, self.m);
+            let cap = self.max_links(l);
             for &nb in &chosen {
-                self.links[node as usize][l].push(nb);
-                self.links[nb as usize][l].push(node);
-                let cap = self.max_links(l);
-                if self.links[nb as usize][l].len() > cap {
+                self.push_link(node as usize, l, nb);
+                self.push_link(nb as usize, l, node);
+                if self.neighbors(nb as usize, l).len() > cap {
                     self.shrink_links(nb, l, cap);
                 }
             }
@@ -332,18 +459,28 @@ impl HnswIndex {
         }
     }
 
+    /// Whether the graph has no wired node to search from: empty, or every
+    /// slot left unwired by [`Self::compact`].
+    fn unrooted(&self) -> bool {
+        self.slots
+            .get(self.entry as usize)
+            .is_none_or(|&s| s == Slot::Unwired)
+    }
+
     /// Inserts one new vector, returning its assigned id (`self.len() - 1`
-    /// before the call). The level comes from the same seeded stream the
+    /// after the call). The level comes from the same seeded stream the
     /// build consumed, so "build n, insert m" draws the levels a build of
-    /// `n + m` rows would. Cost: one `ef_construction` beam search plus an
-    /// O(n·d) vector-matrix copy.
+    /// `n + m` rows would. Cost: one `ef_construction` beam search; the row
+    /// is appended to the vector matrix in place, which reallocates (an
+    /// O(n·d) copy) only when the matrix is out of spare capacity — as it
+    /// always is for the first insert into a fresh clone.
     pub fn insert(&mut self, vector: &[f64]) -> usize {
         assert_eq!(
             vector.len(),
             self.vectors.cols(),
             "insert dimension mismatch"
         );
-        let id = self.links.len() as u32;
+        let id = self.len() as u32;
         let (rows, cols) = (self.vectors.rows(), self.vectors.cols());
         let mut data = std::mem::replace(&mut self.vectors, DenseMatrix::zeros(0, 0)).into_vec();
         data.extend_from_slice(vector);
@@ -351,16 +488,16 @@ impl HnswIndex {
         if self.metric == Metric::Cosine {
             vector::normalize_inplace(self.vectors.row_mut(rows));
         }
-        self.deleted.push(false);
         let level = self.draw_level();
-        if id == 0 {
-            self.links.push(vec![Vec::new(); level + 1]);
-            self.entry = 0;
+        let unrooted = self.unrooted();
+        self.push_slot(level, Slot::Live);
+        if unrooted {
+            self.entry = id;
             self.max_layer = level;
-            return 0;
+            return id as usize;
         }
         let per_layer = self.search_candidates(id, level, self.ef_construction);
-        self.apply_insert(id, level, &per_layer);
+        self.place(id, level, &per_layer);
         id as usize
     }
 
@@ -368,87 +505,104 @@ impl HnswIndex {
     /// but stays wired into the graph for navigation until [`Self::compact`].
     /// Returns `false` when `id` is out of range or already deleted.
     pub fn remove(&mut self, id: usize) -> bool {
-        if id >= self.links.len() || self.deleted[id] {
+        if self.slots.get(id) != Some(&Slot::Live) {
             return false;
         }
-        self.deleted[id] = true;
+        self.slots[id] = Slot::Ghost;
         self.ghosts += 1;
         true
     }
 
-    /// Replaces the vector of an existing id and re-wires it at its current
-    /// level: old links are detached on both sides, then the node is
-    /// re-inserted from a fresh candidate search. A tombstoned id is
-    /// revived.
+    /// Replaces the vector of an existing id and re-wires it at its level:
+    /// old links are detached on both sides, then the node is re-inserted
+    /// from a fresh candidate search. A tombstoned id is revived; one that
+    /// [`Self::compact`] left unwired is wired in at the level `compact`
+    /// drew for it.
     pub fn update(&mut self, id: usize, vector: &[f64]) {
-        assert!(id < self.links.len(), "update of unknown id {id}");
+        assert!(id < self.len(), "update of unknown id {id}");
         assert_eq!(
             vector.len(),
             self.vectors.cols(),
             "update dimension mismatch"
         );
-        if self.deleted[id] {
-            self.deleted[id] = false;
+        let node = id as u32;
+        let level = usize::from(self.levels[id]);
+        let unrooted = self.unrooted();
+        let was = std::mem::replace(&mut self.slots[id], Slot::Live);
+        if was == Slot::Ghost {
             self.ghosts -= 1;
         }
-        let node = id as u32;
-        // Detach both directions.
-        for layer in 0..self.links[id].len() {
-            for nb in std::mem::take(&mut self.links[id][layer]) {
-                self.links[nb as usize][layer].retain(|&x| x != node);
+        if was != Slot::Unwired {
+            // Detach both directions.
+            for layer in 0..=level {
+                let old = self.neighbors(id, layer).to_vec();
+                self.set_links(id, layer, &[]);
+                for nb in old {
+                    self.unlink(nb as usize, layer, node);
+                }
             }
         }
         self.vectors.row_mut(id).copy_from_slice(vector);
         if self.metric == Metric::Cosine {
             vector::normalize_inplace(self.vectors.row_mut(id));
         }
-        if self.links.len() == 1 {
+        if unrooted {
+            // No wired node to search from: this one roots the graph.
+            self.entry = node;
+            self.max_layer = level;
             return;
         }
-        let level = self.links[id].len() - 1;
+        if self.len() == 1 {
+            return;
+        }
         // The detached node can't be its own search entry; borrow another
         // one for the candidate search if it is.
-        let saved_entry = self.entry;
-        if self.entry == node {
-            if let Some(alt) = (0..self.links.len()).find(|&i| i != id && !self.deleted[i]) {
-                self.entry = alt as u32;
-            } else {
-                return; // every other node is tombstoned: leave it detached
+        let borrowed = self.entry == node;
+        if borrowed {
+            match (0..self.len()).find(|&i| i != id && self.slots[i] == Slot::Live) {
+                Some(alt) => self.entry = alt as u32,
+                None => return, // every other node is tombstoned: leave it detached
             }
         }
         let per_layer = self.search_candidates(node, level, self.ef_construction);
         self.place(node, level, &per_layer);
-        self.entry = saved_entry;
+        if borrowed {
+            self.entry = node;
+        }
     }
 
     /// Rebuilds the link structure over live nodes only, dropping every
-    /// tombstone from the graph (ids stay stable; tombstoned slots keep
-    /// their `deleted` mark and simply become unreachable). Levels are
-    /// redrawn deterministically from the stored seed, so two indexes with
-    /// the same (seed, live set) compact to identical graphs.
+    /// tombstone from the graph (ids stay stable; tombstoned slots become
+    /// [`Slot::Unwired`] and simply unreachable). Levels are redrawn
+    /// deterministically from the stored seed, so two indexes with the same
+    /// (seed, live set) compact to identical graphs.
     pub fn compact(&mut self) {
         if self.ghosts == 0 {
             return;
         }
-        let n = self.links.len();
-        let mut rng = seeded_rng(self.seed);
-        let level_mult = 1.0 / (self.m as f64).ln();
-        let levels: Vec<usize> = (0..n)
-            .map(|_| {
-                let u: f64 = 1.0 - rng.gen::<f64>();
-                ((-u.ln() * level_mult).floor() as usize).min(16)
-            })
-            .collect();
-        self.level_rng = rng;
-        self.links = vec![Vec::new(); n];
+        let n = self.len();
+        self.level_rng = seeded_rng(self.seed);
+        let levels: Vec<usize> = (0..n).map(|_| self.draw_level()).collect();
+        let slots = std::mem::take(&mut self.slots);
+        self.levels.clear();
+        self.upper_at.clear();
+        self.upper.clear();
+        self.layer0.clear();
+        for (&slot, &level) in slots.iter().zip(&levels) {
+            let slot = if slot == Slot::Live {
+                Slot::Live
+            } else {
+                Slot::Unwired
+            };
+            self.push_slot(level, slot);
+        }
         self.max_layer = 0;
         self.ghosts = 0;
-        let live: Vec<usize> = (0..n).filter(|&i| !self.deleted[i]).collect();
+        let live: Vec<usize> = (0..n).filter(|&i| self.slots[i] == Slot::Live).collect();
         let Some(&first) = live.first() else {
             self.entry = 0;
             return;
         };
-        self.links[first] = vec![Vec::new(); levels[first] + 1];
         self.entry = first as u32;
         self.max_layer = levels[first];
         for &id in &live[1..] {
@@ -460,7 +614,8 @@ impl HnswIndex {
     /// Re-selects `node`'s links at `layer` down to `cap` with the
     /// diversity heuristic.
     fn shrink_links(&mut self, node: u32, layer: usize, cap: usize) {
-        let mut cands: Vec<Cand> = self.links[node as usize][layer]
+        let mut cands: Vec<Cand> = self
+            .neighbors(node as usize, layer)
             .iter()
             .map(|&nb| Cand {
                 sim: self.sim_between(node, nb),
@@ -469,7 +624,7 @@ impl HnswIndex {
             .collect();
         cands.sort_unstable_by(|a, b| b.cmp(a));
         let kept = self.select_neighbors(&cands, cap);
-        self.links[node as usize][layer] = kept;
+        self.set_links(node as usize, layer, &kept);
     }
 
     /// Algorithm 4: pick up to `m` diverse neighbors from `cands` (sorted by
@@ -503,25 +658,35 @@ impl HnswIndex {
     /// Beam search at one layer: returns up to `ef` best nodes, sorted by
     /// descending similarity (ascending-id tie-breaks). Each expanded
     /// frontier node counts as one hop in `hops`.
+    ///
+    /// With `live_only`, tombstoned nodes are walked through like any other
+    /// but never enter the `ef` best, so the beam fills with live nodes and
+    /// the walk runs on past tombstones until it has `ef` of them (or the
+    /// frontier empties). With no tombstone reachable, both modes take the
+    /// same steps.
     fn search_layer(
         &self,
         q: &[f64],
         entries: &[Cand],
         ef: usize,
         layer: usize,
+        live_only: bool,
         hops: &mut u64,
     ) -> Vec<Cand> {
-        let mut visited = vec![false; self.links.len()];
+        let counted = |id: u32| !live_only || self.slots[id as usize] == Slot::Live;
+        let mut visited = vec![false; self.len()];
         // Max-heap of frontier nodes; min-heap (via Reverse) of best-so-far.
         let mut frontier: BinaryHeap<Cand> = BinaryHeap::new();
-        let mut best: BinaryHeap<std::cmp::Reverse<Cand>> = BinaryHeap::new();
+        let mut best: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
         for &e in entries {
             if !visited[e.id as usize] {
                 visited[e.id as usize] = true;
                 frontier.push(e);
-                best.push(std::cmp::Reverse(e));
-                if best.len() > ef {
-                    best.pop();
+                if counted(e.id) {
+                    best.push(Reverse(e));
+                    if best.len() > ef {
+                        best.pop();
+                    }
                 }
             }
         }
@@ -532,11 +697,10 @@ impl HnswIndex {
                 break;
             }
             *hops += 1;
-            let neighbors = &self.links[c.id as usize];
-            if layer >= neighbors.len() {
+            if layer >= self.layer_count(c.id as usize) {
                 continue;
             }
-            for &nb in &neighbors[layer] {
+            for &nb in self.neighbors(c.id as usize, layer) {
                 if visited[nb as usize] {
                     continue;
                 }
@@ -546,9 +710,11 @@ impl HnswIndex {
                 if best.len() < ef || sim > worst {
                     let cand = Cand { sim, id: nb };
                     frontier.push(cand);
-                    best.push(std::cmp::Reverse(cand));
-                    if best.len() > ef {
-                        best.pop();
+                    if counted(nb) {
+                        best.push(Reverse(cand));
+                        if best.len() > ef {
+                            best.pop();
+                        }
                     }
                 }
             }
@@ -561,7 +727,8 @@ impl HnswIndex {
 
     /// Approximate top-`k` search. `ef` is the layer-0 beam width (clamped
     /// up to `k`); larger `ef` trades latency for recall. `exclude` drops
-    /// one id from the result — used for node self-queries.
+    /// one id from the result — used for node self-queries. Tombstoned
+    /// nodes are never returned.
     pub fn search(
         &self,
         query: &[f64],
@@ -572,32 +739,44 @@ impl HnswIndex {
         if self.is_empty() || k == 0 {
             return Vec::new();
         }
+        let mut hops = 0u64;
+        let hits = self.search_hops(query, k, ef, exclude, &mut hops);
+        // Search is deterministic, and hop totals add commutatively, so
+        // these counters stay in the deterministic snapshot view.
+        search_metrics().0.add(hops);
+        search_metrics().1.inc();
+        hits
+    }
+
+    /// [`Self::search`] on a non-empty index with `k ≥ 1`, adding the
+    /// frontier nodes it expands to `hops`.
+    fn search_hops(
+        &self,
+        query: &[f64],
+        k: usize,
+        ef: usize,
+        exclude: Option<usize>,
+        hops: &mut u64,
+    ) -> Vec<Scored> {
         assert_eq!(query.len(), self.vectors.cols(), "query dimension mismatch");
         let mut q = query.to_vec();
         if self.metric == Metric::Cosine {
             vector::normalize_inplace(&mut q);
         }
 
-        let mut hops = 0u64;
         let mut ep = vec![Cand {
             sim: self.sim_to(&q, self.entry),
             id: self.entry,
         }];
         for layer in (1..=self.max_layer).rev() {
-            ep = self.search_layer(&q, &ep, 1, layer, &mut hops);
+            ep = self.search_layer(&q, &ep, 1, layer, false, hops);
         }
-        // One extra beam slot covers a possible excluded id; `ghosts` more
-        // cover tombstones still wired into the graph, so filtering them
-        // out below cannot cost live recall.
-        let beam = ef.max(k) + usize::from(exclude.is_some()) + self.ghosts;
-        let found = self.search_layer(&q, &ep, beam, 0, &mut hops);
-        // Search is deterministic, and hop totals add commutatively, so
-        // these counters stay in the deterministic snapshot view.
-        search_metrics().0.add(hops);
-        search_metrics().1.inc();
-        found
+        // One extra beam slot covers a possible excluded id. Tombstones
+        // need none: the layer-0 beam counts live nodes only.
+        let beam = ef.max(k) + usize::from(exclude.is_some());
+        self.search_layer(&q, &ep, beam, 0, true, hops)
             .into_iter()
-            .filter(|c| Some(c.id as usize) != exclude && !self.deleted[c.id as usize])
+            .filter(|c| Some(c.id as usize) != exclude)
             .take(k)
             .map(|c| (c.id as usize, c.sim))
             .collect()
@@ -635,6 +814,17 @@ mod tests {
         })
     }
 
+    /// Every node's links per layer, in stored order.
+    fn links(index: &HnswIndex) -> Vec<Vec<Vec<u32>>> {
+        (0..index.len())
+            .map(|node| {
+                (0..index.layer_count(node))
+                    .map(|l| index.neighbors(node, l).to_vec())
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn high_recall_on_clustered_data() {
         let data = clustered(8, 50, 16, 1);
@@ -659,7 +849,7 @@ mod tests {
         let cfg = HnswConfig::default();
         let a = HnswIndex::build(&data, Metric::Cosine, &cfg);
         let b = HnswIndex::build(&data, Metric::Cosine, &cfg);
-        assert_eq!(a.links, b.links, "same seed must give identical graphs");
+        assert_eq!(links(&a), links(&b), "same seed must give identical graphs");
         assert_eq!(a.entry, b.entry);
         for node in [0usize, 17, 63, 119] {
             assert_eq!(
@@ -678,7 +868,7 @@ mod tests {
         let serial = HnswIndex::build(&data, Metric::Cosine, &cfg);
         pool::set_num_threads(4);
         let pooled = HnswIndex::build(&data, Metric::Cosine, &cfg);
-        assert_eq!(serial.links, pooled.links);
+        assert_eq!(links(&serial), links(&pooled));
         assert_eq!(serial.entry, pooled.entry);
         assert_eq!(serial.max_layer, pooled.max_layer);
     }
@@ -794,7 +984,7 @@ mod tests {
             other.remove(id);
         }
         other.compact();
-        assert_eq!(index.links, other.links);
+        assert_eq!(links(&index), links(&other));
         assert_eq!(index.entry, other.entry);
     }
 
@@ -822,6 +1012,129 @@ mod tests {
     }
 
     #[test]
+    fn update_revives_an_id_compact_unwired() {
+        let data = clustered(4, 30, 8, 8);
+        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        assert!(index.remove(5) && index.remove(6));
+        index.compact();
+        assert_eq!(index.ghosts(), 0);
+        assert_eq!(index.layer_count(5), 0, "compact unwires tombstones");
+        // Reviving an unwired id wires it back in and it serves again.
+        index.update(5, data.row(5));
+        assert_eq!(index.ghosts(), 0);
+        assert!(!index.is_deleted(5) && index.is_deleted(6));
+        assert_eq!(index.live(), data.rows() - 1);
+        assert_eq!(index.layer_count(5), usize::from(index.levels[5]) + 1);
+        let hits = index.search(data.row(5), 1, 64, None);
+        assert_eq!(hits[0].0, 5);
+        assert!((hits[0].1 - 1.0).abs() < 1e-12);
+
+        // An index compacted down to no live node is rooted again by its
+        // first write, a revival or an insert, and grows from there.
+        for revive_first in [true, false] {
+            let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+            for id in 0..data.rows() {
+                index.remove(id);
+            }
+            index.compact();
+            assert!(index.search(data.row(0), 3, 16, None).is_empty());
+            let id = data.rows();
+            if revive_first {
+                index.update(9, data.row(9));
+                assert_eq!(index.entry, 9);
+                assert_eq!(index.insert(data.row(10)), id);
+            } else {
+                assert_eq!(index.insert(data.row(10)), id);
+                assert_eq!(index.entry as usize, id);
+                index.update(9, data.row(9));
+            }
+            let hits = index.search(data.row(10), 2, 16, None);
+            let ids: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, vec![id, 9], "revive first: {revive_first}");
+        }
+    }
+
+    /// Mean hops per search and mean recall@10 against the exact scan over
+    /// the nodes `deleted` leaves live, for node queries on every 10th live
+    /// node.
+    fn hops_and_recall(
+        index: &HnswIndex,
+        data: &DenseMatrix,
+        deleted: &[bool],
+        ef: usize,
+    ) -> (f64, f64) {
+        let store = EmbeddingStore::with_tombstones(data.clone(), None, Some(deleted.to_vec()));
+        let queries: Vec<usize> = (0..data.rows())
+            .step_by(10)
+            .map(|q| q + 1)
+            .filter(|&q| !deleted[q])
+            .collect();
+        let (mut hops, mut recall) = (0u64, 0.0);
+        for &q in &queries {
+            let approx = index.search_hops(data.row(q), 10, ef, Some(q), &mut hops);
+            recall += recall_at_k(&store.top_k_node(q, 10, Metric::Cosine), &approx);
+        }
+        let n = queries.len() as f64;
+        (hops as f64 / n, recall / n)
+    }
+
+    #[test]
+    fn tombstones_cost_hops_not_beam_width() {
+        let data = clustered(20, 100, 16, 12);
+        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let clean = vec![false; data.rows()];
+        let mut deleted = clean.clone();
+        let before: Vec<(f64, f64)> = [64, 128]
+            .iter()
+            .map(|&ef| hops_and_recall(&index, &data, &clean, ef))
+            .collect();
+        for id in (0..data.rows()).step_by(5) {
+            assert!(index.remove(id));
+            deleted[id] = true;
+        }
+        assert_eq!(index.ghosts(), data.rows() / 5);
+        for (&ef, &(hops_before, _)) in [64, 128].iter().zip(&before) {
+            let (hops, recall) = hops_and_recall(&index, &data, &deleted, ef);
+            assert!(
+                hops <= 1.5 * hops_before,
+                "ef {ef}: {hops:.1} hops a search with tombstones, {hops_before:.1} without"
+            );
+            assert!(recall >= 0.95, "ef {ef}: live recall@10 = {recall}");
+        }
+    }
+
+    #[test]
+    fn searches_end_when_tombstones_starve_the_beam() {
+        let data = clustered(1, 60, 8, 13);
+        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        // Fewer live nodes than `ef`: the walk runs out of frontier and
+        // returns every live node, best first.
+        let live = [3usize, 17, 29, 41, 58];
+        for id in (0..data.rows()).filter(|id| !live.contains(id)) {
+            index.remove(id);
+        }
+        // Each layer's walk expands a node at most once.
+        let bound = (index.max_layer + 1) * data.rows();
+        let mut hops = 0;
+        let hits = index.search_hops(data.row(3), 10, 32, None, &mut hops);
+        let mut ids: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
+        assert_eq!(hits[0].0, 3);
+        ids.sort_unstable();
+        assert_eq!(ids, live);
+        assert!(hops as usize <= bound, "{hops} hops, {bound} node-layers");
+
+        // Every node tombstoned: nothing to return, and the walk still ends.
+        for &id in &live {
+            index.remove(id);
+        }
+        let mut hops = 0;
+        assert!(index
+            .search_hops(data.row(3), 10, 32, None, &mut hops)
+            .is_empty());
+        assert!(hops as usize <= bound, "{hops} hops, {bound} node-layers");
+    }
+
+    #[test]
     fn single_node_index_survives_incremental_ops() {
         let one = DenseMatrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
         let mut idx = HnswIndex::build(&one, Metric::Cosine, &HnswConfig::default());
@@ -835,6 +1148,186 @@ mod tests {
         let hits = idx.search(&[0.0, 1.0, 0.0], 2, 10, None);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 1);
+    }
+
+    /// Fixture of the built graph: `tests/hnsw_graph.txt`, one section per
+    /// SIMD dispatch (the similarities that pick each link round
+    /// differently under the FMA kernels). Each state of a scripted
+    /// sequence — build, insert, update, remove, revive, compact, and more
+    /// writes after the compaction — records every node's links per layer
+    /// in stored order, the entry point and the top layer, and on the
+    /// states without a wired tombstone, the ids and score bits of a fixed
+    /// set of searches. `ANECI_REGEN_GOLDEN=1` rewrites the current
+    /// dispatch's section; record the scalar one first, because the
+    /// default run's child compares against it:
+    ///
+    /// ```sh
+    /// ANECI_REGEN_GOLDEN=1 ANECI_NO_SIMD=1 cargo test -q -p aneci-serve --lib graph_matches_fixture
+    /// ANECI_REGEN_GOLDEN=1 cargo test -q -p aneci-serve --lib graph_matches_fixture
+    /// ```
+    fn graph_fixture_lines() -> String {
+        fn dump(out: &mut String, state: &str, index: &HnswIndex, data: &DenseMatrix) {
+            use std::fmt::Write as _;
+            let tag = if aneci_linalg::simd::avx2_active() {
+                "avx2"
+            } else {
+                "scalar"
+            };
+            for node in 0..index.len() {
+                let layers: Vec<String> = (0..index.layer_count(node))
+                    .map(|l| {
+                        let ids: Vec<String> = index
+                            .neighbors(node, l)
+                            .iter()
+                            .map(u32::to_string)
+                            .collect();
+                        ids.join(",")
+                    })
+                    .collect();
+                writeln!(out, "{tag} {state} node {node} {}", layers.join("|")).unwrap();
+            }
+            writeln!(
+                out,
+                "{tag} {state} entry {} max_layer {}",
+                index.entry, index.max_layer
+            )
+            .unwrap();
+            // Searches only where no tombstone is wired in: with one, the
+            // layer-0 beam is free to differ between implementations.
+            if index.ghosts() > 0 {
+                return;
+            }
+            let free: Vec<f64> = data.row(1).iter().map(|x| 0.5 - x).collect();
+            let queries = (0..index.len())
+                .step_by(23)
+                .filter(|&q| !index.is_deleted(q))
+                .map(|q| (data.row(q), Some(q)))
+                .chain([(&free[..], None)]);
+            for (query, exclude) in queries {
+                let hits: Vec<String> = index
+                    .search(query, 6, 12, exclude)
+                    .iter()
+                    .map(|&(id, score)| format!("{id}:{:016x}", score.to_bits()))
+                    .collect();
+                let q = exclude.map_or("free".to_string(), |q| q.to_string());
+                writeln!(out, "{tag} {state} search {q} {}", hits.join(",")).unwrap();
+            }
+        }
+
+        let data = clustered(5, 28, 8, 41);
+        let config = HnswConfig {
+            m: 4,
+            ef_construction: 24,
+            seed: 9,
+        };
+        let mut out = String::new();
+        let full = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        dump(&mut out, "build_m16", &full, &data);
+
+        let head = DenseMatrix::from_fn(120, 8, |r, c| data.get(r, c));
+        let mut index = HnswIndex::build(&head, Metric::Cosine, &config);
+        dump(&mut out, "build", &index, &data);
+        for r in 120..data.rows() {
+            index.insert(data.row(r));
+        }
+        dump(&mut out, "insert", &index, &data);
+        let entry = index.entry as usize;
+        for (id, from) in [(entry, 7), (3, 90), (77, 130), (119, 2), (135, 64)] {
+            index.update(id, data.row(from));
+        }
+        dump(&mut out, "update", &index, &data);
+        for id in (1..data.rows()).step_by(6) {
+            index.remove(id);
+        }
+        dump(&mut out, "remove", &index, &data);
+        index.update(7, data.row(8));
+        index.update(61, data.row(61));
+        dump(&mut out, "revive", &index, &data);
+        index.compact();
+        dump(&mut out, "compact", &index, &data);
+        for r in [4, 50, 99] {
+            let v: Vec<f64> = data.row(r).iter().map(|x| x * 1.5 + 0.25).collect();
+            index.insert(&v);
+        }
+        index.update(10, data.row(11));
+        index.update(index.entry as usize, data.row(100));
+        dump(&mut out, "after_compact", &index, &data);
+        out
+    }
+
+    fn graph_fixture_path() -> String {
+        format!("{}/tests/hnsw_graph.txt", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    /// Held by both fixture tests, so a regenerating run never rewrites the
+    /// file while the scalar child reads it.
+    static GRAPH_FIXTURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn graph_matches_fixture() {
+        let _guard = GRAPH_FIXTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let got = graph_fixture_lines();
+        let path = graph_fixture_path();
+        let file = std::fs::read_to_string(&path).unwrap_or_default();
+        let dispatch = got.split(' ').next().unwrap_or_default().to_string();
+        let section = format!("{dispatch} ");
+        if std::env::var_os("ANECI_REGEN_GOLDEN").is_some() {
+            let mut lines: Vec<&str> = file
+                .lines()
+                .filter(|l| !l.starts_with(&section))
+                .chain(got.lines())
+                .collect();
+            lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps state order
+            std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+            return;
+        }
+        let want: Vec<&str> = file.lines().filter(|l| l.starts_with(&section)).collect();
+        assert!(
+            !want.is_empty(),
+            "no fixture section for the {dispatch} dispatch; record it with ANECI_REGEN_GOLDEN=1"
+        );
+        let got: Vec<&str> = got.lines().collect();
+        let moved: Vec<String> = want
+            .iter()
+            .zip(&got)
+            .filter(|(w, g)| w != g)
+            .take(8)
+            .map(|(w, g)| format!("  want {w}\n  got  {g}"))
+            .collect();
+        assert!(
+            moved.is_empty() && want.len() == got.len(),
+            "the graph left the fixture ({} lines wanted, {} got):\n{}",
+            want.len(),
+            got.len(),
+            moved.join("\n")
+        );
+    }
+
+    #[test]
+    fn scalar_dispatch_matches_graph_fixture() {
+        let _guard = GRAPH_FIXTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        if !aneci_linalg::simd::avx2_active() {
+            // This process already compares the scalar section.
+            return;
+        }
+        // Dispatch latches on first use, so the scalar section needs a
+        // child started with the fallback forced. It only compares.
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--exact", "hnsw::tests::graph_matches_fixture"])
+            .env("ANECI_NO_SIMD", "1")
+            .env_remove("ANECI_REGEN_GOLDEN")
+            .output()
+            .expect("spawn the scalar-dispatch child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "scalar-dispatch child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("1 passed"),
+            "the child ran other than the fixture test:\n{stdout}"
+        );
     }
 
     #[test]

@@ -12,11 +12,21 @@
 //! * **edge scores** through [`aneci_eval::linkpred::edge_score`] — the same
 //!   function the evaluation harness uses, so a link-prediction score served
 //!   online always equals the offline one.
+//!
+//! A snapshot update derives the next store with `EmbeddingStore::patched`:
+//! it copies the embedding, the norms and the tombstone mask, recomputes
+//! norms only for the rows the update writes, and shares the membership,
+//! its argmax and the anomaly scores with the previous generation (behind
+//! `Arc`s) unless the update appends rows.
+
+use std::sync::Arc;
 
 use aneci_core::checkpoint::Checkpoint;
 use aneci_linalg::pool;
 use aneci_linalg::vector;
 use aneci_linalg::DenseMatrix;
+
+use crate::snapshot::SnapshotUpdate;
 
 /// Similarity metric for neighbor queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,9 +65,9 @@ pub struct EmbeddingStore {
     embedding: DenseMatrix,
     /// Cached per-row L2 norms (for cosine scoring).
     norms: Vec<f64>,
-    membership: Option<DenseMatrix>,
+    membership: Option<Arc<DenseMatrix>>,
     /// Cached argmax of each membership row.
-    communities: Option<Vec<usize>>,
+    communities: Option<Arc<Vec<usize>>>,
     /// Tombstone mask (`None` = nothing deleted). Tombstoned rows keep
     /// their id (so client-visible ids stay stable across snapshot swaps)
     /// but are filtered from every top-k result.
@@ -65,7 +75,7 @@ pub struct EmbeddingStore {
     /// Per-node anomaly scores in `[0, 1]` (`None` = not scored). Carried
     /// in every snapshot so the engine's poisoned-neighborhood detector can
     /// flag top-k responses whose mass concentrates on anomalous nodes.
-    anomaly: Option<Vec<f64>>,
+    anomaly: Option<Arc<Vec<f64>>>,
 }
 
 impl EmbeddingStore {
@@ -96,16 +106,93 @@ impl EmbeddingStore {
             );
         }
         let norms = embedding.rows_iter().map(vector::norm2).collect();
-        let communities = membership.as_ref().map(|m| m.argmax_rows());
+        let communities = membership.as_ref().map(|m| Arc::new(m.argmax_rows()));
         // An all-false mask is the same as no mask, and cheaper to query.
         let deleted = deleted.filter(|d| d.iter().any(|&x| x));
         Self {
             embedding,
             norms,
-            membership,
+            membership: membership.map(Arc::new),
             communities,
             deleted,
             anomaly: None,
+        }
+    }
+
+    /// The store after `update`, which the caller has validated: every
+    /// vector has the store's dimension, appends are contiguous and every
+    /// delete names a row that exists after the upserts. Upserts write
+    /// their rows in order (reviving tombstoned ids), then deletes
+    /// tombstone theirs.
+    ///
+    /// Equal, field for field and bit for bit, to the store
+    /// [`Self::with_tombstones`] builds from scratch for the same state
+    /// (appended membership rows zero, appended anomaly scores 0), but only
+    /// the rows the update writes get a fresh norm, and an update that
+    /// appends nothing shares the membership, its argmax and the anomaly
+    /// scores with `self` instead of copying them.
+    pub(crate) fn patched(&self, update: &SnapshotUpdate) -> Self {
+        let dim = self.dim();
+        let old_rows = self.num_nodes();
+        let rows = update
+            .upserts
+            .iter()
+            .fold(old_rows, |rows, up| rows.max(up.node + 1));
+        let appended = rows - old_rows;
+
+        let mut data = Vec::with_capacity(rows * dim);
+        data.extend_from_slice(self.embedding.as_slice());
+        data.resize(rows * dim, 0.0);
+        let mut deleted = match &self.deleted {
+            Some(d) => d.clone(),
+            None => vec![false; old_rows],
+        };
+        deleted.resize(rows, false);
+        for up in &update.upserts {
+            data[up.node * dim..(up.node + 1) * dim].copy_from_slice(&up.vector);
+            deleted[up.node] = false; // an upsert revives a tombstoned id
+        }
+        for &d in &update.deletes {
+            deleted[d] = true;
+        }
+        let embedding = DenseMatrix::from_vec(rows, dim, data);
+        let mut norms = self.norms.clone();
+        norms.resize(rows, 0.0);
+        for up in &update.upserts {
+            norms[up.node] = vector::norm2(embedding.row(up.node));
+        }
+
+        // Appended nodes are unassigned (zero membership rows) and start
+        // unsuspicious (score 0) until the model is retrained.
+        let (membership, communities) = match (&self.membership, &self.communities) {
+            (Some(m), Some(c)) if appended > 0 => {
+                let mut md = Vec::with_capacity(rows * m.cols());
+                md.extend_from_slice(m.as_slice());
+                md.resize(rows * m.cols(), 0.0);
+                let mut c = c.to_vec();
+                c.extend(DenseMatrix::zeros(appended, m.cols()).argmax_rows());
+                (
+                    Some(Arc::new(DenseMatrix::from_vec(rows, m.cols(), md))),
+                    Some(Arc::new(c)),
+                )
+            }
+            (m, c) => (m.clone(), c.clone()),
+        };
+        let anomaly = self.anomaly.as_ref().map(|a| {
+            if appended == 0 {
+                return Arc::clone(a);
+            }
+            let mut a = a.to_vec();
+            a.resize(rows, 0.0);
+            Arc::new(a)
+        });
+        Self {
+            embedding,
+            norms,
+            membership,
+            communities,
+            deleted: Some(deleted).filter(|d| d.iter().any(|&x| x)),
+            anomaly,
         }
     }
 
@@ -118,13 +205,13 @@ impl EmbeddingStore {
             self.embedding.rows(),
             "anomaly scores must cover every embedded node"
         );
-        self.anomaly = Some(scores);
+        self.anomaly = Some(Arc::new(scores));
         self
     }
 
     /// Per-node anomaly scores, when the store carries them.
     pub fn anomaly_scores(&self) -> Option<&[f64]> {
-        self.anomaly.as_deref()
+        self.anomaly.as_deref().map(Vec::as_slice)
     }
 
     /// Builds a store straight from a loaded checkpoint. The checkpointed
@@ -164,7 +251,7 @@ impl EmbeddingStore {
 
     /// The stored soft-membership matrix, when available.
     pub fn membership(&self) -> Option<&DenseMatrix> {
-        self.membership.as_ref()
+        self.membership.as_deref()
     }
 
     /// Embedding dimensionality.
@@ -456,12 +543,142 @@ mod tests {
         assert_eq!(clean.num_live(), n);
     }
 
+    /// Asserts that `a` and `b` hold the same fields, bit for bit.
+    fn assert_same_store(a: &EmbeddingStore, b: &EmbeddingStore, step: usize) {
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        let matrix = |m: &DenseMatrix| (m.rows(), m.cols(), bits(m.as_slice()));
+        let EmbeddingStore {
+            embedding,
+            norms,
+            membership,
+            communities,
+            deleted,
+            anomaly,
+        } = a;
+        assert_eq!(
+            matrix(embedding),
+            matrix(&b.embedding),
+            "step {step}: embedding"
+        );
+        assert_eq!(bits(norms), bits(&b.norms), "step {step}: norms");
+        assert_eq!(
+            membership.as_deref().map(matrix),
+            b.membership.as_deref().map(matrix),
+            "step {step}: membership"
+        );
+        assert_eq!(communities, &b.communities, "step {step}: communities");
+        assert_eq!(deleted, &b.deleted, "step {step}: tombstone mask");
+        assert_eq!(
+            anomaly.as_deref().map(|s| bits(s)),
+            b.anomaly.as_deref().map(|s| bits(s)),
+            "step {step}: anomaly scores"
+        );
+    }
+
+    #[test]
+    fn patched_store_equals_a_fresh_build_of_the_same_state() {
+        let (n, d) = (30, 5);
+        let z = gaussian_matrix(n, d, 1.0, &mut seeded_rng(21));
+        let p = z.softmax_rows();
+        let vector = |node: usize, step: usize| -> Vec<f64> {
+            (0..d)
+                .map(|c| ((node * d + c + step) % 11) as f64 * 0.37 - 1.5)
+                .collect()
+        };
+        // Rewrites; appends with a rewrite and deletes (one of an appended
+        // id); revivals beside a delete; revivals that leave every id live.
+        let updates = [
+            SnapshotUpdate::new()
+                .upsert(3, vector(3, 0))
+                .upsert(5, vector(5, 0))
+                .upsert(3, vector(3, 1)),
+            SnapshotUpdate::new()
+                .upsert(30, vector(30, 1))
+                .upsert(31, vector(31, 1))
+                .upsert(2, vector(2, 1))
+                .delete(7)
+                .delete(8)
+                .delete(31),
+            SnapshotUpdate::new().upsert(7, vector(7, 2)).delete(0),
+            SnapshotUpdate::new()
+                .upsert(8, vector(8, 3))
+                .upsert(0, vector(0, 3))
+                .upsert(31, vector(31, 3)),
+        ];
+        for scored in [true, false] {
+            let scores: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+            let mut store = if scored {
+                EmbeddingStore::new(z.clone(), Some(p.clone())).with_anomaly_scores(scores.clone())
+            } else {
+                EmbeddingStore::new(z.clone(), None)
+            };
+            // The state a fresh build starts from.
+            let mut embedding = z.as_slice().to_vec();
+            let mut membership = p.as_slice().to_vec();
+            let mut anomaly = scores;
+            let mut deleted = vec![false; n];
+            for (step, update) in updates.iter().enumerate() {
+                let next = store.patched(update);
+                for up in &update.upserts {
+                    if up.node == deleted.len() {
+                        embedding.resize(embedding.len() + d, 0.0);
+                        membership.resize(membership.len() + p.cols(), 0.0);
+                        anomaly.push(0.0);
+                        deleted.push(false);
+                    }
+                    embedding[up.node * d..(up.node + 1) * d].copy_from_slice(&up.vector);
+                    deleted[up.node] = false;
+                }
+                for &id in &update.deletes {
+                    deleted[id] = true;
+                }
+                let rows = deleted.len();
+                let fresh = EmbeddingStore::with_tombstones(
+                    DenseMatrix::from_vec(rows, d, embedding.clone()),
+                    scored.then(|| DenseMatrix::from_vec(rows, p.cols(), membership.clone())),
+                    Some(deleted.clone()),
+                );
+                let fresh = if scored {
+                    fresh.with_anomaly_scores(anomaly.clone())
+                } else {
+                    fresh
+                };
+                assert_same_store(&next, &fresh, step);
+                if scored {
+                    // Without an append, the next generation shares them.
+                    let shared = rows == store.num_nodes();
+                    let same = |a: &EmbeddingStore, b: &EmbeddingStore| {
+                        (
+                            Arc::ptr_eq(
+                                a.membership.as_ref().unwrap(),
+                                b.membership.as_ref().unwrap(),
+                            ),
+                            Arc::ptr_eq(
+                                a.communities.as_ref().unwrap(),
+                                b.communities.as_ref().unwrap(),
+                            ),
+                            Arc::ptr_eq(a.anomaly.as_ref().unwrap(), b.anomaly.as_ref().unwrap()),
+                        )
+                    };
+                    assert_eq!(same(&next, &store), (shared, shared, shared), "step {step}");
+                }
+                store = next;
+            }
+            assert!(
+                store.deleted_mask().is_none(),
+                "an all-live mask collapses to none"
+            );
+        }
+    }
+
     #[test]
     fn zero_membership_rows_report_unassigned() {
         let s = store(10, 4, 7);
         assert!(s.community(3).is_some());
         // Rebuild with node 3's membership zeroed (an appended node).
-        let mut m = s.membership.clone().unwrap();
+        let mut m = s.membership().unwrap().clone();
         m.row_mut(3).fill(0.0);
         let s2 = EmbeddingStore::new(s.embedding.clone(), Some(m));
         assert_eq!(s2.community(3), None);
