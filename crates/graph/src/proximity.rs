@@ -86,8 +86,10 @@ impl HighOrder {
     /// Dirty rows are recomputed with the same full-width row slab
     /// [`RowStore::cut`] uses (per-row Gustavson expansion is
     /// row-local, so a clean row's value stream never changes) and spliced
-    /// into the retained matrix in one O(nnz) compact. The result — `Ã`,
-    /// `k̃`, and `M̃` — is **bit-identical** to a from-scratch
+    /// with the retained rows by the assembler it uses,
+    /// [`CsrMatrix::stack_restricted`], over all `n` columns; `k̃` and `M̃`
+    /// are then summed afresh from the spliced `Ã`. The result is
+    /// **bit-identical** to a from-scratch
     /// [`HighOrder::build`] of the new adjacency (pinned by
     /// `tests/dynamic_graph.rs`). `self` must hold the pre-delta proximity
     /// built with the same `config`; appended node rows are new by
@@ -154,31 +156,22 @@ impl HighOrder {
         let dirty: Vec<usize> = (0..n).filter(|&i| visited[i]).collect();
 
         // Recompute the dirty rows at full column width, then splice them
-        // into the retained rows in one compact pass.
+        // into the retained rows with the assembler `RowStore::cut` uses,
+        // keeping all `n` columns.
         let base = adjacency.add_identity();
         let slab = power_sum(&base, config, base.gather_rows(&dirty));
-        let nnz = self.a_tilde.nnz() + slab.nnz();
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices: Vec<u32> = Vec::with_capacity(nnz);
-        let mut values: Vec<f64> = Vec::with_capacity(nnz);
-        indptr.push(0usize);
-        let mut di = 0usize;
-        for (r, &dirty_row) in visited.iter().enumerate() {
-            if dirty_row {
-                for (c, v) in slab.row_entries(di) {
-                    indices.push(c as u32);
-                    values.push(v);
+        let mut fresh = 0..dirty.len();
+        let rows: Vec<(&[u32], &[f64])> = (0..n)
+            .map(|r| {
+                if visited[r] {
+                    slab.row(fresh.next().expect("a slab row per dirty row"))
+                } else {
+                    self.a_tilde.row(r)
                 }
-                di += 1;
-            } else {
-                for (c, v) in self.a_tilde.row_entries(r) {
-                    indices.push(c as u32);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        *self = Self::from_a_tilde(CsrMatrix::from_raw(n, n, indptr, indices, values));
+            })
+            .collect();
+        let all: Vec<usize> = (0..n).collect();
+        *self = Self::from_a_tilde(CsrMatrix::stack_restricted(n, &all, &rows));
         aneci_obs::counter("refresh.rows").add(dirty.len() as u64);
         dirty.len()
     }

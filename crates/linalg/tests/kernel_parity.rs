@@ -1,6 +1,8 @@
 //! Parity suite: every pooled kernel must match its serial counterpart to
 //! 1e-10 (bit-identical where the docs promise it) across adversarial
 //! shapes — 1×N, N×1, empty rows, prime row counts, all-zero sparse rows.
+//! The products' counterparts are the oracles in `aneci_linalg::reference`,
+//! the ones the unit tests and `bench_report --kernels` use.
 //!
 //! `force_pool` drops the pool threshold to 1 and guarantees ≥4 threads, so
 //! every kernel here genuinely takes the pooled path even on small inputs
@@ -13,7 +15,7 @@
 //! forcing the fallback on AVX2-capable machines.
 
 use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
-use aneci_linalg::{pool, simd, vector};
+use aneci_linalg::{pool, reference, simd, vector};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
 
 const TOL: f64 = 1e-10;
@@ -47,13 +49,6 @@ fn sparse(rows: usize, cols: usize, seed: usize) -> CsrMatrix {
     CsrMatrix::from_triplets(rows, cols, &trips)
 }
 
-/// Naive serial dense product, independent of the library kernels.
-fn matmul_ref(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    DenseMatrix::from_fn(a.rows(), b.cols(), |r, c| {
-        (0..a.cols()).map(|k| a.get(r, k) * b.get(k, c)).sum()
-    })
-}
-
 #[test]
 fn matmul_parity_adversarial_shapes() {
     pool::force_pool();
@@ -69,7 +64,7 @@ fn matmul_parity_adversarial_shapes() {
         let a = dense(m, k, 1);
         let b = dense(k, n, 2);
         let pooled = a.matmul(&b);
-        let serial = matmul_ref(&a, &b);
+        let serial = reference::matmul(&a, &b);
         assert!(
             pooled.sub(&serial).max_abs() < TOL,
             "matmul parity failed at {m}x{k}x{n}"
@@ -84,7 +79,7 @@ fn matmul_tn_parity() {
         let a = dense(m, k, 3);
         let b = dense(m, n, 4);
         let pooled = a.matmul_tn(&b);
-        let serial = matmul_ref(&a.transpose(), &b);
+        let serial = reference::matmul_tn(&a, &b);
         assert!(
             pooled.sub(&serial).max_abs() < TOL,
             "matmul_tn parity failed at ({m}){k}x{n}"
@@ -99,7 +94,7 @@ fn spmm_dense_parity_with_empty_rows() {
         let s = sparse(m, n, 5);
         let x = dense(n, d, 6);
         let pooled = s.spmm_dense(&x);
-        let serial = matmul_ref(&s.to_dense(), &x);
+        let serial = reference::spmm_dense(&s, &x);
         assert!(
             pooled.sub(&serial).max_abs() < TOL,
             "spmm_dense parity failed at {m}x{n}x{d}"
@@ -143,7 +138,7 @@ fn sparse_spmm_parity() {
         let a = sparse(m, k, 7);
         let b = sparse(k, n, 8);
         let pooled = a.spmm(&b);
-        let serial = matmul_ref(&a.to_dense(), &b.to_dense());
+        let serial = reference::spmm_dense(&a, &b.to_dense());
         assert!(
             pooled.to_dense().sub(&serial).max_abs() < TOL,
             "sparse spmm parity failed at {m}x{k}x{n}"

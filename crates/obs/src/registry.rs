@@ -513,55 +513,6 @@ impl Snapshot {
         out.push_str("\n  }\n}\n");
         out
     }
-
-    /// Human-readable summary, aligned into sections.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            let w = self
-                .counters
-                .iter()
-                .map(|(n, _)| n.len())
-                .max()
-                .unwrap_or(0);
-            for (n, v) in &self.counters {
-                out.push_str(&format!("  {n:<w$}  {v}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            let w = self.gauges.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-            for (n, v) in &self.gauges {
-                out.push_str(&format!("  {n:<w$}  {v:.6}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            let w = self
-                .histograms
-                .iter()
-                .map(|(n, _)| n.len())
-                .max()
-                .unwrap_or(0);
-            for (n, h) in &self.histograms {
-                let percentiles = match (h.p50(), h.p95(), h.p99()) {
-                    (Some(p50), Some(p95), Some(p99)) => {
-                        format!("p50={p50:<12.4} p95={p95:<12.4} p99={p99:<12.4} ")
-                    }
-                    _ => String::new(),
-                };
-                out.push_str(&format!(
-                    "  {n:<w$}  n={:<8} mean={:<12.4} {percentiles}min={:<12.4} max={:.4}\n",
-                    h.count,
-                    h.mean(),
-                    h.min,
-                    h.max,
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -676,9 +627,8 @@ mod tests {
         assert_eq!(hs.max, 4.0);
         assert!((hs.mean() - 0.0).abs() < 1e-12);
         assert_eq!((hs.p50(), hs.p95(), hs.p99()), (None, None, None));
-        for dump in [snap.to_json(), snap.render()] {
-            assert!(dump.contains("mean") && !dump.contains("p50"), "{dump}");
-        }
+        let json = snap.to_json();
+        assert!(json.contains("mean") && !json.contains("p50"), "{json}");
         // A bucketed histogram still reports them.
         reg.histogram_with("lat", &[1.0, 2.0]).observe(1.5);
         let snap = reg.snapshot();
@@ -756,9 +706,6 @@ mod tests {
             json.matches('}').count(),
             "balanced braces:\n{json}"
         );
-        let rendered = snap.render();
-        assert!(rendered.contains("c.one"));
-        assert!(rendered.contains("h.three"));
     }
 
     #[test]
