@@ -1107,28 +1107,8 @@ mod tests {
             let pairs = cycled_pairs(64 * 1200, 300);
             assert_pair_bce_matches(&p0, &pairs, 40_000, &format!("threshold {threshold}, long"));
         }
-        if !aneci_linalg::simd::avx2_active() {
-            return;
-        }
-        // Dispatch latches on first use, so the scalar backward needs a
-        // child started with the fallback forced.
-        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-            .args([
-                "--exact",
-                "tape::tests::pair_bce_matches_recompute_reference_bit_exactly",
-            ])
-            .env("ANECI_NO_SIMD", "1")
-            .output()
-            .expect("spawn the scalar-dispatch child");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "scalar-dispatch child failed:\n{stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            stdout.contains("1 passed"),
-            "the child ran other than this test:\n{stdout}"
+        aneci_linalg::golden::rerun_scalar(
+            "tape::tests::pair_bce_matches_recompute_reference_bit_exactly",
         );
     }
 

@@ -235,7 +235,9 @@ pub fn run() -> Report {
         .collect();
     let post_churn_recall = recalls.iter().sum::<f64>() / recalls.len().max(1) as f64;
 
-    let [p25, p50, p75, p99] = [0.25, 0.50, 0.75, 0.99].map(|p| reindex_ms.percentile(p));
+    // The slowest reindex is the tail figure: over so few samples, a
+    // nearest-rank p99 is that same sample.
+    let [p25, p50, p75, max] = [0.25, 0.50, 0.75, 1.0].map(|p| reindex_ms.percentile(p));
     println!(
         "  deltas  {deltas_per_sec:>9.0} deltas/s   refresh {refresh_rows_per_sec:>9.0} rows/s \
          over {rounds} single-edge deltas ({refreshed_rows} rows), bit-exact: {refresh_bit_exact}"
@@ -246,7 +248,7 @@ pub fn run() -> Report {
     );
     println!(
         "  swap    pause p50 {:.1} us, p99 {swap_pause_p99_us:.1} us over {} pins; \
-         reindex p25 {p25:.1}, p50 {p50:.1}, p75 {p75:.1}, p99 {p99:.1} ms",
+         reindex p25 {p25:.1}, p50 {p50:.1}, p75 {p75:.1}, max {max:.1} ms",
         pins_us.percentile(0.50),
         pins_us.sorted().len(),
     );
@@ -304,7 +306,7 @@ pub fn run() -> Report {
             "reindex_p25_ms": p25,
             "reindex_p50_ms": p50,
             "reindex_p75_ms": p75,
-            "reindex_p99_ms": p99,
+            "reindex_max_ms": max,
             "queries_ok": ok,
             "queries_dropped": dropped,
             "query": {

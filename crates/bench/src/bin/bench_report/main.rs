@@ -27,7 +27,8 @@
 //!
 //! Run with `cargo run --release -p aneci-bench --bin bench_report
 //! [-- --kernels | -- --scale [N] | -- --dynamic | -- --robust | -- --all]`;
-//! no argument means `--kernels`, and any other argument exits 2 with usage.
+//! no argument means `--kernels`, and any other argument, or a `--scale`
+//! cap below the smallest tier (10k nodes), exits 2 with usage.
 //! `ANECI_NUM_THREADS` caps the pooled measurements as usual;
 //! `ANECI_NO_SIMD=1` forces the scalar fallback (the header then records
 //! `"avx2": false`, and the SIMD rows are not gated).
@@ -120,20 +121,47 @@ struct Run {
     avx2: bool,
 }
 
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Kernels,
+    Dynamic,
+    Robust,
+    All,
+    /// `--scale`, capped at this many nodes.
+    Scale(usize),
+}
+
+fn parse_args(args: &[&str]) -> Result<Command, String> {
+    Ok(match args {
+        [] | ["--kernels"] => Command::Kernels,
+        ["--dynamic"] => Command::Dynamic,
+        ["--robust"] => Command::Robust,
+        ["--all"] => Command::All,
+        ["--scale"] => Command::Scale(scale::TIERS[2]),
+        ["--scale", max_nodes] => match max_nodes.parse::<usize>() {
+            Ok(n) if n >= scale::TIERS[0] => Command::Scale(n),
+            _ => {
+                let smallest = scale::TIERS[0];
+                return Err(format!(
+                    "--scale takes a node count of at least {smallest}, got `{max_nodes}`"
+                ));
+            }
+        },
+        _ => return Err(format!("unknown arguments: {}", args.join(" "))),
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let code = match args.as_slice() {
-        [] | ["--kernels"] => run_suite("kernels", kernels::run),
-        ["--dynamic"] => run_suite("dynamic", dynamic::run),
-        ["--robust"] => run_suite("robust", robust::run),
-        ["--all"] => run_all_suites(),
-        ["--scale"] => run_suite("scale", || scale::run(1_000_000)),
-        ["--scale", max_nodes] => match max_nodes.parse::<usize>() {
-            Ok(max_nodes) => run_suite("scale", || scale::run(max_nodes)),
-            Err(_) => usage_error(&format!("--scale takes a node count, got `{max_nodes}`")),
-        },
-        _ => usage_error(&format!("unknown arguments: {}", args.join(" "))),
+    let code = match parse_args(&args) {
+        Ok(Command::Kernels) => run_suite("kernels", kernels::run),
+        Ok(Command::Dynamic) => run_suite("dynamic", dynamic::run),
+        Ok(Command::Robust) => run_suite("robust", robust::run),
+        Ok(Command::All) => run_all_suites(),
+        Ok(Command::Scale(max_nodes)) => run_suite("scale", || scale::run(max_nodes)),
+        Err(error) => usage_error(&error),
     };
     std::process::exit(code);
 }
@@ -233,6 +261,31 @@ fn run_all_suites() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arguments_pick_one_suite_or_fail_with_usage() {
+        assert_eq!(parse_args(&[]), Ok(Command::Kernels));
+        assert_eq!(parse_args(&["--kernels"]), Ok(Command::Kernels));
+        assert_eq!(parse_args(&["--dynamic"]), Ok(Command::Dynamic));
+        assert_eq!(parse_args(&["--robust"]), Ok(Command::Robust));
+        assert_eq!(parse_args(&["--all"]), Ok(Command::All));
+        assert_eq!(parse_args(&["--scale"]), Ok(Command::Scale(1_000_000)));
+        assert_eq!(
+            parse_args(&["--scale", "10000"]),
+            Ok(Command::Scale(10_000))
+        );
+        for bad in [
+            &["--scale", "9999"][..],
+            &["--scale", "5000"],
+            &["--scale", "abc"],
+            &["--scale", "-1"],
+            &["--scale", "10000", "--all"],
+            &["--serve"],
+            &["--kernels", "--robust"],
+        ] {
+            assert!(parse_args(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 
     #[test]
     fn samples_percentiles_do_not_depend_on_input_order() {

@@ -17,8 +17,10 @@
 //! * [`reference`](mod@reference) — the plain serial loops of those products and of the
 //!   subgraph extraction: test oracles and the serial legs of
 //!   `bench_report --kernels`, never called by production code;
+//! * [`golden`] — the harness of the bit-for-bit fixture tests (one section
+//!   per SIMD dispatch, the scalar-dispatch rerun); only tests call it;
 //! * [`pool`] — the persistent worker-pool runtime every multi-threaded
-//!   kernel dispatches through (`ANECI_NUM_THREADS` / `ANECI_PAR_THRESHOLD`);
+//!   kernel dispatches through (`ANECI_NUM_THREADS` sizes it);
 //! * [`kernel_stats`] — always-on per-kernel counters recorded into the
 //!   `aneci-obs` global registry (`linalg.kernel.*`);
 //! * [`rng`] — explicit-seed randomness, Xavier/He initializers, alias-table
@@ -31,6 +33,7 @@
 //! * [`sigmoid`] — the logistic function every model and scorer shares.
 
 pub mod dense;
+pub mod golden;
 pub mod kernel_stats;
 pub mod pool;
 pub mod reference;

@@ -19,8 +19,8 @@
 //!   want fewer say so explicitly.
 //! * **Serial threshold.** Kernels consult [`should_parallelize`] with an
 //!   estimate of their scalar work (multiply-adds or element visits); below
-//!   the threshold (default `1 << 17`, overridable via `ANECI_PAR_THRESHOLD`
-//!   or [`set_par_threshold`]) they run serially on the calling thread. The
+//!   the threshold (default `1 << 17`, overridable with
+//!   [`set_par_threshold`]) they run serially on the calling thread. The
 //!   persistent pool makes dispatch cheap (a condvar wake, no spawn), so the
 //!   threshold is an order of magnitude lower than the old per-call-spawn
 //!   value of `1 << 20`.
@@ -80,20 +80,9 @@ pub fn set_par_threshold(work: usize) {
 /// The current serial/parallel work threshold.
 fn par_threshold() -> usize {
     match THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => *env_threshold(),
+        0 => DEFAULT_PAR_THRESHOLD,
         n => n,
     }
-}
-
-fn env_threshold() -> &'static usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("ANECI_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_PAR_THRESHOLD)
-    })
 }
 
 /// Thread count requested by override/env/hardware, ignoring any live pool.

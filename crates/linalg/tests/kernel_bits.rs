@@ -13,29 +13,13 @@
 //! runs pooled (every product chunked, 4 threads) and serial (1 thread,
 //! one chunk).
 //!
-//! A plain run compares the host's dispatch section; on an AVX2 host,
-//! `scalar_dispatch_matches_fixture` reruns the comparison in a child with
-//! `ANECI_NO_SIMD=1`. `ANECI_REGEN_GOLDEN=1` rewrites the current
-//! dispatch's section instead; record the scalar section first, because
-//! the default run's child compares against it:
-//!
-//! ```sh
-//! ANECI_REGEN_GOLDEN=1 ANECI_NO_SIMD=1 cargo test -q -p aneci-linalg --test kernel_bits
-//! ANECI_REGEN_GOLDEN=1 cargo test -q -p aneci-linalg --test kernel_bits
-//! ```
+//! The test reruns itself under the scalar dispatch on an AVX2 host;
+//! `aneci_linalg::golden` holds the protocol that re-records the fixture.
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
 
-use aneci_linalg::{pool, simd, DenseMatrix};
-
-/// Held by both tests, so a regenerating run never rewrites the fixture
-/// while the scalar child reads it.
-static FIXTURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_fixture() -> MutexGuard<'static, ()> {
-    FIXTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use aneci_linalg::golden::{self, Fixture};
+use aneci_linalg::{pool, DenseMatrix};
 
 /// `(m, k, n)`: `matmul` multiplies an `m×k` by a `k×n`; `matmul_tn`
 /// multiplies the transpose of the same `m×k` by an `m×n`.
@@ -89,27 +73,8 @@ fn left(m: usize, k: usize, pattern: &str, binary: bool) -> DenseMatrix {
     })
 }
 
-/// FNV-1a over the bit patterns of every entry, row-major.
-fn bits_hash(m: &DenseMatrix) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in m.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn dispatch() -> &'static str {
-    if simd::avx2_active() {
-        "avx2"
-    } else {
-        "scalar"
-    }
-}
-
-/// The fixture lines of this dispatch: `<dispatch> <mode> <kernel>
-/// <m>x<k>x<n> <pattern> <values> <hash>`.
+/// The fixture lines: `<mode> <kernel> <m>x<k>x<n> <pattern> <values>
+/// <hash>`.
 fn fixture_lines() -> String {
     let mut out = String::new();
     for (mode, threads) in [("pooled", 4), ("serial", 1)] {
@@ -121,12 +86,11 @@ fn fixture_lines() -> String {
             for pattern in PATTERNS {
                 for (values, binary) in [("binary", true), ("real", false)] {
                     let a = left(m, k, pattern, binary);
-                    let tag = format!("{} {mode}", dispatch());
                     let case = format!("{m}x{k}x{n} {pattern} {values}");
-                    let ab = bits_hash(&a.matmul(&b));
-                    let atg = bits_hash(&a.matmul_tn(&g));
-                    writeln!(out, "{tag} matmul {case} {ab:016x}").unwrap();
-                    writeln!(out, "{tag} matmul_tn {case} {atg:016x}").unwrap();
+                    let ab = golden::bits_hash(&a.matmul(&b));
+                    let atg = golden::bits_hash(&a.matmul_tn(&g));
+                    writeln!(out, "{mode} matmul {case} {ab:016x}").unwrap();
+                    writeln!(out, "{mode} matmul_tn {case} {atg:016x}").unwrap();
                 }
             }
         }
@@ -134,72 +98,9 @@ fn fixture_lines() -> String {
     out
 }
 
-fn fixture_path() -> String {
-    format!("{}/tests/kernel_bits.txt", env!("CARGO_MANIFEST_DIR"))
-}
-
 #[test]
 fn dense_products_match_fixture() {
-    let _guard = lock_fixture();
-    let got = fixture_lines();
-    let path = fixture_path();
-    let file = std::fs::read_to_string(&path).unwrap_or_default();
-    let section = format!("{} ", dispatch());
-    if std::env::var_os("ANECI_REGEN_GOLDEN").is_some() {
-        let mut lines: Vec<&str> = file
-            .lines()
-            .filter(|l| !l.starts_with(&section))
-            .chain(got.lines())
-            .collect();
-        lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps case order
-        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
-        return;
-    }
-    let want: Vec<&str> = file.lines().filter(|l| l.starts_with(&section)).collect();
-    assert!(
-        !want.is_empty(),
-        "no fixture section for the {} dispatch; record it with ANECI_REGEN_GOLDEN=1",
-        dispatch()
-    );
-    let got: Vec<&str> = got.lines().collect();
-    let moved: Vec<String> = want
-        .iter()
-        .zip(&got)
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("  want {w}\n  got  {g}"))
-        .collect();
-    assert!(
-        moved.is_empty() && want.len() == got.len(),
-        "{} of {} products left the fixture:\n{}",
-        moved.len(),
-        want.len(),
-        moved.join("\n")
-    );
-}
-
-#[test]
-fn scalar_dispatch_matches_fixture() {
-    let _guard = lock_fixture();
-    if !simd::avx2_active() {
-        // This process already compares the scalar section.
-        return;
-    }
-    // Dispatch latches on first use, so the scalar section needs a child
-    // started with the fallback forced. It only compares.
-    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "dense_products_match_fixture"])
-        .env("ANECI_NO_SIMD", "1")
-        .env_remove("ANECI_REGEN_GOLDEN")
-        .output()
-        .expect("spawn the scalar-dispatch child");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "scalar-dispatch child failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("1 passed"),
-        "the child ran other than the fixture test:\n{stdout}"
-    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/kernel_bits.txt");
+    Fixture::new(path).assert(&fixture_lines());
+    golden::rerun_scalar("dense_products_match_fixture");
 }

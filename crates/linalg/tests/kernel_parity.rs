@@ -11,11 +11,11 @@
 //! The `simd_*` tests at the bottom hold the dispatched vector kernels to
 //! their `*_scalar` references: within the documented ULP envelope when the
 //! AVX2 path is active (FMA + different association), and bit-for-bit when
-//! dispatch falls back — including a subprocess run with `ANECI_NO_SIMD`
-//! forcing the fallback on AVX2-capable machines.
+//! dispatch falls back — including a rerun with `ANECI_NO_SIMD` forcing
+//! the fallback on AVX2-capable machines (`aneci_linalg::golden`).
 
 use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
-use aneci_linalg::{pool, reference, simd, vector};
+use aneci_linalg::{golden, pool, reference, simd, vector};
 use aneci_linalg::{CsrMatrix, DenseMatrix};
 
 const TOL: f64 = 1e-10;
@@ -413,16 +413,12 @@ fn simd_batched_scans_match_scalar() {
     }
 }
 
+/// Under the scalar dispatch every dispatched kernel is bitwise its
+/// reference. On an AVX2 host the test checks that in a rerun with the
+/// fallback forced.
 #[test]
 fn forced_fallback_is_bit_exact() {
-    if std::env::var_os("ANECI_NO_SIMD").is_some() {
-        // Child process (or an environment already forcing the fallback):
-        // dispatch must have resolved to scalar, and every dispatched
-        // kernel must be bitwise-identical to its reference.
-        assert!(
-            !simd::avx2_active(),
-            "ANECI_NO_SIMD must force the scalar fallback"
-        );
+    if !simd::avx2_active() {
         assert_reductions_bit_exact();
         let q = vec_pattern(13, 4);
         let rows = vec_pattern(5 * 13, 5);
@@ -437,20 +433,6 @@ fn forced_fallback_is_bit_exact() {
         vector::dot_scores(&q, &rows, &mut a);
         vector::dot_scores_scalar(&q, &rows, &mut b);
         assert_eq!(a, b);
-        return;
     }
-    // Parent: rerun just this test in a child with the fallback forced.
-    // Dispatch latches on first use, so the flag can't be flipped in-process.
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = std::process::Command::new(exe)
-        .args(["--exact", "forced_fallback_is_bit_exact"])
-        .env("ANECI_NO_SIMD", "1")
-        .output()
-        .expect("spawn forced-fallback child");
-    assert!(
-        out.status.success(),
-        "forced-fallback child failed:\n{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
+    golden::rerun_scalar("forced_fallback_is_bit_exact");
 }

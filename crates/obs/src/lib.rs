@@ -13,7 +13,7 @@
 //!   hits/misses, and the HTTP front end's `serve.http.*` series
 //!   (per-route counters, status classes, connections, keep-alive reuses,
 //!   load sheds, and the `serve.http.request_ns` latency histogram — all
-//!   of which `GET /metrics` serves back out as a snapshot).
+//!   of which `GET /v1/metrics` serves back out as a snapshot).
 //!
 //! ## Model
 //!

@@ -36,7 +36,8 @@ use crate::snapshot::{Snapshot, SnapshotHandle, SnapshotUpdate};
 use crate::store::{EmbeddingStore, Metric};
 
 /// A single query, tagged by `"op"`. This is the one typed request shape
-/// shared by the JSONL and HTTP front ends (see [`QueryRequest`]).
+/// shared by the JSONL and HTTP front ends; [`Response`] is the one
+/// response shape.
 ///
 /// Every variant accepts an optional `min_generation`: when set, the query
 /// fails with [`ErrorCode::SnapshotStale`] unless the serving snapshot's
@@ -85,12 +86,6 @@ impl Query {
             .map_err(|e| err(ErrorCode::BadRequest, format!("bad query: {e}")))
     }
 }
-
-/// The typed request both front ends share (alias of [`Query`]).
-pub type QueryRequest = Query;
-
-/// The typed response both front ends share (alias of [`Response`]).
-pub type QueryResponse = Response;
 
 /// Machine-readable classification of an error response, shared by the
 /// JSONL and HTTP serving paths. Serialized in `snake_case` (for example

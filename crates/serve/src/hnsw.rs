@@ -800,6 +800,7 @@ pub fn recall_at_k(exact: &[Scored], approx: &[Scored]) -> f64 {
 mod tests {
     use super::*;
     use crate::store::EmbeddingStore;
+    use aneci_linalg::golden::{self, Fixture};
     use aneci_linalg::rng::{seeded_rng, standard_normal};
 
     /// A clustered point cloud: `per_cluster` points around each of
@@ -1157,22 +1158,11 @@ mod tests {
     /// writes after the compaction — records every node's links per layer
     /// in stored order, the entry point and the top layer, and on the
     /// states without a wired tombstone, the ids and score bits of a fixed
-    /// set of searches. `ANECI_REGEN_GOLDEN=1` rewrites the current
-    /// dispatch's section; record the scalar one first, because the
-    /// default run's child compares against it:
-    ///
-    /// ```sh
-    /// ANECI_REGEN_GOLDEN=1 ANECI_NO_SIMD=1 cargo test -q -p aneci-serve --lib graph_matches_fixture
-    /// ANECI_REGEN_GOLDEN=1 cargo test -q -p aneci-serve --lib graph_matches_fixture
-    /// ```
+    /// set of searches. `aneci_linalg::golden` compares it, reruns it under
+    /// the scalar dispatch and documents how to re-record it.
     fn graph_fixture_lines() -> String {
         fn dump(out: &mut String, state: &str, index: &HnswIndex, data: &DenseMatrix) {
             use std::fmt::Write as _;
-            let tag = if aneci_linalg::simd::avx2_active() {
-                "avx2"
-            } else {
-                "scalar"
-            };
             for node in 0..index.len() {
                 let layers: Vec<String> = (0..index.layer_count(node))
                     .map(|l| {
@@ -1184,11 +1174,11 @@ mod tests {
                         ids.join(",")
                     })
                     .collect();
-                writeln!(out, "{tag} {state} node {node} {}", layers.join("|")).unwrap();
+                writeln!(out, "{state} node {node} {}", layers.join("|")).unwrap();
             }
             writeln!(
                 out,
-                "{tag} {state} entry {} max_layer {}",
+                "{state} entry {} max_layer {}",
                 index.entry, index.max_layer
             )
             .unwrap();
@@ -1210,7 +1200,7 @@ mod tests {
                     .map(|&(id, score)| format!("{id}:{:016x}", score.to_bits()))
                     .collect();
                 let q = exclude.map_or("free".to_string(), |q| q.to_string());
-                writeln!(out, "{tag} {state} search {q} {}", hits.join(",")).unwrap();
+                writeln!(out, "{state} search {q} {}", hits.join(",")).unwrap();
             }
         }
 
@@ -1255,79 +1245,11 @@ mod tests {
         out
     }
 
-    fn graph_fixture_path() -> String {
-        format!("{}/tests/hnsw_graph.txt", env!("CARGO_MANIFEST_DIR"))
-    }
-
-    /// Held by both fixture tests, so a regenerating run never rewrites the
-    /// file while the scalar child reads it.
-    static GRAPH_FIXTURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn graph_matches_fixture() {
-        let _guard = GRAPH_FIXTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let got = graph_fixture_lines();
-        let path = graph_fixture_path();
-        let file = std::fs::read_to_string(&path).unwrap_or_default();
-        let dispatch = got.split(' ').next().unwrap_or_default().to_string();
-        let section = format!("{dispatch} ");
-        if std::env::var_os("ANECI_REGEN_GOLDEN").is_some() {
-            let mut lines: Vec<&str> = file
-                .lines()
-                .filter(|l| !l.starts_with(&section))
-                .chain(got.lines())
-                .collect();
-            lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps state order
-            std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
-            return;
-        }
-        let want: Vec<&str> = file.lines().filter(|l| l.starts_with(&section)).collect();
-        assert!(
-            !want.is_empty(),
-            "no fixture section for the {dispatch} dispatch; record it with ANECI_REGEN_GOLDEN=1"
-        );
-        let got: Vec<&str> = got.lines().collect();
-        let moved: Vec<String> = want
-            .iter()
-            .zip(&got)
-            .filter(|(w, g)| w != g)
-            .take(8)
-            .map(|(w, g)| format!("  want {w}\n  got  {g}"))
-            .collect();
-        assert!(
-            moved.is_empty() && want.len() == got.len(),
-            "the graph left the fixture ({} lines wanted, {} got):\n{}",
-            want.len(),
-            got.len(),
-            moved.join("\n")
-        );
-    }
-
-    #[test]
-    fn scalar_dispatch_matches_graph_fixture() {
-        let _guard = GRAPH_FIXTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        if !aneci_linalg::simd::avx2_active() {
-            // This process already compares the scalar section.
-            return;
-        }
-        // Dispatch latches on first use, so the scalar section needs a
-        // child started with the fallback forced. It only compares.
-        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-            .args(["--exact", "hnsw::tests::graph_matches_fixture"])
-            .env("ANECI_NO_SIMD", "1")
-            .env_remove("ANECI_REGEN_GOLDEN")
-            .output()
-            .expect("spawn the scalar-dispatch child");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "scalar-dispatch child failed:\n{stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            stdout.contains("1 passed"),
-            "the child ran other than the fixture test:\n{stdout}"
-        );
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/hnsw_graph.txt");
+        Fixture::new(path).assert(&graph_fixture_lines());
+        golden::rerun_scalar("hnsw::tests::graph_matches_fixture");
     }
 
     #[test]

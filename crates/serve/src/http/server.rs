@@ -259,7 +259,7 @@ impl ServerHandle {
         self.join_threads();
     }
 
-    /// Blocks until some other trigger (e.g. the `POST /shutdown` route)
+    /// Blocks until some other trigger (e.g. the `POST /v1/admin/shutdown` route)
     /// initiates shutdown, then drains exactly like [`Self::shutdown`].
     pub fn wait(mut self) {
         self.join_threads();

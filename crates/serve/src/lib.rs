@@ -47,8 +47,7 @@ pub mod store;
 
 pub use cache::LruCache;
 pub use engine::{
-    EngineConfig, EngineConfigBuilder, ErrorCode, Neighbor, Query, QueryEngine, QueryRequest,
-    QueryResponse, Response,
+    EngineConfig, EngineConfigBuilder, ErrorCode, Neighbor, Query, QueryEngine, Response,
 };
 pub use hnsw::{recall_at_k, HnswConfig, HnswIndex};
 pub use http::{HttpConfig, HttpServer, ServerHandle};

@@ -63,7 +63,6 @@ pub mod prelude {
     pub use aneci_linalg::DenseMatrix;
     pub use aneci_serve::{
         EmbeddingStore, EngineConfig, EngineConfigBuilder, HttpConfig, HttpServer, QueryEngine,
-        QueryRequest, QueryResponse, ServerHandle, Snapshot, SnapshotHandle, SnapshotUpdate,
-        VectorUpsert,
+        ServerHandle, Snapshot, SnapshotHandle, SnapshotUpdate, VectorUpsert,
     };
 }

@@ -25,9 +25,9 @@
 //! AnECI's, has one on a 250-node SBM, and the GCN classifier, early-stopped
 //! on its validation loss, one on a 300-node SBM with a split.
 //!
-//! A plain run compares the host's dispatch section; on an AVX2 host,
-//! `scalar_dispatch_matches_golden_fixtures` reruns the golden tests in a
-//! child with the scalar fallback forced, so both sections are checked.
+//! Each golden test compares the host's dispatch section and, on an AVX2
+//! host, reruns itself with the scalar fallback forced, so both sections
+//! are checked; `aneci_linalg::golden` documents how to re-record them.
 
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
@@ -44,10 +44,8 @@ use aneci::graph::{
     generate_sbm, generate_streamed, karate_club, sample_split, AttributedGraph, SbmConfig,
     StreamingConfig,
 };
-use aneci::linalg::pool;
-use aneci::linalg::rng::seeded_rng;
-use aneci::linalg::{simd, DenseMatrix};
-use rand::Rng;
+use aneci::linalg::golden::{self, Fixture};
+use aneci::linalg::{pool, DenseMatrix};
 
 /// The golden and thread-invariance tests mutate process-global pool
 /// configuration; every test in this binary takes this lock so a run never
@@ -69,27 +67,6 @@ fn quick_cfg(stop: StopStrategy, seed: u64, epochs: usize) -> AneciConfig {
     }
 }
 
-/// The SIMD dispatch names a fixture section: the FMA kernels round
-/// differently from the scalar fallback (`ANECI_NO_SIMD`).
-fn dispatch() -> &'static str {
-    if simd::avx2_active() {
-        "avx2"
-    } else {
-        "scalar"
-    }
-}
-
-/// FNV-1a over the bit patterns of every entry, row-major.
-fn bits_hash(m: &DenseMatrix) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in m.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// The fixture lines of one training run, floats as hex bits:
 /// `<tag> <epoch> <loss> <Q̃> <rigidity>` per epoch, `<tag> val <epoch>
 /// <score>` per validation probe, `<tag> kept <best epoch> <epochs run>`,
@@ -106,78 +83,30 @@ fn golden_lines(tag: &str, report: &TrainReport, embedding: &DenseMatrix) -> Str
     }
     let (best, run) = (report.best_epoch, report.epochs_run);
     writeln!(out, "{tag} kept {best} {run}").unwrap();
-    writeln!(out, "{tag} embedding {:016x}", bits_hash(embedding)).unwrap();
+    writeln!(out, "{tag} embedding {:016x}", golden::bits_hash(embedding)).unwrap();
     out
 }
 
 /// Runs `train` once per pool configuration and concatenates the fixture
-/// lines it returns for the tag `<dispatch> <mode>`. Pooled: every kernel
-/// takes its chunked path (threshold 1, >1 worker). Serial: one thread, so
-/// every kernel runs on the calling thread.
+/// lines it returns for the tag `<mode>`. Pooled: every kernel takes its
+/// chunked path (threshold 1, >1 worker). Serial: one thread, so every
+/// kernel runs on the calling thread.
 fn golden_runs(mut train: impl FnMut(&str) -> String) -> String {
     let mut got = String::new();
     for (mode, threads) in [("pooled", 4), ("serial", 1)] {
         pool::force_pool();
         pool::set_num_threads(threads);
-        got.push_str(&train(&format!("{} {mode}", dispatch())));
+        got.push_str(&train(mode));
     }
     got
 }
 
-/// Checks `got` against the current dispatch's section of
-/// `tests/golden/<name>.txt`. With `ANECI_REGEN_GOLDEN` set it rewrites that
-/// section instead and keeps the other one: `ANECI_REGEN_GOLDEN=1 cargo test
-/// -q --test trainer_parity` records the current dispatch, and adding
-/// `ANECI_NO_SIMD=1` records the scalar one.
-fn assert_golden(name: &str, got: &str) {
-    if std::env::var_os("ANECI_REGEN_GOLDEN").is_none() {
-        return check_golden(name, got);
-    }
-    let path = golden_path(name);
-    let section = format!("{} ", dispatch());
-    let file = std::fs::read_to_string(&path).unwrap_or_default();
-    let mut lines: Vec<&str> = file
-        .lines()
-        .filter(|l| !l.starts_with("rng ") && !l.starts_with(&section))
-        .chain(got.lines())
-        .collect();
-    lines.sort_by_key(|l| l.split(' ').next()); // stable: keeps run order
-    std::fs::write(&path, format!("{}\n{}\n", rng_line(), lines.join("\n"))).unwrap();
-}
-
-/// [`assert_golden`] without the rewrite: the mini-batch twins of the
-/// full-batch runs only ever compare against the fixture the full-batch run
-/// records.
-fn check_golden(name: &str, got: &str) {
-    let file = std::fs::read_to_string(golden_path(name)).unwrap_or_default();
-    assert_eq!(
-        file.lines().next(),
-        Some(rng_line().as_str()),
-        "{name}: the fixture was recorded under another StdRng stream"
-    );
-    let section = format!("{} ", dispatch());
-    let want: Vec<&str> = file.lines().filter(|l| l.starts_with(&section)).collect();
-    assert!(
-        !want.is_empty(),
-        "{name}: no fixture section for the {} dispatch; record it with ANECI_REGEN_GOLDEN=1",
-        dispatch()
-    );
-    assert_eq!(
-        want,
-        got.lines().collect::<Vec<_>>(),
-        "{name}: the trajectory left the golden fixture"
-    );
-}
-
-fn golden_path(name: &str) -> String {
-    format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Every number in a fixture follows from the seeded StdRng stream, which
-/// the first draw identifies.
-fn rng_line() -> String {
-    let probe: u64 = seeded_rng(0).gen();
-    format!("rng {probe:016x}")
+/// The fixture `tests/golden/<name>.txt`, whose first line names the
+/// `StdRng` stream. The full-batch runs record it; their mini-batch twins
+/// only compare against it (`Fixture::check`).
+fn fixture(name: &str) -> Fixture {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    Fixture::new(format!("{dir}/{name}.txt")).with_rng_line()
 }
 
 /// Trains a fresh model with [`AneciModel::train`] and returns its report
@@ -231,7 +160,8 @@ fn fixed_epochs_matches_reference_loop_bit_exactly() {
     let g = karate_club();
     let cfg = fixed_epochs_cfg();
     let got = golden_runs(|tag| full_batch(tag, &g, &cfg, None).1);
-    assert_golden("karate_fixed_epochs", &got);
+    fixture("karate_fixed_epochs").assert(&got);
+    golden::rerun_scalar("fixed_epochs_matches_reference_loop_bit_exactly");
 }
 
 #[test]
@@ -240,7 +170,8 @@ fn minibatch_full_graph_matches_reference_loop_bit_exactly() {
     let g = karate_club();
     let cfg = fixed_epochs_cfg();
     let got = golden_runs(|tag| full_graph_minibatch(tag, &g, &cfg).1);
-    check_golden("karate_fixed_epochs", &got);
+    fixture("karate_fixed_epochs").check(&got);
+    golden::rerun_scalar("minibatch_full_graph_matches_reference_loop_bit_exactly");
 }
 
 #[test]
@@ -253,7 +184,8 @@ fn early_stop_modularity_matches_reference_loop_bit_exactly() {
         assert_stopped_early(tag, &report, &cfg);
         lines
     });
-    assert_golden("karate_early_stop", &got);
+    fixture("karate_early_stop").assert(&got);
+    golden::rerun_scalar("early_stop_modularity_matches_reference_loop_bit_exactly");
 }
 
 #[test]
@@ -269,7 +201,8 @@ fn minibatch_early_stop_matches_reference_loop_bit_exactly() {
         assert_stopped_early(tag, &report, &cfg);
         lines
     });
-    check_golden("karate_early_stop", &got);
+    fixture("karate_early_stop").check(&got);
+    golden::rerun_scalar("minibatch_early_stop_matches_reference_loop_bit_exactly");
 }
 
 #[test]
@@ -291,7 +224,8 @@ fn validation_best_matches_reference_loop_bit_exactly() {
         );
         lines
     });
-    assert_golden("karate_validation_probe", &got);
+    fixture("karate_validation_probe").assert(&got);
+    golden::rerun_scalar("validation_best_matches_reference_loop_bit_exactly");
 }
 
 #[test]
@@ -313,7 +247,8 @@ fn validation_loss_fallback_matches_reference_loop_bit_exactly() {
         );
         lines
     });
-    assert_golden("karate_validation_loss", &got);
+    fixture("karate_validation_loss").assert(&got);
+    golden::rerun_scalar("validation_loss_fallback_matches_reference_loop_bit_exactly");
 }
 
 #[test]
@@ -423,7 +358,8 @@ fn sampled_recon_matches_golden_fixture() {
         );
         lines
     });
-    assert_golden("sampled_recon", &got);
+    fixture("sampled_recon").assert(&got);
+    golden::rerun_scalar("sampled_recon_matches_golden_fixture");
 }
 
 /// A plan of genuinely partial batches: the 600-node streamed graph with six
@@ -455,7 +391,8 @@ fn minibatch_partial_matches_golden_fixture() {
         let report = mini.train(strategy, Some(&g.labels)).unwrap();
         golden_lines(tag, &report, mini.embedding())
     });
-    assert_golden("minibatch_partial", &got);
+    fixture("minibatch_partial").assert(&got);
+    golden::rerun_scalar("minibatch_partial_matches_golden_fixture");
 }
 
 /// GAE on a graph above its `exact_threshold`: each epoch's loss is
@@ -480,11 +417,12 @@ fn gae_sampled_matches_golden_fixture() {
         for (epoch, loss) in model.losses.iter().enumerate() {
             writeln!(lines, "{tag} {epoch} {:016x}", loss.to_bits()).unwrap();
         }
-        let hash = bits_hash(model.embedding());
+        let hash = golden::bits_hash(model.embedding());
         writeln!(lines, "{tag} embedding {hash:016x}").unwrap();
         lines
     });
-    assert_golden("gae_sampled", &got);
+    fixture("gae_sampled").assert(&got);
+    golden::rerun_scalar("gae_sampled_matches_golden_fixture");
 }
 
 /// GCN with early stopping on the validation loss: a 300-node, three-class
@@ -523,56 +461,10 @@ fn gcn_classifier_matches_golden_fixture() {
             writeln!(lines, "{tag} {epoch} {t:016x} {v:016x}").unwrap();
         }
         let (w1, w2) = model.weights();
-        writeln!(lines, "{tag} w1 {:016x}", bits_hash(&w1)).unwrap();
-        writeln!(lines, "{tag} w2 {:016x}", bits_hash(&w2)).unwrap();
+        writeln!(lines, "{tag} w1 {:016x}", golden::bits_hash(&w1)).unwrap();
+        writeln!(lines, "{tag} w2 {:016x}", golden::bits_hash(&w2)).unwrap();
         lines
     });
-    assert_golden("gcn_early_stop", &got);
-}
-
-/// Every test of this binary that compares a golden fixture.
-const GOLDEN_TESTS: [&str; 10] = [
-    "fixed_epochs_matches_reference_loop_bit_exactly",
-    "minibatch_full_graph_matches_reference_loop_bit_exactly",
-    "early_stop_modularity_matches_reference_loop_bit_exactly",
-    "minibatch_early_stop_matches_reference_loop_bit_exactly",
-    "validation_best_matches_reference_loop_bit_exactly",
-    "validation_loss_fallback_matches_reference_loop_bit_exactly",
-    "sampled_recon_matches_golden_fixture",
-    "minibatch_partial_matches_golden_fixture",
-    "gae_sampled_matches_golden_fixture",
-    "gcn_classifier_matches_golden_fixture",
-];
-
-#[test]
-fn scalar_dispatch_matches_golden_fixtures() {
-    // Held while the child reads the fixtures, so a regenerating run here
-    // never rewrites one under it.
-    let _guard = lock_pool_config();
-    if !simd::avx2_active() {
-        // This process already compares the scalar section.
-        return;
-    }
-    // Dispatch latches on first use, so the scalar section needs a child
-    // started with the fallback forced. It only compares: a regeneration
-    // request does not reach it.
-    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "--test-threads", "1"])
-        .args(GOLDEN_TESTS)
-        .env("ANECI_NO_SIMD", "1")
-        .env_remove("ANECI_REGEN_GOLDEN")
-        .output()
-        .expect("spawn the scalar-dispatch child");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "scalar-dispatch child failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let ran = format!("{} passed", GOLDEN_TESTS.len());
-    assert!(
-        stdout.contains(&ran),
-        "the child ran other than the {} golden tests:\n{stdout}",
-        GOLDEN_TESTS.len()
-    );
+    fixture("gcn_early_stop").assert(&got);
+    golden::rerun_scalar("gcn_classifier_matches_golden_fixture");
 }
