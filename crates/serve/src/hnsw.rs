@@ -115,6 +115,46 @@ impl PartialOrd for Cand {
     }
 }
 
+/// One search's scratch across its layers: the nodes the current layer's
+/// beam has reached, and the frontier nodes expanded so far. A search
+/// allocates one for all its layers; a node counts as reached when its
+/// stamp is the current layer's, so moving to the next layer unmarks every
+/// node without touching them.
+struct Walk {
+    stamps: Vec<u8>,
+    layer: u8,
+    hops: u64,
+}
+
+impl Walk {
+    fn new(nodes: usize) -> Self {
+        Self {
+            stamps: vec![0; nodes],
+            layer: 0,
+            hops: 0,
+        }
+    }
+
+    /// Starts the next layer with no node reached.
+    fn next_layer(&mut self) {
+        // A search visits at most 17 layers (levels are capped at 16).
+        self.layer = self
+            .layer
+            .checked_add(1)
+            .expect("at most 17 layers a search");
+    }
+
+    /// Marks `id`; `false` when it was already marked on this layer.
+    fn mark(&mut self, id: u32) -> bool {
+        let stamp = &mut self.stamps[id as usize];
+        if *stamp == self.layer {
+            return false;
+        }
+        *stamp = self.layer;
+        true
+    }
+}
+
 /// What a node slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
@@ -395,13 +435,14 @@ impl HnswIndex {
             id: self.entry,
         }];
 
-        // Construction hops are not query telemetry; discard the count.
-        let mut hops = 0u64;
+        // Construction hops are not query telemetry; the walk's count is
+        // dropped with it.
+        let mut walk = Walk::new(self.len());
 
         // Greedy descent through layers above the node's top level.
         let mut layer = self.max_layer;
         while layer > level {
-            ep = self.search_layer(q, &ep, 1, layer, false, &mut hops);
+            ep = self.search_layer(q, &ep, 1, layer, false, &mut walk);
             layer -= 1;
         }
 
@@ -412,7 +453,7 @@ impl HnswIndex {
         let mut per_layer = Vec::with_capacity(top + 1);
         let mut l = top;
         loop {
-            let found = self.search_layer(q, &ep, ef_construction, l, false, &mut hops);
+            let found = self.search_layer(q, &ep, ef_construction, l, false, &mut walk);
             ep = found.clone();
             per_layer.push(found);
             if l == 0 {
@@ -657,13 +698,16 @@ impl HnswIndex {
 
     /// Beam search at one layer: returns up to `ef` best nodes, sorted by
     /// descending similarity (ascending-id tie-breaks). Each expanded
-    /// frontier node counts as one hop in `hops`.
+    /// frontier node counts as one hop in `walk.hops`.
     ///
     /// With `live_only`, tombstoned nodes are walked through like any other
     /// but never enter the `ef` best, so the beam fills with live nodes and
     /// the walk runs on past tombstones until it has `ef` of them (or the
     /// frontier empties). With no tombstone reachable, both modes take the
     /// same steps.
+    ///
+    /// `walk` is the calling search's scratch, sized to the index; each call
+    /// starts it on a layer of its own.
     fn search_layer(
         &self,
         q: &[f64],
@@ -671,16 +715,15 @@ impl HnswIndex {
         ef: usize,
         layer: usize,
         live_only: bool,
-        hops: &mut u64,
+        walk: &mut Walk,
     ) -> Vec<Cand> {
         let counted = |id: u32| !live_only || self.slots[id as usize] == Slot::Live;
-        let mut visited = vec![false; self.len()];
+        walk.next_layer();
         // Max-heap of frontier nodes; min-heap (via Reverse) of best-so-far.
         let mut frontier: BinaryHeap<Cand> = BinaryHeap::new();
         let mut best: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
         for &e in entries {
-            if !visited[e.id as usize] {
-                visited[e.id as usize] = true;
+            if walk.mark(e.id) {
                 frontier.push(e);
                 if counted(e.id) {
                     best.push(Reverse(e));
@@ -696,15 +739,14 @@ impl HnswIndex {
             if best.len() >= ef && c.sim < worst {
                 break;
             }
-            *hops += 1;
+            walk.hops += 1;
             if layer >= self.layer_count(c.id as usize) {
                 continue;
             }
             for &nb in self.neighbors(c.id as usize, layer) {
-                if visited[nb as usize] {
+                if !walk.mark(nb) {
                     continue;
                 }
-                visited[nb as usize] = true;
                 let sim = self.sim_to(q, nb);
                 let worst = best.peek().map(|r| r.0.sim).unwrap_or(f64::NEG_INFINITY);
                 if best.len() < ef || sim > worst {
@@ -768,13 +810,16 @@ impl HnswIndex {
             sim: self.sim_to(&q, self.entry),
             id: self.entry,
         }];
+        let mut walk = Walk::new(self.len());
         for layer in (1..=self.max_layer).rev() {
-            ep = self.search_layer(&q, &ep, 1, layer, false, hops);
+            ep = self.search_layer(&q, &ep, 1, layer, false, &mut walk);
         }
         // One extra beam slot covers a possible excluded id. Tombstones
         // need none: the layer-0 beam counts live nodes only.
         let beam = ef.max(k) + usize::from(exclude.is_some());
-        self.search_layer(&q, &ep, beam, 0, true, hops)
+        let found = self.search_layer(&q, &ep, beam, 0, true, &mut walk);
+        *hops += walk.hops;
+        found
             .into_iter()
             .filter(|c| Some(c.id as usize) != exclude)
             .take(k)

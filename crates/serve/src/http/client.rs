@@ -66,14 +66,7 @@ impl HttpClient {
         path: &str,
         body: Option<&[u8]>,
     ) -> std::io::Result<ClientResponse> {
-        let body = body.unwrap_or(&[]);
-        write!(
-            self.stream,
-            "{method} {path} HTTP/1.1\r\nhost: aneci\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        write_request(&mut self.stream, method, path, body.unwrap_or(&[]))?;
         self.read_response()
     }
 
@@ -136,6 +129,25 @@ impl HttpClient {
     }
 }
 
+/// Sends one `Content-Length`-framed request as a single `write_all`: the
+/// client sets `TCP_NODELAY`, so every write leaves as a segment of its own.
+fn write_request(
+    writer: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(64 + method.len() + path.len() + body.len());
+    write!(
+        message,
+        "{method} {path} HTTP/1.1\r\nhost: aneci\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )?;
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
+    writer.flush()
+}
+
 /// One-shot convenience: connect, `GET path`, disconnect.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<ClientResponse> {
     HttpClient::connect(addr)?.get(path)
@@ -144,4 +156,29 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<ClientResponse> {
 /// One-shot convenience: connect, `POST path`, disconnect.
 pub fn post(addr: SocketAddr, path: &str, body: &str) -> std::io::Result<ClientResponse> {
     HttpClient::connect(addr)?.post(path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::WriteLog;
+
+    #[test]
+    fn a_request_is_one_write_with_content_length_framing() {
+        let mut log = WriteLog::default();
+        write_request(&mut log, "POST", "/v1/query", br#"{"op":"top_k","node":0}"#).unwrap();
+        assert_eq!(
+            String::from_utf8(log.0.concat()).unwrap(),
+            "POST /v1/query HTTP/1.1\r\nhost: aneci\r\ncontent-length: 23\r\n\r\n\
+             {\"op\":\"top_k\",\"node\":0}"
+        );
+        assert_eq!(log.0.len(), 1, "the request took {} writes", log.0.len());
+
+        let mut log = WriteLog::default();
+        write_request(&mut log, "GET", "/v1/healthz", &[]).unwrap();
+        assert_eq!(
+            log.0,
+            [b"GET /v1/healthz HTTP/1.1\r\nhost: aneci\r\ncontent-length: 0\r\n\r\n".to_vec()]
+        );
+    }
 }

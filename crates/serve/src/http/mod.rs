@@ -13,6 +13,11 @@
 //!   typed 4xx/5xx JSON bodies (the engine's
 //!   [`ErrorCode`](crate::engine::ErrorCode) vocabulary),
 //!   never to a panic or a hang.
+//! * **One write per message** — the response writer, and the [`client`]'s
+//!   request writer, encode head and body into one buffer and hand it to a
+//!   single `write_all`. Both ends set `TCP_NODELAY`, under which every
+//!   write to the socket leaves as a TCP segment of its own, so a head
+//!   written field by field would cost a syscall and a segment per piece.
 //! * **Threading** ([`server`]) — one acceptor thread feeds accepted
 //!   connections into a **bounded queue**; a fixed set of worker threads
 //!   (sized by the `aneci-linalg::pool` convention,
@@ -68,3 +73,21 @@ pub mod server;
 pub use client::{ClientResponse, HttpClient};
 pub use parse::{ParseError, ParseLimits, Request};
 pub use server::{HttpConfig, HttpServer, ServerHandle};
+
+/// Keeps each `write` call's bytes apart, so a test can check both what a
+/// message says and how many writes carried it.
+#[cfg(test)]
+#[derive(Default)]
+struct WriteLog(Vec<Vec<u8>>);
+
+#[cfg(test)]
+impl std::io::Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}

@@ -33,7 +33,7 @@ impl Default for ParseLimits {
 const MAX_HEADER_COUNT: usize = 100;
 
 /// One parsed request.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Request {
     /// Uppercase method token (`GET`, `POST`, ...).
     pub method: String,
@@ -209,7 +209,9 @@ fn read_chunked_body(
                 }
             }
         }
-        if body.len() + size > max_body_bytes {
+        // `body` never exceeds the budget, so this cannot underflow; a
+        // sum could overflow on a hex size near `usize::MAX`.
+        if size > max_body_bytes - body.len() {
             return Err(ParseError::BodyTooLarge);
         }
         let start = body.len();
@@ -339,6 +341,10 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// Bytes reserved for a response head; every head this server writes fits
+/// (the longest status line and fields plus a `location` come to ~165).
+const HEAD_CAPACITY: usize = 192;
+
 /// Writes one `Content-Length`-framed response and flushes it.
 pub fn write_response(
     writer: &mut impl Write,
@@ -352,6 +358,10 @@ pub fn write_response(
 
 /// [`write_response`] plus extra header fields (e.g. `location` on a 301).
 /// Names must already be lowercase; values must be header-safe.
+///
+/// Head and body are encoded into one buffer and handed to one
+/// `write_all`: the server's sockets set `TCP_NODELAY`, so every write
+/// to them leaves as a segment of its own.
 pub fn write_response_with_headers(
     writer: &mut impl Write,
     status: u16,
@@ -360,8 +370,9 @@ pub fn write_response_with_headers(
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(HEAD_CAPACITY + body.len());
     write!(
-        writer,
+        message,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         status,
         reason_phrase(status),
@@ -370,16 +381,19 @@ pub fn write_response_with_headers(
         if keep_alive { "keep-alive" } else { "close" },
     )?;
     for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        write!(message, "{name}: {value}\r\n")?;
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(body)?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
     writer.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::WriteLog;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(raw: &[u8]) -> Result<Request, ParseError> {
@@ -495,32 +509,259 @@ mod tests {
         assert_eq!(second.body, b"hi");
     }
 
+    /// Writes one response into a [`WriteLog`], checks that its bytes are
+    /// `expected`, then that a single write carried them.
+    fn assert_one_write(
+        status: u16,
+        body: &str,
+        keep_alive: bool,
+        extra_headers: &[(&str, &str)],
+        expected: &str,
+    ) {
+        let mut log = WriteLog::default();
+        write_response_with_headers(
+            &mut log,
+            status,
+            "application/json",
+            body.as_bytes(),
+            keep_alive,
+            extra_headers,
+        )
+        .unwrap();
+        assert_eq!(String::from_utf8(log.0.concat()).unwrap(), expected);
+        assert_eq!(log.0.len(), 1, "a {status} took {} writes", log.0.len());
+    }
+
     #[test]
     fn response_writer_frames_with_content_length() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{\"ok\":true}", true).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("content-length: 11\r\n"));
-        assert!(text.contains("connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        assert_one_write(
+            200,
+            r#"{"ok":true}"#,
+            true,
+            &[],
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\
+             connection: keep-alive\r\n\r\n{\"ok\":true}",
+        );
     }
 
     #[test]
     fn response_writer_emits_extra_headers() {
-        let mut out = Vec::new();
-        write_response_with_headers(
-            &mut out,
+        assert_one_write(
             301,
-            "application/json",
-            b"{}",
+            r#"{"kind":"moved","location":"/v1/healthz"}"#,
             true,
             &[("location", "/v1/healthz")],
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 301 Moved Permanently\r\n"));
-        assert!(text.contains("location: /v1/healthz\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+            "HTTP/1.1 301 Moved Permanently\r\ncontent-type: application/json\r\n\
+             content-length: 41\r\nconnection: keep-alive\r\nlocation: /v1/healthz\r\n\r\n\
+             {\"kind\":\"moved\",\"location\":\"/v1/healthz\"}",
+        );
+    }
+
+    #[test]
+    fn response_writer_sends_a_shed_503_in_one_write() {
+        assert_one_write(
+            503,
+            r#"{"kind":"error","code":"overloaded"}"#,
+            false,
+            &[],
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+             content-length: 36\r\nconnection: close\r\n\r\n\
+             {\"kind\":\"error\",\"code\":\"overloaded\"}",
+        );
+    }
+
+    #[test]
+    fn a_chunk_size_near_usize_max_is_refused_not_a_panic() {
+        let raw = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
+                    5\r\nhello\r\nfffffffffffffffe\r\nxx";
+        assert!(matches!(parse(raw).unwrap_err(), ParseError::BodyTooLarge));
+    }
+
+    /// Hands `data` out in reads of `sizes` bytes, taken in turn, as a
+    /// socket may split a stream.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+        turn: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.sizes[self.turn % self.sizes.len()]
+                .min(buf.len())
+                .min(self.data.len());
+            self.turn += 1;
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// A request the parser must accept, built from generated parts, and
+    /// the [`Request`] it must parse to. `method` picks a method token
+    /// (lowercase ones are uppercased); each of `values` becomes a header
+    /// field; with no `chunk` the body is `Content-Length`-framed, else it
+    /// goes chunked in `chunk`-byte pieces, with a chunk extension on every
+    /// other piece and a trailer.
+    fn valid_request(
+        method: usize,
+        http11: bool,
+        path: &[u8],
+        values: &[Vec<u8>],
+        body: &[u8],
+        chunk: Option<usize>,
+    ) -> (Vec<u8>, Request) {
+        let method = ["GET", "POST", "put"][method];
+        let target = format!("/{}", String::from_utf8(path.to_vec()).unwrap());
+        let version = if http11 { "HTTP/1.1" } else { "HTTP/1.0" };
+        let mut raw = format!("{method} {target} {version}\r\nHost: aneci\r\n").into_bytes();
+        let mut headers = vec![("host".to_string(), "aneci".to_string())];
+        for (i, value) in values.iter().enumerate() {
+            let value = String::from_utf8(value.clone()).unwrap();
+            raw.extend_from_slice(format!("X-Field-{i}: {value}\r\n").as_bytes());
+            headers.push((format!("x-field-{i}"), value));
+        }
+        if let Some(chunk) = chunk {
+            raw.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
+            for (i, piece) in body.chunks(chunk).enumerate() {
+                let ext = if i % 2 == 1 { ";ext=1" } else { "" };
+                raw.extend_from_slice(format!("{:x}{ext}\r\n", piece.len()).as_bytes());
+                raw.extend_from_slice(piece);
+                raw.extend_from_slice(b"\r\n");
+            }
+            raw.extend_from_slice(b"0\r\nx-trailer: 1\r\n\r\n");
+            headers.push(("transfer-encoding".into(), "chunked".into()));
+        } else {
+            raw.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
+            raw.extend_from_slice(body);
+            headers.push(("content-length".into(), body.len().to_string()));
+        }
+        let request = Request {
+            method: method.to_ascii_uppercase(),
+            target,
+            http11,
+            headers,
+            body: body.to_vec(),
+        };
+        (raw, request)
+    }
+
+    /// Parses `raw` under `limits`, fed `cap` bytes at a time.
+    fn parse_in_reads_of(
+        raw: &[u8],
+        cap: usize,
+        limits: &ParseLimits,
+    ) -> Result<Request, ParseError> {
+        read_request(&mut BufReader::with_capacity(cap, raw), limits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn arbitrary_bytes_give_a_request_or_a_typed_error(
+            raw in prop::collection::vec(any::<u8>(), 0..512),
+            cap in 1..64usize,
+            header_budget in 16..512usize,
+            body_budget in 1..256usize,
+        ) {
+            let limits = ParseLimits {
+                max_header_bytes: header_budget,
+                max_body_bytes: body_budget,
+            };
+            if let Err(e) = parse_in_reads_of(&raw, cap, &limits) {
+                prop_assert!(e.error_code().is_some(), "{e:?} has no status to answer with");
+            }
+        }
+
+        #[test]
+        fn corrupted_requests_give_a_request_or_a_typed_error(
+            shape in (0..3usize, any::<bool>(), any::<bool>(), 1..24usize),
+            values in prop::collection::vec(prop::collection::vec(33..127u8, 0..16), 0..3),
+            body in prop::collection::vec(any::<u8>(), 0..96),
+            extra in (0..5usize, prop::collection::vec(33..127u8, 0..8), 1..128usize),
+            edits in prop::collection::vec((0..1024usize, 0..16usize, any::<u8>()), 0..3),
+            stretch in (0..1024usize, 0..600usize),
+            cut in (any::<bool>(), 0..4096usize),
+            cap in 1..64usize,
+        ) {
+            let (method, http11, chunked, chunk) = shape;
+            let chunk = chunked.then_some(chunk);
+            let (mut raw, _) = valid_request(method, http11, b"v1/query", &values, &body, chunk);
+            // Overwrite a few bytes, mostly with ones that carry syntax.
+            const SYNTAX: &[u8] = b" :\r\n;0fx\t\x80";
+            for (at, pick, byte) in edits {
+                let at = at % raw.len();
+                raw[at] = SYNTAX.get(pick).copied().unwrap_or(byte);
+            }
+            // More fields after the first line, often a framing one with a
+            // junk value (a second framing, or one that is no number), at
+            // times more than the parser takes.
+            let (name, value, copies) = extra;
+            const NAMES: [&str; 4] =
+                ["content-length", "transfer-encoding", "connection", "x-extra"];
+            if let Some(name) = NAMES.get(name) {
+                let line_end = raw.iter().position(|&b| b == b'\n').map_or(0, |p| p + 1);
+                let field = [name.as_bytes(), b": ", &value, b"\r\n"].concat();
+                raw.splice(line_end..line_end, field.repeat(copies));
+            }
+            // Repeat one byte, which can stretch a line past its limit.
+            let (at, times) = stretch;
+            let at = at % raw.len();
+            raw.splice(at..at, vec![raw[at]; times]);
+            // Half the time, end the input early.
+            if let (true, at) = cut {
+                raw.truncate(at % raw.len());
+            }
+            let limits = ParseLimits { max_header_bytes: 4096, max_body_bytes: 64 };
+            if let Err(e) = parse_in_reads_of(&raw, cap, &limits) {
+                prop_assert!(e.error_code().is_some(), "{e:?} has no status to answer with");
+            }
+        }
+
+        #[test]
+        fn a_request_in_arbitrary_pieces_parses_as_it_does_whole(
+            shape in (0..3usize, any::<bool>(), any::<bool>(), 1..24usize),
+            path in prop::collection::vec(97..123u8, 0..12),
+            values in prop::collection::vec(prop::collection::vec(33..127u8, 0..16), 0..4),
+            body in prop::collection::vec(any::<u8>(), 0..200),
+            sizes in prop::collection::vec(1..24usize, 1..6),
+        ) {
+            let (method, http11, chunked, chunk) = shape;
+            let chunk = chunked.then_some(chunk);
+            let (raw, expected) = valid_request(method, http11, &path, &values, &body, chunk);
+            let limits = ParseLimits::default();
+            let whole = read_request(&mut BufReader::new(raw.as_slice()), &limits).unwrap();
+            let pieces = Pieces { data: &raw, sizes: &sizes, turn: 0 };
+            let split = read_request(&mut BufReader::new(pieces), &limits).unwrap();
+            prop_assert_eq!(&whole, &expected);
+            prop_assert_eq!(&split, &whole);
+        }
+
+        #[test]
+        fn two_pipelined_requests_parse_back_to_back(
+            shapes in (
+                (0..3usize, any::<bool>(), any::<bool>(), 1..24usize),
+                (0..3usize, any::<bool>(), any::<bool>(), 1..24usize),
+            ),
+            values in prop::collection::vec(prop::collection::vec(33..127u8, 0..16), 0..3),
+            bodies in (
+                prop::collection::vec(any::<u8>(), 0..120),
+                prop::collection::vec(any::<u8>(), 0..120),
+            ),
+            sizes in prop::collection::vec(1..24usize, 1..6),
+        ) {
+            let ((m1, v1, t1, c1), (m2, v2, t2, c2)) = shapes;
+            let (mut raw, first) =
+                valid_request(m1, v1, b"a", &values, &bodies.0, t1.then_some(c1));
+            let (second_raw, second) =
+                valid_request(m2, v2, b"b", &[], &bodies.1, t2.then_some(c2));
+            raw.extend_from_slice(&second_raw);
+            let limits = ParseLimits::default();
+            let mut reader = BufReader::new(Pieces { data: &raw, sizes: &sizes, turn: 0 });
+            prop_assert_eq!(&read_request(&mut reader, &limits).unwrap(), &first);
+            prop_assert_eq!(&read_request(&mut reader, &limits).unwrap(), &second);
+            prop_assert!(reader.fill_buf().unwrap().is_empty(), "bytes left after both");
+        }
     }
 }
