@@ -11,7 +11,7 @@ fn hnsw_recall_at_10_meets_the_serving_bar() {
     let n = embedding.rows();
     let (k, ef) = (10, 128);
     let store = EmbeddingStore::new(embedding.clone(), None);
-    let index = HnswIndex::build(&embedding, Metric::Cosine, &HnswConfig::default());
+    let index = HnswIndex::build(&store, Metric::Cosine, &HnswConfig::default());
     let queries: Vec<usize> = (0..400).map(|i| (i * 97) % n).collect();
     let recall = queries
         .iter()

@@ -75,12 +75,17 @@ pub fn split_edges(graph: &AttributedGraph, test_fraction: f64, seed: u64) -> Li
 /// Inner-product edge score `σ(z_u · z_v)`.
 ///
 /// This is the *canonical* link scorer: the serving layer
-/// (`aneci-serve`) answers `edge_score` queries through this same function,
-/// so a score computed at serve time always matches the one the evaluation
-/// harness would report.
+/// (`aneci-serve`) answers `edge_score` queries through its row form,
+/// [`row_edge_score`], so a score computed at serve time always matches the
+/// one the evaluation harness would report.
 pub fn edge_score(embedding: &DenseMatrix, u: usize, v: usize) -> f64 {
-    let s = aneci_linalg::vector::dot(embedding.row(u), embedding.row(v));
-    aneci_linalg::sigmoid(s)
+    row_edge_score(embedding.row(u), embedding.row(v))
+}
+
+/// [`edge_score`] of two embedding rows: the form the serving store, which
+/// keeps its rows outside a [`DenseMatrix`], scores with.
+pub fn row_edge_score(zu: &[f64], zv: &[f64]) -> f64 {
+    aneci_linalg::sigmoid(aneci_linalg::vector::dot(zu, zv))
 }
 
 /// Scores a batch of candidate edges, dispatching to the persistent pool

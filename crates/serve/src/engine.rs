@@ -425,7 +425,7 @@ impl QueryEngine {
         config.validate()?;
         let ann = config
             .use_ann
-            .then(|| HnswIndex::build(store.embedding(), config.default_metric, &config.hnsw));
+            .then(|| HnswIndex::build(&store, config.default_metric, &config.hnsw));
         let cache =
             (config.cache_capacity > 0).then(|| Mutex::new(LruCache::new(config.cache_capacity)));
         let mut engine = Self {
@@ -451,27 +451,28 @@ impl QueryEngine {
     /// [`SnapshotUpdate`] JSON object per line, applied in order. Missing
     /// file = nothing to replay.
     fn replay_delta_log(&mut self, path: &std::path::Path) -> Result<(), AneciError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            // A record that doesn't parse is a corrupt or truncated log —
-            // a checkpoint-integrity failure, not a configuration mistake —
-            // so it surfaces as the same typed error class the `.aneci`
-            // checkpoint reader uses.
-            let update: SnapshotUpdate = serde_json::from_str(line).map_err(|e| {
+        for (lineno, line) in bytes.split(|&b| b == b'\n').enumerate() {
+            // A record that isn't UTF-8 or doesn't parse is a corrupt or
+            // truncated log — a checkpoint-integrity failure, not a
+            // configuration mistake — so it surfaces as the same typed
+            // error class the `.aneci` checkpoint reader uses.
+            let corrupt = |e: &dyn std::fmt::Display| {
                 AneciError::Checkpoint(CheckpointError::Format(format!(
                     "delta log {}:{}: corrupt or truncated record: {e}",
                     path.display(),
                     lineno + 1
                 )))
-            })?;
+            };
+            let line = std::str::from_utf8(line).map_err(|e| corrupt(&e))?.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let update: SnapshotUpdate = serde_json::from_str(line).map_err(|e| corrupt(&e))?;
             self.apply_update(&update).map_err(|(_, msg)| {
                 AneciError::Config(format!(
                     "delta log {}:{}: replay failed: {msg}",
@@ -643,7 +644,6 @@ impl QueryEngine {
                 }
             },
         };
-        let owned;
         let (query, exclude): (&[f64], Option<usize>) = match (node, vector) {
             (Some(_), Some(_)) => {
                 return err(
@@ -667,8 +667,7 @@ impl QueryEngine {
                         ),
                     );
                 }
-                owned = snap.store.vector_of(n).to_vec();
-                (&owned, Some(n))
+                (snap.store.vector_of(n), Some(n))
             }
             (None, Some(v)) => {
                 if v.len() != snap.store.dim() {
@@ -846,11 +845,12 @@ fn run_edge_score(snap: &Snapshot, u: usize, v: usize) -> Response {
 }
 
 /// Builds the successor state of `snap` under `update`: upserts applied in
-/// order (appends must be contiguous), then deletes. The store is patched
-/// (see `EmbeddingStore::patched`: only written rows get fresh norms, and
-/// unchanged membership and anomaly scores are shared), and the ANN index
-/// is cloned — a few flat buffers — updated incrementally, and compacted
-/// once its ghost fraction crosses `config.compact_threshold`.
+/// order (appends must be contiguous), then deletes. The update's rows are
+/// written once, by `EmbeddingStore::patched` (only written rows get fresh
+/// norms, and unchanged membership and anomaly scores are shared); the ANN
+/// index's successor shares them, copies the links — a few flat buffers —
+/// rewires each written id once, and compacts once its ghost fraction
+/// crosses `config.compact_threshold`.
 fn build_next_snapshot(
     snap: &Snapshot,
     update: &SnapshotUpdate,
@@ -896,24 +896,9 @@ fn build_next_snapshot(
     // Appended nodes get zero membership rows (`community` reports them
     // as absent) and anomaly score 0 until the model is retrained.
     let store = old.patched(update);
-
-    // Incremental ANN maintenance on a clone of the pinned index.
     let ann = snap.ann.as_ref().map(|index| {
-        let mut ann = index.clone();
-        for up in &update.upserts {
-            if up.node < ann.len() {
-                ann.update(up.node, &up.vector);
-            } else {
-                ann.insert(&up.vector);
-            }
-        }
-        for &d in &update.deletes {
-            ann.remove(d);
-        }
-        if !ann.is_empty() && ann.ghosts() as f64 > config.compact_threshold * ann.len() as f64 {
-            ann.compact();
-        }
-        ann
+        let written = update.upserts.iter().map(|up| up.node);
+        index.successor(&store, written, config.compact_threshold)
     });
     Ok((store, ann))
 }
@@ -928,7 +913,9 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Scored;
     use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
+    use std::sync::Arc;
 
     fn engine(config: EngineConfig) -> QueryEngine {
         let mut rng = seeded_rng(11);
@@ -1029,9 +1016,10 @@ mod tests {
             serde_json::from_str(&e.run_line(r#"{"op":"edge_score","u":3,"v":9}"#)).unwrap();
         match resp {
             Response::EdgeScore { score, .. } => {
+                let z = gaussian_matrix(120, 8, 1.0, &mut seeded_rng(11));
                 assert_eq!(
                     score,
-                    aneci_eval::linkpred::edge_score(e.snapshot().store.embedding(), 3, 9),
+                    aneci_eval::linkpred::edge_score(&z, 3, 9),
                     "serve-time edge score must equal the eval scorer"
                 );
             }
@@ -1276,7 +1264,7 @@ mod tests {
         let snap = e.snapshot();
         let ann = snap.ann.as_ref().unwrap();
         assert_eq!(ann.ghosts(), 0);
-        assert!(!snap.store.is_deleted(5) && !ann.is_deleted(5));
+        assert!(!snap.store.is_deleted(5));
         assert_eq!(ann.search(&v, 1, 64, None)[0].0, 5);
         let line = format!(
             r#"{{"op":"top_k","vector":{},"k":1}}"#,
@@ -1290,6 +1278,107 @@ mod tests {
                 assert_eq!(neighbors[0].node, 5);
             }
             other => panic!("expected neighbors, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn store_and_index_share_one_copy_of_the_rows() {
+        let e = engine(EngineConfig {
+            use_ann: true,
+            ..EngineConfig::default()
+        });
+        let shared = |e: &QueryEngine| {
+            let snap = e.snapshot();
+            Arc::ptr_eq(snap.store.rows(), snap.ann.as_ref().unwrap().rows())
+        };
+        assert!(shared(&e), "after try_new");
+        let update = SnapshotUpdate::new()
+            .upsert(3, vec![0.5; 8])
+            .upsert(120, vec![1.0; 8])
+            .delete(7);
+        e.apply_update(&update).unwrap();
+        assert!(shared(&e), "after apply_update");
+        e.inject_anomalies(&[1, 2], 0.9).unwrap();
+        assert!(shared(&e), "after inject_anomalies");
+    }
+
+    /// The ANN answer to a 10-neighbor `top_k` query of `node` or
+    /// `vector`, as (id, score) pairs.
+    fn ann_hits(e: &QueryEngine, node: Option<usize>, vector: Option<Vec<f64>>) -> Vec<Scored> {
+        let query = Query::TopK {
+            node,
+            vector,
+            k: Some(10),
+            metric: None,
+            ann: Some(true),
+            min_generation: None,
+        };
+        match e.run(&query) {
+            Response::Neighbors {
+                neighbors,
+                exact: false,
+                ..
+            } => neighbors.iter().map(|nb| (nb.node, nb.score)).collect(),
+            other => panic!("expected ANN neighbors, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ann_cosine_hits_carry_the_exact_scans_scores_bit_for_bit() {
+        let z = gaussian_matrix(600, 32, 1.0, &mut seeded_rng(17));
+        let e = QueryEngine::new(
+            EmbeddingStore::new(z, None),
+            EngineConfig {
+                use_ann: true,
+                ..EngineConfig::default()
+            },
+        );
+        let snap = e.snapshot();
+        let store = &snap.store;
+        let n = store.num_nodes();
+        let (mut hits, mut moved) = (0, 0);
+        for node in (0..n).step_by(7) {
+            let free: Vec<f64> = store.vector_of(node).iter().map(|x| 0.5 - x).collect();
+            for (exclude, query) in [(Some(node), store.vector_of(node)), (None, &free[..])] {
+                let exact = store.top_k(query, n, Metric::Cosine, exclude);
+                let vector = exclude.is_none().then(|| query.to_vec());
+                for (id, score) in ann_hits(&e, exclude, vector) {
+                    let want = exact.iter().find(|&&(e, _)| e == id).unwrap().1;
+                    hits += 1;
+                    moved += usize::from(score.to_bits() != want.to_bits());
+                }
+            }
+        }
+        assert_eq!(
+            moved, 0,
+            "{moved} of {hits} ANN hits differ from the exact scan's score"
+        );
+    }
+
+    #[test]
+    fn ann_engine_over_a_tombstoned_store_never_serves_a_tombstone() {
+        let n = 200;
+        let z = gaussian_matrix(n, 8, 1.0, &mut seeded_rng(19));
+        let deleted: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+        let e = QueryEngine::new(
+            EmbeddingStore::with_tombstones(z, None, Some(deleted)),
+            EngineConfig {
+                use_ann: true,
+                ..EngineConfig::default()
+            },
+        );
+        for node in (1..n).step_by(2) {
+            let hits = ann_hits(&e, Some(node), None);
+            assert_eq!(hits.len(), 10);
+            let served: Vec<usize> = hits
+                .iter()
+                .map(|&(id, _)| id)
+                .filter(|id| id % 2 == 0)
+                .collect();
+            assert!(
+                served.is_empty(),
+                "node {node}: tombstoned {served:?} served"
+            );
         }
     }
 
@@ -1369,6 +1458,122 @@ mod tests {
         assert!(msg.contains("corrupt or truncated"), "{msg}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Delta-log replay on an ANN engine whose store starts with every
+    /// fifth row tombstoned: `log` in place of the file, replayed by
+    /// `try_new`. A compaction threshold of 0.2 lets a few deletes compact.
+    fn replay(log: &[u8], path: &std::path::Path) -> Result<QueryEngine, AneciError> {
+        std::fs::write(path, log).unwrap();
+        let (n, dim) = (24, 3);
+        let z = gaussian_matrix(n, dim, 1.0, &mut seeded_rng(5));
+        let deleted = (0..n).map(|i| i % 5 == 0).collect();
+        let config = EngineConfig {
+            use_ann: true,
+            hnsw: HnswConfig {
+                m: 4,
+                ef_construction: 16,
+                seed: 3,
+            },
+            compact_threshold: 0.2,
+            delta_log: Some(path.to_path_buf()),
+            ..EngineConfig::default()
+        };
+        QueryEngine::try_new(
+            EmbeddingStore::with_tombstones(z, None, Some(deleted)),
+            config,
+        )
+    }
+
+    /// One generated delta-log record: upserts as `(node, wrong)`, then
+    /// deletes.
+    type Record = (Vec<(usize, usize)>, Vec<usize>);
+
+    /// A delta log of `records`. Node ids run past the 24 rows (appends,
+    /// and non-contiguous ones), and an upsert whose `wrong` is 0 has 2
+    /// dimensions instead of 3.
+    fn delta_log(records: &[Record]) -> Vec<u8> {
+        let mut log = String::new();
+        for (r, (upserts, deletes)) in records.iter().enumerate() {
+            let mut update = SnapshotUpdate::new();
+            for (j, &(node, wrong)) in upserts.iter().enumerate() {
+                let v = (0..2 + usize::from(wrong != 0))
+                    .map(|c| ((node * 7 + r * 5 + j * 3 + c) % 11) as f64 * 0.3 - 1.5)
+                    .collect();
+                update = update.upsert(node, v);
+            }
+            for &node in deletes {
+                update = update.delete(node);
+            }
+            log += &serde_json::to_string(&update).unwrap();
+            log.push('\n');
+        }
+        log.into_bytes()
+    }
+
+    mod replay_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Whatever the log holds — arbitrary bytes, or valid records
+            /// with bytes overwritten or cut short — `try_new` answers with
+            /// an engine or a typed checkpoint or configuration error, and
+            /// an engine it builds serves only live ids, at the exact
+            /// scan's scores, from rows its index shares.
+            #[test]
+            fn delta_log_replay_is_typed_and_keeps_the_index_exact(
+                noise in prop::collection::vec(any::<u8>(), 0..160),
+                records in prop::collection::vec(
+                    (
+                        prop::collection::vec((0..26usize, 0..24usize), 0..5),
+                        prop::collection::vec(0..26usize, 0..4),
+                    ),
+                    1..7,
+                ),
+                edits in prop::collection::vec((any::<u64>(), any::<u8>()), 0..3),
+                (mode, cut) in (0..4u8, any::<u64>()),
+            ) {
+                // Mode 0 is noise; 1 the valid log; 2 it with bytes
+                // overwritten; 3 it cut short.
+                let mut log = if mode == 0 { noise } else { delta_log(&records) };
+                if mode == 2 {
+                    for &(at, byte) in &edits {
+                        let len = log.len() as u64;
+                        log[(at % len) as usize] = byte;
+                    }
+                }
+                if mode == 3 {
+                    log.truncate((cut % (log.len() as u64 + 1)) as usize);
+                }
+                let path = std::env::temp_dir().join(format!(
+                    "aneci-delta-log-replay-{}.jsonl",
+                    std::process::id()
+                ));
+                let built = replay(&log, &path);
+                let _ = std::fs::remove_file(&path);
+                match built {
+                    Ok(e) => {
+                        let snap = e.snapshot();
+                        let (store, ann) = (&snap.store, snap.ann.as_ref().unwrap());
+                        prop_assert!(Arc::ptr_eq(store.rows(), ann.rows()));
+                        let n = store.num_nodes();
+                        for node in (0..n).filter(|&i| !store.is_deleted(i)) {
+                            let exact = store.top_k(store.vector_of(node), n, Metric::Cosine, Some(node));
+                            for (id, score) in ann_hits(&e, Some(node), None) {
+                                prop_assert!(!store.is_deleted(id), "tombstoned {id} served");
+                                let want = exact.iter().find(|&&(e, _)| e == id).unwrap().1;
+                                prop_assert_eq!(score.to_bits(), want.to_bits());
+                            }
+                        }
+                    }
+                    Err(AneciError::Checkpoint(_) | AneciError::Config(_)) => {}
+                    Err(other) => prop_assert!(false, "untyped replay failure: {other:?}"),
+                }
+            }
+        }
     }
 
     fn suspect_of(resp: &str) -> Option<bool> {

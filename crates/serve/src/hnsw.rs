@@ -1,5 +1,5 @@
 //! A from-scratch HNSW (Hierarchical Navigable Small World) approximate
-//! nearest-neighbor index over the embedding matrix.
+//! nearest-neighbor index over one generation's embedding rows.
 //!
 //! Implements the essentials of Malkov & Yashunin (2016) on top of the
 //! `aneci-linalg` vector kernels:
@@ -32,24 +32,29 @@
 //! every snapshot update does — is therefore a handful of `memcpy`s with no
 //! per-node allocation.
 //!
-//! Deletes are tombstones (as in hnswlib's mark-delete): a removed node
-//! stays in the graph, and searches walk through it, but the layer-0 beam
-//! counts only live nodes toward its `ef` best, so a churned index answers
-//! with the beam width of a clean one. [`HnswIndex::compact`] rebuilds the
-//! graph over the live nodes once tombstones pile up.
+//! The index keeps links only. Its rows — the embedding, the per-row L2
+//! norms and the tombstone mask — belong to the [`EmbeddingStore`] it was
+//! built or updated with, shared through one `Arc`, and it scores with the
+//! store's own formula: `cosine_with_norms(dot(q, row), ‖q‖, norm[row])`
+//! for cosine (0 when either vector is zero), `dot(q, row)` for dot. A
+//! reported score is therefore the exact scan's score for that id, bit for
+//! bit; only which neighbors are found is approximate.
 //!
-//! For cosine similarity the index stores L2-normalized copies of the rows
-//! (zero rows stay zero, matching the `vector::cosine` convention that the
-//! similarity involving a zero vector is 0), so search reduces to
-//! maximum-inner-product over normalized vectors.
+//! Deletes are the store's tombstones (as in hnswlib's mark-delete): a
+//! tombstoned node stays wired into the graph as a *ghost*, and searches
+//! walk through it, but the layer-0 beam counts only live nodes toward its
+//! `ef` best, so a churned index answers with the beam width of a clean
+//! one. A snapshot update derives the next generation's index with
+//! `HnswIndex::successor`, which rewires the ids the update wrote and
+//! rebuilds the graph over the live nodes once ghosts pile up.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::sync::Arc;
 
 use aneci_linalg::pool;
 use aneci_linalg::rng::seeded_rng;
 use aneci_linalg::vector;
-use aneci_linalg::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -58,7 +63,7 @@ use rand::Rng;
 /// recall on clustered data indistinguishable from sequential insertion.
 const BUILD_BATCH: usize = 32;
 
-use crate::store::{Metric, Scored};
+use crate::store::{EmbeddingStore, Metric, Rows, Scored};
 
 /// Cached handles for `(serve.hnsw.hops, serve.hnsw.searches)`.
 fn search_metrics() -> &'static (aneci_obs::Counter, aneci_obs::Counter) {
@@ -155,27 +160,16 @@ impl Walk {
     }
 }
 
-/// What a node slot holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    /// Served by searches.
-    Live,
-    /// Tombstoned but still wired into the graph: searches traverse it and
-    /// never return it.
-    Ghost,
-    /// Tombstoned and left out of the graph by [`HnswIndex::compact`]: no
-    /// links, unreachable. Its level is the one `compact` drew for it.
-    Unwired,
-}
-
-/// The built index. Cloning copies the vectors, the flat link storage and
-/// the per-node slot data — a few contiguous buffers, no per-node
-/// allocation; the snapshot-swap path clones the live index, mutates the
-/// clone off to the side, and publishes it atomically.
+/// The built index: links over the rows of one [`EmbeddingStore`]
+/// generation, which it shares. Cloning copies the flat link storage and
+/// the per-node level and wiring state — a few contiguous buffers, no
+/// per-node allocation — and shares the rows.
 #[derive(Clone)]
 pub struct HnswIndex {
-    /// Row-per-node vectors; L2-normalized copies when `metric == Cosine`.
-    vectors: DenseMatrix,
+    /// The generation's rows, shared with its store: the vectors scored,
+    /// their norms, and the tombstone mask that decides which nodes are
+    /// live.
+    rows: Arc<Rows>,
     metric: Metric,
     /// Layer-0 links, [`Self::stride0`] entries per node: the link count,
     /// then the ids in stored order.
@@ -188,46 +182,45 @@ pub struct HnswIndex {
     levels: Vec<u8>,
     /// First upper block of every node (unused at level 0).
     upper_at: Vec<u32>,
-    /// Live, ghost or unwired, per node.
-    slots: Vec<Slot>,
+    /// Whether each node is wired into the graph. Only a node that
+    /// [`Self::compact`] left out, tombstoned, is not: no links,
+    /// unreachable, at the level `compact` drew for it.
+    wired: Vec<bool>,
     entry: u32,
     max_layer: usize,
     m: usize,
-    /// Beam width for incremental inserts/updates (the build-time value).
+    /// Beam width for appends and rewires (the build-time value).
     ef_construction: usize,
     /// Seed the level stream was started from; [`Self::compact`] redraws
     /// the whole stream from here so rebuilt levels are deterministic.
     seed: u64,
-    /// Level RNG positioned after the last drawn level, so incremental
-    /// inserts continue the same stream a bigger build would have consumed.
+    /// Level RNG positioned after the last drawn level, so appends
+    /// continue the same stream a bigger build would have consumed.
     level_rng: StdRng,
-    /// Number of [`Slot::Ghost`] nodes; `compact` resets it to zero.
+    /// Tombstoned nodes still wired into the graph; `compact` resets it
+    /// to zero.
     ghosts: usize,
 }
 
 impl HnswIndex {
-    /// Builds the index over `embedding` (one node per row), inserting nodes
-    /// in row order. Candidate searches run batched on the pool (see module
-    /// docs); the result is bit-identical across thread counts.
-    pub fn build(embedding: &DenseMatrix, metric: Metric, config: &HnswConfig) -> Self {
+    /// Builds the index over `store`'s rows (one node per row), inserting
+    /// nodes in row order. Every row is wired, tombstoned ones included:
+    /// they start as ghosts. Candidate searches run batched on the pool
+    /// (see module docs); the result is bit-identical across thread counts.
+    pub fn build(store: &EmbeddingStore, metric: Metric, config: &HnswConfig) -> Self {
         assert!(config.m >= 2, "HNSW needs at least 2 links per node");
         assert!(config.ef_construction >= 1);
         aneci_linalg::simd::record_dispatch();
-        let mut vectors = embedding.clone();
-        if metric == Metric::Cosine {
-            for r in 0..vectors.rows() {
-                vector::normalize_inplace(vectors.row_mut(r));
-            }
-        }
-        let n = vectors.rows();
+        let rows = Arc::clone(store.rows());
+        let n = rows.len();
         let mut index = Self {
-            vectors,
+            rows,
             metric,
             layer0: Vec::with_capacity(n * (2 * config.m + 2)),
             upper: Vec::new(),
             levels: Vec::with_capacity(n),
             upper_at: Vec::with_capacity(n),
-            slots: Vec::with_capacity(n),
+            wired: Vec::with_capacity(n),
             entry: 0,
             max_layer: 0,
             m: config.m,
@@ -242,11 +235,11 @@ impl HnswIndex {
 
         // Levels are drawn up front in node order — the same RNG stream the
         // old sequential build consumed, so a given seed assigns the same
-        // levels either way, and incremental inserts continue it.
+        // levels either way, and appends continue it.
         let levels: Vec<usize> = (0..n).map(|_| index.draw_level()).collect();
 
         // The first node has no graph to search: it just becomes the entry.
-        index.push_slot(levels[0], Slot::Live);
+        index.push_slot(levels[0], true);
         index.entry = 0;
         index.max_layer = levels[0];
 
@@ -264,40 +257,44 @@ impl HnswIndex {
             // Phase 2: apply links serially in node order.
             for (i, per_layer) in found.iter().enumerate() {
                 let node = (next + i) as u32;
-                index.push_slot(levels[node as usize], Slot::Live);
+                index.push_slot(levels[node as usize], true);
                 index.place(node, levels[node as usize], per_layer);
             }
             next = batch_end;
         }
+        index.ghosts = index.count_ghosts();
         index
     }
 
     /// Number of indexed node slots, tombstoned ones included.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.levels.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Number of live (non-tombstoned) nodes.
-    pub fn live(&self) -> usize {
-        self.slots.iter().filter(|&&s| s == Slot::Live).count()
-    }
-
-    /// Whether `id` is tombstoned.
-    pub fn is_deleted(&self, id: usize) -> bool {
-        self.slots.get(id).is_some_and(|&s| s != Slot::Live)
+        self.levels.is_empty()
     }
 
     /// Tombstoned nodes still wired into the navigation graph (reset to
-    /// zero by [`Self::compact`]). Searches walk through them without
+    /// zero when the graph is compacted). Searches walk through them without
     /// counting them, so they cost hops, not beam width; the snapshot
     /// update path compacts once they exceed its `compact_threshold`.
     pub fn ghosts(&self) -> usize {
         self.ghosts
+    }
+
+    /// Wired nodes the rows' mask tombstones.
+    fn count_ghosts(&self) -> usize {
+        (0..self.len())
+            .filter(|&i| self.wired[i] && self.rows.is_deleted(i))
+            .count()
+    }
+
+    /// The rows the index shares with its store.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> &Arc<Rows> {
+        &self.rows
     }
 
     /// The metric the index was built for.
@@ -324,9 +321,9 @@ impl HnswIndex {
     }
 
     /// Appends a slot at `level` with empty link lists on every layer.
-    fn push_slot(&mut self, level: usize, slot: Slot) {
+    fn push_slot(&mut self, level: usize, wired: bool) {
         let stride_up = self.stride_up();
-        self.slots.push(slot);
+        self.wired.push(wired);
         self.levels.push(level as u8);
         self.upper_at.push((self.upper.len() / stride_up) as u32);
         self.upper.resize(self.upper.len() + level * stride_up, 0);
@@ -335,9 +332,10 @@ impl HnswIndex {
 
     /// Layers `node` is wired into (0 for a slot `compact` left unwired).
     fn layer_count(&self, node: usize) -> usize {
-        match self.slots[node] {
-            Slot::Unwired => 0,
-            _ => usize::from(self.levels[node]) + 1,
+        if self.wired[node] {
+            usize::from(self.levels[node]) + 1
+        } else {
+            0
         }
     }
 
@@ -405,16 +403,17 @@ impl HnswIndex {
         list[0] = (kept - 1) as u32;
     }
 
-    /// Similarity between a (pre-normalized, for cosine) query and a stored
-    /// node. Both metrics reduce to a dot product here.
+    /// Similarity between a query of L2 norm `qn` and a stored node: the
+    /// store's scoring formula.
     #[inline]
-    fn sim_to(&self, q: &[f64], node: u32) -> f64 {
-        vector::dot(q, self.vectors.row(node as usize))
+    fn sim_to(&self, q: &[f64], qn: f64, node: u32) -> f64 {
+        self.rows.score(q, qn, node as usize, self.metric)
     }
 
     #[inline]
     fn sim_between(&self, a: u32, b: u32) -> f64 {
-        vector::dot(self.vectors.row(a as usize), self.vectors.row(b as usize))
+        let a = a as usize;
+        self.sim_to(self.rows.row(a), self.rows.norm(a), b)
     }
 
     fn max_links(&self, layer: usize) -> usize {
@@ -429,9 +428,9 @@ impl HnswIndex {
     /// searches for `node` against the current (frozen) graph. Entry `i` of
     /// the result holds the candidates for layer `level.min(max_layer) - i`.
     fn search_candidates(&self, node: u32, level: usize, ef_construction: usize) -> Vec<Vec<Cand>> {
-        let q = self.vectors.row(node as usize);
+        let (q, qn) = (self.rows.row(node as usize), self.rows.norm(node as usize));
         let mut ep = vec![Cand {
-            sim: self.sim_to(q, self.entry),
+            sim: self.sim_to(q, qn, self.entry),
             id: self.entry,
         }];
 
@@ -442,7 +441,7 @@ impl HnswIndex {
         // Greedy descent through layers above the node's top level.
         let mut layer = self.max_layer;
         while layer > level {
-            ep = self.search_layer(q, &ep, 1, layer, false, &mut walk);
+            ep = self.search_layer((q, qn), &ep, 1, layer, false, &mut walk);
             layer -= 1;
         }
 
@@ -453,7 +452,7 @@ impl HnswIndex {
         let mut per_layer = Vec::with_capacity(top + 1);
         let mut l = top;
         loop {
-            let found = self.search_layer(q, &ep, ef_construction, l, false, &mut walk);
+            let found = self.search_layer((q, qn), &ep, ef_construction, l, false, &mut walk);
             ep = found.clone();
             per_layer.push(found);
             if l == 0 {
@@ -475,9 +474,9 @@ impl HnswIndex {
         for (i, found) in per_layer.iter().enumerate() {
             let l = top - i;
             // A node never links to itself (candidates can contain `node`
-            // when re-wiring an existing id in `update`), and a link at
-            // layer `l` needs both endpoints to exist there (a borrowed
-            // search entry in `update` may live only on lower layers).
+            // when re-wiring an existing id), and a link at layer `l`
+            // needs both endpoints to exist there (a borrowed search entry
+            // in `rewire` may live only on lower layers).
             let cands: Vec<Cand> = found
                 .iter()
                 .filter(|c| c.id != node && self.layer_count(c.id as usize) > l)
@@ -503,77 +502,68 @@ impl HnswIndex {
     /// Whether the graph has no wired node to search from: empty, or every
     /// slot left unwired by [`Self::compact`].
     fn unrooted(&self) -> bool {
-        self.slots
-            .get(self.entry as usize)
-            .is_none_or(|&s| s == Slot::Unwired)
+        self.wired.get(self.entry as usize).is_none_or(|&w| !w)
     }
 
-    /// Inserts one new vector, returning its assigned id (`self.len() - 1`
-    /// after the call). The level comes from the same seeded stream the
-    /// build consumed, so "build n, insert m" draws the levels a build of
-    /// `n + m` rows would. Cost: one `ef_construction` beam search; the row
-    /// is appended to the vector matrix in place, which reallocates (an
-    /// O(n·d) copy) only when the matrix is out of spare capacity — as it
-    /// always is for the first insert into a fresh clone.
-    pub fn insert(&mut self, vector: &[f64]) -> usize {
-        assert_eq!(
-            vector.len(),
-            self.vectors.cols(),
-            "insert dimension mismatch"
-        );
-        let id = self.len() as u32;
-        let (rows, cols) = (self.vectors.rows(), self.vectors.cols());
-        let mut data = std::mem::replace(&mut self.vectors, DenseMatrix::zeros(0, 0)).into_vec();
-        data.extend_from_slice(vector);
-        self.vectors = DenseMatrix::from_vec(rows + 1, cols, data);
-        if self.metric == Metric::Cosine {
-            vector::normalize_inplace(self.vectors.row_mut(rows));
+    /// The index over `store`, this index's store after one update (see
+    /// `EmbeddingStore::patched`), whose upserts wrote the ids `written`
+    /// in order. The copy shares the new rows and wires each written id
+    /// once, at its final row: an id past the last node is appended, with
+    /// its level drawn from the stream the build consumed (so "build n,
+    /// append m" draws the levels a build of `n + m` rows would); an
+    /// existing one is detached and wired again, or, if [`Self::compact`]
+    /// left it unwired, wired in at the level `compact` drew for it.
+    /// Deletes need no rewiring: the store's mask makes their nodes
+    /// ghosts. Once ghosts exceed `compact_threshold` of the nodes, the
+    /// graph is compacted.
+    pub(crate) fn successor(
+        &self,
+        store: &EmbeddingStore,
+        written: impl IntoIterator<Item = usize>,
+        compact_threshold: f64,
+    ) -> Self {
+        let mut next = self.clone();
+        next.rows = Arc::clone(store.rows());
+        let mut seen = BTreeSet::new();
+        for id in written.into_iter().filter(|&id| seen.insert(id)) {
+            if id < next.len() {
+                next.rewire(id);
+            } else {
+                next.append();
+            }
         }
+        assert_eq!(next.len(), next.rows.len(), "every appended row is written");
+        next.ghosts = next.count_ghosts();
+        if next.ghosts as f64 > compact_threshold * next.len() as f64 {
+            next.compact();
+        }
+        next
+    }
+
+    /// Wires the first row past the last node in as a new node. Cost: one
+    /// `ef_construction` beam search.
+    fn append(&mut self) {
+        let id = self.len() as u32;
         let level = self.draw_level();
         let unrooted = self.unrooted();
-        self.push_slot(level, Slot::Live);
+        self.push_slot(level, true);
         if unrooted {
             self.entry = id;
             self.max_layer = level;
-            return id as usize;
+            return;
         }
         let per_layer = self.search_candidates(id, level, self.ef_construction);
         self.place(id, level, &per_layer);
-        id as usize
     }
 
-    /// Tombstones `id`: it disappears from every search result immediately
-    /// but stays wired into the graph for navigation until [`Self::compact`].
-    /// Returns `false` when `id` is out of range or already deleted.
-    pub fn remove(&mut self, id: usize) -> bool {
-        if self.slots.get(id) != Some(&Slot::Live) {
-            return false;
-        }
-        self.slots[id] = Slot::Ghost;
-        self.ghosts += 1;
-        true
-    }
-
-    /// Replaces the vector of an existing id and re-wires it at its level:
-    /// old links are detached on both sides, then the node is re-inserted
-    /// from a fresh candidate search. A tombstoned id is revived; one that
-    /// [`Self::compact`] left unwired is wired in at the level `compact`
-    /// drew for it.
-    pub fn update(&mut self, id: usize, vector: &[f64]) {
-        assert!(id < self.len(), "update of unknown id {id}");
-        assert_eq!(
-            vector.len(),
-            self.vectors.cols(),
-            "update dimension mismatch"
-        );
+    /// Wires `id` again at its level from a fresh candidate search against
+    /// its current row: its old links are detached on both sides first,
+    /// unless [`Self::compact`] left it unwired.
+    fn rewire(&mut self, id: usize) {
         let node = id as u32;
         let level = usize::from(self.levels[id]);
         let unrooted = self.unrooted();
-        let was = std::mem::replace(&mut self.slots[id], Slot::Live);
-        if was == Slot::Ghost {
-            self.ghosts -= 1;
-        }
-        if was != Slot::Unwired {
+        if std::mem::replace(&mut self.wired[id], true) {
             // Detach both directions.
             for layer in 0..=level {
                 let old = self.neighbors(id, layer).to_vec();
@@ -582,10 +572,6 @@ impl HnswIndex {
                     self.unlink(nb as usize, layer, node);
                 }
             }
-        }
-        self.vectors.row_mut(id).copy_from_slice(vector);
-        if self.metric == Metric::Cosine {
-            vector::normalize_inplace(self.vectors.row_mut(id));
         }
         if unrooted {
             // No wired node to search from: this one roots the graph.
@@ -596,11 +582,11 @@ impl HnswIndex {
         if self.len() == 1 {
             return;
         }
-        // The detached node can't be its own search entry; borrow another
-        // one for the candidate search if it is.
+        // The detached node can't be its own search entry; borrow a wired
+        // live one for the candidate search if it is.
         let borrowed = self.entry == node;
         if borrowed {
-            match (0..self.len()).find(|&i| i != id && self.slots[i] == Slot::Live) {
+            match (0..self.len()).find(|&i| i != id && self.wired[i] && !self.rows.is_deleted(i)) {
                 Some(alt) => self.entry = alt as u32,
                 None => return, // every other node is tombstoned: leave it detached
             }
@@ -613,33 +599,25 @@ impl HnswIndex {
     }
 
     /// Rebuilds the link structure over live nodes only, dropping every
-    /// tombstone from the graph (ids stay stable; tombstoned slots become
-    /// [`Slot::Unwired`] and simply unreachable). Levels are redrawn
-    /// deterministically from the stored seed, so two indexes with the same
-    /// (seed, live set) compact to identical graphs.
-    pub fn compact(&mut self) {
-        if self.ghosts == 0 {
-            return;
-        }
+    /// ghost from the graph (ids stay stable; tombstoned nodes are left
+    /// unwired and simply unreachable). Levels are redrawn
+    /// deterministically from the stored seed, so two indexes with the
+    /// same (seed, live set) compact to identical graphs.
+    fn compact(&mut self) {
         let n = self.len();
         self.level_rng = seeded_rng(self.seed);
         let levels: Vec<usize> = (0..n).map(|_| self.draw_level()).collect();
-        let slots = std::mem::take(&mut self.slots);
         self.levels.clear();
         self.upper_at.clear();
         self.upper.clear();
         self.layer0.clear();
-        for (&slot, &level) in slots.iter().zip(&levels) {
-            let slot = if slot == Slot::Live {
-                Slot::Live
-            } else {
-                Slot::Unwired
-            };
-            self.push_slot(level, slot);
+        self.wired.clear();
+        for (id, &level) in levels.iter().enumerate() {
+            self.push_slot(level, !self.rows.is_deleted(id));
         }
         self.max_layer = 0;
         self.ghosts = 0;
-        let live: Vec<usize> = (0..n).filter(|&i| self.slots[i] == Slot::Live).collect();
+        let live: Vec<usize> = (0..n).filter(|&i| self.wired[i]).collect();
         let Some(&first) = live.first() else {
             self.entry = 0;
             return;
@@ -696,8 +674,9 @@ impl HnswIndex {
         selected
     }
 
-    /// Beam search at one layer: returns up to `ef` best nodes, sorted by
-    /// descending similarity (ascending-id tie-breaks). Each expanded
+    /// Beam search at one layer for the query `q` of L2 norm `qn`: returns
+    /// up to `ef` best nodes, sorted by descending similarity
+    /// (ascending-id tie-breaks). Each expanded
     /// frontier node counts as one hop in `walk.hops`.
     ///
     /// With `live_only`, tombstoned nodes are walked through like any other
@@ -710,14 +689,14 @@ impl HnswIndex {
     /// starts it on a layer of its own.
     fn search_layer(
         &self,
-        q: &[f64],
+        (q, qn): (&[f64], f64),
         entries: &[Cand],
         ef: usize,
         layer: usize,
         live_only: bool,
         walk: &mut Walk,
     ) -> Vec<Cand> {
-        let counted = |id: u32| !live_only || self.slots[id as usize] == Slot::Live;
+        let counted = |id: u32| !live_only || !self.rows.is_deleted(id as usize);
         walk.next_layer();
         // Max-heap of frontier nodes; min-heap (via Reverse) of best-so-far.
         let mut frontier: BinaryHeap<Cand> = BinaryHeap::new();
@@ -747,7 +726,7 @@ impl HnswIndex {
                 if !walk.mark(nb) {
                     continue;
                 }
-                let sim = self.sim_to(q, nb);
+                let sim = self.sim_to(q, qn, nb);
                 let worst = best.peek().map(|r| r.0.sim).unwrap_or(f64::NEG_INFINITY);
                 if best.len() < ef || sim > worst {
                     let cand = Cand { sim, id: nb };
@@ -800,24 +779,20 @@ impl HnswIndex {
         exclude: Option<usize>,
         hops: &mut u64,
     ) -> Vec<Scored> {
-        assert_eq!(query.len(), self.vectors.cols(), "query dimension mismatch");
-        let mut q = query.to_vec();
-        if self.metric == Metric::Cosine {
-            vector::normalize_inplace(&mut q);
-        }
-
+        assert_eq!(query.len(), self.rows.dim(), "query dimension mismatch");
+        let qn = vector::norm2(query);
         let mut ep = vec![Cand {
-            sim: self.sim_to(&q, self.entry),
+            sim: self.sim_to(query, qn, self.entry),
             id: self.entry,
         }];
         let mut walk = Walk::new(self.len());
         for layer in (1..=self.max_layer).rev() {
-            ep = self.search_layer(&q, &ep, 1, layer, false, &mut walk);
+            ep = self.search_layer((query, qn), &ep, 1, layer, false, &mut walk);
         }
         // One extra beam slot covers a possible excluded id. Tombstones
         // need none: the layer-0 beam counts live nodes only.
         let beam = ef.max(k) + usize::from(exclude.is_some());
-        let found = self.search_layer(&q, &ep, beam, 0, true, &mut walk);
+        let found = self.search_layer((query, qn), &ep, beam, 0, true, &mut walk);
         *hops += walk.hops;
         found
             .into_iter()
@@ -844,9 +819,10 @@ pub fn recall_at_k(exact: &[Scored], approx: &[Scored]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::EmbeddingStore;
+    use crate::snapshot::SnapshotUpdate;
     use aneci_linalg::golden::{self, Fixture};
     use aneci_linalg::rng::{seeded_rng, standard_normal};
+    use aneci_linalg::DenseMatrix;
 
     /// A clustered point cloud: `per_cluster` points around each of
     /// `centers` well-separated centroids — the regime ANN indexes exist for.
@@ -871,11 +847,56 @@ mod tests {
             .collect()
     }
 
+    /// A store and its cosine index, moved forward one update at a time
+    /// through the two writes of a snapshot update:
+    /// `EmbeddingStore::patched`, then [`HnswIndex::successor`].
+    struct Generation {
+        store: EmbeddingStore,
+        index: HnswIndex,
+    }
+
+    impl Generation {
+        fn build(data: &DenseMatrix, config: &HnswConfig) -> Self {
+            let store = EmbeddingStore::new(data.clone(), None);
+            let index = HnswIndex::build(&store, Metric::Cosine, config);
+            Self { store, index }
+        }
+
+        /// Applies `update`, compacting once ghosts exceed `threshold` of
+        /// the nodes.
+        fn apply_at(&mut self, update: &SnapshotUpdate, threshold: f64) {
+            self.store = self.store.patched(update);
+            let written = update.upserts.iter().map(|up| up.node);
+            self.index = self.index.successor(&self.store, written, threshold);
+        }
+
+        /// Applies `update` without compacting.
+        fn apply(&mut self, update: &SnapshotUpdate) {
+            self.apply_at(update, 1.0);
+        }
+
+        fn upsert(&mut self, id: usize, vector: &[f64]) {
+            self.apply(&SnapshotUpdate::new().upsert(id, vector.to_vec()));
+        }
+
+        fn delete(&mut self, ids: impl IntoIterator<Item = usize>) {
+            self.apply(
+                &ids.into_iter()
+                    .fold(SnapshotUpdate::new(), SnapshotUpdate::delete),
+            );
+        }
+
+        /// Compacts when any ghost is wired in.
+        fn compact(&mut self) {
+            self.apply_at(&SnapshotUpdate::new(), 0.0);
+        }
+    }
+
     #[test]
     fn high_recall_on_clustered_data() {
         let data = clustered(8, 50, 16, 1);
         let store = EmbeddingStore::new(data.clone(), None);
-        let index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let index = HnswIndex::build(&store, Metric::Cosine, &HnswConfig::default());
 
         let mut total = 0.0;
         let queries = 40;
@@ -892,9 +913,10 @@ mod tests {
     #[test]
     fn deterministic_build_and_search() {
         let data = clustered(4, 30, 8, 2);
+        let store = EmbeddingStore::new(data.clone(), None);
         let cfg = HnswConfig::default();
-        let a = HnswIndex::build(&data, Metric::Cosine, &cfg);
-        let b = HnswIndex::build(&data, Metric::Cosine, &cfg);
+        let a = HnswIndex::build(&store, Metric::Cosine, &cfg);
+        let b = HnswIndex::build(&store, Metric::Cosine, &cfg);
         assert_eq!(links(&a), links(&b), "same seed must give identical graphs");
         assert_eq!(a.entry, b.entry);
         for node in [0usize, 17, 63, 119] {
@@ -908,12 +930,12 @@ mod tests {
     #[test]
     fn build_is_bit_identical_across_thread_counts() {
         pool::force_pool();
-        let data = clustered(4, 40, 8, 7);
+        let store = EmbeddingStore::new(clustered(4, 40, 8, 7), None);
         let cfg = HnswConfig::default();
         pool::set_num_threads(1);
-        let serial = HnswIndex::build(&data, Metric::Cosine, &cfg);
+        let serial = HnswIndex::build(&store, Metric::Cosine, &cfg);
         pool::set_num_threads(4);
-        let pooled = HnswIndex::build(&data, Metric::Cosine, &cfg);
+        let pooled = HnswIndex::build(&store, Metric::Cosine, &cfg);
         assert_eq!(links(&serial), links(&pooled));
         assert_eq!(serial.entry, pooled.entry);
         assert_eq!(serial.max_layer, pooled.max_layer);
@@ -923,23 +945,29 @@ mod tests {
     fn dot_metric_and_scores_match_store_scoring() {
         let data = clustered(3, 20, 6, 3);
         let store = EmbeddingStore::new(data.clone(), None);
-        let index = HnswIndex::build(&data, Metric::Dot, &HnswConfig::default());
-        let hits = index.search(data.row(0), 5, 60, None);
-        assert!(!hits.is_empty());
-        // Every reported dot-product score is exact (ANN only approximates
-        // *which* neighbors, never their scores).
-        for &(id, score) in &hits {
-            let exact = aneci_linalg::vector::dot(data.row(0), data.row(id));
-            assert_eq!(score, exact);
+        for metric in [Metric::Dot, Metric::Cosine] {
+            let index = HnswIndex::build(&store, metric, &HnswConfig::default());
+            for q in [0usize, 21, 59] {
+                let hits = index.search(data.row(q), 5, 60, None);
+                assert!(!hits.is_empty());
+                // Every reported score is the exact scan's score for that
+                // id, bit for bit (ANN only approximates *which* neighbors,
+                // never their scores).
+                let exact = store.top_k(data.row(q), data.rows(), metric, None);
+                for &(id, score) in &hits {
+                    let want = exact.iter().find(|&&(e, _)| e == id).unwrap().1;
+                    assert_eq!(score.to_bits(), want.to_bits(), "{metric:?}: node {id}");
+                }
+                // With a generous beam on a tiny set, top-1 matches the
+                // exact path.
+                assert_eq!(hits[0].0, exact[0].0, "{metric:?}");
+            }
         }
-        // With a generous beam on a tiny set, top-1 matches the exact path.
-        let exact_top = store.top_k(data.row(0), 1, Metric::Dot, None);
-        assert_eq!(hits[0].0, exact_top[0].0);
     }
 
     #[test]
     fn tiny_and_degenerate_indexes() {
-        let one = DenseMatrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
+        let one = EmbeddingStore::new(DenseMatrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]), None);
         let idx = HnswIndex::build(&one, Metric::Cosine, &HnswConfig::default());
         assert_eq!(idx.len(), 1);
         let hits = idx.search(&[1.0, 0.0, 0.0], 5, 10, None);
@@ -947,7 +975,7 @@ mod tests {
         assert_eq!(hits[0].0, 0);
         assert!(idx.search(&[1.0, 0.0, 0.0], 5, 10, Some(0)).is_empty());
 
-        let empty = DenseMatrix::zeros(0, 3);
+        let empty = EmbeddingStore::new(DenseMatrix::zeros(0, 3), None);
         let idx = HnswIndex::build(&empty, Metric::Cosine, &HnswConfig::default());
         assert!(idx.is_empty());
         assert!(idx.search(&[0.0; 3], 5, 10, None).is_empty());
@@ -957,22 +985,22 @@ mod tests {
     fn incremental_insert_matches_batch_levels_and_keeps_recall() {
         let data = clustered(6, 40, 12, 4);
         let cfg = HnswConfig::default();
-        // Build over the first 200 rows, insert the remaining 40.
+        // Build over the first 200 rows, append the remaining 40.
         let head = DenseMatrix::from_fn(200, 12, |r, c| data.get(r, c));
-        let mut index = HnswIndex::build(&head, Metric::Cosine, &cfg);
-        for r in 200..data.rows() {
-            let id = index.insert(data.row(r));
-            assert_eq!(id, r);
-        }
-        assert_eq!(index.len(), data.rows());
+        let mut g = Generation::build(&head, &cfg);
+        g.apply(&(200..data.rows()).fold(SnapshotUpdate::new(), |u, r| {
+            u.upsert(r, data.row(r).to_vec())
+        }));
+        assert_eq!(g.index.len(), data.rows());
+        let full = Generation::build(&data, &cfg);
+        assert_eq!(g.index.levels, full.index.levels);
 
-        let store = EmbeddingStore::new(data.clone(), None);
         let mut total = 0.0;
         let queries = 40;
         for qi in 0..queries {
             let node = qi * 7 % data.rows();
-            let exact = store.top_k_node(node, 10, Metric::Cosine);
-            let approx = index.search(data.row(node), 10, 64, Some(node));
+            let exact = g.store.top_k_node(node, 10, Metric::Cosine);
+            let approx = g.index.search(data.row(node), 10, 64, Some(node));
             total += recall_at_k(&exact, &approx);
         }
         let recall = total / queries as f64;
@@ -983,30 +1011,21 @@ mod tests {
     fn remove_tombstones_and_compact_preserve_recall() {
         let data = clustered(6, 40, 12, 5);
         let cfg = HnswConfig::default();
-        let mut index = HnswIndex::build(&data, Metric::Cosine, &cfg);
+        let mut g = Generation::build(&data, &cfg);
         // Delete 20% of the nodes.
         let removed: Vec<usize> = (0..data.rows()).filter(|i| i % 5 == 0).collect();
-        for &id in &removed {
-            assert!(index.remove(id));
-            assert!(!index.remove(id), "double-remove must report false");
-        }
-        assert_eq!(index.ghosts(), removed.len());
-        assert_eq!(index.live(), data.rows() - removed.len());
+        g.delete(removed.iter().copied());
+        assert_eq!(g.index.ghosts(), removed.len());
+        assert_eq!(g.store.num_live(), data.rows() - removed.len());
 
         // Exact reference over the live set only.
-        let check = |index: &HnswIndex| {
-            let store = EmbeddingStore::new(data.clone(), None);
+        let check = |g: &Generation| {
             let mut total = 0.0;
             let queries = 30;
             for qi in 0..queries {
                 let node = qi * 11 % data.rows();
-                let exact: Vec<Scored> = store
-                    .top_k_node(node, 10 + removed.len(), Metric::Cosine)
-                    .into_iter()
-                    .filter(|&(id, _)| !removed.contains(&id))
-                    .take(10)
-                    .collect();
-                let approx = index.search(data.row(node), 10, 64, Some(node));
+                let exact = g.store.top_k_node(node, 10, Metric::Cosine);
+                let approx = g.index.search(data.row(node), 10, 64, Some(node));
                 assert!(
                     approx.iter().all(|&(id, _)| !removed.contains(&id)),
                     "tombstoned id in results"
@@ -1015,110 +1034,103 @@ mod tests {
             }
             total / queries as f64
         };
-        let recall = check(&index);
+        let recall = check(&g);
         assert!(recall >= 0.95, "post-delete recall@10 = {recall}");
 
-        index.compact();
-        assert_eq!(index.ghosts(), 0);
-        assert_eq!(index.live(), data.rows() - removed.len());
-        let recall = check(&index);
+        g.compact();
+        assert_eq!(g.index.ghosts(), 0);
+        assert_eq!(g.store.num_live(), data.rows() - removed.len());
+        let recall = check(&g);
         assert!(recall >= 0.95, "post-compact recall@10 = {recall}");
 
         // Compaction is deterministic in (seed, live set).
-        let mut other = HnswIndex::build(&data, Metric::Cosine, &cfg);
-        for &id in &removed {
-            other.remove(id);
-        }
+        let mut other = Generation::build(&data, &cfg);
+        other.delete(removed.iter().copied());
         other.compact();
-        assert_eq!(links(&index), links(&other));
-        assert_eq!(index.entry, other.entry);
+        assert_eq!(links(&g.index), links(&other.index));
+        assert_eq!(g.index.entry, other.index.entry);
     }
 
     #[test]
     fn update_rewires_and_revives() {
         let data = clustered(4, 30, 8, 6);
-        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let mut g = Generation::build(&data, &HnswConfig::default());
         // Move node 5 exactly onto node 77's vector: it must become 77's
         // nearest neighbor.
-        index.update(5, data.row(77));
-        let hits = index.search(data.row(77), 3, 64, Some(77));
+        g.upsert(5, data.row(77));
+        let hits = g.index.search(data.row(77), 3, 64, Some(77));
         assert_eq!(hits[0].0, 5, "updated node should be the top hit");
         assert!((hits[0].1 - 1.0).abs() < 1e-12);
 
-        // A removed node revived by update serves again.
-        index.remove(9);
-        assert!(index
+        // A removed node revived by an upsert serves again.
+        g.delete([9]);
+        assert!(g
+            .index
             .search(data.row(9), 120, 256, None)
             .iter()
             .all(|&(id, _)| id != 9));
-        index.update(9, data.row(9));
-        assert_eq!(index.ghosts(), 0);
-        let hits = index.search(data.row(9), 1, 64, None);
+        g.upsert(9, data.row(9));
+        assert_eq!(g.index.ghosts(), 0);
+        let hits = g.index.search(data.row(9), 1, 64, None);
         assert_eq!(hits[0].0, 9);
     }
 
     #[test]
     fn update_revives_an_id_compact_unwired() {
         let data = clustered(4, 30, 8, 8);
-        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
-        assert!(index.remove(5) && index.remove(6));
-        index.compact();
-        assert_eq!(index.ghosts(), 0);
-        assert_eq!(index.layer_count(5), 0, "compact unwires tombstones");
+        let mut g = Generation::build(&data, &HnswConfig::default());
+        g.delete([5, 6]);
+        g.compact();
+        assert_eq!(g.index.ghosts(), 0);
+        assert_eq!(g.index.layer_count(5), 0, "compact unwires tombstones");
         // Reviving an unwired id wires it back in and it serves again.
-        index.update(5, data.row(5));
-        assert_eq!(index.ghosts(), 0);
-        assert!(!index.is_deleted(5) && index.is_deleted(6));
-        assert_eq!(index.live(), data.rows() - 1);
-        assert_eq!(index.layer_count(5), usize::from(index.levels[5]) + 1);
-        let hits = index.search(data.row(5), 1, 64, None);
+        g.upsert(5, data.row(5));
+        assert_eq!(g.index.ghosts(), 0);
+        assert!(!g.store.is_deleted(5) && g.store.is_deleted(6));
+        assert_eq!(g.store.num_live(), data.rows() - 1);
+        assert_eq!(g.index.layer_count(5), usize::from(g.index.levels[5]) + 1);
+        let hits = g.index.search(data.row(5), 1, 64, None);
         assert_eq!(hits[0].0, 5);
         assert!((hits[0].1 - 1.0).abs() < 1e-12);
 
         // An index compacted down to no live node is rooted again by its
-        // first write, a revival or an insert, and grows from there.
+        // first write, a revival or an append, and grows from there.
         for revive_first in [true, false] {
-            let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
-            for id in 0..data.rows() {
-                index.remove(id);
-            }
-            index.compact();
-            assert!(index.search(data.row(0), 3, 16, None).is_empty());
+            let mut g = Generation::build(&data, &HnswConfig::default());
+            g.delete(0..data.rows());
+            g.compact();
+            assert!(g.index.search(data.row(0), 3, 16, None).is_empty());
             let id = data.rows();
             if revive_first {
-                index.update(9, data.row(9));
-                assert_eq!(index.entry, 9);
-                assert_eq!(index.insert(data.row(10)), id);
+                g.upsert(9, data.row(9));
+                assert_eq!(g.index.entry, 9);
+                g.upsert(id, data.row(10));
             } else {
-                assert_eq!(index.insert(data.row(10)), id);
-                assert_eq!(index.entry as usize, id);
-                index.update(9, data.row(9));
+                g.upsert(id, data.row(10));
+                assert_eq!(g.index.entry as usize, id);
+                g.upsert(9, data.row(9));
             }
-            let hits = index.search(data.row(10), 2, 16, None);
+            assert_eq!(g.index.len(), id + 1);
+            let hits = g.index.search(data.row(10), 2, 16, None);
             let ids: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
             assert_eq!(ids, vec![id, 9], "revive first: {revive_first}");
         }
     }
 
     /// Mean hops per search and mean recall@10 against the exact scan over
-    /// the nodes `deleted` leaves live, for node queries on every 10th live
-    /// node.
-    fn hops_and_recall(
-        index: &HnswIndex,
-        data: &DenseMatrix,
-        deleted: &[bool],
-        ef: usize,
-    ) -> (f64, f64) {
-        let store = EmbeddingStore::with_tombstones(data.clone(), None, Some(deleted.to_vec()));
-        let queries: Vec<usize> = (0..data.rows())
+    /// the live rows, for node queries on every 10th live node.
+    fn hops_and_recall(g: &Generation, ef: usize) -> (f64, f64) {
+        let queries: Vec<usize> = (0..g.store.num_nodes())
             .step_by(10)
             .map(|q| q + 1)
-            .filter(|&q| !deleted[q])
+            .filter(|&q| !g.store.is_deleted(q))
             .collect();
         let (mut hops, mut recall) = (0u64, 0.0);
         for &q in &queries {
-            let approx = index.search_hops(data.row(q), 10, ef, Some(q), &mut hops);
-            recall += recall_at_k(&store.top_k_node(q, 10, Metric::Cosine), &approx);
+            let approx = g
+                .index
+                .search_hops(g.store.vector_of(q), 10, ef, Some(q), &mut hops);
+            recall += recall_at_k(&g.store.top_k_node(q, 10, Metric::Cosine), &approx);
         }
         let n = queries.len() as f64;
         (hops as f64 / n, recall / n)
@@ -1127,20 +1139,15 @@ mod tests {
     #[test]
     fn tombstones_cost_hops_not_beam_width() {
         let data = clustered(20, 100, 16, 12);
-        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
-        let clean = vec![false; data.rows()];
-        let mut deleted = clean.clone();
+        let mut g = Generation::build(&data, &HnswConfig::default());
         let before: Vec<(f64, f64)> = [64, 128]
             .iter()
-            .map(|&ef| hops_and_recall(&index, &data, &clean, ef))
+            .map(|&ef| hops_and_recall(&g, ef))
             .collect();
-        for id in (0..data.rows()).step_by(5) {
-            assert!(index.remove(id));
-            deleted[id] = true;
-        }
-        assert_eq!(index.ghosts(), data.rows() / 5);
+        g.delete((0..data.rows()).step_by(5));
+        assert_eq!(g.index.ghosts(), data.rows() / 5);
         for (&ef, &(hops_before, _)) in [64, 128].iter().zip(&before) {
-            let (hops, recall) = hops_and_recall(&index, &data, &deleted, ef);
+            let (hops, recall) = hops_and_recall(&g, ef);
             assert!(
                 hops <= 1.5 * hops_before,
                 "ef {ef}: {hops:.1} hops a search with tombstones, {hops_before:.1} without"
@@ -1152,17 +1159,15 @@ mod tests {
     #[test]
     fn searches_end_when_tombstones_starve_the_beam() {
         let data = clustered(1, 60, 8, 13);
-        let mut index = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let mut g = Generation::build(&data, &HnswConfig::default());
         // Fewer live nodes than `ef`: the walk runs out of frontier and
         // returns every live node, best first.
         let live = [3usize, 17, 29, 41, 58];
-        for id in (0..data.rows()).filter(|id| !live.contains(id)) {
-            index.remove(id);
-        }
+        g.delete((0..data.rows()).filter(|id| !live.contains(id)));
         // Each layer's walk expands a node at most once.
-        let bound = (index.max_layer + 1) * data.rows();
+        let bound = (g.index.max_layer + 1) * data.rows();
         let mut hops = 0;
-        let hits = index.search_hops(data.row(3), 10, 32, None, &mut hops);
+        let hits = g.index.search_hops(data.row(3), 10, 32, None, &mut hops);
         let mut ids: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
         assert_eq!(hits[0].0, 3);
         ids.sort_unstable();
@@ -1170,11 +1175,10 @@ mod tests {
         assert!(hops as usize <= bound, "{hops} hops, {bound} node-layers");
 
         // Every node tombstoned: nothing to return, and the walk still ends.
-        for &id in &live {
-            index.remove(id);
-        }
+        g.delete(live);
         let mut hops = 0;
-        assert!(index
+        assert!(g
+            .index
             .search_hops(data.row(3), 10, 32, None, &mut hops)
             .is_empty());
         assert!(hops as usize <= bound, "{hops} hops, {bound} node-layers");
@@ -1183,31 +1187,34 @@ mod tests {
     #[test]
     fn single_node_index_survives_incremental_ops() {
         let one = DenseMatrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
-        let mut idx = HnswIndex::build(&one, Metric::Cosine, &HnswConfig::default());
-        idx.update(0, &[0.0, 1.0, 0.0]);
-        let id = idx.insert(&[0.0, 0.9, 0.1]);
-        assert_eq!(id, 1);
-        let hits = idx.search(&[0.0, 1.0, 0.0], 2, 10, None);
+        let mut g = Generation::build(&one, &HnswConfig::default());
+        g.upsert(0, &[0.0, 1.0, 0.0]);
+        g.upsert(1, &[0.0, 0.9, 0.1]);
+        assert_eq!(g.index.len(), 2);
+        let hits = g.index.search(&[0.0, 1.0, 0.0], 2, 10, None);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, 0);
-        idx.remove(0);
-        let hits = idx.search(&[0.0, 1.0, 0.0], 2, 10, None);
+        g.delete([0]);
+        let hits = g.index.search(&[0.0, 1.0, 0.0], 2, 10, None);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 1);
     }
 
     /// Fixture of the built graph: `tests/hnsw_graph.txt`, one section per
     /// SIMD dispatch (the similarities that pick each link round
-    /// differently under the FMA kernels). Each state of a scripted
-    /// sequence — build, insert, update, remove, revive, compact, and more
-    /// writes after the compaction — records every node's links per layer
-    /// in stored order, the entry point and the top layer, and on the
-    /// states without a wired tombstone, the ids and score bits of a fixed
-    /// set of searches. `aneci_linalg::golden` compares it, reruns it under
-    /// the scalar dispatch and documents how to re-record it.
+    /// differently under the FMA kernels) after an `rng` line naming the
+    /// `StdRng` stream the levels and the data come from. Each state of a
+    /// scripted sequence — build, append, rewrite, delete, revive,
+    /// compact, and more writes after the compaction, one update for each
+    /// write — records every node's links per layer in stored order, the
+    /// entry point and the top layer, and on the states without a wired
+    /// tombstone, the ids and score bits of a fixed set of searches.
+    /// `aneci_linalg::golden` compares it, reruns it under the scalar
+    /// dispatch and documents how to re-record it.
     fn graph_fixture_lines() -> String {
-        fn dump(out: &mut String, state: &str, index: &HnswIndex, data: &DenseMatrix) {
+        fn dump(out: &mut String, state: &str, g: &Generation, data: &DenseMatrix) {
             use std::fmt::Write as _;
+            let index = &g.index;
             for node in 0..index.len() {
                 let layers: Vec<String> = (0..index.layer_count(node))
                     .map(|l| {
@@ -1235,7 +1242,7 @@ mod tests {
             let free: Vec<f64> = data.row(1).iter().map(|x| 0.5 - x).collect();
             let queries = (0..index.len())
                 .step_by(23)
-                .filter(|&q| !index.is_deleted(q))
+                .filter(|&q| !g.store.is_deleted(q))
                 .map(|q| (data.row(q), Some(q)))
                 .chain([(&free[..], None)]);
             for (query, exclude) in queries {
@@ -1256,44 +1263,49 @@ mod tests {
             seed: 9,
         };
         let mut out = String::new();
-        let full = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let full = Generation::build(&data, &HnswConfig::default());
         dump(&mut out, "build_m16", &full, &data);
 
         let head = DenseMatrix::from_fn(120, 8, |r, c| data.get(r, c));
-        let mut index = HnswIndex::build(&head, Metric::Cosine, &config);
-        dump(&mut out, "build", &index, &data);
-        for r in 120..data.rows() {
-            index.insert(data.row(r));
-        }
-        dump(&mut out, "insert", &index, &data);
-        let entry = index.entry as usize;
+        let mut g = Generation::build(&head, &config);
+        dump(&mut out, "build", &g, &data);
+        g.apply(&(120..data.rows()).fold(SnapshotUpdate::new(), |u, r| {
+            u.upsert(r, data.row(r).to_vec())
+        }));
+        dump(&mut out, "insert", &g, &data);
+        let entry = g.index.entry as usize;
         for (id, from) in [(entry, 7), (3, 90), (77, 130), (119, 2), (135, 64)] {
-            index.update(id, data.row(from));
+            g.upsert(id, data.row(from));
         }
-        dump(&mut out, "update", &index, &data);
-        for id in (1..data.rows()).step_by(6) {
-            index.remove(id);
-        }
-        dump(&mut out, "remove", &index, &data);
-        index.update(7, data.row(8));
-        index.update(61, data.row(61));
-        dump(&mut out, "revive", &index, &data);
-        index.compact();
-        dump(&mut out, "compact", &index, &data);
-        for r in [4, 50, 99] {
-            let v: Vec<f64> = data.row(r).iter().map(|x| x * 1.5 + 0.25).collect();
-            index.insert(&v);
-        }
-        index.update(10, data.row(11));
-        index.update(index.entry as usize, data.row(100));
-        dump(&mut out, "after_compact", &index, &data);
+        dump(&mut out, "update", &g, &data);
+        g.delete((1..data.rows()).step_by(6));
+        dump(&mut out, "remove", &g, &data);
+        g.upsert(7, data.row(8));
+        g.upsert(61, data.row(61));
+        dump(&mut out, "revive", &g, &data);
+        g.compact();
+        dump(&mut out, "compact", &g, &data);
+        g.apply(
+            &[4, 50, 99]
+                .iter()
+                .enumerate()
+                .fold(SnapshotUpdate::new(), |u, (i, &r)| {
+                    let v: Vec<f64> = data.row(r).iter().map(|x| x * 1.5 + 0.25).collect();
+                    u.upsert(data.rows() + i, v)
+                }),
+        );
+        g.upsert(10, data.row(11));
+        g.upsert(g.index.entry as usize, data.row(100));
+        dump(&mut out, "after_compact", &g, &data);
         out
     }
 
     #[test]
     fn graph_matches_fixture() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/hnsw_graph.txt");
-        Fixture::new(path).assert(&graph_fixture_lines());
+        Fixture::new(path)
+            .with_rng_line()
+            .assert(&graph_fixture_lines());
         golden::rerun_scalar("hnsw::tests::graph_matches_fixture");
     }
 

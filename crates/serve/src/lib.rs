@@ -5,9 +5,12 @@
 //!
 //! * [`store`] — [`store::EmbeddingStore`]: exact (brute-force, pooled)
 //!   top-k cosine/dot neighbors, community lookups, and edge scores that
-//!   reuse the `aneci-eval` link-prediction scorer verbatim;
+//!   reuse the `aneci-eval` link-prediction scorer verbatim; the one owner
+//!   of a generation's embedding, norms and tombstone mask;
 //! * [`hnsw`] — [`hnsw::HnswIndex`]: a from-scratch, deterministic HNSW
-//!   approximate-nearest-neighbor index over the embedding matrix;
+//!   approximate-nearest-neighbor graph over the store's rows, which it
+//!   shares and scores with the store's own formula, so its reported
+//!   scores are the exact scan's;
 //! * [`cache`] — [`cache::LruCache`]: O(1) LRU response cache with hit/miss
 //!   counters;
 //! * [`engine`] — [`engine::QueryEngine`]: JSONL in, JSONL out, batched

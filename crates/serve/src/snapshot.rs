@@ -25,9 +25,11 @@ use crate::store::EmbeddingStore;
 
 /// One immutable serving state: store + ANN + generation.
 pub struct Snapshot {
-    /// The exact-scan store (tombstones included).
+    /// The exact-scan store (tombstones included): the one owner of the
+    /// generation's rows, norms and tombstone mask.
     pub store: EmbeddingStore,
-    /// The ANN index, when the engine was configured with one.
+    /// The ANN index over the store's rows, which it shares, when the
+    /// engine was configured with one.
     pub ann: Option<HnswIndex>,
     /// Monotonic generation counter; 0 is the initially loaded state and
     /// every publish increments it by one.

@@ -9,15 +9,21 @@
 //!   bit-identical for any thread count (fixed chunk decomposition, full
 //!   deterministic merge);
 //! * **community** lookups (argmax membership + the full soft row);
-//! * **edge scores** through [`aneci_eval::linkpred::edge_score`] — the same
-//!   function the evaluation harness uses, so a link-prediction score served
-//!   online always equals the offline one.
+//! * **edge scores** through [`aneci_eval::linkpred::row_edge_score`] — the
+//!   function the evaluation harness's `edge_score` applies, so a
+//!   link-prediction score served online always equals the offline one.
+//!
+//! The embedding, its norms and the tombstone mask are one generation's
+//! rows, held behind one `Arc` that the snapshot's HNSW index shares: the
+//! index keeps only its links and scores with the store's own formula, so
+//! a generation holds its rows once. The embedding starts on a 64-byte
+//! boundary, so the exact scan and the index read whole cache lines.
 //!
 //! A snapshot update derives the next store with `EmbeddingStore::patched`:
-//! it copies the embedding, the norms and the tombstone mask, recomputes
-//! norms only for the rows the update writes, and shares the membership,
-//! its argmax and the anomaly scores with the previous generation (behind
-//! `Arc`s) unless the update appends rows.
+//! it writes the rows once (the embedding, the norms and the mask copied,
+//! norms recomputed only for the rows the update writes), and shares the
+//! membership, its argmax and the anomaly scores with the previous
+//! generation (behind `Arc`s) unless the update appends rows.
 
 use std::sync::Arc;
 
@@ -59,19 +65,98 @@ impl Metric {
 /// A scored neighbor.
 pub type Scored = (usize, f64);
 
-/// The in-memory serving store for one checkpointed model.
-#[derive(Clone)]
-pub struct EmbeddingStore {
-    embedding: DenseMatrix,
+/// One generation's rows: the embedding, its per-row L2 norms and the
+/// tombstone mask. A store holds them behind an `Arc` that the snapshot's
+/// ANN index shares, so neither keeps a copy of its own.
+pub(crate) struct Rows {
+    /// The embedding, row-major: `len * dim` values from `data[start]` on.
+    data: Vec<f64>,
+    /// Where the first value sits on a 64-byte boundary, so a row whose
+    /// dimension is a multiple of 8 covers whole cache lines and no AVX2
+    /// load splits one. A `Vec<f64>` starts wherever the allocator puts
+    /// it; from a 16-byte start the 10,000 × 32 HNSW build took ~17% more
+    /// CPU.
+    start: usize,
+    len: usize,
+    dim: usize,
     /// Cached per-row L2 norms (for cosine scoring).
     norms: Vec<f64>,
-    membership: Option<Arc<DenseMatrix>>,
-    /// Cached argmax of each membership row.
-    communities: Option<Arc<Vec<usize>>>,
     /// Tombstone mask (`None` = nothing deleted). Tombstoned rows keep
     /// their id (so client-visible ids stay stable across snapshot swaps)
     /// but are filtered from every top-k result.
     deleted: Option<Vec<bool>>,
+}
+
+impl Rows {
+    /// `values`, then zeros up to `len * dim`, from a 64-byte boundary on;
+    /// norms and tombstones are the caller's to set.
+    fn aligned(values: &[f64], len: usize, dim: usize) -> Self {
+        let mut data: Vec<f64> = Vec::with_capacity(len * dim + 7);
+        // Any start is correct; only a line-aligned one is fast.
+        let start = data.as_ptr().align_offset(64).min(7);
+        data.resize(start, 0.0);
+        data.extend_from_slice(values);
+        data.resize(start + len * dim, 0.0);
+        Self {
+            data,
+            start,
+            len,
+            dim,
+            norms: Vec::new(),
+            deleted: None,
+        }
+    }
+
+    /// Every row, row-major.
+    fn data(&self) -> &[f64] {
+        &self.data[self.start..]
+    }
+
+    /// Number of rows, tombstoned ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Embedding dimensionality.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The embedding row of `node`.
+    pub(crate) fn row(&self, node: usize) -> &[f64] {
+        &self.data()[node * self.dim..(node + 1) * self.dim]
+    }
+
+    /// The cached L2 norm of row `node`.
+    pub(crate) fn norm(&self, node: usize) -> f64 {
+        self.norms[node]
+    }
+
+    /// Whether `node` is tombstoned.
+    pub(crate) fn is_deleted(&self, node: usize) -> bool {
+        self.deleted
+            .as_ref()
+            .is_some_and(|d| d.get(node).copied().unwrap_or(false))
+    }
+
+    /// Similarity of `query` (L2 norm `query_norm`) to row `row`: the
+    /// formula the batched scan applies to every row, one row at a time.
+    pub(crate) fn score(&self, query: &[f64], query_norm: f64, row: usize, metric: Metric) -> f64 {
+        let d = vector::dot(query, self.row(row));
+        match metric {
+            Metric::Dot => d,
+            Metric::Cosine => vector::cosine_with_norms(d, query_norm, self.norms[row]),
+        }
+    }
+}
+
+/// The in-memory serving store for one checkpointed model.
+#[derive(Clone)]
+pub struct EmbeddingStore {
+    rows: Arc<Rows>,
+    membership: Option<Arc<DenseMatrix>>,
+    /// Cached argmax of each membership row.
+    communities: Option<Arc<Vec<usize>>>,
     /// Per-node anomaly scores in `[0, 1]` (`None` = not scored). Carried
     /// in every snapshot so the engine's poisoned-neighborhood detector can
     /// flag top-k responses whose mass concentrates on anomalous nodes.
@@ -105,16 +190,15 @@ impl EmbeddingStore {
                 "tombstone mask must cover every embedded node"
             );
         }
-        let norms = embedding.rows_iter().map(vector::norm2).collect();
-        let communities = membership.as_ref().map(|m| Arc::new(m.argmax_rows()));
+        let mut rows = Rows::aligned(embedding.as_slice(), embedding.rows(), embedding.cols());
+        rows.norms = embedding.rows_iter().map(vector::norm2).collect();
         // An all-false mask is the same as no mask, and cheaper to query.
-        let deleted = deleted.filter(|d| d.iter().any(|&x| x));
+        rows.deleted = deleted.filter(|d| d.iter().any(|&x| x));
+        let communities = membership.as_ref().map(|m| Arc::new(m.argmax_rows()));
         Self {
-            embedding,
-            norms,
+            rows: Arc::new(rows),
             membership: membership.map(Arc::new),
             communities,
-            deleted,
             anomaly: None,
         }
     }
@@ -130,7 +214,8 @@ impl EmbeddingStore {
     /// (appended membership rows zero, appended anomaly scores 0), but only
     /// the rows the update writes get a fresh norm, and an update that
     /// appends nothing shares the membership, its argmax and the anomaly
-    /// scores with `self` instead of copying them.
+    /// scores with `self` instead of copying them. This is the one write of
+    /// the update's rows: the next generation's ANN index shares them.
     pub(crate) fn patched(&self, update: &SnapshotUpdate) -> Self {
         let dim = self.dim();
         let old_rows = self.num_nodes();
@@ -140,27 +225,26 @@ impl EmbeddingStore {
             .fold(old_rows, |rows, up| rows.max(up.node + 1));
         let appended = rows - old_rows;
 
-        let mut data = Vec::with_capacity(rows * dim);
-        data.extend_from_slice(self.embedding.as_slice());
-        data.resize(rows * dim, 0.0);
-        let mut deleted = match &self.deleted {
+        let mut next = Rows::aligned(self.rows.data(), rows, dim);
+        next.norms = self.rows.norms.clone();
+        next.norms.resize(rows, 0.0);
+        let mut deleted = match &self.rows.deleted {
             Some(d) => d.clone(),
             None => vec![false; old_rows],
         };
         deleted.resize(rows, false);
         for up in &update.upserts {
-            data[up.node * dim..(up.node + 1) * dim].copy_from_slice(&up.vector);
+            let at = next.start + up.node * dim;
+            next.data[at..at + dim].copy_from_slice(&up.vector);
             deleted[up.node] = false; // an upsert revives a tombstoned id
         }
         for &d in &update.deletes {
             deleted[d] = true;
         }
-        let embedding = DenseMatrix::from_vec(rows, dim, data);
-        let mut norms = self.norms.clone();
-        norms.resize(rows, 0.0);
         for up in &update.upserts {
-            norms[up.node] = vector::norm2(embedding.row(up.node));
+            next.norms[up.node] = vector::norm2(next.row(up.node));
         }
+        next.deleted = Some(deleted).filter(|d| d.iter().any(|&x| x));
 
         // Appended nodes are unassigned (zero membership rows) and start
         // unsuspicious (score 0) until the model is retrained.
@@ -187,11 +271,9 @@ impl EmbeddingStore {
             Arc::new(a)
         });
         Self {
-            embedding,
-            norms,
+            rows: Arc::new(next),
             membership,
             communities,
-            deleted: Some(deleted).filter(|d| d.iter().any(|&x| x)),
             anomaly,
         }
     }
@@ -202,7 +284,7 @@ impl EmbeddingStore {
     pub fn with_anomaly_scores(mut self, scores: Vec<f64>) -> Self {
         assert_eq!(
             scores.len(),
-            self.embedding.rows(),
+            self.num_nodes(),
             "anomaly scores must cover every embedded node"
         );
         self.anomaly = Some(Arc::new(scores));
@@ -224,29 +306,32 @@ impl EmbeddingStore {
             .with_anomaly_scores(anomaly)
     }
 
+    /// The generation's rows, which the snapshot's ANN index shares.
+    pub(crate) fn rows(&self) -> &Arc<Rows> {
+        &self.rows
+    }
+
     /// Number of embedded node slots, tombstoned ones included.
     pub fn num_nodes(&self) -> usize {
-        self.embedding.rows()
+        self.rows.len()
     }
 
     /// Number of live (non-tombstoned) nodes.
     pub fn num_live(&self) -> usize {
-        match &self.deleted {
+        match &self.rows.deleted {
             Some(d) => d.iter().filter(|&&x| !x).count(),
-            None => self.embedding.rows(),
+            None => self.num_nodes(),
         }
     }
 
     /// Whether `node` is tombstoned.
     pub fn is_deleted(&self, node: usize) -> bool {
-        self.deleted
-            .as_ref()
-            .is_some_and(|d| d.get(node).copied().unwrap_or(false))
+        self.rows.is_deleted(node)
     }
 
     /// The tombstone mask, when any row is tombstoned.
     pub fn deleted_mask(&self) -> Option<&[bool]> {
-        self.deleted.as_deref()
+        self.rows.deleted.as_deref()
     }
 
     /// The stored soft-membership matrix, when available.
@@ -256,28 +341,12 @@ impl EmbeddingStore {
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
-        self.embedding.cols()
-    }
-
-    /// The stored embedding matrix.
-    pub fn embedding(&self) -> &DenseMatrix {
-        &self.embedding
+        self.rows.dim()
     }
 
     /// The embedding row of `node`.
     pub fn vector_of(&self, node: usize) -> &[f64] {
-        self.embedding.row(node)
-    }
-
-    /// Similarity between a query vector and a stored row — the per-row
-    /// oracle the batched-scan production path is tested against.
-    #[cfg(test)]
-    fn score_row(&self, query: &[f64], query_norm: f64, row: usize, metric: Metric) -> f64 {
-        let d = vector::dot(query, self.embedding.row(row));
-        match metric {
-            Metric::Dot => d,
-            Metric::Cosine => vector::cosine_with_norms(d, query_norm, self.norms[row]),
-        }
+        self.rows.row(node)
     }
 
     /// Exact top-`k` most similar nodes to a free query vector, brute force
@@ -342,12 +411,16 @@ impl EmbeddingStore {
         keep: usize,
     ) -> Vec<Scored> {
         let d = self.dim();
-        let rows = &self.embedding.as_slice()[lo * d..hi * d];
+        let rows = &self.rows.data()[lo * d..hi * d];
         let mut scores = vec![0.0f64; hi - lo];
         match metric {
-            Metric::Cosine => {
-                vector::cosine_scores(query, query_norm, rows, &self.norms[lo..hi], &mut scores)
-            }
+            Metric::Cosine => vector::cosine_scores(
+                query,
+                query_norm,
+                rows,
+                &self.rows.norms[lo..hi],
+                &mut scores,
+            ),
             Metric::Dot => vector::dot_scores(query, rows, &mut scores),
         }
         // Tombstones are dropped *before* the per-chunk truncation, so a
@@ -365,8 +438,7 @@ impl EmbeddingStore {
 
     /// Exact top-`k` neighbors of a stored node (the node itself excluded).
     pub fn top_k_node(&self, node: usize, k: usize, metric: Metric) -> Vec<Scored> {
-        let query = self.embedding.row(node).to_vec();
-        self.top_k(&query, k, metric, Some(node))
+        self.top_k(self.vector_of(node), k, metric, Some(node))
     }
 
     /// Hard community of `node` (argmax membership), when membership is
@@ -386,15 +458,11 @@ impl EmbeddingStore {
     }
 
     /// Link-prediction score `σ(z_u · z_v)` — **the** eval scorer
-    /// ([`aneci_eval::linkpred::edge_score`]), reused verbatim so serve-time
-    /// and eval-time scores are identical.
+    /// ([`aneci_eval::linkpred::row_edge_score`], the row form of
+    /// `edge_score`), reused verbatim so serve-time and eval-time scores
+    /// are identical.
     pub fn edge_score(&self, u: usize, v: usize) -> f64 {
-        aneci_eval::linkpred::edge_score(&self.embedding, u, v)
-    }
-
-    /// Batched edge scores through the pooled eval kernel.
-    pub fn edge_scores(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        aneci_eval::linkpred::edge_scores(&self.embedding, pairs)
+        aneci_eval::linkpred::row_edge_score(self.vector_of(u), self.vector_of(v))
     }
 }
 
@@ -402,6 +470,11 @@ impl EmbeddingStore {
 mod tests {
     use super::*;
     use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
+
+    /// The store's embedding as a matrix.
+    fn matrix(s: &EmbeddingStore) -> DenseMatrix {
+        DenseMatrix::from_vec(s.num_nodes(), s.dim(), s.rows.data().to_vec())
+    }
 
     fn store(n: usize, d: usize, seed: u64) -> EmbeddingStore {
         let mut rng = seeded_rng(seed);
@@ -421,7 +494,7 @@ mod tests {
         let qn = vector::norm2(query);
         let mut all: Vec<Scored> = (0..s.num_nodes())
             .filter(|&r| Some(r) != exclude)
-            .map(|r| (r, s.score_row(query, qn, r, metric)))
+            .map(|r| (r, s.rows.score(query, qn, r, metric)))
             .collect();
         all.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(k.min(all.len()));
@@ -486,7 +559,7 @@ mod tests {
             .0;
         assert_eq!(c, best);
 
-        let bare = EmbeddingStore::new(s.embedding.clone(), None);
+        let bare = EmbeddingStore::new(matrix(&s), None);
         assert_eq!(bare.community(5), None);
         assert!(bare.membership_row(5).is_none());
     }
@@ -494,16 +567,15 @@ mod tests {
     #[test]
     fn edge_score_parity_with_eval() {
         let s = store(40, 8, 5);
-        for (u, v) in [(0usize, 1usize), (3, 17), (39, 0)] {
+        let z = matrix(&s);
+        let pairs = [(0usize, 1usize), (3, 17), (39, 0), (2, 3), (4, 5)];
+        let batch = aneci_eval::linkpred::edge_scores(&z, &pairs);
+        for (&(u, v), &score) in pairs.iter().zip(&batch) {
             assert_eq!(
                 s.edge_score(u, v),
-                aneci_eval::linkpred::edge_score(s.embedding(), u, v)
+                aneci_eval::linkpred::edge_score(&z, u, v)
             );
-        }
-        let pairs = vec![(0, 1), (2, 3), (4, 5)];
-        let batch = s.edge_scores(&pairs);
-        for (score, &(u, v)) in batch.iter().zip(&pairs) {
-            assert_eq!(*score, s.edge_score(u, v));
+            assert_eq!(s.edge_score(u, v), score);
         }
     }
 
@@ -550,26 +622,31 @@ mod tests {
         }
         let matrix = |m: &DenseMatrix| (m.rows(), m.cols(), bits(m.as_slice()));
         let EmbeddingStore {
-            embedding,
-            norms,
+            rows,
             membership,
             communities,
-            deleted,
             anomaly,
         } = a;
+        let Rows {
+            len,
+            dim,
+            norms,
+            deleted,
+            ..
+        } = &**rows;
         assert_eq!(
-            matrix(embedding),
-            matrix(&b.embedding),
+            (len, dim, bits(rows.data())),
+            (&b.rows.len, &b.rows.dim, bits(b.rows.data())),
             "step {step}: embedding"
         );
-        assert_eq!(bits(norms), bits(&b.norms), "step {step}: norms");
+        assert_eq!(bits(norms), bits(&b.rows.norms), "step {step}: norms");
         assert_eq!(
             membership.as_deref().map(matrix),
             b.membership.as_deref().map(matrix),
             "step {step}: membership"
         );
         assert_eq!(communities, &b.communities, "step {step}: communities");
-        assert_eq!(deleted, &b.deleted, "step {step}: tombstone mask");
+        assert_eq!(deleted, &b.rows.deleted, "step {step}: tombstone mask");
         assert_eq!(
             anomaly.as_deref().map(|s| bits(s)),
             b.anomaly.as_deref().map(|s| bits(s)),
@@ -621,6 +698,7 @@ mod tests {
             let mut deleted = vec![false; n];
             for (step, update) in updates.iter().enumerate() {
                 let next = store.patched(update);
+                assert_eq!(next.rows.data().as_ptr() as usize % 64, 0, "rows on a line");
                 for up in &update.upserts {
                     if up.node == deleted.len() {
                         embedding.resize(embedding.len() + d, 0.0);
@@ -680,7 +758,7 @@ mod tests {
         // Rebuild with node 3's membership zeroed (an appended node).
         let mut m = s.membership().unwrap().clone();
         m.row_mut(3).fill(0.0);
-        let s2 = EmbeddingStore::new(s.embedding.clone(), Some(m));
+        let s2 = EmbeddingStore::new(matrix(&s), Some(m));
         assert_eq!(s2.community(3), None);
         assert!(s2.membership_row(3).is_none());
         assert!(s2.community(4).is_some());

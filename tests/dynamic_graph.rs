@@ -8,9 +8,11 @@
 //! 2. **Incremental proximity refresh** — `HighOrder::refresh` over the
 //!    dirty rows reproduces a from-scratch `HighOrder::build` of the new
 //!    adjacency exactly (`Ã`, `k̃`, and `M̃`).
-//! 3. **ANN churn** — an HNSW index that lives through 20% edge-churn-style
-//!    vector updates and deletions keeps recall@10 ≥ 0.95 against the
-//!    exact scan, before and after compaction.
+//! 3. **ANN churn** — an ANN engine that lives through 20% churn of vector
+//!    rewrites and deletions, appends, and revivals across a compaction,
+//!    all through `QueryEngine::apply_update`, keeps recall@10 ≥ 0.95
+//!    against the exact scan after every update, never serves a tombstoned
+//!    id, and reports the exact scan's cosine score for every hit.
 //! 4. **Whole-generation reads** — readers hammering a `QueryEngine` during
 //!    concurrent snapshot publishes only ever observe complete
 //!    generations, never a half-swapped state.
@@ -26,9 +28,9 @@ use aneci::graph::delta::apply_to_csr;
 use aneci::graph::{generate_sbm, karate_club, GraphDelta, HighOrder, ProximityConfig, SbmConfig};
 use aneci::linalg::rng::{gaussian_matrix, seeded_rng};
 use aneci::linalg::DenseMatrix;
-use aneci::serve::hnsw::{recall_at_k, HnswConfig, HnswIndex};
+use aneci::serve::hnsw::recall_at_k;
 use aneci::serve::store::{EmbeddingStore, Metric};
-use aneci::serve::{EngineConfig, QueryEngine, SnapshotUpdate};
+use aneci::serve::{EngineConfig, Query, QueryEngine, Response, SnapshotUpdate};
 
 /// The undirected edge set of a CSR adjacency, as sorted (u, v) pairs.
 fn edge_set(adj: &aneci::linalg::CsrMatrix) -> BTreeSet<(usize, usize)> {
@@ -116,6 +118,49 @@ fn high_order_refresh_is_bit_exact_against_full_build() {
     assert_eq!(ho.m_tilde, full.m_tilde, "M̃ must refresh bit-exactly");
 }
 
+/// Checks the ANN answers of `engine`'s current snapshot for node queries
+/// on every 7th live node: recall@`k` against the exact scan over the live
+/// rows, no tombstoned id, and each hit's score equal to the exact scan's
+/// score for that id, bit for bit.
+fn check_ann_against_exact_scan(engine: &QueryEngine, k: usize, step: &str) {
+    let snap = engine.snapshot();
+    let store = &snap.store;
+    let n = store.num_nodes();
+    let (mut total, mut queries) = (0.0, 0);
+    for node in (0..n).step_by(7).filter(|&i| !store.is_deleted(i)) {
+        let query = Query::TopK {
+            node: Some(node),
+            vector: None,
+            k: Some(k),
+            metric: None,
+            ann: None,
+            min_generation: Some(snap.generation),
+        };
+        let approx: Vec<(usize, f64)> = match engine.run(&query) {
+            Response::Neighbors {
+                neighbors,
+                exact: false,
+                ..
+            } => neighbors.iter().map(|nb| (nb.node, nb.score)).collect(),
+            other => panic!("{step}: expected ANN neighbors, got {other:?}"),
+        };
+        let exact = store.top_k(store.vector_of(node), n, Metric::Cosine, Some(node));
+        for &(id, score) in &approx {
+            assert!(!store.is_deleted(id), "{step}: tombstoned id {id} served");
+            let want = exact.iter().find(|&&(e, _)| e == id).unwrap().1;
+            assert_eq!(
+                score.to_bits(),
+                want.to_bits(),
+                "{step}: node {node}'s hit {id} scored {score}, the exact scan {want}"
+            );
+        }
+        total += recall_at_k(&exact[..k.min(exact.len())], &approx);
+        queries += 1;
+    }
+    let recall = total / queries as f64;
+    assert!(recall >= 0.95, "{step}: recall@{k} {recall:.3} < 0.95");
+}
+
 #[test]
 fn hnsw_keeps_recall_through_twenty_percent_churn() {
     let n = 400;
@@ -123,56 +168,78 @@ fn hnsw_keeps_recall_through_twenty_percent_churn() {
     let k = 10;
     let mut rng = seeded_rng(23);
     let embedding = gaussian_matrix(n, dim, 1.0, &mut rng);
-    let config = HnswConfig::default();
-    let mut index = HnswIndex::build(&embedding, Metric::Cosine, &config);
+    let config = EngineConfig {
+        use_ann: true,
+        ef_search: 128,
+        compact_threshold: 0.1,
+        ..EngineConfig::default()
+    };
+    let engine = QueryEngine::new(EmbeddingStore::new(embedding, None), config);
+    let mut fresh = || gaussian_matrix(1, dim, 1.0, &mut rng).into_vec();
 
     // 20% churn: half of it vector rewrites, half deletions.
-    let mut data = embedding.as_slice().to_vec();
-    let mut deleted = vec![false; n];
     let churn = n / 5;
-    let fresh_vectors = gaussian_matrix(churn / 2, dim, 1.0, &mut rng);
-    for i in 0..churn / 2 {
-        let node = (i * 13) % n;
-        let fresh = fresh_vectors.row(i);
-        data[node * dim..(node + 1) * dim].copy_from_slice(fresh);
-        index.update(node, fresh);
+    let rewrites: Vec<usize> = (0..churn / 2).map(|i| (i * 13) % n).collect();
+    let deletes: Vec<usize> = (0..churn / 2).map(|i| (i * 17 + 5) % n).collect();
+    let (early, late) = rewrites.split_at(rewrites.len() / 2);
+    let mut updates = vec![
+        ("rewrites", SnapshotUpdate::new()),
+        ("rewrites and deletes", SnapshotUpdate::new()),
+        ("deletes", SnapshotUpdate::new()),
+    ];
+    for &node in early {
+        updates[0].1 = std::mem::take(&mut updates[0].1).upsert(node, fresh());
     }
-    for i in 0..churn / 2 {
-        let node = (i * 17 + 5) % n;
-        deleted[node] = true;
-        index.remove(node);
+    for &node in late {
+        updates[1].1 = std::mem::take(&mut updates[1].1).upsert(node, fresh());
     }
+    for (i, &node) in deletes.iter().enumerate() {
+        let at = 1 + usize::from(i >= deletes.len() / 2);
+        updates[at].1 = std::mem::take(&mut updates[at].1).delete(node);
+    }
+    // Appends, with an appended id and a rewritten id each written twice
+    // in the one update: the index wires each once, at its final row.
+    let mut appends = SnapshotUpdate::new();
+    for node in n..n + 20 {
+        appends = appends.upsert(node, fresh());
+    }
+    let appends = appends
+        .upsert(n + 3, fresh())
+        .upsert(rewrites[1], fresh())
+        .upsert(rewrites[1], fresh());
+    updates.push(("appends", appends));
+    for (step, update) in &updates {
+        engine.apply_update(update).unwrap();
+        check_ann_against_exact_scan(&engine, k, step);
+    }
+    assert!(engine.snapshot().ann.as_ref().unwrap().ghosts() > 0);
 
-    let store = EmbeddingStore::with_tombstones(
-        DenseMatrix::from_vec(n, dim, data),
-        None,
-        Some(deleted.clone()),
+    // Deletions past the compaction threshold, then revivals of ids the
+    // compaction left unwired, beside more deletions.
+    let more = (0..30).fold(SnapshotUpdate::new(), |u, i| u.delete((i * 11 + 3) % n));
+    engine.apply_update(&more).unwrap();
+    let snap = engine.snapshot();
+    assert_eq!(
+        snap.ann.as_ref().unwrap().ghosts(),
+        0,
+        "must have compacted"
     );
-    let mean_recall = |index: &HnswIndex| {
-        let mut total = 0.0;
-        let mut queries = 0;
-        for node in (0..n).step_by(7).filter(|&i| !deleted[i]) {
-            let exact = store.top_k_node(node, k, Metric::Cosine);
-            let query = store.vector_of(node);
-            let approx = index.search(query, k, 128, Some(node));
-            total += recall_at_k(&exact, &approx);
-            queries += 1;
-        }
-        total / queries as f64
-    };
-
-    let before = mean_recall(&index);
-    assert!(
-        before >= 0.95,
-        "recall@{k} {before:.3} < 0.95 after 20% churn (pre-compact)"
-    );
-    index.compact();
-    assert_eq!(index.ghosts(), 0);
-    let after = mean_recall(&index);
-    assert!(
-        after >= 0.95,
-        "recall@{k} {after:.3} < 0.95 after compaction"
-    );
+    assert!(snap.store.num_live() < snap.store.num_nodes());
+    check_ann_against_exact_scan(&engine, k, "compaction");
+    let mut revive = SnapshotUpdate::new();
+    for &node in &deletes[..10] {
+        assert!(snap.store.is_deleted(node));
+        revive = revive.upsert(node, fresh());
+    }
+    for node in (0..5).map(|i| (i * 19 + 7) % n) {
+        revive = revive.delete(node);
+    }
+    engine.apply_update(&revive).unwrap();
+    let snap = engine.snapshot();
+    assert!(deletes[..10]
+        .iter()
+        .all(|&node| !snap.store.is_deleted(node)));
+    check_ann_against_exact_scan(&engine, k, "revivals");
 }
 
 #[test]
