@@ -11,9 +11,8 @@
 //!   owns the tape-rebuild/backward/Adam-step cycle (stop rules, divergence
 //!   guard, telemetry) for the core model and every baseline, over the
 //!   batches a [`train::TrainStep`] plans (one per epoch by default);
-//! * [`train_batch`] — deterministic batch plans: community-aware and
-//!   GraphSAGE-style sampling, or one full-graph batch
-//!   ([`train_batch::BatchSampler`]);
+//! * [`train_batch`] — deterministic batch plans: community-aware
+//!   sampling or one full-graph batch ([`train_batch::BatchSampler`]);
 //! * [`gradcheck`] — central-difference verification used throughout the
 //!   workspace's test suites.
 //!

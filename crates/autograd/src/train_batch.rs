@@ -8,9 +8,6 @@
 //! * [`BatchStrategy::CommunityAware`] — sample whole communities, then
 //!   their l-hop neighborhoods, so the modularity term is computed on a
 //!   coherent induced subgraph (the signal AnECI's loss depends on);
-//! * [`BatchStrategy::NeighborSampling`] — GraphSAGE-style uniform neighbor
-//!   expansion from shuffled seed nodes, the generic fallback when no
-//!   community structure is known;
 //! * [`BatchStrategy::FullGraph`] — one batch with every node, the plan of
 //!   full-batch training.
 //!
@@ -20,7 +17,7 @@
 //! construction (pinned by `tests/minibatch_parity.rs`). Strategies that
 //! cut the graph drop empty batches.
 
-use aneci_linalg::rng::{derive_seed, sample_distinct, seeded_rng, shuffle};
+use aneci_linalg::rng::{derive_seed, seeded_rng, shuffle};
 use aneci_linalg::CsrMatrix;
 
 /// RNG stream label for batch sampling (derived once per sampler seed; the
@@ -44,17 +41,6 @@ pub enum BatchStrategy {
         hops: usize,
         /// Hard cap on nodes per batch after expansion (`0` = uncapped).
         max_batch_nodes: usize,
-    },
-    /// GraphSAGE-style uniform neighbor sampling: shuffle all nodes, take
-    /// `seeds_per_batch` seeds per batch, and for `hops` rounds add up to
-    /// `fanout` uniformly-sampled neighbors of every frontier node.
-    NeighborSampling {
-        /// Seed nodes per batch.
-        seeds_per_batch: usize,
-        /// Neighbors sampled per frontier node per hop.
-        fanout: usize,
-        /// Expansion rounds.
-        hops: usize,
     },
 }
 
@@ -87,9 +73,8 @@ impl<'a> BatchSampler<'a> {
     }
 
     /// Like [`Self::new`], but describes an invalid argument in the error
-    /// instead of panicking: a non-square adjacency, a zero batch size, a
-    /// zero fanout with hops to expand, or missing or mis-sized community
-    /// assignments.
+    /// instead of panicking: a non-square adjacency, a zero batch size, or
+    /// missing or mis-sized community assignments.
     pub fn try_new(
         adjacency: &'a CsrMatrix,
         strategy: BatchStrategy,
@@ -123,19 +108,6 @@ impl<'a> BatchSampler<'a> {
                 }
                 groups.retain(|g| !g.is_empty());
                 groups
-            }
-            BatchStrategy::NeighborSampling {
-                seeds_per_batch,
-                fanout,
-                hops,
-            } => {
-                if seeds_per_batch == 0 {
-                    return Err("seeds_per_batch must be at least 1".into());
-                }
-                if hops > 0 && fanout == 0 {
-                    return Err("fanout must be at least 1 when hops > 0".into());
-                }
-                Vec::new()
             }
         };
         Ok(Self {
@@ -184,41 +156,7 @@ impl<'a> BatchSampler<'a> {
                                 }
                             }
                         }
-                        self.expand_hops(&mut batch, &mut visited, hops, cap, None);
-                        for &v in &batch {
-                            visited[v] = false;
-                        }
-                        batch.sort_unstable();
-                        batch
-                    })
-                    .filter(|b| !b.is_empty())
-                    .collect()
-            }
-            BatchStrategy::NeighborSampling {
-                seeds_per_batch,
-                fanout,
-                hops,
-            } => {
-                let mut order: Vec<usize> = (0..n).collect();
-                shuffle(&mut order, &mut rng);
-                let mut visited = vec![false; n];
-                order
-                    .chunks(seeds_per_batch)
-                    .map(|seeds| {
-                        let mut batch: Vec<usize> = Vec::new();
-                        for &s in seeds {
-                            if !visited[s] {
-                                visited[s] = true;
-                                batch.push(s);
-                            }
-                        }
-                        self.expand_hops(
-                            &mut batch,
-                            &mut visited,
-                            hops,
-                            usize::MAX,
-                            Some((fanout, &mut rng)),
-                        );
+                        self.expand_hops(&mut batch, &mut visited, hops, cap);
                         for &v in &batch {
                             visited[v] = false;
                         }
@@ -232,18 +170,9 @@ impl<'a> BatchSampler<'a> {
     }
 
     /// Expands `batch` by `hops` BFS rounds over the adjacency, marking
-    /// `visited`. With `sample = Some((fanout, rng))` each frontier node
-    /// contributes at most `fanout` uniformly-sampled neighbors
-    /// (GraphSAGE); with `None` the full neighborhood is taken, bounded by
-    /// `cap` total nodes.
-    fn expand_hops(
-        &self,
-        batch: &mut Vec<usize>,
-        visited: &mut [bool],
-        hops: usize,
-        cap: usize,
-        mut sample: Option<(usize, &mut rand::rngs::StdRng)>,
-    ) {
+    /// `visited`: each frontier node adds its whole neighborhood, bounded
+    /// by `cap` total nodes.
+    fn expand_hops(&self, batch: &mut Vec<usize>, visited: &mut [bool], hops: usize, cap: usize) {
         let indptr = self.adjacency.indptr();
         let indices = self.adjacency.indices();
         let mut frontier_start = 0usize;
@@ -254,27 +183,11 @@ impl<'a> BatchSampler<'a> {
             }
             for fi in frontier_start..frontier_end {
                 let node = batch[fi];
-                let (s, e) = (indptr[node], indptr[node + 1]);
-                let deg = e - s;
-                let mut push = |pos: usize, batch: &mut Vec<usize>| {
-                    let nb = indices[pos] as usize;
+                for &nb in &indices[indptr[node]..indptr[node + 1]] {
+                    let nb = nb as usize;
                     if !visited[nb] && batch.len() < cap {
                         visited[nb] = true;
                         batch.push(nb);
-                    }
-                };
-                match sample {
-                    Some((fanout, ref mut rng)) if deg > fanout => {
-                        // Distinct neighbor positions, uniform without
-                        // replacement; the RNG walk stays serial.
-                        for off in sample_distinct(deg, fanout, rng) {
-                            push(s + off, batch);
-                        }
-                    }
-                    _ => {
-                        for pos in s..e {
-                            push(pos, batch);
-                        }
                     }
                 }
                 if batch.len() >= cap {
@@ -337,26 +250,5 @@ mod tests {
             assert_eq!(batch.len(), 7, "batch {batch:?}");
             assert!(batch.windows(2).all(|w| w[0] < w[1]), "sorted unique");
         }
-    }
-
-    #[test]
-    fn neighbor_sampling_bounds_fanout() {
-        let a = ring(20);
-        let strat = BatchStrategy::NeighborSampling {
-            seeds_per_batch: 4,
-            fanout: 1,
-            hops: 1,
-        };
-        let s = BatchSampler::new(&a, strat, None, 5);
-        let plan = s.epoch_plan(0);
-        assert_eq!(plan.len(), 5);
-        for batch in &plan {
-            // 4 seeds, each adding at most one neighbor.
-            assert!(batch.len() <= 8, "batch {batch:?}");
-            assert!(batch.windows(2).all(|w| w[0] < w[1]));
-        }
-        // Seeds partition the nodes even though expansions overlap.
-        let total: usize = plan.iter().map(|b| b.len()).sum();
-        assert!(total >= 20);
     }
 }

@@ -10,7 +10,6 @@
 //!   surrogate for the targeted attacks);
 //! * [`spectral`] — Laplacian-eigenmaps-style spectral embedding;
 //! * [`sdne`] — SDNE deep autoencoder over adjacency rows;
-//! * [`hope`] — HOPE-style spectral factorization of the high-order proximity;
 //! * [`robust_gcn`] — DropEdge training of the GCN classifier (the defense
 //!   comparator);
 //! * [`done`] — DONE-style twin outlier-aware autoencoders;
@@ -26,7 +25,6 @@ pub mod done;
 pub mod embedder;
 pub mod gae;
 pub mod gcn;
-pub mod hope;
 pub mod line;
 pub mod louvain;
 pub mod robust_gcn;
@@ -41,7 +39,6 @@ pub use done::{Done, DoneConfig};
 pub use embedder::{default_suite, Embedder};
 pub use gae::{Gae, GaeConfig};
 pub use gcn::{GcnClassifier, GcnConfig};
-pub use hope::{hope_embedding, HopeConfig};
 pub use line::{line, LineConfig, LineOrder};
 pub use louvain::louvain;
 pub use robust_gcn::{RobustGcn, RobustGcnConfig};

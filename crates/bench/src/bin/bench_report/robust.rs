@@ -213,7 +213,6 @@ pub fn run() -> Report {
         store,
         EngineConfig::builder()
             .suspect_score(theta)
-            .suspect_mass(0.5)
             .default_k(DETECT_K)
             .build()
             .unwrap(),
@@ -262,7 +261,7 @@ pub fn run() -> Report {
         "nmi_retention_mean_by_budget": retention_means,
         "detection": {
             "theta": theta,
-            "suspect_mass": 0.5,
+            "suspect_mass": QueryEngine::SUSPECT_MASS,
             "k": DETECT_K,
             "poisoned_queries": poisoned,
             "flagged_poisoned": flagged_poisoned,

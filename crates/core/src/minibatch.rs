@@ -10,8 +10,7 @@
 //!
 //! 1. a [`BatchSampler`](aneci_autograd::train_batch::BatchSampler) plans
 //!    each epoch's batches — community-aware subgraph sampling (sample
-//!    communities, expand `l` hops) or GraphSAGE-style uniform neighbor
-//!    sampling;
+//!    communities, expand `l` hops);
 //! 2. per batch, the driver builds the operators from the batch's rows of
 //!    the raw adjacency (`extract_submatrix`, then a cut of the run's
 //!    [`RowStore`](aneci_graph::RowStore) of `Ã` rows, which builds each
@@ -129,27 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_sampling_minibatch_trains() {
-        let g = karate_club();
-        let mut cfg = fixed_cfg(5);
-        cfg.epochs = 10;
-        let mut mini = trainer(&g, &cfg);
-        let report = mini
-            .train(
-                BatchStrategy::NeighborSampling {
-                    seeds_per_batch: 8,
-                    fanout: 3,
-                    hops: 2,
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(report.epochs_run, 10);
-        assert!(report.losses.iter().all(|l| l.is_finite()));
-        assert_eq!(mini.embedding().shape(), (34, 4));
-    }
-
-    #[test]
     fn empty_graph_is_a_shape_error() {
         let strategies = [
             BatchStrategy::FullGraph,
@@ -183,18 +161,11 @@ mod tests {
             hops: 1,
             max_batch_nodes: 0,
         };
-        let neighbor = |seeds_per_batch, fanout| BatchStrategy::NeighborSampling {
-            seeds_per_batch,
-            fanout,
-            hops: 1,
-        };
-        let cases: [(&AneciConfig, BatchStrategy, Option<&[usize]>); 6] = [
+        let cases: [(&AneciConfig, BatchStrategy, Option<&[usize]>); 4] = [
             (&validation, BatchStrategy::FullGraph, None),
             (&fixed_cfg(1), community(1), None),
             (&fixed_cfg(1), community(1), Some(&labels[..10])),
             (&fixed_cfg(1), community(0), Some(&labels)),
-            (&fixed_cfg(1), neighbor(0, 3), None),
-            (&fixed_cfg(1), neighbor(8, 0), None),
         ];
         for (cfg, strategy, communities) in cases {
             let mut mini = trainer(&g, cfg);

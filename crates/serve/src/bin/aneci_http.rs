@@ -10,7 +10,6 @@
 //!   --workers <n>      worker threads (default: hardware cores, 2..=32)
 //!   --queue <n>        connection-queue capacity (default: workers * 4)
 //!   --idle-ms <n>      keep-alive idle timeout in ms (default 5000)
-//!   --no-keepalive     close every connection after one response
 //!   --ann              build the HNSW index; answer top-k with it
 //!   --ef <n>           ANN beam width at layer 0 (default 64)
 //!   --k <n>            default k for top-k queries (default 10)
@@ -19,15 +18,15 @@
 //!   --threads <n>      aneci-linalg pool threads for batch execution
 //!   --delta-log <path> persist applied /v1/admin/reindex updates here and
 //!                      replay them at startup (crash-safe dynamic serving)
-//!   --admin-attack     expose the test-only POST /v1/admin/attack route
-//!                      (anomaly-score injection for detection rehearsals)
 //! ```
 //!
-//! Routes (versioned): `GET /v1/healthz`, `GET /v1/metrics`,
-//! `POST /v1/query`, `POST /v1/query_batch`, `POST /v1/admin/reindex`,
-//! `POST /v1/admin/shutdown`; the unversioned legacy paths answer 301. The
-//! process runs until `POST /v1/admin/shutdown` (or SIGKILL), drains
-//! in-flight requests, prints the serve counters to stderr, and exits 0.
+//! Routes: `GET /v1/healthz`, `GET /v1/metrics`, `POST /v1/query`,
+//! `POST /v1/query_batch`, `POST /v1/admin/reindex`,
+//! `POST /v1/admin/shutdown`; any other path answers a typed 404. A
+//! connection stays open while the client asks for keep-alive (the HTTP/1.1
+//! default) and the server is not draining. The process runs until
+//! `POST /v1/admin/shutdown` (or SIGKILL), drains in-flight requests,
+//! prints the serve counters to stderr, and exits 0.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -38,6 +37,7 @@ use aneci_serve::engine::{EngineConfig, QueryEngine};
 use aneci_serve::http::{HttpConfig, HttpServer};
 use aneci_serve::store::{EmbeddingStore, Metric};
 
+#[derive(Debug, PartialEq)]
 struct Args {
     checkpoint: String,
     addr: String,
@@ -45,7 +45,6 @@ struct Args {
     workers: Option<usize>,
     queue: Option<usize>,
     idle_ms: u64,
-    keep_alive: bool,
     ann: bool,
     ef: usize,
     k: usize,
@@ -53,14 +52,12 @@ struct Args {
     cache: usize,
     threads: Option<usize>,
     delta_log: Option<String>,
-    admin_attack: bool,
 }
 
 fn usage() -> String {
     "usage: aneci_http <checkpoint.aneci> [--addr HOST:PORT] [--addr-file FILE] \
-     [--workers N] [--queue N] [--idle-ms N] [--no-keepalive] [--ann] [--ef N] \
-     [--k N] [--metric cosine|dot] [--cache N] [--threads N] [--delta-log FILE] \
-     [--admin-attack]"
+     [--workers N] [--queue N] [--idle-ms N] [--ann] [--ef N] [--k N] \
+     [--metric cosine|dot] [--cache N] [--threads N] [--delta-log FILE]"
         .to_string()
 }
 
@@ -77,7 +74,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         workers: None,
         queue: None,
         idle_ms: 5000,
-        keep_alive: true,
         ann: false,
         ef: 64,
         k: 10,
@@ -85,7 +81,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         cache: 1024,
         threads: None,
         delta_log: None,
-        admin_attack: false,
     };
     let mut it = argv.iter();
     let mut positional = Vec::new();
@@ -101,14 +96,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workers" => args.workers = Some(parse_num(&value_of("--workers")?, "--workers")?),
             "--queue" => args.queue = Some(parse_num(&value_of("--queue")?, "--queue")?),
             "--idle-ms" => args.idle_ms = parse_num(&value_of("--idle-ms")?, "--idle-ms")? as u64,
-            "--no-keepalive" => args.keep_alive = false,
             "--ann" => args.ann = true,
             "--ef" => args.ef = parse_num(&value_of("--ef")?, "--ef")?,
             "--k" => args.k = parse_num(&value_of("--k")?, "--k")?,
             "--cache" => args.cache = parse_num(&value_of("--cache")?, "--cache")?,
             "--threads" => args.threads = Some(parse_num(&value_of("--threads")?, "--threads")?),
             "--delta-log" => args.delta_log = Some(value_of("--delta-log")?),
-            "--admin-attack" => args.admin_attack = true,
             "--metric" => {
                 let m = value_of("--metric")?;
                 args.metric = Metric::parse(&m)
@@ -182,14 +175,8 @@ fn run() -> Result<(), String> {
         queue_capacity: args
             .queue
             .unwrap_or_else(|| args.workers.map_or(defaults.queue_capacity, |w| w * 4)),
-        keep_alive: args.keep_alive,
         idle_timeout: Duration::from_millis(args.idle_ms.max(1)),
-        admin_attack: args.admin_attack,
-        ..defaults
     };
-    if args.admin_attack {
-        eprintln!("WARNING: test-only POST /v1/admin/attack route is exposed");
-    }
     let workers = config.workers;
     let queue = config.queue_capacity;
     let handle = HttpServer::start(engine, config, args.addr.as_str())
@@ -231,6 +218,120 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    fn defaults() -> Args {
+        parse(&["model.aneci"]).unwrap()
+    }
+
+    /// A flag, its value when it takes one, and the field that value sets.
+    type Flag = (&'static str, Option<&'static str>, fn(&mut Args));
+
+    /// Each flag of the usage line, in its order there.
+    fn flags() -> Vec<Flag> {
+        vec![
+            ("--addr", Some("0.0.0.0:9000"), |a| {
+                a.addr = "0.0.0.0:9000".into()
+            }),
+            ("--addr-file", Some("addr.txt"), |a| {
+                a.addr_file = Some("addr.txt".into())
+            }),
+            ("--workers", Some("3"), |a| a.workers = Some(3)),
+            ("--queue", Some("5"), |a| a.queue = Some(5)),
+            ("--idle-ms", Some("7"), |a| a.idle_ms = 7),
+            ("--ann", None, |a| a.ann = true),
+            ("--ef", Some("11"), |a| a.ef = 11),
+            ("--k", Some("13"), |a| a.k = 13),
+            ("--metric", Some("dot"), |a| a.metric = Metric::Dot),
+            ("--cache", Some("17"), |a| a.cache = 17),
+            ("--threads", Some("19"), |a| a.threads = Some(19)),
+            ("--delta-log", Some("deltas.jsonl"), |a| {
+                a.delta_log = Some("deltas.jsonl".into())
+            }),
+        ]
+    }
+
+    /// `bench_e2e` starts the server with exactly this argv.
+    #[test]
+    fn the_benchmark_argv_parses_to_what_it_asks_for() {
+        let args = parse(&[
+            "model.aneci",
+            "--ann",
+            "--ef",
+            "128",
+            "--addr",
+            "127.0.0.1:0",
+        ]);
+        let want = Args {
+            checkpoint: "model.aneci".into(),
+            addr: "127.0.0.1:0".into(),
+            addr_file: None,
+            workers: None,
+            queue: None,
+            idle_ms: 5000,
+            ann: true,
+            ef: 128,
+            k: 10,
+            metric: Metric::Cosine,
+            cache: 1024,
+            threads: None,
+            delta_log: None,
+        };
+        assert_eq!(args, Ok(want));
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_line_parses() {
+        let usage = usage();
+        let listed: Vec<&str> = usage
+            .split('[')
+            .skip(1)
+            .map(|group| group.split([' ', ']']).next().unwrap())
+            .collect();
+        let cases = flags();
+        let parsed: Vec<&str> = cases.iter().map(|&(flag, ..)| flag).collect();
+        assert_eq!(listed, parsed, "the usage line and this table disagree");
+
+        let mut all = vec!["model.aneci"];
+        let mut want_all = defaults();
+        for (flag, value, set) in cases {
+            let argv: Vec<&str> = ["model.aneci", flag].into_iter().chain(value).collect();
+            let mut want = defaults();
+            set(&mut want);
+            assert_ne!(want, defaults(), "{flag} sets its default");
+            assert_eq!(parse(&argv), Ok(want), "{flag}");
+            all.extend(&argv[1..]);
+            set(&mut want_all);
+        }
+        assert_eq!(parse(&all), Ok(want_all));
+    }
+
+    #[test]
+    fn unknown_flags_fail_with_the_usage_line() {
+        for flag in ["--no-keepalive", "--admin-attack", "--verbose", "-x"] {
+            let err = parse(&["model.aneci", flag]).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}\n{}", usage()));
+        }
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_fails() {
+        for (flag, value, _) in flags() {
+            if value.is_some() {
+                let err = parse(&["model.aneci", flag]).unwrap_err();
+                assert_eq!(err, format!("{flag} needs a value\n{}", usage()));
+            }
         }
     }
 }

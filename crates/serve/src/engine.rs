@@ -217,9 +217,6 @@ pub struct EngineConfig {
     /// poisoned-neighborhood detector (θ). Only consulted when the snapshot
     /// carries anomaly scores.
     pub suspect_score: f64,
-    /// Fraction of a top-k response's score mass that must land on
-    /// anomalous nodes before the response is flagged `suspect` (φ).
-    pub suspect_mass: f64,
 }
 
 impl Default for EngineConfig {
@@ -234,7 +231,6 @@ impl Default for EngineConfig {
             compact_threshold: 0.25,
             delta_log: None,
             suspect_score: 0.7,
-            suspect_mass: 0.5,
         }
     }
 }
@@ -267,9 +263,6 @@ impl EngineConfig {
         }
         if !(0.0..=1.0).contains(&self.suspect_score) {
             return bad("suspect_score must lie in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&self.suspect_mass) {
-            return bad("suspect_mass must lie in [0, 1]");
         }
         Ok(())
     }
@@ -347,12 +340,6 @@ impl EngineConfigBuilder {
     /// Anomaly threshold θ for the poisoned-neighborhood detector.
     pub fn suspect_score(mut self, v: f64) -> Self {
         self.config.suspect_score = v;
-        self
-    }
-
-    /// Mass fraction φ above which a top-k response is flagged suspect.
-    pub fn suspect_mass(mut self, v: f64) -> Self {
-        self.config.suspect_mass = v;
         self
     }
 
@@ -498,43 +485,6 @@ impl QueryEngine {
     /// Whether a snapshot rebuild is running right now.
     pub fn reindex_in_progress(&self) -> bool {
         self.reindexing.load(Ordering::SeqCst)
-    }
-
-    /// Overwrites the anomaly scores of `targets` in a fresh generation —
-    /// the test-only attack-injection hook behind the HTTP front end's
-    /// gated `POST /v1/admin/attack` route. Embeddings, membership, and
-    /// tombstones are untouched; only the detector's input changes, so
-    /// operators can rehearse poisoned-neighborhood detection (and watch
-    /// `serve.robust.*` move) without retraining.
-    pub fn inject_anomalies(
-        &self,
-        targets: &[usize],
-        score: f64,
-    ) -> Result<u64, (ErrorCode, String)> {
-        if !(0.0..=1.0).contains(&score) {
-            return Err((
-                ErrorCode::BadRequest,
-                format!("anomaly score must lie in [0, 1]: {score}"),
-            ));
-        }
-        let snap = self.snapshot.load();
-        let n = snap.store.num_nodes();
-        if let Some(&bad) = targets.iter().find(|&&t| t >= n) {
-            return Err((
-                ErrorCode::NotFound,
-                format!("target {bad} out of range (store has {n} nodes)"),
-            ));
-        }
-        let mut scores = snap
-            .store
-            .anomaly_scores()
-            .map(<[f64]>::to_vec)
-            .unwrap_or_else(|| vec![0.0; n]);
-        for &t in targets {
-            scores[t] = score;
-        }
-        let store = snap.store.clone().with_anomaly_scores(scores);
-        Ok(self.snapshot.publish(store, snap.ann.clone()))
     }
 
     /// Applies one [`SnapshotUpdate`]: builds the next snapshot off the
@@ -707,8 +657,13 @@ impl QueryEngine {
         }
     }
 
-    /// Poisoned-neighborhood detection: flags a top-k result whose score
-    /// mass concentrates on high-anomaly nodes. Mass is `max(score, 0)` per
+    /// Fraction of a top-k response's score mass that must land on
+    /// anomalous nodes before the response is flagged `suspect` (φ).
+    pub const SUSPECT_MASS: f64 = 0.5;
+
+    /// Poisoned-neighborhood detection: flags a top-k result when at least
+    /// [`Self::SUSPECT_MASS`] of its score mass sits on nodes whose anomaly
+    /// score exceeds θ (`suspect_score`). Mass is `max(score, 0)` per
     /// neighbor (negative similarities carry no mass); when the whole
     /// result has zero positive mass the anomalous-node *count* fraction
     /// decides instead. Returns `None` (and touches no counters) when the
@@ -734,7 +689,7 @@ impl QueryEngine {
         } else {
             hot_count as f64 / hits.len() as f64
         };
-        let flagged = fraction >= self.config.suspect_mass;
+        let flagged = fraction >= Self::SUSPECT_MASS;
         if flagged {
             self.metrics.robust_flagged.inc();
         }
@@ -917,11 +872,26 @@ mod tests {
     use aneci_linalg::rng::{gaussian_matrix, seeded_rng};
     use std::sync::Arc;
 
-    fn engine(config: EngineConfig) -> QueryEngine {
+    /// 120 nodes in 8 dimensions, with membership and no anomaly scores.
+    fn store() -> EmbeddingStore {
         let mut rng = seeded_rng(11);
         let z = gaussian_matrix(120, 8, 1.0, &mut rng);
         let p = z.softmax_rows();
-        QueryEngine::new(EmbeddingStore::new(z, Some(p)), config)
+        EmbeddingStore::new(z, Some(p))
+    }
+
+    fn engine(config: EngineConfig) -> QueryEngine {
+        QueryEngine::new(store(), config)
+    }
+
+    /// An engine over [`store`] whose anomaly scores are `score` on `hot`
+    /// and 0 elsewhere.
+    fn scored_engine(hot: &[usize], score: f64) -> QueryEngine {
+        let mut scores = vec![0.0; 120];
+        for &node in hot {
+            scores[node] = score;
+        }
+        QueryEngine::new(store().with_anomaly_scores(scores), EngineConfig::default())
     }
 
     #[test]
@@ -1298,8 +1268,6 @@ mod tests {
             .delete(7);
         e.apply_update(&update).unwrap();
         assert!(shared(&e), "after apply_update");
-        e.inject_anomalies(&[1, 2], 0.9).unwrap();
-        assert!(shared(&e), "after inject_anomalies");
     }
 
     /// The ANN answer to a 10-neighbor `top_k` query of `node` or
@@ -1585,26 +1553,29 @@ mod tests {
 
     #[test]
     fn injected_anomalies_flag_poisoned_neighborhoods() {
-        let e = engine(EngineConfig::default());
         let line = r#"{"op":"top_k","node":7,"k":3}"#;
 
         // Unscored store: the detector stays out of the response.
-        assert_eq!(suspect_of(&e.run_line(line)), None);
+        assert_eq!(
+            suspect_of(&engine(EngineConfig::default()).run_line(line)),
+            None
+        );
 
-        // Score everything clean: checked, not flagged.
-        let n = e.snapshot().store.num_nodes();
-        let all: Vec<usize> = (0..n).collect();
-        e.inject_anomalies(&all, 0.0).unwrap();
-        assert_eq!(suspect_of(&e.run_line(line)), Some(false));
+        // Every node scored clean: checked, not flagged.
+        assert_eq!(
+            suspect_of(&scored_engine(&[], 0.0).run_line(line)),
+            Some(false)
+        );
 
-        // Poison node 7's whole neighborhood: the top-k mass now sits on
+        // Node 7's whole neighborhood poisoned: the top-k mass sits on
         // high-anomaly nodes and the response is flagged.
-        let hits = e.snapshot().store.top_k_node(7, 3, Metric::Cosine);
+        let hits = store().top_k_node(7, 3, Metric::Cosine);
         let targets: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
-        e.inject_anomalies(&targets, 0.95).unwrap();
+        let e = scored_engine(&targets, 0.95);
         assert_eq!(suspect_of(&e.run_line(line)), Some(true));
 
         // A query whose neighborhood is clean is still unflagged.
+        let n = e.snapshot().store.num_nodes();
         let far = (0..n).find(|i| !targets.contains(i) && *i != 7).unwrap();
         let clean_hits = e.snapshot().store.top_k_node(far, 3, Metric::Cosine);
         if clean_hits.iter().all(|(id, _)| !targets.contains(id)) {
@@ -1614,31 +1585,8 @@ mod tests {
     }
 
     #[test]
-    fn inject_anomalies_validates_and_publishes_generations() {
-        let e = engine(EngineConfig::default());
-        let g0 = e.generation();
-        // Bad score and out-of-range target are typed refusals, no publish.
-        let (code, _) = e.inject_anomalies(&[0], 1.5).unwrap_err();
-        assert_eq!(code, ErrorCode::BadRequest);
-        let (code, _) = e.inject_anomalies(&[10_000], 0.5).unwrap_err();
-        assert_eq!(code, ErrorCode::NotFound);
-        assert_eq!(e.generation(), g0);
-
-        let g1 = e.inject_anomalies(&[2, 5], 0.9).unwrap();
-        assert_eq!(g1, g0 + 1);
-        let snap = e.snapshot();
-        let scores = snap.store.anomaly_scores().unwrap();
-        assert_eq!(scores[2], 0.9);
-        assert_eq!(scores[5], 0.9);
-        assert_eq!(scores[0], 0.0);
-        // Embeddings are untouched — only the detector's input changed.
-        assert_eq!(snap.store.num_nodes(), 120);
-    }
-
-    #[test]
     fn anomaly_scores_survive_snapshot_updates() {
-        let e = engine(EngineConfig::default());
-        e.inject_anomalies(&[1], 0.8).unwrap();
+        let e = scored_engine(&[1], 0.8);
         e.apply_update(&SnapshotUpdate::new().upsert(120, vec![0.5; 8]))
             .unwrap();
         let snap = e.snapshot();

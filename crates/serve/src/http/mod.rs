@@ -8,8 +8,9 @@
 //! documented in DESIGN.md §4.7; the short version:
 //!
 //! * **Parsing** ([`parse`]) — a hand-rolled request parser (request line,
-//!   headers, `Content-Length` and chunked bodies, explicit size limits)
-//!   and a `Content-Length`-framed response writer. Malformed input maps to
+//!   headers, `Content-Length` and chunked bodies, explicit size limits:
+//!   the server reads 8 KiB of head and 1 MiB of body at most) and one
+//!   `Content-Length`-framed response writer. Malformed input maps to
 //!   typed 4xx/5xx JSON bodies (the engine's
 //!   [`ErrorCode`](crate::engine::ErrorCode) vocabulary),
 //!   never to a panic or a hang.
@@ -27,8 +28,10 @@
 //!   instead of unbounded buffering.
 //! * **Keep-alive** — HTTP/1.1 persistent connections with pipelining
 //!   support, an idle timeout between requests, and a per-request stall
-//!   cap. Idle waits poll in short ticks so shutdown is never held hostage
-//!   by a silent connection.
+//!   cap. A connection stays open while the request asks for it (its
+//!   `Connection` header, or the HTTP/1.1 default) and the server is not
+//!   draining. Idle waits poll in short ticks so shutdown is never held
+//!   hostage by a silent connection.
 //! * **Graceful shutdown** — triggered by [`ServerHandle::shutdown`] or the
 //!   `POST /v1/admin/shutdown` route: the acceptor stops, in-flight
 //!   requests finish, queued connections are drained (served with
@@ -40,11 +43,13 @@
 //!   newline-delimited responses out, per-line errors in place), `POST
 //!   /v1/admin/reindex` (a [`SnapshotUpdate`](crate::snapshot::SnapshotUpdate)
 //!   body, applied as one atomic generation bump), `POST
-//!   /v1/admin/shutdown`. The unversioned legacy paths answer `301 Moved
-//!   Permanently` with a `location` header pointing at their `/v1` homes.
+//!   /v1/admin/shutdown`. Any other path answers a typed `404 not_found`,
+//!   and a known path under the wrong method a typed `405`.
+//! * **Settings** ([`HttpConfig`]) — worker count, queue capacity and idle
+//!   timeout; nothing else is configurable.
 //! * **Observability** — per-route `serve.http.route.*` counters, total
-//!   request/connection/shed/status-class counters (3xx redirects
-//!   included), and a `serve.http.request_ns` latency histogram, all in the
+//!   request/connection/shed/status-class counters, and a
+//!   `serve.http.request_ns` latency histogram, all in the
 //!   global `aneci-obs` registry (and therefore visible through
 //!   `GET /v1/metrics` itself).
 //!

@@ -11,7 +11,9 @@ use std::io::{BufRead, Read, Write};
 
 use crate::engine::ErrorCode;
 
-/// Hard caps applied while reading one request.
+/// Hard caps applied while reading one request. The server reads with the
+/// defaults (8 KiB of request line and headers, 1 MiB of body); tests pass
+/// smaller ones.
 #[derive(Clone, Copy, Debug)]
 pub struct ParseLimits {
     /// Budget for the request line + all header bytes (CRLFs included).
@@ -325,7 +327,6 @@ pub fn read_request(
 pub fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        301 => "Moved Permanently",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
@@ -342,10 +343,14 @@ pub fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// Bytes reserved for a response head; every head this server writes fits
-/// (the longest status line and fields plus a `location` come to ~165).
-const HEAD_CAPACITY: usize = 192;
+/// (the longest status line and fields come to ~135).
+const HEAD_CAPACITY: usize = 160;
 
 /// Writes one `Content-Length`-framed response and flushes it.
+///
+/// Head and body are encoded into one buffer and handed to one
+/// `write_all`: the server's sockets set `TCP_NODELAY`, so every write
+/// to them leaves as a segment of its own.
 pub fn write_response(
     writer: &mut impl Write,
     status: u16,
@@ -353,37 +358,16 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_response_with_headers(writer, status, content_type, body, keep_alive, &[])
-}
-
-/// [`write_response`] plus extra header fields (e.g. `location` on a 301).
-/// Names must already be lowercase; values must be header-safe.
-///
-/// Head and body are encoded into one buffer and handed to one
-/// `write_all`: the server's sockets set `TCP_NODELAY`, so every write
-/// to them leaves as a segment of its own.
-pub fn write_response_with_headers(
-    writer: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
     let mut message = Vec::with_capacity(HEAD_CAPACITY + body.len());
     write!(
         message,
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         status,
         reason_phrase(status),
         content_type,
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     )?;
-    for (name, value) in extra_headers {
-        write!(message, "{name}: {value}\r\n")?;
-    }
-    message.extend_from_slice(b"\r\n");
     message.extend_from_slice(body);
     writer.write_all(&message)?;
     writer.flush()
@@ -511,21 +495,14 @@ mod tests {
 
     /// Writes one response into a [`WriteLog`], checks that its bytes are
     /// `expected`, then that a single write carried them.
-    fn assert_one_write(
-        status: u16,
-        body: &str,
-        keep_alive: bool,
-        extra_headers: &[(&str, &str)],
-        expected: &str,
-    ) {
+    fn assert_one_write(status: u16, body: &str, keep_alive: bool, expected: &str) {
         let mut log = WriteLog::default();
-        write_response_with_headers(
+        write_response(
             &mut log,
             status,
             "application/json",
             body.as_bytes(),
             keep_alive,
-            extra_headers,
         )
         .unwrap();
         assert_eq!(String::from_utf8(log.0.concat()).unwrap(), expected);
@@ -538,22 +515,8 @@ mod tests {
             200,
             r#"{"ok":true}"#,
             true,
-            &[],
             "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\
              connection: keep-alive\r\n\r\n{\"ok\":true}",
-        );
-    }
-
-    #[test]
-    fn response_writer_emits_extra_headers() {
-        assert_one_write(
-            301,
-            r#"{"kind":"moved","location":"/v1/healthz"}"#,
-            true,
-            &[("location", "/v1/healthz")],
-            "HTTP/1.1 301 Moved Permanently\r\ncontent-type: application/json\r\n\
-             content-length: 41\r\nconnection: keep-alive\r\nlocation: /v1/healthz\r\n\r\n\
-             {\"kind\":\"moved\",\"location\":\"/v1/healthz\"}",
         );
     }
 
@@ -563,7 +526,6 @@ mod tests {
             503,
             r#"{"kind":"error","code":"overloaded"}"#,
             false,
-            &[],
             "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
              content-length: 36\r\nconnection: close\r\n\r\n\
              {\"kind\":\"error\",\"code\":\"overloaded\"}",

@@ -14,9 +14,7 @@ use aneci_core::AneciError;
 use aneci_linalg::pool;
 
 use crate::engine::{ErrorCode, QueryEngine, Response};
-use crate::http::parse::{
-    read_request, write_response, write_response_with_headers, ParseError, ParseLimits, Request,
-};
+use crate::http::parse::{read_request, write_response, ParseError, ParseLimits, Request};
 use crate::snapshot::SnapshotUpdate;
 
 /// Server construction parameters.
@@ -30,20 +28,9 @@ pub struct HttpConfig {
     /// connections are answered `503` immediately and closed (load
     /// shedding) instead of growing the queue unboundedly.
     pub queue_capacity: usize,
-    /// Serve multiple requests per connection.
-    pub keep_alive: bool,
     /// How long a kept-alive connection may sit idle between requests, and
     /// the per-read stall cap inside a request.
     pub idle_timeout: Duration,
-    /// Request-line + header byte budget per request.
-    pub max_header_bytes: usize,
-    /// Body byte budget per request.
-    pub max_body_bytes: usize,
-    /// Expose the test-only `POST /v1/admin/attack` route, which overwrites
-    /// anomaly scores via [`QueryEngine::inject_anomalies`] so operators can
-    /// rehearse poisoned-neighborhood detection end to end. Off by default;
-    /// while disabled the path is indistinguishable from any other 404.
-    pub admin_attack: bool,
 }
 
 impl Default for HttpConfig {
@@ -52,18 +39,14 @@ impl Default for HttpConfig {
         Self {
             workers,
             queue_capacity: workers * 4,
-            keep_alive: true,
             idle_timeout: Duration::from_secs(5),
-            max_header_bytes: 8 * 1024,
-            max_body_bytes: 1024 * 1024,
-            admin_attack: false,
         }
     }
 }
 
 impl HttpConfig {
     /// Checks internal consistency; [`HttpServer::start`] calls this, so a
-    /// nonsensical value (zero workers, a zero-byte body budget) is refused
+    /// nonsensical value (zero workers, a zero-length queue) is refused
     /// before binding instead of surfacing later as a hung or
     /// instantly-shed connection.
     pub fn validate(&self) -> Result<(), AneciError> {
@@ -76,12 +59,6 @@ impl HttpConfig {
         }
         if self.idle_timeout.is_zero() {
             return bad("http: idle_timeout must be positive");
-        }
-        if self.max_header_bytes < 256 {
-            return bad("http: max_header_bytes must be at least 256 (a request line alone can approach that)");
-        }
-        if self.max_body_bytes == 0 {
-            return bad("http: max_body_bytes must be positive");
         }
         Ok(())
     }
@@ -99,7 +76,6 @@ struct HttpMetrics {
     shed: aneci_obs::Counter,
     batch_queries: aneci_obs::Counter,
     status_2xx: aneci_obs::Counter,
-    status_3xx: aneci_obs::Counter,
     status_4xx: aneci_obs::Counter,
     status_5xx: aneci_obs::Counter,
     route_healthz: aneci_obs::Counter,
@@ -107,10 +83,8 @@ struct HttpMetrics {
     route_query: aneci_obs::Counter,
     route_query_batch: aneci_obs::Counter,
     route_reindex: aneci_obs::Counter,
-    route_attack: aneci_obs::Counter,
     route_shutdown: aneci_obs::Counter,
     route_unmatched: aneci_obs::Counter,
-    legacy_redirects: aneci_obs::Counter,
 }
 
 impl HttpMetrics {
@@ -123,7 +97,6 @@ impl HttpMetrics {
             shed: aneci_obs::counter("serve.http.shed"),
             batch_queries: aneci_obs::counter("serve.http.batch_queries"),
             status_2xx: aneci_obs::counter("serve.http.status.2xx"),
-            status_3xx: aneci_obs::counter("serve.http.status.3xx"),
             status_4xx: aneci_obs::counter("serve.http.status.4xx"),
             status_5xx: aneci_obs::counter("serve.http.status.5xx"),
             route_healthz: aneci_obs::counter("serve.http.route.healthz"),
@@ -131,17 +104,14 @@ impl HttpMetrics {
             route_query: aneci_obs::counter("serve.http.route.query"),
             route_query_batch: aneci_obs::counter("serve.http.route.query_batch"),
             route_reindex: aneci_obs::counter("serve.http.route.reindex"),
-            route_attack: aneci_obs::counter("serve.http.route.attack"),
             route_shutdown: aneci_obs::counter("serve.http.route.shutdown"),
             route_unmatched: aneci_obs::counter("serve.http.route.unmatched"),
-            legacy_redirects: aneci_obs::counter("serve.http.legacy_redirects"),
         }
     }
 
     fn record_status(&self, status: u16) {
         match status {
             200..=299 => self.status_2xx.inc(),
-            300..=399 => self.status_3xx.inc(),
             400..=499 => self.status_4xx.inc(),
             _ => self.status_5xx.inc(),
         }
@@ -426,10 +396,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     let mut writer = &stream;
-    let limits = ParseLimits {
-        max_header_bytes: shared.config.max_header_bytes,
-        max_body_bytes: shared.config.max_body_bytes,
-    };
+    let limits = ParseLimits::default();
 
     let mut served = 0usize;
     loop {
@@ -508,19 +475,13 @@ fn respond(shared: &Shared, writer: &mut impl Write, request: &Request, start: I
     shared.metrics.requests.inc();
     let routed = route(shared, request);
     shared.metrics.record_status(routed.status);
-    let keep_alive = shared.config.keep_alive && request.wants_keep_alive() && !shared.draining();
-    let extra: Vec<(&str, &str)> = routed
-        .location
-        .map(|target| ("location", target))
-        .into_iter()
-        .collect();
-    let write_failed = write_response_with_headers(
+    let keep_alive = request.wants_keep_alive() && !shared.draining();
+    let write_failed = write_response(
         writer,
         routed.status,
         routed.content_type,
         &routed.body,
         keep_alive,
-        &extra,
     )
     .is_err();
     shared
@@ -530,13 +491,11 @@ fn respond(shared: &Shared, writer: &mut impl Write, request: &Request, start: I
     write_failed || !keep_alive
 }
 
-/// One route handler's answer: status line, body, and (for 301s) the
-/// `location` header value.
+/// One route handler's answer: status line and body.
 struct Routed {
     status: u16,
     content_type: &'static str,
     body: Vec<u8>,
-    location: Option<&'static str>,
 }
 
 impl Routed {
@@ -545,22 +504,9 @@ impl Routed {
             status,
             content_type,
             body,
-            location: None,
         }
     }
 }
-
-/// The unversioned paths of the pre-`/v1` API and where each now lives.
-/// Any method on these answers `301 Moved Permanently` with a `location`
-/// header — clients learn the new path from the redirect instead of
-/// silently running against a frozen legacy surface.
-const LEGACY_ROUTES: [(&str, &str); 5] = [
-    ("/healthz", "/v1/healthz"),
-    ("/metrics", "/v1/metrics"),
-    ("/query", "/v1/query"),
-    ("/query_batch", "/v1/query_batch"),
-    ("/shutdown", "/v1/admin/shutdown"),
-];
 
 /// Dispatches one request to its route handler.
 fn route(shared: &Shared, request: &Request) -> Routed {
@@ -655,44 +601,6 @@ fn route(shared: &Shared, request: &Request) -> Routed {
                 }
             }
         }
-        ("POST", "/v1/admin/attack") if shared.config.admin_attack => {
-            shared.metrics.route_attack.inc();
-            #[derive(serde::Deserialize)]
-            struct AttackBody {
-                targets: Vec<usize>,
-                score: f64,
-            }
-            let body: AttackBody = match serde_json::from_slice(&request.body) {
-                Ok(body) => body,
-                Err(e) => {
-                    let body = error_body(
-                        ErrorCode::BadRequest,
-                        format!("bad attack body (expected {{\"targets\":[..],\"score\":s}}): {e}"),
-                    );
-                    return Routed::new(400, JSON, body);
-                }
-            };
-            match shared.engine.inject_anomalies(&body.targets, body.score) {
-                Ok(generation) => {
-                    let out = format!(
-                        r#"{{"kind":"attack","generation":{generation},"targets":{}}}"#,
-                        body.targets.len()
-                    );
-                    Routed::new(200, JSON, out.into_bytes())
-                }
-                Err((code, message)) => {
-                    Routed::new(code.http_status(), JSON, error_body(code, message))
-                }
-            }
-        }
-        (_, "/v1/admin/attack") if shared.config.admin_attack => {
-            shared.metrics.route_unmatched.inc();
-            let body = error_body(
-                ErrorCode::MethodNotAllowed,
-                format!("{method} is not supported on {path}"),
-            );
-            Routed::new(405, JSON, body)
-        }
         ("POST", "/v1/admin/shutdown") => {
             shared.metrics.route_shutdown.inc();
             shared.begin_shutdown();
@@ -712,15 +620,6 @@ fn route(shared: &Shared, request: &Request) -> Routed {
             Routed::new(405, JSON, body)
         }
         _ => {
-            if let Some(&(_, target)) = LEGACY_ROUTES.iter().find(|&&(old, _)| old == path) {
-                shared.metrics.legacy_redirects.inc();
-                let body = format!(
-                    r#"{{"kind":"moved","location":"{target}","error":"the unversioned API moved under /v1"}}"#
-                );
-                let mut routed = Routed::new(301, JSON, body.into_bytes());
-                routed.location = Some(target);
-                return routed;
-            }
             shared.metrics.route_unmatched.inc();
             let body = error_body(
                 ErrorCode::NotFound,

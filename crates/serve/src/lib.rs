@@ -28,8 +28,8 @@
 //! (`src/bin/aneci_http.rs`) serves the queries over a TCP socket
 //! (`GET /v1/healthz`, `GET /v1/metrics`, `POST /v1/query`,
 //! `POST /v1/query_batch` for newline-delimited batches,
-//! `POST /v1/admin/reindex`, `POST /v1/admin/shutdown`; the unversioned
-//! legacy paths answer 301).
+//! `POST /v1/admin/reindex`, `POST /v1/admin/shutdown`; any other path
+//! answers a typed 404).
 //!
 //! ```no_run
 //! use aneci_core::model::AneciModel;

@@ -12,7 +12,7 @@ use aneci_core::{train_aneci, AneciConfig};
 use aneci_graph::karate_club;
 use aneci_serve::engine::{EngineConfig, QueryEngine};
 use aneci_serve::http::{client, HttpClient, HttpConfig, HttpServer, ServerHandle};
-use aneci_serve::store::{EmbeddingStore, Metric};
+use aneci_serve::store::EmbeddingStore;
 
 fn engine() -> Arc<QueryEngine> {
     let graph = karate_club();
@@ -78,11 +78,6 @@ fn invalid_configs_are_refused_before_binding() {
             "idle_timeout",
             default_but(|c| c.idle_timeout = Duration::ZERO),
         ),
-        (
-            "max_header_bytes",
-            default_but(|c| c.max_header_bytes = 255),
-        ),
-        ("max_body_bytes", default_but(|c| c.max_body_bytes = 0)),
     ];
     // An address already taken: binding it would fail with another kind.
     let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -120,6 +115,13 @@ fn healthz_query_metrics_round_trip() {
     assert_eq!(response.status, 200);
     assert_eq!(response.text(), engine.run_line(line));
     assert_eq!(response.header("content-type"), Some("application/json"));
+    // The checkpoint's store carries anomaly scores, so the detector flags
+    // every top-k answer one way or the other.
+    assert!(
+        response.text().contains(r#""suspect":"#),
+        "{}",
+        response.text()
+    );
 
     // Batch: four lines in, four aligned lines out; the blank and the bad
     // line come back typed in place.
@@ -142,6 +144,7 @@ fn healthz_query_metrics_round_trip() {
     let text = metrics.text();
     assert!(text.contains("serve.http.requests"), "{text}");
     assert!(text.contains("serve.http.route.query"), "{text}");
+    assert!(text.contains("serve.robust.checked"), "{text}");
 
     handle.shutdown();
 }
@@ -177,31 +180,64 @@ fn typed_errors_carry_code_and_status() {
         r.text()
     );
 
+    // The unversioned paths of the pre-`/v1` API, and the attack route no
+    // configuration serves, are unknown paths like any other: a typed 404
+    // that executes nothing (`/shutdown` leaves the server serving).
+    let query = r#"{"op":"top_k","node":0,"k":5}"#;
+    let attack = r#"{"targets":[0],"score":0.9}"#;
+    for (method, path, body) in [
+        ("GET", "/healthz", ""),
+        ("GET", "/metrics", ""),
+        ("POST", "/query", query),
+        ("POST", "/query_batch", query),
+        ("POST", "/shutdown", ""),
+        ("POST", "/v1/admin/attack", attack),
+        ("GET", "/v1/admin/attack", ""),
+    ] {
+        let body = (method == "POST").then_some(body.as_bytes());
+        let r = HttpClient::connect(addr)
+            .unwrap()
+            .request(method, path, body)
+            .unwrap();
+        assert_eq!(r.status, 404, "{method} {path}: {}", r.text());
+        assert!(r.text().contains(r#""code":"not_found""#), "{}", r.text());
+        assert_eq!(r.header("location"), None, "{method} {path}");
+    }
+    let r = client::get(addr, "/v1/healthz").unwrap();
+    assert_eq!(r.status, 200);
+    assert!(r.text().contains(r#""status":"serving""#), "{}", r.text());
+
     handle.shutdown();
 }
 
 #[test]
-fn legacy_paths_answer_301_with_their_v1_location() {
-    let (_engine, handle) = default_server();
+fn a_bad_unicode_escape_is_a_400_and_the_worker_serves_on() {
+    // One worker: a panic while it decodes the body would leave no thread
+    // to answer the next request.
+    let (_engine, handle) = server(HttpConfig {
+        workers: 1,
+        queue_capacity: 4,
+        ..HttpConfig::default()
+    });
     let addr = handle.addr();
 
-    for (old, new) in [
-        ("/healthz", "/v1/healthz"),
-        ("/metrics", "/v1/metrics"),
-        ("/query", "/v1/query"),
-        ("/query_batch", "/v1/query_batch"),
-        ("/shutdown", "/v1/admin/shutdown"),
-    ] {
-        let r = client::get(addr, old).unwrap();
-        assert_eq!(r.status, 301, "{old}");
-        assert_eq!(r.header("location"), Some(new), "{old}");
-        assert!(r.text().contains(r#""kind":"moved""#), "{}", r.text());
-    }
-    // A redirect must NOT execute the route: /shutdown above left the
-    // server running.
+    let bad = r#"{"op":"top_k","node":1,"k":3,"metric":"\ud800\ux0041"}"#;
+    let r = client::post(addr, "/v1/query", bad).unwrap();
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.text().contains(r#""code":"bad_request""#), "{}", r.text());
+
+    // A valid pair decodes to its character, which names no metric.
+    let pair = r#"{"op":"top_k","node":1,"k":3,"metric":"\ud83d\ude00"}"#;
+    let r = client::post(addr, "/v1/query", pair).unwrap();
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(
+        r.text().contains("unknown metric \\\"\u{1F600}\\\""),
+        "{}",
+        r.text()
+    );
+
     let r = client::get(addr, "/v1/healthz").unwrap();
-    assert_eq!(r.status, 200);
-    assert!(r.text().contains(r#""status":"serving""#), "{}", r.text());
+    assert_eq!(r.status, 200, "{}", r.text());
 
     handle.shutdown();
 }
@@ -252,75 +288,6 @@ fn reindex_route_publishes_a_generation_and_read_your_writes_holds() {
     assert!(r.text().contains(r#""code":"bad_request""#), "{}", r.text());
     let r = client::get(addr, "/v1/healthz").unwrap();
     assert!(r.text().contains(r#""generation":1"#), "{}", r.text());
-
-    handle.shutdown();
-}
-
-#[test]
-fn admin_attack_route_is_gated_and_drives_suspect_flags() {
-    // Disabled (the default): the route is indistinguishable from a 404.
-    let (_engine, handle) = default_server();
-    let r = client::post(
-        handle.addr(),
-        "/v1/admin/attack",
-        r#"{"targets":[0],"score":0.9}"#,
-    )
-    .unwrap();
-    assert_eq!(r.status, 404, "{}", r.text());
-    handle.shutdown();
-
-    // Enabled: the route rehearses poisoned-neighborhood detection.
-    let (engine, handle) = server(HttpConfig {
-        workers: 2,
-        queue_capacity: 8,
-        admin_attack: true,
-        ..HttpConfig::default()
-    });
-    let addr = handle.addr();
-
-    // Wrong method → 405 (the gate reveals the route only when enabled).
-    let r = client::get(addr, "/v1/admin/attack").unwrap();
-    assert_eq!(r.status, 405);
-    // Malformed body → typed 400; bad score / bad target → typed 4xx.
-    let r = client::post(addr, "/v1/admin/attack", "{not json").unwrap();
-    assert_eq!(r.status, 400);
-    assert!(r.text().contains(r#""code":"bad_request""#), "{}", r.text());
-    let r = client::post(addr, "/v1/admin/attack", r#"{"targets":[0],"score":7.0}"#).unwrap();
-    assert_eq!(r.status, 400);
-    let r = client::post(addr, "/v1/admin/attack", r#"{"targets":[999],"score":0.9}"#).unwrap();
-    assert_eq!(r.status, 404);
-
-    // Zero every score for a clean baseline, then poison the queried
-    // node's whole neighborhood and watch the response flip to suspect.
-    let n = engine.snapshot().store.num_nodes();
-    let all: Vec<usize> = (0..n).collect();
-    let body = format!(
-        r#"{{"targets":{},"score":0.0}}"#,
-        serde_json::to_string(&all).unwrap()
-    );
-    let r = client::post(addr, "/v1/admin/attack", &body).unwrap();
-    assert_eq!(r.status, 200, "{}", r.text());
-    assert!(r.text().contains(r#""kind":"attack""#), "{}", r.text());
-    let line = r#"{"op":"top_k","node":0,"k":5}"#;
-    let r = client::post(addr, "/v1/query", line).unwrap();
-    assert!(r.text().contains(r#""suspect":false"#), "{}", r.text());
-
-    let hits = engine.snapshot().store.top_k_node(0, 5, Metric::Cosine);
-    let targets: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
-    let body = format!(
-        r#"{{"targets":{},"score":0.95}}"#,
-        serde_json::to_string(&targets).unwrap()
-    );
-    let r = client::post(addr, "/v1/admin/attack", &body).unwrap();
-    assert_eq!(r.status, 200, "{}", r.text());
-    let r = client::post(addr, "/v1/query", line).unwrap();
-    assert!(r.text().contains(r#""suspect":true"#), "{}", r.text());
-
-    // The detector's counters moved.
-    let metrics = client::get(addr, "/v1/metrics").unwrap();
-    let text = metrics.text();
-    assert!(text.contains("serve.robust.checked"), "{text}");
-    assert!(text.contains("serve.http.route.attack"), "{text}");
 
     handle.shutdown();
 }
@@ -456,7 +423,6 @@ fn saturated_queue_sheds_with_503() {
         workers: 1,
         queue_capacity: 1,
         idle_timeout: Duration::from_secs(10),
-        ..HttpConfig::default()
     });
     let addr = handle.addr();
 
@@ -556,7 +522,6 @@ fn graceful_shutdown_drains_in_flight_and_queued() {
         workers: 1,
         queue_capacity: 4,
         idle_timeout: Duration::from_secs(10),
-        ..HttpConfig::default()
     });
 
     // One request mid-flight, one connection waiting in the queue.

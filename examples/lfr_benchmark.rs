@@ -1,13 +1,13 @@
 //! LFR stress test: sweep the mixing parameter μ on an LFR-style benchmark
 //! (power-law degrees *and* community sizes — much harder than a balanced
 //! SBM) and watch community detection degrade gracefully for AnECI, Louvain
-//! and HOPE+k-means as communities blur.
+//! and spectral embedding + k-means as communities blur.
 //!
 //! ```sh
 //! cargo run --release --example lfr_benchmark
 //! ```
 
-use aneci::baselines::{hope_embedding, louvain, HopeConfig};
+use aneci::baselines::{louvain, spectral_embedding, SpectralConfig};
 use aneci::graph::graph_stats;
 use aneci::prelude::*;
 
@@ -15,7 +15,7 @@ fn main() {
     let seed = 13;
     println!(
         "{:<6}{:>22}{:>22}{:>22}",
-        "μ", "Louvain (Q / NMI)", "HOPE+KM (Q / NMI)", "AnECI (Q / NMI)"
+        "μ", "Louvain (Q / NMI)", "Spectral+KM (Q / NMI)", "AnECI (Q / NMI)"
     );
     for mu in [0.1, 0.2, 0.3, 0.4, 0.5] {
         let config = LfrConfig {
@@ -32,9 +32,9 @@ fn main() {
         let lv = louvain(&g, seed);
         let (q_lv, n_lv) = (modularity(g.adjacency(), &lv), nmi(&lv, &truth));
 
-        let z = hope_embedding(
+        let z = spectral_embedding(
             &g,
-            &HopeConfig {
+            &SpectralConfig {
                 dim: k.max(4),
                 seed,
                 ..Default::default()

@@ -246,25 +246,28 @@ mod parse {
                             Some(b'r') => s.push('\r'),
                             Some(b't') => s.push('\t'),
                             Some(b'u') => {
-                                let cp = self.hex4()?;
-                                // Surrogate pairs.
-                                if (0xD800..0xDC00).contains(&cp) {
-                                    self.eat(b'\\')?;
-                                    self.eat(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let c = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00));
-                                    s.push(
-                                        char::from_u32(c)
-                                            .ok_or_else(|| self.err("bad surrogate pair"))?,
-                                    );
-                                } else {
-                                    s.push(
-                                        char::from_u32(cp)
-                                            .ok_or_else(|| self.err("bad \\u escape"))?,
-                                    );
-                                }
+                                self.i += 1;
+                                let cp = match self.hex4()? {
+                                    // A high surrogate must be followed by
+                                    // the escape of a low one.
+                                    hi @ 0xD800..=0xDBFF => {
+                                        if !self.b[self.i..].starts_with(b"\\u") {
+                                            return Err(self.err("unpaired surrogate"));
+                                        }
+                                        self.i += 2;
+                                        match self.hex4()? {
+                                            lo @ 0xDC00..=0xDFFF => {
+                                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                                            }
+                                            _ => return Err(self.err("unpaired surrogate")),
+                                        }
+                                    }
+                                    cp => cp,
+                                };
+                                // `None` only for a lone low surrogate.
+                                let c = char::from_u32(cp)
+                                    .ok_or_else(|| self.err("unpaired surrogate"))?;
+                                s.push(c);
                                 continue;
                             }
                             _ => return Err(self.err("bad escape")),
@@ -283,16 +286,17 @@ mod parse {
             }
         }
 
+        /// Reads the four hex digits of a `\u` escape, starting at `self.i`.
         fn hex4(&mut self) -> Result<u32, Error> {
-            self.i += 1; // past 'u'
-            let end = self.i + 4;
-            if end > self.b.len() {
-                return Err(self.err("truncated \\u escape"));
-            }
-            let hex = std::str::from_utf8(&self.b[self.i..end])
-                .map_err(|_| self.err("bad \\u escape"))?;
-            let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-            self.i = end;
+            let b: &'a [u8] = self.b;
+            let digits = b
+                .get(self.i..self.i + 4)
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
+            let cp = digits
+                .iter()
+                .try_fold(0u32, |cp, &d| Some(cp << 4 | (d as char).to_digit(16)?))
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            self.i += 4;
             Ok(cp)
         }
 

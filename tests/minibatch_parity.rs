@@ -7,8 +7,8 @@
 //!
 //! 1. **Streaming generator** — `generate_streamed` yields bit-identical
 //!    graphs for any edge-chunk size and any `ANECI_NUM_THREADS`.
-//! 2. **Batch samplers** — community-aware and neighbor-sampling epoch
-//!    plans are a serial seeded-RNG walk, identical across thread counts.
+//! 2. **Batch sampler** — community-aware epoch plans are a serial
+//!    seeded-RNG walk, identical across thread counts.
 //! 3. **Extraction kernels** — the pooled `extract_submatrix` /
 //!    `gather_rows` / `select_columns` kernels and the batched high-order
 //!    proximity (a zero-budget `RowStore`'s cut) match their serial references
@@ -67,35 +67,23 @@ fn batch_plans_are_invariant_to_thread_count() {
         hops: 1,
         max_batch_nodes: 200,
     };
-    let neighbor = BatchStrategy::NeighborSampling {
-        seeds_per_batch: 64,
-        fanout: 4,
-        hops: 2,
-    };
 
     pool::force_pool();
     let mut plans = Vec::new();
     for threads in [2usize, 4] {
         pool::set_num_threads(threads);
         let cs = BatchSampler::new(&g.adjacency, community, Some(&g.labels), 17);
-        let ns = BatchSampler::new(&g.adjacency, neighbor, None, 17);
-        let per_epoch: Vec<_> = (0..3)
-            .map(|e| (cs.epoch_plan(e), ns.epoch_plan(e)))
-            .collect();
+        let per_epoch: Vec<_> = (0..3).map(|e| cs.epoch_plan(e)).collect();
         plans.push(per_epoch);
     }
     assert_eq!(plans[0], plans[1], "batch plans depend on thread count");
 
     // Plans are well-formed: sorted unique nodes, community batches capped.
-    for (c_plan, n_plan) in &plans[0] {
-        for batch in c_plan.iter().chain(n_plan) {
-            assert!(!batch.is_empty());
-            assert!(batch.windows(2).all(|w| w[0] < w[1]), "unsorted batch");
-            assert!(*batch.last().unwrap() < g.num_nodes());
-        }
-        for batch in c_plan {
-            assert!(batch.len() <= 200, "max_batch_nodes violated");
-        }
+    for batch in plans[0].iter().flatten() {
+        assert!(!batch.is_empty());
+        assert!(batch.windows(2).all(|w| w[0] < w[1]), "unsorted batch");
+        assert!(*batch.last().unwrap() < g.num_nodes());
+        assert!(batch.len() <= 200, "max_batch_nodes violated");
     }
 }
 
