@@ -4,7 +4,7 @@
 //! saturation and graceful shutdown that drains in-flight requests.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -180,20 +180,24 @@ fn typed_errors_carry_code_and_status() {
         r.text()
     );
 
-    // The unversioned paths of the pre-`/v1` API, and the attack route no
-    // configuration serves, are unknown paths like any other: a typed 404
-    // that executes nothing (`/shutdown` leaves the server serving).
-    let query = r#"{"op":"top_k","node":0,"k":5}"#;
+    // The attack route no configuration serves is an unknown path like any
+    // other, whatever the method.
     let attack = r#"{"targets":[0],"score":0.9}"#;
-    for (method, path, body) in [
-        ("GET", "/healthz", ""),
-        ("GET", "/metrics", ""),
-        ("POST", "/query", query),
-        ("POST", "/query_batch", query),
-        ("POST", "/shutdown", ""),
-        ("POST", "/v1/admin/attack", attack),
-        ("GET", "/v1/admin/attack", ""),
-    ] {
+    assert_unknown_paths(
+        addr,
+        &[
+            ("POST", "/v1/admin/attack", attack),
+            ("GET", "/v1/admin/attack", ""),
+        ],
+    );
+
+    handle.shutdown();
+}
+
+/// Sends each request on its own connection and checks that it answers a
+/// typed 404 with no `location`, and that the server still serves after.
+fn assert_unknown_paths(addr: SocketAddr, requests: &[(&str, &str, &str)]) {
+    for &(method, path, body) in requests {
         let body = (method == "POST").then_some(body.as_bytes());
         let r = HttpClient::connect(addr)
             .unwrap()
@@ -206,6 +210,26 @@ fn typed_errors_carry_code_and_status() {
     let r = client::get(addr, "/v1/healthz").unwrap();
     assert_eq!(r.status, 200);
     assert!(r.text().contains(r#""status":"serving""#), "{}", r.text());
+}
+
+#[test]
+fn legacy_paths_answer_404_and_execute_nothing() {
+    let (_engine, handle) = default_server();
+    let addr = handle.addr();
+
+    // The unversioned paths of the pre-`/v1` API are unknown paths: a typed
+    // 404 that executes nothing (`/shutdown` leaves the server serving).
+    let query = r#"{"op":"top_k","node":0,"k":5}"#;
+    assert_unknown_paths(
+        addr,
+        &[
+            ("GET", "/healthz", ""),
+            ("GET", "/metrics", ""),
+            ("POST", "/query", query),
+            ("POST", "/query_batch", query),
+            ("POST", "/shutdown", ""),
+        ],
+    );
 
     handle.shutdown();
 }
