@@ -1,20 +1,20 @@
-//! The unified attack interface: every attack *plans* a [`GraphDelta`].
+//! What every attack returns: the net [`GraphDelta`] it plans, with typed
+//! metadata.
 //!
-//! Attacks used to return four bespoke result structs, each carrying its
-//! own pre-built poisoned graph. Since PR 9 the rest of the workspace —
-//! [`apply_to_csr`](aneci_graph::apply_to_csr),
-//! [`HighOrder::refresh`](aneci_graph::HighOrder::refresh), the serving
-//! snapshot pipeline — speaks [`GraphDelta`], so an attack now emits one
-//! delta plus typed metadata ([`AttackOutcome`]) and the caller decides
-//! what to do with it: materialize a poisoned graph
-//! ([`AttackOutcome::apply`], which validates CSR invariants), patch a CSR
-//! in place, or feed an incremental proximity refresh.
-//!
-//! The planning internals are untouched: each attack still runs its
-//! original sequential simulation on its original RNG stream, so planned
-//! perturbations are bit-identical to the pre-refactor poisoned graphs.
+//! Each attack is one function ([`random_attack`](crate::random_attack),
+//! [`fga_attack`](crate::fga_attack),
+//! [`nettack_attack`](crate::nettack_attack),
+//! [`seed_outliers`](crate::seed_outliers)) that leaves its input graph
+//! alone and returns an [`AttackOutcome`]. The sequential attacks record
+//! every edge flip as they make it and fold those flips into their net
+//! delta ([`net_flips`]); the caller decides what to do with it:
+//! materialize a poisoned graph ([`AttackOutcome::apply`], which validates
+//! CSR invariants), patch a CSR with
+//! [`apply_to_csr`](aneci_graph::apply_to_csr), or feed an incremental
+//! [`HighOrder::refresh`](aneci_graph::HighOrder::refresh).
 
-use aneci_graph::{AttributedGraph, GraphDelta, GraphError};
+use aneci_graph::{apply_to_csr, AttributedGraph, GraphDelta, GraphError};
+use aneci_linalg::CsrMatrix;
 use std::collections::BTreeSet;
 
 use crate::fga::EdgeFlip;
@@ -41,8 +41,24 @@ pub struct AttackOutcome {
 }
 
 impl AttackOutcome {
-    /// The injected fake edges `E*` (canonical `u < v` for the random
-    /// attack; endpoint order as planned otherwise).
+    /// The outcome of a targeted attack that made `flips` on `graph`, in
+    /// order: its delta is their net edit ([`net_flips`]).
+    pub(crate) fn of_flips(
+        graph: &AttributedGraph,
+        targets: &[usize],
+        flips: Vec<EdgeFlip>,
+    ) -> Self {
+        Self {
+            delta: net_flips(graph, &flips),
+            budget_spent: flips.len(),
+            targets: targets.to_vec(),
+            flips,
+            outliers: Vec::new(),
+        }
+    }
+
+    /// The injected fake edges `E*`, as canonical `u < v` pairs (in
+    /// insertion order for the random attack, sorted otherwise).
     pub fn fake_edges(&self) -> &[(usize, usize)] {
         &self.delta.add_edges
     }
@@ -84,128 +100,39 @@ impl AttackOutcome {
     }
 }
 
-/// An adversarial perturbation strategy. `plan` computes the delta without
-/// touching the input graph; the provided [`Attack::attack`] materializes
-/// the validated poisoned graph alongside the outcome.
-pub trait Attack {
-    /// Short stable identifier (used in benchmark reports).
-    fn name(&self) -> &'static str;
-
-    /// Plans the perturbation for `graph`.
-    fn plan(&self, graph: &AttributedGraph) -> AttackOutcome;
-
-    /// Plans and applies in one step, validating the result.
-    fn attack(
-        &self,
-        graph: &AttributedGraph,
-    ) -> Result<(AttributedGraph, AttackOutcome), GraphError> {
-        let outcome = self.plan(graph);
-        let attacked = outcome.apply(graph)?;
-        Ok((attacked, outcome))
+/// `adjacency` with `flips` made, each on an edge whose current state it
+/// toggles (no edge flipped twice in one call).
+pub(crate) fn apply_flips(adjacency: &CsrMatrix, flips: &[EdgeFlip]) -> CsrMatrix {
+    let mut step = GraphDelta::new();
+    for f in flips {
+        let edges = if f.added {
+            &mut step.add_edges
+        } else {
+            &mut step.remove_edges
+        };
+        edges.push((f.target, f.other));
     }
+    apply_to_csr(adjacency, &step)
+        .expect("an attack flips edges between distinct nodes of the graph")
+        .0
 }
 
-/// The net [`GraphDelta`] between two same-size graphs: edge-set difference
-/// plus every attribute row that changed. Used by attacks that simulate
-/// sequentially (where later flips can undo earlier ones) to report the net
-/// effect.
-pub(crate) fn delta_between(original: &AttributedGraph, mutated: &AttributedGraph) -> GraphDelta {
-    assert_eq!(
-        original.num_nodes(),
-        mutated.num_nodes(),
-        "attacks never add or remove nodes"
-    );
-    let before: BTreeSet<(usize, usize)> = original.edge_list().into_iter().collect();
-    let after: BTreeSet<(usize, usize)> = mutated.edge_list().into_iter().collect();
-    let mut delta = GraphDelta {
-        add_edges: after.difference(&before).copied().collect(),
-        remove_edges: before.difference(&after).copied().collect(),
-        ..Default::default()
-    };
-    let (xa, xb) = (original.features(), mutated.features());
-    for node in 0..original.num_nodes() {
-        if xa.row(node) != xb.row(node) {
-            delta = delta.set_attribute(node, xb.row(node).to_vec());
+/// The net edit of `flips`, made in order on `graph`: every edge flipped an
+/// odd number of times, as a sorted `(min, max)` pair, in `remove_edges`
+/// when `graph` had it and in `add_edges` otherwise.
+pub(crate) fn net_flips(graph: &AttributedGraph, flips: &[EdgeFlip]) -> GraphDelta {
+    let mut odd = BTreeSet::new();
+    for f in flips {
+        let key = (f.target.min(f.other), f.target.max(f.other));
+        if !odd.remove(&key) {
+            odd.insert(key);
         }
     }
-    delta
-}
-
-/// Non-targeted random edge injection as an [`Attack`].
-#[derive(Clone, Copy, Debug)]
-pub struct RandomAttack {
-    /// Perturbation rate δ: injects `⌊δ·|E|⌋` fake edges.
-    pub rate: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Attack for RandomAttack {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn plan(&self, graph: &AttributedGraph) -> AttackOutcome {
-        crate::random::random_attack(graph, self.rate, self.seed)
-    }
-}
-
-/// FGA gradient attack as an [`Attack`].
-#[derive(Clone, Debug)]
-pub struct FgaAttack {
-    /// Target nodes.
-    pub targets: Vec<usize>,
-    /// FGA hyperparameters.
-    pub config: crate::fga::FgaConfig,
-}
-
-impl Attack for FgaAttack {
-    fn name(&self) -> &'static str {
-        "fga"
-    }
-
-    fn plan(&self, graph: &AttributedGraph) -> AttackOutcome {
-        crate::fga::fga_attack(graph, &self.targets, &self.config)
-    }
-}
-
-/// NETTACK-style greedy margin attack as an [`Attack`].
-#[derive(Clone, Debug)]
-pub struct NettackAttack {
-    /// Target nodes.
-    pub targets: Vec<usize>,
-    /// NETTACK hyperparameters.
-    pub config: crate::nettack::NettackConfig,
-}
-
-impl Attack for NettackAttack {
-    fn name(&self) -> &'static str {
-        "nettack"
-    }
-
-    fn plan(&self, graph: &AttributedGraph) -> AttackOutcome {
-        crate::nettack::nettack_attack(graph, &self.targets, &self.config)
-    }
-}
-
-/// Community-outlier seeding as an [`Attack`].
-#[derive(Clone, Debug)]
-pub struct OutlierAttack {
-    /// Fraction of nodes to corrupt, in `[0, 0.5]`.
-    pub fraction: f64,
-    /// Outlier types to cycle through.
-    pub types: Vec<OutlierType>,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Attack for OutlierAttack {
-    fn name(&self) -> &'static str {
-        "outliers"
-    }
-
-    fn plan(&self, graph: &AttributedGraph) -> AttackOutcome {
-        crate::outliers::seed_outliers(graph, self.fraction, &self.types, self.seed)
+    let (remove_edges, add_edges) = odd.into_iter().partition(|&(u, v)| graph.has_edge(u, v));
+    GraphDelta {
+        add_edges,
+        remove_edges,
+        ..Default::default()
     }
 }
 
@@ -246,31 +173,40 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_attacks_compose() {
+    fn net_flips_keep_edges_flipped_an_odd_number_of_times() {
         let g = karate_club();
-        let attacks: Vec<Box<dyn Attack>> = vec![Box::new(RandomAttack { rate: 0.1, seed: 5 })];
-        for atk in &attacks {
-            let (attacked, outcome) = atk.attack(&g).unwrap();
-            assert_eq!(atk.name(), "random");
-            assert_eq!(
-                attacked.num_edges(),
-                g.num_edges() + outcome.fake_edges().len()
-            );
-            assert_eq!(outcome.budget_spent, outcome.fake_edges().len());
-        }
-    }
-
-    #[test]
-    fn delta_between_reports_net_edit() {
-        let g = karate_club();
-        let edited = g.with_edits(&[(0, 9)], &[(0, 1)]);
-        let delta = delta_between(&g, &edited);
-        assert_eq!(delta.add_edges, vec![(0, 9)]);
+        let flip = |target, other, added| EdgeFlip {
+            target,
+            other,
+            added,
+        };
+        // (0, 9) added; (0, 1) removed; (9, 33) removed and re-added;
+        // (5, 2) added, removed from the other end and added again.
+        let flips = [
+            flip(9, 0, true),
+            flip(0, 1, false),
+            flip(9, 33, false),
+            flip(33, 9, true),
+            flip(5, 2, true),
+            flip(2, 5, false),
+            flip(5, 2, true),
+        ];
+        let delta = net_flips(&g, &flips);
+        assert_eq!(delta.add_edges, vec![(0, 9), (2, 5)]);
         assert_eq!(delta.remove_edges, vec![(0, 1)]);
         assert!(delta.set_attributes.is_empty());
-        // Round-trips back onto the original.
+        // Replaying the flips one at a time lands on the same graph.
         let mut replayed = g.clone();
-        replayed.apply_delta(&delta).unwrap();
-        assert_eq!(replayed.edge_list(), edited.edge_list());
+        for f in &flips {
+            let step = if f.added {
+                GraphDelta::new().add_edge(f.target, f.other)
+            } else {
+                GraphDelta::new().remove_edge(f.target, f.other)
+            };
+            replayed.apply_delta(&step).unwrap();
+        }
+        let mut folded = g.clone();
+        folded.apply_delta(&delta).unwrap();
+        assert_eq!(folded.adjacency(), replayed.adjacency());
     }
 }

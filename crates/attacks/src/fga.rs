@@ -12,10 +12,10 @@
 use aneci_autograd::Tape;
 use aneci_baselines::{GcnClassifier, GcnConfig};
 use aneci_graph::AttributedGraph;
-use aneci_linalg::DenseMatrix;
+use aneci_linalg::{CsrMatrix, DenseMatrix};
 use std::sync::Arc;
 
-use crate::attack::{delta_between, AttackOutcome};
+use crate::attack::{apply_flips, AttackOutcome};
 
 /// FGA hyperparameters.
 #[derive(Clone, Debug)]
@@ -46,16 +46,16 @@ pub struct EdgeFlip {
     pub added: bool,
 }
 
-/// Dense normalized adjacency `D^-1/2 (A+I) D^-1/2` of a graph.
-fn dense_norm_adjacency(graph: &AttributedGraph) -> DenseMatrix {
-    let n = graph.num_nodes();
+/// Dense normalized adjacency `D^-1/2 (A+I) D^-1/2` of an adjacency.
+fn dense_norm_adjacency(adjacency: &CsrMatrix) -> DenseMatrix {
+    let n = adjacency.rows();
     let inv_sqrt: Vec<f64> = (0..n)
-        .map(|u| 1.0 / ((graph.degree(u) + 1) as f64).sqrt())
+        .map(|u| 1.0 / ((adjacency.row_nnz(u) + 1) as f64).sqrt())
         .collect();
     let mut s = DenseMatrix::zeros(n, n);
     for u in 0..n {
         s.set(u, u, inv_sqrt[u] * inv_sqrt[u]);
-        for v in graph.neighbors(u) {
+        for (v, _) in adjacency.row_entries(u) {
             s.set(u, v, inv_sqrt[u] * inv_sqrt[v]);
         }
     }
@@ -65,21 +65,21 @@ fn dense_norm_adjacency(graph: &AttributedGraph) -> DenseMatrix {
 /// Gradient of the target node's CE loss w.r.t. the dense normalized
 /// adjacency, using the surrogate's frozen `xw = X·W₁` and `w2 = W₂`.
 fn adjacency_gradient(
-    graph: &AttributedGraph,
+    adjacency: &CsrMatrix,
     xw: &Arc<DenseMatrix>,
     w2: &Arc<DenseMatrix>,
     target: usize,
     label: usize,
 ) -> DenseMatrix {
     let mut tape = Tape::new();
-    let s = tape.leaf(dense_norm_adjacency(graph));
+    let s = tape.leaf(dense_norm_adjacency(adjacency));
     let xw = tape.constant(Arc::clone(xw));
     let w2v = tape.constant(Arc::clone(w2));
     let h1 = tape.matmul(s, xw);
     let a1 = tape.relu(h1);
     let hw = tape.matmul(a1, w2v);
     let logits = tape.matmul(s, hw);
-    let mut labels = vec![0usize; graph.num_nodes()];
+    let mut labels = vec![0usize; adjacency.rows()];
     labels[target] = label;
     let loss = tape.softmax_cross_entropy(logits, &labels, &[target]);
     tape.backward(loss);
@@ -88,29 +88,31 @@ fn adjacency_gradient(
 
 /// Runs FGA against every target. The surrogate is trained once on the
 /// input graph; flips accumulate into a single poisoned graph (matching the
-/// paper's protocol of attacking all targets then retraining the victim).
+/// paper's protocol of attacking all targets then retraining the victim),
+/// and the outcome's delta is their net edit.
 pub fn fga_attack(graph: &AttributedGraph, targets: &[usize], config: &FgaConfig) -> AttackOutcome {
-    let labels = graph.labels.as_ref().expect("FGA needs labels").clone();
+    let labels = graph.labels.as_ref().expect("FGA needs labels");
     let surrogate = GcnClassifier::fit(graph, &config.surrogate);
     let (w1, w2) = surrogate.weights();
     // No flip changes `X`: one `X·W₁`, the tape's own product, serves all.
     let xw = Arc::new(graph.features().matmul(&w1));
     let w2 = Arc::new(w2);
 
-    let mut working = graph.clone();
+    // The flips so far, applied to the clean adjacency.
+    let mut working = graph.adjacency().clone();
     let mut flips = Vec::new();
     for &target in targets {
         for _ in 0..config.perturbations_per_target {
             let grad = adjacency_gradient(&working, &xw, &w2, target, labels[target]);
             // Best beneficial flip incident to the target (direct attack).
             let mut best: Option<(usize, bool, f64)> = None;
-            for v in 0..working.num_nodes() {
+            for v in 0..working.rows() {
                 if v == target {
                     continue;
                 }
                 // Symmetric contribution of the (target, v) entry.
                 let g = grad.get(target, v) + grad.get(v, target);
-                let exists = working.has_edge(target, v);
+                let exists = working.get(target, v) != 0.0;
                 // Increasing loss: add when g > 0, remove when g < 0.
                 let benefit = if exists { -g } else { g };
                 if benefit > 0.0 {
@@ -120,26 +122,17 @@ pub fn fga_attack(graph: &AttributedGraph, targets: &[usize], config: &FgaConfig
                     }
                 }
             }
-            let Some((v, add, _)) = best else { break };
-            working = if add {
-                working.with_edits(&[(target, v)], &[])
-            } else {
-                working.with_edits(&[], &[(target, v)])
-            };
-            flips.push(EdgeFlip {
+            let Some((other, added, _)) = best else { break };
+            let flip = EdgeFlip {
                 target,
-                other: v,
-                added: add,
-            });
+                other,
+                added,
+            };
+            working = apply_flips(&working, &[flip]);
+            flips.push(flip);
         }
     }
-    AttackOutcome {
-        delta: delta_between(graph, &working),
-        budget_spent: flips.len(),
-        targets: targets.to_vec(),
-        flips,
-        outliers: Vec::new(),
-    }
+    AttackOutcome::of_flips(graph, targets, flips)
 }
 
 #[cfg(test)]
@@ -256,7 +249,7 @@ mod tests {
     #[test]
     fn dense_norm_adjacency_matches_sparse() {
         let g = attack_setup(4);
-        let dense = dense_norm_adjacency(&g);
+        let dense = dense_norm_adjacency(g.adjacency());
         let sparse = g.norm_adjacency().to_dense();
         assert!(dense.sub(&sparse).max_abs() < 1e-12);
     }

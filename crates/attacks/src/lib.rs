@@ -13,10 +13,12 @@
 //! * [`targets`] — the paper's target-node selection rule (test nodes with
 //!   degree > 10).
 //!
-//! Every attack speaks the same type: it plans a
-//! [`GraphDelta`](aneci_graph::GraphDelta) wrapped in an
-//! [`AttackOutcome`] (see [`attack`]), so any attack composes with
-//! `apply_to_csr`, `HighOrder::refresh`, and the dynamic-serving pipeline.
+//! Each attack is one function that leaves its input graph alone and
+//! returns the same type: the net [`GraphDelta`](aneci_graph::GraphDelta)
+//! of its perturbations wrapped in an [`AttackOutcome`] (see [`attack`]),
+//! so any attack composes with `apply_to_csr`, `HighOrder::refresh`, and
+//! the dynamic-serving pipeline. [`AttackOutcome::apply`] materializes the
+//! validated poisoned graph.
 
 pub mod attack;
 pub mod fga;
@@ -25,7 +27,7 @@ pub mod outliers;
 pub mod random;
 pub mod targets;
 
-pub use attack::{Attack, AttackOutcome, FgaAttack, NettackAttack, OutlierAttack, RandomAttack};
+pub use attack::AttackOutcome;
 pub use fga::{fga_attack, EdgeFlip, FgaConfig};
 pub use nettack::{nettack_attack, NettackConfig};
 pub use outliers::{seed_outliers, OutlierType};

@@ -21,7 +21,7 @@ use aneci_linalg::DenseMatrix;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::attack::{delta_between, AttackOutcome};
+use crate::attack::AttackOutcome;
 use crate::fga::EdgeFlip;
 
 /// NETTACK hyperparameters.
@@ -158,13 +158,14 @@ fn margin(logits: &[f64], true_class: usize) -> f64 {
     logits[true_class] - best_other
 }
 
-/// Runs the NETTACK-style attack against every target.
+/// Runs the NETTACK-style attack against every target; the outcome's
+/// delta is the net edit of its flips.
 pub fn nettack_attack(
     graph: &AttributedGraph,
     targets: &[usize],
     config: &NettackConfig,
 ) -> AttackOutcome {
-    let labels = graph.labels.as_ref().expect("NETTACK needs labels").clone();
+    let labels = graph.labels.as_ref().expect("NETTACK needs labels");
     let n = graph.num_nodes();
     let w = train_linear_surrogate(graph, &config.surrogate);
     let xw = graph.features().matmul(&w);
@@ -207,26 +208,8 @@ pub fn nettack_attack(
         }
     }
 
-    // Materialize the poisoned graph to derive the net delta (flips across
-    // targets can overlap, so the flip list is not itself the net edit).
-    let added: Vec<(usize, usize)> = flips
-        .iter()
-        .filter(|f| f.added)
-        .map(|f| (f.target, f.other))
-        .collect();
-    let removed: Vec<(usize, usize)> = flips
-        .iter()
-        .filter(|f| !f.added)
-        .map(|f| (f.target, f.other))
-        .collect();
-    let poisoned = graph.with_edits(&added, &removed);
-    AttackOutcome {
-        delta: delta_between(graph, &poisoned),
-        budget_spent: flips.len(),
-        targets: targets.to_vec(),
-        flips,
-        outliers: Vec::new(),
-    }
+    // Flips across targets can overlap, so the delta is their net edit.
+    AttackOutcome::of_flips(graph, targets, flips)
 }
 
 #[cfg(test)]

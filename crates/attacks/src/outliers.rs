@@ -17,10 +17,13 @@
 
 use aneci_graph::AttributedGraph;
 use aneci_linalg::rng::{derive_seed, sample_distinct, seeded_rng, shuffle};
+use aneci_linalg::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::attack::{delta_between, AttackOutcome};
+use crate::attack::{apply_flips, net_flips, AttackOutcome};
+use crate::fga::EdgeFlip;
 
 /// The three outlier classes of ONE / the paper's Fig. 6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,46 +36,67 @@ pub enum OutlierType {
     Combined,
 }
 
-fn rewire_structural(graph: &mut AttributedGraph, node: usize, labels: &[usize], rng: &mut StdRng) {
-    let degree = graph.degree(node);
-    let old_edges: Vec<(usize, usize)> = graph
-        .neighbors(node)
-        .into_iter()
-        .map(|v| (node, v))
-        .collect();
-    // New endpoints: uniform over other-community nodes, no duplicates.
-    let n = graph.num_nodes();
-    let foreign: Vec<usize> = (0..n)
+/// Nodes of a community other than `node`'s.
+fn foreign(node: usize, labels: &[usize]) -> Vec<usize> {
+    (0..labels.len())
         .filter(|&v| v != node && labels[v] != labels[node])
-        .collect();
-    let mut new_edges = Vec::with_capacity(degree);
-    let mut used = std::collections::HashSet::new();
-    let mut attempts = 0;
-    while new_edges.len() < degree && attempts < degree * 50 + 100 {
-        attempts += 1;
-        let v = foreign[rng.gen_range(0..foreign.len())];
-        if used.insert(v) {
-            new_edges.push((node, v));
-        }
-    }
-    *graph = graph.with_edits(&new_edges, &old_edges);
+        .collect()
 }
 
-fn swap_attributes(graph: &mut AttributedGraph, node: usize, labels: &[usize], rng: &mut StdRng) {
-    let n = graph.num_nodes();
-    let foreign: Vec<usize> = (0..n)
-        .filter(|&v| v != node && labels[v] != labels[node])
-        .collect();
+/// Rewires `node`'s edges in the working `adjacency` to as many distinct
+/// foreign nodes, recording each edge it flips: an old neighbour drawn
+/// again keeps its edge.
+fn rewire_structural(
+    adjacency: &mut CsrMatrix,
+    node: usize,
+    labels: &[usize],
+    rng: &mut StdRng,
+    flips: &mut Vec<EdgeFlip>,
+) {
+    let old: BTreeSet<usize> = adjacency.row_entries(node).map(|(v, _)| v).collect();
+    // New endpoints: uniform over other-community nodes, no duplicates.
+    let foreign = foreign(node, labels);
+    let mut new = BTreeSet::new();
+    let mut attempts = 0;
+    while new.len() < old.len() && attempts < old.len() * 50 + 100 {
+        attempts += 1;
+        new.insert(foreign[rng.gen_range(0..foreign.len())]);
+    }
+    let flip = |other, added| EdgeFlip {
+        target: node,
+        other,
+        added,
+    };
+    let start = flips.len();
+    flips.extend(old.difference(&new).map(|&v| flip(v, false)));
+    flips.extend(new.difference(&old).map(|&v| flip(v, true)));
+    *adjacency = apply_flips(adjacency, &flips[start..]);
+}
+
+/// Gives `node` the current attribute row of a random foreign donor: the
+/// donor's own row, or the one an earlier swap gave it.
+fn swap_attributes(
+    features: &DenseMatrix,
+    swapped: &mut BTreeMap<usize, Vec<f64>>,
+    node: usize,
+    labels: &[usize],
+    rng: &mut StdRng,
+) {
+    let foreign = foreign(node, labels);
     let donor = foreign[rng.gen_range(0..foreign.len())];
-    let mut features = graph.features().clone();
-    let donor_row: Vec<f64> = features.row(donor).to_vec();
-    features.row_mut(node).copy_from_slice(&donor_row);
-    graph.set_features(features);
+    let row = match swapped.get(&donor) {
+        Some(row) => row.clone(),
+        None => features.row(donor).to_vec(),
+    };
+    swapped.insert(node, row);
 }
 
 /// Corrupts `fraction` of the nodes, cycling through `types` (pass a single
 /// type for the "S" / "A" / "S&A" panels, all three for "Mix").
-/// Deterministic in `seed`.
+/// Deterministic in `seed`. Corruptions apply in order, each to the graph
+/// the earlier ones left; the outcome's delta is their net edit: the
+/// rewired edges, and `set_attributes` in node order for every row that
+/// ends up different from the clean graph's.
 pub fn seed_outliers(
     graph: &AttributedGraph,
     fraction: f64,
@@ -87,8 +111,7 @@ pub fn seed_outliers(
     let labels = graph
         .labels
         .as_ref()
-        .expect("outlier seeding needs community labels")
-        .clone();
+        .expect("outlier seeding needs community labels");
     let n = graph.num_nodes();
     let count = ((n as f64) * fraction).round() as usize;
     let mut rng = seeded_rng(derive_seed(seed, 0x0071));
@@ -96,22 +119,28 @@ pub fn seed_outliers(
     let mut chosen = sample_distinct(n, count, &mut rng);
     shuffle(&mut chosen, &mut rng);
 
-    let mut corrupted = graph.clone();
+    let features = graph.features();
+    let mut adjacency = graph.adjacency().clone();
+    let mut flips = Vec::new();
+    let mut swapped = BTreeMap::new();
     let mut outliers = Vec::with_capacity(chosen.len());
     for (i, &node) in chosen.iter().enumerate() {
         let ty = types[i % types.len()];
-        match ty {
-            OutlierType::Structural => rewire_structural(&mut corrupted, node, &labels, &mut rng),
-            OutlierType::Attribute => swap_attributes(&mut corrupted, node, &labels, &mut rng),
-            OutlierType::Combined => {
-                rewire_structural(&mut corrupted, node, &labels, &mut rng);
-                swap_attributes(&mut corrupted, node, &labels, &mut rng);
-            }
+        if ty != OutlierType::Attribute {
+            rewire_structural(&mut adjacency, node, labels, &mut rng, &mut flips);
+        }
+        if ty != OutlierType::Structural {
+            swap_attributes(features, &mut swapped, node, labels, &mut rng);
         }
         outliers.push((node, ty));
     }
+    let mut delta = net_flips(graph, &flips);
+    delta.set_attributes = swapped
+        .into_iter()
+        .filter(|(node, row)| row.as_slice() != features.row(*node))
+        .collect();
     AttackOutcome {
-        delta: delta_between(graph, &corrupted),
+        delta,
         budget_spent: outliers.len(),
         targets: Vec::new(),
         flips: Vec::new(),

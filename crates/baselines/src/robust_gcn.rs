@@ -122,7 +122,7 @@ impl RobustGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aneci_graph::{generate_sbm, sample_split, FeatureKind, SbmConfig};
+    use aneci_graph::{generate_sbm, sample_split, FeatureKind, GraphDelta, SbmConfig};
 
     fn bench(seed: u64) -> AttributedGraph {
         let cfg = SbmConfig {
@@ -186,7 +186,13 @@ mod tests {
                 fakes.push((u, v));
             }
         }
-        let attacked = g.with_edits(&fakes, &[]);
+        let mut attacked = g.clone();
+        attacked
+            .apply_delta(&GraphDelta {
+                add_edges: fakes,
+                ..Default::default()
+            })
+            .unwrap();
 
         let mut plain = 0.0;
         let mut robust = 0.0;

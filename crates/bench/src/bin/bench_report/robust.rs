@@ -9,8 +9,8 @@
 
 use super::{Bar, Gate, Report, Samples};
 use aneci_attacks::{
-    select_targets, Attack, FgaAttack, FgaConfig, NettackAttack, NettackConfig, OutlierAttack,
-    OutlierType, RandomAttack,
+    fga_attack, nettack_attack, random_attack, seed_outliers, select_targets, FgaConfig,
+    NettackConfig, OutlierType,
 };
 use aneci_baselines::defense::RobustGcnDefense;
 use aneci_baselines::robust_gcn::RobustGcnConfig;
@@ -111,35 +111,28 @@ pub fn run() -> Report {
     let mut retention_means = BTreeMap::<String, Vec<f64>>::new();
     let mut last_outlier_run = None;
     for &budget in &BUDGETS {
-        let attacks: Vec<Box<dyn Attack>> = vec![
-            Box::new(RandomAttack {
-                rate: 0.1 * budget as f64,
-                seed: SEED,
-            }),
-            Box::new(FgaAttack {
-                targets: targets.clone(),
-                config: FgaConfig {
-                    perturbations_per_target: budget,
-                    ..Default::default()
-                },
-            }),
-            Box::new(NettackAttack {
-                targets: targets.clone(),
-                config: NettackConfig {
-                    perturbations_per_target: budget,
-                    seed: SEED,
-                    ..Default::default()
-                },
-            }),
-            Box::new(OutlierAttack {
-                fraction: 0.05 * budget as f64,
-                types: vec![OutlierType::Structural],
-                seed: SEED,
-            }),
+        let fga = FgaConfig {
+            perturbations_per_target: budget,
+            ..Default::default()
+        };
+        let nettack = NettackConfig {
+            perturbations_per_target: budget,
+            seed: SEED,
+            ..Default::default()
+        };
+        let fraction = 0.05 * budget as f64;
+        let attacks = [
+            ("random", random_attack(&graph, 0.1 * budget as f64, SEED)),
+            ("fga", fga_attack(&graph, &targets, &fga)),
+            ("nettack", nettack_attack(&graph, &targets, &nettack)),
+            (
+                "outliers",
+                seed_outliers(&graph, fraction, &[OutlierType::Structural], SEED),
+            ),
         ];
-        for atk in &attacks {
-            let (attacked, outcome) = atk.attack(&graph).unwrap_or_else(|e| {
-                panic!("{} (budget {budget}) produced a bad delta: {e}", atk.name());
+        for (attack, outcome) in &attacks {
+            let attacked = outcome.apply(&graph).unwrap_or_else(|e| {
+                panic!("{attack} (budget {budget}) produced a bad delta: {e}");
             });
             let fakes: BTreeSet<(usize, usize)> = outcome
                 .fake_edges()
@@ -154,7 +147,7 @@ pub fn run() -> Report {
             let fake_edges: Vec<(usize, usize)> = fakes.iter().copied().collect();
             for d in &defenses {
                 let out = d.defend(&attacked).unwrap_or_else(|e| {
-                    panic!("{} failed under {} attack: {e}", d.name(), atk.name());
+                    panic!("{} failed under {attack} attack: {e}", d.name());
                 });
                 let score = nmi(&out.communities, &labels);
                 let base = clean_nmi[d.name()];
@@ -165,7 +158,7 @@ pub fn run() -> Report {
                     .or_insert_with(|| vec![0.0; BUDGETS.len()])[budget - 1] +=
                     retention / attacks.len() as f64;
                 matrix.push(serde_json::json!({
-                    "attack": atk.name(),
+                    "attack": attack,
                     "budget": budget,
                     "defense": d.name(),
                     "nmi": score,
@@ -174,11 +167,10 @@ pub fn run() -> Report {
                     "budget_spent": outcome.budget_spent,
                 }));
                 println!(
-                    "  {:<8} b{budget}  {:<11} nmi {score:.3}  retention {retention:.3}  DS {ds:.3}",
-                    atk.name(),
+                    "  {attack:<8} b{budget}  {:<11} nmi {score:.3}  retention {retention:.3}  DS {ds:.3}",
                     d.name(),
                 );
-                if (atk.name(), d.name(), budget) == ("outliers", "none", BUDGETS[2]) {
+                if (*attack, d.name(), budget) == ("outliers", "none", BUDGETS[2]) {
                     last_outlier_run = Some((out, outcome.outlier_mask(graph.num_nodes())));
                 }
             }

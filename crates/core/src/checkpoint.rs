@@ -32,7 +32,7 @@
 //! | `WTS\0` | weight count (u32), then per weight: name length (u16), UTF-8 name, matrix |
 //!
 //! A matrix is `rows (u64) | cols (u64) | rows·cols f64 values` in row-major
-//! order. `f64`s round-trip through `to_le_bytes`/`from_le_bytes`, which is
+//! order; one with rows has at least one column. `f64`s round-trip through `to_le_bytes`/`from_le_bytes`, which is
 //! exact for every bit pattern, so `load(save(m))` reproduces the matrices
 //! bit-for-bit. Truncated files, wrong magic, length overruns and checksum
 //! mismatches all fail loudly with [`CheckpointError::Format`].
@@ -324,6 +324,11 @@ impl<'a> Reader<'a> {
     fn matrix(&mut self, what: &str) -> Result<DenseMatrix, CheckpointError> {
         let rows = self.u64()? as usize;
         let cols = self.u64()? as usize;
+        // Rows without columns hold no bytes, so the file would not bound
+        // their count: a few hundred bytes could declare 2^40 nodes.
+        if cols == 0 && rows > 0 {
+            return format_err(format!("{what}: {rows} rows of 0 columns"));
+        }
         let count = rows.checked_mul(cols).ok_or_else(|| {
             CheckpointError::Format(format!("{what}: shape {rows}x{cols} overflows"))
         })?;
@@ -482,10 +487,277 @@ mod tests {
     }
 
     #[test]
+    fn rows_without_columns_are_a_format_error() {
+        let ckpt = Checkpoint {
+            config: AneciConfig::default(),
+            embedding: DenseMatrix::zeros(3, 0),
+            membership: DenseMatrix::zeros(3, 0),
+            weights: Vec::new(),
+        };
+        let err = Checkpoint::from_bytes(&ckpt.to_bytes().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("3 rows of 0 columns"), "{err}");
+    }
+
+    #[test]
     fn error_messages_distinguish_kinds() {
         let err = Checkpoint::from_bytes(b"short").unwrap_err();
         assert!(err.to_string().contains("too short"), "{err}");
         let io_err: io::Error = err.into();
         assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::config::ReconMode;
+        use proptest::prelude::*;
+
+        /// Characters of weight names: ASCII and multi-byte, so that a
+        /// flipped bit in a name can break its UTF-8.
+        const NAME_CHARS: [char; 6] = ['w', '1', '_', 'é', 'ж', '€'];
+
+        /// A config from small knobs, each of which can make it invalid:
+        /// zero widths or epochs, a zero learning rate, `eval_every` or
+        /// `neg_ratio` of zero.
+        fn config(
+            (hidden_dim, embed_dim, epochs): (usize, usize, usize),
+            (lr, stop, recon): (usize, usize, usize),
+        ) -> AneciConfig {
+            AneciConfig {
+                hidden_dim,
+                embed_dim,
+                epochs,
+                lr: [0.0, 0.01, 1.0][lr],
+                stop: match stop {
+                    0 => StopStrategy::FixedEpochs,
+                    1 | 2 => StopStrategy::ValidationBest {
+                        eval_every: stop - 1,
+                    },
+                    _ => StopStrategy::EarlyStopModularity { patience: 1 },
+                },
+                recon: match recon {
+                    0 => ReconMode::Exact,
+                    1 | 2 => ReconMode::Sampled {
+                        neg_ratio: recon - 1,
+                    },
+                    _ => ReconMode::Auto,
+                },
+                ..AneciConfig::default()
+            }
+        }
+
+        /// A matrix of the given shape holding arbitrary bit patterns.
+        fn matrix((rows, cols): (usize, usize), bits: &[u64]) -> DenseMatrix {
+            let data = (0..rows * cols)
+                .map(|i| f64::from_bits(bits[i % bits.len()]))
+                .collect();
+            DenseMatrix::from_vec(rows, cols, data)
+        }
+
+        type WeightParts = Vec<(Vec<usize>, (usize, usize))>;
+
+        fn weight_parts() -> impl Strategy<Value = WeightParts> {
+            prop::collection::vec(
+                (
+                    prop::collection::vec(0..NAME_CHARS.len(), 0..8),
+                    (0..3usize, 0..3usize),
+                ),
+                0..3,
+            )
+        }
+
+        fn weights(parts: WeightParts, bits: &[u64]) -> Vec<(String, DenseMatrix)> {
+            parts
+                .into_iter()
+                .map(|(name, shape)| {
+                    let name = name.into_iter().map(|c| NAME_CHARS[c]).collect();
+                    (name, matrix(shape, bits))
+                })
+                .collect()
+        }
+
+        /// Whether a matrix of this shape may be read: no rows, or at
+        /// least one column, so the file's size bounds the row count.
+        fn bounded((rows, cols): (usize, usize)) -> bool {
+            rows == 0 || cols > 0
+        }
+
+        /// Decodes `bytes`: a format error, or a checkpoint `from_bytes`
+        /// may return: a valid config, agreeing and bounded shapes, and
+        /// bytes of its own that decode back to it.
+        fn decode(bytes: &[u8]) -> Result<Option<Checkpoint>, TestCaseError> {
+            match Checkpoint::from_bytes(bytes) {
+                Ok(ckpt) => {
+                    prop_assert!(ckpt.config.validate().is_ok(), "{:?}", ckpt.config);
+                    prop_assert_eq!(ckpt.embedding.shape(), ckpt.membership.shape());
+                    let mut shapes = ckpt.weights.iter().map(|(_, w)| w.shape());
+                    prop_assert!(
+                        bounded(ckpt.embedding.shape()) && shapes.all(bounded),
+                        "unbounded shape decoded"
+                    );
+                    let own = ckpt.to_bytes().unwrap();
+                    let again = Checkpoint::from_bytes(&own)
+                        .map_err(|e| TestCaseError::Fail(format!("re-decode: {e}")))?;
+                    prop_assert!(again.to_bytes().unwrap() == own, "re-decode differs");
+                    Ok(Some(ckpt))
+                }
+                Err(CheckpointError::Format(_)) => Ok(None),
+                Err(e) => Err(TestCaseError::Fail(format!("not a format error: {e}"))),
+            }
+        }
+
+        fn u64_at(bytes: &[u8], at: usize) -> u64 {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+        }
+
+        /// Records the offsets of the rows and cols of the matrix at `at`
+        /// and returns where the matrix ends.
+        fn matrix_fields(body: &[u8], at: usize, fields: &mut Vec<usize>) -> usize {
+            fields.extend([at, at + 8]);
+            let count = u64_at(body, at) * u64_at(body, at + 8);
+            at + 16 + 8 * count as usize
+        }
+
+        /// Offsets of every `u64` length field of a body `to_bytes` wrote:
+        /// each section's payload length and each matrix's rows and cols.
+        fn u64_fields(body: &[u8]) -> Vec<usize> {
+            let mut fields = Vec::new();
+            let mut at = 16;
+            while at < body.len() {
+                fields.push(at + 4);
+                let payload = at + 12;
+                match body[at..at + 4].try_into().unwrap() {
+                    TAG_EMBEDDING | TAG_MEMBERSHIP => {
+                        matrix_fields(body, payload, &mut fields);
+                    }
+                    TAG_WEIGHTS => {
+                        let count =
+                            u32::from_le_bytes(body[payload..payload + 4].try_into().unwrap());
+                        let mut next = payload + 4;
+                        for _ in 0..count {
+                            let name_len =
+                                u16::from_le_bytes(body[next..next + 2].try_into().unwrap());
+                            next = matrix_fields(body, next + 2 + name_len as usize, &mut fields);
+                        }
+                    }
+                    _ => {}
+                }
+                at = payload + u64_at(body, at + 4) as usize;
+            }
+            fields
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// Arbitrary bytes, optionally behind a valid magic or a whole
+            /// valid header and optionally with a matching checksum.
+            #[test]
+            fn arbitrary_bytes_fail_typed_or_decode_a_valid_checkpoint(
+                (header, sections) in (0..3u8, 0..6u32),
+                body in prop::collection::vec(any::<u8>(), 0..96),
+                checksummed in any::<bool>(),
+            ) {
+                let mut bytes = Vec::new();
+                if header > 0 {
+                    bytes.extend_from_slice(&MAGIC);
+                }
+                if header > 1 {
+                    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+                    bytes.extend_from_slice(&sections.to_le_bytes());
+                }
+                bytes.extend_from_slice(&body);
+                if checksummed {
+                    let crc = crc32(&bytes);
+                    bytes.extend_from_slice(&crc.to_le_bytes());
+                }
+                decode(&bytes)?;
+            }
+
+            /// A checkpoint written from arbitrary parts decodes to itself
+            /// exactly when its config validates, its embedding and
+            /// membership shapes agree and no matrix has rows but no
+            /// columns.
+            #[test]
+            fn written_checkpoints_decode_to_themselves_exactly_when_valid(
+                knobs in ((0..3usize, 0..3usize, 0..3usize), (0..3usize, 0..4usize, 0..4usize)),
+                shapes in ((0..3usize, 0..3usize), (0..3usize, 0..3usize), any::<bool>()),
+                parts in weight_parts(),
+                bits in prop::collection::vec(any::<u64>(), 1..8),
+            ) {
+                let (embedding, membership, same) = shapes;
+                let membership = if same { embedding } else { membership };
+                let ckpt = Checkpoint {
+                    config: config(knobs.0, knobs.1),
+                    embedding: matrix(embedding, &bits),
+                    membership: matrix(membership, &bits),
+                    weights: weights(parts, &bits),
+                };
+                let valid = ckpt.config.validate().is_ok()
+                    && embedding == membership
+                    && bounded(embedding)
+                    && ckpt.weights.iter().all(|(_, w)| bounded(w.shape()));
+                let bytes = ckpt.to_bytes().unwrap();
+                match decode(&bytes)? {
+                    Some(back) => {
+                        prop_assert!(valid, "invalid checkpoint decoded: {ckpt:?}");
+                        let again = back.to_bytes().unwrap();
+                        prop_assert!(again == bytes, "decoded a different checkpoint");
+                    }
+                    None => prop_assert!(!valid, "valid checkpoint refused: {ckpt:?}"),
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// A valid checkpoint cut short, with one bit flipped or with
+            /// one `u64` length field overwritten, its checksum recomputed
+            /// so the damage reaches the section parser. A cut is always
+            /// refused. Its config is all ones, so a flipped bit can zero
+            /// a field `validate` checks.
+            #[test]
+            fn damaged_checkpoints_fail_typed_or_decode_a_valid_one(
+                (shape, parts, bits) in (
+                    (0..3usize, 0..3usize),
+                    weight_parts(),
+                    prop::collection::vec(any::<u64>(), 1..8),
+                ),
+                (damage, at) in (0..3u8, any::<u64>()),
+                (kind, value) in (0..4u8, any::<u64>()),
+            ) {
+                let ckpt = Checkpoint {
+                    config: config((1, 1, 1), (2, 2, 2)),
+                    embedding: matrix(shape, &bits),
+                    membership: matrix(shape, &bits),
+                    weights: weights(parts, &bits),
+                };
+                let mut body = ckpt.to_bytes().unwrap();
+                body.truncate(body.len() - 4);
+                match damage {
+                    0 => body.truncate(at as usize % body.len()),
+                    1 => {
+                        let bit = at as usize % (body.len() * 8);
+                        body[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    _ => {
+                        let fields = u64_fields(&body);
+                        let field = fields[at as usize % fields.len()];
+                        let old = u64_at(&body, field);
+                        let new = match kind {
+                            0 => value,
+                            1 => (old + value % 9).wrapping_sub(4),
+                            2 => 1 << (value % 64),
+                            _ => value % 8,
+                        };
+                        body[field..field + 8].copy_from_slice(&new.to_le_bytes());
+                    }
+                }
+                let crc = crc32(&body);
+                body.extend_from_slice(&crc.to_le_bytes());
+                let decoded = decode(&body)?;
+                prop_assert!(damage != 0 || decoded.is_none(), "a cut-short checkpoint decoded");
+            }
+        }
     }
 }

@@ -262,7 +262,7 @@ fn vote_adjacency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aneci_graph::{generate_sbm, FeatureKind, SbmConfig};
+    use aneci_graph::{apply_to_csr, generate_sbm, FeatureKind, GraphDelta, SbmConfig};
 
     fn graph(seed: u64) -> AttributedGraph {
         generate_sbm(
@@ -418,9 +418,13 @@ mod tests {
                 .filter(|_| rng.gen::<f64>() < rate)
                 .collect();
             assert_eq!(dropped.is_empty(), rate == 0.0, "rate {rate}");
-            let want = g.with_edits(&[], &dropped);
+            let removals = GraphDelta {
+                remove_edges: dropped,
+                ..Default::default()
+            };
+            let (want, _) = apply_to_csr(g.adjacency(), &removals).unwrap();
             let got = vote_adjacency(g.num_nodes(), &edges, rate, &mut seeded_rng(seed));
-            assert_eq!(&got, want.adjacency(), "rate {rate}");
+            assert_eq!(got, want, "rate {rate}");
         }
     }
 

@@ -17,7 +17,7 @@ use crate::anomaly::edge_anomaly_scores;
 use crate::config::AneciConfig;
 use crate::error::AneciError;
 use crate::model::{AneciModel, TrainReport, ValProbe};
-use aneci_graph::AttributedGraph;
+use aneci_graph::{AttributedGraph, GraphDelta};
 use serde::{Deserialize, Serialize};
 
 /// Drop-ratio smoothing parameters of ψ.
@@ -99,7 +99,11 @@ pub fn aneci_plus(
     let removed_edges: Vec<(usize, usize)> =
         order[..drop_count].iter().map(|&i| edges[i]).collect();
 
-    let denoised_graph = graph.with_edits(&[], &removed_edges);
+    let mut denoised_graph = graph.clone();
+    denoised_graph.apply_delta(&GraphDelta {
+        remove_edges: removed_edges.clone(),
+        ..Default::default()
+    })?;
 
     // --- Stage 2: retrain on the cleaned graph. ---
     let mut model = AneciModel::new(&denoised_graph, config);
@@ -163,7 +167,13 @@ mod tests {
             .collect();
         shuffle(&mut candidates, &mut rng);
         fakes.extend(candidates.into_iter().take(20));
-        let attacked = g.with_edits(&fakes, &[]);
+        let mut attacked = g.clone();
+        attacked
+            .apply_delta(&GraphDelta {
+                add_edges: fakes.clone(),
+                ..Default::default()
+            })
+            .unwrap();
 
         let result = aneci_plus(
             &attacked,

@@ -776,16 +776,11 @@ impl AneciModel {
             ));
         }
         let (new_adj, report) = aneci_graph::delta::apply_to_csr(&self.adjacency, delta)?;
-        // Only node appends, removals, sets and clears change the features;
-        // a delta with none of them keeps sharing the model's.
-        let features = if delta.add_nodes.is_empty()
-            && delta.remove_nodes.is_empty()
-            && delta.set_attributes.is_empty()
-            && delta.clear_attributes.is_empty()
-        {
-            Arc::clone(&self.features)
-        } else {
+        // A delta that touches no features keeps sharing the model's.
+        let features = if delta.touches_features() {
             Arc::new(aneci_graph::delta::apply_to_features(&self.features, None, delta)?.0)
+        } else {
+            Arc::clone(&self.features)
         };
 
         // Incremental proximity refresh — only rows whose l-hop
@@ -1425,7 +1420,8 @@ mod tests {
         assert_eq!(model.config().stop, cfg.stop);
         // The refreshed proximity state is bit-identical to a from-scratch
         // model on the edited graph.
-        let edited = g.with_edits(&[(0, 33)], &[(0, 1)]);
+        let mut edited = g.clone();
+        edited.apply_delta(&delta).unwrap();
         let fresh = AneciModel::new(&edited, &cfg);
         assert_eq!(model.a_tilde(), fresh.a_tilde());
         assert_eq!(model.k_tilde(), fresh.k_tilde());
@@ -1467,7 +1463,8 @@ mod tests {
                 .remove_edge(0, 1);
             model.fine_tune(&delta, 1).unwrap();
 
-            let edited = g.with_edits(&[(0, 33)], &[(0, 1)]);
+            let mut edited = g.clone();
+            edited.apply_delta(&delta).unwrap();
             let mut fresh = AneciModel::new(&edited, &cfg);
             fresh.params = model.params.clone();
             assert_eq!(one_step_grads(&model), one_step_grads(&fresh), "{recon:?}");

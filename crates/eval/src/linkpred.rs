@@ -5,7 +5,7 @@
 //! non-edges with the inner-product (or cosine) decoder, report AUC and
 //! average precision.
 
-use aneci_graph::AttributedGraph;
+use aneci_graph::{AttributedGraph, GraphDelta};
 use aneci_linalg::rng::{derive_seed, seeded_rng, shuffle};
 use aneci_linalg::DenseMatrix;
 use rand::Rng;
@@ -64,7 +64,13 @@ pub fn split_edges(graph: &AttributedGraph, test_fraction: f64, seed: u64) -> Li
         }
     }
 
-    let train_graph = graph.with_edits(&[], &test_edges);
+    let mut train_graph = graph.clone();
+    train_graph
+        .apply_delta(&GraphDelta {
+            remove_edges: test_edges.clone(),
+            ..Default::default()
+        })
+        .expect("held-out edges are edges of the graph");
     LinkSplit {
         train_graph,
         test_edges,

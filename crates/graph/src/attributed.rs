@@ -194,30 +194,6 @@ impl AttributedGraph {
             .collect()
     }
 
-    /// Returns a new graph with `added` edges inserted and `removed` edges
-    /// deleted (both undirected; redundant operations are ignored).
-    pub fn with_edits(&self, added: &[(usize, usize)], removed: &[(usize, usize)]) -> Self {
-        let mut edges: BTreeSet<(usize, usize)> = self.edge_list().into_iter().collect();
-        for &(u, v) in removed {
-            edges.remove(&(u.min(v), u.max(v)));
-        }
-        for &(u, v) in added {
-            if u != v {
-                edges.insert((u.min(v), u.max(v)));
-            }
-        }
-        let list: Vec<(usize, usize)> = edges.into_iter().collect();
-        let mut g = Self::from_edges(
-            self.num_nodes(),
-            &list,
-            self.features.clone(),
-            self.labels.clone(),
-        );
-        g.split = self.split.clone();
-        g.name = self.name.clone();
-        g
-    }
-
     /// GCN propagation operator `D^-1/2 (A + I) D^-1/2` (Eq. 2 uses the
     /// self-connection convention of Definition 2).
     pub fn norm_adjacency(&self) -> CsrMatrix {
@@ -240,7 +216,9 @@ impl AttributedGraph {
     /// mask, stable node ids throughout (removed nodes are isolated, not
     /// renumbered — see the [`delta`](crate::delta) module docs). Appending
     /// nodes to a labelled graph is a typed error: there is no honest label
-    /// to invent, so callers must drop `labels` first.
+    /// to invent, so callers must drop `labels` first. A delta that
+    /// [touches no features](GraphDelta::touches_features) keeps the
+    /// feature matrix as it is, uncopied.
     ///
     /// On error the graph is untouched. On success returns the
     /// [`DeltaReport`] that seeds
@@ -256,11 +234,11 @@ impl AttributedGraph {
             ));
         }
         let (adjacency, report) = apply_to_csr(&self.adjacency, delta)?;
-        let (features, missing_mask) =
-            apply_to_features(&self.features, self.missing_mask.as_deref(), delta)?;
+        if delta.touches_features() {
+            (self.features, self.missing_mask) =
+                apply_to_features(&self.features, self.missing_mask.as_deref(), delta)?;
+        }
         self.adjacency = adjacency;
-        self.features = features;
-        self.missing_mask = missing_mask;
         aneci_obs::histogram_time_ns("delta.apply_ns").observe(start.elapsed().as_nanos() as f64);
         Ok(report)
     }
@@ -378,18 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn with_edits_adds_and_removes() {
-        let g = triangle_plus_tail();
-        let g2 = g.with_edits(&[(0, 3), (3, 0)], &[(1, 2)]);
-        assert!(g2.has_edge(0, 3));
-        assert!(!g2.has_edge(1, 2));
-        assert_eq!(g2.num_edges(), 4);
-        g2.validate().unwrap();
-        // Original untouched.
-        assert!(g.has_edge(1, 2));
-    }
-
-    #[test]
     fn norm_adjacency_rows_consistent() {
         let g = triangle_plus_tail();
         let s = g.norm_adjacency();
@@ -438,16 +404,35 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_matches_with_edits() {
+    fn apply_delta_adds_and_removes() {
         let mut g = triangle_plus_tail();
-        let expect = g.with_edits(&[(0, 3)], &[(1, 2)]);
         let report = g
-            .apply_delta(&GraphDelta::new().add_edge(0, 3).remove_edge(1, 2))
+            .apply_delta(
+                &GraphDelta::new()
+                    .add_edge(0, 3)
+                    .add_edge(3, 0)
+                    .remove_edge(2, 1),
+            )
             .unwrap();
+        let expect = AttributedGraph::from_edges_plain(4, &[(0, 1), (0, 2), (0, 3), (2, 3)], None);
         assert_eq!(g.adjacency(), expect.adjacency());
         assert_eq!(report.edges_added, 1);
         assert_eq!(report.edges_removed, 1);
         g.validate().unwrap();
+    }
+
+    #[test]
+    fn apply_delta_keeps_the_features_of_an_edge_only_delta() {
+        let mut g = triangle_plus_tail();
+        let data = g.features().as_slice().as_ptr();
+        g.apply_delta(&GraphDelta::new().add_edge(0, 3).remove_edge(1, 2))
+            .unwrap();
+        assert_eq!(g.features().as_slice().as_ptr(), data, "features copied");
+        // A delta that sets a row writes a new matrix.
+        g.apply_delta(&GraphDelta::new().set_attribute(1, vec![0.5; 4]))
+            .unwrap();
+        assert_eq!(g.features().row(1), &[0.5; 4]);
+        assert_eq!(g.features().row(0), &[1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -137,6 +137,17 @@ impl GraphDelta {
             || !self.add_nodes.is_empty()
             || !self.remove_nodes.is_empty()
     }
+
+    /// True when the delta changes the feature matrix or its
+    /// missing-attribute mask: node appends, removals, sets or clears. An
+    /// edge-only delta leaves the features as they are, so callers can keep
+    /// sharing them instead of running [`apply_to_features`].
+    pub fn touches_features(&self) -> bool {
+        !self.add_nodes.is_empty()
+            || !self.remove_nodes.is_empty()
+            || !self.set_attributes.is_empty()
+            || !self.clear_attributes.is_empty()
+    }
 }
 
 /// What [`apply_to_csr`] actually did — the seed data for incremental

@@ -1,19 +1,14 @@
-//! Graph persistence.
-//!
-//! Two formats:
-//!
-//! * **JSON** via serde — the full [`AttributedGraph`] (topology, features,
-//!   labels, splits) round-trips losslessly; used to checkpoint generated
-//!   benchmarks so every experiment binary sees the identical graph.
-//! * **edge-list text** — one `u v` pair per line with optional `# comment`
-//!   lines; interoperable with the usual network-science tooling.
+//! Graph persistence as JSON via serde: the full [`AttributedGraph`]
+//! (topology, features, labels, splits) round-trips losslessly; used to
+//! checkpoint generated benchmarks so every experiment binary sees the
+//! identical graph.
 
 use crate::attributed::AttributedGraph;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Saves a graph as pretty-printed JSON.
+/// Saves a graph as compact JSON.
 pub fn save_json(graph: &AttributedGraph, path: impl AsRef<Path>) -> io::Result<()> {
     let json = serde_json::to_string(graph).map_err(io::Error::other)?;
     let mut f = fs::File::create(path)?;
@@ -41,78 +36,6 @@ pub fn load_json(path: impl AsRef<Path>) -> io::Result<AttributedGraph> {
     Ok(graph)
 }
 
-/// Writes the undirected edge list as text (`u v` per line, `u < v`).
-pub fn save_edge_list(graph: &AttributedGraph, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# {} — {} nodes, {} edges\n",
-        if graph.name.is_empty() {
-            "graph"
-        } else {
-            &graph.name
-        },
-        graph.num_nodes(),
-        graph.num_edges()
-    ));
-    for (u, v) in graph.edge_list() {
-        out.push_str(&format!("{u} {v}\n"));
-    }
-    fs::write(path, out)
-}
-
-/// Parses an edge-list text file (whitespace-separated pairs; `#` comments
-/// and blank lines ignored). Node count is `max index + 1` unless `n` is
-/// given.
-pub fn parse_edge_list(
-    text: &str,
-    n: Option<usize>,
-) -> Result<(usize, Vec<(usize, usize)>), String> {
-    let mut edges = Vec::new();
-    let mut max_id = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>| -> Result<usize, String> {
-            tok.ok_or_else(|| format!("line {}: missing endpoint", lineno + 1))?
-                .parse::<usize>()
-                .map_err(|e| format!("line {}: {e}", lineno + 1))
-        };
-        let u = parse(it.next())?;
-        let v = parse(it.next())?;
-        max_id = max_id.max(u).max(v);
-        edges.push((u, v));
-    }
-    let nodes = match n {
-        Some(n) => {
-            if max_id >= n && !edges.is_empty() {
-                return Err(format!("edge references node {max_id} but n = {n}"));
-            }
-            n
-        }
-        None => {
-            if edges.is_empty() {
-                0
-            } else {
-                max_id + 1
-            }
-        }
-    };
-    Ok((nodes, edges))
-}
-
-/// Reads an edge-list file into a plain (identity-feature) graph.
-///
-/// Malformed lines (missing endpoints, non-numeric tokens) return an
-/// [`io::ErrorKind::InvalidData`] error rather than panicking.
-pub fn load_edge_list(path: impl AsRef<Path>) -> io::Result<AttributedGraph> {
-    let text = fs::read_to_string(path)?;
-    let (n, edges) = parse_edge_list(&text, None).map_err(invalid_data)?;
-    Ok(AttributedGraph::from_edges_plain(n, &edges, None))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,34 +54,6 @@ mod tests {
         assert_eq!(g.features(), g2.features());
         assert_eq!(g.name, g2.name);
         fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let g = karate_club();
-        let dir = std::env::temp_dir().join("aneci_io_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("karate.edges");
-        save_edge_list(&g, &path).unwrap();
-        let g2 = load_edge_list(&path).unwrap();
-        assert_eq!(g2.num_nodes(), 34);
-        assert_eq!(g2.edge_list(), g.edge_list());
-        fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn parse_handles_comments_and_blank_lines() {
-        let text = "# header\n\n0 1\n1 2\n# trailing\n";
-        let (n, edges) = parse_edge_list(text, None).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(edges, vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn parse_rejects_out_of_range() {
-        assert!(parse_edge_list("0 5\n", Some(3)).is_err());
-        assert!(parse_edge_list("0 x\n", None).is_err());
-        assert!(parse_edge_list("0\n", None).is_err());
     }
 
     #[test]
@@ -202,21 +97,6 @@ mod tests {
             Ok(_) => panic!("ragged features accepted"),
         }
 
-        // Malformed edge lists.
-        let p = dir.join("bad.edges");
-        fs::write(&p, "0 1\n2 not_a_number\n").unwrap();
-        let err = load_edge_list(&p).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        fs::write(&p, "0\n").unwrap();
-        assert!(load_edge_list(&p).is_err());
-
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parse_empty_is_empty_graph() {
-        let (n, edges) = parse_edge_list("# nothing\n", None).unwrap();
-        assert_eq!(n, 0);
-        assert!(edges.is_empty());
     }
 }

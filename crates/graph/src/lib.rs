@@ -16,7 +16,7 @@
 //!   assembly for million-node synthetics that never materialize their
 //!   edge list;
 //! * [`stats`] — components, clustering, degree-tail diagnostics;
-//! * [`io`] — JSON + edge-list persistence.
+//! * [`io`] — JSON persistence.
 
 pub mod attributed;
 pub mod delta;
@@ -40,13 +40,38 @@ pub use streaming::{edge_chunks, generate_streamed, StreamedGraph, StreamingConf
 #[cfg(test)]
 mod proptests {
     use crate::attributed::AttributedGraph;
+    use crate::delta::{GraphDelta, GraphError};
     use crate::proximity::{HighOrder, ProximityConfig};
     use aneci_linalg::DenseMatrix;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Strategy: a random undirected edge list over `n` nodes.
     fn edge_lists(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
         prop::collection::vec((0..n, 0..n), 0..40)
+    }
+
+    /// One delta's raw draws: added edges, removed edges, isolated nodes
+    /// and the number of appended nodes. Ids are taken modulo `n + 2` for
+    /// the graph's node count `n` before the delta, so self-loops,
+    /// out-of-range ids, duplicates and both endpoint orders all occur.
+    type DeltaDraw = (Vec<(usize, usize)>, Vec<(usize, usize)>, Vec<usize>, usize);
+
+    fn delta_draws() -> impl Strategy<Value = Vec<DeltaDraw>> {
+        let edges = || prop::collection::vec((0..64usize, 0..64usize), 0..4);
+        prop::collection::vec(
+            (
+                edges(),
+                edges(),
+                prop::collection::vec(0..64usize, 0..2),
+                0..3usize,
+            ),
+            1..5,
+        )
+    }
+
+    fn canonical(&(u, v): &(usize, usize)) -> (usize, usize) {
+        (u.min(v), u.max(v))
     }
 
     proptest! {
@@ -65,23 +90,6 @@ mod proptests {
             let g = AttributedGraph::from_edges_plain(10, &edges, None);
             let deg_sum: usize = g.degrees().iter().sum();
             prop_assert_eq!(deg_sum, 2 * g.num_edges());
-        }
-
-        /// `with_edits` then reverse edits restores the original edge set.
-        #[test]
-        fn edits_are_reversible(
-            edges in edge_lists(10),
-            add in edge_lists(10),
-        ) {
-            let g = AttributedGraph::from_edges_plain(10, &edges, None);
-            let additions: Vec<(usize, usize)> = add
-                .iter()
-                .copied()
-                .filter(|&(u, v)| u != v && !g.has_edge(u, v))
-                .collect();
-            let g2 = g.with_edits(&additions, &[]);
-            let g3 = g2.with_edits(&[], &additions);
-            prop_assert_eq!(g3.edge_list(), g.edge_list());
         }
 
         /// The power sum `Σ w_l (A + I)^l` of a symmetric adjacency is
@@ -106,6 +114,89 @@ mod proptests {
             }
             let nonempty = ho.k_tilde.iter().filter(|&&k| k > 0.5).count();
             prop_assert!((ho.m_tilde - nonempty as f64).abs() < 1e-9);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every delta either fails typed and leaves the graph as it was,
+        /// or lands on the naive model `(E ∪ add) ∖ remove ∖
+        /// incident(isolated)` (removal wins) with a report that says
+        /// exactly what changed; the inverse edge delta restores the start.
+        #[test]
+        fn deltas_match_an_edge_set_model(
+            (n, base) in (0..11usize, prop::collection::vec((0..64usize, 0..64usize), 0..20)),
+            draws in delta_draws(),
+        ) {
+            let base: Vec<(usize, usize)> = match n {
+                0 => Vec::new(),
+                _ => base.iter().map(|&(u, v)| (u % n, v % n)).collect(),
+            };
+            let mut g = AttributedGraph::from_edges_plain(n, &base, None);
+            let mut model: BTreeSet<(usize, usize)> = g.edge_list().into_iter().collect();
+            for (add, remove, isolate, appends) in draws {
+                let (n, span) = (g.num_nodes(), g.num_nodes() + 2);
+                let n_after = n + appends;
+                let ids = |edges: &[(usize, usize)]| -> Vec<(usize, usize)> {
+                    edges.iter().map(|&(u, v)| (u % span, v % span)).collect()
+                };
+                let (add, remove) = (ids(&add), ids(&remove));
+                let isolated: BTreeSet<usize> = isolate.iter().map(|u| u % span).collect();
+                let delta = GraphDelta {
+                    add_edges: add.clone(),
+                    remove_edges: remove.clone(),
+                    add_nodes: vec![None; appends],
+                    remove_nodes: isolated.iter().copied().collect(),
+                    ..Default::default()
+                };
+                let bad_edge = |&(u, v): &(usize, usize)| u == v || u.max(v) >= n_after;
+                let refused = add.iter().chain(&remove).any(bad_edge)
+                    || isolated.iter().any(|&u| u >= n_after)
+                    || add.iter().any(|&(u, v)| isolated.contains(&u) || isolated.contains(&v));
+
+                let before = g.clone();
+                let result = g.apply_delta(&delta);
+                if refused {
+                    prop_assert!(matches!(result, Err(GraphError::Delta(_))), "{delta:?} applied");
+                    prop_assert_eq!(g.adjacency(), before.adjacency());
+                    prop_assert_eq!(g.features(), before.features());
+                    prop_assert_eq!(g.missing_mask(), before.missing_mask());
+                    continue;
+                }
+                let report = result.map_err(|e| TestCaseError::Fail(format!("{delta:?}: {e}")))?;
+                let vetoed: BTreeSet<(usize, usize)> = remove.iter().map(canonical).collect();
+                let after: BTreeSet<(usize, usize)> = model
+                    .iter()
+                    .copied()
+                    .chain(add.iter().map(canonical))
+                    .filter(|e| !vetoed.contains(e))
+                    .filter(|(u, v)| !isolated.contains(u) && !isolated.contains(v))
+                    .collect();
+                let added: Vec<(usize, usize)> = after.difference(&model).copied().collect();
+                let removed: Vec<(usize, usize)> = model.difference(&after).copied().collect();
+                let mut touched: BTreeSet<usize> =
+                    added.iter().chain(&removed).flat_map(|&(u, v)| [u, v]).collect();
+                touched.extend(n..n_after);
+
+                prop_assert_eq!(g.num_nodes(), n_after);
+                prop_assert_eq!(g.edge_list(), after.iter().copied().collect::<Vec<_>>());
+                prop_assert!(g.validate().is_ok(), "{:?}", g.validate());
+                prop_assert_eq!(report.edges_added, added.len());
+                prop_assert_eq!(report.edges_removed, removed.len());
+                prop_assert_eq!(&report.removed_edges, &removed);
+                prop_assert_eq!(report.touched, touched.into_iter().collect::<Vec<_>>());
+
+                let mut undone = g.clone();
+                let inverse = GraphDelta {
+                    add_edges: removed,
+                    remove_edges: added,
+                    ..Default::default()
+                };
+                undone.apply_delta(&inverse).map_err(|e| TestCaseError::Fail(e.to_string()))?;
+                prop_assert_eq!(undone.edge_list(), before.edge_list());
+                model = after;
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
-//! The `\u` escapes of JSON strings, as the in-tree `serde_json` decodes
-//! them for every decoder of this crate (query lines, HTTP bodies, the
-//! delta log): every `char` written as an escape, or as a surrogate pair,
-//! decodes back to itself, and arbitrary escape text decodes to a value or
-//! a typed error, never a panic.
+//! JSON strings as the in-tree `serde_json` writes and decodes them for
+//! every decoder of this crate (query lines, HTTP bodies, the delta log):
+//! any string survives `to_string` then `from_str`, every `char` written
+//! as a `\u` escape, or as a surrogate pair, decodes back to itself, and
+//! arbitrary escape text decodes to a value or a typed error, never a
+//! panic.
 
 use proptest::prelude::*;
 
@@ -30,6 +31,19 @@ fn escaped(c: char, upper: bool) -> String {
         .collect()
 }
 
+/// The `char` that `(kind, pick)` names: printable ASCII, a control
+/// character, a quote or backslash, a Basic Multilingual Plane `char`
+/// past ASCII, or any `char`.
+fn any_char((kind, pick): (u8, u32)) -> char {
+    match kind {
+        0 => char::from(b' ' + (pick % 95) as u8),
+        1 => [char::from((pick % 0x20) as u8), '\u{7f}'][(pick % 2) as usize],
+        2 => ['"', '\\'][(pick % 2) as usize],
+        3 => char_of(true, 0x80 + pick % (0xF800 - 0x80)),
+        _ => char_of(false, pick),
+    }
+}
+
 /// Four hex digits (`mode` 0: a surrogate, high or low; 1: any unit) or,
 /// for any other `mode`, up to five bytes an escape may hold.
 fn unit_text(mode: u8, unit: u32, junk: &[usize]) -> String {
@@ -42,6 +56,17 @@ fn unit_text(mode: u8, unit: u32, junk: &[usize]) -> String {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn any_string_survives_a_write_and_a_read(
+        picks in prop::collection::vec((0..5u8, 0..0x10F800u32), 0..48),
+    ) {
+        let text: String = picks.into_iter().map(any_char).collect();
+        let written = serde_json::to_string(&text).unwrap();
+        let read: String = serde_json::from_str(&written)
+            .map_err(|e| TestCaseError::Fail(format!("{written}: {e}")))?;
+        prop_assert_eq!(read, text);
+    }
 
     #[test]
     fn every_char_written_as_an_escape_decodes_to_itself(

@@ -114,6 +114,7 @@ mod parse {
 
     pub fn parse(s: &str) -> Result<Value, Error> {
         let mut p = Parser {
+            s,
             b: s.as_bytes(),
             i: 0,
         };
@@ -127,6 +128,8 @@ mod parse {
     }
 
     struct Parser<'a> {
+        /// The text being parsed, and its bytes.
+        s: &'a str,
         b: &'a [u8],
         i: usize,
     }
@@ -275,12 +278,14 @@ mod parse {
                         self.i += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.b[self.i..])
-                            .map_err(|e| Error(format!("invalid utf-8: {e}")))?;
-                        let ch = rest.chars().next().unwrap();
-                        s.push(ch);
-                        self.i += ch.len_utf8();
+                        // Copy the run up to the next `"` or `\`: both are
+                        // ASCII, so the run ends on a char boundary.
+                        let end = self.b[self.i..]
+                            .iter()
+                            .position(|&c| c == b'"' || c == b'\\')
+                            .map_or(self.b.len(), |k| self.i + k);
+                        s.push_str(&self.s[self.i..end]);
+                        self.i = end;
                     }
                 }
             }

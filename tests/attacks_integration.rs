@@ -3,9 +3,8 @@
 //! `aneci-core` and `aneci-eval`.
 
 use aneci::attacks::{
-    fga_attack, nettack_attack, random_attack, seed_outliers, select_targets, Attack,
-    AttackOutcome, FgaAttack, FgaConfig, NettackAttack, NettackConfig, OutlierAttack, OutlierType,
-    RandomAttack,
+    fga_attack, nettack_attack, random_attack, seed_outliers, select_targets, FgaConfig,
+    NettackConfig, OutlierType,
 };
 use aneci::baselines::{GcnClassifier, GcnConfig};
 use aneci::core::{train_aneci, AneciConfig, StopStrategy};
@@ -184,88 +183,51 @@ fn attack_delta_refresh_is_bit_exact_vs_full_rebuild() {
         seed: 11,
         ..Default::default()
     };
-    let attacks: Vec<Box<dyn Attack>> = vec![
-        Box::new(RandomAttack {
-            rate: 0.15,
-            seed: 11,
-        }),
-        Box::new(FgaAttack {
-            targets: targets.clone(),
-            config: FgaConfig {
-                surrogate: surrogate.clone(),
-                perturbations_per_target: 2,
-            },
-        }),
-        Box::new(NettackAttack {
-            targets,
-            config: NettackConfig {
-                surrogate,
-                perturbations_per_target: 2,
-                ..Default::default()
-            },
-        }),
-        Box::new(OutlierAttack {
-            fraction: 0.05,
-            types: vec![OutlierType::Structural],
-            seed: 11,
-        }),
+    let fga = FgaConfig {
+        surrogate: surrogate.clone(),
+        perturbations_per_target: 2,
+    };
+    let nettack = NettackConfig {
+        surrogate,
+        perturbations_per_target: 2,
+        ..Default::default()
+    };
+    let attacks = [
+        ("random", random_attack(&g, 0.15, 11)),
+        ("fga", fga_attack(&g, &targets, &fga)),
+        ("nettack", nettack_attack(&g, &targets, &nettack)),
+        (
+            "outliers",
+            seed_outliers(&g, 0.05, &[OutlierType::Structural], 11),
+        ),
     ];
     let prox = ProximityConfig::uniform(3);
     let clean = HighOrder::build(g.adjacency(), &prox);
 
-    for attack in &attacks {
-        let outcome: AttackOutcome = attack.plan(&g);
+    for (attack, outcome) in &attacks {
         assert!(
             outcome.delta.touches_topology(),
-            "{}: attack produced no topology edits",
-            attack.name()
+            "{attack}: attack produced no topology edits"
         );
 
         // Serving path: patch the CSR, refresh the prebuilt proximity.
         let (new_adj, report) = apply_to_csr(g.adjacency(), &outcome.delta)
-            .unwrap_or_else(|e| panic!("{}: delta failed to apply: {e}", attack.name()));
+            .unwrap_or_else(|e| panic!("{attack}: delta failed to apply: {e}"));
         let mut refreshed = clean.clone();
         let rows = refreshed.refresh(&new_adj, &prox, &report);
-        assert!(rows > 0, "{}: refresh touched no rows", attack.name());
+        assert!(rows > 0, "{attack}: refresh touched no rows");
 
         // Ground truth: full rebuild on the same poisoned adjacency.
         let full = HighOrder::build(&new_adj, &prox);
         assert_eq!(
-            refreshed.a_tilde,
-            full.a_tilde,
-            "{}: refreshed Ã diverges from full rebuild",
-            attack.name()
+            refreshed.a_tilde, full.a_tilde,
+            "{attack}: refreshed Ã diverges from full rebuild"
         );
-        assert_eq!(refreshed.k_tilde, full.k_tilde, "{}: k̃", attack.name());
-        assert_eq!(refreshed.m_tilde, full.m_tilde, "{}: M̃", attack.name());
+        assert_eq!(refreshed.k_tilde, full.k_tilde, "{attack}: k̃");
+        assert_eq!(refreshed.m_tilde, full.m_tilde, "{attack}: M̃");
 
         // And the graph-level application agrees with the raw CSR patch.
         let applied = outcome.apply(&g).expect("validated application");
-        assert_eq!(applied.adjacency(), &new_adj, "{}", attack.name());
+        assert_eq!(applied.adjacency(), &new_adj, "{attack}");
     }
-}
-
-/// The four attack entry points and their trait forms emit identical deltas
-/// for identical inputs (the functional API is the trait's plan()).
-#[test]
-fn trait_and_function_attacks_agree() {
-    let g = attack_bench(12);
-    let f = random_attack(&g, 0.2, 12);
-    let t = RandomAttack {
-        rate: 0.2,
-        seed: 12,
-    }
-    .plan(&g);
-    assert_eq!(f.delta, t.delta);
-    assert_eq!(f.budget_spent, t.budget_spent);
-
-    let f = seed_outliers(&g, 0.05, &[OutlierType::Combined], 12);
-    let t = OutlierAttack {
-        fraction: 0.05,
-        types: vec![OutlierType::Combined],
-        seed: 12,
-    }
-    .plan(&g);
-    assert_eq!(f.delta, t.delta);
-    assert_eq!(f.outliers, t.outliers);
 }
