@@ -404,15 +404,29 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_adds_and_removes() {
+    fn with_edits_adds_and_removes() {
+        let g = triangle_plus_tail();
+        let mut g2 = g.clone();
+        g2.apply_delta(
+            &GraphDelta::new()
+                .add_edge(0, 3)
+                .add_edge(3, 0)
+                .remove_edge(2, 1),
+        )
+        .unwrap();
+        assert!(g2.has_edge(0, 3));
+        assert!(!g2.has_edge(1, 2));
+        assert_eq!(g2.num_edges(), 4);
+        g2.validate().unwrap();
+        // Original untouched.
+        assert!(g.has_edge(1, 2));
+    }
+
+    #[test]
+    fn apply_delta_matches_with_edits() {
         let mut g = triangle_plus_tail();
         let report = g
-            .apply_delta(
-                &GraphDelta::new()
-                    .add_edge(0, 3)
-                    .add_edge(3, 0)
-                    .remove_edge(2, 1),
-            )
+            .apply_delta(&GraphDelta::new().add_edge(0, 3).remove_edge(1, 2))
             .unwrap();
         let expect = AttributedGraph::from_edges_plain(4, &[(0, 1), (0, 2), (0, 3), (2, 3)], None);
         assert_eq!(g.adjacency(), expect.adjacency());
