@@ -40,6 +40,7 @@ pub mod config;
 pub mod defense;
 pub mod denoise;
 pub mod error;
+mod features;
 pub mod minibatch;
 pub mod model;
 pub mod modularity_defs;

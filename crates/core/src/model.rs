@@ -33,6 +33,7 @@ use crate::config::{
     ROW_STORE_BUDGET_BYTES,
 };
 use crate::error::AneciError;
+use crate::features::Features;
 use aneci_autograd::train::{Objective, StepOutput, StopRule, TrainStep, Trainer};
 use aneci_autograd::{Adam, BatchSampler, BatchStrategy, BcePair, ParamSet, Tape, Var};
 use aneci_graph::{AttributedGraph, HighOrder, RowStore};
@@ -216,14 +217,8 @@ fn engine(config: &AneciConfig, probe: bool) -> (Trainer, Adam) {
 
 /// The encoder (Eq. 2–3) on a tape: two graph convolutions over `norm_adj`
 /// with a LeakyReLU between them. Returns the embedding `Z`.
-fn encode(
-    tape: &mut Tape,
-    w: &[Var],
-    features: &Arc<DenseMatrix>,
-    norm_adj: &Arc<CsrMatrix>,
-) -> Var {
-    let x = tape.constant(Arc::clone(features));
-    let xw = tape.matmul(x, w[0]);
+fn encode(tape: &mut Tape, w: &[Var], features: &Features, norm_adj: &Arc<CsrMatrix>) -> Var {
+    let xw = features.times(tape, w[0]);
     let h1 = tape.spmm(norm_adj, xw);
     let a1 = tape.leaky_relu(h1, LEAKY_ALPHA);
     let hw = tape.matmul(a1, w[1]);
@@ -248,7 +243,7 @@ pub(crate) struct JointLoss {
 fn joint_loss(
     tape: &mut Tape,
     w: &[Var],
-    features: &Arc<DenseMatrix>,
+    features: &Features,
     ops: &Operators,
     config: &AneciConfig,
     rng: &mut StdRng,
@@ -361,7 +356,7 @@ fn reconstruction(
 struct BatchArtifacts {
     nodes: Vec<usize>,
     /// Feature rows of the batch, in batch order.
-    features: Arc<DenseMatrix>,
+    features: Features,
     /// The batch's operators; `Ã` is restricted to the batch (rows *and*
     /// columns).
     ops: Operators,
@@ -375,7 +370,7 @@ impl BatchArtifacts {
     fn build(
         rows: &mut RowStore<'_>,
         adjacency: &CsrMatrix,
-        features: &DenseMatrix,
+        features: &Features,
         config: &AneciConfig,
         nodes: &[usize],
     ) -> Self {
@@ -384,7 +379,7 @@ impl BatchArtifacts {
         let ho = rows.cut(nodes);
         Self {
             nodes: nodes.to_vec(),
-            features: Arc::new(features.select_rows(nodes)),
+            features: features.select_rows(nodes),
             ops: Operators::new(&sub, ho, config),
         }
     }
@@ -397,7 +392,8 @@ pub struct AneciModel {
     /// [`AneciModel::fine_tune`] to patch and [`AneciModel::drift_check`]
     /// to retrain on.
     adjacency: Arc<CsrMatrix>,
-    features: Arc<DenseMatrix>,
+    /// `X`, as CSR when that is smaller ([`Features`]).
+    features: Features,
     /// The whole graph's operators. [`AneciModel::try_new`] builds them at
     /// set-up; a model built from parts builds them only when a whole-graph
     /// call first needs them, which a mini-batch plan never does.
@@ -420,7 +416,8 @@ impl AneciModel {
     /// Like [`AneciModel::new`] but reports an invalid configuration as
     /// [`AneciError::Config`] instead of panicking.
     pub fn try_new(graph: &AttributedGraph, config: &AneciConfig) -> Result<Self, AneciError> {
-        let model = Self::from_parts(graph.adjacency().clone(), graph.features().clone(), config)?;
+        let features = Features::new(graph.features());
+        let model = Self::from_features(graph.adjacency().clone(), features, config)?;
         model.operators();
         Ok(model)
     }
@@ -430,10 +427,20 @@ impl AneciModel {
     /// operators, so it holds `O(E + N·d)` until a whole-graph call needs
     /// more: the model for [`AneciModel::train_plan`]. Errors with
     /// [`AneciError::Config`] on an invalid configuration and
-    /// [`AneciError::Shape`] on mismatched dimensions.
+    /// [`AneciError::Shape`] on mismatched dimensions. The model keeps
+    /// `features` itself, or only its CSR form when that is smaller.
     pub fn from_parts(
         adjacency: CsrMatrix,
         features: DenseMatrix,
+        config: &AneciConfig,
+    ) -> Result<Self, AneciError> {
+        Self::from_features(adjacency, Features::from_owned(features), config)
+    }
+
+    /// [`AneciModel::from_parts`] over features already in their form.
+    fn from_features(
+        adjacency: CsrMatrix,
+        features: Features,
         config: &AneciConfig,
     ) -> Result<Self, AneciError> {
         config.validate()?;
@@ -466,7 +473,7 @@ impl AneciModel {
             config: config.clone(),
             params,
             adjacency: Arc::new(adjacency),
-            features: Arc::new(features),
+            features,
             ops: OnceLock::new(),
             best_embedding: None,
             fine_tunes: 0,
@@ -566,7 +573,7 @@ impl AneciModel {
                 rows: RowStore::new(adjacency, &config.proximity, ROW_STORE_BUDGET_BYTES),
                 cache: full_ops.map(|ops| BatchArtifacts {
                     nodes: (0..n).collect(),
-                    features: Arc::clone(features),
+                    features: features.clone(),
                     ops,
                 }),
                 val_score,
@@ -720,8 +727,8 @@ impl AneciModel {
                 graph.num_nodes()
             )));
         }
-        let (adjacency, features) = (graph.adjacency().clone(), graph.features().clone());
-        let mut model = Self::from_parts(adjacency, features, &ckpt.config)?;
+        let features = Features::new(graph.features());
+        let mut model = Self::from_features(graph.adjacency().clone(), features, &ckpt.config)?;
         if ckpt.weights.len() != model.params.len() {
             return Err(AneciError::Shape(format!(
                 "checkpoint has {} weight tensors, architecture expects {}",
@@ -776,11 +783,13 @@ impl AneciModel {
             ));
         }
         let (new_adj, report) = aneci_graph::delta::apply_to_csr(&self.adjacency, delta)?;
-        // A delta that touches no features keeps sharing the model's.
+        // A delta that touches no features keeps sharing the model's; one
+        // that does is patched densely and its result sized again.
         let features = if delta.touches_features() {
-            Arc::new(aneci_graph::delta::apply_to_features(&self.features, None, delta)?.0)
+            let x = self.features.to_dense();
+            Features::from_owned(aneci_graph::delta::apply_to_features(&x, None, delta)?.0)
         } else {
-            Arc::clone(&self.features)
+            self.features.clone()
         };
 
         // Incremental proximity refresh — only rows whose l-hop
@@ -841,7 +850,7 @@ impl AneciModel {
         let graph = AttributedGraph::from_edges(
             self.adjacency.rows(),
             &edges,
-            (*self.features).clone(),
+            self.features.to_dense().into_owned(),
             None,
         );
         let (oracle, _) = train_aneci(&graph, &self.config)?;
@@ -930,7 +939,7 @@ pub struct DriftStats {
 struct AneciStep<'a, 'v> {
     config: &'a AneciConfig,
     adjacency: &'a CsrMatrix,
-    features: &'a DenseMatrix,
+    features: &'a Features,
     sampler: BatchSampler<'a>,
     /// The current epoch's batches.
     plan: Vec<Vec<usize>>,
@@ -1510,7 +1519,7 @@ mod tests {
         let mut model = AneciModel::new(&g, &quick_config(37));
         model.train(None).unwrap();
         let (a_tilde, embedding) = (model.a_tilde().clone(), model.embedding().clone());
-        let features = Arc::clone(&model.features);
+        let features = model.features.clone();
         let delta = aneci_graph::GraphDelta::new;
         for rejected in [
             delta().add_edge(0, 99),
@@ -1520,17 +1529,50 @@ mod tests {
             assert!(matches!(err, AneciError::Shape(_)), "{err}");
             assert!(model.ops.get().is_some(), "the operators stay in the model");
             assert_eq!(model.a_tilde(), &a_tilde);
-            assert!(Arc::ptr_eq(&model.features, &features));
+            assert!(model.features.shares(&features));
             assert_eq!(model.embedding(), &embedding);
             assert_eq!(model.fine_tunes(), 0);
         }
         model.fine_tune(&delta().add_edge(0, 33), 1).unwrap();
-        assert!(Arc::ptr_eq(&model.features, &features), "edges only");
+        assert!(model.features.shares(&features), "edges only");
         model
             .fine_tune(&delta().set_attribute(0, vec![0.5; g.num_features()]), 1)
             .unwrap();
-        assert!(!Arc::ptr_eq(&model.features, &features));
-        assert!(model.features.row(0).iter().all(|&v| v == 0.5));
+        assert!(!model.features.shares(&features));
+        assert!(model.features.to_dense().row(0).iter().all(|&v| v == 0.5));
+    }
+
+    /// Every way of building a model keeps `X` in the smaller form:
+    /// karate's identity features as CSR only, with no dense copy, the
+    /// streamed graph's Gaussian features dense and uncopied.
+    #[test]
+    fn every_constructor_keeps_features_in_the_smaller_form() {
+        let sparse = |m: &AneciModel| matches!(m.features, Features::Sparse(_));
+        let g = karate_club();
+        let cfg = quick_config(38);
+        let (model, _) = train_aneci(&g, &cfg).unwrap();
+        assert!(sparse(&model), "try_new");
+        let parts =
+            AneciModel::from_parts(g.adjacency().clone(), g.features().clone(), &cfg).unwrap();
+        assert!(sparse(&parts), "from_parts");
+        let restored = AneciModel::from_checkpoint(&g, &model.checkpoint().unwrap()).unwrap();
+        assert!(sparse(&restored), "from_checkpoint");
+        let mut tuned = model;
+        let touch = aneci_graph::GraphDelta::new().set_attribute(1, vec![0.5; g.num_features()]);
+        tuned.fine_tune(&touch, 1).unwrap();
+        assert!(sparse(&tuned), "a feature delta, sized again");
+
+        let scfg = aneci_graph::StreamingConfig::scale(600).unwrap();
+        let streamed = aneci_graph::generate_streamed(&scfg, 31, 2048);
+        let g = streamed.to_attributed();
+        let ptr = streamed.features.as_slice().as_ptr();
+        let parts = AneciModel::from_parts(streamed.adjacency, streamed.features, &cfg).unwrap();
+        let Features::Dense(x) = &parts.features else {
+            panic!("from_parts: Gaussian features stay dense");
+        };
+        assert_eq!(x.as_slice().as_ptr(), ptr, "from_parts keeps its matrix");
+        let built = AneciModel::try_new(&g, &cfg).unwrap();
+        assert!(!sparse(&built), "try_new: Gaussian features stay dense");
     }
 
     #[test]
@@ -1765,18 +1807,23 @@ mod tests {
         let whole_bytes = whole.nnz() * 12 + whole.rows() * 8;
         let all: Vec<usize> = (0..600).collect();
         let model = AneciModel::try_new(&g.to_attributed(), &cfg).unwrap();
+        let features = Features::new(&g.features);
         for budget in [0, whole_bytes / 3, whole_bytes] {
             let mut rows = RowStore::new(&g.adjacency, &cfg.proximity, budget);
             for (b, nodes) in plan.iter().enumerate() {
                 let case = format!("budget {budget}, batch {b}");
-                let cut = BatchArtifacts::build(&mut rows, &g.adjacency, &g.features, &cfg, nodes);
+                let cut = BatchArtifacts::build(&mut rows, &g.adjacency, &features, &cfg, nodes);
                 let fresh = Operators::new(
                     &g.adjacency.extract_submatrix(nodes),
                     RowStore::new(&g.adjacency, &cfg.proximity, 0).cut(nodes),
                     &cfg,
                 );
                 assert_same_bits(&cut.ops, &fresh, &case);
-                assert_eq!(*cut.features, g.features.select_rows(nodes), "{case}");
+                assert_eq!(
+                    *cut.features.to_dense(),
+                    g.features.select_rows(nodes),
+                    "{case}"
+                );
             }
             let kept = rows.bytes();
             match budget {
@@ -1784,7 +1831,7 @@ mod tests {
                 b if b == whole_bytes => assert_eq!(kept, whole_bytes, "every row is kept"),
                 b => assert!(0 < kept && kept <= b, "part kept: {kept} of {b}"),
             }
-            let full = BatchArtifacts::build(&mut rows, &g.adjacency, &g.features, &cfg, &all);
+            let full = BatchArtifacts::build(&mut rows, &g.adjacency, &features, &cfg, &all);
             assert_same_bits(
                 &full.ops,
                 model.operators(),

@@ -271,6 +271,45 @@ impl CsrMatrix {
         out
     }
 
+    /// The entries of `d` that are not `0.0`, in CSR form: NaN is kept and
+    /// `±0.0` is dropped, the entries the dense products' zero-skip visits.
+    /// One pass counts each row's entries and one fills them; a row is
+    /// walked in column order, so it comes out sorted without a check.
+    ///
+    /// # Panics
+    /// Panics when `d` has more columns than a `u32` index can name.
+    pub fn from_dense(d: &DenseMatrix) -> CsrMatrix {
+        let (rows, cols) = d.shape();
+        assert!(
+            u32::try_from(cols).is_ok(),
+            "from_dense: {cols} columns overflow a u32 index"
+        );
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        let mut nnz = 0;
+        for r in 0..rows {
+            nnz += d.row(r).iter().filter(|&&v| v != 0.0).count();
+            indptr.push(nnz);
+        }
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for r in 0..rows {
+            for (c, &v) in d.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    indices.push(c as u32);
+                    values.push(v);
+                }
+            }
+        }
+        CsrMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Transposes the matrix — a serial O(nnz) counting sort. Entries within
     /// an output row stay ordered by source row.
     pub fn transpose(&self) -> CsrMatrix {
@@ -1032,6 +1071,41 @@ mod tests {
             out
         };
         assert_eq!(spmm_par, spmm_ser);
+    }
+
+    /// `from_dense` keeps exactly the entries that are not `0.0`: NaN and
+    /// infinities stay, both zeros go; empty rows and shapes survive.
+    #[test]
+    fn from_dense_keeps_what_is_not_zero() {
+        let d = DenseMatrix::from_rows(&[
+            &[0.0, 2.0, -0.0, f64::NAN],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[-1.5, f64::INFINITY, 0.0, 3.0],
+        ]);
+        let s = CsrMatrix::from_dense(&d);
+        assert!(s.check_invariants().is_ok());
+        assert_eq!(s.shape(), (3, 4));
+        assert_eq!(s.indptr(), &[0, 2, 2, 5]);
+        assert_eq!(s.indices(), &[1, 3, 0, 1, 3]);
+        let bits: Vec<u64> = s.values().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = [2.0, f64::NAN, -1.5, f64::INFINITY, 3.0]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+        let back = s.to_dense();
+        for (r, row) in d.rows_iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                let got = back.get(r, c);
+                assert!(got.to_bits() == v.to_bits() || (v == 0.0 && got == 0.0));
+            }
+        }
+        let dense = sample().to_dense();
+        assert_eq!(CsrMatrix::from_dense(&dense), sample());
+        for (r, c) in [(0, 0), (0, 5), (4, 0)] {
+            let empty = CsrMatrix::from_dense(&DenseMatrix::zeros(r, c));
+            assert_eq!(empty, CsrMatrix::zeros(r, c), "{r}x{c}");
+        }
     }
 
     #[test]

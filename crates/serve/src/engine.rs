@@ -159,9 +159,8 @@ pub enum Response {
         /// Poisoned-neighborhood verdict: `Some(true)` when the response's
         /// top-k mass concentrates on high-anomaly nodes, `Some(false)`
         /// when checked and clean, `None` when the snapshot carries no
-        /// anomaly scores. Omitted from the serialized form when `None`, so
-        /// responses from unscored stores are byte-identical to before.
-        #[serde(skip_serializing_if = "Option::is_none", default)]
+        /// anomaly scores. Always sent: `"suspect":null` when `None`, and a
+        /// body without the field decodes as `None`.
         suspect: Option<bool>,
     },
     Community {
@@ -630,6 +629,12 @@ impl QueryEngine {
                         ),
                     );
                 }
+                if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+                    return err(
+                        ErrorCode::BadRequest,
+                        format!("vector entry {i} is {}, not a finite number", v[i]),
+                    );
+                }
                 (v, None)
             }
         };
@@ -800,7 +805,9 @@ fn run_edge_score(snap: &Snapshot, u: usize, v: usize) -> Response {
 }
 
 /// Builds the successor state of `snap` under `update`: upserts applied in
-/// order (appends must be contiguous), then deletes. The update's rows are
+/// order (appends must be contiguous), then deletes. An upsert must hold
+/// finite numbers only: JSON has no spelling for ±inf or NaN, so the delta
+/// log could not record one for a restart to replay. The update's rows are
 /// written once, by `EmbeddingStore::patched` (only written rows get fresh
 /// norms, and unchanged membership and anomaly scores are shared); the ANN
 /// index's successor shares them, copies the links — a few flat buffers —
@@ -823,6 +830,15 @@ fn build_next_snapshot(
                     "upsert of node {} has {} dims, store embeds in {dim}",
                     up.node,
                     up.vector.len()
+                ),
+            );
+        }
+        if let Some(i) = up.vector.iter().position(|x| !x.is_finite()) {
+            return bad(
+                ErrorCode::BadRequest,
+                format!(
+                    "upsert of node {} has entry {i} = {}, not a finite number",
+                    up.node, up.vector[i]
                 ),
             );
         }
@@ -1389,6 +1405,90 @@ mod tests {
             expected
         );
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An unscored store's neighbors answer sends `"suspect":null`, and a
+    /// body without the field decodes with no verdict.
+    #[test]
+    fn unscored_answers_send_suspect_as_null() {
+        let e = engine(EngineConfig::default());
+        let line = e.run_line(r#"{"op":"top_k","node":0,"k":2}"#);
+        assert!(line.ends_with(r#","suspect":null}"#), "{line}");
+        let without = line.replace(r#","suspect":null"#, "");
+        let resp: Response = serde_json::from_str(&without).unwrap();
+        assert!(
+            matches!(resp, Response::Neighbors { suspect: None, .. }),
+            "{resp:?}"
+        );
+    }
+
+    /// An upsert holding ±inf or NaN is a typed 400 before anything is
+    /// logged or published (JSON cannot spell them, so a logged one would
+    /// stop the next restart), and a restart replays the log it left. A
+    /// free query vector holding one is a typed 400 too.
+    #[test]
+    fn non_finite_vectors_are_refused_before_anything_is_written() {
+        let dir = std::env::temp_dir().join(format!(
+            "aneci-delta-log-finite-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("deltas.jsonl");
+        let _ = std::fs::remove_file(&log);
+        let build_store = || {
+            let z = gaussian_matrix(40, 4, 1.0, &mut seeded_rng(11));
+            EmbeddingStore::new(z, None)
+        };
+        let config = EngineConfig::builder()
+            .delta_log(log.clone())
+            .build()
+            .unwrap();
+
+        let e = QueryEngine::try_new(build_store(), config.clone()).unwrap();
+        e.apply_update(&SnapshotUpdate::new().upsert(40, vec![1.0, 2.0, 3.0, 4.0]))
+            .unwrap();
+        let logged = std::fs::read(&log).unwrap();
+        // `1e999` is how a JSON body spells +inf: the decoder rounds it.
+        let spelled: SnapshotUpdate =
+            serde_json::from_str(r#"{"upserts":[{"node":0,"vector":[1e999,0,0,0]}],"deletes":[]}"#)
+                .unwrap();
+        assert_eq!(spelled.upserts[0].vector[0], f64::INFINITY);
+        let mut refused = vec![spelled];
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            refused.push(SnapshotUpdate::new().upsert(3, vec![0.0, 0.0, 0.0, bad]));
+            refused.push(
+                SnapshotUpdate::new()
+                    .upsert(41, vec![1.0; 4])
+                    .upsert(42, vec![bad, 1.0, 1.0, 1.0])
+                    .delete(5),
+            );
+        }
+        for update in &refused {
+            let (code, msg) = e.apply_update(update).unwrap_err();
+            assert_eq!(code, ErrorCode::BadRequest, "{msg}");
+            assert!(msg.contains("not a finite number"), "{msg}");
+            assert_eq!(e.generation(), 1, "a refused update publishes nothing");
+            assert_eq!(std::fs::read(&log).unwrap(), logged, "nor logs anything");
+        }
+        let expected = e.run_line(r#"{"op":"top_k","node":40,"k":3}"#);
+        for line in [
+            r#"{"op":"top_k","vector":[1e999,1,1,1],"k":3}"#,
+            r#"{"op":"top_k","vector":[1,-1e999,1,1],"k":3,"metric":"dot"}"#,
+        ] {
+            let resp: Response = serde_json::from_str(&e.run_line(line)).unwrap();
+            assert_eq!(resp.error_code(), Some(ErrorCode::BadRequest), "{line}");
+        }
+        drop(e);
+
+        let revived = QueryEngine::try_new(build_store(), config).unwrap();
+        assert_eq!(revived.generation(), 1);
+        assert_eq!(revived.snapshot().store.num_nodes(), 41);
+        assert_eq!(
+            revived.run_line(r#"{"op":"top_k","node":40,"k":3}"#),
+            expected
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -316,6 +316,30 @@ fn reindex_route_publishes_a_generation_and_read_your_writes_holds() {
     handle.shutdown();
 }
 
+/// `1e999` decodes to +inf: an upsert holding it is a typed 400 and
+/// publishes nothing (JSON cannot spell +inf, so a delta log could not
+/// record it for a restart).
+#[test]
+fn a_non_finite_upsert_is_a_400_and_publishes_nothing() {
+    let (engine, handle) = default_server();
+    let addr = handle.addr();
+    let mut vector = vec!["0.5".to_string(); engine.snapshot().store.dim()];
+    vector[0] = "1e999".into();
+    let update = format!(
+        r#"{{"upserts":[{{"node":0,"vector":[{}]}}],"deletes":[]}}"#,
+        vector.join(",")
+    );
+    let r = client::post(addr, "/v1/admin/reindex", &update).unwrap();
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.text().contains(r#""code":"bad_request""#), "{}", r.text());
+    assert!(r.text().contains("not a finite number"), "{}", r.text());
+    assert_eq!(engine.generation(), 0);
+    let r = client::get(addr, "/v1/healthz").unwrap();
+    assert!(r.text().contains(r#""generation":0"#), "{}", r.text());
+
+    handle.shutdown();
+}
+
 #[test]
 fn parser_rejects_garbage_without_panicking() {
     let (_engine, handle) = default_server();

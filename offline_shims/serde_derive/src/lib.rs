@@ -5,7 +5,9 @@
 //! structs with named fields, enums with unit and struct variants
 //! (externally tagged by default), and the type-level attributes
 //! `#[serde(tag = "...")]` and `#[serde(rename_all = "snake_case")]`.
-//! Anything else panics at compile time with a clear message.
+//! Anything else panics at compile time with a clear message, a
+//! `#[serde(...)]` on a field or variant included: doc comments and other
+//! attributes pass there.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -155,6 +157,24 @@ fn parse_attr(stream: &TokenStream, tag: &mut Option<String>, snake: &mut bool) 
     }
 }
 
+/// Steps over the `#[...]` at `tokens[i]`, in front of a field or variant
+/// of `ctx`. Doc comments and other attributes pass; a `#[serde(...)]`
+/// panics, because this derive would otherwise ignore it silently.
+fn skip_member_attr(tokens: &[TokenTree], i: usize, ctx: &str) -> usize {
+    if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
+        if let Some(TokenTree::Ident(id)) = g.stream().into_iter().next() {
+            if id.to_string() == "serde" {
+                panic!(
+                    "serde_derive shim: field and variant attributes are not supported \
+                     (#[{}] in {ctx})",
+                    g.stream()
+                );
+            }
+        }
+    }
+    i + 2
+}
+
 /// Extracts field names from a braced struct/variant body, skipping types.
 fn parse_fields(stream: TokenStream, ctx: &str) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
@@ -164,7 +184,7 @@ fn parse_fields(stream: TokenStream, ctx: &str) -> Vec<String> {
         // Skip attributes and visibility.
         match &tokens[i] {
             TokenTree::Punct(p) if p.as_char() == '#' => {
-                i += 2;
+                i = skip_member_attr(&tokens, i, ctx);
                 continue;
             }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
@@ -213,7 +233,7 @@ fn parse_variants(stream: TokenStream, ctx: &str) -> Vec<Variant> {
     while i < tokens.len() {
         match &tokens[i] {
             TokenTree::Punct(p) if p.as_char() == '#' => {
-                i += 2;
+                i = skip_member_attr(&tokens, i, ctx);
                 continue;
             }
             _ => {}

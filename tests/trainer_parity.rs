@@ -25,6 +25,14 @@
 //! AnECI's, has one on a 250-node SBM, and the GCN classifier, early-stopped
 //! on its validation loss, one on a 300-node SBM with a split.
 //!
+//! A model holds its features as CSR when that takes fewer bytes, and its
+//! first layer is then a sparse product summed in row order. Of the AnECI
+//! fixtures only `sampled_recon.txt` moved with that (re-recorded in its
+//! last bits): its SBM's bag-of-words features (~9% nonzero) take CSR. The
+//! karate fixtures take CSR too, but identity features make every product
+//! of `X` exact in either form, and the streamed graph's Gaussian features
+//! of `minibatch_partial.txt` stay dense.
+//!
 //! Each golden test compares the host's dispatch section and, on an AVX2
 //! host, reruns itself with the scalar fallback forced, so both sections
 //! are checked; `aneci_linalg::golden` documents how to re-record them.
